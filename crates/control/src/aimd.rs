@@ -217,6 +217,30 @@ mod tests {
     }
 
     #[test]
+    fn setpoints_at_one_park_the_loop() {
+        // No windowed rate exceeds 1, so the loop judges every window and
+        // never acts: armed, it leaves the gated stream untouched.
+        let mut ctrl = AimdAdmission::new(
+            4.0,
+            AimdConfig {
+                miss_setpoint: 1.0,
+                miss_low_water: 1.0,
+                shed_setpoint: 1.0,
+                ..AimdConfig::default()
+            },
+        );
+        for snap in [
+            test_snapshot(100, 10, 10, 10, 10, 0),
+            test_snapshot(200, 10, 0, 10, 0, 10),
+            test_snapshot(300, 10, 10, 10, 0, 10),
+            test_snapshot(400, 0, 0, 0, 0, 0),
+        ] {
+            assert!(drive(&mut ctrl, &snap).is_empty(), "{snap:?}");
+        }
+        assert_eq!(ctrl.bound(), 4.0);
+    }
+
+    #[test]
     fn bound_saturates_at_the_floor_and_ceiling() {
         let cfg = AimdConfig {
             min_bound: 0.4,

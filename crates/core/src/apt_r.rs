@@ -16,7 +16,8 @@
 //! ```
 //!
 //! where `remaining(p_min)` is how long the optimal processor stays busy.
-//! The ablation bench `apt_r` quantifies the improvement this buys.
+//! The `ablation-aptr` artifact of `apt-repro` quantifies the improvement
+//! this buys.
 //!
 //! Like MET and APT, APT-R emits its whole per-instant fixpoint in one
 //! `decide` pass. APT-R additionally reads `busy_until`, which *does*

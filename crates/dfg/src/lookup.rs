@@ -49,9 +49,8 @@ pub struct LookupTable {
     rows: Vec<LookupRow>,
     /// Per-kind `(data_size, row index)` lists, sorted by size. A kind has at
     /// most seven measured sizes, so a binary search over a dense array beats
-    /// the `BTreeMap<(kind, size), _>` this replaced by a wide margin on the
-    /// simulator's row-resolution path (see `engine/lookup_exec_time` in
-    /// `BENCH_engine.json`).
+    /// the `BTreeMap<(kind, size), _>` this replaced on the simulator's
+    /// row-resolution path.
     index: [Vec<(u64, usize)>; KernelKind::ALL.len()],
 }
 
@@ -238,7 +237,7 @@ impl LookupTable {
     /// Derive a table with a reduced degree of heterogeneity: every non-CPU
     /// time `t` is replaced by `cpu + (t − cpu) · factor` (factor in `[0, 1]`;
     /// 1 keeps the paper's table, 0 collapses the system to homogeneous).
-    /// Used by the heterogeneity ablation bench.
+    /// Used by the `ablation-heterogeneity` artifact.
     pub fn scaled_heterogeneity(&self, factor: f64) -> LookupTable {
         assert!((0.0..=1.0).contains(&factor), "factor must be in [0, 1]");
         LookupTable::from_rows(self.rows.iter().map(|row| {

@@ -1,12 +1,11 @@
 //! # apt-experiments
 //!
 //! The experiment harness: regenerates every table (7–16) and figure (3–12)
-//! of the paper's evaluation from the reproduction pipeline. Used three
+//! of the paper's evaluation from the reproduction pipeline. Used two
 //! ways:
 //!
 //! * the `apt-repro` binary (`cargo run -p apt-experiments --release --
 //!   <id>|all|list`) prints artifacts to stdout,
-//! * the Criterion benches in `apt-bench` time the underlying sweeps,
 //! * the integration tests assert the DESIGN.md acceptance criteria.
 
 #![warn(missing_docs)]

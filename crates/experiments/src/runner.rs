@@ -3,19 +3,14 @@
 //! Every table and figure is an aggregation over the same underlying runs
 //! (policy × experiment graph × α × link rate). The runner flattens those
 //! runs into one task list and executes it on a scoped worker pool sized to
-//! the machine (crossbeam scoped threads draining an atomic cursor), then
-//! memoizes the per-run summaries (parking_lot mutex around the cache) so
-//! `apt-repro all` never simulates the same configuration twice.
+//! the machine (`std::thread::scope` workers draining an atomic cursor),
+//! then memoizes the per-run summaries (a `std::sync::Mutex` around the
+//! cache) so `apt-repro all` never simulates the same configuration twice.
 //!
-//! Two levels of parallelism are exposed:
-//!
-//! * [`run_matrix`] — one `(DFG type, α, rate)` combination, parallel over
-//!   the full graph × policy plane (the seed parallelized over graphs only,
-//!   leaving the seven policy columns of each graph serialized on one
-//!   worker — a 7× utilization loss at the tail of every sweep);
-//! * [`prewarm`] — any set of combinations at once, parallel over the whole
-//!   combination × graph × policy grid. `apt-repro all` prewarms the full
-//!   evaluation grid in a single wave before rendering any artifact.
+//! [`prewarm`] takes any set of `(DFG type, α, rate)` combinations at once
+//! and runs them in parallel over the whole combination × graph × policy
+//! grid. `apt-repro all` prewarms the full evaluation grid in a single wave
+//! before rendering any artifact.
 //!
 //! The cache key is **split by α-dependence**: only the APT column actually
 //! varies with α, so the six baseline policy columns are cached per
@@ -27,10 +22,9 @@ use crate::workloads::{experiment_graphs, NUM_EXPERIMENTS};
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
 use apt_metrics::RunSummary;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Link-rate presets used by the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,22 +82,31 @@ impl Key {
     }
 }
 
-fn cache() -> &'static Mutex<HashMap<Key, Arc<Matrix>>> {
-    static CACHE: OnceLock<Mutex<HashMap<Key, Arc<Matrix>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// The six baseline policy columns (`matrix[graph][policy − 1]`, i.e. MET …
 /// PEFT) per `(family, rate)`. α never enters a baseline simulation, so
 /// this cache is keyed without it — the α-dependent APT column is the only
 /// thing [`prewarm`] recomputes per α.
 type BaselineBlock = Vec<Vec<Arc<RunSummary>>>;
 
-type BaselineCache = Mutex<HashMap<(DfgType, Rate), Arc<BaselineBlock>>>;
+/// Both memo tables. Entries are insert-once: when two concurrent waves
+/// simulate the same key, the first to publish wins and the other adopts
+/// its `Arc`, so every reader of a key sees one allocation.
+#[derive(Default)]
+struct SweepCache {
+    matrices: Mutex<HashMap<Key, Arc<Matrix>>>,
+    baselines: Mutex<HashMap<(DfgType, Rate), Arc<BaselineBlock>>>,
+}
 
-fn baseline_cache() -> &'static BaselineCache {
-    static CACHE: OnceLock<BaselineCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// The process-wide cache behind [`policy_matrix`] and [`prewarm`].
+fn global_cache() -> &'static SweepCache {
+    static CACHE: OnceLock<SweepCache> = OnceLock::new();
+    CACHE.get_or_init(SweepCache::default)
+}
+
+/// Lock a cache table. A worker panic cannot leave a table half-written
+/// (every update is a single insert), so a poisoned lock is still usable.
+fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Worker count for sweep pools: one thread per core.
@@ -121,9 +124,10 @@ fn workers(tasks: usize) -> usize {
 pub(crate) fn run_pool<T: Send + Sync>(tasks: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let slots: Vec<OnceLock<T>> = (0..tasks).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
+    // A worker panic propagates out of the scope once every worker joined.
+    std::thread::scope(|scope| {
         for _ in 0..workers(tasks) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= tasks {
                     break;
@@ -133,8 +137,7 @@ pub(crate) fn run_pool<T: Send + Sync>(tasks: usize, run: impl Fn(usize) -> T + 
                 });
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     slots
         .into_iter()
         .map(|s| s.into_inner().expect("pool drained every task"))
@@ -144,12 +147,7 @@ pub(crate) fn run_pool<T: Send + Sync>(tasks: usize, run: impl Fn(usize) -> T + 
 /// Run (or fetch) the full seven-policy comparison for one DFG family at
 /// one α and one link rate.
 pub fn policy_matrix(ty: DfgType, alpha: f64, rate: Rate) -> Arc<Matrix> {
-    let key = Key::new(ty, alpha, rate);
-    if let Some(hit) = cache().lock().get(&key) {
-        return Arc::clone(hit);
-    }
-    prewarm(&[(ty, alpha, rate)]);
-    Arc::clone(cache().lock().get(&key).expect("prewarm fills the cache"))
+    matrix_in(global_cache(), ty, alpha, rate)
 }
 
 /// Compute every not-yet-cached `(type, α, rate)` combination in one
@@ -159,6 +157,23 @@ pub fn policy_matrix(ty: DfgType, alpha: f64, rate: Rate) -> Arc<Matrix> {
 /// simulates the six baseline columns of each `(family, rate)` pair exactly
 /// once no matter how many α values the sweep covers.
 pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
+    prewarm_in(global_cache(), specs);
+}
+
+fn matrix_in(cache: &SweepCache, ty: DfgType, alpha: f64, rate: Rate) -> Arc<Matrix> {
+    let key = Key::new(ty, alpha, rate);
+    if let Some(hit) = lock(&cache.matrices).get(&key) {
+        return Arc::clone(hit);
+    }
+    prewarm_in(cache, &[(ty, alpha, rate)]);
+    Arc::clone(
+        lock(&cache.matrices)
+            .get(&key)
+            .expect("prewarm fills the cache"),
+    )
+}
+
+fn prewarm_in(cache: &SweepCache, specs: &[(DfgType, f64, Rate)]) {
     /// One α-dependent APT column still to simulate. Graphs and system live
     /// on the referenced [`Block`].
     struct Combo {
@@ -197,7 +212,7 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
     // after they are released.
     let mut missing: Vec<(DfgType, f64, Rate)> = Vec::new();
     {
-        let cached = cache().lock();
+        let cached = lock(&cache.matrices);
         for &(ty, alpha, rate) in specs {
             let key = Key::new(ty, alpha, rate);
             if cached.contains_key(&key)
@@ -227,7 +242,7 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
     // Snapshot the already-simulated baseline blocks under a short lock;
     // graph generation and block construction happen after it is released.
     let baseline_snapshot: HashMap<(DfgType, Rate), Arc<BaselineBlock>> = {
-        let baseline_cached = baseline_cache().lock();
+        let baseline_cached = lock(&cache.baselines);
         missing
             .iter()
             .filter_map(|&(ty, _, rate)| {
@@ -319,22 +334,22 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
             Task::Base { block, graph, .. } => base_results[block][graph].push(Arc::clone(summary)),
         }
     }
-    for (block, computed) in blocks.iter_mut().zip(base_results) {
-        if block.cached.is_none() {
-            block.cached = Some(Arc::new(computed));
-        }
-    }
+    // Publish the baseline blocks, then build every matrix from the block
+    // the cache actually holds: a concurrent wave that missed the same
+    // `(family, rate)` may have published its copy first.
     {
-        let mut baseline_cached = baseline_cache().lock();
-        for block in &blocks {
-            baseline_cached
+        let mut baseline_cached = lock(&cache.baselines);
+        for (block, computed) in blocks.iter_mut().zip(base_results) {
+            let fresh = block.cached.take().unwrap_or_else(|| Arc::new(computed));
+            let published = baseline_cached
                 .entry((block.ty, block.rate))
-                .or_insert_with(|| Arc::clone(block.cached.as_ref().expect("filled above")));
+                .or_insert(fresh);
+            block.cached = Some(Arc::clone(published));
         }
     }
 
     // Assemble the full seven-column matrices (APT first, Tables-8/9 order).
-    let mut cached = cache().lock();
+    let mut cached = lock(&cache.matrices);
     for (combo, apt_column) in combos.into_iter().zip(apt_results) {
         let baseline = blocks[combo.block].cached.as_ref().expect("filled above");
         let matrix: Matrix = apt_column
@@ -348,7 +363,7 @@ pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
                 row
             })
             .collect();
-        cached.insert(combo.key, Arc::new(matrix));
+        cached.entry(combo.key).or_insert_with(|| Arc::new(matrix));
     }
 }
 
@@ -364,25 +379,6 @@ pub fn prewarm_paper_grid() {
         }
     }
     prewarm(&specs);
-}
-
-/// Execute `factories` over all ten experiment graphs of `ty` on `system`,
-/// parallel over the full graph × policy plane (uncached).
-pub fn run_matrix(
-    ty: DfgType,
-    factories: &[(String, PolicyFactory)],
-    system: &SystemConfig,
-) -> Matrix {
-    let graphs = experiment_graphs(ty);
-    let npol = factories.len();
-    let summaries = run_pool(graphs.len() * npol, |i| {
-        run_single(&graphs[i / npol], factories[i % npol].1.as_ref(), system)
-    });
-    let mut out: Matrix = vec![Vec::with_capacity(npol); graphs.len()];
-    for (i, summary) in summaries.into_iter().enumerate() {
-        out[i / npol].push(Arc::new(summary));
-    }
-    out
 }
 
 /// Run one freshly constructed policy over one graph.
@@ -478,17 +474,23 @@ mod tests {
 
     #[test]
     fn prewarm_batch_matches_individual_runs() {
-        // A batched wave and a direct uncached run_matrix agree cell by cell.
+        // A batched wave and direct uncached runs agree cell by cell.
         prewarm(&[
             (DfgType::Type2, 2.0, Rate::Gbps4),
             (DfgType::Type2, 2.0, Rate::Gbps8),
         ]);
         let cached = policy_matrix(DfgType::Type2, 2.0, Rate::Gbps4);
-        let direct = run_matrix(
-            DfgType::Type2,
-            &apt_core::all_policy_factories(2.0),
-            &Rate::Gbps4.system(),
-        );
+        let system = Rate::Gbps4.system();
+        let factories = apt_core::all_policy_factories(2.0);
+        let direct: Matrix = experiment_graphs(DfgType::Type2)
+            .iter()
+            .map(|g| {
+                factories
+                    .iter()
+                    .map(|(_, make)| Arc::new(run_single(g, make.as_ref(), &system)))
+                    .collect()
+            })
+            .collect();
         assert_eq!(*cached, direct);
     }
 
@@ -516,17 +518,118 @@ mod tests {
     }
 
     #[test]
-    fn run_matrix_rows_follow_policy_order() {
-        let m = run_matrix(
-            DfgType::Type1,
-            &apt_core::all_policy_factories(4.0),
-            &Rate::Gbps4.system(),
-        );
+    fn concurrent_waves_share_one_baseline_block() {
+        // Two waves on a cold cache miss the same (family, rate) at once,
+        // each at its own α, so both simulate the baseline block. The one
+        // that publishes second must build its matrix from the first's
+        // block, not from its own copy.
+        let cache = SweepCache::default();
+        let start = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let wave = |alpha: f64| {
+                let (cache, start) = (&cache, &start);
+                move || {
+                    start.wait();
+                    matrix_in(cache, DfgType::Type1, alpha, Rate::Gbps4)
+                }
+            };
+            let a = scope.spawn(wave(3.0));
+            let b = scope.spawn(wave(5.0));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.len(), ROWS);
+        for (ra, rb) in a.iter().zip(b.iter()) {
+            assert_eq!(ra.len(), POLICY_ORDER.len());
+            for (ca, cb) in ra[1..].iter().zip(&rb[1..]) {
+                assert!(
+                    Arc::ptr_eq(ca, cb),
+                    "baseline cell copied instead of shared"
+                );
+            }
+        }
+        assert_eq!(a[0][0].policy, "APT(α=3)");
+        assert_eq!(b[0][0].policy, "APT(α=5)");
+    }
+
+    #[test]
+    fn matrix_rows_follow_policy_order() {
+        let m = matrix_in(&SweepCache::default(), DfgType::Type1, 4.0, Rate::Gbps4);
         assert_eq!(m.len(), ROWS);
-        for row in &m {
+        for row in m.iter() {
             assert_eq!(row.len(), POLICY_ORDER.len());
             assert!(row[0].policy.starts_with("APT"));
-            assert_eq!(row[6].policy, "PEFT");
+            for (cell, name) in row[1..].iter().zip(&POLICY_ORDER[1..]) {
+                assert_eq!(cell.policy, *name);
+            }
         }
+    }
+
+    #[test]
+    fn prewarm_simulates_one_baseline_block_per_family_and_rate() {
+        let cache = SweepCache::default();
+        prewarm_in(
+            &cache,
+            &[
+                (DfgType::Type1, 2.0, Rate::Gbps4),
+                (DfgType::Type1, 6.0, Rate::Gbps4),
+            ],
+        );
+        assert_eq!(lock(&cache.matrices).len(), 2);
+        assert_eq!(lock(&cache.baselines).len(), 1);
+        // A second wave over a cached key leaves the published Arc alone.
+        let before = matrix_in(&cache, DfgType::Type1, 2.0, Rate::Gbps4);
+        prewarm_in(&cache, &[(DfgType::Type1, 2.0, Rate::Gbps4)]);
+        let after = matrix_in(&cache, DfgType::Type1, 2.0, Rate::Gbps4);
+        assert!(Arc::ptr_eq(&before, &after));
+        assert_eq!(lock(&cache.baselines).len(), 1);
+    }
+
+    #[test]
+    fn run_pool_returns_every_result_in_task_order() {
+        let calls = AtomicUsize::new(0);
+        let out = run_pool(100, |i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i * i
+        });
+        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(calls.into_inner(), 100, "a task ran twice or not at all");
+    }
+
+    #[test]
+    fn run_pool_with_no_tasks_runs_nothing() {
+        let out: Vec<usize> = run_pool(0, |i| unreachable!("task {i} of none"));
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn run_pool_reraises_a_worker_panic() {
+        let caught =
+            std::panic::catch_unwind(|| run_pool(16, |i| assert_ne!(i, 7, "task 7 fails")));
+        assert!(caught.is_err(), "a worker panic was swallowed");
+    }
+
+    #[test]
+    fn worker_count_is_between_one_and_the_task_count() {
+        assert_eq!(workers(0), 1);
+        assert_eq!(workers(1), 1);
+        let many = workers(10_000);
+        assert!((1..=10_000).contains(&many));
+    }
+
+    #[test]
+    fn poisoned_cache_table_stays_usable() {
+        let table = Mutex::new(vec![1, 2]);
+        let poisoned = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _held = table.lock().unwrap();
+                    panic!("worker dies holding the lock");
+                })
+                .join()
+        });
+        assert!(poisoned.is_err());
+        assert!(table.is_poisoned());
+        lock(&table).push(3);
+        assert_eq!(*lock(&table), vec![1, 2, 3]);
     }
 }

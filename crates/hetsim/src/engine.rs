@@ -1630,6 +1630,47 @@ mod tests {
     }
 
     #[test]
+    fn machine_over_max_procs_is_a_typed_error() {
+        let config = (0..=crate::cost::MAX_PROCS)
+            .fold(SystemConfig::empty(crate::LinkRate::gbps(4)), |s, _| {
+                s.with_proc(apt_base::ProcKind::Cpu)
+            });
+        assert_eq!(config.len(), 65);
+        assert!(matches!(
+            config.validate(),
+            Err(BaseError::InvalidSystem { .. })
+        ));
+        let dfg = build_type1(&[bfs()]);
+        let err = simulate(
+            &dfg,
+            &config,
+            apt_dfg::LookupTable::paper(),
+            &mut GreedyBest,
+        )
+        .unwrap_err();
+        assert!(matches!(err, BaseError::InvalidSystem { .. }));
+    }
+
+    #[test]
+    fn machine_at_max_procs_simulates() {
+        let config = (0..crate::cost::MAX_PROCS)
+            .fold(SystemConfig::empty(crate::LinkRate::gbps(4)), |s, _| {
+                s.with_proc(apt_base::ProcKind::Cpu)
+            });
+        assert_eq!(config.validate(), Ok(()));
+        let dfg = build_type1(&[bfs(), bfs()]);
+        let res = simulate(
+            &dfg,
+            &config,
+            apt_dfg::LookupTable::paper(),
+            &mut GreedyBest,
+        )
+        .unwrap();
+        res.trace.validate(&dfg).unwrap();
+        assert_eq!(res.trace.proc_stats.len(), crate::cost::MAX_PROCS);
+    }
+
+    #[test]
     fn invalid_assignment_is_rejected() {
         struct BadNode;
         impl Policy for BadNode {

@@ -6,6 +6,7 @@
 //! so is the communication bandwidth" (§3.2). The paper's evaluation uses
 //! one CPU, one GPU and one FPGA.
 
+use crate::cost::MAX_PROCS;
 use crate::link::LinkRate;
 use crate::topology::{LinkContention, Topology};
 use apt_base::{BaseError, ProcId, ProcKind, SimDuration};
@@ -215,13 +216,21 @@ impl SystemConfig {
             .collect()
     }
 
-    /// Structural validation: a simulatable system needs at least one
-    /// processor, and at least one processor with lookup-table coverage
-    /// (i.e. not ASIC-only).
+    /// Structural validation: a simulatable system needs between one and
+    /// [`MAX_PROCS`] processors, and at least one processor with
+    /// lookup-table coverage (i.e. not ASIC-only).
     pub fn validate(&self) -> Result<(), BaseError> {
         if self.procs.is_empty() {
             return Err(BaseError::InvalidSystem {
                 reason: "system has no processors".into(),
+            });
+        }
+        if self.procs.len() > MAX_PROCS {
+            return Err(BaseError::InvalidSystem {
+                reason: format!(
+                    "system has {} processors, at most {MAX_PROCS} are supported",
+                    self.procs.len()
+                ),
             });
         }
         if !self.procs.iter().any(|p| p.kind.table_column().is_some()) {
@@ -292,6 +301,22 @@ mod tests {
         ));
         let zero_link = SystemConfig::cpu_gpu_fpga(LinkRate { bytes_per_sec: 0 });
         assert!(zero_link.validate().is_err());
+    }
+
+    #[test]
+    fn validation_admits_at_most_max_procs() {
+        let mut s = SystemConfig::empty(LinkRate::gbps(4));
+        for _ in 0..MAX_PROCS {
+            s = s.with_proc(ProcKind::Gpu);
+        }
+        assert_eq!(s.validate(), Ok(()));
+        let over = s.with_proc(ProcKind::Fpga);
+        match over.validate() {
+            Err(BaseError::InvalidSystem { reason }) => {
+                assert!(reason.contains("65 processors"), "{reason}")
+            }
+            other => panic!("65 processors validated as {other:?}"),
+        }
     }
 
     #[test]

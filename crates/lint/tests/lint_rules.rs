@@ -24,8 +24,9 @@ fn rules_at(rel_path: &str, src: &str) -> Vec<(&'static str, u32)> {
 const HOT: &str = "crates/hetsim/src/engine.rs";
 // Simulation-scoped but not hot-path.
 const SIM: &str = "crates/hetsim/src/other.rs";
-// Neither (rule-neutral ground for rules scoped everywhere).
-const COLD: &str = "crates/bench/src/main.rs";
+// Neither (rule-neutral ground for rules scoped everywhere); also on the
+// wall-clock allowlist.
+const COLD: &str = "crates/telemetry/src/profile.rs";
 
 // ---------------------------------------------------------------- nondet
 
@@ -102,13 +103,29 @@ fn wall_clock_positive() {
 
 #[test]
 fn wall_clock_allowlisted_and_test_near_miss() {
-    // The bench crate is allowlisted: wall-clock is its whole job.
+    // The phase profiler is allowlisted: wall-clock is its whole job.
     assert!(rules_at(COLD, "fn f() { let t = Instant::now(); }\n").is_empty());
     // Test code may time itself.
     let src = "#[test]\nfn t() { let t = Instant::now(); }\n";
     assert!(rules_at(SIM, src).is_empty());
     // An unrelated `now` method is not a wall-clock read.
     assert!(rules_at(SIM, "fn f(e: &E) { let t = e.now(); }\n").is_empty());
+}
+
+#[test]
+fn wall_clock_allowlist_is_exact_outside_simulation() {
+    // The allowlist names single files and directories, not their
+    // neighbours: a sibling of the profiler, and a crate with no entry,
+    // are flagged even though no simulation scope covers them.
+    let src = "fn f() { let t = Instant::now(); }\n";
+    assert_eq!(
+        rules_at("crates/telemetry/src/hist.rs", src),
+        vec![("wall-clock", 1)]
+    );
+    assert_eq!(
+        rules_at("crates/bench/src/main.rs", src),
+        vec![("wall-clock", 1)]
+    );
 }
 
 #[test]

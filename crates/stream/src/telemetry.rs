@@ -6,9 +6,7 @@
 //! Telemetry is observational by contract: an armed [`StreamTelemetry`]
 //! never changes a schedule — the telemetered equivalence test pins a
 //! telemetered run's [`crate::StreamOutcome`] byte-identical to the bare
-//! run's — and the registry hot path is a handful of adds per job
-//! (`telemetry/poisson_apt` benches price it within a few percent of
-//! bare).
+//! run's — and the registry hot path is a handful of adds per job.
 
 use apt_hetsim::CompletedJob;
 use apt_metrics::StreamSnapshot;
@@ -242,8 +240,7 @@ impl StreamTelemetry {
 
     /// A successfully completed job, with the latency and tardiness the
     /// driver already derived for its own aggregates — the hook must not
-    /// recompute them (this is the per-job hot path the <5%-of-bare
-    /// `telemetry/poisson_apt` bench bar prices).
+    /// recompute them (this is the per-job hot path).
     #[inline]
     pub(crate) fn on_job_done(
         &mut self,

@@ -7,8 +7,8 @@
 //! `Option<Box<dyn TraceSink>>` and every emission site is a single
 //! `is_some` branch, so untraced runs execute the exact same instruction
 //! stream as before this crate existed (the equivalence suites pin this
-//! byte-for-byte), and an armed [`NullSink`] stays within a few percent of
-//! bare on the Poisson-stream hot path (`trace/poisson_apt` benches).
+//! byte-for-byte), and an armed [`NullSink`] isolates the cost of the
+//! emission sites themselves.
 //!
 //! Three sinks cover the use cases:
 //!
@@ -359,7 +359,7 @@ pub trait TraceSink: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Discards every event — prices the armed emission path in benches.
+/// Discards every event — isolates the cost of the armed emission path.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullSink;
 
