@@ -37,7 +37,7 @@ use apt_metrics::TextTable;
 use apt_slo::UtilizationBound;
 use apt_stream::{
     DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, OnOffSource, PoissonSource, Source,
-    StreamOutcome,
+    StreamOutcome, StreamRun,
 };
 
 /// Jobs per sweep cell.
@@ -270,31 +270,13 @@ pub fn control_point(scenario: &ControlScenario, cell: ControlCell) -> ControlRu
         },
         ..DriverOpts::default()
     };
-    let outcome = match cell {
-        ControlCell::Fixed { .. } => apt_stream::simulate_source_gated(
-            source.as_mut(),
-            &config,
-            lookup,
-            &mut policy,
-            &opts,
-            &mut gate,
-            |_| {},
-        ),
-        ControlCell::Adaptive => {
-            let mut stack = control_stack();
-            apt_stream::simulate_source_controlled(
-                source.as_mut(),
-                &config,
-                lookup,
-                &mut policy,
-                &opts,
-                &mut gate,
-                &mut stack,
-                |_| {},
-            )
-        }
+    let mut stack = matches!(cell, ControlCell::Adaptive).then(control_stack);
+    let mut run =
+        StreamRun::new(source.as_mut(), &config, lookup, &mut policy, &opts).gate(&mut gate);
+    if let Some(stack) = stack.as_mut() {
+        run = run.controller(stack);
     }
-    .expect("control sweep point failed");
+    let (outcome, _) = run.run().expect("control sweep point failed");
     ControlRun {
         outcome,
         final_alpha: Policy::alpha(&policy).unwrap_or(alpha0),

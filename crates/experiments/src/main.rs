@@ -25,8 +25,8 @@
 //! the validated Prometheus exposition to `<path>` and the per-window
 //! JSONL snapshot stream to `<path>.jsonl`, and prints the engine's
 //! phase-breakdown report under the artifact. `--progress` additionally
-//! ticks a throttled stderr heartbeat (jobs/s, in-flight, miss rate, live
-//! α/ρ, ETA) while those telemetered cells run — the soak-run operator
+//! ticks a throttled stderr heartbeat (jobs/s, in-flight, miss rate, the
+//! last closed window's α/ρ, ETA) while those telemetered cells run — the soak-run operator
 //! surface.
 
 use apt_experiments::{

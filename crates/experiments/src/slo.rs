@@ -99,13 +99,14 @@ pub fn slo_point(
     } else {
         &mut accept_all
     };
-    apt_slo::simulate_source_slo(
+    apt_stream::simulate_source_gated(
         &mut source,
         &config,
         lookup,
         policy.as_mut(),
-        admission,
         &opts,
+        admission,
+        |_| {},
     )
     .expect("slo sweep point failed")
 }

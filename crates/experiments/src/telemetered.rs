@@ -1,9 +1,9 @@
 //! `apt-repro <scenario> --metrics <path>` — live telemetry exposition of
 //! one representative open-stream cell.
 //!
-//! Runs the same representative stream as [`crate::traced`] (shared
-//! [`crate::traced::traced_source`] fixtures — the `--metrics` registry
-//! observes the very cell the `--trace` timeline draws) under an armed
+//! Runs the same representative cell as [`crate::traced`] (one shared
+//! `RepresentativeCell` — the `--metrics` registry observes the very cell
+//! the `--trace` timeline draws) under an armed
 //! [`apt_stream::StreamTelemetry`] with engine self-profiling requested,
 //! and renders three artifacts:
 //!
@@ -16,16 +16,12 @@
 //!   / window), with the ≥90% coverage contract asserted here.
 //!
 //! With `--progress`, the run additionally ticks the throttled stderr
-//! heartbeat (jobs/s, in-flight, miss rate, live α/ρ, ETA) — the soak-run
-//! operator surface the CI smoke step exercises.
+//! heartbeat (jobs/s, in-flight, miss rate, last window's α/ρ, ETA) — the
+//! soak-run operator surface the CI smoke step exercises.
 
-use crate::traced::{traced_source, TRACE_JOBS};
-use apt_core::prelude::*;
-use apt_slo::UtilizationBound;
-use apt_stream::{DriverOpts, StreamTelemetry};
+use crate::traced::{RepresentativeCell, TRACE_JOBS};
+use apt_stream::StreamTelemetry;
 use apt_telemetry::{validate, validate_jsonl};
-
-use crate::control::{control_stack, CONTROL_WINDOW};
 
 /// Keys every JSONL snapshot line must carry (the schema the CI soak
 /// smoke step checks).
@@ -76,38 +72,16 @@ pub fn artifact_has_metrics(id: &str) -> bool {
 /// since a soak run with broken observability must fail loudly, not
 /// quietly emit garbage dashboards.
 pub fn artifact_metrics(id: &str, progress: bool) -> Option<MetricsExport> {
-    let (mut source, faults) = traced_source(id)?;
-    let lookup = LookupTable::paper();
-    let config = SystemConfig::paper_4gbps();
-    let mut policy = EdfApt::new(PAPER_BEST_ALPHA);
-    let mut gate = UtilizationBound::new(lookup, &config, 1.0);
-    let mut stack = control_stack();
-    let opts = DriverOpts {
-        snapshot_interval: Some(CONTROL_WINDOW),
-        faults,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
-        ..DriverOpts::default()
-    };
+    let mut cell = RepresentativeCell::new(id)?;
     let mut tel = StreamTelemetry::new().with_engine_profile();
     if progress {
         tel = tel.with_progress(Some(TRACE_JOBS));
     }
-    let (outcome, _sink) = apt_stream::simulate_source_telemetered(
-        source.as_mut(),
-        &config,
-        lookup,
-        &mut policy,
-        &opts,
-        &mut gate,
-        Some(&mut stack),
-        None,
-        &mut tel,
-        |_| {},
-    )
-    .expect("representative telemetered run failed");
+    let (outcome, _) = cell
+        .stream()
+        .telemetry(&mut tel)
+        .run()
+        .expect("representative telemetered run failed");
 
     let prometheus = tel.prometheus();
     let samples = validate(&prometheus).expect("registry rendered invalid Prometheus");

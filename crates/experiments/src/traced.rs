@@ -21,9 +21,13 @@
 //!   printed under the artifact.
 
 use crate::control::{control_stack, CONTROL_WINDOW};
+use apt_control::ControllerStack;
 use apt_core::prelude::*;
 use apt_slo::UtilizationBound;
-use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, OnOffSource, PoissonSource, Source};
+use apt_stream::{
+    AdmissionGate as _, DeadlineSpec, DriverOpts, JobFamily, OnOffSource, PoissonSource, Source,
+    StreamRun,
+};
 use apt_trace::chrome::{chrome_trace, validate, ChromeConfig, ChromeStats};
 use apt_trace::summary::render_summary;
 use apt_trace::VecSink;
@@ -67,11 +71,63 @@ pub fn artifact_has_trace(id: &str) -> bool {
     )
 }
 
+/// The representative cell of one scenario id: its stream, and the stack
+/// that schedules it — `EDF-APT(α = 4)` behind a [`UtilizationBound`]
+/// gate, with the `apt-control` stack closing the loop on the metrics
+/// windows. Shared with the telemetered form (`--metrics` observes the
+/// same cell the `--trace` timeline draws).
+pub(crate) struct RepresentativeCell {
+    source: Box<dyn Source>,
+    config: SystemConfig,
+    policy: EdfApt,
+    gate: UtilizationBound<'static>,
+    stack: ControllerStack,
+    opts: DriverOpts,
+}
+
+impl RepresentativeCell {
+    /// The cell for `id`; `None` exactly when [`artifact_has_trace`] is
+    /// false.
+    pub(crate) fn new(id: &str) -> Option<Self> {
+        let (source, faults) = traced_source(id)?;
+        let config = SystemConfig::paper_4gbps();
+        let gate = UtilizationBound::new(LookupTable::paper(), &config, 1.0);
+        Some(RepresentativeCell {
+            source,
+            config,
+            policy: EdfApt::new(PAPER_BEST_ALPHA),
+            gate,
+            stack: control_stack(),
+            opts: DriverOpts {
+                snapshot_interval: Some(CONTROL_WINDOW),
+                faults,
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    ..RetryPolicy::default()
+                },
+                ..DriverOpts::default()
+            },
+        })
+    }
+
+    /// The cell's run with its gate and controller armed; the caller arms
+    /// the observer it renders.
+    pub(crate) fn stream(&mut self) -> StreamRun<'_> {
+        StreamRun::new(
+            self.source.as_mut(),
+            &self.config,
+            LookupTable::paper(),
+            &mut self.policy,
+            &self.opts,
+        )
+        .gate(&mut self.gate)
+        .controller(&mut self.stack)
+    }
+}
+
 /// The representative stream of one scenario id: an arrival source shaped
 /// like the sweep's traffic, plus the fault plan the timeline should show.
-/// Shared with the telemetered form (`--metrics` observes the same cell
-/// the `--trace` timeline draws).
-pub(crate) fn traced_source(id: &str) -> Option<(Box<dyn Source>, FaultPlan)> {
+fn traced_source(id: &str) -> Option<(Box<dyn Source>, FaultPlan)> {
     let lookup = LookupTable::paper();
     let deadlines = DeadlineSpec::ProportionalCp { factor: 6.0 };
     let family = JobFamily::Diamond { width: 2 };
@@ -151,37 +207,17 @@ pub(crate) fn traced_source(id: &str) -> Option<(Box<dyn Source>, FaultPlan)> {
 /// JSON and the summary. `None` exactly when [`artifact_has_trace`] is
 /// false.
 pub fn artifact_trace(id: &str) -> Option<TraceExport> {
-    use apt_stream::AdmissionGate as _;
-    let (mut source, faults) = traced_source(id)?;
-    let lookup = LookupTable::paper();
-    let config = SystemConfig::paper_4gbps();
-    let mut policy = EdfApt::new(PAPER_BEST_ALPHA);
-    let mut gate = UtilizationBound::new(lookup, &config, 1.0);
-    let mut stack = control_stack();
-    let opts = DriverOpts {
-        snapshot_interval: Some(CONTROL_WINDOW),
-        faults,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
-        ..DriverOpts::default()
-    };
-    let (outcome, sink) = apt_stream::simulate_source_traced(
-        source.as_mut(),
-        &config,
-        lookup,
-        &mut policy,
-        &opts,
-        &mut gate,
-        Some(&mut stack),
-        Box::new(VecSink::new()),
-        |_| {},
-    )
-    .expect("representative traced run failed");
-    let events = sink.snapshot();
+    let mut cell = RepresentativeCell::new(id)?;
+    let (outcome, sink) = cell
+        .stream()
+        .trace(Box::new(VecSink::new()))
+        .run()
+        .expect("representative traced run failed");
+    let events = sink
+        .expect("the driver hands the armed sink back")
+        .snapshot();
 
-    let names = config.procs().iter().map(|p| p.name.clone()).collect();
+    let names = cell.config.procs().iter().map(|p| p.name.clone()).collect();
     let chrome = chrome_trace(&events, &ChromeConfig::with_proc_names(names));
     let stats = validate(&chrome).expect("exported timeline violates the Chrome field contract");
 
@@ -199,8 +235,8 @@ pub fn artifact_trace(id: &str) -> Option<TraceExport> {
         outcome.jobs_admitted,
         outcome.jobs_completed,
         outcome.jobs_shed,
-        Policy::alpha(&policy).unwrap_or(PAPER_BEST_ALPHA),
-        gate.utilization_bound().unwrap_or(1.0),
+        Policy::alpha(&cell.policy).unwrap_or(PAPER_BEST_ALPHA),
+        cell.gate.utilization_bound().unwrap_or(1.0),
     );
     summary.push_str(&render_summary(&events, TRACE_TOP_N));
 

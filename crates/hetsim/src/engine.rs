@@ -1347,41 +1347,18 @@ pub fn simulate_stream(
     policy: &mut dyn Policy,
     arrivals: &[SimTime],
 ) -> Result<SimResult, BaseError> {
-    config.validate()?;
-    dfg.validate()?;
-    if arrivals.len() != dfg.len() {
-        return Err(BaseError::InvalidAssignment {
-            reason: format!(
-                "arrival vector has {} entries for {} kernels",
-                arrivals.len(),
-                dfg.len()
-            ),
-        });
-    }
-    // Precompute the whole cost model once; every decision edge reads it.
-    let cost = CostModel::new(dfg, lookup, config);
-    policy.prepare(PrepareCtx {
+    // An empty plan arms nothing (`arm_faults` returns early), so this is
+    // the fault-free path.
+    simulate_stream_faulty(
         dfg,
-        lookup,
         config,
-        cost: &cost,
-    })?;
-    let mut engine = Engine::new(
-        EngineCtx {
-            dfg,
-            config,
-            lookup,
-            cost: &cost,
-        },
+        lookup,
+        policy,
         arrivals,
-    );
-    engine.run(policy)?;
-    let trace = engine.into_trace();
-    debug_assert!(trace.validate(dfg).is_ok());
-    Ok(SimResult {
-        policy: policy.name(),
-        trace,
-    })
+        FaultPlan::none(),
+        RetryPolicy::default(),
+    )
+    .map(|(result, _)| result)
 }
 
 /// [`simulate_stream`] with a [`FaultPlan`] armed: transient kernel
@@ -1390,9 +1367,9 @@ pub fn simulate_stream(
 /// are retried under `retry`. Returns the fault-side counters next to the
 /// usual result.
 ///
-/// With `FaultPlan::none()` this is byte-identical to [`simulate_stream`]:
-/// no fault events are scheduled, no extra random draws happen, and the
-/// returned [`FaultTotals`] is all zeros.
+/// With `FaultPlan::none()` this *is* [`simulate_stream`]: no fault events
+/// are scheduled, no extra random draws happen, and the returned
+/// [`FaultTotals`] is all zeros.
 ///
 /// In this closed (whole-DAG) mode a kernel that exhausts its retry budget
 /// aborts the run with [`BaseError::RetriesExhausted`] — there is no job
@@ -1418,6 +1395,7 @@ pub fn simulate_stream_faulty(
             ),
         });
     }
+    // Precompute the whole cost model once; every decision edge reads it.
     let cost = CostModel::new(dfg, lookup, config);
     policy.prepare(PrepareCtx {
         dfg,

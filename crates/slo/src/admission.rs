@@ -15,9 +15,8 @@ use std::collections::BTreeMap;
 /// A named admission gate: the driver-facing decision/feedback hooks come
 /// from the `apt_stream::AdmissionGate` supertrait (`admit` /
 /// `on_complete`); this layer only adds the display name result tables
-/// print. Any `AdmissionPolicy` plugs straight into
-/// [`crate::simulate_source_slo`] (and, via upcast, the raw gated
-/// driver).
+/// print. Any `AdmissionPolicy` plugs straight into the driver's admit
+/// path by upcast (`apt_stream::simulate_source_gated`).
 pub trait AdmissionPolicy: AdmissionGate {
     /// Display name, including parameters (e.g. `"util(ρ≤1)"`).
     fn name(&self) -> String;

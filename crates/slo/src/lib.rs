@@ -1,8 +1,7 @@
 //! # apt-slo
 //!
 //! Deadline-aware scheduling on top of the open-system streaming layer:
-//! per-job SLOs, admission control, and the runner that ties them
-//! together.
+//! per-job SLOs and the admission control that sheds overload.
 //!
 //! ## The SLO model
 //!
@@ -37,16 +36,17 @@
 //!   plausible chance of meeting its deadline behind the current
 //!   in-flight work.
 //!
-//! Gates plug into the driver through `apt_stream::AdmissionGate`
-//! (see [`simulate_source_slo`]) and hear every completion, so their
+//! Every [`AdmissionPolicy`] is an `apt_stream::AdmissionGate`, so a gate
+//! plugs straight into the driver (`apt_stream::simulate_source_gated`,
+//! or `apt_stream::StreamRun::gate`) and hears every completion, so its
 //! reservations drain as jobs retire. Shed/accepted accounting lands in
 //! `StreamOutcome::jobs_shed` / `shed_rate`.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use apt_slo::{simulate_source_slo, UtilizationBound};
-//! use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource};
+//! use apt_slo::UtilizationBound;
+//! use apt_stream::{simulate_source_gated, DeadlineSpec, DriverOpts, JobFamily, PoissonSource};
 //! use apt_hetsim::SystemConfig;
 //! use apt_dfg::LookupTable;
 //! use apt_base::SimDuration;
@@ -58,13 +58,14 @@
 //! let mut source = PoissonSource::new(lookup, 0.3, 200, JobFamily::Diamond { width: 2 }, 7)
 //!     .with_deadlines(DeadlineSpec::ProportionalCp { factor: 4.0 });
 //! let mut gate = UtilizationBound::new(lookup, &config, 1.0);
-//! let outcome = simulate_source_slo(
+//! let outcome = simulate_source_gated(
 //!     &mut source,
 //!     &config,
 //!     lookup,
 //!     &mut EdfApt::new(4.0),
-//!     &mut gate,
 //!     &DriverOpts::default(),
+//!     &mut gate,
+//!     |_| {},
 //! )
 //! .unwrap();
 //! assert_eq!(outcome.jobs_admitted + outcome.jobs_shed, 200);
@@ -76,10 +77,8 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod runner;
 
 pub use admission::{
     AcceptAll, AdmissionPolicy, FeasibilityGate, UtilizationBound, MAX_RUNTIME_BOUND,
     MIN_RUNTIME_BOUND,
 };
-pub use runner::{simulate_source_slo, simulate_source_slo_observed};

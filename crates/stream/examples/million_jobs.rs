@@ -11,16 +11,14 @@
 //! ```
 //!
 //! `--progress` arms the telemetry heartbeat: a throttled stderr line with
-//! live jobs/s, in-flight depth, miss rate, and ETA to the job target.
+//! live jobs/s, in-flight depth, miss rate, and ETA to the job target
+//! (this run closes no metrics windows, so its α/ρ columns stay `-`).
 
 use apt_core::Apt;
 use apt_dfg::LookupTable;
 use apt_hetsim::SystemConfig;
 use apt_policies::Met;
-use apt_stream::{
-    simulate_source, simulate_source_telemetered, AdmitAll, DriverOpts, JobFamily, PoissonSource,
-    StreamTelemetry,
-};
+use apt_stream::{DriverOpts, JobFamily, PoissonSource, StreamRun, StreamTelemetry};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,32 +45,13 @@ fn main() {
     ] {
         let mut source = PoissonSource::new(lookup, rate, jobs, JobFamily::Single, 42);
         let wall = std::time::Instant::now();
-        let o = if progress {
-            let mut tel = StreamTelemetry::new().with_progress(Some(jobs));
-            let (o, _) = simulate_source_telemetered(
-                &mut source,
-                &config,
-                lookup,
-                policy.as_mut(),
-                &DriverOpts::default(),
-                &mut AdmitAll,
-                None,
-                None,
-                &mut tel,
-                |_| {},
-            )
-            .expect("stream run");
-            o
-        } else {
-            simulate_source(
-                &mut source,
-                &config,
-                lookup,
-                policy.as_mut(),
-                &DriverOpts::default(),
-            )
-            .expect("stream run")
-        };
+        let opts = DriverOpts::default();
+        let mut tel = progress.then(|| StreamTelemetry::new().with_progress(Some(jobs)));
+        let mut run = StreamRun::new(&mut source, &config, lookup, policy.as_mut(), &opts);
+        if let Some(tel) = tel.as_mut() {
+            run = run.telemetry(tel);
+        }
+        let (o, _) = run.run().expect("stream run");
         let wall = wall.elapsed();
         println!(
             "{:10}  {} jobs in {:.1} simulated hours  ({:.1}s wall, {:.2} Mjobs/s wall)",

@@ -1,10 +1,24 @@
 //! The bounded-memory streaming driver.
 //!
-//! [`simulate_source`] pulls arrivals from a [`Source`] *just-in-time* —
-//! each job is admitted into the [`OpenEngine`] only once the simulation
-//! clock is about to reach its arrival — steps the engine event by event,
-//! retires completed jobs into the [`OnlineMetrics`] aggregator (and an
-//! optional per-job observer), and returns a compact [`StreamOutcome`].
+//! [`StreamRun`] is the one entry point. It pulls arrivals from a
+//! [`Source`] *just-in-time* — each job is admitted into the
+//! [`OpenEngine`] only once the simulation clock is about to reach its
+//! arrival — steps the engine event by event, and returns a compact
+//! [`StreamOutcome`]. [`StreamRun::new`] takes the required inputs; the
+//! optional layers are setters: an [`AdmissionGate`] (default
+//! [`AdmitAll`]), an `apt-control` [`Controller`], a [`TraceSink`], a
+//! [`StreamTelemetry`] registry and a per-job observer.
+//! [`simulate_source`] and [`simulate_source_gated`] are one-line
+//! shorthands for the two common shapes.
+//!
+//! Inside the loop each fact is stated once. The driver builds one
+//! `RunEvent` — admitted, shed (with the reason), retired (with latency
+//! and tardiness), failed, window closed (with the α/ρ/in-flight/queue
+//! operating point), control action, end — and hands it to one fan-out.
+//! The fan-out feeds [`OnlineMetrics`] first, then the gate's completion
+//! hook on retirements, then every armed observer: the telemetry
+//! registry, the per-job closure and, last, the trace-sink adapter. An
+//! unarmed observer costs nothing but the empty iteration.
 //!
 //! Memory is bounded by the jobs in flight plus one pending arrival: the
 //! arrival vector is never materialized, retired jobs free their arena
@@ -17,7 +31,8 @@
 //! replayed through this driver produces the same schedule, record for
 //! record, as the closed-world engine over the materialized workload (the
 //! `finite_source_matches_simulate_stream` proptest pins this byte for
-//! byte).
+//! byte). Every observer is purely observational: an armed run's
+//! [`StreamOutcome`] equals the bare run's (pinned in `tests/`).
 
 use crate::job::JobTemplate;
 use crate::source::Source;
@@ -31,12 +46,14 @@ use apt_hetsim::{
 };
 use apt_metrics::{OnlineMetrics, StreamSnapshot};
 use apt_trace::{ControlKind, CounterKind, ShedReason, TraceEvent, TraceSink};
+use std::ops::Range;
 
 /// Driver knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DriverOpts {
     /// Emit an [`StreamSnapshot`] every this much simulated time (`None`:
     /// no periodic snapshots; the final aggregates are always produced).
+    /// Must be positive: a zero interval is an `InvalidSystem` error.
     pub snapshot_interval: Option<SimDuration>,
     /// Stop admitting new jobs once this many are in flight and mark the
     /// outcome [`StreamOutcome::saturated`]. `None`: admit everything.
@@ -93,10 +110,10 @@ pub struct AdmitRequest<'a> {
     pub live_procs: usize,
 }
 
-/// The admission hook of [`simulate_source_gated`]: decide per job whether
-/// it enters the system, and observe completions to release whatever
-/// budget the decision reserved. `apt-slo`'s `AdmissionPolicy` gates plug
-/// in through this. An accepted request's job enters the engine under
+/// The admission hook of [`StreamRun::gate`]: decide per job whether it
+/// enters the system, and observe completions to release whatever budget
+/// the decision reserved. `apt-slo`'s `AdmissionPolicy` gates plug in
+/// through this. An accepted request's job enters the engine under
 /// exactly [`AdmitRequest::job_id`].
 pub trait AdmissionGate {
     /// True to admit the job, false to shed it (the job never enters the
@@ -104,7 +121,7 @@ pub trait AdmissionGate {
     fn admit(&mut self, req: &AdmitRequest<'_>) -> bool;
 
     /// Called for every completed job, in completion order, before the
-    /// driver's own observer.
+    /// driver's own observers.
     fn on_complete(&mut self, _job: &CompletedJob) {}
 
     /// Set the gate's utilization bound ρ at runtime — how
@@ -134,7 +151,7 @@ impl AdmissionGate for AdmitAll {
 /// Everything a streaming run reports. All aggregates are online — no
 /// per-job storage survives the run (jobs stream through the optional
 /// observer instead).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
     /// Policy display name.
     pub policy: String,
@@ -276,10 +293,8 @@ impl StreamOutcome {
     }
 }
 
-/// Run `policy` over the arrivals of `source` on `config`'s machine. See
-/// the module docs. Fails on starvation (the policy stops scheduling while
-/// jobs are in flight), on a source yielding decreasing arrival times, or
-/// on a static policy.
+/// Run `policy` over the arrivals of `source` on `config`'s machine, every
+/// arrival admitted: `StreamRun::new(..).run()` without the sink.
 pub fn simulate_source(
     source: &mut dyn Source,
     config: &SystemConfig,
@@ -287,30 +302,13 @@ pub fn simulate_source(
     policy: &mut dyn Policy,
     opts: &DriverOpts,
 ) -> Result<StreamOutcome, BaseError> {
-    simulate_source_observed(source, config, lookup, policy, opts, |_| {})
+    StreamRun::new(source, config, lookup, policy, opts)
+        .run()
+        .map(|(outcome, _)| outcome)
 }
 
-/// [`simulate_source`] with a per-job observer: `observe` is called once
-/// for every [`CompletedJob`], in completion order, before its storage is
-/// recycled — the hook tests and exporters use to stream records out
-/// without the driver retaining them.
-pub fn simulate_source_observed(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    observe: impl FnMut(&CompletedJob),
-) -> Result<StreamOutcome, BaseError> {
-    simulate_source_gated(source, config, lookup, policy, opts, &mut AdmitAll, observe)
-}
-
-/// [`simulate_source_observed`] with an [`AdmissionGate`] in the admit
-/// path: each due job is offered to `gate` *before* entering the engine;
-/// rejected jobs are shed (counted, never admitted) and the gate hears
-/// about every completion so it can release reserved budget. This is how
-/// `apt-slo`'s admission policies bound overload instead of letting the
-/// backlog grow without bound.
+/// [`simulate_source`] with `gate` in the admit path and `observe` called
+/// for every retired job: `StreamRun::new(..).gate(gate).observe(observe)`.
 pub fn simulate_source_gated(
     source: &mut dyn Source,
     config: &SystemConfig,
@@ -320,663 +318,747 @@ pub fn simulate_source_gated(
     gate: &mut dyn AdmissionGate,
     observe: impl FnMut(&CompletedJob),
 ) -> Result<StreamOutcome, BaseError> {
-    simulate_source_inner(source, config, lookup, policy, opts, gate, None, observe)
+    StreamRun::new(source, config, lookup, policy, opts)
+        .gate(gate)
+        .observe(observe)
+        .run()
+        .map(|(outcome, _)| outcome)
 }
 
-/// [`simulate_source_gated`] with an `apt-control` [`Controller`] closing
-/// the loop: at every metrics-window close the controller observes the
-/// window's [`StreamSnapshot`] and may emit bounded [`ControlAction`]s,
-/// which the driver applies *between* events — α retunes via
-/// [`Policy::set_alpha`], the admission bound via
-/// [`AdmissionGate::set_utilization_bound`], roster switches via
-/// [`Policy::switch_to`] — and records in
-/// [`StreamOutcome::control_log`] (including rejected actions, with
-/// `applied: false`). Controllers are deterministic functions of the
-/// window sequence, so controlled runs replay bit-for-bit under a seed.
+/// One streaming run: the required inputs in [`StreamRun::new`], the
+/// optional layers by setter, and [`StreamRun::run`] to drive it.
 ///
-/// Windows are the controller's clock, so a snapshot interval is
-/// mandatory here; the final *partial* window flushed at stream end is
-/// not delivered (nothing is left to control).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_source_controlled(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    gate: &mut dyn AdmissionGate,
-    controller: &mut dyn Controller,
-    observe: impl FnMut(&CompletedJob),
-) -> Result<StreamOutcome, BaseError> {
-    if opts.snapshot_interval.is_none() {
-        return Err(BaseError::InvalidSystem {
-            reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
-                     are the controller's clock"
-                .into(),
-        });
-    }
-    simulate_source_inner(
-        source,
-        config,
-        lookup,
-        policy,
-        opts,
-        gate,
-        Some(controller),
-        observe,
-    )
-}
-
-/// [`simulate_source_controlled`] (with the controller optional) under an
-/// armed [`TraceSink`]: the engine records every admission, dispatch,
-/// transfer, completion, fault, and APT decision record; the driver adds
-/// what only it can see — gate/capacity sheds, job retirements, per-window
-/// counter samples (α, ρ, in-flight jobs, queue depth, window miss rate),
-/// and control actions. Returns the outcome *and* the sink back, loaded
-/// with the run's events, ready for `apt-trace`'s Chrome exporter or
-/// wait-decomposition summary.
+/// ```
+/// use apt_stream::{DriverOpts, JobFamily, PoissonSource, StreamRun};
+/// use apt_hetsim::SystemConfig;
+/// use apt_dfg::LookupTable;
+/// use apt_core::Apt;
 ///
-/// Tracing is purely observational: a traced run's [`StreamOutcome`] is
-/// byte-identical to the untraced equivalent (pinned in `tests/`).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_source_traced(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    gate: &mut dyn AdmissionGate,
-    controller: Option<&mut dyn Controller>,
-    sink: Box<dyn TraceSink>,
-    observe: impl FnMut(&CompletedJob),
-) -> Result<(StreamOutcome, Box<dyn TraceSink>), BaseError> {
-    if controller.is_some() && opts.snapshot_interval.is_none() {
-        return Err(BaseError::InvalidSystem {
-            reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
-                     are the controller's clock"
-                .into(),
-        });
-    }
-    let mut sink = Some(sink);
-    let outcome = simulate_source_inner_traced(
-        source, config, lookup, policy, opts, gate, controller, &mut sink, None, observe,
-    )?;
-    Ok((
-        outcome,
-        // apt-lint: allow(hot-path-panic, the traced driver always hands the armed sink back at
-        // stream end)
-        sink.expect("the driver hands the armed sink back at stream end"),
-    ))
-}
-
-/// [`simulate_source_traced`] (with the sink optional) under an armed
-/// [`StreamTelemetry`]: the driver publishes admissions, sheds,
-/// completions, latency/tardiness histograms and per-window operating
-/// points (live α/ρ, backlog, miss rate, availability) into the
-/// telemetry registry, emits one JSONL line per closed metrics window,
-/// ticks the `--progress` heartbeat when one is armed, and — when the
-/// `self-profile` feature is compiled in and
-/// [`StreamTelemetry::with_engine_profile`] was requested — arms the
-/// engine's phase profiler and freezes its report at stream end. When a
-/// trace sink rides along, its `recorded`/`dropped` totals surface as
-/// `trace_events_total` / `trace_events_dropped_total`.
-///
-/// Telemetry is purely observational: a telemetered run's
-/// [`StreamOutcome`] is byte-identical to the bare equivalent (pinned
-/// in `tests/telemetered_stream.rs`).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_source_telemetered(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    gate: &mut dyn AdmissionGate,
-    controller: Option<&mut dyn Controller>,
+/// let lookup = LookupTable::paper();
+/// let mut source = PoissonSource::new(lookup, 0.25, 50, JobFamily::Single, 7);
+/// let mut retired = 0;
+/// let (outcome, sink) = StreamRun::new(
+///     &mut source,
+///     &SystemConfig::paper_4gbps(),
+///     lookup,
+///     &mut Apt::new(4.0),
+///     &DriverOpts::default(),
+/// )
+/// .observe(|_job| retired += 1)
+/// .run()
+/// .unwrap();
+/// assert!(sink.is_none(), "no sink was armed");
+/// assert_eq!(outcome.jobs_completed, 50);
+/// assert_eq!(retired, 50);
+/// ```
+pub struct StreamRun<'r> {
+    source: &'r mut dyn Source,
+    config: &'r SystemConfig,
+    lookup: &'r LookupTable,
+    policy: &'r mut dyn Policy,
+    opts: &'r DriverOpts,
+    gate: Option<&'r mut dyn AdmissionGate>,
+    controller: Option<&'r mut dyn Controller>,
     sink: Option<Box<dyn TraceSink>>,
-    tel: &mut StreamTelemetry,
-    observe: impl FnMut(&CompletedJob),
-) -> Result<(StreamOutcome, Option<Box<dyn TraceSink>>), BaseError> {
-    if controller.is_some() && opts.snapshot_interval.is_none() {
-        return Err(BaseError::InvalidSystem {
-            reason: "a controlled run needs DriverOpts::snapshot_interval — metrics windows \
-                     are the controller's clock"
-                .into(),
-        });
-    }
-    let mut sink = sink;
-    let outcome = simulate_source_inner_traced(
-        source,
-        config,
-        lookup,
-        policy,
-        opts,
-        gate,
-        controller,
-        &mut sink,
-        Some(tel),
-        observe,
-    )?;
-    Ok((outcome, sink))
+    telemetry: Option<&'r mut StreamTelemetry>,
+    per_job: Option<PerJob<'r>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn simulate_source_inner(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    gate: &mut dyn AdmissionGate,
-    controller: Option<&mut dyn Controller>,
-    observe: impl FnMut(&CompletedJob),
-) -> Result<StreamOutcome, BaseError> {
-    let mut no_sink = None;
-    simulate_source_inner_traced(
-        source,
-        config,
-        lookup,
-        policy,
-        opts,
-        gate,
-        controller,
-        &mut no_sink,
-        None,
-        observe,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_source_inner_traced(
-    source: &mut dyn Source,
-    config: &SystemConfig,
-    lookup: &LookupTable,
-    policy: &mut dyn Policy,
-    opts: &DriverOpts,
-    gate: &mut dyn AdmissionGate,
-    mut controller: Option<&mut dyn Controller>,
-    sink: &mut Option<Box<dyn TraceSink>>,
-    mut tel: Option<&mut StreamTelemetry>,
-    mut observe: impl FnMut(&CompletedJob),
-) -> Result<StreamOutcome, BaseError> {
-    let mut engine = OpenEngine::with_order(config, lookup, opts.ready_order)?;
-    engine.prepare(policy)?;
-    let faults_armed = !opts.faults.is_none();
-    if faults_armed {
-        engine.arm_faults(opts.faults, opts.retry);
+impl<'r> StreamRun<'r> {
+    /// A run of `policy` over the arrivals of `source` on `config`'s
+    /// machine, with every optional layer off.
+    pub fn new(
+        source: &'r mut dyn Source,
+        config: &'r SystemConfig,
+        lookup: &'r LookupTable,
+        policy: &'r mut dyn Policy,
+        opts: &'r DriverOpts,
+    ) -> Self {
+        StreamRun {
+            source,
+            config,
+            lookup,
+            policy,
+            opts,
+            gate: None,
+            controller: None,
+            sink: None,
+            telemetry: None,
+            per_job: None,
+        }
     }
-    if let Some(s) = sink.take() {
-        engine.arm_trace(s);
-    }
-    // Total engine wall-clock, the denominator of the phase report's
-    // coverage fraction.
-    #[cfg(feature = "self-profile")]
-    // apt-lint: allow(wall-clock, feature-gated self-profile denominator for the phase report's
-    // coverage fraction; never reaches simulation state)
-    let run_started = std::time::Instant::now();
-    #[cfg(feature = "self-profile")]
-    if tel
-        .as_deref()
-        .is_some_and(StreamTelemetry::wants_engine_profile)
-    {
-        engine.arm_profiler(Box::new(apt_telemetry::PhaseProfiler::new()));
-    }
-    // The aggregator always runs; without a snapshot interval its window is
-    // pushed past any reachable instant so only the running estimators are
-    // exercised.
-    let far = SimDuration::from_ns(u64::MAX >> 1);
-    let mut metrics = OnlineMetrics::new(opts.snapshot_interval.unwrap_or(far), config.len());
-    let snapshots_enabled = opts.snapshot_interval.is_some();
 
-    // Hoisted heartbeat gate: a telemetered run without `--progress`
-    // pays one local bool per iteration, not a method call.
-    let heartbeat_armed = tel.as_deref().is_some_and(StreamTelemetry::heartbeat_armed);
-    let mut pending = source.next_job();
-    let mut last_arrival = SimTime::ZERO;
-    let mut admitted = 0u64;
-    let mut shed = 0u64;
-    let mut completed = 0u64;
-    let mut failed = 0u64;
-    let mut kernels = 0u64;
-    let mut saturated = false;
-    let mut done: Vec<CompletedJob> = Vec::new();
-    let mut control_log: Vec<ControlEvent> = Vec::new();
-    let mut actions: Vec<ControlAction> = Vec::new();
+    /// Put `gate` in the admit path (default [`AdmitAll`]): each due job is
+    /// offered to it *before* entering the engine; rejected jobs are shed
+    /// (counted, never admitted) and the gate hears about every completion
+    /// so it can release reserved budget. This is how `apt-slo`'s
+    /// admission policies bound overload instead of letting the backlog
+    /// grow without bound.
+    pub fn gate(mut self, gate: &'r mut dyn AdmissionGate) -> Self {
+        self.gate = Some(gate);
+        self
+    }
 
-    // Admit every due job — at most one job plus its same-instant
-    // companions sit outside the engine at any moment. Called *after* the
-    // fixpoint, so the event queue reflects everything the policy
-    // scheduled and "due" genuinely means "nothing can happen before this
-    // arrival" (an empty queue then means the engine is quiescent, however
-    // far away the arrival is). The overload latch therefore trips only
-    // when a job wants in at an instant where the system is actually full
-    // — a pending arrival hours past a drainable burst never latches.
-    // `seed` phases run before a fixpoint, when direct (at ≤ now) arrivals
-    // push no events — only the current-instant cohort is due there.
-    let mut admit_due = |engine: &mut OpenEngine<'_>,
-                         pending: &mut Option<(SimTime, crate::job::JobTemplate)>,
-                         gate: &mut dyn AdmissionGate,
-                         saturated: &mut bool,
-                         last_arrival: &mut SimTime,
-                         admitted: &mut u64,
-                         shed: &mut u64,
-                         metrics: &mut OnlineMetrics,
-                         tel: &mut Option<&mut StreamTelemetry>,
-                         seed: bool|
-     -> Result<(), BaseError> {
-        // The latch (default) stops admission permanently once tripped; in
-        // shed mode `saturated` only records that the guard ever fired.
-        while !*saturated || opts.shed_when_full {
-            let Some((at, _)) = pending else { break };
-            if *at < *last_arrival {
-                return Err(BaseError::DisorderedArrival {
-                    at_ns: at.as_ns(),
-                    prev_ns: last_arrival.as_ns(),
+    /// Close the loop with `controller`: at every metrics-window close it
+    /// observes the window's [`StreamSnapshot`] and may emit bounded
+    /// [`ControlAction`]s, which the driver applies *between* events — α
+    /// retunes via [`Policy::set_alpha`], the admission bound via
+    /// [`AdmissionGate::set_utilization_bound`], roster switches via
+    /// [`Policy::switch_to`] — and records in
+    /// [`StreamOutcome::control_log`] (including rejected actions, with
+    /// `applied: false`). Controllers are deterministic functions of the
+    /// window sequence, so controlled runs replay bit-for-bit under a seed.
+    ///
+    /// Windows are the controller's clock, so a controlled run needs
+    /// [`DriverOpts::snapshot_interval`]; the final *partial* window
+    /// flushed at stream end is not delivered (nothing is left to
+    /// control).
+    pub fn controller(mut self, controller: &'r mut dyn Controller) -> Self {
+        self.controller = Some(controller);
+        self
+    }
+
+    /// Arm `sink`: the engine records every admission, dispatch, transfer,
+    /// completion, fault, and APT decision record; the driver adds what
+    /// only it can see — gate/capacity sheds, job retirements, per-window
+    /// counter samples (α, ρ, in-flight jobs, queue depth, window miss
+    /// rate; the flushed tail window included), and control actions.
+    /// [`StreamRun::run`] hands the sink back loaded with the run, ready
+    /// for `apt-trace`'s Chrome exporter or wait-decomposition summary.
+    pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
+        self.sink = Some(sink);
+        self
+    }
+
+    /// Publish the run into `telemetry`: admissions, sheds, completions,
+    /// latency/tardiness histograms and per-window operating points into
+    /// its registry, one JSONL line per metrics window, the `--progress`
+    /// heartbeat when armed, and — when the `self-profile` feature is
+    /// compiled in and [`StreamTelemetry::with_engine_profile`] was
+    /// requested — the engine's phase report. With a trace sink armed too,
+    /// its `recorded`/`dropped` totals surface as `trace_events_total` /
+    /// `trace_events_dropped_total`.
+    pub fn telemetry(mut self, telemetry: &'r mut StreamTelemetry) -> Self {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// Call `observe` once for every retired [`CompletedJob`], in
+    /// completion order, after the gate's completion hook and before its
+    /// storage is recycled — the hook tests and exporters use to stream
+    /// records out without the driver retaining them.
+    pub fn observe(mut self, observe: impl FnMut(&CompletedJob) + 'r) -> Self {
+        self.per_job = Some(PerJob(Box::new(observe)));
+        self
+    }
+
+    /// Drive the run to the end of the stream. Returns the outcome and the
+    /// armed trace sink (`None` when [`StreamRun::trace`] was not set).
+    ///
+    /// Fails on a zero [`DriverOpts::snapshot_interval`], on a controlled
+    /// run without one, on starvation (the policy stops scheduling while
+    /// jobs are in flight), on a source yielding decreasing arrival times,
+    /// or on a static policy.
+    pub fn run(self) -> Result<(StreamOutcome, Option<Box<dyn TraceSink>>), BaseError> {
+        let StreamRun {
+            source,
+            config,
+            lookup,
+            policy,
+            opts,
+            gate,
+            mut controller,
+            sink,
+            mut telemetry,
+            mut per_job,
+        } = self;
+        match opts.snapshot_interval {
+            Some(interval) if interval.is_zero() => {
+                return Err(BaseError::InvalidSystem {
+                    reason: "DriverOpts::snapshot_interval must be positive".into(),
                 });
             }
-            let due = if seed {
-                *at <= engine.now()
-            } else {
-                match engine.next_event_time() {
-                    None => true,
-                    Some(next) => *at <= next,
-                }
-            };
-            if !due {
-                break;
+            None if controller.is_some() => {
+                return Err(BaseError::InvalidSystem {
+                    reason: "a controlled run needs DriverOpts::snapshot_interval — metrics \
+                             windows are the controller's clock"
+                        .into(),
+                });
             }
-            if opts
-                .max_in_flight_jobs
-                .is_some_and(|cap| engine.in_flight_jobs() >= cap)
-            {
-                *saturated = true;
-                if !opts.shed_when_full {
-                    break;
-                }
-                // Shed exactly this arrival; the next one is re-examined
-                // against the (possibly drained) backlog.
-                // apt-lint: allow(hot-path-panic, the enclosing loop only runs while pending is
-                // Some)
-                let (at, _) = pending.take().expect("checked above");
-                *last_arrival = at;
-                *shed += 1;
-                metrics.observe_job_shed();
-                if let Some(t) = tel.as_deref_mut() {
-                    t.on_shed();
-                }
-                if let Some(t) = engine.tracer_mut() {
-                    t.record(TraceEvent::JobShed {
-                        at,
-                        reason: ShedReason::CapacityFull,
-                    });
-                }
-                *pending = source.next_job();
-                continue;
-            }
-            // apt-lint: allow(hot-path-panic, the enclosing loop only runs while pending is
-            // Some)
-            let (at, job) = pending.take().expect("checked above");
-            let deadline = job.deadline().map(|d| at + d);
-            let accept = gate.admit(&AdmitRequest {
-                job_id: engine.next_job_id(),
-                arrival: at,
-                deadline,
-                job: &job,
-                now: engine.now(),
-                in_flight_jobs: engine.in_flight_jobs(),
-                in_flight_kernels: engine.in_flight_kernels(),
-                live_procs: engine.live_procs(),
-            });
-            // Shed or admitted, the arrival is consumed either way; the
-            // arrival clock keeps its monotonicity check.
-            *last_arrival = at;
-            if accept {
-                engine.admit_with_deadline(job.kernels(), job.edges(), at, deadline)?;
-                *admitted += 1;
-                metrics.observe_job_admitted();
-                metrics.observe_depth(engine.now(), engine.in_flight_jobs());
-                if let Some(t) = tel.as_deref_mut() {
-                    t.on_admit();
-                }
-            } else {
-                *shed += 1;
-                metrics.observe_job_shed();
-                if let Some(t) = tel.as_deref_mut() {
-                    t.on_shed();
-                }
-                if let Some(t) = engine.tracer_mut() {
-                    t.record(TraceEvent::JobShed {
-                        at,
-                        reason: ShedReason::Gate,
-                    });
-                }
-            }
-            *pending = source.next_job();
+            _ => {}
         }
-        Ok(())
-    };
 
-    // Seed the engine with the t = 0 cohort before the first fixpoint.
-    #[cfg(feature = "self-profile")]
-    engine.prof_enter(apt_telemetry::Phase::Admit);
-    admit_due(
-        &mut engine,
-        &mut pending,
-        gate,
-        &mut saturated,
-        &mut last_arrival,
-        &mut admitted,
-        &mut shed,
-        &mut metrics,
-        &mut tel,
-        true,
-    )?;
+        let mut engine = OpenEngine::with_order(config, lookup, opts.ready_order)?;
+        engine.prepare(policy)?;
+        let faults_armed = !opts.faults.is_none();
+        if faults_armed {
+            engine.arm_faults(opts.faults, opts.retry);
+        }
+        if let Some(s) = sink {
+            engine.arm_trace(s);
+        }
+        // Total engine wall-clock, the denominator of the phase report's
+        // coverage fraction.
+        #[cfg(feature = "self-profile")]
+        // apt-lint: allow(wall-clock, feature-gated self-profile denominator for the phase
+        // report's coverage fraction; never reaches simulation state)
+        let run_started = std::time::Instant::now();
+        #[cfg(feature = "self-profile")]
+        if telemetry
+            .as_deref()
+            .is_some_and(StreamTelemetry::wants_engine_profile)
+        {
+            engine.arm_profiler(Box::new(apt_telemetry::PhaseProfiler::new()));
+        }
 
-    loop {
-        engine.decide(policy)?;
+        // The aggregator always runs; without a snapshot interval its window
+        // is pushed past any reachable instant so only the running
+        // estimators are exercised.
+        let far = SimDuration::from_ns(u64::MAX >> 1);
+        let snapshots_enabled = opts.snapshot_interval.is_some();
+        let mut admit_all = AdmitAll;
+        let mut observers: Vec<&mut dyn RunObserver> = Vec::new();
+        // A reborrow: the phase report reaches the telemetry after the run.
+        if let Some(t) = telemetry.as_mut() {
+            observers.push(&mut **t);
+        }
+        if let Some(f) = per_job.as_mut() {
+            observers.push(f);
+        }
+        let mut fan = Fanout {
+            metrics: OnlineMetrics::new(opts.snapshot_interval.unwrap_or(far), config.len()),
+            gate: match gate {
+                Some(g) => g,
+                None => &mut admit_all,
+            },
+            observers,
+        };
+        let mut arrivals = Arrivals {
+            pending: source.next_job(),
+            source,
+            opts,
+            last_arrival: SimTime::ZERO,
+            admitted: 0,
+            shed: 0,
+            saturated: false,
+        };
+        let mut completed = 0u64;
+        let mut failed = 0u64;
+        let mut kernels = 0u64;
+        let mut done: Vec<CompletedJob> = Vec::new();
+        let mut control_log: Vec<ControlEvent> = Vec::new();
+        let mut actions: Vec<ControlAction> = Vec::new();
+
+        // Seed the engine with the t = 0 cohort before the first fixpoint.
         #[cfg(feature = "self-profile")]
         engine.prof_enter(apt_telemetry::Phase::Admit);
-        admit_due(
-            &mut engine,
-            &mut pending,
-            gate,
-            &mut saturated,
-            &mut last_arrival,
-            &mut admitted,
-            &mut shed,
-            &mut metrics,
-            &mut tel,
-            false,
-        )?;
-        let advanced = engine.advance()?;
+        arrivals.admit_due(&mut engine, &mut fan, true)?;
 
-        #[cfg(feature = "self-profile")]
-        engine.prof_enter(apt_telemetry::Phase::Account);
-        engine.drain_completed(&mut done);
-        if !done.is_empty() {
+        loop {
+            engine.decide(policy)?;
+            #[cfg(feature = "self-profile")]
+            engine.prof_enter(apt_telemetry::Phase::Admit);
+            arrivals.admit_due(&mut engine, &mut fan, false)?;
+            let advanced = engine.advance()?;
+
+            #[cfg(feature = "self-profile")]
+            engine.prof_enter(apt_telemetry::Phase::Account);
+            engine.drain_completed(&mut done);
             for job in &done {
                 kernels += job.records.len() as u64;
-                if job.failed {
+                let now = engine.now();
+                let in_flight = engine.in_flight_jobs();
+                let ev = if job.failed {
                     // A shed job has no meaningful completion: it counts
                     // toward throughput (it left the system) but never
                     // toward goodput, latency, or the SLO estimators. The
                     // gate still hears it, releasing its reservation.
                     failed += 1;
-                    metrics.observe_job_failed();
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.on_job_failed(job);
+                    RunEvent::Failed {
+                        job,
+                        now,
+                        in_flight,
                     }
                 } else {
                     completed += 1;
                     let finish = job.finish();
-                    let latency = finish.saturating_since(job.arrival);
-                    let tardiness = job.deadline.map(|d| finish.saturating_since(d));
-                    let lambda: SimDuration = job.records.iter().map(TaskRecord::lambda).sum();
-                    metrics.observe_job(latency, lambda);
-                    if let Some(tardiness) = tardiness {
-                        metrics.observe_tardiness(tardiness);
+                    RunEvent::Retired {
+                        job,
+                        now,
+                        in_flight,
+                        latency: finish.saturating_since(job.arrival),
+                        tardiness: job.deadline.map(|d| finish.saturating_since(d)),
                     }
-                    if let Some(t) = tel.as_deref_mut() {
-                        t.on_job_done(job, latency, tardiness);
-                    }
-                }
-                gate.on_complete(job);
-                observe(job);
+                };
+                fan.emit(&mut engine, &ev);
             }
-            if engine.tracer_mut().is_some() {
-                let now = engine.now();
-                for job in &done {
-                    let ev = TraceEvent::JobRetired {
-                        job: job.job.0,
-                        at: now,
-                        failed: job.failed,
-                        missed_deadline: job.missed_deadline(),
-                    };
-                    // apt-lint: allow(hot-path-panic, tracer presence is checked by the
-                    // enclosing if)
-                    engine.tracer_mut().expect("checked above").record(ev);
-                }
-            }
-            metrics.observe_depth(engine.now(), engine.in_flight_jobs());
-        }
-        if heartbeat_armed {
-            if let Some(t) = tel.as_deref_mut() {
-                // The heartbeat first checks cheaply whether it is even
-                // due — the common case is one branch per loop iteration.
-                if t.progress_due() {
-                    t.emit_progress(
-                        completed + failed,
-                        engine.in_flight_jobs(),
-                        metrics.miss_rate(),
-                        policy.alpha(),
-                        gate.utilization_bound(),
-                        engine.now().as_secs_f64(),
-                    );
-                }
-            }
-        }
-        if snapshots_enabled && engine.now() >= metrics.window_end() {
-            #[cfg(feature = "self-profile")]
-            engine.prof_enter(apt_telemetry::Phase::Window);
-            if faults_armed {
-                let ft = engine.fault_totals();
-                metrics.note_fault_counters(
-                    ft.kernel_failures,
-                    ft.retries,
-                    ft.wasted_ns,
-                    ft.down_ns,
-                );
-            }
-            let before = metrics.snapshots().len();
-            metrics.maybe_snapshot(engine.now(), &engine.proc_stats());
-            // Sample the operating point at every window close: live α and
-            // ρ, the backlog, and the window's miss rate — shared by the
-            // Chrome-timeline counter tracks and the telemetry registry.
-            let alpha = policy.alpha();
-            let rho = gate.utilization_bound();
-            let in_flight = engine.in_flight_jobs();
-            let queued = engine.in_flight_kernels();
-            if let Some(t) = tel.as_deref_mut() {
-                for idx in before..metrics.snapshots().len() {
-                    t.on_window(&metrics.snapshots()[idx], alpha, rho, in_flight, queued);
-                }
-            }
-            if engine.tracer_mut().is_some() {
-                let in_flight = in_flight as f64;
-                let queued = queued as f64;
-                for idx in before..metrics.snapshots().len() {
-                    let (at, miss) = {
-                        let snap = &metrics.snapshots()[idx];
-                        (snap.end, snap.miss_rate())
-                    };
-                    // apt-lint: allow(hot-path-panic, tracer presence is checked by the
-                    // enclosing if)
-                    let t = engine.tracer_mut().expect("checked above");
-                    t.record(TraceEvent::Counter {
-                        at,
-                        kind: CounterKind::InFlightJobs,
-                        value: in_flight,
-                    });
-                    t.record(TraceEvent::Counter {
-                        at,
-                        kind: CounterKind::QueueDepth,
-                        value: queued,
-                    });
-                    if let Some(a) = alpha {
-                        t.record(TraceEvent::Counter {
-                            at,
-                            kind: CounterKind::Alpha,
-                            value: a,
-                        });
-                    }
-                    if let Some(r) = rho {
-                        t.record(TraceEvent::Counter {
-                            at,
-                            kind: CounterKind::Rho,
-                            value: r,
-                        });
-                    }
-                    t.record(TraceEvent::Counter {
-                        at,
-                        kind: CounterKind::WindowMissRate,
-                        value: miss,
-                    });
-                }
-            }
-            // Deliver each newly closed window to the controller, in
-            // emission order, applying its actions before the next event —
-            // every window's statistics therefore describe exactly one
-            // operating point.
-            if let Some(ctrl) = controller.as_mut() {
-                for idx in before..metrics.snapshots().len() {
-                    let snap = metrics.snapshots()[idx].clone();
-                    actions.clear();
-                    ctrl.on_window(&snap, &mut actions);
-                    for action in actions.drain(..) {
-                        let applied = match action {
-                            ControlAction::SetAlpha(alpha) => policy.set_alpha(alpha),
-                            ControlAction::SetAdmissionBound(bound) => {
-                                gate.set_utilization_bound(bound)
-                            }
-                            ControlAction::SwitchPolicy(member) => policy.switch_to(member),
-                        };
-                        if let Some(t) = engine.tracer_mut() {
-                            let (kind, value) = match action {
-                                ControlAction::SetAlpha(a) => (ControlKind::Alpha, a),
-                                ControlAction::SetAdmissionBound(b) => {
-                                    (ControlKind::AdmissionBound, b)
+            if snapshots_enabled && engine.now() >= fan.metrics.window_end() {
+                #[cfg(feature = "self-profile")]
+                engine.prof_enter(apt_telemetry::Phase::Window);
+                let closed = fan.close_windows(&mut engine, policy.alpha(), false);
+                // Deliver each newly closed window to the controller, in
+                // emission order, applying its actions before the next
+                // event — every window's statistics therefore describe
+                // exactly one operating point.
+                if let Some(ctrl) = controller.as_deref_mut() {
+                    for idx in closed {
+                        let snap = &fan.metrics.snapshots()[idx];
+                        let at = snap.end;
+                        actions.clear();
+                        ctrl.on_window(snap, &mut actions);
+                        for action in actions.drain(..) {
+                            let applied = match action {
+                                ControlAction::SetAlpha(alpha) => policy.set_alpha(alpha),
+                                ControlAction::SetAdmissionBound(bound) => {
+                                    fan.gate.set_utilization_bound(bound)
                                 }
-                                ControlAction::SwitchPolicy(m) => {
-                                    (ControlKind::SwitchPolicy, m as f64)
-                                }
+                                ControlAction::SwitchPolicy(member) => policy.switch_to(member),
                             };
-                            t.record(TraceEvent::Control {
-                                at: snap.end,
-                                kind,
-                                value,
+                            let ev = ControlEvent {
+                                at,
+                                action,
                                 applied,
-                            });
+                            };
+                            control_log.push(ev);
+                            fan.emit(&mut engine, &RunEvent::Control(ev));
                         }
-                        control_log.push(ControlEvent {
-                            at: snap.end,
-                            action,
-                            applied,
-                        });
                     }
                 }
             }
-        }
-        // With a fault plan armed the calendar always holds the perpetual
-        // crash/repair cycle, so `advance` never runs dry — stop once the
-        // source is exhausted (or latched shut) and the system has drained.
-        if faults_armed
-            && engine.in_flight_jobs() == 0
-            && (pending.is_none() || (saturated && !opts.shed_when_full))
-        {
-            break;
-        }
-
-        if advanced.is_none() {
-            // No event fired and the queue is empty. With work still in
-            // flight that means the fixpoint just declined to schedule
-            // anything — the policy starved it (future arrivals cannot
-            // unblock kernels whose dependencies are all internal).
-            if engine.in_flight_kernels() > 0 {
-                return Err(BaseError::Starvation {
-                    unscheduled: engine.in_flight_kernels(),
-                });
-            }
-            if pending.is_none() || (saturated && !opts.shed_when_full) {
+            // With a fault plan armed the calendar always holds the
+            // perpetual crash/repair cycle, so `advance` never runs dry —
+            // stop once the source is exhausted (or latched shut) and the
+            // system has drained.
+            if faults_armed && engine.in_flight_jobs() == 0 && arrivals.exhausted() {
                 break;
             }
-            // Idle engine with a pending arrival: the admission loop admits
-            // it on the next pass (it is now unconditionally due).
-        }
-    }
 
-    let end = engine.now();
-    // Hand the sink back to the traced entry point, loaded with the run.
-    *sink = engine.take_trace();
-    // Freeze the phase report before the tail flush so its wall-clock
-    // denominator covers exactly the profiled span.
-    #[cfg(feature = "self-profile")]
-    if let Some(p) = engine.take_profiler() {
-        if let Some(t) = tel.as_deref_mut() {
-            t.set_phase_report(p.report(&policy.name(), run_started.elapsed()));
-        }
-    }
-    // Flush the final *partial* window so window-driven consumers (CSV
-    // exporters, controller post-mortems) see the tail of the run; a run
-    // ending exactly on a boundary flushes nothing extra.
-    if snapshots_enabled {
-        if faults_armed {
-            let ft = engine.fault_totals();
-            metrics.note_fault_counters(ft.kernel_failures, ft.retries, ft.wasted_ns, ft.down_ns);
-        }
-        let before_flush = metrics.snapshots().len();
-        metrics.flush_partial(end, &engine.proc_stats());
-        if let Some(t) = tel.as_deref_mut() {
-            let alpha = policy.alpha();
-            let rho = gate.utilization_bound();
-            let in_flight = engine.in_flight_jobs();
-            let queued = engine.in_flight_kernels();
-            for idx in before_flush..metrics.snapshots().len() {
-                t.on_window(&metrics.snapshots()[idx], alpha, rho, in_flight, queued);
+            if advanced.is_none() {
+                // No event fired and the queue is empty. With work still in
+                // flight that means the fixpoint just declined to schedule
+                // anything — the policy starved it (future arrivals cannot
+                // unblock kernels whose dependencies are all internal).
+                if engine.in_flight_kernels() > 0 {
+                    return Err(BaseError::Starvation {
+                        unscheduled: engine.in_flight_kernels(),
+                    });
+                }
+                if arrivals.exhausted() {
+                    break;
+                }
+                // Idle engine with a pending arrival: the admission loop
+                // admits it on the next pass (it is now unconditionally
+                // due).
             }
         }
-    }
-    if let Some(t) = tel {
-        if let Some(s) = sink.as_deref() {
-            t.on_trace_sink(s.recorded(), s.dropped());
+
+        let end = engine.now();
+        // Freeze the phase report before the tail flush so its wall-clock
+        // denominator covers exactly the profiled span.
+        #[cfg(feature = "self-profile")]
+        let phase_report = engine
+            .take_profiler()
+            .map(|p| p.report(&policy.name(), run_started.elapsed()));
+        // Flush the final *partial* window so window-driven consumers (CSV
+        // exporters, telemetry, the trace's counter tracks) see the tail of
+        // the run; a run ending exactly on a boundary flushes nothing extra.
+        if snapshots_enabled {
+            fan.close_windows(&mut engine, policy.alpha(), true);
         }
-        t.on_end(
-            end.as_secs_f64(),
-            completed + failed,
-            engine.in_flight_jobs(),
-            metrics.miss_rate(),
-        );
+        let sink = engine.take_trace();
+        let ev = RunEvent::End {
+            now: end,
+            retired: completed + failed,
+            in_flight: engine.in_flight_jobs(),
+            miss_rate: fan.metrics.miss_rate(),
+            trace: sink.as_deref(),
+        };
+        fan.emit(&mut engine, &ev);
+        let Fanout { metrics, .. } = fan;
+        #[cfg(feature = "self-profile")]
+        if let (Some(report), Some(t)) = (phase_report, telemetry) {
+            t.set_phase_report(report);
+        }
+
+        let (p50, p90, p99) = metrics.latency_quantiles_ms();
+        let (tardiness_p50_ms, tardiness_p99_ms) = metrics.tardiness_quantiles_ms();
+        let rate = |jobs: u64| {
+            // A stream completing entirely at t = 0 has no meaningful rate;
+            // the old `max(f64::MIN_POSITIVE)` clamp reported ~1e308 jobs/s
+            // for it.
+            if end.as_ns() == 0 {
+                0.0
+            } else {
+                jobs as f64 / end.as_secs_f64()
+            }
+        };
+        let outcome = StreamOutcome {
+            policy: policy.name(),
+            jobs_admitted: arrivals.admitted,
+            jobs_completed: completed,
+            jobs_failed: failed,
+            kernels_completed: kernels,
+            end,
+            throughput_jps: rate(completed + failed),
+            goodput_jps: rate(completed),
+            mean_latency_ms: metrics.mean_latency_ms(),
+            latency_p50_ms: p50,
+            latency_p90_ms: p90,
+            latency_p99_ms: p99,
+            lambda_total: metrics.lambda_total(),
+            peak_in_flight_jobs: engine.peak_in_flight_jobs(),
+            peak_in_flight_kernels: engine.peak_in_flight_kernels(),
+            arena_slots: engine.arena_slots(),
+            proc_stats: engine.proc_stats(),
+            saturated: arrivals.saturated,
+            jobs_shed: arrivals.shed,
+            deadline_jobs: metrics.deadline_jobs(),
+            deadline_misses: metrics.deadline_misses(),
+            tardiness_p50_ms,
+            tardiness_p99_ms,
+            mean_tardiness_ms: metrics.mean_tardiness_ms(),
+            faults: engine.fault_totals(),
+            control_log,
+            snapshots: metrics.snapshots().to_vec(),
+        };
+        Ok((outcome, sink))
     }
-    let (p50, p90, p99) = metrics.latency_quantiles_ms();
-    let (tardiness_p50_ms, tardiness_p99_ms) = metrics.tardiness_quantiles_ms();
-    Ok(StreamOutcome {
-        policy: policy.name(),
-        jobs_admitted: admitted,
-        jobs_completed: completed,
-        jobs_failed: failed,
-        kernels_completed: kernels,
-        end,
-        // A stream completing entirely at t = 0 has no meaningful rate; the
-        // old `max(f64::MIN_POSITIVE)` clamp reported ~1e308 jobs/s for it.
-        throughput_jps: if end.as_ns() == 0 {
-            0.0
+}
+
+/// The arrival side of the loop: the source, the one job pending outside
+/// the engine, and the admission tallies.
+struct Arrivals<'s> {
+    source: &'s mut dyn Source,
+    opts: &'s DriverOpts,
+    pending: Option<(SimTime, JobTemplate)>,
+    last_arrival: SimTime,
+    admitted: u64,
+    shed: u64,
+    saturated: bool,
+}
+
+impl Arrivals<'_> {
+    /// True once no arrival can enter any more: the source ran dry, or the
+    /// overload latch shut admission for good.
+    fn exhausted(&self) -> bool {
+        self.pending.is_none() || (self.saturated && !self.opts.shed_when_full)
+    }
+
+    /// Admit every due job — at most one job plus its same-instant
+    /// companions sit outside the engine at any moment. Called *after* the
+    /// fixpoint, so the event queue reflects everything the policy
+    /// scheduled and "due" genuinely means "nothing can happen before this
+    /// arrival" (an empty queue then means the engine is quiescent, however
+    /// far away the arrival is). The overload latch therefore trips only
+    /// when a job wants in at an instant where the system is actually full
+    /// — a pending arrival hours past a drainable burst never latches.
+    /// `seed` phases run before a fixpoint, when direct (at ≤ now) arrivals
+    /// push no events — only the current-instant cohort is due there.
+    // Forced inline: this is the per-arrival path, and out of line it
+    // measurably slows the `stream-single` benchmark workload.
+    #[inline(always)]
+    fn admit_due(
+        &mut self,
+        engine: &mut OpenEngine<'_>,
+        fan: &mut Fanout<'_>,
+        seed: bool,
+    ) -> Result<(), BaseError> {
+        let opts = self.opts;
+        // The latch (default) stops admission permanently once tripped; in
+        // shed mode `saturated` only records that the guard ever fired.
+        while !self.saturated || opts.shed_when_full {
+            let Some((at, _)) = &self.pending else { break };
+            let at = *at;
+            if at < self.last_arrival {
+                return Err(BaseError::DisorderedArrival {
+                    at_ns: at.as_ns(),
+                    prev_ns: self.last_arrival.as_ns(),
+                });
+            }
+            let due = if seed {
+                at <= engine.now()
+            } else {
+                match engine.next_event_time() {
+                    None => true,
+                    Some(next) => at <= next,
+                }
+            };
+            if !due {
+                break;
+            }
+            let full = opts
+                .max_in_flight_jobs
+                .is_some_and(|cap| engine.in_flight_jobs() >= cap);
+            if full {
+                self.saturated = true;
+                if !opts.shed_when_full {
+                    break;
+                }
+            }
+            // Shed or admitted, the arrival is consumed either way; the
+            // arrival clock keeps its monotonicity check.
+            // apt-lint: allow(hot-path-panic, the enclosing loop only runs while pending is Some)
+            let (at, job) = self.pending.take().expect("checked above");
+            self.last_arrival = at;
+            let ev = if full {
+                // Shed exactly this arrival; the next one is re-examined
+                // against the (possibly drained) backlog.
+                self.shed += 1;
+                RunEvent::Shed {
+                    at,
+                    reason: ShedReason::CapacityFull,
+                }
+            } else {
+                let deadline = job.deadline().map(|d| at + d);
+                let accept = fan.gate.admit(&AdmitRequest {
+                    job_id: engine.next_job_id(),
+                    arrival: at,
+                    deadline,
+                    job: &job,
+                    now: engine.now(),
+                    in_flight_jobs: engine.in_flight_jobs(),
+                    in_flight_kernels: engine.in_flight_kernels(),
+                    live_procs: engine.live_procs(),
+                });
+                if accept {
+                    engine.admit_with_deadline(job.kernels(), job.edges(), at, deadline)?;
+                    self.admitted += 1;
+                    RunEvent::Admitted {
+                        now: engine.now(),
+                        in_flight: engine.in_flight_jobs(),
+                    }
+                } else {
+                    self.shed += 1;
+                    RunEvent::Shed {
+                        at,
+                        reason: ShedReason::Gate,
+                    }
+                }
+            };
+            fan.emit(engine, &ev);
+            self.pending = self.source.next_job();
+        }
+        Ok(())
+    }
+}
+
+/// The α/ρ/backlog operating point sampled at a window close.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OperatingPoint {
+    /// The policy's live α, when it has the knob.
+    pub alpha: Option<f64>,
+    /// The gate's live utilization bound ρ, when it has one.
+    pub rho: Option<f64>,
+    /// Jobs in flight.
+    pub in_flight: usize,
+    /// Kernels in flight (the queue depth).
+    pub queued: usize,
+}
+
+/// One fact the driver states about a run, handed once to the fan-out.
+#[derive(Clone, Copy)]
+pub(crate) enum RunEvent<'e> {
+    /// A job entered the engine at `now`, joining a backlog of `in_flight`
+    /// jobs (itself included).
+    Admitted { now: SimTime, in_flight: usize },
+    /// An arrival at `at` never entered the system.
+    Shed { at: SimTime, reason: ShedReason },
+    /// A job ran to completion and was retired at `now`, leaving
+    /// `in_flight` jobs behind.
+    Retired {
+        job: &'e CompletedJob,
+        now: SimTime,
+        in_flight: usize,
+        latency: SimDuration,
+        tardiness: Option<SimDuration>,
+    },
+    /// An admitted job exhausted its retry budget and was retired failed.
+    Failed {
+        job: &'e CompletedJob,
+        now: SimTime,
+        in_flight: usize,
+    },
+    /// A metrics window closed — the flushed tail window included — with
+    /// the operating point at its close.
+    WindowClosed {
+        snapshot: &'e StreamSnapshot,
+        point: OperatingPoint,
+    },
+    /// A controller action, applied or not.
+    Control(ControlEvent),
+    /// The run drained at `now`; `trace` is the armed sink, if any.
+    End {
+        now: SimTime,
+        retired: u64,
+        in_flight: usize,
+        miss_rate: f64,
+        trace: Option<&'e dyn TraceSink>,
+    },
+}
+
+/// A consumer of the driver's [`RunEvent`]s. Observers never feed back
+/// into the run, so arming one cannot change a schedule.
+pub(crate) trait RunObserver {
+    fn on_event(&mut self, ev: &RunEvent<'_>);
+}
+
+/// The per-job closure of [`StreamRun::observe`], as an observer.
+struct PerJob<'r>(Box<dyn FnMut(&CompletedJob) + 'r>);
+
+impl RunObserver for PerJob<'_> {
+    fn on_event(&mut self, ev: &RunEvent<'_>) {
+        if let RunEvent::Retired { job, .. } | RunEvent::Failed { job, .. } = *ev {
+            (self.0)(job);
+        }
+    }
+}
+
+/// The trace-sink adapter: the facts only the driver sees, onto the same
+/// timeline the engine records into.
+impl RunObserver for dyn TraceSink {
+    fn on_event(&mut self, ev: &RunEvent<'_>) {
+        match *ev {
+            RunEvent::Shed { at, reason } => self.record(TraceEvent::JobShed { at, reason }),
+            RunEvent::Retired { job, now, .. } | RunEvent::Failed { job, now, .. } => {
+                self.record(TraceEvent::JobRetired {
+                    job: job.job.0,
+                    at: now,
+                    failed: job.failed,
+                    missed_deadline: job.missed_deadline(),
+                });
+            }
+            RunEvent::WindowClosed { snapshot, point } => {
+                let at = snapshot.end;
+                let mut counter =
+                    |kind, value| self.record(TraceEvent::Counter { at, kind, value });
+                counter(CounterKind::InFlightJobs, point.in_flight as f64);
+                counter(CounterKind::QueueDepth, point.queued as f64);
+                if let Some(a) = point.alpha {
+                    counter(CounterKind::Alpha, a);
+                }
+                if let Some(r) = point.rho {
+                    counter(CounterKind::Rho, r);
+                }
+                counter(CounterKind::WindowMissRate, snapshot.miss_rate());
+            }
+            RunEvent::Control(ControlEvent {
+                at,
+                action,
+                applied,
+            }) => {
+                let (kind, value) = match action {
+                    ControlAction::SetAlpha(a) => (ControlKind::Alpha, a),
+                    ControlAction::SetAdmissionBound(b) => (ControlKind::AdmissionBound, b),
+                    ControlAction::SwitchPolicy(m) => (ControlKind::SwitchPolicy, m as f64),
+                };
+                self.record(TraceEvent::Control {
+                    at,
+                    kind,
+                    value,
+                    applied,
+                });
+            }
+            // The engine records admissions itself; the end is no instant.
+            RunEvent::Admitted { .. } | RunEvent::End { .. } => {}
+        }
+    }
+}
+
+/// The one place a [`RunEvent`] goes: [`OnlineMetrics`] first, then the
+/// gate's completion hook on retirements, then every armed observer, then
+/// the engine's trace sink when one is armed.
+struct Fanout<'a> {
+    metrics: OnlineMetrics,
+    gate: &'a mut dyn AdmissionGate,
+    observers: Vec<&'a mut dyn RunObserver>,
+}
+
+impl Fanout<'_> {
+    // Forced inline: every call site passes one known variant, so the
+    // match folds away. Left out of line, this per-job call measurably
+    // slows the `stream-single` benchmark workload.
+    #[inline(always)]
+    fn emit(&mut self, engine: &mut OpenEngine<'_>, ev: &RunEvent<'_>) {
+        let m = &mut self.metrics;
+        match *ev {
+            RunEvent::Admitted { now, in_flight } => {
+                m.observe_job_admitted();
+                m.observe_depth(now, in_flight);
+            }
+            RunEvent::Shed { .. } => m.observe_job_shed(),
+            RunEvent::Retired {
+                job,
+                now,
+                in_flight,
+                latency,
+                tardiness,
+            } => {
+                m.observe_job(latency, job.records.iter().map(TaskRecord::lambda).sum());
+                if let Some(tardiness) = tardiness {
+                    m.observe_tardiness(tardiness);
+                }
+                m.observe_depth(now, in_flight);
+                self.gate.on_complete(job);
+            }
+            RunEvent::Failed {
+                job,
+                now,
+                in_flight,
+            } => {
+                m.observe_job_failed();
+                m.observe_depth(now, in_flight);
+                self.gate.on_complete(job);
+            }
+            RunEvent::WindowClosed { .. } | RunEvent::Control(_) | RunEvent::End { .. } => {}
+        }
+        notify(&mut self.observers, engine, ev);
+    }
+
+    /// Close every metrics window that ended by now — or, with `tail`,
+    /// flush the final partial window — and announce each one with the
+    /// operating point at its close. Returns the new snapshots' indices.
+    fn close_windows(
+        &mut self,
+        engine: &mut OpenEngine<'_>,
+        alpha: Option<f64>,
+        tail: bool,
+    ) -> Range<usize> {
+        // Zero on fault-free runs, so unconditional.
+        let ft = engine.fault_totals();
+        self.metrics
+            .note_fault_counters(ft.kernel_failures, ft.retries, ft.wasted_ns, ft.down_ns);
+        let before = self.metrics.snapshots().len();
+        if tail {
+            self.metrics
+                .flush_partial(engine.now(), &engine.proc_stats());
         } else {
-            (completed + failed) as f64 / end.as_secs_f64()
-        },
-        goodput_jps: if end.as_ns() == 0 {
-            0.0
-        } else {
-            completed as f64 / end.as_secs_f64()
-        },
-        mean_latency_ms: metrics.mean_latency_ms(),
-        latency_p50_ms: p50,
-        latency_p90_ms: p90,
-        latency_p99_ms: p99,
-        lambda_total: metrics.lambda_total(),
-        peak_in_flight_jobs: engine.peak_in_flight_jobs(),
-        peak_in_flight_kernels: engine.peak_in_flight_kernels(),
-        arena_slots: engine.arena_slots(),
-        proc_stats: engine.proc_stats(),
-        snapshots: metrics.snapshots().to_vec(),
-        saturated,
-        jobs_shed: shed,
-        deadline_jobs: metrics.deadline_jobs(),
-        deadline_misses: metrics.deadline_misses(),
-        tardiness_p50_ms,
-        tardiness_p99_ms,
-        mean_tardiness_ms: metrics.mean_tardiness_ms(),
-        faults: engine.fault_totals(),
-        control_log,
-    })
+            self.metrics
+                .maybe_snapshot(engine.now(), &engine.proc_stats());
+        }
+        let point = OperatingPoint {
+            alpha,
+            rho: self.gate.utilization_bound(),
+            in_flight: engine.in_flight_jobs(),
+            queued: engine.in_flight_kernels(),
+        };
+        let closed = before..self.metrics.snapshots().len();
+        for snapshot in &self.metrics.snapshots()[closed.clone()] {
+            let ev = RunEvent::WindowClosed { snapshot, point };
+            notify(&mut self.observers, engine, &ev);
+        }
+        closed
+    }
+}
+
+/// Hand `ev` to every armed observer, the engine's trace sink last.
+#[inline(always)]
+fn notify(observers: &mut [&mut dyn RunObserver], engine: &mut OpenEngine<'_>, ev: &RunEvent<'_>) {
+    for o in observers.iter_mut() {
+        o.on_event(ev);
+    }
+    if let Some(sink) = engine.tracer_mut() {
+        sink.on_event(ev);
+    }
 }
 
 #[cfg(test)]
@@ -1082,15 +1164,11 @@ mod tests {
         let (config, lookup) = paper();
         let mut source = PoissonSource::new(lookup, 5.0, 60, JobFamily::Chain { len: 2 }, 5);
         let mut seen = Vec::new();
-        let outcome = simulate_source_observed(
-            &mut source,
-            config,
-            lookup,
-            &mut FirstFit,
-            &DriverOpts::default(),
-            |job| seen.push((job.job, job.finish())),
-        )
-        .unwrap();
+        let opts = DriverOpts::default();
+        let (outcome, _) = StreamRun::new(&mut source, config, lookup, &mut FirstFit, &opts)
+            .observe(|job| seen.push((job.job, job.finish())))
+            .run()
+            .unwrap();
         assert_eq!(seen.len(), 60);
         assert_eq!(outcome.jobs_completed, 60);
         assert!(seen.windows(2).all(|w| w[0].1 <= w[1].1));
@@ -1463,20 +1541,14 @@ mod tests {
             fired: false,
             windows_seen: 0,
         };
-        let outcome = simulate_source_controlled(
-            &mut source,
-            config,
-            lookup,
-            &mut policy,
-            &DriverOpts {
-                snapshot_interval: Some(SimDuration::from_ms(60_000)),
-                ..DriverOpts::default()
-            },
-            &mut AdmitAll,
-            &mut ctrl,
-            |_| {},
-        )
-        .unwrap();
+        let opts = DriverOpts {
+            snapshot_interval: Some(SimDuration::from_ms(60_000)),
+            ..DriverOpts::default()
+        };
+        let (outcome, _) = StreamRun::new(&mut source, config, lookup, &mut policy, &opts)
+            .controller(&mut ctrl)
+            .run()
+            .unwrap();
         assert_eq!(outcome.jobs_completed, 120);
         assert!(ctrl.windows_seen > 0, "the controller never saw a window");
         // The flushed tail window is not delivered: closed windows only.
@@ -1509,18 +1581,35 @@ mod tests {
         use apt_control::InertController;
         let (config, lookup) = paper();
         let mut source = PoissonSource::new(lookup, 1.0, 3, JobFamily::Single, 1);
-        let err = simulate_source_controlled(
+        let opts = DriverOpts::default();
+        let mut policy = apt_policies::Met::new();
+        let Err(err) = StreamRun::new(&mut source, config, lookup, &mut policy, &opts)
+            .controller(&mut InertController)
+            .run()
+        else {
+            panic!("a controlled run without windows must fail");
+        };
+        assert!(matches!(err, BaseError::InvalidSystem { .. }));
+    }
+
+    /// A zero snapshot interval is a typed error at the one validation
+    /// boundary, not a panic inside the metrics aggregator.
+    #[test]
+    fn zero_snapshot_interval_is_a_typed_error() {
+        let (config, lookup) = paper();
+        let mut source = PoissonSource::new(lookup, 1.0, 3, JobFamily::Single, 1);
+        let err = simulate_source(
             &mut source,
             config,
             lookup,
             &mut apt_policies::Met::new(),
-            &DriverOpts::default(),
-            &mut AdmitAll,
-            &mut InertController,
-            |_| {},
+            &DriverOpts {
+                snapshot_interval: Some(SimDuration::ZERO),
+                ..DriverOpts::default()
+            },
         )
         .unwrap_err();
-        assert!(matches!(err, BaseError::InvalidSystem { .. }));
+        assert!(matches!(err, BaseError::InvalidSystem { .. }), "{err:?}");
     }
 
     #[test]

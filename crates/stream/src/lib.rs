@@ -15,12 +15,19 @@
 //!   diurnal-rate, and trace-replay arrival processes, all seeded through
 //!   the workspace's own `SplitMix64` and yielding [`JobTemplate`]s of
 //!   configurable DAG families lazily, one at a time.
-//! * [`driver`] — [`simulate_source`]: pulls arrivals just-in-time, feeds
-//!   them into `apt-hetsim`'s slot-recycling [`apt_hetsim::OpenEngine`],
-//!   retires completed jobs into streaming metrics, and sustains
-//!   million-job runs with memory bounded by the jobs in flight. The gated
-//!   form ([`simulate_source_gated`]) puts an [`AdmissionGate`] in the
-//!   admit path so overload *sheds* jobs instead of queueing unboundedly.
+//! * [`driver`] — [`StreamRun`], the one streaming entry point: it pulls
+//!   arrivals just-in-time, feeds them into `apt-hetsim`'s slot-recycling
+//!   [`apt_hetsim::OpenEngine`], retires completed jobs into streaming
+//!   metrics, and sustains million-job runs with memory bounded by the
+//!   jobs in flight. Optional layers are setters on the run: an
+//!   [`AdmissionGate`] in the admit path so overload *sheds* jobs instead
+//!   of queueing unboundedly, an `apt-control` controller on the metrics
+//!   windows, a trace sink, a [`StreamTelemetry`] registry and a per-job
+//!   observer. Inside the loop every fact (admitted, shed, retired,
+//!   window closed, control action, end) is one event handed to one
+//!   fan-out, which feeds the metrics, the gate's completion hook and
+//!   each armed observer. [`simulate_source`] and
+//!   [`simulate_source_gated`] are one-line shorthands.
 //! * [`job`] — job templates and the DAG families they instantiate.
 //! * [`deadline`] — per-job SLOs: [`DeadlineSpec`] derives relative
 //!   deadlines (fixed, proportional to each job's minimum critical path,
@@ -97,9 +104,8 @@ pub mod telemetry;
 
 pub use deadline::DeadlineSpec;
 pub use driver::{
-    simulate_source, simulate_source_controlled, simulate_source_gated, simulate_source_observed,
-    simulate_source_telemetered, simulate_source_traced, AdmissionGate, AdmitAll, AdmitRequest,
-    DriverOpts, StreamOutcome,
+    simulate_source, simulate_source_gated, AdmissionGate, AdmitAll, AdmitRequest, DriverOpts,
+    StreamOutcome, StreamRun,
 };
 pub use job::{JobFamily, JobTemplate};
 pub use source::{DiurnalSource, OnOffSource, PoissonSource, Source, TraceSource};

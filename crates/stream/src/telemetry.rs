@@ -3,11 +3,19 @@
 //! snapshot lines, an optional `--progress` heartbeat, and (behind the
 //! `self-profile` feature) the engine's phase-breakdown report.
 //!
+//! [`StreamTelemetry`] is one observer on the driver's event fan-out (see
+//! [`crate::driver`]): arm it with [`crate::StreamRun::telemetry`] and it
+//! hears the same admitted / shed / retired / failed / window-closed / end
+//! events as the metrics aggregator and the trace sink, and derives every
+//! instrument from them.
+//!
 //! Telemetry is observational by contract: an armed [`StreamTelemetry`]
 //! never changes a schedule — the telemetered equivalence test pins a
-//! telemetered run's [`crate::StreamOutcome`] byte-identical to the bare
-//! run's — and the registry hot path is a handful of adds per job.
+//! telemetered run's [`crate::StreamOutcome`] equal to the bare run's —
+//! and the registry hot path is a handful of adds per job.
 
+use crate::driver::{OperatingPoint, RunEvent, RunObserver};
+use apt_base::{SimDuration, SimTime};
 use apt_hetsim::CompletedJob;
 use apt_metrics::StreamSnapshot;
 use apt_telemetry::{
@@ -20,8 +28,8 @@ use std::fmt::Write as _;
 /// snapshot quantiles use.
 const HIST_GAMMA: f64 = 0.01;
 
-/// The streaming driver's telemetry surface. Construct one, hand it to
-/// [`crate::simulate_source_telemetered`], then read back
+/// The streaming driver's telemetry surface. Construct one, arm it with
+/// [`crate::StreamRun::telemetry`], then read back
 /// [`StreamTelemetry::prometheus`] (text exposition),
 /// [`StreamTelemetry::jsonl`] (one line per closed metrics window) and
 /// [`StreamTelemetry::phase_report`] (engine wall-clock breakdown, when
@@ -48,6 +56,8 @@ pub struct StreamTelemetry {
     h_tardiness: HistId,
     jsonl: String,
     heartbeat: Option<Heartbeat>,
+    /// α/ρ of the last closed window, for the heartbeat.
+    window_alpha_rho: (Option<f64>, Option<f64>),
     profile_engine: bool,
     phase_report: Option<PhaseReport>,
 }
@@ -126,14 +136,17 @@ impl StreamTelemetry {
             h_tardiness,
             jsonl: String::new(),
             heartbeat: None,
+            window_alpha_rho: (None, None),
             profile_engine: false,
             phase_report: None,
         }
     }
 
     /// Emit a throttled progress heartbeat to stderr while the run is
-    /// in flight (the `--progress` flag). `target_jobs` enables the ETA
-    /// column; pass `None` for open-ended runs.
+    /// in flight (the `--progress` flag), checked after each retirement.
+    /// Its α/ρ columns are the last closed window's operating point.
+    /// `target_jobs` enables the ETA column; pass `None` for open-ended
+    /// runs.
     pub fn with_progress(mut self, target_jobs: Option<u64>) -> Self {
         self.heartbeat = Some(Heartbeat::new(target_jobs));
         self
@@ -221,32 +234,14 @@ impl StreamTelemetry {
         self.phase_report = Some(report);
     }
 
-    #[inline]
-    pub(crate) fn on_admit(&mut self) {
-        self.reg.inc(self.c_admitted);
-    }
-
-    #[inline]
-    pub(crate) fn on_shed(&mut self) {
-        self.reg.inc(self.c_shed);
-    }
-
-    /// An admitted job that exhausted its retry budget and left failed.
-    #[inline]
-    pub(crate) fn on_job_failed(&mut self, job: &CompletedJob) {
-        self.reg.add(self.c_kernels, job.records.len() as u64);
-        self.reg.inc(self.c_failed);
-    }
-
     /// A successfully completed job, with the latency and tardiness the
     /// driver already derived for its own aggregates — the hook must not
     /// recompute them (this is the per-job hot path).
-    #[inline]
-    pub(crate) fn on_job_done(
+    fn on_job_done(
         &mut self,
         job: &CompletedJob,
-        latency: apt_base::SimDuration,
-        tardiness: Option<apt_base::SimDuration>,
+        latency: SimDuration,
+        tardiness: Option<SimDuration>,
     ) {
         self.reg.add(self.c_kernels, job.records.len() as u64);
         self.reg.inc(self.c_completed);
@@ -259,14 +254,14 @@ impl StreamTelemetry {
         }
     }
 
-    pub(crate) fn on_window(
-        &mut self,
-        snap: &StreamSnapshot,
-        alpha: Option<f64>,
-        rho: Option<f64>,
-        in_flight: usize,
-        queued: usize,
-    ) {
+    fn on_window(&mut self, snap: &StreamSnapshot, point: &OperatingPoint) {
+        let OperatingPoint {
+            alpha,
+            rho,
+            in_flight,
+            queued,
+        } = *point;
+        self.window_alpha_rho = (alpha, rho);
         self.reg.set(self.g_in_flight, in_flight as f64);
         self.reg.set(self.g_queue, queued as f64);
         if let Some(a) = alpha {
@@ -309,55 +304,71 @@ impl StreamTelemetry {
         );
     }
 
-    /// True when a `--progress` heartbeat was requested — hoisted out of
-    /// the driver loop so unarmed runs pay one bool, not a call per
-    /// iteration.
-    #[inline]
-    pub(crate) fn heartbeat_armed(&self) -> bool {
-        self.heartbeat.is_some()
-    }
-
-    /// Cheap pre-check for the driver: is a heartbeat armed *and* due?
-    #[inline]
-    pub(crate) fn progress_due(&self) -> bool {
-        self.heartbeat.as_ref().is_some_and(Heartbeat::due)
-    }
-
-    pub(crate) fn emit_progress(
-        &mut self,
-        jobs_done: u64,
-        in_flight: usize,
-        miss_rate: f64,
-        alpha: Option<f64>,
-        rho: Option<f64>,
-        sim_seconds: f64,
-    ) {
-        if let Some(hb) = self.heartbeat.as_mut() {
-            if let Some(line) = hb.tick(jobs_done, in_flight, miss_rate, alpha, rho, sim_seconds) {
-                eprintln!("{line}");
-            }
+    /// Tick the `--progress` heartbeat after a retirement, when one is
+    /// armed (it throttles itself). Its tallies come from the registry.
+    fn tick_progress(&mut self, in_flight: usize, now: SimTime) {
+        let Some(hb) = self.heartbeat.as_mut() else {
+            return;
+        };
+        let reg = &self.reg;
+        let retired = reg.counter_value(self.c_completed) + reg.counter_value(self.c_failed);
+        let deadline_jobs = reg.histogram_ref(self.h_tardiness).count();
+        let miss_rate = if deadline_jobs == 0 {
+            0.0
+        } else {
+            reg.counter_value(self.c_misses) as f64 / deadline_jobs as f64
+        };
+        let (alpha, rho) = self.window_alpha_rho;
+        if let Some(line) = hb.tick(retired, in_flight, miss_rate, alpha, rho, now.as_secs_f64()) {
+            eprintln!("{line}");
         }
     }
+}
 
-    pub(crate) fn on_trace_sink(&mut self, recorded: u64, dropped: u64) {
-        self.reg.add(self.c_trace_events, recorded);
-        self.reg.add(self.c_trace_dropped, dropped);
-    }
-
-    pub(crate) fn on_end(
-        &mut self,
-        sim_seconds: f64,
-        jobs_done: u64,
-        in_flight: usize,
-        miss_rate: f64,
-    ) {
-        self.reg.set(self.g_sim, sim_seconds);
-        self.reg.set(self.g_in_flight, in_flight as f64);
-        if let Some(hb) = self.heartbeat.as_mut() {
-            eprintln!(
-                "{}",
-                hb.finish(jobs_done, in_flight, miss_rate, sim_seconds)
-            );
+impl RunObserver for StreamTelemetry {
+    fn on_event(&mut self, ev: &RunEvent<'_>) {
+        match *ev {
+            RunEvent::Admitted { .. } => self.reg.inc(self.c_admitted),
+            RunEvent::Shed { .. } => self.reg.inc(self.c_shed),
+            RunEvent::Retired {
+                job,
+                now,
+                in_flight,
+                latency,
+                tardiness,
+            } => {
+                self.on_job_done(job, latency, tardiness);
+                self.tick_progress(in_flight, now);
+            }
+            RunEvent::Failed {
+                job,
+                now,
+                in_flight,
+            } => {
+                self.reg.add(self.c_kernels, job.records.len() as u64);
+                self.reg.inc(self.c_failed);
+                self.tick_progress(in_flight, now);
+            }
+            RunEvent::WindowClosed { snapshot, point } => self.on_window(snapshot, &point),
+            RunEvent::Control(_) => {}
+            RunEvent::End {
+                now,
+                retired,
+                in_flight,
+                miss_rate,
+                trace,
+            } => {
+                if let Some(sink) = trace {
+                    self.reg.add(self.c_trace_events, sink.recorded());
+                    self.reg.add(self.c_trace_dropped, sink.dropped());
+                }
+                let sim_seconds = now.as_secs_f64();
+                self.reg.set(self.g_sim, sim_seconds);
+                self.reg.set(self.g_in_flight, in_flight as f64);
+                if let Some(hb) = self.heartbeat.as_mut() {
+                    eprintln!("{}", hb.finish(retired, in_flight, miss_rate, sim_seconds));
+                }
+            }
         }
     }
 }

@@ -13,8 +13,7 @@
 use apt_core::prelude::*;
 use apt_hetsim::TaskRecord;
 use apt_stream::{
-    simulate_source, simulate_source_observed, DriverOpts, JobFamily, JobTemplate, PoissonSource,
-    TraceSource,
+    simulate_source, DriverOpts, JobFamily, JobTemplate, PoissonSource, StreamRun, TraceSource,
 };
 use proptest::prelude::*;
 
@@ -107,21 +106,22 @@ fn assert_stream_equivalent(
     let mut open_records: Vec<TaskRecord> = Vec::new();
     let mut open_policy = make();
     let mut source = TraceSource::new(jobs.to_vec());
-    let outcome = simulate_source_observed(
+    let (outcome, _) = StreamRun::new(
         &mut source,
         &config,
         lookup,
         open_policy.as_mut(),
         &DriverOpts::default(),
-        |done| {
-            let base = offsets[done.job.0 as usize];
-            for rec in &done.records {
-                let mut global = *rec;
-                global.node = NodeId::new(base + rec.node.index());
-                open_records.push(global);
-            }
-        },
     )
+    .observe(|done| {
+        let base = offsets[done.job.0 as usize];
+        for rec in &done.records {
+            let mut global = *rec;
+            global.node = NodeId::new(base + rec.node.index());
+            open_records.push(global);
+        }
+    })
+    .run()
     .unwrap_or_else(|e| panic!("{tag}: streaming run failed: {e}"));
 
     // Closed path over the materialized workload.
@@ -210,14 +210,15 @@ fn assert_configs_equivalent(
         let mut records: Vec<TaskRecord> = Vec::new();
         let mut policy = make();
         let mut source = TraceSource::new(jobs.to_vec());
-        let outcome = simulate_source_observed(
+        let (outcome, _) = StreamRun::new(
             &mut source,
             config,
             lookup,
             policy.as_mut(),
             &DriverOpts::default(),
-            |done| records.extend(done.records.iter().copied()),
         )
+        .observe(|done| records.extend(done.records.iter().copied()))
+        .run()
         .unwrap_or_else(|e| panic!("{tag}: run failed: {e}"));
         (outcome.end, outcome.proc_stats.clone(), records)
     };
@@ -279,21 +280,22 @@ fn clustered_topology_streams_match_the_closed_engine() {
         let mut open_records: Vec<TaskRecord> = Vec::new();
         let mut policy = make();
         let mut source = TraceSource::new(jobs.to_vec());
-        let outcome = simulate_source_observed(
+        let (outcome, _) = StreamRun::new(
             &mut source,
             &config,
             lookup,
             policy.as_mut(),
             &DriverOpts::default(),
-            |done| {
-                let base = offsets[done.job.0 as usize];
-                for rec in &done.records {
-                    let mut global = *rec;
-                    global.node = NodeId::new(base + rec.node.index());
-                    open_records.push(global);
-                }
-            },
         )
+        .observe(|done| {
+            let base = offsets[done.job.0 as usize];
+            for rec in &done.records {
+                let mut global = *rec;
+                global.node = NodeId::new(base + rec.node.index());
+                open_records.push(global);
+            }
+        })
+        .run()
         .unwrap_or_else(|e| panic!("{name}: streaming run failed: {e}"));
         let mut closed_policy = make();
         let closed =
@@ -408,7 +410,7 @@ fn inert_fault_plans_stream_byte_identically() {
             let mut records: Vec<TaskRecord> = Vec::new();
             let mut source = TraceSource::new(jobs.clone());
             let mut policy = make();
-            let outcome = simulate_source_observed(
+            let (outcome, _) = StreamRun::new(
                 &mut source,
                 &config,
                 lookup,
@@ -418,8 +420,9 @@ fn inert_fault_plans_stream_byte_identically() {
                     faults,
                     ..DriverOpts::default()
                 },
-                |done| records.extend(done.records.iter().copied()),
             )
+            .observe(|done| records.extend(done.records.iter().copied()))
+            .run()
             .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
             (outcome, records)
         };
@@ -495,7 +498,6 @@ fn faulty_streams_replay_deterministically_under_seed() {
 #[test]
 fn inert_controller_streams_byte_identically_to_controller_off() {
     use apt_control::InertController;
-    use apt_stream::{simulate_source_controlled, AdmitAll};
     let config = SystemConfig::paper_4gbps();
     let lookup = LookupTable::paper();
     let jobs = job_list(
@@ -511,35 +513,25 @@ fn inert_controller_streams_byte_identically_to_controller_off() {
         let mut recs_off: Vec<TaskRecord> = Vec::new();
         let mut source = TraceSource::new(jobs.clone());
         let mut policy = make();
-        let off = simulate_source_observed(
-            &mut source,
-            &config,
-            lookup,
-            policy.as_mut(),
-            &opts,
-            |done| recs_off.extend(done.records.iter().copied()),
-        )
-        .unwrap_or_else(|e| panic!("{name}: controller-off run failed: {e}"));
+        let (off, _) = StreamRun::new(&mut source, &config, lookup, policy.as_mut(), &opts)
+            .observe(|done| recs_off.extend(done.records.iter().copied()))
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: controller-off run failed: {e}"));
 
         let mut recs_inert: Vec<TaskRecord> = Vec::new();
         let mut source = TraceSource::new(jobs.clone());
         let mut policy = make();
-        let inert = simulate_source_controlled(
-            &mut source,
-            &config,
-            lookup,
-            policy.as_mut(),
-            &opts,
-            &mut AdmitAll,
-            &mut InertController,
-            |done| recs_inert.extend(done.records.iter().copied()),
-        )
-        .unwrap_or_else(|e| panic!("{name}: inert-controller run failed: {e}"));
+        let (inert, _) = StreamRun::new(&mut source, &config, lookup, policy.as_mut(), &opts)
+            .controller(&mut InertController)
+            .observe(|done| recs_inert.extend(done.records.iter().copied()))
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: inert-controller run failed: {e}"));
 
         assert_eq!(
             recs_off, recs_inert,
             "{name}: inert controller moved a kernel"
         );
+        assert_eq!(off, inert, "{name}: inert controller changed the outcome");
         assert_eq!(off.end, inert.end, "{name}");
         assert_eq!(off.proc_stats, inert.proc_stats, "{name}");
         assert_eq!(off.snapshots, inert.snapshots, "{name}");
@@ -562,7 +554,7 @@ proptest! {
         use apt_control::{
             AimdAdmission, AimdConfig, AlphaConfig, AlphaController, ControllerStack,
         };
-        use apt_stream::{simulate_source_controlled, AdmitAll, DeadlineSpec};
+        use apt_stream::DeadlineSpec;
         let config = SystemConfig::paper_4gbps();
         let lookup = LookupTable::paper();
         let run = || {
@@ -579,20 +571,16 @@ proptest! {
                     },
                 )),
             ]);
-            simulate_source_controlled(
-                &mut source,
-                &config,
-                lookup,
-                &mut Apt::new(4.0),
-                &DriverOpts {
-                    snapshot_interval: Some(SimDuration::from_ms(30_000)),
-                    ..DriverOpts::default()
-                },
-                &mut AdmitAll,
-                &mut ctrl,
-                |_| {},
-            )
-            .unwrap()
+            let opts = DriverOpts {
+                snapshot_interval: Some(SimDuration::from_ms(30_000)),
+                ..DriverOpts::default()
+            };
+            let mut policy = Apt::new(4.0);
+            StreamRun::new(&mut source, &config, lookup, &mut policy, &opts)
+                .controller(&mut ctrl)
+                .run()
+                .unwrap()
+                .0
         };
         let a = run();
         let b = run();

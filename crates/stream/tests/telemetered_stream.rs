@@ -1,110 +1,16 @@
 //! The telemetry contract of the streaming driver.
 //!
 //! Telemetry must be *purely observational*: a run under an armed
-//! [`StreamTelemetry`] produces a [`StreamOutcome`] identical to the bare
-//! run, while the registry's counters, gauges, histograms and JSONL
+//! [`StreamTelemetry`] produces a `StreamOutcome` equal to the bare
+//! run's, while the registry's counters, gauges, histograms and JSONL
 //! snapshot stream account for exactly the run the outcome describes.
 
-use apt_base::SimDuration;
-use apt_control::{ControlAction, Controller};
-use apt_core::Apt;
-use apt_dfg::LookupTable;
-use apt_hetsim::{FaultPlan, SystemConfig};
-use apt_metrics::StreamSnapshot;
-use apt_stream::{
-    simulate_source_telemetered, AdmitAll, DeadlineSpec, DriverOpts, JobFamily, PoissonSource,
-    StreamOutcome, StreamTelemetry,
-};
+mod common;
+
+use apt_stream::StreamTelemetry;
 use apt_telemetry::{validate, validate_jsonl};
-use apt_trace::{RingSink, TraceSink};
-
-/// Emits one action of each driver-visible kind on the first window.
-struct OneShot {
-    fired: bool,
-}
-
-impl Controller for OneShot {
-    fn name(&self) -> String {
-        "one-shot".into()
-    }
-    fn on_window(&mut self, _s: &StreamSnapshot, out: &mut Vec<ControlAction>) {
-        if !self.fired {
-            self.fired = true;
-            out.push(ControlAction::SetAlpha(6.0));
-            out.push(ControlAction::SetAdmissionBound(0.9));
-        }
-    }
-}
-
-/// The same controlled, capacity-gated, faulty, deadline-carrying stream
-/// the traced-equivalence test runs — every driver emission path live.
-fn run(
-    tel: Option<&mut StreamTelemetry>,
-    sink: Option<Box<dyn TraceSink>>,
-) -> (StreamOutcome, Option<Box<dyn TraceSink>>) {
-    let config = SystemConfig::paper_4gbps();
-    let lookup = LookupTable::paper();
-    let mut source = PoissonSource::new(lookup, 2.0, 150, JobFamily::Chain { len: 2 }, 9)
-        .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_ms(800)));
-    let mut policy = Apt::new(8.0);
-    let mut ctrl = OneShot { fired: false };
-    let opts = DriverOpts {
-        snapshot_interval: Some(SimDuration::from_ms(10_000)),
-        max_in_flight_jobs: Some(6),
-        shed_when_full: true,
-        faults: FaultPlan::seeded(5).with_transient(0.05),
-        ..DriverOpts::default()
-    };
-    match tel {
-        Some(tel) => simulate_source_telemetered(
-            &mut source,
-            &config,
-            lookup,
-            &mut policy,
-            &opts,
-            &mut AdmitAll,
-            Some(&mut ctrl),
-            sink,
-            tel,
-            |_| {},
-        )
-        .unwrap(),
-        None => {
-            let outcome = apt_stream::simulate_source_controlled(
-                &mut source,
-                &config,
-                lookup,
-                &mut policy,
-                &opts,
-                &mut AdmitAll,
-                &mut ctrl,
-                |_| {},
-            )
-            .unwrap();
-            (outcome, None)
-        }
-    }
-}
-
-fn assert_outcomes_equal(a: &StreamOutcome, b: &StreamOutcome) {
-    assert_eq!(a.jobs_admitted, b.jobs_admitted);
-    assert_eq!(a.jobs_completed, b.jobs_completed);
-    assert_eq!(a.jobs_failed, b.jobs_failed);
-    assert_eq!(a.jobs_shed, b.jobs_shed);
-    assert_eq!(a.kernels_completed, b.kernels_completed);
-    assert_eq!(a.end, b.end);
-    assert_eq!(a.lambda_total, b.lambda_total);
-    assert_eq!(a.proc_stats, b.proc_stats);
-    assert_eq!(a.snapshots, b.snapshots);
-    assert_eq!(a.deadline_misses, b.deadline_misses);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.control_log.len(), b.control_log.len());
-    for (x, y) in a.control_log.iter().zip(&b.control_log) {
-        assert_eq!(x.at, y.at);
-        assert_eq!(x.action, y.action);
-        assert_eq!(x.applied, y.applied);
-    }
-}
+use apt_trace::RingSink;
+use common::run;
 
 /// An armed registry changes nothing, and its counters reconcile exactly
 /// with the outcome the run reports.
@@ -113,7 +19,7 @@ fn telemetered_run_is_identical_and_fully_accounted() {
     let (bare, _) = run(None, None);
     let mut tel = StreamTelemetry::new();
     let (metered, _) = run(Some(&mut tel), None);
-    assert_outcomes_equal(&bare, &metered);
+    assert_eq!(bare, metered);
 
     let reg = tel.registry();
     let counter = |name: &str| {
@@ -171,7 +77,7 @@ fn trace_sink_totals_surface_in_registry() {
     let (bare, _) = run(None, None);
     let mut tel = StreamTelemetry::new();
     let (metered, sink) = run(Some(&mut tel), Some(Box::new(RingSink::new(64))));
-    assert_outcomes_equal(&bare, &metered);
+    assert_eq!(bare, metered);
 
     let sink = sink.expect("the driver hands the sink back");
     assert!(sink.dropped() > 0, "a 64-slot ring must drop on this run");

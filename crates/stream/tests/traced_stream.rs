@@ -1,118 +1,28 @@
 //! The tracing contract of the streaming driver.
 //!
 //! Tracing must be *purely observational*: a run under an armed
-//! [`TraceSink`] — null or recording — produces a [`StreamOutcome`]
-//! identical to the untraced run, while the recorded event stream accounts
+//! `TraceSink` — null or recording — produces a `StreamOutcome` equal
+//! to the untraced run's, while the recorded event stream accounts
 //! for every admission, shed, retirement, dispatch, completion, control
 //! action, and window counter the run produced.
 
+mod common;
+
 use apt_base::{SimDuration, SimTime};
-use apt_control::{ControlAction, Controller};
 use apt_core::Apt;
 use apt_dfg::LookupTable;
-use apt_hetsim::FaultPlan;
 use apt_hetsim::SystemConfig;
-use apt_metrics::StreamSnapshot;
-use apt_stream::{
-    simulate_source_traced, AdmitAll, DeadlineSpec, DriverOpts, JobFamily, PoissonSource,
-    StreamOutcome,
-};
-use apt_trace::{CounterKind, NullSink, TraceEvent, TraceSink, VecSink};
-
-/// Emits one action of each driver-visible kind on the first window.
-struct OneShot {
-    fired: bool,
-}
-
-impl Controller for OneShot {
-    fn name(&self) -> String {
-        "one-shot".into()
-    }
-    fn on_window(&mut self, _s: &StreamSnapshot, out: &mut Vec<ControlAction>) {
-        if !self.fired {
-            self.fired = true;
-            out.push(ControlAction::SetAlpha(6.0));
-            out.push(ControlAction::SetAdmissionBound(0.9));
-        }
-    }
-}
-
-/// A controlled, capacity-gated, faulty, deadline-carrying stream — every
-/// driver emission path live at once.
-fn run(sink: Option<Box<dyn TraceSink>>) -> (StreamOutcome, Option<Box<dyn TraceSink>>) {
-    let config = SystemConfig::paper_4gbps();
-    let lookup = LookupTable::paper();
-    let mut source = PoissonSource::new(lookup, 2.0, 150, JobFamily::Chain { len: 2 }, 9)
-        .with_deadlines(DeadlineSpec::Fixed(SimDuration::from_ms(800)));
-    let mut policy = Apt::new(8.0);
-    let mut ctrl = OneShot { fired: false };
-    let opts = DriverOpts {
-        snapshot_interval: Some(SimDuration::from_ms(10_000)),
-        max_in_flight_jobs: Some(6),
-        shed_when_full: true,
-        faults: FaultPlan::seeded(5).with_transient(0.05),
-        ..DriverOpts::default()
-    };
-    match sink {
-        Some(sink) => {
-            let (outcome, sink) = simulate_source_traced(
-                &mut source,
-                &config,
-                lookup,
-                &mut policy,
-                &opts,
-                &mut AdmitAll,
-                Some(&mut ctrl),
-                sink,
-                |_| {},
-            )
-            .unwrap();
-            (outcome, Some(sink))
-        }
-        None => {
-            let outcome = apt_stream::simulate_source_controlled(
-                &mut source,
-                &config,
-                lookup,
-                &mut policy,
-                &opts,
-                &mut AdmitAll,
-                &mut ctrl,
-                |_| {},
-            )
-            .unwrap();
-            (outcome, None)
-        }
-    }
-}
-
-fn assert_outcomes_equal(a: &StreamOutcome, b: &StreamOutcome) {
-    assert_eq!(a.jobs_admitted, b.jobs_admitted);
-    assert_eq!(a.jobs_completed, b.jobs_completed);
-    assert_eq!(a.jobs_failed, b.jobs_failed);
-    assert_eq!(a.jobs_shed, b.jobs_shed);
-    assert_eq!(a.kernels_completed, b.kernels_completed);
-    assert_eq!(a.end, b.end);
-    assert_eq!(a.lambda_total, b.lambda_total);
-    assert_eq!(a.proc_stats, b.proc_stats);
-    assert_eq!(a.snapshots, b.snapshots);
-    assert_eq!(a.deadline_misses, b.deadline_misses);
-    assert_eq!(a.faults, b.faults);
-    assert_eq!(a.control_log.len(), b.control_log.len());
-    for (x, y) in a.control_log.iter().zip(&b.control_log) {
-        assert_eq!(x.at, y.at);
-        assert_eq!(x.action, y.action);
-        assert_eq!(x.applied, y.applied);
-    }
-}
+use apt_stream::{DriverOpts, JobFamily, PoissonSource};
+use apt_trace::{CounterKind, NullSink, TraceEvent, VecSink};
+use common::run;
 
 /// An armed recording sink changes nothing, and its event stream accounts
 /// for exactly the run the outcome describes.
 #[test]
 fn traced_run_is_identical_and_fully_accounted() {
-    let (bare, _) = run(None);
-    let (traced, sink) = run(Some(Box::new(VecSink::new())));
-    assert_outcomes_equal(&bare, &traced);
+    let (bare, _) = run(None, None);
+    let (traced, sink) = run(None, Some(Box::new(VecSink::new())));
+    assert_eq!(bare, traced);
 
     let events = sink.unwrap().snapshot();
     assert!(!events.is_empty());
@@ -163,19 +73,21 @@ fn traced_run_is_identical_and_fully_accounted() {
         count(&|e| matches!(e, TraceEvent::Control { .. })),
         traced.control_log.len() as u64
     );
-    // Window counters: one α and one in-flight sample per closed window.
-    let closed = traced
-        .snapshots
-        .iter()
-        .filter(|s| s.interval == SimDuration::from_ms(10_000))
-        .count() as u64;
-    assert!(closed > 0);
+    // Window counters: one α, in-flight and miss-rate sample per snapshot,
+    // the flushed tail window included.
+    let windows = traced.snapshots.len() as u64;
+    assert!(windows > 0);
+    assert_ne!(
+        traced.snapshots.last().unwrap().interval,
+        SimDuration::from_ms(10_000),
+        "the run must end mid-window for the tail to be covered"
+    );
     let counter_of = |kind: CounterKind| {
         count(&|e| matches!(e, TraceEvent::Counter { kind: k, .. } if *k == kind))
     };
-    assert!(counter_of(CounterKind::Alpha) >= closed);
-    assert!(counter_of(CounterKind::InFlightJobs) >= closed);
-    assert!(counter_of(CounterKind::WindowMissRate) >= closed);
+    assert_eq!(counter_of(CounterKind::Alpha), windows);
+    assert_eq!(counter_of(CounterKind::InFlightJobs), windows);
+    assert_eq!(counter_of(CounterKind::WindowMissRate), windows);
     // AdmitAll has no utilization bound: no ρ track on this run.
     assert_eq!(counter_of(CounterKind::Rho), 0);
     // The α retune is visible in the counter track: 8 before the window
@@ -198,9 +110,9 @@ fn traced_run_is_identical_and_fully_accounted() {
 /// The null sink: same outcome, nothing retained, nothing dropped.
 #[test]
 fn null_sink_run_is_identical_and_empty() {
-    let (bare, _) = run(None);
-    let (nulled, sink) = run(Some(Box::new(NullSink)));
-    assert_outcomes_equal(&bare, &nulled);
+    let (bare, _) = run(None, None);
+    let (nulled, sink) = run(None, Some(Box::new(NullSink)));
+    assert_eq!(bare, nulled);
     let sink = sink.unwrap();
     assert_eq!(sink.dropped(), 0);
     assert!(sink.snapshot().is_empty());

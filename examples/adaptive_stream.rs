@@ -16,7 +16,7 @@
 //!
 //! Try `adaptive_stream 600 1.2` for a harsher peak.
 
-use apt_stream::{DeadlineSpec, DiurnalSource, DriverOpts, JobFamily};
+use apt_stream::{DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, StreamRun};
 use apt_suite::control::{
     AimdAdmission, AimdConfig, AlphaConfig, AlphaController, ControlAction, Controller,
     ControllerStack,
@@ -87,17 +87,11 @@ fn main() {
         Box::new(AlphaController::new(4.0, AlphaConfig::default())),
     ]);
     println!("controller: {}", stack.name());
-    let adaptive = apt_stream::simulate_source_controlled(
-        &mut source,
-        &system,
-        lookup,
-        &mut policy,
-        &opts,
-        &mut gate,
-        &mut stack,
-        |_| {},
-    )
-    .expect("adaptive run");
+    let (adaptive, _) = StreamRun::new(&mut source, &system, lookup, &mut policy, &opts)
+        .gate(&mut gate)
+        .controller(&mut stack)
+        .run()
+        .expect("adaptive run");
 
     // The control trace: every applied (and refused) action, in window
     // order — the loop's entire history is in the outcome.

@@ -14,8 +14,8 @@
 //!
 //! Try `slo_stream 2000 0.45 2` for a clearly overloaded machine.
 
-use apt_slo::{simulate_source_slo, AcceptAll, AdmissionPolicy, UtilizationBound};
-use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource};
+use apt_slo::{AcceptAll, AdmissionPolicy, UtilizationBound};
+use apt_stream::{simulate_source_gated, DeadlineSpec, DriverOpts, JobFamily, PoissonSource};
 use apt_suite::prelude::*;
 
 fn main() {
@@ -46,16 +46,17 @@ fn main() {
             &mut accept_all
         };
         let name = admission.name();
-        let o = simulate_source_slo(
+        let o = simulate_source_gated(
             &mut source,
             &system,
             lookup,
             &mut policy,
-            admission,
             &DriverOpts {
                 snapshot_interval: Some(SimDuration::from_ms(300_000)),
                 ..DriverOpts::default()
             },
+            admission,
+            |_| {},
         )
         .expect("slo stream run");
         println!(

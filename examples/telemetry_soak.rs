@@ -8,8 +8,8 @@
 //! [`apt_suite::telemetry::Registry`] of counters, gauges and
 //! log-bucketed histograms — constant memory however long the stream
 //! runs, which is the point of a soak. While the run is live a throttled
-//! heartbeat ticks on stderr (jobs/s, in-flight, miss rate, live α/ρ,
-//! ETA); when it ends the example writes the validated Prometheus text
+//! heartbeat ticks on stderr (jobs/s, in-flight, miss rate, the last
+//! closed window's α/ρ, ETA); when it ends the example writes the validated Prometheus text
 //! exposition to `<out>` and the per-window JSONL snapshot stream to
 //! `<out>.jsonl`, then prints the engine's phase-breakdown report —
 //! where the wall-clock went, decide through window, with per-policy
@@ -19,7 +19,7 @@
 //! cargo run --release -p apt-suite --example telemetry_soak [out.prom] [jobs] [peak_jps]
 //! ```
 
-use apt_stream::{DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, StreamTelemetry};
+use apt_stream::{DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, StreamRun, StreamTelemetry};
 use apt_suite::control::{
     AimdAdmission, AimdConfig, AlphaConfig, AlphaController, ControllerStack,
 };
@@ -82,19 +82,12 @@ fn main() {
         .with_progress(Some(jobs))
         .with_engine_profile();
 
-    let (outcome, _sink) = apt_stream::simulate_source_telemetered(
-        &mut source,
-        &system,
-        lookup,
-        &mut policy,
-        &opts,
-        &mut gate,
-        Some(&mut stack),
-        None,
-        &mut tel,
-        |_| {},
-    )
-    .expect("telemetered run");
+    let (outcome, _) = StreamRun::new(&mut source, &system, lookup, &mut policy, &opts)
+        .gate(&mut gate)
+        .controller(&mut stack)
+        .telemetry(&mut tel)
+        .run()
+        .expect("telemetered run");
 
     let prometheus = tel.prometheus();
     let samples = validate(&prometheus).expect("registry renders valid Prometheus");

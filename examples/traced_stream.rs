@@ -17,7 +17,7 @@
 //! cargo run --release -p apt-suite --example traced_stream [out.json] [jobs] [peak_jps]
 //! ```
 
-use apt_stream::{DeadlineSpec, DiurnalSource, DriverOpts, JobFamily};
+use apt_stream::{DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, StreamRun};
 use apt_suite::control::{
     AimdAdmission, AimdConfig, AlphaConfig, AlphaController, ControllerStack,
 };
@@ -81,19 +81,15 @@ fn main() {
         window.as_ms_f64() / 1_000.0,
     );
 
-    let (outcome, sink) = apt_stream::simulate_source_traced(
-        &mut source,
-        &system,
-        lookup,
-        &mut policy,
-        &opts,
-        &mut gate,
-        Some(&mut stack),
-        Box::new(VecSink::new()),
-        |_| {},
-    )
-    .expect("traced run");
-    let events = sink.snapshot();
+    let (outcome, sink) = StreamRun::new(&mut source, &system, lookup, &mut policy, &opts)
+        .gate(&mut gate)
+        .controller(&mut stack)
+        .trace(Box::new(VecSink::new()))
+        .run()
+        .expect("traced run");
+    let events = sink
+        .expect("the driver hands the armed sink back")
+        .snapshot();
 
     let names = system.procs().iter().map(|p| p.name.clone()).collect();
     let json = chrome_trace(&events, &ChromeConfig::with_proc_names(names));

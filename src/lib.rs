@@ -14,7 +14,8 @@
 //!
 //! The [`trace`] layer (`apt-trace`) records what the simulator *did*,
 //! instant by instant, without perturbing it. Arm a
-//! [`trace::TraceSink`] on a run — [`trace::VecSink`] to keep
+//! [`trace::TraceSink`] on a stream run with
+//! [`apt_stream::StreamRun::trace`] — [`trace::VecSink`] to keep
 //! everything, [`trace::RingSink`] to bound memory on long streams —
 //! and every layer emits typed [`trace::TraceEvent`]s: kernel
 //! dispatch/transfer/exec/completion on each processor, job
@@ -46,7 +47,7 @@
 //! "how is the run doing, right now, in aggregate?". A
 //! [`telemetry::Registry`] of counters, gauges and log-bucketed
 //! histograms rides along a stream run
-//! ([`apt_stream::simulate_source_telemetered`]), rendering three
+//! ([`apt_stream::StreamRun::telemetry`]), rendering three
 //! surfaces: a Prometheus text exposition
 //! ([`telemetry::render_prometheus`], re-checked by
 //! [`telemetry::validate`]), a JSONL snapshot stream (one flat object per
@@ -67,6 +68,13 @@
 //! | exports | Chrome/Perfetto JSON, λ-delay summary | Prometheus text, JSONL windows, heartbeat |
 //! | consumers | humans debugging one run | dashboards, CI gates, soak monitors |
 //! | cost when off | zero (byte-identical runs) | zero (byte-identical runs) |
+//!
+//! Both are observers on the open driver's one event fan-out: every fact
+//! the driver states — a job admitted, shed, retired or failed, a metrics
+//! window closed, a control action, the end of the run — is built once
+//! and handed to the metrics aggregator, the gate, the registry, the
+//! trace and the per-job observer from one place, so the three views of
+//! a run never disagree.
 //!
 //! Both ride the same run if you want both: `apt-repro stream-saturation
 //! --trace t.json --progress --metrics m.prom` draws the timeline *and*

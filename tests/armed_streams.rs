@@ -4,12 +4,12 @@
 //! identical to the bare run.
 
 use apt_stream::{
-    simulate_source, simulate_source_controlled, simulate_source_gated, DeadlineSpec, DriverOpts,
-    JobFamily, PoissonSource,
+    simulate_source, simulate_source_gated, DeadlineSpec, DriverOpts, JobFamily, PoissonSource,
+    StreamRun,
 };
 use apt_suite::control::{AimdAdmission, AimdConfig, ControllerStack};
 use apt_suite::prelude::*;
-use apt_suite::slo::{simulate_source_slo, AcceptAll, AdmissionPolicy, UtilizationBound};
+use apt_suite::slo::{AcceptAll, AdmissionPolicy, UtilizationBound};
 
 const JOBS: u64 = 3_000;
 const SEED: u64 = 0x0A12_5EED;
@@ -53,19 +53,21 @@ fn parked_aimd_loop_streams_byte_identically_to_the_bare_gate() {
         },
     ))]);
     let mut recs_armed: Vec<TaskRecord> = Vec::new();
-    let armed = simulate_source_controlled(
+    let (armed, _) = StreamRun::new(
         &mut poisson(lookup).with_deadlines(deadlines),
         &config,
         lookup,
         &mut EdfApt::new(4.0),
         &opts,
-        &mut UtilizationBound::new(lookup, &config, 4.0),
-        &mut stack,
-        |done| recs_armed.extend(done.records.iter().copied()),
     )
+    .gate(&mut UtilizationBound::new(lookup, &config, 4.0))
+    .controller(&mut stack)
+    .observe(|done| recs_armed.extend(done.records.iter().copied()))
+    .run()
     .unwrap();
 
     assert!(armed.control_log.is_empty(), "the parked loop acted");
+    assert_eq!(bare, armed, "the parked loop changed the outcome");
     assert_eq!(armed.jobs_admitted + armed.jobs_shed, JOBS);
     assert_eq!(recs_bare, recs_armed, "the parked loop moved a kernel");
     assert_eq!(bare.end, armed.end);
@@ -115,13 +117,14 @@ fn slo_gates_account_for_every_offered_job() {
     let lookup = LookupTable::paper();
     let config = SystemConfig::paper_4gbps();
     let run = |gate: &mut dyn AdmissionPolicy| {
-        simulate_source_slo(
+        simulate_source_gated(
             &mut poisson(lookup).with_deadlines(DeadlineSpec::ProportionalCp { factor: 4.0 }),
             &config,
             lookup,
             &mut EdfApt::new(4.0),
-            gate,
             &DriverOpts::default(),
+            gate,
+            |_| {},
         )
         .unwrap()
     };

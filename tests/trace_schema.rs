@@ -8,7 +8,7 @@
 //! pins that a timeline produced by the actual driver satisfies them and
 //! that the document survives re-serialization without semantic drift.
 
-use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource};
+use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource, StreamRun};
 use apt_suite::prelude::*;
 use apt_suite::trace::chrome::{chrome_trace, validate, ChromeConfig};
 use apt_suite::trace::json::{parse, JsonValue};
@@ -22,7 +22,7 @@ fn exported_trace() -> String {
     let config = SystemConfig::paper_4gbps();
     let mut source = PoissonSource::new(lookup, 1.0, 120, JobFamily::Diamond { width: 2 }, 3)
         .with_deadlines(DeadlineSpec::ProportionalCp { factor: 6.0 });
-    let (_, sink) = apt_stream::simulate_source_traced(
+    let (_, sink) = StreamRun::new(
         &mut source,
         &config,
         lookup,
@@ -35,14 +35,15 @@ fn exported_trace() -> String {
             retry: RetryPolicy::default(),
             ..DriverOpts::default()
         },
-        &mut apt_stream::AdmitAll,
-        None,
-        Box::new(VecSink::new()),
-        |_| {},
     )
+    .trace(Box::new(VecSink::new()))
+    .run()
     .expect("traced run");
+    let events = sink
+        .expect("the driver hands the armed sink back")
+        .snapshot();
     let names = config.procs().iter().map(|p| p.name.clone()).collect();
-    chrome_trace(&sink.snapshot(), &ChromeConfig::with_proc_names(names))
+    chrome_trace(&events, &ChromeConfig::with_proc_names(names))
 }
 
 #[test]
