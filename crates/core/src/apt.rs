@@ -24,11 +24,15 @@
 //! *shrinks* the idle set — so a kernel once skipped (p_min busy, no
 //! admissible alternative) can never become assignable later in the same
 //! instant, and the pass tracks its own claims in a local idle mask
-//! ([`best_instance_in`]). This produces exactly the assignment sequence of
-//! the one-per-call form (pinned by the Figure-5 test below and the
-//! engine-equivalence suite) at a fraction of the ready-list rescans.
+//! ([`best_instance_in`]). The pass ends with
+//! [`AssignmentBuf::mark_fixpoint`], so the engine advances time without
+//! rescanning the ready list for the empty answer it already knows. This
+//! produces exactly the assignment sequence of the one-per-call form
+//! (pinned by the Figure-5 test below and the engine-equivalence suite)
+//! at a fraction of the ready-list rescans.
 
 use apt_base::{ProcId, SimDuration};
+use apt_dfg::NodeId;
 use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
 use apt_policies::common::best_instance_in;
 
@@ -71,19 +75,6 @@ impl Apt {
     pub fn threshold(&self, x: SimDuration) -> SimDuration {
         x.scale_alpha(self.alpha)
     }
-
-    /// `find2ndBestProc` of Algorithm 1 against the batch's remaining idle
-    /// set. See [`find_alternative_in`].
-    fn find_alternative(
-        &self,
-        view: &SimView<'_>,
-        node: apt_dfg::NodeId,
-        p_min: ProcId,
-        threshold: SimDuration,
-        idle_mask: u64,
-    ) -> Option<(ProcId, SimDuration)> {
-        find_alternative_in(view, node, p_min, threshold, idle_mask)
-    }
 }
 
 /// `find2ndBestProc` of Algorithm 1: the processor in `idle_mask` with the
@@ -92,34 +83,85 @@ impl Apt {
 /// `idle_mask` is the batch's *remaining* idle set — ties break to the
 /// lowest id, same as the snapshot-scan form. Returns the chosen processor
 /// *with* its `exec + transfer` cost, so callers can record the decision's
-/// provenance without recomputing it. Shared by [`Apt`] and the
-/// deadline-aware variants ([`crate::EdfApt`], [`crate::LlApt`]) so the
+/// provenance without recomputing it. Shared by every APT-family policy
+/// ([`Apt`], [`crate::AptR`], [`crate::EdfApt`], [`crate::LlApt`]) so the
 /// alternative-admission rule can never drift between them.
+///
+/// Transfers are never negative, so a processor whose execution time alone
+/// exceeds the threshold can be neither admitted nor the minimum of an
+/// admitted choice: it is screened out before its input transfers (a walk
+/// over the kernel's predecessors) are summed.
 pub(crate) fn find_alternative_in(
     view: &SimView<'_>,
-    node: apt_dfg::NodeId,
+    node: NodeId,
     p_min: ProcId,
     threshold: SimDuration,
     idle_mask: u64,
 ) -> Option<(ProcId, SimDuration)> {
     let mut best: Option<(ProcId, SimDuration)> = None;
-    let mut bits = idle_mask;
+    let mut bits = idle_mask & !(1 << p_min.index());
     while bits != 0 {
         let p = ProcId::new(bits.trailing_zeros() as usize);
         bits &= bits - 1;
-        if p == p_min {
+        let Some(exec) = view.exec_time(node, p) else {
+            continue;
+        };
+        if exec > threshold {
             continue;
         }
-        if let Some(cost) = view.placement_cost(node, p) {
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((p, cost));
-            }
+        let cost = exec + view.transfer_in_time(node, p);
+        if cost <= threshold && best.is_none_or(|(_, c)| cost < c) {
+            best = Some((p, cost));
         }
     }
-    match best {
-        Some((proc, cost)) if cost <= threshold => Some((proc, cost)),
-        _ => None,
+    best
+}
+
+/// One APT processor-selection pass (Algorithm 1) over `nodes`, emitting
+/// the whole per-instant fixpoint (module docs) and marking it so. `idle`
+/// carries the batch's own claims, so each kernel sees exactly the idle
+/// set the engine would have shown it after applying the earlier
+/// assignments. `threshold_of(node, x)` is the admission threshold for a
+/// kernel whose best execution time is `x` — `α·x` for [`Apt`] and
+/// [`crate::EdfApt`], slack-clamped for [`crate::LlApt`].
+pub(crate) fn apt_pass(
+    view: &SimView<'_>,
+    nodes: impl IntoIterator<Item = NodeId>,
+    out: &mut AssignmentBuf,
+    mut threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
+) {
+    let mut idle = view.idle_mask;
+    for node in nodes {
+        if idle == 0 {
+            break; // every processor claimed: nothing left this instant
+        }
+        let Some(best) = best_instance_in(view, node, idle) else {
+            continue;
+        };
+        if best.idle {
+            // Line 6–8 of Algorithm 1: p_min available → allocate.
+            idle &= !(1 << best.proc.index());
+            out.push(Assignment::new(node, best.proc));
+            continue;
+        }
+        // Lines 9–14: look for p_alt within the threshold.
+        let threshold = threshold_of(node, best.exec);
+        if let Some((p_alt, cost)) = find_alternative_in(view, node, best.proc, threshold, idle) {
+            idle &= !(1 << p_alt.index());
+            out.push_explained(
+                Assignment::alternative(node, p_alt),
+                DecisionMeta {
+                    best_proc: best.proc,
+                    best_exec: best.exec,
+                    best_busy_until: view.proc(best.proc).busy_until,
+                    threshold,
+                    alt_cost: cost,
+                },
+            );
+        }
+        // No admissible alternative: wait for p_min, try the next kernel.
     }
+    out.mark_fixpoint();
 }
 
 impl Policy for Apt {
@@ -141,42 +183,7 @@ impl Policy for Apt {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        // One pass emits the whole instant (module docs): `idle` carries the
-        // batch's own claims, so each kernel sees exactly the idle set the
-        // engine would have shown it after applying the earlier assignments.
-        let mut idle = view.idle_mask;
-        for node in view.ready.iter() {
-            if idle == 0 {
-                break; // every processor claimed: nothing left this instant
-            }
-            let Some(best) = best_instance_in(view, node, idle) else {
-                continue;
-            };
-            if best.idle {
-                // Line 6–8 of Algorithm 1: p_min available → allocate.
-                idle &= !(1 << best.proc.index());
-                out.push(Assignment::new(node, best.proc));
-                continue;
-            }
-            // Lines 9–14: look for p_alt within α·x.
-            let threshold = self.threshold(best.exec);
-            if let Some((p_alt, cost)) =
-                self.find_alternative(view, node, best.proc, threshold, idle)
-            {
-                idle &= !(1 << p_alt.index());
-                out.push_explained(
-                    Assignment::alternative(node, p_alt),
-                    DecisionMeta {
-                        best_proc: best.proc,
-                        best_exec: best.exec,
-                        best_busy_until: view.proc(best.proc).busy_until,
-                        threshold,
-                        alt_cost: cost,
-                    },
-                );
-            }
-            // No admissible alternative: wait for p_min, try the next kernel.
-        }
+        apt_pass(view, view.ready.iter(), out, |_, x| self.threshold(x));
     }
 }
 

@@ -24,10 +24,14 @@
 //! change within the instant for processors the batch itself claims — so
 //! the pass tracks a local finish estimate per claimed processor, computed
 //! with exactly the engine's `start = now, finish = now + transfer + exec`
-//! arithmetic. Byte-identical to the one-assignment-per-call form (pinned
-//! by the engine-equivalence suite).
+//! arithmetic, and marks the batch as the instant's fixpoint. The
+//! alternative itself is APT's `find2ndBestProc`; the waiting estimate is
+//! computed only for kernels that have one within `α·x`. Byte-identical to
+//! the one-assignment-per-call form (pinned by the engine-equivalence
+//! suite).
 
-use apt_base::{ProcId, SimDuration, SimTime};
+use crate::apt::find_alternative_in;
+use apt_base::{ProcId, SimTime};
 use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
 use apt_policies::common::best_instance_in;
 
@@ -95,7 +99,12 @@ impl Policy for AptR {
                 continue;
             }
             let threshold = best.exec.scale_alpha(self.alpha);
+            let Some((proc, cost)) = find_alternative_in(view, node, best.proc, threshold, idle)
+            else {
+                continue;
+            };
             // Cost of waiting for p_min: remaining busy time + placement.
+            // Only worth computing once an alternative is within α·x.
             let busy_until = if claimed & (1 << best.proc.index()) != 0 {
                 claimed_until[best.proc.index()]
             } else {
@@ -105,39 +114,23 @@ impl Policy for AptR {
             let wait_cost = remaining
                 .saturating_add(view.transfer_in_time(node, best.proc))
                 .saturating_add(best.exec);
-            // Cheapest still-idle alternative.
-            let mut alt: Option<(ProcId, SimDuration)> = None;
-            let mut bits = idle;
-            while bits != 0 {
-                let p = ProcId::new(bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                if p == best.proc {
-                    continue;
-                }
-                if let Some(cost) = view.placement_cost(node, p) {
-                    if alt.is_none_or(|(_, c)| cost < c) {
-                        alt = Some((p, cost));
-                    }
-                }
-            }
-            if let Some((proc, cost)) = alt {
-                if cost <= threshold && cost < wait_cost {
-                    claimed_until[proc.index()] = finish_of(node, proc, view);
-                    claimed |= 1 << proc.index();
-                    idle &= !(1 << proc.index());
-                    out.push_explained(
-                        Assignment::alternative(node, proc),
-                        DecisionMeta {
-                            best_proc: best.proc,
-                            best_exec: best.exec,
-                            best_busy_until: busy_until,
-                            threshold,
-                            alt_cost: cost,
-                        },
-                    );
-                }
+            if cost < wait_cost {
+                claimed_until[proc.index()] = finish_of(node, proc, view);
+                claimed |= 1 << proc.index();
+                idle &= !(1 << proc.index());
+                out.push_explained(
+                    Assignment::alternative(node, proc),
+                    DecisionMeta {
+                        best_proc: best.proc,
+                        best_exec: best.exec,
+                        best_busy_until: busy_until,
+                        threshold,
+                        alt_cost: cost,
+                    },
+                );
             }
         }
+        out.mark_fixpoint();
     }
 }
 

@@ -11,8 +11,11 @@
 //!   kernels last; the per-kernel processor choice is exactly APT's.
 //!   Running plain [`crate::Apt`] on an open engine in
 //!   `ReadyOrder::EarliestDeadline` mode produces the identical schedule
-//!   (pinned by a differential test in `apt-slo`) — this policy carries
-//!   the ordering itself so it works under any engine.
+//!   (pinned by a differential test in `apt-slo`). Under any other ready
+//!   order this policy sorts the ready set itself; when the engine
+//!   reports [`ReadyOrder::EarliestDeadline`] through
+//!   [`SimView::ready_order`], that sort would be the identity, so the
+//!   policy walks the ready set as given.
 //! * [`LlApt`] — *least laxity first* with a laxity-dependent threshold:
 //!   kernels are ordered by `laxity = slack − x` (slack = time to
 //!   deadline, `x` = best execution time), and the alternative-processor
@@ -29,16 +32,16 @@
 //!   than burning a slow processor on a job that will be tardy anyway.
 //!   Deadline-free kernels keep the full `α·x` and sort last.
 //!
-//! Both emit their whole per-instant fixpoint in one `decide` pass like
-//! APT (local idle-mask claims); on deadline-free workloads both reduce
-//! byte-identically to APT, which is what lets the streaming equivalence
-//! suite replay them against `simulate_stream`.
+//! Both run APT's one `decide` pass, which emits and marks the whole
+//! per-instant fixpoint, with their own kernel order and threshold. On
+//! deadline-free workloads both reduce byte-identically to APT, which is
+//! what lets the streaming equivalence suite replay them against
+//! `simulate_stream`.
 
-use crate::apt::find_alternative_in;
+use crate::apt::apt_pass;
 use apt_base::SimDuration;
 use apt_dfg::NodeId;
-use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
-use apt_policies::common::best_instance_in;
+use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, ReadyOrder, SimView};
 
 /// Sort the ready set into `buf` by an explicit per-node key, FCFS within
 /// equal keys (the ready set already iterates FCFS, and the sort is
@@ -55,51 +58,12 @@ fn order_ready(
     buf.sort_unstable();
 }
 
-/// One APT processor-selection step for `node` against the batch's
-/// remaining idle set, with an explicit admission threshold. Returns the
-/// claimed assignment, with decision provenance on the alternative path
-/// (best-processor placements need no explanation), or `None` to keep
-/// waiting for `p_min`.
-fn apt_step(
-    view: &SimView<'_>,
-    node: NodeId,
-    threshold_of: impl FnOnce(SimDuration) -> SimDuration,
-    idle: u64,
-) -> Option<(Assignment, Option<DecisionMeta>)> {
-    let best = best_instance_in(view, node, idle)?;
-    if best.idle {
-        return Some((Assignment::new(node, best.proc), None));
-    }
-    let threshold = threshold_of(best.exec);
-    find_alternative_in(view, node, best.proc, threshold, idle).map(|(p_alt, cost)| {
-        (
-            Assignment::alternative(node, p_alt),
-            Some(DecisionMeta {
-                best_proc: best.proc,
-                best_exec: best.exec,
-                best_busy_until: view.proc(best.proc).busy_until,
-                threshold,
-                alt_cost: cost,
-            }),
-        )
-    })
-}
-
-/// Apply one [`apt_step`] result: route explained (alternative) decisions
-/// through [`AssignmentBuf::push_explained`], plain ones through `push`.
-#[inline]
-fn push_step(out: &mut AssignmentBuf, a: Assignment, why: Option<DecisionMeta>) {
-    match why {
-        Some(m) => out.push_explained(a, m),
-        None => out.push(a),
-    }
-}
-
 /// APT with the ready list in earliest-absolute-deadline order.
 #[derive(Debug, Clone)]
 pub struct EdfApt {
     alpha: f64,
-    /// Reusable `(deadline_ns, fcfs_pos, node)` ordering buffer.
+    /// Reusable `(deadline_ns, fcfs_pos, node)` ordering buffer (left
+    /// untouched under an engine that already iterates in EDF order).
     order: Vec<(u64, u32, NodeId)>,
 }
 
@@ -150,25 +114,30 @@ impl Policy for EdfApt {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let mut order = std::mem::take(&mut self.order);
-        // Deadline-free kernels report `MAX`, sorting after every real
-        // deadline while keeping FCFS among themselves.
-        order_ready(view, &mut order, |view, node| {
-            view.deadline(node).map_or(u64::MAX, |d| d.as_ns())
-        });
-        let mut idle = view.idle_mask;
-        for &(_, _, node) in &order {
-            if idle == 0 {
-                break;
-            }
-            let alpha = self.alpha;
-            if let Some((a, why)) = apt_step(view, node, |x| x.scale_alpha(alpha), idle) {
-                idle &= !(1 << a.proc.index());
-                push_step(out, a, why);
-            }
+        let alpha = self.alpha;
+        let threshold_of = |_, x: SimDuration| x.scale_alpha(alpha);
+        if view.ready_order == ReadyOrder::EarliestDeadline {
+            // The engine already iterates `(deadline, FCFS)`: sorting
+            // again would be the identity permutation.
+            debug_assert!(view.ready.iter().map(|n| deadline_key(view, n)).is_sorted());
+            apt_pass(view, view.ready.iter(), out, threshold_of);
+            return;
         }
-        self.order = order;
+        order_ready(view, &mut self.order, deadline_key);
+        apt_pass(
+            view,
+            self.order.iter().map(|&(_, _, n)| n),
+            out,
+            threshold_of,
+        );
     }
+}
+
+/// EDF-APT's sort key: the absolute deadline in ns. Deadline-free kernels
+/// report `MAX`, sorting after every real deadline while keeping FCFS among
+/// themselves — the same key the open engine's EDF ready order uses.
+fn deadline_key(view: &SimView<'_>, node: NodeId) -> u64 {
+    view.deadline(node).map_or(u64::MAX, |d| d.as_ns())
 }
 
 /// APT in least-laxity order with a slack-clamped admission threshold.
@@ -226,40 +195,33 @@ impl Policy for LlApt {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let mut order = std::mem::take(&mut self.order);
         // Laxity = slack − best execution time, saturating at zero (an
         // already-hopeless kernel is maximally urgent). Deadline-free
         // kernels sort last via MAX.
-        order_ready(view, &mut order, |view, node| {
+        order_ready(view, &mut self.order, |view, node| {
             match (view.slack(node), view.cost.min_exec(node)) {
                 (Some(slack), Some(x)) => slack.as_ns().saturating_sub(x.as_ns()),
                 (Some(slack), None) => slack.as_ns(),
                 (None, _) => u64::MAX,
             }
         });
-        let mut idle = view.idle_mask;
-        for &(_, _, node) in &order {
-            if idle == 0 {
-                break;
+        let alpha = self.alpha;
+        let threshold_of = |node, x: SimDuration| {
+            let full = x.scale_alpha(alpha);
+            match view.slack(node) {
+                // Plenty of slack → plain APT; evaporating slack → only
+                // alternatives that still fit inside it; none left →
+                // MET-like insistence on p_min.
+                Some(s) => s.max(x).min(full),
+                None => full,
             }
-            let alpha = self.alpha;
-            let slack = view.slack(node);
-            let threshold_of = move |x: SimDuration| {
-                let full = x.scale_alpha(alpha);
-                match slack {
-                    // Plenty of slack → plain APT; evaporating slack →
-                    // only alternatives that still fit inside it; none
-                    // left → MET-like insistence on p_min.
-                    Some(s) => s.max(x).min(full),
-                    None => full,
-                }
-            };
-            if let Some((a, why)) = apt_step(view, node, threshold_of, idle) {
-                idle &= !(1 << a.proc.index());
-                push_step(out, a, why);
-            }
-        }
-        self.order = order;
+        };
+        apt_pass(
+            view,
+            self.order.iter().map(|&(_, _, n)| n),
+            out,
+            threshold_of,
+        );
     }
 }
 

@@ -27,8 +27,8 @@ pub use apt_dfg::{Dag, Dwarf, Kernel, KernelDag, KernelKind, LookupTable, NodeId
 pub use apt_hetsim::{
     simulate, simulate_stream, simulate_stream_faulty, Assignment, AssignmentBuf, CalendarQueue,
     CostModel, FaultPlan, FaultTotals, LinkContention, LinkDegradeSpec, LinkRate, Policy,
-    PolicyKind, PrepareCtx, ProcSpec, ProcStats, ProcView, ReadySet, RetryPolicy, SimResult,
-    SimView, SystemConfig, TaskRecord, Topology, Trace,
+    PolicyKind, PrepareCtx, ProcSpec, ProcStats, ProcView, ReadyOrder, ReadySet, RetryPolicy,
+    SimResult, SimView, SystemConfig, TaskRecord, Topology, Trace,
 };
 
 pub use apt_policies::{

@@ -48,6 +48,7 @@
 
 use crate::calendar::CalendarQueue;
 use crate::cost::CostModel;
+use crate::open::ReadyOrder;
 use crate::policy::{Assignment, AssignmentBuf, Policy, PrepareCtx};
 use crate::ready::ReadySet;
 use crate::system::SystemConfig;
@@ -203,6 +204,10 @@ impl FaultRuntime {
 pub(crate) struct EngineCore {
     pub(crate) now: SimTime,
     pub(crate) ready: ReadySet,
+    /// The order `ready` iterates in, stated to policies through
+    /// [`SimView::ready_order`]. The closed engine iterates by node id,
+    /// which is admission order; the open engine sets it at construction.
+    pub(crate) ready_order: ReadyOrder,
     pub(crate) ready_time: Vec<SimTime>,
     pub(crate) remaining_preds: Vec<usize>,
     pub(crate) arrived: Vec<bool>,
@@ -279,6 +284,7 @@ impl EngineCore {
             } else {
                 ReadySet::new(0)
             },
+            ready_order: ReadyOrder::Admission,
             ready_time: Vec::new(),
             remaining_preds: Vec::new(),
             arrived: Vec::new(),
@@ -1151,6 +1157,7 @@ impl EngineCore {
                     deadlines: &self.deadlines,
                     idle_mask: self.idle_mask,
                     up_mask: self.up_mask,
+                    ready_order: self.ready_order,
                 };
                 policy.decide(&view, out);
             }
@@ -1180,6 +1187,11 @@ impl EngineCore {
                         }));
                     }
                 }
+            }
+            if out.is_fixpoint() {
+                // The policy emitted the whole instant: a confirming call
+                // would come back empty.
+                return Ok(());
             }
         }
     }

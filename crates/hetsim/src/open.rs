@@ -164,8 +164,6 @@ struct LiveJob {
 pub struct OpenEngine<'a> {
     config: &'a SystemConfig,
     lookup: &'a LookupTable,
-    /// Ready-set iteration order (FCFS or earliest-deadline).
-    order: ReadyOrder,
     /// The slot arena: an owned graph whose nodes are recycled across jobs.
     dag: KernelDag,
     /// Per-slot cost rows, rebound on admission.
@@ -207,11 +205,11 @@ impl<'a> OpenEngine<'a> {
         order: ReadyOrder,
     ) -> Result<Self, BaseError> {
         config.validate()?;
-        let core = EngineCore::for_machine(config, true);
+        let mut core = EngineCore::for_machine(config, true);
+        core.ready_order = order;
         Ok(OpenEngine {
             config,
             lookup,
-            order,
             dag: KernelDag::new(),
             cost: CostModel::for_streaming(config),
             core,
@@ -455,7 +453,7 @@ impl<'a> OpenEngine<'a> {
             debug_assert!(self.core.records[slot.index()].is_none());
             self.slot_job[slot.index()] = job;
             self.core.ready.set_seq(slot, self.next_seq);
-            if self.order == ReadyOrder::EarliestDeadline {
+            if self.core.ready_order == ReadyOrder::EarliestDeadline {
                 // EDF priority: the absolute deadline in ns (MAX for
                 // deadline-free jobs, which therefore sort last). FCFS
                 // within a priority comes from the admission sequence.

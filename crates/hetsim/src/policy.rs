@@ -13,7 +13,10 @@
 //! The engine calls `decide` to a fixpoint after every event: a policy may
 //! emit any number of assignments per call into the engine-owned
 //! [`AssignmentBuf`]; leaving it empty means "nothing more to do right now"
-//! (e.g. MET *waiting* for a busy best processor).
+//! (e.g. MET *waiting* for a busy best processor). A policy whose one call
+//! already emits the whole per-instant fixpoint says so with
+//! [`AssignmentBuf::mark_fixpoint`], and the engine skips the confirming
+//! call that would only come back empty.
 
 use crate::cost::CostModel;
 use crate::system::SystemConfig;
@@ -112,6 +115,14 @@ impl Assignment {
 ///   front-to-back, erroring on the first invalid one.
 /// * Leaving the buffer empty means "wait" (no progress at this instant);
 ///   the engine then advances to the next event.
+/// * After applying a non-empty batch the engine calls `decide` again at
+///   the same instant, unless the policy called
+///   [`mark_fixpoint`](AssignmentBuf::mark_fixpoint): the mark promises
+///   that a further call would return empty, so the engine advances
+///   instead. A policy must mark only a batch it has carried to the
+///   fixpoint itself. The mark lives in the buffer, so a wrapper that
+///   hands the engine's buffer to its inner policy passes the mark on
+///   unchanged.
 #[derive(Debug, Default, Clone)]
 pub struct AssignmentBuf {
     items: Vec<Assignment>,
@@ -120,6 +131,8 @@ pub struct AssignmentBuf {
     /// assignments are a small fraction of a decision wave, so a flat pair
     /// list beats a parallel `Vec<Option<_>>` in both space and clear cost.
     metas: Vec<(u32, DecisionMeta)>,
+    /// Set by [`mark_fixpoint`](AssignmentBuf::mark_fixpoint).
+    fixpoint: bool,
 }
 
 impl AssignmentBuf {
@@ -133,6 +146,7 @@ impl AssignmentBuf {
         AssignmentBuf {
             items: Vec::with_capacity(cap),
             metas: Vec::new(),
+            fixpoint: false,
         }
     }
 
@@ -162,11 +176,27 @@ impl AssignmentBuf {
             .map(|(_, m)| *m)
     }
 
-    /// Drop all assignments, keeping the capacity.
+    /// Declare this batch the whole per-instant fixpoint: once it is
+    /// applied, `decide` at the same instant would push nothing. The engine
+    /// then advances without that confirming call.
+    #[inline]
+    pub fn mark_fixpoint(&mut self) {
+        self.fixpoint = true;
+    }
+
+    /// Whether the policy marked this batch with
+    /// [`mark_fixpoint`](AssignmentBuf::mark_fixpoint).
+    #[inline]
+    pub fn is_fixpoint(&self) -> bool {
+        self.fixpoint
+    }
+
+    /// Drop all assignments and the fixpoint mark, keeping the capacity.
     #[inline]
     pub fn clear(&mut self) {
         self.items.clear();
         self.metas.clear();
+        self.fixpoint = false;
     }
 
     /// Number of pushed assignments.
@@ -213,7 +243,11 @@ pub trait Policy {
 
     /// Called to a fixpoint after every simulation event. Push the
     /// assignments to apply now into `out` (handed over cleared); leave it
-    /// empty to wait. See [`AssignmentBuf`] for the buffer's reuse contract.
+    /// empty to wait. After a non-empty batch the engine calls again at the
+    /// same instant, unless the batch was marked with
+    /// [`AssignmentBuf::mark_fixpoint`] — a promise that the next call
+    /// would push nothing. See [`AssignmentBuf`] for the buffer's reuse
+    /// contract.
     ///
     /// Every pushed node must currently be in `view.ready`.
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf);
@@ -264,9 +298,13 @@ mod tests {
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.as_slice()[1].proc, ProcId::new(2));
         assert_eq!((&buf).into_iter().count(), 2);
+        assert!(!buf.is_fixpoint());
+        buf.mark_fixpoint();
+        assert!(buf.is_fixpoint());
         buf.clear();
         assert!(buf.is_empty());
         assert_eq!(buf.len(), 0);
+        assert!(!buf.is_fixpoint(), "clear drops the mark");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! iteration, the hottest path of the whole simulator.
 
 use crate::cost::CostModel;
+use crate::open::ReadyOrder;
 use crate::ready::ReadySet;
 use crate::system::SystemConfig;
 use apt_base::{ProcId, ProcKind, SimDuration, SimTime};
@@ -69,8 +70,8 @@ pub struct SimView<'a> {
     /// Current simulation time.
     pub now: SimTime,
     /// The ready set `I`: kernels whose dependencies completed and which have
-    /// not been assigned yet. Iterates ascending node id (deterministic FCFS
-    /// order).
+    /// not been assigned yet. Iterates in the deterministic order named by
+    /// [`SimView::ready_order`].
     pub ready: &'a ReadySet,
     /// Per-processor occupancy snapshots, indexed by [`ProcId`]. Maintained
     /// incrementally by the engine — not rebuilt per decision edge.
@@ -104,6 +105,13 @@ pub struct SimView<'a> {
     /// the crash-to-repair interval. Distinct from `idle_mask`: a busy
     /// processor is up but not idle.
     pub up_mask: u64,
+    /// The order [`SimView::ready`] iterates in. [`ReadyOrder::Admission`]
+    /// is FCFS: ascending node id on the closed engine, admission sequence
+    /// on the open one. [`ReadyOrder::EarliestDeadline`] (open engine only)
+    /// is ascending `(deadline, admission sequence)`, deadline-free kernels
+    /// last. Engine state, fixed for the run: a policy that needs one of
+    /// these orders can skip sorting when the engine already provides it.
+    pub ready_order: ReadyOrder,
 }
 
 impl<'a> SimView<'a> {
@@ -303,6 +311,7 @@ mod tests {
                 .enumerate()
                 .filter(|(_, p)| !p.down)
                 .fold(0u64, |m, (i, _)| m | 1 << i),
+            ready_order: ReadyOrder::Admission,
         }
     }
 

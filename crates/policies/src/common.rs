@@ -116,6 +116,7 @@ mod tests {
                 .filter(|(_, p)| p.is_idle())
                 .fold(0u64, |m, (i, _)| m | 1 << i),
             up_mask: (1u64 << procs.len()) - 1,
+            ready_order: apt_hetsim::ReadyOrder::Admission,
         };
         check(&view);
     }

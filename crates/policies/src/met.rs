@@ -20,8 +20,9 @@
 //! best processor was busy can never become assignable later in the same
 //! instant. The whole per-instant fixpoint is therefore emitted in one
 //! `decide` pass over the ready list, tracking the claimed processors in a
-//! local copy of the idle mask; the engine's re-invocation then finds
-//! nothing left and advances time. This produces exactly the same
+//! local copy of the idle mask, and the batch is marked with
+//! [`AssignmentBuf::mark_fixpoint`] so the engine advances time instead of
+//! re-invoking `decide` for an empty answer. This produces exactly the same
 //! assignment sequence as the one-per-call form (pinned by the Figure-5
 //! test below) at a fraction of the rescans.
 
@@ -64,6 +65,7 @@ impl Policy for Met {
             }
             // Best processor busy: wait for it (the defining MET rule).
         }
+        out.mark_fixpoint();
     }
 }
 

@@ -5,7 +5,7 @@
 use apt_base::SimDuration;
 use apt_core::{Apt, EdfApt, LlApt};
 use apt_dfg::LookupTable;
-use apt_hetsim::{ReadyOrder, SystemConfig};
+use apt_hetsim::{Policy, ReadyOrder, SystemConfig};
 use apt_slo::{AcceptAll, FeasibilityGate, UtilizationBound};
 use apt_stream::{
     simulate_source_gated, DeadlineSpec, DriverOpts, JobFamily, PoissonSource, StreamRun,
@@ -117,49 +117,39 @@ fn feasibility_gate_shed_rate_tracks_tightness() {
     );
 }
 
-/// Engine-level EDF ready order + plain APT ≡ FCFS order + EDF-APT:
-/// the two implementations of "earliest deadline first" must agree
-/// schedule for schedule.
+/// Engine-level EDF ready order + plain APT ≡ FCFS order + EDF-APT ≡
+/// engine-level EDF order + EDF-APT (which then walks the ready set as
+/// given instead of sorting it): the three realizations of "earliest
+/// deadline first" must agree schedule for schedule.
 #[test]
 fn engine_edf_order_equals_self_ordering_edf_apt() {
     let (config, lookup) = paper();
-    let make_source = || {
-        PoissonSource::new(lookup, 0.5, 120, JobFamily::Chain { len: 2 }, 77).with_deadlines(
-            DeadlineSpec::Uniform {
+    let realize = |policy: &mut dyn Policy, ready_order: ReadyOrder| {
+        let mut source = PoissonSource::new(lookup, 0.5, 120, JobFamily::Chain { len: 2 }, 77)
+            .with_deadlines(DeadlineSpec::Uniform {
                 lo: SimDuration::from_ms(500),
                 hi: SimDuration::from_ms(60_000),
-            },
-        )
+            });
+        let opts = DriverOpts {
+            ready_order,
+            ..DriverOpts::default()
+        };
+        let mut jobs = Vec::new();
+        StreamRun::new(&mut source, config, lookup, policy, &opts)
+            .observe(|job| jobs.push((job.job, job.records.clone())))
+            .run()
+            .unwrap();
+        jobs
     };
-    let edf_order = DriverOpts {
-        ready_order: ReadyOrder::EarliestDeadline,
-        ..DriverOpts::default()
-    };
-    let mut via_engine_order = Vec::new();
-    StreamRun::new(
-        &mut make_source(),
-        config,
-        lookup,
-        &mut Apt::new(4.0),
-        &edf_order,
-    )
-    .observe(|job| via_engine_order.push((job.job, job.records.clone())))
-    .run()
-    .unwrap();
-    let fcfs_order = DriverOpts::default();
-    let mut via_policy_order = Vec::new();
-    StreamRun::new(
-        &mut make_source(),
-        config,
-        lookup,
-        &mut EdfApt::new(4.0),
-        &fcfs_order,
-    )
-    .observe(|job| via_policy_order.push((job.job, job.records.clone())))
-    .run()
-    .unwrap();
+    let via_engine_order = realize(&mut Apt::new(4.0), ReadyOrder::EarliestDeadline);
+    let via_policy_order = realize(&mut EdfApt::new(4.0), ReadyOrder::Admission);
+    let via_both = realize(&mut EdfApt::new(4.0), ReadyOrder::EarliestDeadline);
     assert_eq!(
         via_engine_order, via_policy_order,
-        "the two EDF realizations diverged"
+        "the engine- and policy-ordered EDF realizations diverged"
+    );
+    assert_eq!(
+        via_policy_order, via_both,
+        "EDF-APT under the engine's EDF order diverged from its own sort"
     );
 }

@@ -256,6 +256,7 @@ impl<'a> RefEngine<'a> {
                             .filter(|(_, p)| p.is_idle())
                             .fold(0u64, |m, (i, _)| m | 1 << i),
                         up_mask: (1u64 << views.len()) - 1,
+                        ready_order: ReadyOrder::Admission,
                     };
                     policy.decide(&view, &mut assignments);
                 }
