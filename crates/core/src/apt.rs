@@ -30,16 +30,45 @@
 //! produces exactly the assignment sequence of the one-per-call form
 //! (pinned by the Figure-5 test below and the engine-equivalence suite)
 //! at a fraction of the ready-list rescans.
+//!
+//! ## Screening by cost class
+//!
+//! Eq. 8 admits a processor only if `exec + transfer ≤ α·x`, and transfers
+//! are never negative, so a kernel can only ever be placed on a processor
+//! in `{p : exec(p) ≤ α·x}` — `p_min` itself included (`x ≤ α·x`). That
+//! set depends only on the kernel's lookup row and α, i.e. on its cost
+//! class ([`apt_hetsim::ClassId`]). Every APT-family policy keeps a
+//! class → admissible-mask table (`AdmissibleMasks`) and the pass skips
+//! a kernel with one test, `mask[class] & idle == 0`, before any
+//! cost-model read; the ready set hands the class over next to each node
+//! ([`apt_hetsim::ReadySet::iter_classes`]). The screen is exact: a
+//! skipped kernel could neither take `p_min` nor any alternative within
+//! `α·x` — LL-APT's slack-clamped threshold is never above `α·x` either —
+//! so the pass emits the same batch as it would without it (pinned by
+//! `crates/stream/tests/naive_apt.rs` against a screen-free Algorithm 1).
+//! On an overloaded stream this makes a `decide` call cost what it can
+//! assign rather than what is queued.
+//!
+//! The table is cleared by `prepare` and `set_alpha` and extends itself
+//! when the cost model interns a new class, so it never goes stale within
+//! one engine; the open engine runs `prepare` itself when a caller did
+//! not, so a policy moved to another engine rebuilds it too.
 
-use apt_base::{ProcId, SimDuration};
+use apt_base::{BaseError, ProcId, SimDuration};
 use apt_dfg::NodeId;
-use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
+use apt_hetsim::cost::UNRUNNABLE;
+use apt_hetsim::ready::ClassIter;
+use apt_hetsim::{
+    Assignment, AssignmentBuf, ClassId, CostModel, DecisionMeta, Policy, PolicyKind, PrepareCtx,
+    SimView,
+};
 use apt_policies::common::best_instance_in;
 
 /// The Alternative-Processor-within-Threshold policy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Apt {
     alpha: f64,
+    masks: AdmissibleMasks,
 }
 
 impl Apt {
@@ -52,7 +81,10 @@ impl Apt {
             alpha >= 1.0 && alpha.is_finite(),
             "APT requires a finite α ≥ 1 (Eq. 8), got {alpha}"
         );
-        Apt { alpha }
+        Apt {
+            alpha,
+            masks: AdmissibleMasks::default(),
+        }
     }
 
     /// The configured flexibility factor.
@@ -67,6 +99,7 @@ impl Apt {
     pub fn set_alpha(&mut self, alpha: f64) {
         if alpha.is_finite() {
             self.alpha = alpha.max(1.0);
+            self.masks.reset();
         }
     }
 
@@ -75,6 +108,54 @@ impl Apt {
     pub fn threshold(&self, x: SimDuration) -> SimDuration {
         x.scale_alpha(self.alpha)
     }
+}
+
+/// A class → α-admissible processor mask table (module docs): entry `c` is
+/// `{p : exec_c(p) ≤ x_c.scale_alpha(α)}`, with the same `scale_alpha`
+/// arithmetic [`find_alternative_in`] compares against. Shared by every
+/// APT-family policy. Owners call [`AdmissibleMasks::reset`] whenever α or
+/// the cost model changes (`set_alpha`, `prepare`); [`AdmissibleMasks::get`]
+/// rebuilds lazily and extends the table when the model interns a class.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AdmissibleMasks {
+    masks: Vec<u64>,
+}
+
+impl AdmissibleMasks {
+    /// Forget every entry (α or the cost model changed).
+    pub(crate) fn reset(&mut self) {
+        self.masks.clear();
+    }
+
+    /// The table for `cost` at `alpha`, covering every class `cost` has
+    /// interned. Allocates only when the class count grows.
+    pub(crate) fn get(&mut self, cost: &CostModel, alpha: f64) -> &[u64] {
+        for class in self.masks.len()..cost.class_count() {
+            self.masks
+                .push(admissible_mask(cost, class as ClassId, alpha));
+        }
+        &self.masks
+    }
+}
+
+/// The processors on which a kernel of `class` can run within `α·x`
+/// (0 when no processor can run it at all).
+fn admissible_mask(cost: &CostModel, class: ClassId, alpha: f64) -> u64 {
+    let x = cost.class_min_ns(class);
+    if x == UNRUNNABLE {
+        return 0;
+    }
+    let threshold = SimDuration::from_ns(x).scale_alpha(alpha).as_ns();
+    let mut mask = 0u64;
+    let mut bits = cost.class_runnable_mask(class);
+    while bits != 0 {
+        let p = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        if cost.class_exec_ns(class, ProcId::new(p)) <= threshold {
+            mask |= 1 << p;
+        }
+    }
+    mask
 }
 
 /// `find2ndBestProc` of Algorithm 1: the processor in `idle_mask` with the
@@ -117,23 +198,30 @@ pub(crate) fn find_alternative_in(
     best
 }
 
-/// One APT processor-selection pass (Algorithm 1) over `nodes`, emitting
-/// the whole per-instant fixpoint (module docs) and marking it so. `idle`
-/// carries the batch's own claims, so each kernel sees exactly the idle
-/// set the engine would have shown it after applying the earlier
-/// assignments. `threshold_of(node, x)` is the admission threshold for a
-/// kernel whose best execution time is `x` — `α·x` for [`Apt`] and
-/// [`crate::EdfApt`], slack-clamped for [`crate::LlApt`].
+/// One APT processor-selection pass (Algorithm 1) over `nodes` — `(node,
+/// class)` pairs — emitting the whole per-instant fixpoint (module docs)
+/// and marking it so. `idle` carries the batch's own claims, so each
+/// kernel sees exactly the idle set the engine would have shown it after
+/// applying the earlier assignments. `masks` is the α-admissible table
+/// ([`AdmissibleMasks`]); kernels it rules out are skipped unread.
+/// `threshold_of(node, x)` is the admission threshold for a kernel whose
+/// best execution time is `x` — `α·x` for [`Apt`] and [`crate::EdfApt`],
+/// slack-clamped (never above `α·x`) for [`crate::LlApt`].
 pub(crate) fn apt_pass(
     view: &SimView<'_>,
-    nodes: impl IntoIterator<Item = NodeId>,
+    nodes: impl IntoIterator<Item = (NodeId, ClassId)>,
+    masks: &[u64],
     out: &mut AssignmentBuf,
     mut threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
 ) {
     let mut idle = view.idle_mask;
-    for node in nodes {
+    for (node, class) in nodes {
         if idle == 0 {
             break; // every processor claimed: nothing left this instant
+        }
+        debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
+        if masks[class as usize] & idle == 0 {
+            continue; // no idle processor within α·x (module docs)
         }
         let Some(best) = best_instance_in(view, node, idle) else {
             continue;
@@ -164,6 +252,22 @@ pub(crate) fn apt_pass(
     out.mark_fixpoint();
 }
 
+/// [`apt_pass`] over `view.ready` in the set's own order. Matching the
+/// ready set's mode once gives each mode its own loop over a concrete
+/// iterator; dispatching on the mode per kernel cost a measurable share of
+/// an overloaded stream's throughput.
+pub(crate) fn ready_pass(
+    view: &SimView<'_>,
+    masks: &[u64],
+    out: &mut AssignmentBuf,
+    threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
+) {
+    match view.ready.iter_classes() {
+        ClassIter::Ordered(pairs) => apt_pass(view, pairs.copied(), masks, out, threshold_of),
+        bits => apt_pass(view, bits, masks, out, threshold_of),
+    }
+}
+
 impl Policy for Apt {
     fn name(&self) -> String {
         format!("APT(α={})", self.alpha)
@@ -182,8 +286,15 @@ impl Policy for Apt {
         true
     }
 
+    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
+        self.masks.reset();
+        Ok(())
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        apt_pass(view, view.ready.iter(), out, |_, x| self.threshold(x));
+        let alpha = self.alpha;
+        let masks = self.masks.get(view.cost, alpha);
+        ready_pass(view, masks, out, |_, x| x.scale_alpha(alpha));
     }
 }
 
@@ -354,6 +465,86 @@ mod tests {
     fn name_includes_alpha() {
         assert_eq!(Apt::new(4.0).name(), "APT(α=4)");
         assert_eq!(Apt::new(1.5).name(), "APT(α=1.5)");
+    }
+
+    /// The class table equals a naive scan of the raw lookup table: for
+    /// every paper row plus a missing-row kernel, every α and the machine
+    /// shapes of `CostModel`'s own naive-scan test, entry `class_of(node)`
+    /// holds exactly the processors whose table time is within `α·x`.
+    #[test]
+    fn admissible_masks_match_a_naive_lookup_scan() {
+        use apt_hetsim::LinkRate;
+        let lookup = LookupTable::paper();
+        let mut kernels = lookup.all_kernels();
+        kernels.push(Kernel::new(KernelKind::MatMul, 123)); // no table row
+        let dfg = build_type1(&kernels);
+        let systems = [
+            SystemConfig::paper_4gbps(),
+            SystemConfig::paper_no_transfers(),
+            SystemConfig::empty(LinkRate::gbps(8))
+                .with_proc(ProcKind::Cpu)
+                .with_proc(ProcKind::Cpu)
+                .with_proc(ProcKind::Gpu)
+                .with_proc(ProcKind::Fpga)
+                .with_proc(ProcKind::Fpga)
+                .with_proc(ProcKind::Asic),
+            SystemConfig::empty(LinkRate::gbps(4))
+                .with_proc(ProcKind::Asic)
+                .with_proc(ProcKind::Gpu),
+            SystemConfig::empty(LinkRate::gbps(4)).with_proc(ProcKind::Fpga),
+        ];
+        for config in systems {
+            let cost = CostModel::new(&dfg, lookup, &config);
+            for alpha in [1.0, 1.5, 4.0, 8.0] {
+                let mut table = AdmissibleMasks::default();
+                let masks = table.get(&cost, alpha);
+                assert_eq!(masks.len(), cost.class_count());
+                for (node, kernel) in dfg.iter() {
+                    let times: Vec<Option<SimDuration>> = config
+                        .proc_ids()
+                        .map(|p| lookup.exec_time(kernel, config.kind_of(p)).ok())
+                        .collect();
+                    let naive = match times.iter().flatten().min() {
+                        Some(x) => {
+                            let threshold = x.scale_alpha(alpha);
+                            times.iter().enumerate().fold(0u64, |m, (i, t)| match t {
+                                Some(t) if *t <= threshold => m | 1 << i,
+                                _ => m,
+                            })
+                        }
+                        None => 0,
+                    };
+                    let class = cost.class_of(node) as usize;
+                    assert_eq!(masks[class], naive, "{kernel} at α={alpha}");
+                }
+            }
+        }
+    }
+
+    /// `set_alpha` clears the class table, and the next lookup rebuilds it
+    /// at the new α; a grown cost model extends it in place.
+    #[test]
+    fn class_table_follows_alpha_and_class_growth() {
+        let lookup = LookupTable::paper();
+        let config = SystemConfig::paper_4gbps();
+        let mut cost = CostModel::for_streaming(&config);
+        cost.bind_slot(NodeId::new(0), &bfs(), lookup, &config);
+        let bfs_class = cost.class_of(NodeId::new(0)) as usize;
+        let mut apt = Apt::new(1.5);
+        // BFS: CPU 332, GPU 173, FPGA 106 — only the FPGA is within 1.5x.
+        assert_eq!(apt.masks.get(&cost, apt.alpha)[bfs_class], 0b100);
+        apt.set_alpha(2.0);
+        assert_eq!(apt.masks.get(&cost, apt.alpha)[bfs_class], 0b110);
+        let before = cost.class_count();
+        cost.bind_slot(
+            NodeId::new(1),
+            &Kernel::new(KernelKind::Bfs, 7),
+            lookup,
+            &config,
+        );
+        let masks = apt.masks.get(&cost, apt.alpha);
+        assert_eq!(masks.len(), before + 1);
+        assert_eq!(masks[cost.class_of(NodeId::new(1)) as usize], 0);
     }
 
     /// The runtime setter clamps instead of panicking: below-1 requests

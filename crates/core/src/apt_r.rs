@@ -29,16 +29,23 @@
 //! computed only for kernels that have one within `α·x`. Byte-identical to
 //! the one-assignment-per-call form (pinned by the engine-equivalence
 //! suite).
+//!
+//! APT-R's alternative must also sit within `α·x`, so it screens the ready
+//! set on APT's per-class admissible masks exactly as APT does (see the
+//! `apt` module docs).
 
-use crate::apt::find_alternative_in;
-use apt_base::{ProcId, SimTime};
-use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, SimView};
+use crate::apt::{find_alternative_in, AdmissibleMasks};
+use apt_base::{BaseError, ProcId, SimTime};
+use apt_hetsim::{
+    Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, PrepareCtx, SimView,
+};
 use apt_policies::common::best_instance_in;
 
 /// APT with remaining-time awareness (future-work heuristic).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct AptR {
     alpha: f64,
+    masks: AdmissibleMasks,
 }
 
 impl AptR {
@@ -48,7 +55,10 @@ impl AptR {
             alpha >= 1.0 && alpha.is_finite(),
             "APT-R requires a finite α ≥ 1, got {alpha}"
         );
-        AptR { alpha }
+        AptR {
+            alpha,
+            masks: AdmissibleMasks::default(),
+        }
     }
 
     /// The configured flexibility factor.
@@ -66,7 +76,13 @@ impl Policy for AptR {
         PolicyKind::Dynamic
     }
 
+    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
+        self.masks.reset();
+        Ok(())
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
+        let masks = self.masks.get(view.cost, self.alpha);
         // Batched per-instant pass (module docs): `idle` carries this
         // batch's claims; `claimed_until` carries the finish instants of
         // kernels the batch already started, so the waiting estimate for a
@@ -84,9 +100,13 @@ impl Policy for AptR {
                 // that can run the node)
                 + view.exec_time(node, proc).expect("claimed proc runs node")
         };
-        for node in view.ready.iter() {
+        for (node, class) in view.ready.iter_classes() {
             if idle == 0 {
                 break; // every processor claimed: nothing left this instant
+            }
+            debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
+            if masks[class as usize] & idle == 0 {
+                continue; // no idle processor within α·x
             }
             let Some(best) = best_instance_in(view, node, idle) else {
                 continue;

@@ -33,27 +33,38 @@
 //!   Deadline-free kernels keep the full `α·x` and sort last.
 //!
 //! Both run APT's one `decide` pass, which emits and marks the whole
-//! per-instant fixpoint, with their own kernel order and threshold. On
+//! per-instant fixpoint, with their own kernel order and threshold, and
+//! screen kernels on APT's per-class admissible masks (see the `apt`
+//! module docs). When they sort, the screen runs before the sort, so
+//! kernels no idle processor can take are neither keyed nor sorted. On
 //! deadline-free workloads both reduce byte-identically to APT, which is
 //! what lets the streaming equivalence suite replay them against
 //! `simulate_stream`.
 
-use crate::apt::apt_pass;
-use apt_base::SimDuration;
+use crate::apt::{apt_pass, ready_pass, AdmissibleMasks};
+use apt_base::{BaseError, SimDuration};
 use apt_dfg::NodeId;
-use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, ReadyOrder, SimView};
+use apt_hetsim::{AssignmentBuf, ClassId, Policy, PolicyKind, PrepareCtx, ReadyOrder, SimView};
+
+/// A reusable `(key, fcfs_pos, node, class)` ordering buffer.
+type OrderBuf = Vec<(u64, u32, NodeId, ClassId)>;
 
 /// Sort the ready set into `buf` by an explicit per-node key, FCFS within
 /// equal keys (the ready set already iterates FCFS, and the sort is
-/// stable by construction: position is the tiebreak).
+/// stable by construction: position is the tiebreak). Kernels whose
+/// admissible mask misses the whole idle set are left out: the pass would
+/// skip them anyway, because its idle set only shrinks.
 fn order_ready(
     view: &SimView<'_>,
-    buf: &mut Vec<(u64, u32, NodeId)>,
+    masks: &[u64],
+    buf: &mut OrderBuf,
     mut key: impl FnMut(&SimView<'_>, NodeId) -> u64,
 ) {
     buf.clear();
-    for (pos, node) in view.ready.iter().enumerate() {
-        buf.push((key(view, node), pos as u32, node));
+    for (pos, (node, class)) in view.ready.iter_classes().enumerate() {
+        if masks[class as usize] & view.idle_mask != 0 {
+            buf.push((key(view, node), pos as u32, node, class));
+        }
     }
     buf.sort_unstable();
 }
@@ -62,9 +73,10 @@ fn order_ready(
 #[derive(Debug, Clone)]
 pub struct EdfApt {
     alpha: f64,
-    /// Reusable `(deadline_ns, fcfs_pos, node)` ordering buffer (left
-    /// untouched under an engine that already iterates in EDF order).
-    order: Vec<(u64, u32, NodeId)>,
+    masks: AdmissibleMasks,
+    /// Reusable ordering buffer keyed by deadline (left untouched under an
+    /// engine that already iterates in EDF order).
+    order: OrderBuf,
 }
 
 impl EdfApt {
@@ -77,6 +89,7 @@ impl EdfApt {
         );
         EdfApt {
             alpha,
+            masks: AdmissibleMasks::default(),
             order: Vec::new(),
         }
     }
@@ -91,6 +104,7 @@ impl EdfApt {
     pub fn set_alpha(&mut self, alpha: f64) {
         if alpha.is_finite() {
             self.alpha = alpha.max(1.0);
+            self.masks.reset();
         }
     }
 }
@@ -113,23 +127,25 @@ impl Policy for EdfApt {
         true
     }
 
+    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
+        self.masks.reset();
+        Ok(())
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
         let alpha = self.alpha;
         let threshold_of = |_, x: SimDuration| x.scale_alpha(alpha);
+        let masks = self.masks.get(view.cost, alpha);
         if view.ready_order == ReadyOrder::EarliestDeadline {
             // The engine already iterates `(deadline, FCFS)`: sorting
             // again would be the identity permutation.
             debug_assert!(view.ready.iter().map(|n| deadline_key(view, n)).is_sorted());
-            apt_pass(view, view.ready.iter(), out, threshold_of);
+            ready_pass(view, masks, out, threshold_of);
             return;
         }
-        order_ready(view, &mut self.order, deadline_key);
-        apt_pass(
-            view,
-            self.order.iter().map(|&(_, _, n)| n),
-            out,
-            threshold_of,
-        );
+        order_ready(view, masks, &mut self.order, deadline_key);
+        let nodes = self.order.iter().map(|&(_, _, n, c)| (n, c));
+        apt_pass(view, nodes, masks, out, threshold_of);
     }
 }
 
@@ -144,8 +160,9 @@ fn deadline_key(view: &SimView<'_>, node: NodeId) -> u64 {
 #[derive(Debug, Clone)]
 pub struct LlApt {
     alpha: f64,
-    /// Reusable `(laxity_ns, fcfs_pos, node)` ordering buffer.
-    order: Vec<(u64, u32, NodeId)>,
+    masks: AdmissibleMasks,
+    /// Reusable ordering buffer keyed by laxity.
+    order: OrderBuf,
 }
 
 impl LlApt {
@@ -158,6 +175,7 @@ impl LlApt {
         );
         LlApt {
             alpha,
+            masks: AdmissibleMasks::default(),
             order: Vec::new(),
         }
     }
@@ -172,6 +190,7 @@ impl LlApt {
     pub fn set_alpha(&mut self, alpha: f64) {
         if alpha.is_finite() {
             self.alpha = alpha.max(1.0);
+            self.masks.reset();
         }
     }
 }
@@ -194,18 +213,24 @@ impl Policy for LlApt {
         true
     }
 
+    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
+        self.masks.reset();
+        Ok(())
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
+        let alpha = self.alpha;
+        let masks = self.masks.get(view.cost, alpha);
         // Laxity = slack − best execution time, saturating at zero (an
         // already-hopeless kernel is maximally urgent). Deadline-free
         // kernels sort last via MAX.
-        order_ready(view, &mut self.order, |view, node| {
+        order_ready(view, masks, &mut self.order, |view, node| {
             match (view.slack(node), view.cost.min_exec(node)) {
                 (Some(slack), Some(x)) => slack.as_ns().saturating_sub(x.as_ns()),
                 (Some(slack), None) => slack.as_ns(),
                 (None, _) => u64::MAX,
             }
         });
-        let alpha = self.alpha;
         let threshold_of = |node, x: SimDuration| {
             let full = x.scale_alpha(alpha);
             match view.slack(node) {
@@ -216,12 +241,8 @@ impl Policy for LlApt {
                 None => full,
             }
         };
-        apt_pass(
-            view,
-            self.order.iter().map(|&(_, _, n)| n),
-            out,
-            threshold_of,
-        );
+        let nodes = self.order.iter().map(|&(_, _, n, c)| (n, c));
+        apt_pass(view, nodes, masks, out, threshold_of);
     }
 }
 
@@ -332,6 +353,48 @@ mod tests {
         assert_eq!(config.kind_of(tight.records[0].proc), ProcKind::Fpga);
         assert!(tight.records[0].start < loose.records[0].start);
         assert!(!tight.missed_deadline(), "106 ms run against 300 ms");
+    }
+
+    /// One EDF-APT instance driven by hand on two open engines in turn,
+    /// with no `prepare` call: on the paper machine, then on the same
+    /// categories in permuted order, where every class's admissible mask
+    /// names other processor ids. Each run's completed records equal a
+    /// fresh instance's — the class table built for the first engine
+    /// never screens the second.
+    #[test]
+    fn one_instance_reused_across_engines_equals_fresh_instances() {
+        use apt_hetsim::{CompletedJob, OpenEngine};
+        let lookup = LookupTable::paper();
+        let kernels = generate_kernels(&StreamConfig::new(48, 5), lookup);
+        let drive = |config: &SystemConfig, policy: &mut EdfApt| {
+            let mut engine =
+                OpenEngine::with_order(config, lookup, ReadyOrder::EarliestDeadline).unwrap();
+            for (j, job) in kernels.chunks(6).enumerate() {
+                let at = SimTime::from_ms(40 * j as u64);
+                let deadline = at + SimDuration::from_ms(900 + 300 * (j as u64 % 3));
+                engine
+                    .admit_with_deadline(job, &[(0, 1), (0, 2)], at, Some(deadline))
+                    .unwrap();
+            }
+            while engine.step(policy).unwrap().is_some() {}
+            let mut done: Vec<CompletedJob> = Vec::new();
+            engine.drain_completed(&mut done);
+            assert_eq!(done.len(), 8);
+            done.into_iter().map(|j| j.records).collect::<Vec<_>>()
+        };
+        let permuted = SystemConfig::empty(apt_hetsim::LinkRate::gbps(4))
+            .with_proc(ProcKind::Fpga)
+            .with_proc(ProcKind::Cpu)
+            .with_proc(ProcKind::Gpu);
+        let mut reused = EdfApt::new(4.0);
+        for config in [SystemConfig::paper_4gbps(), permuted] {
+            let fresh = drive(&config, &mut EdfApt::new(4.0));
+            assert_eq!(drive(&config, &mut reused), fresh);
+            assert!(
+                fresh.iter().flatten().any(|r| r.alt),
+                "no alternative taken"
+            );
+        }
     }
 
     /// The laxity clamp: a kernel whose slack no longer covers the

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cost;
 pub mod dwarf;
 pub mod generator;
 pub mod graph;
@@ -29,7 +28,6 @@ pub mod lookup;
 pub mod render;
 pub mod rng;
 
-pub use cost::KindCostMatrix;
 pub use dwarf::{Application, Dwarf};
 pub use generator::{DfgType, StreamConfig, Type2Config};
 pub use graph::{Dag, NodeId};

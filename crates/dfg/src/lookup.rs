@@ -157,9 +157,11 @@ impl LookupTable {
         }
     }
 
-    /// Row index for a `(kind, size)` pair, if present.
+    /// Index into [`LookupTable::rows`] of the `(kind, size)` row, if
+    /// present. Stable for the table's lifetime: [`LookupTable::insert`]
+    /// replaces rows in place and appends new ones.
     #[inline]
-    fn row_index(&self, kind: KernelKind, data_size: u64) -> Option<usize> {
+    pub fn row_index(&self, kind: KernelKind, data_size: u64) -> Option<usize> {
         let sizes = &self.index[kind.index()];
         sizes
             .binary_search_by_key(&data_size, |&(s, _)| s)

@@ -4,17 +4,32 @@
 //! of `simulate_stream`, then shared read-only by the engine, the
 //! [`crate::SimView`] handed to dynamic policies, and the static planners'
 //! [`crate::PrepareCtx`]. It precomputes everything about a decision that
-//! does **not** depend on live simulator state:
+//! does **not** depend on live simulator state.
 //!
-//! * a dense `node × processor-instance` execution-time matrix (expanding
-//!   the category-level [`KindCostMatrix`] over the machine's devices),
-//! * each node's *output* transfer time across the interconnect (so the
-//!   engine's `transfer_in` and the view's `transfer_in_time` sum
-//!   precomputed summands instead of re-deriving `bytes / rate` per query)
-//!   — a scalar per node on uniform machines, a dense `node × src × dst`
-//!   table when a non-uniform [`crate::Topology`] is in force,
-//! * per-node runnable-processor bitsets and the minimum-execution-time
-//!   instance set (`p_min` of §3.1, with its tie mask).
+//! ## Cost classes
+//!
+//! Execution costs depend only on a kernel's lookup-table row, so they are
+//! stored once per **cost class**: one `(kind, data_size)` row, interned
+//! under a dense [`ClassId`]. A class's id is its row's index in the
+//! [`LookupTable`] (25 classes for the paper table); a kernel without a row
+//! gets an id after the table's rows on first sight. Per class the model
+//! keeps:
+//!
+//! * the instance-level execution row (the lookup columns expanded over the
+//!   machine's devices; [`UNRUNNABLE`] where a category has no entry),
+//! * the runnable-processor bitset and the minimum-execution-time instance
+//!   set (`p_min` of §3.1, with its tie mask),
+//! * SS's lazily built `idle-mask → stddev` memo.
+//!
+//! Per node the model keeps only the class id plus the node's *output*
+//! transfer time across the interconnect (so the engine's `transfer_in` and
+//! the view's `transfer_in_time` sum precomputed summands instead of
+//! re-deriving `bytes / rate` per query) — a scalar per node on uniform
+//! machines, a dense `node × src × dst` table when a non-uniform
+//! [`crate::Topology`] is in force. Rebinding an open-stream slot
+//! ([`CostModel::bind_slot`]) therefore stamps a class id instead of
+//! rebuilding an execution row, and policies can key their own per-class
+//! tables on [`CostModel::class_of`] (APT's admissible-processor screen).
 //!
 //! Hot accessors are branch-light array reads; every former
 //! `BTreeMap`-lookup and allocation on the decision path routes through
@@ -23,34 +38,53 @@
 use crate::system::SystemConfig;
 use apt_base::stats::stddev_population;
 use apt_base::{ProcId, ProcKind, SimDuration};
-use apt_dfg::{Kernel, KernelDag, KindCostMatrix, LookupTable, NodeId};
-use std::collections::HashMap;
+use apt_dfg::lookup::LookupRow;
+use apt_dfg::{Kernel, KernelDag, KernelKind, LookupTable, NodeId};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Mutex, OnceLock};
 
-/// Sentinel for "kernel cannot run on this processor instance" — the same
-/// value the category-level matrix uses (re-exported, not redefined, so the
-/// two layers cannot drift apart).
-pub use apt_dfg::cost::UNRUNNABLE;
+/// Sentinel for "kernel cannot run on this processor instance".
+pub const UNRUNNABLE: u64 = u64::MAX;
 
 /// Largest supported machine size (runnable sets are single-word bitsets).
 pub const MAX_PROCS: usize = 64;
 
 /// Largest machine size for which [`CostModel::idle_stddev`] memoizes its
-/// per-(node, idle-mask) values in a *dense* table (2^nprocs entries per
-/// node — 256 `f64`s per node at the cap; the paper's machine has 3
+/// per-(class, idle-mask) values in a *dense* table (2^nprocs entries per
+/// class — 256 `f64`s per class at the cap; the paper's machine has 3
 /// processors → 8 entries). Machines beyond this and up to [`MAX_PROCS`]
-/// use a hashed per-node `idle-mask → stddev` cache instead (the dense
+/// use a hashed per-class `idle-mask → stddev` cache instead (the dense
 /// table would be 2^64 entries), so fleet-scale configurations are memoized
 /// all the way to the 64-processor limit.
 pub const SS_MEMO_MAX_PROCS: usize = 8;
+
+/// Dense id of one cost class: one `(kind, data_size)` lookup row (module
+/// docs). Ids below the table's row count are row indices.
+pub type ClassId = u32;
 
 /// Precomputed decision-cost tables for one simulation run.
 #[derive(Debug)]
 pub struct CostModel {
     nprocs: usize,
-    /// Flattened `node × nprocs` execution times in ns ([`UNRUNNABLE`] when
-    /// the instance's category has no table entry).
+    /// Class of each node.
+    class: Vec<ClassId>,
+    /// Number of lookup-table rows interned (ids `0..table_rows`); `None`
+    /// until the first kernel is bound, because a streaming model is built
+    /// before it sees the table.
+    table_rows: Option<usize>,
+    /// Classes of kernels without a table row, keyed by `(kind, size)`.
+    /// Only consulted on a row miss, never on the hot path.
+    unlisted: BTreeMap<(KernelKind, u64), ClassId>,
+    /// Flattened `class × nprocs` execution times in ns ([`UNRUNNABLE`]
+    /// when the instance's category has no table entry).
     exec_ns: Vec<u64>,
+    /// Per-class bitset of runnable processor instances.
+    runnable: Vec<u64>,
+    /// Per-class minimum execution time over instances ([`UNRUNNABLE`] when
+    /// no instance can run the class).
+    min_ns: Vec<u64>,
+    /// Per-class bitset of the instances achieving `min_ns`.
+    min_mask: Vec<u64>,
     /// Per-node output transfer time across the uniform link, in ns (what
     /// a *successor* pays when this node's result is resident elsewhere).
     /// On a non-uniform [`crate::Topology`] this holds the mean over
@@ -66,22 +100,15 @@ pub struct CostModel {
     /// the authoritative transfer table (explicit so the open-stream
     /// engine's initially empty arena knows which rows to grow).
     pairwise: bool,
-    /// Per-node bitset of runnable processor instances.
-    runnable: Vec<u64>,
-    /// Per-node minimum execution time over instances ([`UNRUNNABLE`] when
-    /// no instance can run the node).
-    min_ns: Vec<u64>,
-    /// Per-node bitset of the instances achieving `min_ns`.
-    min_mask: Vec<u64>,
     /// Per-instance category, cached densely (avoids chasing the
     /// `ProcSpec` vec and its name strings on hot reads).
     kinds: Vec<ProcKind>,
-    /// Per-node lazily built `idle-mask → stddev` tables backing
+    /// Per-class lazily built `idle-mask → stddev` tables backing
     /// [`CostModel::idle_stddev`] (empty when `nprocs > SS_MEMO_MAX_PROCS`).
-    /// The values are state-independent given the mask, so the cache never
-    /// invalidates for the lifetime of the run.
+    /// The values are pure functions of the class's execution row and the
+    /// mask, so the cache never invalidates for the lifetime of the run.
     stddev_masks: Vec<OnceLock<Box<[f64]>>>,
-    /// Per-node hashed `idle-mask → stddev` caches for machines past
+    /// Per-class hashed `idle-mask → stddev` caches for machines past
     /// [`SS_MEMO_MAX_PROCS`] processors, where the dense 2^nprocs table is
     /// infeasible (empty when the dense tables are in use). Only the handful
     /// of masks the run actually visits are stored. Uncontended mutexes: one
@@ -97,18 +124,21 @@ impl Clone for CostModel {
     fn clone(&self) -> CostModel {
         CostModel {
             nprocs: self.nprocs,
+            class: self.class.clone(),
+            table_rows: self.table_rows,
+            unlisted: self.unlisted.clone(),
             exec_ns: self.exec_ns.clone(),
-            transfer_ns: self.transfer_ns.clone(),
-            pair_ns: self.pair_ns.clone(),
-            pairwise: self.pairwise,
             runnable: self.runnable.clone(),
             min_ns: self.min_ns.clone(),
             min_mask: self.min_mask.clone(),
+            transfer_ns: self.transfer_ns.clone(),
+            pair_ns: self.pair_ns.clone(),
+            pairwise: self.pairwise,
             kinds: self.kinds.clone(),
             stddev_masks: self.stddev_masks.clone(),
             stddev_hashed: self
                 .stddev_hashed
-                // apt-lint: allow(nondet-iter, iterates the outer per-node
+                // apt-lint: allow(nondet-iter, iterates the outer per-class
                 // Vec (deterministic order); the hashed map itself is only
                 // cloned, never walked)
                 .iter()
@@ -119,78 +149,29 @@ impl Clone for CostModel {
 }
 
 impl CostModel {
-    /// Precompute the model. O(nodes × procs) time and memory; called once
-    /// per run, amortized over every decision edge of the simulation.
+    /// Precompute the model. O(nodes + classes × procs) time and memory;
+    /// called once per run, amortized over every decision edge of the
+    /// simulation.
     ///
     /// Panics if the system has more than [`MAX_PROCS`] processors (the
     /// runnable sets are single-word bitsets; no evaluated configuration
     /// comes within an order of magnitude of the limit).
     pub fn new(dfg: &KernelDag, lookup: &LookupTable, config: &SystemConfig) -> CostModel {
-        let nprocs = config.len();
-        assert!(
-            nprocs <= MAX_PROCS,
-            "CostModel supports at most {MAX_PROCS} processors, got {nprocs}"
-        );
-        let kinds: Vec<ProcKind> = config.proc_ids().map(|p| config.kind_of(p)).collect();
-        let kind_matrix = KindCostMatrix::build(dfg, lookup);
-        let pairwise = config.uniform_rate().is_none();
+        let mut model = CostModel::for_streaming(config);
         let n = dfg.len();
-        let mut exec_ns = Vec::with_capacity(n * nprocs);
-        let mut bytes_of = Vec::with_capacity(n);
-        let mut runnable = Vec::with_capacity(n);
-        let mut min_ns = Vec::with_capacity(n);
-        let mut min_mask = Vec::with_capacity(n);
-        for node in dfg.node_ids() {
-            let mut run_bits = 0u64;
-            let mut best = UNRUNNABLE;
-            let mut best_bits = 0u64;
-            for (i, kind) in kinds.iter().enumerate() {
-                let ns = match kind.table_column() {
-                    Some(col) => kind_matrix.exec_ns(node, col),
-                    None => UNRUNNABLE,
-                };
-                exec_ns.push(ns);
-                if ns != UNRUNNABLE {
-                    run_bits |= 1 << i;
-                    match ns.cmp(&best) {
-                        std::cmp::Ordering::Less => {
-                            best = ns;
-                            best_bits = 1 << i;
-                        }
-                        std::cmp::Ordering::Equal => best_bits |= 1 << i,
-                        std::cmp::Ordering::Greater => {}
-                    }
-                }
-            }
-            runnable.push(run_bits);
-            min_ns.push(best);
-            min_mask.push(best_bits);
-            bytes_of.push(kind_matrix.data_size(node) * config.bytes_per_element);
+        model.class.reserve_exact(n);
+        model.transfer_ns = vec![0; n];
+        if model.pairwise {
+            model.pair_ns = vec![0; n * model.nprocs * model.nprocs];
         }
-        let (stddev_masks, stddev_hashed) = if nprocs <= SS_MEMO_MAX_PROCS {
-            ((0..n).map(|_| OnceLock::new()).collect(), Vec::new())
-        } else {
-            (Vec::new(), (0..n).map(|_| Mutex::default()).collect())
-        };
-        let mut model = CostModel {
-            nprocs,
-            exec_ns,
-            transfer_ns: vec![0; n],
-            pair_ns: if pairwise {
-                vec![0; n * nprocs * nprocs]
-            } else {
-                Vec::new()
-            },
-            pairwise,
-            runnable,
-            min_ns,
-            min_mask,
-            kinds,
-            stddev_masks,
-            stddev_hashed,
-        };
-        for (i, &bytes) in bytes_of.iter().enumerate() {
-            model.write_transfer_row(i, bytes, config);
+        for (node, kernel) in dfg.iter() {
+            let class = model.intern(kernel, lookup);
+            model.class.push(class);
+            model.write_transfer_row(
+                node.index(),
+                kernel.data_size * config.bytes_per_element,
+                config,
+            );
         }
         model
     }
@@ -206,16 +187,83 @@ impl CostModel {
         );
         CostModel {
             nprocs,
+            class: Vec::new(),
+            table_rows: None,
+            unlisted: BTreeMap::new(),
             exec_ns: Vec::new(),
-            transfer_ns: Vec::new(),
-            pair_ns: Vec::new(),
-            pairwise: config.uniform_rate().is_none(),
             runnable: Vec::new(),
             min_ns: Vec::new(),
             min_mask: Vec::new(),
+            transfer_ns: Vec::new(),
+            pair_ns: Vec::new(),
+            pairwise: config.uniform_rate().is_none(),
             kinds: config.proc_ids().map(|p| config.kind_of(p)).collect(),
             stddev_masks: Vec::new(),
             stddev_hashed: Vec::new(),
+        }
+    }
+
+    /// The class of `kernel` under `lookup`: its row index when the table
+    /// has a row, else an id after the table's rows, interned on first
+    /// sight. The first call interns every table row at once. One model is
+    /// bound against one table for its whole life.
+    fn intern(&mut self, kernel: &Kernel, lookup: &LookupTable) -> ClassId {
+        if self.table_rows.is_none() {
+            self.table_rows = Some(lookup.rows().len());
+            for row in lookup.rows() {
+                self.push_class(Some(row));
+            }
+        }
+        debug_assert_eq!(
+            self.table_rows,
+            Some(lookup.rows().len()),
+            "one model, one lookup table"
+        );
+        if let Some(i) = lookup.row_index(kernel.kind, kernel.data_size) {
+            return i as ClassId;
+        }
+        let next = self.min_ns.len() as ClassId;
+        let class = *self
+            .unlisted
+            .entry((kernel.kind, kernel.data_size))
+            .or_insert(next);
+        if class == next {
+            self.push_class(None);
+        }
+        class
+    }
+
+    /// Append one class built from a lookup row (`None`: no row, so every
+    /// instance is unrunnable).
+    fn push_class(&mut self, row: Option<&LookupRow>) {
+        let mut run_bits = 0u64;
+        let mut best = UNRUNNABLE;
+        let mut best_bits = 0u64;
+        for (k, kind) in self.kinds.iter().enumerate() {
+            let ns = match (kind.table_column(), row) {
+                (Some(col), Some(row)) => row.times[col].as_ns(),
+                _ => UNRUNNABLE,
+            };
+            self.exec_ns.push(ns);
+            if ns != UNRUNNABLE {
+                run_bits |= 1 << k;
+                match ns.cmp(&best) {
+                    std::cmp::Ordering::Less => {
+                        best = ns;
+                        best_bits = 1 << k;
+                    }
+                    std::cmp::Ordering::Equal => best_bits |= 1 << k,
+                    std::cmp::Ordering::Greater => {}
+                }
+            }
+        }
+        self.runnable.push(run_bits);
+        self.min_ns.push(best);
+        self.min_mask.push(best_bits);
+        if self.nprocs <= SS_MEMO_MAX_PROCS {
+            self.stddev_masks.push(OnceLock::new());
+        } else {
+            self.stddev_hashed.push(Mutex::default());
         }
     }
 
@@ -253,11 +301,13 @@ impl CostModel {
             .map_or(0, |mean| mean as u64);
     }
 
-    /// (Re)compute every per-node table entry of `node` for `kernel` —
-    /// growing the tables by one row when `node` is the next fresh slot,
-    /// overwriting when it recycles a retired one. Produces bit-identical
-    /// values to [`CostModel::new`] over a graph containing `kernel` at that
-    /// node (pinned by `bind_slot_matches_batch_build` below).
+    /// Bind node `i` to `kernel` — growing the per-node tables by one row
+    /// when `node` is the next fresh slot, overwriting when it recycles a
+    /// retired one. The slot is stamped with the kernel's class (resolved
+    /// by the table's binary search; a kernel without a row is interned on
+    /// first sight) and its transfer row is rewritten. Produces values
+    /// bit-identical to [`CostModel::new`] over a graph containing `kernel`
+    /// at that node (pinned by `bind_slot_matches_batch_build` below).
     pub fn bind_slot(
         &mut self,
         node: NodeId,
@@ -266,60 +316,18 @@ impl CostModel {
         config: &SystemConfig,
     ) {
         let i = node.index();
-        assert!(i <= self.transfer_ns.len(), "slots bind densely");
-        if i == self.transfer_ns.len() {
-            self.exec_ns.resize(self.exec_ns.len() + self.nprocs, 0);
+        assert!(i <= self.class.len(), "slots bind densely");
+        let class = self.intern(kernel, lookup);
+        if i == self.class.len() {
+            self.class.push(class);
             self.transfer_ns.push(0);
             if self.pairwise {
                 self.pair_ns
                     .resize(self.pair_ns.len() + self.nprocs * self.nprocs, 0);
             }
-            self.runnable.push(0);
-            self.min_ns.push(0);
-            self.min_mask.push(0);
-            if self.nprocs <= SS_MEMO_MAX_PROCS {
-                self.stddev_masks.push(OnceLock::new());
-            } else {
-                self.stddev_hashed.push(Mutex::default());
-            }
         } else {
-            // A recycled slot: the stddev memo keyed on the old kernel's
-            // times must not leak into the new one.
-            if self.nprocs <= SS_MEMO_MAX_PROCS {
-                self.stddev_masks[i] = OnceLock::new();
-            } else {
-                self.stddev_hashed[i]
-                    .lock()
-                    .expect("stddev cache poisoned")
-                    .clear();
-            }
+            self.class[i] = class;
         }
-        let row = lookup.row(kernel).ok();
-        let mut run_bits = 0u64;
-        let mut best = UNRUNNABLE;
-        let mut best_bits = 0u64;
-        for k in 0..self.nprocs {
-            let kind = self.kinds[k];
-            let ns = match (kind.table_column(), row) {
-                (Some(col), Some(row)) => row.times[col].as_ns(),
-                _ => UNRUNNABLE,
-            };
-            self.exec_ns[i * self.nprocs + k] = ns;
-            if ns != UNRUNNABLE {
-                run_bits |= 1 << k;
-                match ns.cmp(&best) {
-                    std::cmp::Ordering::Less => {
-                        best = ns;
-                        best_bits = 1 << k;
-                    }
-                    std::cmp::Ordering::Equal => best_bits |= 1 << k,
-                    std::cmp::Ordering::Greater => {}
-                }
-            }
-        }
-        self.runnable[i] = run_bits;
-        self.min_ns[i] = best;
-        self.min_mask[i] = best_bits;
         let bytes = kernel.data_size * config.bytes_per_element;
         self.write_transfer_row(i, bytes, config);
     }
@@ -330,10 +338,44 @@ impl CostModel {
         self.nprocs
     }
 
+    /// Number of cost classes interned so far. Grows (never shrinks) as
+    /// kernels without a table row are first bound; per-class tables kept
+    /// outside the model extend themselves up to this count.
+    #[inline]
+    pub fn class_count(&self) -> usize {
+        self.min_ns.len()
+    }
+
+    /// The cost class of `node` (module docs).
+    #[inline]
+    pub fn class_of(&self, node: NodeId) -> ClassId {
+        self.class[node.index()]
+    }
+
+    /// Raw nanosecond execution time of any kernel of `class` on `proc`
+    /// ([`UNRUNNABLE`] when impossible).
+    #[inline]
+    pub fn class_exec_ns(&self, class: ClassId, proc: ProcId) -> u64 {
+        self.exec_ns[class as usize * self.nprocs + proc.index()]
+    }
+
+    /// Minimum execution time of `class` over all instances in ns
+    /// ([`UNRUNNABLE`] when no processor can run it).
+    #[inline]
+    pub fn class_min_ns(&self, class: ClassId) -> u64 {
+        self.min_ns[class as usize]
+    }
+
+    /// Bitset of instances able to execute kernels of `class`.
+    #[inline]
+    pub fn class_runnable_mask(&self, class: ClassId) -> u64 {
+        self.runnable[class as usize]
+    }
+
     /// Raw nanosecond execution time ([`UNRUNNABLE`] when impossible).
     #[inline]
     pub fn exec_ns(&self, node: NodeId, proc: ProcId) -> u64 {
-        self.exec_ns[node.index() * self.nprocs + proc.index()]
+        self.class_exec_ns(self.class_of(node), proc)
     }
 
     /// Execution time of `node` on `proc`; `None` when the kernel cannot run
@@ -349,13 +391,13 @@ impl CostModel {
     /// True when `proc` can execute `node`.
     #[inline]
     pub fn runnable(&self, node: NodeId, proc: ProcId) -> bool {
-        proc.index() < self.nprocs && (self.runnable[node.index()] >> proc.index()) & 1 == 1
+        proc.index() < self.nprocs && (self.runnable_mask(node) >> proc.index()) & 1 == 1
     }
 
     /// Bitset of instances able to execute `node` (bit i ⇔ processor i).
     #[inline]
     pub fn runnable_mask(&self, node: NodeId) -> u64 {
-        self.runnable[node.index()]
+        self.class_runnable_mask(self.class_of(node))
     }
 
     /// Output transfer time of `node` across the uniform link — the cost a
@@ -427,7 +469,7 @@ impl CostModel {
     /// `None` when no processor can run it.
     #[inline]
     pub fn min_exec(&self, node: NodeId) -> Option<SimDuration> {
-        match self.min_ns[node.index()] {
+        match self.class_min_ns(self.class_of(node)) {
             UNRUNNABLE => None,
             ns => Some(SimDuration::from_ns(ns)),
         }
@@ -436,19 +478,20 @@ impl CostModel {
     /// Bitset of the instances achieving [`CostModel::min_exec`].
     #[inline]
     pub fn min_mask(&self, node: NodeId) -> u64 {
-        self.min_mask[node.index()]
+        self.min_mask[self.class_of(node) as usize]
     }
 
     /// The lowest-id minimum-execution-time instance and its time
     /// (`p_min`, `x`), `None` when the node is unrunnable everywhere.
     #[inline]
     pub fn best_proc(&self, node: NodeId) -> Option<(ProcId, SimDuration)> {
-        let mask = self.min_mask[node.index()];
+        let class = self.class_of(node) as usize;
+        let mask = self.min_mask[class];
         if mask == 0 {
             return None;
         }
         let proc = ProcId::new(mask.trailing_zeros() as usize);
-        Some((proc, SimDuration::from_ns(self.min_ns[node.index()])))
+        Some((proc, SimDuration::from_ns(self.min_ns[class])))
     }
 
     /// Cached category of one processor instance.
@@ -462,13 +505,15 @@ impl CostModel {
     /// execution times across the **runnable** processors in `idle_mask` —
     /// the quantity SS ranks ready kernels by (§2.5.3).
     ///
-    /// The value is state-independent given the mask, so it is memoized per
-    /// node: machines up to [`SS_MEMO_MAX_PROCS`] processors use a lazily
-    /// built dense table of all `2^nprocs` masks; larger machines (up to the
-    /// [`MAX_PROCS`] limit) use a hashed `mask → stddev` cache holding only
-    /// the masks the run visits. Every path returns bit-identical results.
+    /// The value depends only on the node's class and the mask, so it is
+    /// memoized per class: machines up to [`SS_MEMO_MAX_PROCS`] processors
+    /// use a lazily built dense table of all `2^nprocs` masks; larger
+    /// machines (up to the [`MAX_PROCS`] limit) use a hashed `mask → stddev`
+    /// cache holding only the masks the run visits. Every path returns
+    /// bit-identical results.
     pub fn idle_stddev(&self, node: NodeId, idle_mask: u64) -> f64 {
-        if let Some(cell) = self.stddev_masks.get(node.index()) {
+        let class = self.class_of(node) as usize;
+        if let Some(cell) = self.stddev_masks.get(class) {
             let table = cell.get_or_init(|| {
                 (0..1u64 << self.nprocs)
                     .map(|mask| self.compute_idle_stddev(node, mask))
@@ -476,7 +521,7 @@ impl CostModel {
             });
             return table[(idle_mask & ((1u64 << self.nprocs) - 1)) as usize];
         }
-        if let Some(cell) = self.stddev_hashed.get(node.index()) {
+        if let Some(cell) = self.stddev_hashed.get(class) {
             // Only bits inside the machine contribute; canonicalize the key
             // so equivalent masks share one entry.
             let key = idle_mask & (u64::MAX >> (64 - self.nprocs as u32));
@@ -492,7 +537,7 @@ impl CostModel {
     fn compute_idle_stddev(&self, node: NodeId, idle_mask: u64) -> f64 {
         let mut times = [0f64; MAX_PROCS];
         let mut count = 0usize;
-        let mut bits = idle_mask & self.runnable[node.index()];
+        let mut bits = idle_mask & self.runnable_mask(node);
         while bits != 0 {
             let p = bits.trailing_zeros() as usize;
             bits &= bits - 1;
@@ -825,6 +870,63 @@ mod tests {
             }
             assert_same(&incremental);
         }
+    }
+
+    /// Classes are lookup rows: equal `(kind, size)` share one class whose
+    /// id is the row's index, a kernel without a row gets one id after the
+    /// table's rows (shared by every later kernel of that `(kind, size)`)
+    /// with an empty runnable mask, and recycling a slot restamps it.
+    #[test]
+    fn classes_intern_lookup_rows() {
+        let lookup = LookupTable::paper();
+        let rows = lookup.rows().len();
+        assert_eq!(rows, 25, "the paper table has 25 rows");
+        let missing = Kernel::new(KernelKind::MatMul, 123);
+        let other_missing = Kernel::new(KernelKind::Bfs, 5);
+        let kernels = [
+            Kernel::canonical(KernelKind::Bfs),
+            missing,
+            Kernel::new(KernelKind::Cholesky, 250_000),
+            Kernel::canonical(KernelKind::Bfs),
+            missing,
+            other_missing,
+        ];
+        let dfg = build_type1(&kernels);
+        let config = SystemConfig::paper_4gbps();
+        for cost in [CostModel::new(&dfg, lookup, &config), {
+            let mut inc = CostModel::for_streaming(&config);
+            for (node, kernel) in dfg.iter() {
+                inc.bind_slot(node, kernel, lookup, &config);
+            }
+            inc
+        }] {
+            let class = |i: usize| cost.class_of(NodeId::new(i));
+            let bfs = Kernel::canonical(KernelKind::Bfs);
+            assert_eq!(
+                class(0) as usize,
+                lookup.row_index(bfs.kind, bfs.data_size).unwrap()
+            );
+            assert_eq!(class(0), class(3), "equal rows, equal class");
+            assert_ne!(class(0), class(2));
+            assert_eq!(class(1) as usize, rows, "first unlisted kernel");
+            assert_eq!(class(1), class(4));
+            assert_eq!(class(5) as usize, rows + 1);
+            assert_eq!(cost.class_count(), rows + 2);
+            assert_eq!(cost.class_runnable_mask(class(1)), 0);
+            assert_eq!(cost.class_min_ns(class(1)), UNRUNNABLE);
+            assert_eq!(cost.runnable_mask(NodeId::new(1)), 0);
+        }
+        // Recycling slot 0 with the Cholesky kernel restamps it.
+        let mut inc = CostModel::for_streaming(&config);
+        for (node, kernel) in dfg.iter() {
+            inc.bind_slot(node, kernel, lookup, &config);
+        }
+        inc.bind_slot(NodeId::new(0), &kernels[2], lookup, &config);
+        assert_eq!(inc.class_of(NodeId::new(0)), inc.class_of(NodeId::new(2)));
+        assert_eq!(inc.min_exec(NodeId::new(0)), inc.min_exec(NodeId::new(2)));
+        inc.bind_slot(NodeId::new(0), &missing, lookup, &config);
+        assert_eq!(inc.class_of(NodeId::new(0)), inc.class_of(NodeId::new(1)));
+        assert_eq!(inc.class_count(), rows + 2, "no new class for a known miss");
     }
 
     #[test]

@@ -327,6 +327,9 @@ impl EngineCore {
         debug_assert_eq!(arrivals.len(), n);
         let mut core = EngineCore::for_machine(ctx.config, false);
         core.ready.grow(n);
+        for node in ctx.dfg.node_ids() {
+            core.ready.set_class(node, ctx.cost.class_of(node));
+        }
         core.ready_time = vec![SimTime::ZERO; n];
         core.remaining_preds = ctx.dfg.node_ids().map(|id| ctx.dfg.in_degree(id)).collect();
         core.arrived = arrivals.iter().map(|&t| t == SimTime::ZERO).collect();

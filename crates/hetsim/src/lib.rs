@@ -38,11 +38,10 @@
 //!
 //! * [`cost::CostModel`] is precomputed once per
 //!   `(KernelDag, LookupTable, SystemConfig)` at the top of
-//!   [`simulate_stream`]: a dense `node × processor` execution-time matrix
-//!   (expanding `apt_dfg::KindCostMatrix`, which flattens the lookup table
-//!   per category), per-node output link-transfer times, per-node
-//!   runnable-processor bitsets, and the `p_min` instance set with its tie
-//!   mask. Every [`SimView`] cost query (`exec_time`, `placement_cost`,
+//!   [`simulate_stream`]: per cost class (one lookup-table row) a dense
+//!   execution-time row over the machine's processors, the
+//!   runnable-processor bitset and the `p_min` instance set with its tie
+//!   mask; per node the class id and the output link-transfer times. Every [`SimView`] cost query (`exec_time`, `placement_cost`,
 //!   `best_proc`) and the engine's own admission/start bookkeeping are plain
 //!   array reads against it — no `BTreeMap` walks, no allocation, no
 //!   repeated `bytes / rate` division.
@@ -108,7 +107,7 @@ pub mod view;
 pub use apt_faults::{FaultPlan, FaultTotals, LinkDegradeSpec, RetryPolicy};
 pub use apt_trace::{DecisionMeta, DecisionRecord, NullSink, TraceEvent, TraceSink, VecSink};
 pub use calendar::CalendarQueue;
-pub use cost::CostModel;
+pub use cost::{ClassId, CostModel};
 pub use engine::{simulate, simulate_stream, simulate_stream_faulty};
 pub use link::LinkRate;
 pub use open::{validate_job, CompletedJob, JobId, OpenEngine, ReadyOrder};

@@ -177,6 +177,9 @@ pub struct OpenEngine<'a> {
     next_job: u64,
     /// Global admission sequence feeding the ordered ready set.
     next_seq: u64,
+    /// Whether [`OpenEngine::prepare`] has run (explicitly, or on the
+    /// first [`OpenEngine::decide`]).
+    prepared: bool,
     completed: Vec<CompletedJob>,
     /// Retry policy in force when a fault plan is armed (budget checks).
     retry: RetryPolicy,
@@ -218,6 +221,7 @@ impl<'a> OpenEngine<'a> {
             live: BTreeMap::new(),
             next_job: 0,
             next_seq: 0,
+            prepared: false,
             completed: Vec::new(),
             retry: RetryPolicy::default(),
             in_flight_kernels: 0,
@@ -232,6 +236,13 @@ impl<'a> OpenEngine<'a> {
     /// Run the policy's `prepare` hook against the (initially empty) arena.
     /// Static policies are rejected: they plan over the entire DFG, which an
     /// open system does not have.
+    ///
+    /// [`OpenEngine::decide`] calls this itself on its first call when the
+    /// caller never did, so a policy instance that drove another engine
+    /// before never decides against caches built for that engine's cost
+    /// model (APT's per-class admissible-processor masks). A policy drives
+    /// one engine at a time: interleaving engines needs a `prepare` at
+    /// every switch.
     pub fn prepare(&mut self, policy: &mut dyn Policy) -> Result<(), BaseError> {
         if policy.kind() == PolicyKind::Static {
             return Err(BaseError::InvalidAssignment {
@@ -247,7 +258,9 @@ impl<'a> OpenEngine<'a> {
             lookup: self.lookup,
             config: self.config,
             cost: &self.cost,
-        })
+        })?;
+        self.prepared = true;
+        Ok(())
     }
 
     /// Arm a fault plan over this engine: transient kernel failures,
@@ -446,6 +459,7 @@ impl<'a> OpenEngine<'a> {
                 }
             };
             self.cost.bind_slot(slot, &kernel, self.lookup, self.config);
+            self.core.ready.set_class(slot, self.cost.class_of(slot));
             self.core.fault_reset_slot(slot, self.dag.len());
             self.core.arrived[slot.index()] = false;
             self.core.locations[slot.index()] = None;
@@ -524,6 +538,9 @@ impl<'a> OpenEngine<'a> {
     /// admits arrivals against that, so "due" means "nothing can happen
     /// before this arrival".
     pub fn decide(&mut self, policy: &mut dyn Policy) -> Result<(), BaseError> {
+        if !self.prepared {
+            self.prepare(policy)?;
+        }
         let OpenEngine {
             config,
             lookup,

@@ -32,7 +32,18 @@
 //! priority to its job's absolute deadline in nanoseconds, which turns
 //! `iter()` into earliest-deadline-first with FCFS tie-breaking — the EDF
 //! ready mode `apt-slo` builds on.
+//!
+//! ## Cost classes
+//!
+//! Each node also carries its [`ClassId`] ([`ReadySet::set_class`], stamped
+//! by both engines from the cost model), and [`ReadySet::iter_classes`]
+//! yields `(node, class)` pairs in the set's order. In ordered mode the
+//! index stores each sorted member next to its class, so that walk is one
+//! linear slice read: a policy that screens kernels on a per-class table
+//! (APT's admissible-processor masks) never touches the cost model for a
+//! kernel it skips.
 
+use crate::cost::ClassId;
 use apt_dfg::NodeId;
 
 /// Index of the ordered mode: per-node `(priority, sequence)` sort keys plus
@@ -45,8 +56,9 @@ struct OrderedIndex {
     /// Priority per node id (universe-sized; 0 unless set). Sorts *before*
     /// the sequence, so equal-priority members keep FCFS order.
     prio: Vec<u64>,
-    /// Current members, sorted ascending by `(prio[node], seq[node])`.
-    items: Vec<NodeId>,
+    /// Current members with their classes, sorted ascending by
+    /// `(prio[node], seq[node])`.
+    items: Vec<(NodeId, ClassId)>,
 }
 
 impl OrderedIndex {
@@ -64,6 +76,8 @@ impl OrderedIndex {
 pub struct ReadySet {
     words: Vec<u64>,
     len: usize,
+    /// Cost class per node id (universe-sized; 0 unless set).
+    class: Vec<ClassId>,
     order: Option<OrderedIndex>,
 }
 
@@ -74,6 +88,7 @@ impl ReadySet {
         ReadySet {
             words: vec![0; universe.div_ceil(64)],
             len: 0,
+            class: vec![0; universe],
             order: None,
         }
     }
@@ -85,6 +100,7 @@ impl ReadySet {
         ReadySet {
             words: vec![0; universe.div_ceil(64)],
             len: 0,
+            class: vec![0; universe],
             order: Some(OrderedIndex {
                 seq: vec![0; universe],
                 prio: vec![0; universe],
@@ -94,11 +110,14 @@ impl ReadySet {
     }
 
     /// Widen the universe to `0..universe` (no-op if already that wide).
-    /// Existing members and sequences are unchanged.
+    /// Existing members, sequences and classes are unchanged.
     pub fn grow(&mut self, universe: usize) {
         let words = universe.div_ceil(64);
         if words > self.words.len() {
             self.words.resize(words, 0);
+        }
+        if universe > self.class.len() {
+            self.class.resize(universe, 0);
         }
         if let Some(order) = &mut self.order {
             if universe > order.seq.len() {
@@ -130,6 +149,14 @@ impl ReadySet {
             .as_mut()
             .expect("set_prio requires an ordered ReadySet");
         order.prio[node.index()] = prio;
+    }
+
+    /// Set the cost class of `node` (both modes), reported next to it by
+    /// [`ReadySet::iter_classes`]. Must not be called while `node` is a
+    /// member.
+    pub fn set_class(&mut self, node: NodeId, class: ClassId) {
+        debug_assert!(!self.contains(node), "reclassing a current member");
+        self.class[node.index()] = class;
     }
 
     /// Number of members.
@@ -168,8 +195,8 @@ impl ReadySet {
         self.len += 1;
         if let Some(order) = &mut self.order {
             let key = order.key(node);
-            let pos = order.items.partition_point(|&n| order.key(n) < key);
-            order.items.insert(pos, node);
+            let pos = order.items.partition_point(|&(n, _)| order.key(n) < key);
+            order.items.insert(pos, (node, self.class[i]));
         }
         true
     }
@@ -189,10 +216,10 @@ impl ReadySet {
         self.len -= 1;
         if let Some(order) = &mut self.order {
             let key = order.key(node);
-            let start = order.items.partition_point(|&n| order.key(n) < key);
+            let start = order.items.partition_point(|&(n, _)| order.key(n) < key);
             let off = order.items[start..]
                 .iter()
-                .position(|&n| n == node)
+                .position(|&(n, _)| n == node)
                 .expect("bitset and ordered index agree");
             order.items.remove(start + off);
         }
@@ -216,6 +243,21 @@ impl ReadySet {
             current: self.words.first().copied().unwrap_or(0),
         }
     }
+
+    /// Iterate `(node, class)` pairs in the same order as
+    /// [`ReadySet::iter`]. In ordered mode this walks the sorted
+    /// `(member, class)` array; in bitset mode it reads each member's class
+    /// by node id.
+    #[inline]
+    pub fn iter_classes(&self) -> ClassIter<'_> {
+        match &self.order {
+            Some(o) => ClassIter::Ordered(o.items.iter()),
+            None => ClassIter::Bits {
+                nodes: self.iter(),
+                class: &self.class,
+            },
+        }
+    }
 }
 
 impl<'a> IntoIterator for &'a ReadySet {
@@ -230,7 +272,7 @@ impl<'a> IntoIterator for &'a ReadySet {
 #[derive(Debug, Clone)]
 pub struct ReadyIter<'a> {
     /// `Some` in ordered mode: the FCFS slice walk.
-    seq: Option<std::slice::Iter<'a, NodeId>>,
+    seq: Option<std::slice::Iter<'a, (NodeId, ClassId)>>,
     words: &'a [u64],
     word_idx: usize,
     current: u64,
@@ -242,7 +284,7 @@ impl Iterator for ReadyIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
         if let Some(items) = &mut self.seq {
-            return items.next().copied();
+            return items.next().map(|&(n, _)| n);
         }
         while self.current == 0 {
             self.word_idx += 1;
@@ -251,6 +293,35 @@ impl Iterator for ReadyIter<'_> {
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;
         Some(NodeId::new(self.word_idx * 64 + bit))
+    }
+}
+
+/// Iterator over a [`ReadySet`]'s `(node, class)` pairs in its
+/// deterministic order ([`ReadySet::iter_classes`]). The variants are
+/// public so that a hot loop can match once and run on the concrete
+/// iterator of the set's mode instead of re-dispatching per member.
+#[derive(Debug, Clone)]
+pub enum ClassIter<'a> {
+    /// Ordered mode: the sorted members with their classes.
+    Ordered(std::slice::Iter<'a, (NodeId, ClassId)>),
+    /// Bitset mode: ascending node ids, each class read by id.
+    Bits {
+        /// The plain member walk.
+        nodes: ReadyIter<'a>,
+        /// The set's per-node classes.
+        class: &'a [ClassId],
+    },
+}
+
+impl Iterator for ClassIter<'_> {
+    type Item = (NodeId, ClassId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, ClassId)> {
+        match self {
+            ClassIter::Ordered(it) => it.next().copied(),
+            ClassIter::Bits { nodes, class } => nodes.next().map(|n| (n, class[n.index()])),
+        }
     }
 }
 
@@ -375,6 +446,47 @@ mod tests {
             o.iter().collect::<Vec<_>>(),
             vec![NodeId::new(69), NodeId::new(1)]
         );
+    }
+
+    /// `iter_classes` yields exactly `iter()`'s order, each node next to
+    /// the class stamped on it, through inserts, middle removals, recycled
+    /// slots restamped with another class, and `grow` — in both modes.
+    #[test]
+    fn classes_stay_aligned_in_both_modes() {
+        /// Stamp `class` (recorded in `stamped`) and insert `id`.
+        fn add(s: &mut ReadySet, stamped: &mut [ClassId], id: usize, prio: u64, class: ClassId) {
+            let node = NodeId::new(id);
+            stamped[id] = class;
+            s.set_class(node, class);
+            if s.order.is_some() {
+                s.set_seq(node, 100 + id as u64);
+                s.set_prio(node, prio);
+            }
+            s.insert(node);
+        }
+        fn check(s: &ReadySet, stamped: &[ClassId]) {
+            let expected: Vec<(NodeId, ClassId)> =
+                s.iter().map(|n| (n, stamped[n.index()])).collect();
+            assert_eq!(s.iter_classes().collect::<Vec<_>>(), expected);
+            assert_eq!(expected.len(), s.len());
+        }
+        for mut s in [ReadySet::new(4), ReadySet::new_ordered(4)] {
+            let mut stamped = vec![0; 80];
+            add(&mut s, &mut stamped, 3, 5, 1);
+            add(&mut s, &mut stamped, 0, 1, 2);
+            add(&mut s, &mut stamped, 2, 5, 3);
+            check(&s, &stamped);
+            assert!(s.remove(NodeId::new(0)));
+            check(&s, &stamped);
+            s.grow(80);
+            add(&mut s, &mut stamped, 70, 0, 4);
+            add(&mut s, &mut stamped, 0, 5, 7); // recycled under a new class
+            check(&s, &stamped);
+            assert!(s.remove(NodeId::new(3)));
+            assert!(s.remove(NodeId::new(70)));
+            add(&mut s, &mut stamped, 65, 2, 1);
+            check(&s, &stamped);
+        }
     }
 
     #[test]

@@ -71,7 +71,9 @@ pub struct SimView<'a> {
     pub now: SimTime,
     /// The ready set `I`: kernels whose dependencies completed and which have
     /// not been assigned yet. Iterates in the deterministic order named by
-    /// [`SimView::ready_order`].
+    /// [`SimView::ready_order`]. Each member carries its
+    /// [`CostModel::class_of`] class ([`ReadySet::set_class`]); a view built
+    /// by hand must stamp it for the APT family's class screen.
     pub ready: &'a ReadySet,
     /// Per-processor occupancy snapshots, indexed by [`ProcId`]. Maintained
     /// incrementally by the engine — not rebuilt per decision edge.

@@ -230,12 +230,13 @@ impl<'a> RefEngine<'a> {
         loop {
             loop {
                 let views = self.proc_views();
-                // The SimView type requires the bitset + cost model; both
-                // are rebuilt/derived fresh here — as is the decide buffer —
-                // so the *engine under test* remains the only incremental
-                // implementation.
+                // The SimView type requires the bitset (each member stamped
+                // with its cost class) + cost model; both are rebuilt/derived
+                // fresh here — as is the decide buffer — so the *engine
+                // under test* remains the only incremental implementation.
                 let mut ready_set = ReadySet::new(self.dfg.len());
                 for &n in &self.ready {
+                    ready_set.set_class(n, self.cost.class_of(n));
                     ready_set.insert(n);
                 }
                 let mut assignments = AssignmentBuf::new();
