@@ -6,8 +6,18 @@
 //! either DFG Type-1 or DFG Type-2." This module is that software:
 //!
 //! * [`generate_kernels`] produces the seeded random series of kernels,
-//! * [`build_type1`] / [`build_type2`] fit a series into the two DFG shapes,
+//! * [`type1_edges`] / [`type2_edges`] define the two DFG shapes, each as
+//!   one ascending `(from, to)` edge list over series indices,
+//! * [`build_type1`] / [`build_type2`] fit a series into a [`KernelDag`] by
+//!   adding exactly those edges,
 //! * [`generate`] is the one-call combination.
+//!
+//! Each shape is defined once, by its edge-list builder. The closed path
+//! builds a graph from the list; open-stream jobs (`apt-stream`'s
+//! `JobFamily`) take the list as it is, with no graph, topological sort or
+//! copy. The lists are ascending (sorted, every edge `from < to`), which
+//! makes them acyclic by construction, and equal to the sequence the built
+//! graph's [`Dag::edges`] yields.
 //!
 //! **DFG Type-1** (Figure 3): with `n` kernels, `n−1` are independent
 //! ("level-1") and the `n`-th becomes ready only after all of them complete.
@@ -138,14 +148,14 @@ impl Type2Layout {
 /// Generate the seeded random kernel series described in the module docs.
 pub fn generate_kernels(cfg: &StreamConfig, lookup: &LookupTable) -> Vec<Kernel> {
     let mut rng = SplitMix64::new(cfg.seed);
-    let weights: Vec<u64> = if cfg.weighted_mix {
-        KernelKind::ALL
-            .iter()
-            .map(|_| 1 + rng.gen_range(4))
-            .collect()
-    } else {
-        vec![1; KernelKind::ALL.len()]
-    };
+    // The kind weights live on the stack; every kernel's kind draw reuses
+    // them.
+    let mut weights = [1u64; KernelKind::ALL.len()];
+    if cfg.weighted_mix {
+        for w in &mut weights {
+            *w = 1 + rng.gen_range(4);
+        }
+    }
     (0..cfg.len)
         .map(|_| {
             let kind = KernelKind::ALL[rng.choose_weighted(&weights)];
@@ -161,19 +171,30 @@ pub fn generate_kernels(cfg: &StreamConfig, lookup: &LookupTable) -> Vec<Kernel>
         .collect()
 }
 
-/// Fit a kernel series into the DFG Type-1 shape (Figure 3): kernels
-/// `0..n−1` are mutually independent; kernel `n−1` depends on all of them.
+/// The DFG Type-1 shape (Figure 3) over `n` kernels, as an ascending edge
+/// list: kernels `0..n−1` are mutually independent and kernel `n−1`
+/// depends on all of them, so the list is `(i, n−1)` for every `i < n−1`.
+pub fn type1_edges(n: usize) -> Vec<(u32, u32)> {
+    let last = n.saturating_sub(1) as u32;
+    (0..last).map(|i| (i, last)).collect()
+}
+
+/// Fit a kernel series into the DFG Type-1 shape (Figure 3): the graph of
+/// [`type1_edges`].
 pub fn build_type1(kernels: &[Kernel]) -> KernelDag {
+    dag_from_edges(kernels, &type1_edges(kernels.len()))
+}
+
+/// A graph over `kernels` (node `i` is `kernels[i]`) with the given
+/// ascending edges.
+fn dag_from_edges(kernels: &[Kernel], edges: &[(u32, u32)]) -> KernelDag {
     let mut g = Dag::with_capacity(kernels.len());
     for &k in kernels {
         g.add_node(k);
     }
-    if kernels.len() >= 2 {
-        let last = NodeId::new(kernels.len() - 1);
-        for i in 0..kernels.len() - 1 {
-            g.add_edge(NodeId::new(i), last)
-                .expect("type-1 edges are fresh and acyclic");
-        }
+    for &(a, b) in edges {
+        g.add_edge(NodeId(a), NodeId(b))
+            .expect("generator edges are fresh and ascending");
     }
     g
 }
@@ -223,58 +244,63 @@ pub fn type2_layout(n: usize, seed: u64, cfg: &Type2Config) -> Type2Layout {
     }
 }
 
-/// Fit a kernel series into the DFG Type-2 shape (Figure 4).
+/// The DFG Type-2 shape (Figure 4) over `n` kernels, as an ascending edge
+/// list.
 ///
 /// Kernels are consumed in series order: first the diamond blocks (top,
 /// middles, bottom), then the chains, then the singletons — mirroring the
-/// "order of occurrence in the system" annotation of Figure 4.
-///
-/// The layout walk is **index-backed**: node ids are dense `0..n` in series
-/// order, so each group is addressed as an id range off a running cursor
-/// instead of materializing per-group `Vec<NodeId>` lists (which the bench
-/// `engine/generate/Type-2` showed within ~2× of the simulator itself).
-pub fn build_type2(kernels: &[Kernel], seed: u64, cfg: &Type2Config) -> KernelDag {
-    let layout = type2_layout(kernels.len(), seed, cfg);
-    let mut g = Dag::with_capacity(kernels.len());
-    for &k in kernels {
-        g.add_node(k);
+/// "order of occurrence in the system" annotation of Figure 4. Node ids
+/// are dense `0..n` in series order, so each group is an id range off a
+/// running cursor. The partition is [`type2_layout`] of `seed`.
+pub fn type2_edges(n: usize, seed: u64, cfg: &Type2Config) -> Vec<(u32, u32)> {
+    let Type2Layout {
+        diamond_middles,
+        chains,
+        short_chain,
+        singletons,
+    } = type2_layout(n, seed, cfg);
+
+    let chain_edges = |len: usize| len.saturating_sub(1);
+    let edge_count = diamond_middles.iter().map(|m| 2 * m).sum::<usize>()
+        + chains * chain_edges(cfg.chain_len)
+        + chain_edges(short_chain);
+    let mut edges = Vec::with_capacity(edge_count);
+    let mut next = 0u32;
+
+    for &m in &diamond_middles {
+        let m = m as u32;
+        let bottom = next + m + 1;
+        edges.extend((next + 1..bottom).map(|mid| (next, mid)));
+        edges.extend((next + 1..bottom).map(|mid| (mid, bottom)));
+        next = bottom + 1;
     }
 
-    let mut next = 0usize;
-
-    for &middles in &layout.diamond_middles {
-        let top = NodeId::new(next);
-        let bottom = NodeId::new(next + middles + 1);
-        for j in 0..middles {
-            let m = NodeId::new(next + 1 + j);
-            g.add_edge(top, m).expect("fresh edge");
-            g.add_edge(m, bottom).expect("fresh edge");
-        }
-        if middles == 0 {
-            g.add_edge(top, bottom).expect("fresh edge");
-        }
-        next += middles + 2;
-    }
-
-    let mut chain = |next: &mut usize, len: usize| {
-        for i in *next..*next + len.saturating_sub(1) {
-            g.add_edge(NodeId::new(i), NodeId::new(i + 1))
-                .expect("fresh edge");
-        }
-        *next += len;
+    let mut chain = |len: usize| {
+        let end = next + len as u32;
+        edges.extend((next..end.saturating_sub(1)).map(|i| (i, i + 1)));
+        next = end;
     };
-    for _ in 0..layout.chains {
-        chain(&mut next, cfg.chain_len);
+    for _ in 0..chains {
+        chain(cfg.chain_len);
     }
-    if layout.short_chain > 0 {
-        chain(&mut next, layout.short_chain);
+    if short_chain > 0 {
+        chain(short_chain);
     }
-
     // Singletons: the rest of the series, no edges.
-    next += layout.singletons;
-    debug_assert_eq!(next, kernels.len(), "layout must cover the whole series");
+    debug_assert_eq!(
+        next as usize + singletons,
+        n,
+        "layout must cover the series"
+    );
+    debug_assert_eq!(edges.len(), edge_count);
 
-    g
+    edges
+}
+
+/// Fit a kernel series into the DFG Type-2 shape (Figure 4): the graph of
+/// [`type2_edges`].
+pub fn build_type2(kernels: &[Kernel], seed: u64, cfg: &Type2Config) -> KernelDag {
+    dag_from_edges(kernels, &type2_edges(kernels.len(), seed, cfg))
 }
 
 /// One-call generation: seeded series + shape fit + validation.
@@ -356,6 +382,39 @@ mod tests {
         assert_eq!(two.edge_count(), 1);
         let empty = build_type1(&[]);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn edge_lists_ascend_and_are_what_the_graphs_yield() {
+        let edges_of =
+            |g: &KernelDag| -> Vec<(u32, u32)> { g.edges().map(|(a, b)| (a.0, b.0)).collect() };
+        // The paper's three diamonds, and many more.
+        let many_blocks = Type2Config {
+            diamond_blocks: 12,
+            ..Type2Config::default()
+        };
+        for n in 0..160usize {
+            let kernels = generate_kernels(&StreamConfig::new(n, n as u64), lookup());
+            let t1 = type1_edges(n);
+            assert_eq!(edges_of(&build_type1(&kernels)), t1, "n={n}");
+            for (seed, cfg) in
+                (0..4u64).flat_map(|s| [(s, Type2Config::default()), (s, many_blocks)])
+            {
+                let t2 = type2_edges(n, seed, &cfg);
+                for edges in [&t1, &t2] {
+                    assert!(edges.is_sorted(), "n={n} seed={seed}");
+                    assert!(edges.iter().all(|&(a, b)| a < b && (b as usize) < n.max(1)));
+                }
+                let g2 = build_type2(&kernels, seed, &cfg);
+                assert_eq!(edges_of(&g2), t2, "n={n} seed={seed} {cfg:?}");
+                let mut top = 0;
+                for &m in &type2_layout(n, seed, &cfg).diamond_middles {
+                    assert_eq!(g2.out_degree(NodeId::new(top)), m, "n={n} seed={seed}");
+                    assert_eq!(g2.in_degree(NodeId::new(top + m + 1)), m);
+                    top += m + 2;
+                }
+            }
+        }
     }
 
     #[test]

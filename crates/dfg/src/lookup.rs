@@ -175,6 +175,7 @@ impl LookupTable {
     }
 
     /// The row for a kernel instance.
+    #[inline]
     pub fn row(&self, kernel: &Kernel) -> Result<&LookupRow, BaseError> {
         self.row_index(kernel.kind, kernel.data_size)
             .map(|i| &self.rows[i])
@@ -197,6 +198,7 @@ impl LookupTable {
 
     /// The category with the minimum execution time for a kernel, and that
     /// time (`p_min` and `x` in §3.1). Ties break in CPU→GPU→FPGA order.
+    #[inline]
     pub fn best_category(&self, kernel: &Kernel) -> Result<(ProcKind, SimDuration), BaseError> {
         let row = self.row(kernel)?;
         let mut best = (ProcKind::Cpu, row.times[0]);

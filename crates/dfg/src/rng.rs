@@ -33,15 +33,19 @@ impl SplitMix64 {
     /// so the distribution is exactly uniform. Panics if `bound == 0`.
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be positive");
-        // Rejection sampling on the multiply-high method.
-        let threshold = bound.wrapping_neg() % bound;
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            if (m as u64) >= threshold {
-                return (m >> 64) as u64;
+        // Rejection sampling on the multiply-high method: a draw is rejected
+        // iff its low word is below `threshold = 2^64 mod bound`. Since
+        // `threshold < bound`, a low word at or above `bound` is accepted
+        // without computing it, which skips the division on almost every
+        // call and draws exactly the same values.
+        let mut m = (self.next_u64() as u128) * (bound as u128);
+        if (m as u64) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while (m as u64) < threshold {
+                m = (self.next_u64() as u128) * (bound as u128);
             }
         }
+        (m >> 64) as u64
     }
 
     /// Uniform `usize` index in `[0, bound)`.
@@ -57,17 +61,23 @@ impl SplitMix64 {
 
     /// Pick an index according to integer weights (roulette-wheel).
     /// Panics if the weights sum to zero.
+    ///
+    /// The wheel lands on the index whose slice of `[0, total)` holds the
+    /// pick, which is the number of running weight sums at or below the
+    /// pick. Counting them has no branch on the random value, so a draw
+    /// costs no mispredicted exit from a wheel walk.
     pub fn choose_weighted(&mut self, weights: &[u64]) -> usize {
         let total: u64 = weights.iter().sum();
         assert!(total > 0, "choose_weighted needs a positive total weight");
-        let mut pick = self.gen_range(total);
-        for (i, &w) in weights.iter().enumerate() {
-            if pick < w {
-                return i;
-            }
-            pick -= w;
-        }
-        unreachable!("roulette wheel exhausted with residual {pick}")
+        let pick = self.gen_range(total);
+        let mut sum = 0;
+        weights
+            .iter()
+            .map(|&w| {
+                sum += w;
+                usize::from(sum <= pick)
+            })
+            .sum()
     }
 
     /// Fisher–Yates shuffle in place.
@@ -108,6 +118,36 @@ mod tests {
     }
 
     #[test]
+    fn gen_range_fast_path_draws_what_the_plain_rejection_loop_draws() {
+        // The rejection loop with its threshold computed up front on every
+        // call: the formula the division-skipping fast path must reproduce.
+        fn reference(rng: &mut SplitMix64, bound: u64) -> u64 {
+            let threshold = bound.wrapping_neg() % bound;
+            loop {
+                let m = (rng.next_u64() as u128) * (bound as u128);
+                if (m as u64) >= threshold {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+        // `(1 << 63) + 1` rejects almost half of all draws: the slow path
+        // and its retry loop run thousands of times.
+        for bound in [1u64, 2, 3, 4, 7, 8, 100, 1 << 33, (1 << 63) + 1, u64::MAX] {
+            let mut fast = SplitMix64::new(bound ^ 0xD1CE);
+            let mut plain = fast.clone();
+            for i in 0..10_000 {
+                assert_eq!(
+                    fast.gen_range(bound),
+                    reference(&mut plain, bound),
+                    "bound {bound}, draw {i}"
+                );
+            }
+            // Same number of raw draws consumed, too.
+            assert_eq!(fast.next_u64(), plain.next_u64(), "bound {bound}");
+        }
+    }
+
+    #[test]
     fn gen_range_hits_every_small_value() {
         let mut r = SplitMix64::new(7);
         let mut seen = [false; 5];
@@ -123,6 +163,35 @@ mod tests {
         for _ in 0..300 {
             let i = r.choose_weighted(&[0, 5, 0, 1]);
             assert!(i == 1 || i == 3, "picked zero-weight bucket {i}");
+        }
+    }
+
+    #[test]
+    fn choose_weighted_draws_what_the_wheel_walk_draws() {
+        // The roulette wheel walked weight by weight: the draw the
+        // sum-counting form must reproduce, zero weights included.
+        fn wheel(rng: &mut SplitMix64, weights: &[u64]) -> usize {
+            let mut pick = rng.gen_range(weights.iter().sum());
+            for (i, &w) in weights.iter().enumerate() {
+                if pick < w {
+                    return i;
+                }
+                pick -= w;
+            }
+            unreachable!("roulette wheel exhausted with residual {pick}")
+        }
+        let mut r = SplitMix64::new(3);
+        for _ in 0..2_000 {
+            let weights: Vec<u64> = (0..1 + r.gen_index(8)).map(|_| r.gen_range(5)).collect();
+            if weights.iter().sum::<u64>() == 0 {
+                continue;
+            }
+            let mut walked = r.clone();
+            assert_eq!(
+                r.choose_weighted(&weights),
+                wheel(&mut walked, &weights),
+                "{weights:?}"
+            );
         }
     }
 

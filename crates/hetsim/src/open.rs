@@ -124,12 +124,19 @@ impl CompletedJob {
 /// slots and leave stray edges), caught up front instead. Shared with
 /// `apt-stream`'s `JobTemplate::new`, so a template that constructs can
 /// never fail admission.
+///
+/// Linear in the edge count for a sorted list (every generator's form):
+/// an edge above every earlier one cannot repeat one, so only an edge at
+/// or below the running maximum (a duplicate, or an out-of-order edge of
+/// an interleaved list such as the diamond family's) scans the earlier
+/// edges. The first offending edge in list order is the one reported.
 pub fn validate_job(kernel_count: usize, edges: &[(u32, u32)]) -> Result<(), BaseError> {
     if kernel_count == 0 {
         return Err(BaseError::InvalidAssignment {
             reason: "a job needs at least one kernel".into(),
         });
     }
+    let mut max = None;
     for (i, &(a, b)) in edges.iter().enumerate() {
         if a >= b || (b as usize) >= kernel_count {
             return Err(BaseError::InvalidAssignment {
@@ -138,11 +145,12 @@ pub fn validate_job(kernel_count: usize, edges: &[(u32, u32)]) -> Result<(), Bas
                 ),
             });
         }
-        if edges[..i].contains(&(a, b)) {
+        if Some((a, b)) <= max && edges[..i].contains(&(a, b)) {
             return Err(BaseError::InvalidAssignment {
                 reason: format!("duplicate job edge ({a}, {b})"),
             });
         }
+        max = max.max(Some((a, b)));
     }
     Ok(())
 }
@@ -755,6 +763,84 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The first error `validate_job` reports, as its message.
+    fn job_error(kernel_count: usize, edges: &[(u32, u32)]) -> Option<String> {
+        validate_job(kernel_count, edges)
+            .err()
+            .map(|e| e.to_string())
+    }
+
+    #[test]
+    fn validate_job_names_the_first_offending_edge() {
+        // Sorted lists: each edge tops the running maximum unless it
+        // repeats the one before it.
+        assert_eq!(job_error(4, &[(0, 1), (0, 3), (1, 2), (2, 3)]), None);
+        assert_eq!(
+            job_error(4, &[(0, 1), (1, 2), (1, 2), (2, 3), (2, 3)]),
+            Some("invalid assignment: duplicate job edge (1, 2)".into())
+        );
+        // Unsorted lists: an edge below the maximum scans, and its twin
+        // need not be adjacent.
+        assert_eq!(job_error(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]), None);
+        assert_eq!(
+            job_error(4, &[(0, 1), (1, 3), (0, 2), (1, 3), (0, 1)]),
+            Some("invalid assignment: duplicate job edge (1, 3)".into())
+        );
+        // Non-ascending and out-of-range edges, sorted or not; an earlier
+        // bad edge wins over a later duplicate and vice versa.
+        let not_ascending = |a: u32, b: u32| {
+            Some(format!(
+                "invalid assignment: job edge ({a}, {b}) is not ascending within 4 kernels"
+            ))
+        };
+        assert_eq!(job_error(4, &[(0, 1), (2, 2)]), not_ascending(2, 2));
+        assert_eq!(job_error(4, &[(3, 1), (0, 1)]), not_ascending(3, 1));
+        assert_eq!(job_error(4, &[(0, 4)]), not_ascending(0, 4));
+        assert_eq!(job_error(4, &[(1, 2), (0, 9)]), not_ascending(0, 9));
+        assert_eq!(
+            job_error(4, &[(0, 1), (0, 1), (2, 1)]),
+            Some("invalid assignment: duplicate job edge (0, 1)".into())
+        );
+        assert_eq!(job_error(4, &[(0, 1), (2, 1), (0, 1)]), not_ascending(2, 1));
+        assert_eq!(
+            job_error(0, &[]),
+            Some("invalid assignment: a job needs at least one kernel".into())
+        );
+    }
+
+    #[test]
+    fn validate_job_matches_the_exact_scan_on_random_lists() {
+        // The quadratic check every list used to take, as the oracle.
+        fn exact(kernel_count: usize, edges: &[(u32, u32)]) -> Option<String> {
+            for (i, &(a, b)) in edges.iter().enumerate() {
+                if a >= b || (b as usize) >= kernel_count {
+                    return Some(format!(
+                        "invalid assignment: job edge ({a}, {b}) is not ascending within {kernel_count} kernels"
+                    ));
+                }
+                if edges[..i].contains(&(a, b)) {
+                    return Some(format!("invalid assignment: duplicate job edge ({a}, {b})"));
+                }
+            }
+            None
+        }
+        let mut rng = apt_dfg::SplitMix64::new(17);
+        for _ in 0..2_000 {
+            let n = 1 + rng.gen_index(6);
+            let mut edges: Vec<(u32, u32)> = (0..rng.gen_index(8))
+                .map(|_| (rng.gen_range(7) as u32, rng.gen_range(7) as u32))
+                .collect();
+            if rng.gen_range(2) == 0 {
+                edges.sort_unstable();
+            }
+            assert_eq!(
+                job_error(n, &edges),
+                exact(n, &edges),
+                "{n} kernels, {edges:?}"
+            );
         }
     }
 

@@ -6,12 +6,19 @@
 //! intra-job dependency edges over their local indices, and optionally a
 //! *relative deadline* (an SLO: the job should finish within this much time
 //! of its arrival); [`JobFamily`] instantiates the DAG shapes the repo
-//! already knows (Type-1/Type-2 via the `apt-dfg` generators, plus the
-//! chain and diamond micro-shapes of the examples) with per-job seeded
-//! kernel draws.
+//! already knows (Type-1/Type-2, plus the chain and diamond micro-shapes of
+//! the examples) with per-job seeded kernel draws.
+//!
+//! A Type-1/Type-2 job is the kernel series of
+//! [`generate_kernels`](apt_dfg::generator::generate_kernels) plus the
+//! shape's edge list from [`type1_edges`] / [`type2_edges`] — the same
+//! single definition of each shape that the closed path's `build_type1` /
+//! `build_type2` turn into a graph. No per-arrival `KernelDag` is built:
+//! the lists are ascending, hence acyclic by construction, and the
+//! template stores them as they are.
 
 use apt_base::{BaseError, SimDuration};
-use apt_dfg::generator::{generate, DfgType, StreamConfig};
+use apt_dfg::generator::{generate_kernels, type1_edges, type2_edges, StreamConfig, Type2Config};
 use apt_dfg::{Kernel, KernelDag, LookupTable, SplitMix64};
 
 /// One job: kernels in stream order, ascending intra-job edges, and an
@@ -180,13 +187,14 @@ impl JobFamily {
         // process draws (and vice versa).
         let seed = rng.next_u64();
         match self {
-            JobFamily::Type1 { len } | JobFamily::Type2 { len } => {
-                let ty = match self {
-                    JobFamily::Type1 { .. } => DfgType::Type1,
-                    _ => DfgType::Type2,
-                };
-                let dag = generate(ty, &StreamConfig::new(len, seed), lookup);
-                JobTemplate::from_dag(&dag).expect("generator edges are ascending")
+            JobFamily::Type1 { len } => {
+                let kernels = generate_kernels(&StreamConfig::new(len, seed), lookup);
+                JobTemplate::new(kernels, type1_edges(len)).expect("a Type-1 job needs len ≥ 1")
+            }
+            JobFamily::Type2 { len } => {
+                let kernels = generate_kernels(&StreamConfig::new(len, seed), lookup);
+                let edges = type2_edges(len, seed, &Type2Config::default());
+                JobTemplate::new(kernels, edges).expect("a Type-2 job needs len ≥ 1")
             }
             JobFamily::Single => {
                 let kernels = draw_kernels(seed, 1, lookup);
@@ -218,7 +226,7 @@ impl JobFamily {
 /// Seeded kernel series for the micro-shapes, matching the uniform-mix
 /// stream generator's draw structure.
 fn draw_kernels(seed: u64, len: usize, lookup: &LookupTable) -> Vec<Kernel> {
-    apt_dfg::generator::generate_kernels(&StreamConfig::uniform(len, seed), lookup)
+    generate_kernels(&StreamConfig::uniform(len, seed), lookup)
 }
 
 #[cfg(test)]

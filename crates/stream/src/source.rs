@@ -31,7 +31,7 @@
 
 use crate::deadline::DeadlineSpec;
 use crate::job::{JobFamily, JobTemplate};
-use apt_base::{SimDuration, SimTime};
+use apt_base::{BaseError, SimDuration, SimTime};
 use apt_dfg::{LookupTable, SplitMix64};
 
 /// Salt separating a source's deadline-draw RNG stream from its
@@ -50,6 +50,29 @@ pub trait Source {
     /// reporting).
     fn remaining_hint(&self) -> Option<u64> {
         None
+    }
+}
+
+/// Reject a rate (jobs per simulated second) that is zero, negative, NaN
+/// or infinite: `what` names it in the error.
+fn check_rate(what: &str, rate_per_sec: f64) -> Result<(), BaseError> {
+    if rate_per_sec > 0.0 && rate_per_sec.is_finite() {
+        Ok(())
+    } else {
+        Err(BaseError::InvalidSystem {
+            reason: format!("{what} must be positive and finite, got {rate_per_sec}"),
+        })
+    }
+}
+
+/// Reject a zero-length period: `what` names it in the error.
+fn check_period(what: &str, period: SimDuration) -> Result<(), BaseError> {
+    if period.is_zero() {
+        Err(BaseError::InvalidSystem {
+            reason: format!("{what} must be positive"),
+        })
+    } else {
+        Ok(())
     }
 }
 
@@ -83,7 +106,7 @@ impl<'a> PoissonSource<'a> {
     /// `jobs` arrivals at `rate` jobs per simulated second, drawn from
     /// `seed`, instantiating kernels from `lookup` (pass the same table the
     /// driver schedules against — [`LookupTable::paper`] for the paper
-    /// machine). Panics on a non-positive rate.
+    /// machine). Panics where [`PoissonSource::try_new`] returns an error.
     pub fn new(
         lookup: &'a LookupTable,
         rate_per_sec: f64,
@@ -91,11 +114,20 @@ impl<'a> PoissonSource<'a> {
         family: JobFamily,
         seed: u64,
     ) -> PoissonSource<'a> {
-        assert!(
-            rate_per_sec > 0.0 && rate_per_sec.is_finite(),
-            "arrival rate must be positive, got {rate_per_sec}"
-        );
-        PoissonSource {
+        Self::try_new(lookup, rate_per_sec, jobs, family, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PoissonSource::new`], returning [`BaseError::InvalidSystem`] for a
+    /// zero, negative, NaN or infinite rate instead of panicking.
+    pub fn try_new(
+        lookup: &'a LookupTable,
+        rate_per_sec: f64,
+        jobs: u64,
+        family: JobFamily,
+        seed: u64,
+    ) -> Result<PoissonSource<'a>, BaseError> {
+        check_rate("arrival rate", rate_per_sec)?;
+        Ok(PoissonSource {
             lookup,
             family,
             rng: SplitMix64::new(seed),
@@ -104,7 +136,7 @@ impl<'a> PoissonSource<'a> {
             remaining: jobs,
             deadlines: DeadlineSpec::None,
             deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
-        }
+        })
     }
 
     /// Tag every yielded job with a relative deadline per `spec`. Deadline
@@ -153,7 +185,8 @@ pub struct OnOffSource<'a> {
 impl<'a> OnOffSource<'a> {
     /// `jobs` arrivals in bursts: Poisson at `burst_rate` jobs/s while ON,
     /// with exponential ON/OFF period durations of the given means.
-    /// Kernels are instantiated from `lookup`.
+    /// Kernels are instantiated from `lookup`. Panics where
+    /// [`OnOffSource::try_new`] returns an error.
     pub fn new(
         lookup: &'a LookupTable,
         burst_rate_per_sec: f64,
@@ -163,16 +196,37 @@ impl<'a> OnOffSource<'a> {
         family: JobFamily,
         seed: u64,
     ) -> OnOffSource<'a> {
-        assert!(
-            burst_rate_per_sec > 0.0 && burst_rate_per_sec.is_finite(),
-            "burst rate must be positive, got {burst_rate_per_sec}"
-        );
-        assert!(!mean_on.is_zero(), "mean ON period must be positive");
-        assert!(!mean_off.is_zero(), "mean OFF period must be positive");
+        Self::try_new(
+            lookup,
+            burst_rate_per_sec,
+            mean_on,
+            mean_off,
+            jobs,
+            family,
+            seed,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`OnOffSource::new`], returning [`BaseError::InvalidSystem`] for a
+    /// zero, negative, NaN or infinite burst rate and for a zero mean ON or
+    /// OFF period instead of panicking.
+    pub fn try_new(
+        lookup: &'a LookupTable,
+        burst_rate_per_sec: f64,
+        mean_on: SimDuration,
+        mean_off: SimDuration,
+        jobs: u64,
+        family: JobFamily,
+        seed: u64,
+    ) -> Result<OnOffSource<'a>, BaseError> {
+        check_rate("burst rate", burst_rate_per_sec)?;
+        check_period("mean ON period", mean_on)?;
+        check_period("mean OFF period", mean_off)?;
         let mut rng = SplitMix64::new(seed);
         let mean_on_ns = mean_on.as_ns() as f64;
         let on_end_ns = exp_gap_ns(&mut rng, mean_on_ns);
-        OnOffSource {
+        Ok(OnOffSource {
             lookup,
             family,
             rng,
@@ -184,7 +238,7 @@ impl<'a> OnOffSource<'a> {
             remaining: jobs,
             deadlines: DeadlineSpec::None,
             deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
-        }
+        })
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
@@ -247,7 +301,8 @@ pub struct DiurnalSource<'a> {
 impl<'a> DiurnalSource<'a> {
     /// `jobs` arrivals with instantaneous rate
     /// `base + swing · sin²(π t / period)` jobs per second. Kernels are
-    /// instantiated from `lookup`.
+    /// instantiated from `lookup`. Panics where [`DiurnalSource::try_new`]
+    /// returns an error.
     pub fn new(
         lookup: &'a LookupTable,
         base_rate_per_sec: f64,
@@ -257,12 +312,40 @@ impl<'a> DiurnalSource<'a> {
         family: JobFamily,
         seed: u64,
     ) -> DiurnalSource<'a> {
-        assert!(
-            base_rate_per_sec > 0.0 && swing_rate_per_sec >= 0.0,
-            "diurnal rates must be positive / non-negative"
-        );
-        assert!(!period.is_zero(), "diurnal period must be positive");
-        DiurnalSource {
+        Self::try_new(
+            lookup,
+            base_rate_per_sec,
+            swing_rate_per_sec,
+            period,
+            jobs,
+            family,
+            seed,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DiurnalSource::new`], returning [`BaseError::InvalidSystem`]
+    /// instead of panicking for a zero, negative, NaN or infinite base
+    /// rate, a negative, NaN or infinite swing, or a zero period.
+    pub fn try_new(
+        lookup: &'a LookupTable,
+        base_rate_per_sec: f64,
+        swing_rate_per_sec: f64,
+        period: SimDuration,
+        jobs: u64,
+        family: JobFamily,
+        seed: u64,
+    ) -> Result<DiurnalSource<'a>, BaseError> {
+        check_rate("diurnal base rate", base_rate_per_sec)?;
+        if !(swing_rate_per_sec >= 0.0 && swing_rate_per_sec.is_finite()) {
+            return Err(BaseError::InvalidSystem {
+                reason: format!(
+                    "diurnal swing rate must be non-negative and finite, got {swing_rate_per_sec}"
+                ),
+            });
+        }
+        check_period("diurnal period", period)?;
+        Ok(DiurnalSource {
             lookup,
             family,
             rng: SplitMix64::new(seed),
@@ -274,7 +357,7 @@ impl<'a> DiurnalSource<'a> {
             remaining: jobs,
             deadlines: DeadlineSpec::None,
             deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
-        }
+        })
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
@@ -339,9 +422,9 @@ impl TraceSource {
     /// A source over an explicit list, validated eagerly: returns
     /// [`BaseError::DisorderedArrival`](apt_base::BaseError::DisorderedArrival)
     /// naming the first offending pair if the arrivals ever decrease.
-    pub fn try_new(jobs: Vec<(SimTime, JobTemplate)>) -> Result<TraceSource, apt_base::BaseError> {
+    pub fn try_new(jobs: Vec<(SimTime, JobTemplate)>) -> Result<TraceSource, BaseError> {
         if let Some(w) = jobs.windows(2).find(|w| w[1].0 < w[0].0) {
-            return Err(apt_base::BaseError::DisorderedArrival {
+            return Err(BaseError::DisorderedArrival {
                 at_ns: w[1].0.as_ns(),
                 prev_ns: w[0].0.as_ns(),
             });
@@ -545,6 +628,116 @@ mod tests {
         );
     }
 
+    /// The rates a source constructor must refuse.
+    const BAD_RATES: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    fn assert_invalid<T: std::fmt::Debug>(result: Result<T, BaseError>, what: &str) {
+        match result {
+            Err(BaseError::InvalidSystem { reason }) => {
+                assert!(reason.contains(what), "{reason:?} does not name {what:?}")
+            }
+            other => panic!("expected InvalidSystem naming {what:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn poisson_rejects_a_bad_rate() {
+        for rate in BAD_RATES {
+            assert_invalid(
+                PoissonSource::try_new(LookupTable::paper(), rate, 10, JobFamily::Single, 1),
+                "arrival rate",
+            );
+        }
+        assert!(
+            PoissonSource::try_new(LookupTable::paper(), 2.5, 10, JobFamily::Single, 1).is_ok()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive")]
+    fn poisson_new_panics_on_a_bad_rate() {
+        PoissonSource::new(LookupTable::paper(), 0.0, 10, JobFamily::Single, 1);
+    }
+
+    fn on_off(
+        rate: f64,
+        mean_on: SimDuration,
+        mean_off: SimDuration,
+    ) -> Result<OnOffSource<'static>, BaseError> {
+        OnOffSource::try_new(
+            LookupTable::paper(),
+            rate,
+            mean_on,
+            mean_off,
+            10,
+            JobFamily::Single,
+            1,
+        )
+    }
+
+    #[test]
+    fn on_off_rejects_a_bad_burst_rate() {
+        let ms = SimDuration::from_ms(10);
+        for rate in BAD_RATES {
+            assert_invalid(on_off(rate, ms, ms), "burst rate");
+        }
+        assert!(on_off(50.0, ms, ms).is_ok());
+    }
+
+    #[test]
+    fn on_off_rejects_a_zero_on_period() {
+        assert_invalid(
+            on_off(50.0, SimDuration::ZERO, SimDuration::from_ms(10)),
+            "mean ON period",
+        );
+    }
+
+    #[test]
+    fn on_off_rejects_a_zero_off_period() {
+        assert_invalid(
+            on_off(50.0, SimDuration::from_ms(10), SimDuration::ZERO),
+            "mean OFF period",
+        );
+    }
+
+    fn diurnal(
+        base: f64,
+        swing: f64,
+        period: SimDuration,
+    ) -> Result<DiurnalSource<'static>, BaseError> {
+        DiurnalSource::try_new(
+            LookupTable::paper(),
+            base,
+            swing,
+            period,
+            10,
+            JobFamily::Single,
+            1,
+        )
+    }
+
+    #[test]
+    fn diurnal_rejects_a_bad_base_rate() {
+        let period = SimDuration::from_ms(1_000);
+        for base in BAD_RATES {
+            assert_invalid(diurnal(base, 1.0, period), "base rate");
+        }
+        assert!(diurnal(2.0, 0.0, period).is_ok(), "a flat diurnal is valid");
+    }
+
+    #[test]
+    fn diurnal_rejects_a_bad_swing() {
+        let period = SimDuration::from_ms(1_000);
+        for swing in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_invalid(diurnal(2.0, swing, period), "swing rate");
+        }
+    }
+
+    #[test]
+    fn diurnal_rejects_a_zero_period() {
+        assert_invalid(diurnal(2.0, 1.0, SimDuration::ZERO), "diurnal period");
+    }
+
     #[test]
     fn trace_source_replays_and_rejects_disorder() {
         let lookup = LookupTable::paper();
@@ -568,7 +761,7 @@ mod tests {
             (SimTime::from_ms(5), t1.clone()),
         ]);
         match result {
-            Err(apt_base::BaseError::DisorderedArrival { at_ns, prev_ns }) => {
+            Err(BaseError::DisorderedArrival { at_ns, prev_ns }) => {
                 assert_eq!(at_ns, SimTime::from_ms(5).as_ns());
                 assert_eq!(prev_ns, SimTime::from_ms(9).as_ns());
             }
