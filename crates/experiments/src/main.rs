@@ -23,11 +23,12 @@
 //! `--metrics <path>` runs one representative *telemetered* cell of every
 //! requested open-stream scenario (the same cell `--trace` draws), writes
 //! the validated Prometheus exposition to `<path>` and the per-window
-//! JSONL snapshot stream to `<path>.jsonl`, and prints the engine's
-//! phase-breakdown report under the artifact. `--progress` additionally
+//! JSONL snapshot stream to `<path>.jsonl`. `--progress` additionally
 //! ticks a throttled stderr heartbeat (jobs/s, in-flight, miss rate, the
-//! last closed window's α/ρ, ETA) while those telemetered cells run — the soak-run operator
-//! surface.
+//! last closed window's α/ρ, ETA) while those telemetered cells run — the
+//! soak-run operator surface. Where the run's host time goes is
+//! perfbench's traced mode (`perfbench/run.py --trace 1`), not an
+//! `apt-repro` artifact.
 
 use apt_experiments::{
     all_artifact_ids, artifact_has_csv, artifact_has_metrics, artifact_has_trace, artifact_metrics,
@@ -192,9 +193,6 @@ fn main() {
                         failed = true;
                     } else {
                         eprintln!("wrote {jsonl_path} ({} windows)", export.lines);
-                    }
-                    if writeln!(out, "{}", export.report).is_err() {
-                        return;
                     }
                 }
             }

@@ -4,16 +4,12 @@
 //! Runs the same representative cell as [`crate::traced`] (one shared
 //! `RepresentativeCell` — the `--metrics` registry observes the very cell
 //! the `--trace` timeline draws) under an armed
-//! [`apt_stream::StreamTelemetry`] with engine self-profiling requested,
-//! and renders three artifacts:
+//! [`apt_stream::StreamTelemetry`], and renders two artifacts:
 //!
 //! * Prometheus text exposition of the final registry state, re-checked
 //!   by [`apt_telemetry::validate`] before it leaves this module;
 //! * the JSONL snapshot stream (one flat object per closed metrics
-//!   window), re-checked by [`apt_telemetry::validate_jsonl`];
-//! * the engine's phase-breakdown report — where the run's wall-clock
-//!   went (decide / apply / calendar / handle / retire / admit / account
-//!   / window), with the ≥90% coverage contract asserted here.
+//!   window), re-checked by [`apt_telemetry::validate_jsonl`].
 //!
 //! With `--progress`, the run additionally ticks the throttled stderr
 //! heartbeat (jobs/s, in-flight, miss rate, last window's α/ρ, ETA) — the
@@ -36,18 +32,13 @@ pub const JSONL_REQUIRED_KEYS: [&str; 8] = [
     "rho",
 ];
 
-/// A rendered telemetered run: the two expositions plus the profiling
-/// verdict.
+/// A rendered telemetered run: the two expositions and their sizes.
 #[derive(Debug, Clone)]
 pub struct MetricsExport {
     /// Prometheus text exposition (validated).
     pub prometheus: String,
     /// JSONL snapshot stream, one line per metrics window (validated).
     pub jsonl: String,
-    /// The rendered phase-breakdown table printed under the artifact.
-    pub report: String,
-    /// Fraction of engine wall-clock the phases account for (≥ 0.90).
-    pub coverage: f64,
     /// Samples in the Prometheus exposition.
     pub samples: usize,
     /// Lines in the JSONL stream.
@@ -68,12 +59,11 @@ pub fn artifact_has_metrics(id: &str) -> bool {
 /// # Panics
 ///
 /// Panics when the run's own telemetry violates its contracts — invalid
-/// Prometheus, schema-incomplete JSONL, or phase coverage below 90% —
-/// since a soak run with broken observability must fail loudly, not
-/// quietly emit garbage dashboards.
+/// Prometheus or schema-incomplete JSONL — since a soak run with broken
+/// observability must fail loudly, not quietly emit garbage dashboards.
 pub fn artifact_metrics(id: &str, progress: bool) -> Option<MetricsExport> {
     let mut cell = RepresentativeCell::new(id)?;
-    let mut tel = StreamTelemetry::new().with_engine_profile();
+    let mut tel = StreamTelemetry::new();
     if progress {
         tel = tel.with_progress(Some(TRACE_JOBS));
     }
@@ -92,18 +82,8 @@ pub fn artifact_metrics(id: &str, progress: bool) -> Option<MetricsExport> {
         outcome.snapshots.len(),
         "one JSONL line per metrics window"
     );
-    let report = tel
-        .phase_report()
-        .expect("self-profile is a hard dependency of apt-experiments");
-    assert!(
-        report.coverage() >= 0.90,
-        "phase accounting covers only {:.1}% of engine wall-clock",
-        100.0 * report.coverage()
-    );
 
     Some(MetricsExport {
-        coverage: report.coverage(),
-        report: report.render(),
         samples,
         lines: lines as usize,
         jsonl: tel.jsonl().to_string(),
@@ -116,15 +96,12 @@ mod tests {
     use super::*;
 
     /// The acceptance contract of `apt-repro stream-saturation
-    /// --progress --metrics`: valid Prometheus exposition, one
-    /// schema-complete JSONL line per window, and a phase report whose
-    /// wall-clock sum covers ≥ 90% of the engine total (the inner
-    /// asserts of `artifact_metrics` carry the validation; this pins the
-    /// content).
+    /// --progress --metrics`: valid Prometheus exposition and one
+    /// schema-complete JSONL line per window (the inner asserts of
+    /// `artifact_metrics` carry the validation; this pins the content).
     #[test]
     fn stream_saturation_metrics_meet_the_acceptance_contract() {
         let export = artifact_metrics("stream-saturation", false).unwrap();
-        assert!(export.coverage >= 0.90);
         assert!(export.samples > 0);
         assert!(export.lines > 0);
         for metric in [
@@ -133,8 +110,6 @@ mod tests {
             "jobs_shed_total",
             "deadline_misses_total",
             "job_latency_ms_bucket",
-            "engine_phase_ns_total{phase=\"decide\"}",
-            "policy_decide_calls_total{policy=",
             "alpha",
             "rho",
         ] {
@@ -142,9 +117,6 @@ mod tests {
                 export.prometheus.contains(metric),
                 "exposition lost `{metric}`"
             );
-        }
-        for phase in ["decide", "admit", "account", "window"] {
-            assert!(export.report.contains(phase), "report lost `{phase}`");
         }
         // The saturating cell sheds and misses — the counters must show it.
         let value = |name: &str| -> u64 {

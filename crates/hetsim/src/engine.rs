@@ -232,12 +232,6 @@ pub(crate) struct EngineCore {
     /// single never-taken branch, so untraced runs are byte-identical to a
     /// build without tracing (pinned by both equivalence suites).
     pub(crate) tracer: Option<Box<dyn TraceSink>>,
-    /// Armed phase profiler (wall-clock accounting per loop segment);
-    /// `None` (the default) leaves each instrumented segment a single
-    /// never-taken branch, mirroring the trace-sink contract. Only
-    /// compiled under the `self-profile` feature.
-    #[cfg(feature = "self-profile")]
-    pub(crate) profiler: Option<Box<apt_telemetry::PhaseProfiler>>,
     /// Nodes whose jobs must be cancelled (retry budget exhausted), drained
     /// by the open engine after each advance. Only used in open mode.
     pub(crate) failed_nodes: Vec<NodeId>,
@@ -304,8 +298,6 @@ impl EngineCore {
             },
             faults: None,
             tracer: None,
-            #[cfg(feature = "self-profile")]
-            profiler: None,
             failed_nodes: Vec::new(),
             retried_nodes: Vec::new(),
             views,
@@ -380,35 +372,6 @@ impl EngineCore {
     /// Disarm and hand back the sink (end of a traced run).
     pub(crate) fn take_trace(&mut self) -> Option<Box<dyn TraceSink>> {
         self.tracer.take()
-    }
-
-    /// Arm a phase profiler: the engine loop charges wall-clock to
-    /// [`apt_telemetry::Phase`] segments until the profiler is taken.
-    #[cfg(feature = "self-profile")]
-    pub(crate) fn arm_profiler(&mut self, p: Box<apt_telemetry::PhaseProfiler>) {
-        self.profiler = Some(p);
-    }
-
-    /// Disarm and hand back the profiler (end of a profiled run), its
-    /// open transition span closed.
-    #[cfg(feature = "self-profile")]
-    pub(crate) fn take_profiler(&mut self) -> Option<Box<apt_telemetry::PhaseProfiler>> {
-        let mut p = self.profiler.take();
-        if let Some(p) = p.as_mut() {
-            p.close();
-        }
-        p
-    }
-
-    /// Transition the armed profiler into `phase` (the span since the
-    /// previous transition is charged to the phase being left, so
-    /// instrumented spans are contiguous). Unarmed cost: one branch.
-    #[cfg(feature = "self-profile")]
-    #[inline]
-    pub(crate) fn prof_enter(&mut self, phase: apt_telemetry::Phase) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.enter(phase);
-        }
     }
 
     /// Mutate one processor's view, keeping the running idle bitset exact.
@@ -1145,8 +1108,6 @@ impl EngineCore {
     ) -> Result<(), BaseError> {
         loop {
             out.clear();
-            #[cfg(feature = "self-profile")]
-            self.prof_enter(apt_telemetry::Phase::Decide);
             {
                 let view = SimView {
                     now: self.now,
@@ -1164,16 +1125,9 @@ impl EngineCore {
                 };
                 policy.decide(&view, out);
             }
-            #[cfg(feature = "self-profile")]
-            if let Some(p) = self.profiler.as_mut() {
-                let alts = out.as_slice().iter().filter(|a| a.alt).count();
-                p.note_decide(out.len(), alts);
-            }
             if out.is_empty() {
                 return Ok(());
             }
-            #[cfg(feature = "self-profile")]
-            self.prof_enter(apt_telemetry::Phase::Apply);
             for (i, &a) in out.as_slice().iter().enumerate() {
                 self.apply(ctx, a)?;
                 // Decision provenance: policies that explained an
@@ -1207,14 +1161,9 @@ impl EngineCore {
         ctx: EngineCtx<'_>,
         batch: &mut Vec<Event>,
     ) -> Result<Option<SimTime>, BaseError> {
-        #[cfg(feature = "self-profile")]
-        self.prof_enter(apt_telemetry::Phase::Calendar);
-        let popped = self.events.pop_batch(batch);
-        match popped {
+        match self.events.pop_batch(batch) {
             None => Ok(None),
             Some(t) => {
-                #[cfg(feature = "self-profile")]
-                self.prof_enter(apt_telemetry::Phase::Handle);
                 self.advance_to(t);
                 for &event in batch.iter() {
                     self.handle(ctx, event)?;

@@ -105,6 +105,7 @@ pub mod trace;
 pub mod view;
 
 pub use apt_faults::{FaultPlan, FaultTotals, LinkDegradeSpec, RetryPolicy};
+pub use apt_telemetry::LogHistogram;
 pub use apt_trace::{DecisionMeta, DecisionRecord, NullSink, TraceEvent, TraceSink, VecSink};
 pub use calendar::CalendarQueue;
 pub use cost::{ClassId, CostModel};

@@ -315,32 +315,6 @@ impl<'a> OpenEngine<'a> {
         self.core.take_trace()
     }
 
-    /// Arm a wall-clock phase profiler. Like tracing it is purely
-    /// observational — an armed profiler never changes a schedule, and
-    /// an unarmed engine pays one branch per instrumented segment.
-    #[cfg(feature = "self-profile")]
-    pub fn arm_profiler(&mut self, p: Box<apt_telemetry::PhaseProfiler>) {
-        self.core.arm_profiler(p);
-    }
-
-    /// Disarm profiling and hand the accumulated phase accounting back,
-    /// typically at the end of a run to freeze a
-    /// [`apt_telemetry::PhaseReport`].
-    #[cfg(feature = "self-profile")]
-    pub fn take_profiler(&mut self) -> Option<Box<apt_telemetry::PhaseProfiler>> {
-        self.core.take_profiler()
-    }
-
-    /// Transition the armed profiler into a driver-side phase (admission,
-    /// completion accounting, window bookkeeping): the span since the
-    /// previous transition is charged to the phase being left, so the
-    /// instrumented loop's spans are contiguous. No-op when unarmed.
-    #[cfg(feature = "self-profile")]
-    #[inline]
-    pub fn prof_enter(&mut self, phase: apt_telemetry::Phase) {
-        self.core.prof_enter(phase);
-    }
-
     /// Processors currently up (not crashed). Equal to the machine size on
     /// fault-free runs; admission gates scale their capacity model by this.
     #[inline]
@@ -591,8 +565,6 @@ impl<'a> OpenEngine<'a> {
             core.advance(ctx, batch)?
         };
         if advanced.is_some() {
-            #[cfg(feature = "self-profile")]
-            self.core.prof_enter(apt_telemetry::Phase::Retire);
             self.retire_finished();
             self.settle_faults()?;
         }

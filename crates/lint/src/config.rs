@@ -21,8 +21,8 @@ pub struct LintConfig {
     /// driver, and policy decide paths. `unwrap`/`expect`/`panic!`-family
     /// calls here need a reasoned `apt-lint: allow` escape.
     pub hot_path: Vec<String>,
-    /// Modules allowed to read `Instant::now` / `SystemTime`: profiler and
-    /// progress-heartbeat code whose wall-clock reads never feed simulation
+    /// Modules allowed to read `Instant::now` / `SystemTime`: the
+    /// progress heartbeat, whose wall-clock reads never feed simulation
     /// state.
     pub wall_clock_allowlist: Vec<String>,
 }
@@ -52,15 +52,8 @@ impl LintConfig {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            wall_clock_allowlist: [
-                // Engine phase profiler (feature-gated, accounting only).
-                "crates/telemetry/src/profile.rs",
-                // The --progress stderr heartbeat.
-                "crates/telemetry/src/progress.rs",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+            // The --progress stderr heartbeat.
+            wall_clock_allowlist: vec!["crates/telemetry/src/progress.rs".to_string()],
         }
     }
 
@@ -113,7 +106,7 @@ mod tests {
         assert!(cfg.is_hot_path("crates/hetsim/src/engine.rs"));
         assert!(!cfg.is_hot_path("crates/hetsim/src/cost.rs"));
         assert!(cfg.wall_clock_allowed("crates/telemetry/src/progress.rs"));
-        assert!(cfg.wall_clock_allowed("crates/telemetry/src/profile.rs"));
+        assert!(!cfg.wall_clock_allowed("crates/telemetry/src/hist.rs"));
         assert!(!cfg.wall_clock_allowed("crates/stream/src/driver.rs"));
         assert_eq!(LintConfig::crate_name("crates/core/src/apt.rs"), "core");
         assert_eq!(LintConfig::crate_name("src/lib.rs"), "apt-suite");

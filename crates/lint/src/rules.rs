@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | `nondet-container` | simulation crates | byte-identical traces: a `HashMap`/`HashSet` *declaration* is a standing iteration hazard |
 //! | `nondet-iter` | simulation crates | byte-identical traces: order-dependent iteration over a hash container |
-//! | `wall-clock` | all crates, allowlist | determinism: `Instant::now`/`SystemTime` outside profiler/progress modules |
+//! | `wall-clock` | all crates, allowlist | determinism: `Instant::now`/`SystemTime` outside the progress module |
 //! | `rng-salt` | all crates | RNG-stream discipline: `SplitMix64::new` must derive from a config seed or a named `*_STREAM_SALT` constant, never an inline magic number |
 //! | `hot-path-panic` | hot-path modules | panic-freedom tier: `unwrap`/`expect`/`panic!`/`todo!`/`unreachable!`/`unimplemented!` need a reasoned escape |
 //! | `forbid-unsafe` | every `lib.rs` | unsafe hygiene: `#![forbid(unsafe_code)]` present |
@@ -324,7 +324,7 @@ fn rule_wall_clock(
                 line: w[0].line,
                 rule: "wall-clock",
                 message: format!(
-                    "wall-clock read (`{}::{}`) outside the profiler/progress allowlist",
+                    "wall-clock read (`{}::{}`) outside the progress-module allowlist",
                     w[0].text, w[3].text
                 ),
                 hint: "simulation time comes from the event clock; move the read to an \

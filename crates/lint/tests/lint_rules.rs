@@ -26,7 +26,7 @@ const HOT: &str = "crates/hetsim/src/engine.rs";
 const SIM: &str = "crates/hetsim/src/other.rs";
 // Neither (rule-neutral ground for rules scoped everywhere); also on the
 // wall-clock allowlist.
-const COLD: &str = "crates/telemetry/src/profile.rs";
+const COLD: &str = "crates/telemetry/src/progress.rs";
 
 // ---------------------------------------------------------------- nondet
 
@@ -103,7 +103,7 @@ fn wall_clock_positive() {
 
 #[test]
 fn wall_clock_allowlisted_and_test_near_miss() {
-    // The phase profiler is allowlisted: wall-clock is its whole job.
+    // The progress heartbeat is allowlisted: it reports wall-clock rates.
     assert!(rules_at(COLD, "fn f() { let t = Instant::now(); }\n").is_empty());
     // Test code may time itself.
     let src = "#[test]\nfn t() { let t = Instant::now(); }\n";
@@ -115,7 +115,7 @@ fn wall_clock_allowlisted_and_test_near_miss() {
 #[test]
 fn wall_clock_allowlist_is_exact_outside_simulation() {
     // The allowlist names single files and directories, not their
-    // neighbours: a sibling of the profiler, and a crate with no entry,
+    // neighbours: a sibling of the heartbeat, and a crate with no entry,
     // are flagged even though no simulation scope covers them.
     let src = "fn f() { let t = Instant::now(); }\n";
     assert_eq!(

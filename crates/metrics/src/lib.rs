@@ -16,10 +16,10 @@
 //! * [`quality`] — makespan lower bounds, schedule-length ratio, speedup.
 //! * [`energy`] — per-category power model and schedule energy integration
 //!   (the paper's power-efficiency motivation, quantified).
-//! * [`online`] — streaming metrics for open-system runs: P² latency
-//!   quantiles, sliding-window throughput/utilization, and queue-depth
-//!   tracking in O(1) memory per metric (the `apt-stream` driver's
-//!   reporting layer).
+//! * [`online`] — streaming metrics for open-system runs: latency and
+//!   tardiness quantiles within 1% (log-bucketed histograms),
+//!   sliding-window throughput/utilization, and queue-depth tracking in
+//!   bounded memory (the `apt-stream` driver's reporting layer).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +35,7 @@ pub mod table;
 
 pub use energy::{energy_report, EnergyReport, PowerModel};
 pub use improvement::{better_solution_count, improvement_percent, second_best};
-pub use online::{OnlineMetrics, P2Quantile, StreamSnapshot};
+pub use online::{OnlineMetrics, StreamSnapshot, QUANTILE_GAMMA};
 pub use quality::{quality_report, QualityReport};
 pub use summary::RunSummary;
 pub use table::TextTable;

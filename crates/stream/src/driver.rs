@@ -176,7 +176,8 @@ pub struct StreamOutcome {
     pub goodput_jps: f64,
     /// Mean end-to-end job latency (arrival → last kernel finish), ms.
     pub mean_latency_ms: f64,
-    /// Streaming quantile estimates of job latency, ms.
+    /// Streaming quantile estimates of job latency, ms, each within
+    /// [`apt_metrics::QUANTILE_GAMMA`] of the exact nearest-rank sample.
     pub latency_p50_ms: f64,
     /// 90th percentile job latency, ms.
     pub latency_p90_ms: f64,
@@ -433,10 +434,8 @@ impl<'r> StreamRun<'r> {
     /// Publish the run into `telemetry`: admissions, sheds, completions,
     /// latency/tardiness histograms and per-window operating points into
     /// its registry, one JSONL line per metrics window, the `--progress`
-    /// heartbeat when armed, and — when the `self-profile` feature is
-    /// compiled in and [`StreamTelemetry::with_engine_profile`] was
-    /// requested — the engine's phase report. With a trace sink armed too,
-    /// its `recorded`/`dropped` totals surface as `trace_events_total` /
+    /// heartbeat when armed. With a trace sink armed too, its
+    /// `recorded`/`dropped` totals surface as `trace_events_total` /
     /// `trace_events_dropped_total`.
     pub fn telemetry(mut self, telemetry: &'r mut StreamTelemetry) -> Self {
         self.telemetry = Some(telemetry);
@@ -469,7 +468,7 @@ impl<'r> StreamRun<'r> {
             gate,
             mut controller,
             sink,
-            mut telemetry,
+            telemetry,
             mut per_job,
         } = self;
         match opts.snapshot_interval {
@@ -497,19 +496,6 @@ impl<'r> StreamRun<'r> {
         if let Some(s) = sink {
             engine.arm_trace(s);
         }
-        // Total engine wall-clock, the denominator of the phase report's
-        // coverage fraction.
-        #[cfg(feature = "self-profile")]
-        // apt-lint: allow(wall-clock, feature-gated self-profile denominator for the phase
-        // report's coverage fraction; never reaches simulation state)
-        let run_started = std::time::Instant::now();
-        #[cfg(feature = "self-profile")]
-        if telemetry
-            .as_deref()
-            .is_some_and(StreamTelemetry::wants_engine_profile)
-        {
-            engine.arm_profiler(Box::new(apt_telemetry::PhaseProfiler::new()));
-        }
 
         // The aggregator always runs; without a snapshot interval its window
         // is pushed past any reachable instant so only the running
@@ -518,9 +504,8 @@ impl<'r> StreamRun<'r> {
         let snapshots_enabled = opts.snapshot_interval.is_some();
         let mut admit_all = AdmitAll;
         let mut observers: Vec<&mut dyn RunObserver> = Vec::new();
-        // A reborrow: the phase report reaches the telemetry after the run.
-        if let Some(t) = telemetry.as_mut() {
-            observers.push(&mut **t);
+        if let Some(t) = telemetry {
+            observers.push(t);
         }
         if let Some(f) = per_job.as_mut() {
             observers.push(f);
@@ -550,19 +535,13 @@ impl<'r> StreamRun<'r> {
         let mut actions: Vec<ControlAction> = Vec::new();
 
         // Seed the engine with the t = 0 cohort before the first fixpoint.
-        #[cfg(feature = "self-profile")]
-        engine.prof_enter(apt_telemetry::Phase::Admit);
         arrivals.admit_due(&mut engine, &mut fan, true)?;
 
         loop {
             engine.decide(policy)?;
-            #[cfg(feature = "self-profile")]
-            engine.prof_enter(apt_telemetry::Phase::Admit);
             arrivals.admit_due(&mut engine, &mut fan, false)?;
             let advanced = engine.advance()?;
 
-            #[cfg(feature = "self-profile")]
-            engine.prof_enter(apt_telemetry::Phase::Account);
             engine.drain_completed(&mut done);
             for job in &done {
                 kernels += job.records.len() as u64;
@@ -593,8 +572,6 @@ impl<'r> StreamRun<'r> {
                 fan.emit(&mut engine, &ev);
             }
             if snapshots_enabled && engine.now() >= fan.metrics.window_end() {
-                #[cfg(feature = "self-profile")]
-                engine.prof_enter(apt_telemetry::Phase::Window);
                 let closed = fan.close_windows(&mut engine, policy.alpha(), false);
                 // Deliver each newly closed window to the controller, in
                 // emission order, applying its actions before the next
@@ -653,12 +630,6 @@ impl<'r> StreamRun<'r> {
         }
 
         let end = engine.now();
-        // Freeze the phase report before the tail flush so its wall-clock
-        // denominator covers exactly the profiled span.
-        #[cfg(feature = "self-profile")]
-        let phase_report = engine
-            .take_profiler()
-            .map(|p| p.report(&policy.name(), run_started.elapsed()));
         // Flush the final *partial* window so window-driven consumers (CSV
         // exporters, telemetry, the trace's counter tracks) see the tail of
         // the run; a run ending exactly on a boundary flushes nothing extra.
@@ -675,10 +646,6 @@ impl<'r> StreamRun<'r> {
         };
         fan.emit(&mut engine, &ev);
         let Fanout { metrics, .. } = fan;
-        #[cfg(feature = "self-profile")]
-        if let (Some(report), Some(t)) = (phase_report, telemetry) {
-            t.set_phase_report(report);
-        }
 
         let (p50, p90, p99) = metrics.latency_quantiles_ms();
         let (tardiness_p50_ms, tardiness_p99_ms) = metrics.tardiness_quantiles_ms();

@@ -1,7 +1,6 @@
 //! Live telemetry for streaming runs: a pre-registered
 //! [`apt_telemetry::Registry`] the driver publishes into, periodic JSONL
-//! snapshot lines, an optional `--progress` heartbeat, and (behind the
-//! `self-profile` feature) the engine's phase-breakdown report.
+//! snapshot lines, and an optional `--progress` heartbeat.
 //!
 //! [`StreamTelemetry`] is one observer on the driver's event fan-out (see
 //! [`crate::driver`]): arm it with [`crate::StreamRun::telemetry`] and it
@@ -17,23 +16,14 @@
 use crate::driver::{OperatingPoint, RunEvent, RunObserver};
 use apt_base::{SimDuration, SimTime};
 use apt_hetsim::CompletedJob;
-use apt_metrics::StreamSnapshot;
-use apt_telemetry::{
-    render_prometheus, CounterId, GaugeId, Heartbeat, HistId, PhaseReport, Registry,
-};
+use apt_metrics::{StreamSnapshot, QUANTILE_GAMMA};
+use apt_telemetry::{render_prometheus, CounterId, GaugeId, Heartbeat, HistId, Registry};
 use std::fmt::Write as _;
-
-/// Relative error bound for the latency/tardiness histograms: 1% —
-/// comfortably inside the agreement band of the P² estimators the
-/// snapshot quantiles use.
-const HIST_GAMMA: f64 = 0.01;
 
 /// The streaming driver's telemetry surface. Construct one, arm it with
 /// [`crate::StreamRun::telemetry`], then read back
-/// [`StreamTelemetry::prometheus`] (text exposition),
-/// [`StreamTelemetry::jsonl`] (one line per closed metrics window) and
-/// [`StreamTelemetry::phase_report`] (engine wall-clock breakdown, when
-/// profiling was compiled in and requested).
+/// [`StreamTelemetry::prometheus`] (text exposition) and
+/// [`StreamTelemetry::jsonl`] (one line per closed metrics window).
 #[derive(Debug)]
 pub struct StreamTelemetry {
     reg: Registry,
@@ -58,8 +48,6 @@ pub struct StreamTelemetry {
     heartbeat: Option<Heartbeat>,
     /// α/ρ of the last closed window, for the heartbeat.
     window_alpha_rho: (Option<f64>, Option<f64>),
-    profile_engine: bool,
-    phase_report: Option<PhaseReport>,
 }
 
 impl Default for StreamTelemetry {
@@ -105,15 +93,17 @@ impl StreamTelemetry {
         );
         let g_availability = reg.gauge("availability", "Up fraction of the last closed window");
         let g_sim = reg.gauge("sim_time_seconds", "Simulation clock, seconds");
+        // At the γ of `OnlineMetrics`' own histograms, so the registry's
+        // quantiles equal the outcome's and the snapshots' over one stream.
         let h_latency = reg.histogram(
             "job_latency_ms",
             "Job latency, arrival to last finish (ms)",
-            HIST_GAMMA,
+            QUANTILE_GAMMA,
         );
         let h_tardiness = reg.histogram(
             "job_tardiness_ms",
             "Tardiness of deadline-carrying jobs (ms; on-time jobs contribute 0)",
-            HIST_GAMMA,
+            QUANTILE_GAMMA,
         );
         StreamTelemetry {
             reg,
@@ -137,8 +127,6 @@ impl StreamTelemetry {
             jsonl: String::new(),
             heartbeat: None,
             window_alpha_rho: (None, None),
-            profile_engine: false,
-            phase_report: None,
         }
     }
 
@@ -150,20 +138,6 @@ impl StreamTelemetry {
     pub fn with_progress(mut self, target_jobs: Option<u64>) -> Self {
         self.heartbeat = Some(Heartbeat::new(target_jobs));
         self
-    }
-
-    /// Request engine phase profiling. Effective only when `apt-stream`
-    /// is built with the `self-profile` feature — without it the flag
-    /// is remembered but no profiler exists to arm, and
-    /// [`StreamTelemetry::phase_report`] stays `None`.
-    pub fn with_engine_profile(mut self) -> Self {
-        self.profile_engine = true;
-        self
-    }
-
-    /// True when [`StreamTelemetry::with_engine_profile`] was requested.
-    pub fn wants_engine_profile(&self) -> bool {
-        self.profile_engine
     }
 
     /// The underlying registry (merge shards into it, read values back).
@@ -187,51 +161,6 @@ impl StreamTelemetry {
     /// window (guaranteed to pass [`apt_telemetry::validate_jsonl`]).
     pub fn jsonl(&self) -> &str {
         &self.jsonl
-    }
-
-    /// The engine's phase-breakdown report, populated at run end when
-    /// profiling was compiled in and requested.
-    pub fn phase_report(&self) -> Option<&PhaseReport> {
-        self.phase_report.as_ref()
-    }
-
-    /// Take ownership of the phase report (its registry mirror stays).
-    pub fn take_phase_report(&mut self) -> Option<PhaseReport> {
-        self.phase_report.take()
-    }
-
-    /// Install the run's phase report and mirror it into the registry
-    /// (`engine_phase_ns_total{phase=...}` plus per-policy decision
-    /// counters). The driver calls this once at stream end.
-    pub fn set_phase_report(&mut self, report: PhaseReport) {
-        for e in &report.phases {
-            let id = self.reg.counter_with_labels(
-                "engine_phase_ns_total",
-                "Wall-clock charged to each engine/driver phase, ns",
-                &[("phase", e.phase.label())],
-            );
-            self.reg.add(id, e.ns);
-        }
-        let policy: &str = &report.policy;
-        let decide = self.reg.counter_with_labels(
-            "policy_decide_calls_total",
-            "Policy::decide invocations",
-            &[("policy", policy)],
-        );
-        self.reg.add(decide, report.decide_calls);
-        let assigns = self.reg.counter_with_labels(
-            "policy_assignments_total",
-            "Assignments applied",
-            &[("policy", policy)],
-        );
-        self.reg.add(assigns, report.assignments);
-        let alts = self.reg.counter_with_labels(
-            "policy_alt_assignments_total",
-            "Alternative-processor assignments",
-            &[("policy", policy)],
-        );
-        self.reg.add(alts, report.alt_assignments);
-        self.phase_report = Some(report);
     }
 
     /// A successfully completed job, with the latency and tardiness the

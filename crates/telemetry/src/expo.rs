@@ -556,6 +556,19 @@ mod tests {
         assert!(text.contains("job_latency_ms_count 4"));
     }
 
+    /// An infinite sample keeps the exposition valid: its bucket's upper
+    /// bound is finite, so the only `+Inf` bound is the implicit one.
+    #[test]
+    fn infinite_sample_renders_valid_exposition() {
+        let mut r = sample_registry();
+        let h = r.histogram("job_latency_ms", "latency", 0.01);
+        r.observe(h, f64::INFINITY);
+        let text = render_prometheus(&r);
+        validate(&text).expect("valid exposition");
+        assert_eq!(text.matches("le=\"+Inf\"").count(), 1, "{text}");
+        assert!(text.contains("job_latency_ms_bucket{le=\"+Inf\"} 5"));
+    }
+
     #[test]
     fn render_is_merge_order_independent() {
         let a = sample_registry();

@@ -87,7 +87,10 @@ impl LogHistogram {
         self.count += 1;
         if v > 0.0 {
             self.sum += v;
-            let i = (v.ln() * self.inv_ln_base).ceil() as i32;
+            // +∞ would saturate the index to `i32::MAX` and make the dense
+            // store span ~2³¹ buckets; the largest finite sample's bucket
+            // (~35 500 at γ = 0.01) takes it instead.
+            let i = (v.min(f64::MAX).ln() * self.inv_ln_base).ceil() as i32;
             let idx = i.wrapping_sub(self.offset);
             if idx >= 0 && (idx as usize) < self.counts.len() {
                 self.counts[idx as usize] += 1;
@@ -146,9 +149,12 @@ impl LogHistogram {
 
     /// The reported value for bucket `i`: `2·b^i/(b+1)`, the point whose
     /// worst-case relative distance to anything in `(b^{i−1}, b^i]` is γ.
+    /// In the top bucket, which reaches past `f64::MAX`, it is capped there:
+    /// every sample is at most `f64::MAX`, so the cap only moves the
+    /// estimate closer.
     fn representative(&self, i: i32) -> f64 {
         let b = self.base();
-        2.0 * b.powi(i) / (b + 1.0)
+        (2.0 * b.powi(i) / (b + 1.0)).min(f64::MAX)
     }
 
     /// Estimate quantile `q` (clamped to `[0, 1]`); `None` while empty.
@@ -214,7 +220,8 @@ impl LogHistogram {
         out.push((0.0, cum));
         for (i, c) in self.nonzero() {
             cum += c;
-            out.push((self.base().powi(i), cum));
+            // Capped like the representative: no sample exceeds f64::MAX.
+            out.push((self.base().powi(i).min(f64::MAX), cum));
         }
         out
     }
@@ -242,12 +249,53 @@ mod tests {
     #[test]
     fn zero_and_negative_samples_report_zero() {
         let mut h = LogHistogram::new(0.05);
-        h.observe(0.0);
-        h.observe(-3.0);
-        h.observe(f64::NAN);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.zero_count(), 3);
+        for v in [0.0, -0.0, -3.0, f64::NEG_INFINITY, f64::NAN] {
+            h.observe(v);
+        }
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.zero_count(), 5);
         assert_eq!(h.quantile(0.99), Some(0.0));
+        assert!(h.counts.is_empty());
+    }
+
+    /// An infinite sample lands in the top finite bucket: the store stays
+    /// small and the tail reads back finite.
+    #[test]
+    fn infinite_sample_takes_the_top_finite_bucket() {
+        let mut h = LogHistogram::new(0.01);
+        h.observe(1.0);
+        h.observe(f64::INFINITY);
+        assert!(h.counts.len() < 40_000, "store spans {}", h.counts.len());
+        let p99 = h.quantile(0.99).unwrap();
+        assert!(p99.is_finite() && p99 >= f64::MAX / 1.03, "p99 {p99}");
+        let buckets = h.cumulative_buckets();
+        assert_eq!(buckets.last(), Some(&(f64::MAX, 2)));
+        assert!((h.quantile(0.5).unwrap() - 1.0).abs() <= 0.01 * (1.0 + 1e-9));
+        // The finite maximum shares that bucket.
+        let mut top = LogHistogram::new(0.01);
+        top.observe(f64::MAX);
+        assert_eq!(top.quantile(0.5), Some(p99));
+    }
+
+    /// Samples on and next to bucket edges `b^i` stay within γ, whichever
+    /// side of the edge the rounded `ln` puts them.
+    #[test]
+    fn bucket_edges_stay_within_gamma() {
+        for gamma in [0.001_f64, 0.01, 0.05] {
+            let b = (1.0 + gamma) / (1.0 - gamma);
+            for i in -60..60 {
+                let edge = b.powi(i);
+                for v in [edge, edge * (1.0 + 1e-15), edge * (1.0 - 1e-15)] {
+                    let mut h = LogHistogram::new(gamma);
+                    h.observe(v);
+                    let est = h.quantile(0.5).unwrap();
+                    assert!(
+                        (est - v).abs() / v <= gamma * (1.0 + 1e-9),
+                        "γ {gamma} edge {i}: {v} read back as {est}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,21 +9,19 @@
 //! This is the *read side* companion to `apt-trace`: where the trace
 //! layer records what the simulator did instant by instant (simulated
 //! time, per-event provenance), this crate answers "how is the run
-//! going and where does the wall-clock go" (aggregates, real time).
+//! going" (aggregates, real time).
 //!
 //! The pieces:
 //!
 //! - [`Registry`] + [`LogHistogram`] — instruments keyed by
 //!   name/labels, HDR-style log buckets with a configurable relative
 //!   error bound γ (`quantile` estimates are within γ of the true
-//!   sample, property-tested).
+//!   sample, property-tested). [`LogHistogram`] is also the workspace's
+//!   one quantile estimator: `apt-metrics`' streaming latency and
+//!   tardiness quantiles use it through `apt-hetsim`'s re-export.
 //! - [`render_prometheus`] / [`validate`] — Prometheus text exposition
 //!   and a strict validator of the name/label/type contract, plus
 //!   [`validate_jsonl`] for the periodic JSONL snapshot stream.
-//! - [`PhaseProfiler`] / [`PhaseReport`] — wall-clock phase accounting
-//!   for the engine loop (policy decide, fixpoint apply, calendar ops,
-//!   event handling, retirement, admission, window bookkeeping),
-//!   armed behind `apt-hetsim`'s `self-profile` feature.
 //! - [`Heartbeat`] — a throttled stderr progress line (jobs/s,
 //!   in-flight, miss rate, live α/ρ, ETA) for soak runs; the rate/ETA
 //!   math is division-by-zero safe on first-window and zero-duration
@@ -34,12 +32,10 @@
 
 mod expo;
 mod hist;
-mod profile;
 mod progress;
 mod registry;
 
 pub use expo::{json_escape, render_prometheus, validate, validate_jsonl};
 pub use hist::LogHistogram;
-pub use profile::{Phase, PhaseEntry, PhaseProfiler, PhaseReport};
 pub use progress::{render_heartbeat, Heartbeat};
 pub use registry::{CounterId, GaugeId, HistId, Registry};

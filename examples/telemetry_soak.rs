@@ -1,6 +1,6 @@
 //! A soak run with the full telemetry surface armed: live heartbeat on
-//! stderr, a shard-mergeable metrics registry riding the stream, engine
-//! self-profiling, and Prometheus + JSONL expositions written at the end.
+//! stderr, a shard-mergeable metrics registry riding the stream, and
+//! Prometheus + JSONL expositions written at the end.
 //!
 //! The same faulty, controlled diurnal stream as `traced_stream.rs`, but
 //! observed the *other* way (see the decision table in the crate docs):
@@ -9,11 +9,9 @@
 //! log-bucketed histograms — constant memory however long the stream
 //! runs, which is the point of a soak. While the run is live a throttled
 //! heartbeat ticks on stderr (jobs/s, in-flight, miss rate, the last
-//! closed window's α/ρ, ETA); when it ends the example writes the validated Prometheus text
-//! exposition to `<out>` and the per-window JSONL snapshot stream to
-//! `<out>.jsonl`, then prints the engine's phase-breakdown report —
-//! where the wall-clock went, decide through window, with per-policy
-//! decision counters.
+//! closed window's α/ρ, ETA); when it ends the example writes the
+//! validated Prometheus text exposition to `<out>` and the per-window
+//! JSONL snapshot stream to `<out>.jsonl`.
 //!
 //! ```bash
 //! cargo run --release -p apt-suite --example telemetry_soak [out.prom] [jobs] [peak_jps]
@@ -71,16 +69,14 @@ fn main() {
     println!(
         "Telemetry soak: {jobs} diamond jobs, diurnal 0.1…{peak} j/s, transient faults,\n\
          EDF-APT(α = {PAPER_BEST_ALPHA}) behind UtilizationBound(ρ = 1) under the\n\
-         AIMD + α-hill-climb stack, {}s windows — registry armed, engine profiled\n",
+         AIMD + α-hill-climb stack, {}s windows — registry armed\n",
         window.as_ms_f64() / 1_000.0,
     );
 
-    // Heartbeat + registry + engine phase profiling, all in one rider.
-    // The run itself is untouched: the outcome is byte-identical to the
-    // same stream without telemetry (pinned by the equivalence suites).
-    let mut tel = StreamTelemetry::new()
-        .with_progress(Some(jobs))
-        .with_engine_profile();
+    // Heartbeat + registry, both in one rider. The run itself is
+    // untouched: the outcome is byte-identical to the same stream without
+    // telemetry (pinned by the equivalence suites).
+    let mut tel = StreamTelemetry::new().with_progress(Some(jobs));
 
     let (outcome, _) = StreamRun::new(&mut source, &system, lookup, &mut policy, &opts)
         .gate(&mut gate)
@@ -105,12 +101,5 @@ fn main() {
         outcome.snapshots.len(),
         outcome.control_log.len(),
     );
-    println!("wrote {path} ({samples} samples) and {jsonl_path} ({lines} windows)\n");
-    match tel.phase_report() {
-        Some(report) => print!("{}", report.render()),
-        None => println!(
-            "(engine phase report needs the `self-profile` feature — \
-             enabled by default through apt-suite)"
-        ),
-    }
+    println!("wrote {path} ({samples} samples) and {jsonl_path} ({lines} windows)");
 }

@@ -52,10 +52,11 @@
 //! ([`telemetry::render_prometheus`], re-checked by
 //! [`telemetry::validate`]), a JSONL snapshot stream (one flat object per
 //! closed metrics window), and a throttled stderr heartbeat for soak
-//! runs. With the `self-profile` feature the engine itself is profiled:
-//! contiguous wall-clock phase accounting (decide / apply / calendar /
-//! handle / retire / admit / account / window) plus per-policy decision
-//! counters, rendered as a [`telemetry::PhaseReport`].
+//! runs. Its [`telemetry::LogHistogram`] is also the one quantile
+//! estimator behind every latency and tardiness quantile a stream run
+//! reports. Where the host time of a run goes is measured from the
+//! outside, by perfbench's traced mode (`perfbench/run.py --trace 1`),
+//! which calibrates its own span cost; the engine carries no profiler.
 //!
 //! Which layer to reach for:
 //!
@@ -80,7 +81,7 @@
 //! --trace t.json --progress --metrics m.prom` draws the timeline *and*
 //! exports the registry from the same representative cell.
 //! `examples/telemetry_soak.rs` is the soak-run shape — heartbeat on,
-//! registry armed, engine profiled:
+//! registry armed:
 //!
 //! ```bash
 //! cargo run --release -p apt-suite --example telemetry_soak soak.prom
@@ -96,8 +97,8 @@
 //! * **Determinism** — same seed, same trace, byte for byte. Simulation
 //!   crates never iterate a `HashMap`/`HashSet` (ordered containers or
 //!   sorted key lists only; keyed lookup is fine) and never read the wall
-//!   clock (`Instant::now`/`SystemTime` live only in the profiler and
-//!   progress modules). Time is the event clock; randomness is
+//!   clock (`Instant::now`/`SystemTime` live only in the progress
+//!   module). Time is the event clock; randomness is
 //!   [`SplitMix64`].
 //! * **RNG-stream discipline** — every RNG stream derives from a config
 //!   seed or a named `*_STREAM_SALT` constant (e.g.
@@ -139,8 +140,9 @@ pub use apt_control as control;
 pub use apt_trace as trace;
 
 // The aggregate half of observability: the shard-mergeable metrics
-// registry, Prometheus/JSONL exposition and engine phase profiling (see
-// the decision table above for trace-vs-telemetry guidance).
+// registry, its log-bucketed histogram and the Prometheus/JSONL
+// exposition (see the decision table above for trace-vs-telemetry
+// guidance).
 pub use apt_telemetry as telemetry;
 
 /// Workspace version, for the examples' banners.
