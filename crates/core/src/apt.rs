@@ -528,7 +528,7 @@ mod tests {
         let lookup = LookupTable::paper();
         let config = SystemConfig::paper_4gbps();
         let mut cost = CostModel::for_streaming(&config);
-        cost.bind_slot(NodeId::new(0), &bfs(), lookup, &config);
+        cost.bind_slot(NodeId::new(0), &bfs(), lookup);
         let bfs_class = cost.class_of(NodeId::new(0)) as usize;
         let mut apt = Apt::new(1.5);
         // BFS: CPU 332, GPU 173, FPGA 106 — only the FPGA is within 1.5x.
@@ -536,12 +536,7 @@ mod tests {
         apt.set_alpha(2.0);
         assert_eq!(apt.masks.get(&cost, apt.alpha)[bfs_class], 0b110);
         let before = cost.class_count();
-        cost.bind_slot(
-            NodeId::new(1),
-            &Kernel::new(KernelKind::Bfs, 7),
-            lookup,
-            &config,
-        );
+        cost.bind_slot(NodeId::new(1), &Kernel::new(KernelKind::Bfs, 7), lookup);
         let masks = apt.masks.get(&cost, apt.alpha);
         assert_eq!(masks.len(), before + 1);
         assert_eq!(masks[cost.class_of(NodeId::new(1)) as usize], 0);

@@ -443,13 +443,6 @@ pub fn control_sweep() -> TextTable {
     render_control_table(&coords, &runs)
 }
 
-/// Per-cell summary CSV plus the control-log block over the same grid
-/// (see [`render_control_csv_full`]'s two headers).
-pub fn control_sweep_csv() -> String {
-    let (coords, runs) = run_grid();
-    render_control_csv_full(&coords, &runs)
-}
-
 /// One grid run rendered both ways, so `apt-repro control-sweep --csv
 /// <path>` simulates the grid once.
 pub fn control_sweep_with_csv() -> (TextTable, String) {

@@ -272,12 +272,6 @@ pub fn fault_sweep() -> TextTable {
     render_fault_table(&cells, &outcomes)
 }
 
-/// Per-cell summary CSV over the same grid (see [`FAULT_CSV_HEADER`]).
-pub fn fault_sweep_csv() -> String {
-    let (cells, outcomes) = run_grid(false);
-    render_fault_csv(&cells, &outcomes)
-}
-
 /// One grid run rendered both ways, so `apt-repro fault-sweep --csv
 /// <path>` simulates the grid once.
 pub fn fault_sweep_with_csv() -> (TextTable, String) {

@@ -142,28 +142,13 @@ pub fn run_artifact(id: &str) -> Option<Artifact> {
     Some(artifact)
 }
 
-/// True when [`artifact_csv`] has a CSV form for `id` — a static check,
+/// True when [`artifact_with_csv`] has a CSV form for `id` — a static check,
 /// so callers can filter capabilities without triggering the sweep.
 pub fn artifact_has_csv(id: &str) -> bool {
     matches!(
         id,
         "slo-sweep" | "stream-saturation" | "topology-sweep" | "fault-sweep" | "control-sweep"
     )
-}
-
-/// Long-format CSV companion of an artifact (`apt-repro <id> --csv
-/// <path>`), for the open-stream scenarios whose windowed
-/// [`apt_metrics::StreamSnapshot`]s make plottable time series. `None`
-/// for artifacts without a CSV form (see [`artifact_has_csv`]).
-pub fn artifact_csv(id: &str) -> Option<String> {
-    match id {
-        "slo-sweep" => Some(slo::slo_sweep_csv()),
-        "stream-saturation" => Some(streaming::stream_saturation_csv()),
-        "topology-sweep" => Some(topology::topology_sweep_csv()),
-        "fault-sweep" => Some(faults::fault_sweep_csv()),
-        "control-sweep" => Some(control::control_sweep_csv()),
-        _ => None,
-    }
 }
 
 /// Both renderings of a CSV-capable artifact from **one** grid run — what
@@ -214,7 +199,7 @@ mod tests {
         assert!(all_artifact_ids().contains(&"fault-sweep"));
         assert!(all_artifact_ids().contains(&"control-sweep"));
         assert!(
-            artifact_csv("table7").is_none(),
+            artifact_with_csv("table7").is_none(),
             "closed tables have no CSV"
         );
         // The static capability check agrees with the resolver for the

@@ -36,53 +36,31 @@ use apt_experiments::{
 };
 use std::io::Write as _;
 
+/// Remove a boolean `flag` from `args`; true when it was present.
+fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
+    let pos = args.iter().position(|a| a == flag);
+    pos.map(|pos| args.remove(pos)).is_some()
+}
+
+/// Remove `flag <path>` from `args` and return the path. A flag with no
+/// path after it is a usage error (exit 2).
+fn take_path(args: &mut Vec<String>, flag: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    args.remove(pos);
+    if pos == args.len() {
+        eprintln!("{flag} needs a path");
+        std::process::exit(2);
+    }
+    Some(args.remove(pos))
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = if let Some(pos) = args.iter().position(|a| a == "--markdown") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
-    let csv_path = if let Some(pos) = args.iter().position(|a| a == "--csv") {
-        args.remove(pos);
-        if pos < args.len() {
-            Some(args.remove(pos))
-        } else {
-            eprintln!("--csv needs a path");
-            std::process::exit(2);
-        }
-    } else {
-        None
-    };
-    let trace_path = if let Some(pos) = args.iter().position(|a| a == "--trace") {
-        args.remove(pos);
-        if pos < args.len() {
-            Some(args.remove(pos))
-        } else {
-            eprintln!("--trace needs a path");
-            std::process::exit(2);
-        }
-    } else {
-        None
-    };
-    let metrics_path = if let Some(pos) = args.iter().position(|a| a == "--metrics") {
-        args.remove(pos);
-        if pos < args.len() {
-            Some(args.remove(pos))
-        } else {
-            eprintln!("--metrics needs a path");
-            std::process::exit(2);
-        }
-    } else {
-        None
-    };
-    let progress = if let Some(pos) = args.iter().position(|a| a == "--progress") {
-        args.remove(pos);
-        true
-    } else {
-        false
-    };
+    let markdown = take_flag(&mut args, "--markdown");
+    let csv_path = take_path(&mut args, "--csv");
+    let trace_path = take_path(&mut args, "--trace");
+    let metrics_path = take_path(&mut args, "--metrics");
+    let progress = take_flag(&mut args, "--progress");
     if args.is_empty() || args[0] == "help" || args[0] == "--help" {
         eprintln!(
             "usage: apt-repro [--markdown] [--csv <path>] [--trace <path>] \

@@ -10,7 +10,7 @@
 //! *admission-gated* (utilization-bound shedding), and reports per-cell
 //! miss rate, tardiness quantiles, and shed fractions. The same grid
 //! exports long-format [`apt_metrics::StreamSnapshot`] CSV through
-//! [`slo_sweep_csv`] (`apt-repro slo-sweep --csv <path>`), making the
+//! [`slo_sweep_with_csv`] (`apt-repro slo-sweep --csv <path>`), making the
 //! frontier a plottable artifact rather than a table.
 
 use crate::runner::run_pool;
@@ -230,14 +230,6 @@ fn render_slo_csv(cells: &[SloCell], outcomes: &[StreamOutcome]) -> String {
             .zip(outcomes)
             .map(|(label, o)| (label.as_str(), o.snapshots.as_slice())),
     )
-}
-
-/// Long-format snapshot CSV over the same grid (windows every 2 simulated
-/// minutes). Prefer [`slo_sweep_with_csv`] when the table is also wanted
-/// — it runs the grid once for both.
-pub fn slo_sweep_csv() -> String {
-    let (cells, outcomes) = run_grid(true);
-    render_slo_csv(&cells, &outcomes)
 }
 
 /// One snapshot-enabled grid run rendered both ways: the sweep table and

@@ -110,13 +110,6 @@ fn render_saturation_csv(outcomes: &[StreamOutcome]) -> String {
     )
 }
 
-/// Long-format snapshot CSV over the λ × policy grid (windows every 2
-/// simulated minutes) — the plottable companion of [`stream_saturation`].
-/// Prefer [`stream_saturation_with_csv`] when the table is also wanted.
-pub fn stream_saturation_csv() -> String {
-    render_saturation_csv(&run_saturation_grid(Some(SimDuration::from_ms(120_000))))
-}
-
 /// One snapshot-enabled grid run rendered both ways: the saturation table
 /// and the long-format CSV (`apt-repro stream-saturation --csv <path>`
 /// uses this so the grid simulates once, not twice).

@@ -207,12 +207,6 @@ pub fn topology_sweep() -> TextTable {
     render_topology_table(&run_topology_grid(None))
 }
 
-/// Long-format snapshot CSV over the topology grid (windows every 2
-/// simulated minutes) — the plottable companion of [`topology_sweep`].
-pub fn topology_sweep_csv() -> String {
-    render_topology_csv(&run_topology_grid(Some(SimDuration::from_ms(120_000))))
-}
-
 /// One snapshot-enabled grid run rendered both ways, so
 /// `apt-repro topology-sweep --csv <path>` simulates the grid once.
 pub fn topology_sweep_with_csv() -> (TextTable, String) {

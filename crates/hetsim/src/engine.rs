@@ -723,30 +723,6 @@ impl EngineCore {
         }
     }
 
-    /// Serialized input-transfer duration under an active link-degradation
-    /// episode (the fault-path counterpart of [`EngineCore::transfer_in`]).
-    fn degraded_transfer_in(
-        &self,
-        ctx: EngineCtx<'_>,
-        node: NodeId,
-        proc: ProcId,
-        spec: &LinkDegradeSpec,
-    ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for &pred in ctx.dfg.preds(node) {
-            let loc = self.locations[pred.index()]
-                // apt-lint: allow(hot-path-panic, DAG edges force every predecessor to finish
-                // before a kernel starts)
-                .expect("started a kernel whose predecessor never finished");
-            if loc == proc {
-                continue;
-            }
-            let dur = ctx.cost.pair_transfer_time(pred, loc, proc);
-            total += Self::degrade_transfer(dur, spec, loc, proc);
-        }
-        total
-    }
-
     /// Withdraw one arena slot from the engine wherever it currently is —
     /// ready set, a processor queue, in flight, or awaiting a retry — used
     /// by open-engine job cancellation after a kernel exhausts its retry
@@ -809,13 +785,16 @@ impl EngineCore {
             .transfer_in_time(ctx.dfg, &self.locations, node, proc)
     }
 
-    /// Contended transfer phase ([`LinkContention::PerLink`]): input
-    /// transfers run concurrently across distinct directed links; transfers
-    /// on the same link serialize behind its busy-until clock. Returns the
-    /// instant every input has landed (execution may start). Predecessor
+    /// The instant every input of `node` has landed on `proc` when the
+    /// transfer phase starts at `start` off the fast path: under an active
+    /// link-degradation episode (`degrade`, stretching each affected
+    /// transfer) and/or [`LinkContention::PerLink`]. Without per-link
+    /// clocks the inputs move serially, as in [`EngineCore::transfer_in`].
+    /// With them, transfers run concurrently across distinct directed links
+    /// and serialize on one link behind its busy-until clock. Predecessor
     /// order is the graph's deterministic edge order, so link claims — and
     /// with them the schedule — are reproducible.
-    fn contended_transfer_end(
+    fn walked_transfer_end(
         &mut self,
         ctx: EngineCtx<'_>,
         node: NodeId,
@@ -824,6 +803,7 @@ impl EngineCore {
         degrade: Option<LinkDegradeSpec>,
     ) -> SimTime {
         let np = self.views.len();
+        let contended = !self.link_busy.is_empty();
         let mut landed = start;
         for &pred in ctx.dfg.preds(node) {
             let loc = self.locations[pred.index()]
@@ -837,14 +817,16 @@ impl EngineCore {
             if let Some(spec) = &degrade {
                 dur = Self::degrade_transfer(dur, spec, loc, proc);
             }
-            if dur.is_zero() {
-                continue; // zero-byte moves never occupy a link
+            if !contended {
+                landed += dur;
+            } else if !dur.is_zero() {
+                // Zero-byte moves never occupy a link.
+                let link = loc.index() * np + proc.index();
+                let begin = self.link_busy[link].max(start);
+                let end = begin + dur;
+                self.link_busy[link] = end;
+                landed = landed.max(end);
             }
-            let link = loc.index() * np + proc.index();
-            let begin = self.link_busy[link].max(start);
-            let end = begin + dur;
-            self.link_busy[link] = end;
-            landed = landed.max(end);
         }
         landed
     }
@@ -870,14 +852,10 @@ impl EngineCore {
             })?;
         let start = self.now;
         let degrade = self.active_degrade();
-        let exec_start = if self.link_busy.is_empty() {
-            start
-                + match &degrade {
-                    None => self.transfer_in(ctx, node, proc),
-                    Some(spec) => self.degraded_transfer_in(ctx, node, proc, spec),
-                }
+        let exec_start = if degrade.is_none() && self.link_busy.is_empty() {
+            start + self.transfer_in(ctx, node, proc)
         } else {
-            self.contended_transfer_end(ctx, node, proc, start, degrade)
+            self.walked_transfer_end(ctx, node, proc, start, degrade)
         };
         let transfer = exec_start.saturating_since(start);
         let finish = exec_start + exec;
@@ -2077,6 +2055,41 @@ mod tests {
         );
         assert_eq!(totals.crashes, 0);
         assert_eq!(totals.kernel_failures, 0);
+    }
+
+    #[test]
+    fn link_degradation_stretches_only_its_pair_under_per_link_contention() {
+        use crate::topology::{LinkContention, Topology};
+        // nw (p0) and bfs (p2) feed cd on p1 over distinct links. Only
+        // p2→p1 is degraded: the small bfs input stretches ×16 past the
+        // untouched nw input and gates the start alone.
+        let dfg = build_type1(&[nw(), bfs(), cd()]);
+        let lookup = apt_dfg::LookupTable::paper();
+        let cfg = SystemConfig::paper_4gbps().with_topology(
+            Topology::uniform(3, crate::LinkRate::PCIE2_X8)
+                .with_contention(LinkContention::PerLink),
+        );
+        let plan = FaultPlan::seeded(2).with_link_degrade(LinkDegradeSpec {
+            pair: Some((ProcId::new(2), ProcId::new(1))),
+            slowdown: 16,
+            mtbf: SimDuration::from_ns(1),
+            duration: SimDuration::from_ms(3_600_000),
+        });
+        let (res, _) = simulate_stream_faulty(
+            &dfg,
+            &cfg,
+            lookup,
+            &mut Pin(vec![0, 2, 1]),
+            &vec![SimTime::ZERO; dfg.len()],
+            plan,
+            RetryPolicy::default(),
+        )
+        .unwrap();
+        res.trace.validate(&dfg).unwrap();
+        // nw moves 16 777 216 ns at 4 B/ns; bfs 2 034 736 ns, ×16 = 32.6 ms.
+        let bfs_ns = 2_034_736u64;
+        let r = res.trace.record(NodeId::new(2)).unwrap();
+        assert_eq!(r.transfer_time(), SimDuration::from_ns(bfs_ns * 16));
     }
 
     #[test]

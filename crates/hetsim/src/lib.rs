@@ -38,10 +38,11 @@
 //!
 //! * [`cost::CostModel`] is precomputed once per
 //!   `(KernelDag, LookupTable, SystemConfig)` at the top of
-//!   [`simulate_stream`]: per cost class (one lookup-table row) a dense
-//!   execution-time row over the machine's processors, the
-//!   runnable-processor bitset and the `p_min` instance set with its tie
-//!   mask; per node the class id and the output link-transfer times. Every [`SimView`] cost query (`exec_time`, `placement_cost`,
+//!   [`simulate_stream`]. Per cost class (one lookup-table row) it holds a
+//!   dense execution-time row over the machine's processors, the
+//!   runnable-processor bitset, the `p_min` instance set with its tie mask
+//!   and an `nprocs × nprocs` output-transfer row; per node only the class
+//!   id. Every [`SimView`] cost query (`exec_time`, `placement_cost`,
 //!   `best_proc`) and the engine's own admission/start bookkeeping are plain
 //!   array reads against it — no `BTreeMap` walks, no allocation, no
 //!   repeated `bytes / rate` division.

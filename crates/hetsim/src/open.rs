@@ -440,7 +440,7 @@ impl<'a> OpenEngine<'a> {
                     s
                 }
             };
-            self.cost.bind_slot(slot, &kernel, self.lookup, self.config);
+            self.cost.bind_slot(slot, &kernel, self.lookup);
             self.core.ready.set_class(slot, self.cost.class_of(slot));
             self.core.fault_reset_slot(slot, self.dag.len());
             self.core.arrived[slot.index()] = false;

@@ -98,9 +98,8 @@ pub struct SimView<'a> {
     pub deadlines: &'a [SimTime],
     /// Bitset of currently idle processors (bit `i` ⇔ `procs[i].is_idle()`),
     /// maintained incrementally by the engine. Makes [`SimView::any_idle`]
-    /// and [`SimView::idle_count`] O(1), and doubles as the memo key for the
-    /// cost model's per-(node, idle-mask) SS stddev cache
-    /// ([`CostModel::idle_stddev`]).
+    /// and [`SimView::idle_count`] O(1) and lets policies screen a ready
+    /// kernel against the idle set with one mask test.
     pub idle_mask: u64,
     /// Bitset of *up* processors (bit `i` ⇔ `!procs[i].down`). All ones on
     /// fault-free runs; under fault injection the engine clears a bit for

@@ -12,15 +12,17 @@
 //! when the best device is busy it assigns to the best *available* one "even
 //! if they are not the best choice".
 //!
-//! The per-kernel stddev depends only on `(node, idle-processor mask)` —
-//! not on any other live state — so it is memoized in the run's
-//! [`CostModel`](apt_hetsim::CostModel) (`idle_stddev`), turning the former
-//! per-edge recomputation (SS was the slowest dynamic policy end-to-end)
-//! into a table read.
+//! The per-kernel stddev is computed in the same pass over the idle
+//! processors that finds the kernel's best available one: each runnable
+//! idle processor's execution time (ascending id, fractional ms) goes into
+//! a stack buffer, so a decision allocates nothing. Within one decision
+//! each cost class is evaluated once: later ready kernels of the same
+//! class can only tie, and ties keep the earliest kernel.
 
-use apt_base::stats::FiniteF64;
+use apt_base::stats::{stddev_population, FiniteF64};
 use apt_base::{ProcId, SimDuration};
 use apt_dfg::NodeId;
+use apt_hetsim::cost::MAX_PROCS;
 use apt_hetsim::{Assignment, AssignmentBuf, Policy, PolicyKind, SimView};
 
 /// The SS policy.
@@ -44,22 +46,35 @@ impl Policy for SerialScheduling {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        // Highest-stddev ready kernel over the available processors. The
-        // stddev is a memoized (node, idle-mask) cost-model read; only the
-        // best available processor is found by scanning.
-        let idle_mask = view.idle_mask;
+        // Highest-stddev ready kernel over the available processors. One
+        // scan of the idle processors finds the best available one and
+        // collects the times the stddev is taken over. Both depend only on
+        // the kernel's cost class while the idle set is fixed, so a kernel
+        // of a class already evaluated in this call can at most tie the
+        // best so far, which strict `>` rejects: it is skipped unscanned
+        // (classes below 64 are tracked; higher ones are always scanned).
+        let mut times = [0f64; MAX_PROCS];
+        let mut seen = 0u64;
         let mut best: Option<(FiniteF64, NodeId, ProcId)> = None;
         for node in view.ready.iter() {
+            let bit = 1u64.checked_shl(view.cost.class_of(node)).unwrap_or(0);
+            if seen & bit != 0 {
+                continue;
+            }
+            seen |= bit;
+            let mut count = 0;
             let mut best_proc: Option<(ProcId, SimDuration)> = None;
             for p in view.idle_procs() {
                 if let Some(e) = view.exec_time(node, p.id) {
+                    times[count] = e.as_ms_f64();
+                    count += 1;
                     if best_proc.is_none_or(|(_, be)| e < be) {
                         best_proc = Some((p.id, e));
                     }
                 }
             }
             let Some((proc, _)) = best_proc else { continue };
-            let sd = FiniteF64(view.cost.idle_stddev(node, idle_mask));
+            let sd = FiniteF64(stddev_population(&times[..count]));
             // Strict `>` keeps the earliest (lowest-id) kernel on ties.
             if best.is_none_or(|(bsd, _, _)| sd > bsd) {
                 best = Some((sd, node, proc));

@@ -43,7 +43,11 @@ fn main() {
         Box::new(Met::new()) as Box<dyn apt_hetsim::Policy>,
         Box::new(Apt::new(4.0)),
     ] {
-        let mut source = PoissonSource::new(lookup, rate, jobs, JobFamily::Single, 42);
+        let mut source = PoissonSource::try_new(lookup, rate, jobs, JobFamily::Single, 42)
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            });
         let wall = std::time::Instant::now();
         let opts = DriverOpts::default();
         let mut tel = progress.then(|| StreamTelemetry::new().with_progress(Some(jobs)));

@@ -35,7 +35,7 @@ fn main() {
     // 0.1 j/s troughs to `peak` j/s peaks over a 10-minute day, deadlines
     // 6× each job's critical path.
     let make_source = || {
-        DiurnalSource::new(
+        DiurnalSource::try_new(
             lookup,
             0.1,
             peak - 0.1,
@@ -44,6 +44,10 @@ fn main() {
             JobFamily::Diamond { width: 2 },
             0xADA9,
         )
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
         .with_deadlines(DeadlineSpec::ProportionalCp { factor: 6.0 })
     };
     let opts = DriverOpts {

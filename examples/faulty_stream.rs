@@ -46,7 +46,11 @@ fn main() {
             // Same arrival seed ⇒ the healthy and faulty runs face an
             // identical stream; only the fault plan differs.
             let mut source =
-                PoissonSource::new(lookup, rate, jobs, JobFamily::Diamond { width: 2 }, 11);
+                PoissonSource::try_new(lookup, rate, jobs, JobFamily::Diamond { width: 2 }, 11)
+                    .unwrap_or_else(|e| {
+                        eprintln!("error: {e}");
+                        std::process::exit(2)
+                    });
             let mut policy = make();
             let o = apt_stream::simulate_source(
                 &mut source,

@@ -33,7 +33,7 @@ fn main() {
         Box::new(Apt::new(4.0)),
     ] {
         // Same seed ⇒ both policies face the identical arrival sequence.
-        let mut source = OnOffSource::new(
+        let mut source = OnOffSource::try_new(
             lookup,
             burst_rate,
             SimDuration::from_ms(20_000),
@@ -41,7 +41,11 @@ fn main() {
             jobs,
             JobFamily::Diamond { width: 3 },
             7,
-        );
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
         let o = simulate_source(
             &mut source,
             &system,

@@ -34,8 +34,13 @@ fn main() {
     for gated in [false, true] {
         // Same seed ⇒ both admission modes face identical deadline-tagged
         // arrivals.
-        let mut source = PoissonSource::new(lookup, rate, jobs, JobFamily::Diamond { width: 3 }, 7)
-            .with_deadlines(DeadlineSpec::ProportionalCp { factor: tightness });
+        let mut source =
+            PoissonSource::try_new(lookup, rate, jobs, JobFamily::Diamond { width: 3 }, 7)
+                .unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
+                    std::process::exit(2)
+                })
+                .with_deadlines(DeadlineSpec::ProportionalCp { factor: tightness });
         let mut policy = EdfApt::new(4.0);
         let mut accept_all = AcceptAll;
         let mut util;

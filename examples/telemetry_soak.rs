@@ -35,7 +35,7 @@ fn main() {
     let system = SystemConfig::paper_4gbps();
     let window = SimDuration::from_ms(20_000);
 
-    let mut source = DiurnalSource::new(
+    let mut source = DiurnalSource::try_new(
         lookup,
         0.1,
         peak - 0.1,
@@ -44,6 +44,10 @@ fn main() {
         JobFamily::Diamond { width: 2 },
         0x50AC,
     )
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
     .with_deadlines(DeadlineSpec::ProportionalCp { factor: 6.0 });
 
     let opts = DriverOpts {

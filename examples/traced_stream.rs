@@ -39,7 +39,7 @@ fn main() {
 
     // 0.1 j/s troughs to `peak` j/s peaks over a 10-minute day, deadlines
     // 6× each job's critical path.
-    let mut source = DiurnalSource::new(
+    let mut source = DiurnalSource::try_new(
         lookup,
         0.1,
         peak - 0.1,
@@ -48,6 +48,10 @@ fn main() {
         JobFamily::Diamond { width: 2 },
         0x7ACE,
     )
+    .unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
     .with_deadlines(DeadlineSpec::ProportionalCp { factor: 6.0 });
 
     // A machine that breaks: 5% transient kernel failures plus
