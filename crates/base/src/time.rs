@@ -90,6 +90,12 @@ impl SimTime {
     pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
         self.0.checked_sub(earlier.0).map(SimDuration)
     }
+
+    /// `self + d`, saturating at [`SimTime::MAX`] instead of overflowing.
+    #[inline]
+    pub fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
 }
 
 impl SimDuration {

@@ -5,7 +5,8 @@
 //! size. This series of kernels is then fit into the model/type of DFG,
 //! either DFG Type-1 or DFG Type-2." This module is that software:
 //!
-//! * [`generate_kernels`] produces the seeded random series of kernels,
+//! * [`generate_kernels`] produces the seeded random series of kernels
+//!   ([`kernel_draws`] draws the same series lazily),
 //! * [`type1_edges`] / [`type2_edges`] define the two DFG shapes, each as
 //!   one ascending `(from, to)` edge list over series indices,
 //! * [`build_type1`] / [`build_type2`] fit a series into a [`KernelDag`] by
@@ -145,30 +146,40 @@ impl Type2Layout {
     }
 }
 
-/// Generate the seeded random kernel series described in the module docs.
+/// Generate the seeded random kernel series described in the module docs:
+/// the [`kernel_draws`] of `cfg`, collected.
 pub fn generate_kernels(cfg: &StreamConfig, lookup: &LookupTable) -> Vec<Kernel> {
+    kernel_draws(cfg, lookup).collect()
+}
+
+/// The kernel series of [`generate_kernels`], drawn lazily: the kind
+/// weights are drawn up front, then each `next` draws one kernel from the
+/// same RNG stream, in the same order. A caller that needs one kernel
+/// takes one draw and never builds a `Vec`.
+pub fn kernel_draws<'a>(
+    cfg: &StreamConfig,
+    lookup: &'a LookupTable,
+) -> impl ExactSizeIterator<Item = Kernel> + 'a {
     let mut rng = SplitMix64::new(cfg.seed);
-    // The kind weights live on the stack; every kernel's kind draw reuses
-    // them.
+    // The kind weights live in the iterator; every kernel's kind draw
+    // reuses them.
     let mut weights = [1u64; KernelKind::ALL.len()];
     if cfg.weighted_mix {
         for w in &mut weights {
             *w = 1 + rng.gen_range(4);
         }
     }
-    (0..cfg.len)
-        .map(|_| {
-            let kind = KernelKind::ALL[rng.choose_weighted(&weights)];
-            let data_size = match kind.canonical_size() {
-                Some(s) => s,
-                // Index into the table's size index directly — same RNG
-                // stream as `choose(&sizes_for(kind))` without materializing
-                // the size list per kernel.
-                None => lookup.size_at(kind, rng.gen_index(lookup.size_count(kind))),
-            };
-            Kernel::new(kind, data_size)
-        })
-        .collect()
+    (0..cfg.len).map(move |_| {
+        let kind = KernelKind::ALL[rng.choose_weighted(&weights)];
+        let data_size = match kind.canonical_size() {
+            Some(s) => s,
+            // Index into the table's size index directly — same RNG stream
+            // as `choose(&sizes_for(kind))` without materializing the size
+            // list per kernel.
+            None => lookup.size_at(kind, rng.gen_index(lookup.size_count(kind))),
+        };
+        Kernel::new(kind, data_size)
+    })
 }
 
 /// The DFG Type-1 shape (Figure 3) over `n` kernels, as an ascending edge

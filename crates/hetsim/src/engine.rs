@@ -1077,7 +1077,9 @@ impl EngineCore {
     }
 
     /// Run the policy to a fixpoint at the current instant. The view borrows
-    /// the incrementally maintained snapshots — nothing is rebuilt here.
+    /// the incrementally maintained snapshots — nothing is rebuilt here. An
+    /// empty ready set ends the fixpoint without a `decide` call: no policy
+    /// can assign a kernel that is not ready.
     pub(crate) fn fixpoint(
         &mut self,
         ctx: EngineCtx<'_>,
@@ -1086,6 +1088,9 @@ impl EngineCore {
     ) -> Result<(), BaseError> {
         loop {
             out.clear();
+            if self.ready.is_empty() {
+                return Ok(());
+            }
             {
                 let view = SimView {
                     now: self.now,

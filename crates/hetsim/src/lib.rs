@@ -112,7 +112,7 @@ pub use calendar::CalendarQueue;
 pub use cost::{ClassId, CostModel};
 pub use engine::{simulate, simulate_stream, simulate_stream_faulty};
 pub use link::LinkRate;
-pub use open::{validate_job, CompletedJob, JobId, OpenEngine, ReadyOrder};
+pub use open::{validate_job, CompletedJob, JobId, OpenEngine, ReadyOrder, ARRIVAL_HORIZON};
 pub use policy::{Assignment, AssignmentBuf, Policy, PolicyKind, PrepareCtx};
 pub use ready::ReadySet;
 pub use system::{ProcSpec, SystemConfig};

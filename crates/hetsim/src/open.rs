@@ -15,15 +15,24 @@
 //! * **Admission** ([`OpenEngine::admit`]) binds a job — a list of kernels
 //!   plus intra-job dependency edges — onto arena *slots*: node ids of an
 //!   owned [`KernelDag`] whose retired entries are recycled. Binding a slot
-//!   rewires the graph, recomputes that node's row of the owned
+//!   rewires the graph, stamps that node's cost class in the owned
 //!   [`CostModel`] and resets its engine state; nothing else is touched.
+//!   The job's bookkeeping takes an entry of the *live-job slab*, a `Vec`
+//!   whose retired entries are reused LIFO together with their slot lists,
+//!   so the slab is bounded by the peak of in-flight jobs and admitting a
+//!   job allocates nothing once the run has reached its peak. Arrivals past
+//!   [`ARRIVAL_HORIZON`] are rejected with a typed error.
 //! * **Stepping** ([`OpenEngine::step`]) runs one policy fixpoint and
 //!   advances to the next event batch — exactly one iteration of the closed
 //!   engine's loop.
 //! * **Retirement**: when a job's last kernel finishes, its [`TaskRecord`]s
-//!   are extracted (renumbered to job-local node ids), its slots are
-//!   detached and returned to the free list, and a [`CompletedJob`] is
-//!   queued for [`OpenEngine::drain_completed`].
+//!   are extracted (renumbered to job-local node ids) into a record buffer,
+//!   its slots are detached and returned to the free list, its slab entry
+//!   is freed, and a [`CompletedJob`] is queued for
+//!   [`OpenEngine::drain_completed`]. Record buffers are recycled: each
+//!   drain takes back the buffers of the jobs the caller's vector still
+//!   holds from the previous drain, so a caller that drains into one
+//!   long-lived vector retires jobs without touching the allocator.
 //!
 //! ## FCFS across recycled slots
 //!
@@ -49,7 +58,14 @@ use apt_base::{BaseError, SimDuration, SimTime};
 use apt_dfg::{Kernel, KernelDag, LookupTable, NodeId};
 use apt_faults::{FaultPlan, FaultTotals, RetryPolicy};
 use apt_trace::{TraceEvent, TraceSink};
-use std::collections::BTreeMap;
+
+/// The latest instant a job may arrive at: `u64::MAX >> 2` ns, about 146
+/// years of simulated time. [`OpenEngine::admit_with_deadline`] rejects a
+/// later arrival with a typed error, which leaves three quarters of the
+/// clock's range as headroom for the execution times, transfers, retries
+/// and deadlines that follow an admission, and keeps every arrival below
+/// the `u64::MAX >> 1` sentinel a stream driver may use for "no window".
+pub const ARRIVAL_HORIZON: SimTime = SimTime::from_ns(u64::MAX >> 2);
 
 /// Identifier of one admitted job: its admission index (0, 1, 2, … in
 /// admission order).
@@ -82,6 +98,10 @@ pub struct CompletedJob {
     pub deadline: Option<SimTime>,
     /// One record per kernel, renumbered to **job-local** node ids
     /// (`0..kernels.len()` in the order they were passed to `admit`).
+    ///
+    /// The buffer is the engine's: the next [`OpenEngine::drain_completed`]
+    /// into the same vector takes it back for a later job. Move the job out
+    /// of that vector to keep its records.
     ///
     /// For a [`failed`](CompletedJob::failed) job this is **partial**: only
     /// the kernels that completed before the job was shed have records, in
@@ -155,12 +175,20 @@ pub fn validate_job(kernel_count: usize, edges: &[(u32, u32)]) -> Result<(), Bas
     Ok(())
 }
 
-/// Bookkeeping for a job still in flight.
+/// One entry of the live-job slab: the bookkeeping of a job in flight, or
+/// a retired entry (`!active`) waiting on the free list for reuse.
+#[derive(Default)]
 struct LiveJob {
+    /// The admission this entry belongs to (the last one, once retired).
+    job: u64,
+    /// False once the job retired or was shed; a node whose entry is
+    /// inactive belongs to a job that already left the system.
+    active: bool,
     arrival: SimTime,
     /// Absolute deadline, if the job carries one.
     deadline: Option<SimTime>,
-    /// Arena slots in template order (index = job-local node id).
+    /// Arena slots in template order (index = job-local node id). Kept,
+    /// cleared and refilled when the entry is reused.
     slots: Vec<NodeId>,
     /// Kernels not yet finished.
     remaining: usize,
@@ -177,11 +205,16 @@ pub struct OpenEngine<'a> {
     /// Per-slot cost rows, rebound on admission.
     cost: CostModel,
     core: EngineCore,
-    /// Owning job of each slot.
-    slot_job: Vec<u64>,
+    /// Slab index of each slot's owning job.
+    slot_job: Vec<u32>,
     /// Free slots, reused LIFO.
     free: Vec<NodeId>,
-    live: BTreeMap<u64, LiveJob>,
+    /// The live-job slab; bounded by the peak of in-flight jobs.
+    live: Vec<LiveJob>,
+    /// Retired slab entries, reused LIFO.
+    free_jobs: Vec<u32>,
+    /// Active slab entries: the jobs in flight.
+    live_jobs: usize,
     next_job: u64,
     /// Global admission sequence feeding the ordered ready set.
     next_seq: u64,
@@ -189,6 +222,9 @@ pub struct OpenEngine<'a> {
     /// first [`OpenEngine::decide`]).
     prepared: bool,
     completed: Vec<CompletedJob>,
+    /// Record buffers taken back by [`OpenEngine::drain_completed`], reused
+    /// by the next retirements.
+    record_pool: Vec<Vec<TaskRecord>>,
     /// Retry policy in force when a fault plan is armed (budget checks).
     retry: RetryPolicy,
     in_flight_kernels: usize,
@@ -226,11 +262,14 @@ impl<'a> OpenEngine<'a> {
             core,
             slot_job: Vec::new(),
             free: Vec::new(),
-            live: BTreeMap::new(),
+            live: Vec::new(),
+            free_jobs: Vec::new(),
+            live_jobs: 0,
             next_job: 0,
             next_seq: 0,
             prepared: false,
             completed: Vec::new(),
+            record_pool: Vec::new(),
             retry: RetryPolicy::default(),
             in_flight_kernels: 0,
             peak_in_flight_jobs: 0,
@@ -345,7 +384,7 @@ impl<'a> OpenEngine<'a> {
     /// Jobs admitted but not yet fully retired.
     #[inline]
     pub fn in_flight_jobs(&self) -> usize {
-        self.live.len()
+        self.live_jobs
     }
 
     /// Kernels belonging to in-flight jobs.
@@ -399,7 +438,8 @@ impl<'a> OpenEngine<'a> {
     /// [`crate::SimView::deadline`]), the retired [`CompletedJob`] reports
     /// tardiness against it, and under [`ReadyOrder::EarliestDeadline`] it
     /// drives the ready set's iteration order. A deadline already in the
-    /// past is allowed — the job is simply tardy from the start.
+    /// past is allowed — the job is simply tardy from the start. An arrival
+    /// after [`ARRIVAL_HORIZON`] is rejected.
     pub fn admit_with_deadline(
         &mut self,
         kernels: &[Kernel],
@@ -415,11 +455,21 @@ impl<'a> OpenEngine<'a> {
                 ),
             });
         }
+        if at > ARRIVAL_HORIZON {
+            return Err(BaseError::InvalidAssignment {
+                reason: format!("job admitted at {at}, past the arrival horizon {ARRIVAL_HORIZON}"),
+            });
+        }
         validate_job(kernels.len(), edges)?;
         let job = self.next_job;
         self.next_job += 1;
         let deadline_at = deadline.unwrap_or(SimTime::MAX);
-        let mut slots = Vec::with_capacity(kernels.len());
+        let entry = self.free_jobs.pop().unwrap_or_else(|| {
+            self.live.push(LiveJob::default());
+            (self.live.len() - 1) as u32
+        });
+        let mut slots = std::mem::take(&mut self.live[entry as usize].slots);
+        slots.clear();
         for &kernel in kernels {
             let slot = match self.free.pop() {
                 Some(s) => {
@@ -447,7 +497,7 @@ impl<'a> OpenEngine<'a> {
             self.core.locations[slot.index()] = None;
             self.core.deadlines[slot.index()] = deadline_at;
             debug_assert!(self.core.records[slot.index()].is_none());
-            self.slot_job[slot.index()] = job;
+            self.slot_job[slot.index()] = entry;
             self.core.ready.set_seq(slot, self.next_seq);
             if self.core.ready_order == ReadyOrder::EarliestDeadline {
                 // EDF priority: the absolute deadline in ns (MAX for
@@ -499,17 +549,17 @@ impl<'a> OpenEngine<'a> {
             }
         }
         self.in_flight_kernels += slots.len();
-        self.live.insert(
+        self.live[entry as usize] = LiveJob {
             job,
-            LiveJob {
-                arrival: at,
-                deadline,
-                slots,
-                remaining: kernels.len(),
-                retries: 0,
-            },
-        );
-        self.peak_in_flight_jobs = self.peak_in_flight_jobs.max(self.live.len());
+            active: true,
+            arrival: at,
+            deadline,
+            slots,
+            remaining: kernels.len(),
+            retries: 0,
+        };
+        self.live_jobs += 1;
+        self.peak_in_flight_jobs = self.peak_in_flight_jobs.max(self.live_jobs);
         self.peak_in_flight_kernels = self.peak_in_flight_kernels.max(self.in_flight_kernels);
         Ok(JobId(job))
     }
@@ -578,11 +628,24 @@ impl<'a> OpenEngine<'a> {
         self.advance()
     }
 
-    /// Move every job completed since the last drain into `out` (cleared
-    /// first), in completion order.
+    /// Move every job completed since the last drain into `out`, in
+    /// completion order. The jobs `out` still holds are dropped first, and
+    /// their record buffers go back to the engine for later retirements:
+    /// drain into one long-lived vector and the steady state allocates no
+    /// record buffer at all.
     pub fn drain_completed(&mut self, out: &mut Vec<CompletedJob>) {
-        out.clear();
+        self.record_pool
+            .extend(out.drain(..).map(|job| job.records));
         out.append(&mut self.completed);
+    }
+
+    /// An empty record buffer with room for `len` records: a recycled one
+    /// when the pool has one.
+    fn record_buf(pool: &mut Vec<Vec<TaskRecord>>, len: usize) -> Vec<TaskRecord> {
+        let mut records = pool.pop().unwrap_or_default();
+        records.clear();
+        records.reserve(len);
+        records
     }
 
     /// Free the slots of every job whose last kernel just finished and queue
@@ -591,21 +654,15 @@ impl<'a> OpenEngine<'a> {
         let mut finished = std::mem::take(&mut self.finished_buf);
         self.core.take_finished(&mut finished);
         for &node in &finished {
-            let job = self.slot_job[node.index()];
-            let live = self
-                .live
-                .get_mut(&job)
-                // apt-lint: allow(hot-path-panic, slot_job maps every in-flight slot to an
-                // entry in the live map)
-                .expect("finished node has a live job");
+            let entry = self.slot_job[node.index()];
+            let live = &mut self.live[entry as usize];
+            debug_assert!(live.active, "a finished node belongs to a live job");
             live.remaining -= 1;
             if live.remaining > 0 {
                 continue;
             }
-            // apt-lint: allow(hot-path-panic, get_mut above proved the key present and
-            // remaining hit zero this event)
-            let live = self.live.remove(&job).expect("checked above");
-            let mut records = Vec::with_capacity(live.slots.len());
+            live.active = false;
+            let mut records = Self::record_buf(&mut self.record_pool, live.slots.len());
             for (local, &slot) in live.slots.iter().enumerate() {
                 let mut record = self.core.records[slot.index()]
                     .take()
@@ -619,12 +676,14 @@ impl<'a> OpenEngine<'a> {
             }
             self.in_flight_kernels -= live.slots.len();
             self.completed.push(CompletedJob {
-                job: JobId(job),
+                job: JobId(live.job),
                 arrival: live.arrival,
                 deadline: live.deadline,
                 records,
                 failed: false,
             });
+            self.free_jobs.push(entry);
+            self.live_jobs -= 1;
         }
         self.finished_buf = finished;
     }
@@ -638,22 +697,23 @@ impl<'a> OpenEngine<'a> {
         }
         let mut retried = std::mem::take(&mut self.core.retried_nodes);
         for &node in &retried {
-            let job = self.slot_job[node.index()];
-            let Some(live) = self.live.get_mut(&job) else {
+            let entry = self.slot_job[node.index()];
+            let live = &mut self.live[entry as usize];
+            if !live.active {
                 continue; // job already shed this batch
-            };
+            }
             live.retries += 1;
             if live.retries > self.retry.job_retry_budget {
-                self.cancel_job(job)?;
+                self.cancel_job(entry)?;
             }
         }
         retried.clear();
         self.core.retried_nodes = retried;
         let mut failed = std::mem::take(&mut self.core.failed_nodes);
         for &node in &failed {
-            let job = self.slot_job[node.index()];
-            if self.live.contains_key(&job) {
-                self.cancel_job(job)?;
+            let entry = self.slot_job[node.index()];
+            if self.live[entry as usize].active {
+                self.cancel_job(entry)?;
             }
         }
         failed.clear();
@@ -665,45 +725,52 @@ impl<'a> OpenEngine<'a> {
     /// engine (ready set, processor queues, in-flight execution, pending
     /// retries), free its slots, and deliver a [`CompletedJob`] with
     /// `failed: true` carrying the records of the kernels that did finish.
-    fn cancel_job(&mut self, job: u64) -> Result<(), BaseError> {
-        // apt-lint: allow(hot-path-panic, cancellation targets come from the live map's own
-        // keys)
-        let live = self.live.remove(&job).expect("cancelling a live job");
-        let mut records = Vec::new();
+    fn cancel_job(&mut self, entry: u32) -> Result<(), BaseError> {
+        let OpenEngine {
+            config,
+            lookup,
+            dag,
+            cost,
+            core,
+            free,
+            live,
+            free_jobs,
+            live_jobs,
+            completed,
+            record_pool,
+            in_flight_kernels,
+            ..
+        } = self;
+        let live = &mut live[entry as usize];
+        debug_assert!(live.active, "cancelling a live job");
+        live.active = false;
+        let mut records = Self::record_buf(record_pool, 0);
         for (local, &slot) in live.slots.iter().enumerate() {
-            if let Some(mut record) = self.core.records[slot.index()].take() {
+            if let Some(mut record) = core.records[slot.index()].take() {
                 record.node = NodeId::new(local);
                 records.push(record);
             }
-            {
-                let OpenEngine {
-                    config,
-                    lookup,
-                    dag,
-                    cost,
-                    core,
-                    ..
-                } = &mut *self;
-                let ctx = EngineCtx {
-                    dfg: dag,
-                    config,
-                    lookup,
-                    cost,
-                };
-                core.cancel_slot(ctx, slot)?;
-            }
-            self.dag.detach_node(slot);
-            self.free.push(slot);
+            let ctx = EngineCtx {
+                dfg: dag,
+                config,
+                lookup,
+                cost,
+            };
+            core.cancel_slot(ctx, slot)?;
+            dag.detach_node(slot);
+            free.push(slot);
         }
-        self.in_flight_kernels -= live.slots.len();
-        self.core.note_job_failed();
-        self.completed.push(CompletedJob {
-            job: JobId(job),
+        *in_flight_kernels -= live.slots.len();
+        core.note_job_failed();
+        completed.push(CompletedJob {
+            job: JobId(live.job),
             arrival: live.arrival,
             deadline: live.deadline,
             records,
             failed: true,
         });
+        free_jobs.push(entry);
+        *live_jobs -= 1;
         Ok(())
     }
 }
@@ -893,6 +960,90 @@ mod tests {
         }
         let stats = engine.proc_stats();
         assert_eq!(stats.iter().map(|s| s.kernels).sum::<usize>(), 50);
+    }
+
+    #[test]
+    fn drains_recycle_record_buffers() {
+        // Drain after every step, as the stream driver does: the drain that
+        // follows a delivery hands the delivered jobs' buffers back, and the
+        // next retirement writes its records into one of them.
+        let config = SystemConfig::paper_no_transfers();
+        let lookup = apt_dfg::LookupTable::paper();
+        let mut engine = OpenEngine::new(&config, lookup).unwrap();
+        let mut policy = FirstFit;
+        let mut done = Vec::new();
+        let mut buffers = Vec::new();
+        for j in 0..3u64 {
+            engine
+                .admit(&[bfs()], &[], SimTime::from_ms(j * 10_000))
+                .unwrap();
+            while engine.in_flight_jobs() > 0 {
+                engine.step(&mut policy).unwrap();
+                engine.drain_completed(&mut done);
+            }
+            assert_eq!(done.len(), 1);
+            assert_eq!(done[0].job, JobId(j));
+            assert_eq!(done[0].records.len(), 1);
+            buffers.push(done[0].records.as_ptr());
+        }
+        assert_eq!(buffers[1], buffers[0]);
+        assert_eq!(buffers[2], buffers[0]);
+        // A caller that moves the jobs out keeps their records, and later
+        // jobs get fresh buffers.
+        let taken = std::mem::take(&mut done);
+        engine.admit(&[bfs()], &[], engine.now()).unwrap();
+        run_to_completion(&mut engine, &mut policy);
+        engine.drain_completed(&mut done);
+        assert_eq!(done.len(), 1);
+        assert_eq!(taken[0].records.len(), 1);
+        assert_ne!(done[0].records.as_ptr(), taken[0].records.as_ptr());
+    }
+
+    #[test]
+    fn the_job_slab_is_bounded_by_jobs_in_flight() {
+        // One long-lived job, with short ones retiring one by one behind
+        // it: the slab holds two entries, however far the job ids drift
+        // apart.
+        let config = SystemConfig::paper_no_transfers();
+        let lookup = apt_dfg::LookupTable::paper();
+        let mut engine = OpenEngine::new(&config, lookup).unwrap();
+        let mut policy = FirstFit;
+        let long = [Kernel::new(KernelKind::MatMul, 16_000_000); 3];
+        engine
+            .admit(&long, &[(0, 1), (1, 2)], SimTime::ZERO)
+            .unwrap();
+        let mut done = Vec::new();
+        let mut short = 0;
+        while done.iter().all(|j: &CompletedJob| j.job != JobId(0)) {
+            engine.admit(&[bfs()], &[], engine.now()).unwrap();
+            short += 1;
+            assert_eq!(engine.in_flight_jobs(), 2);
+            while engine.in_flight_jobs() == 2 {
+                engine.step(&mut policy).unwrap();
+            }
+            engine.drain_completed(&mut done);
+        }
+        assert!(
+            short >= 10,
+            "only {short} short jobs ran beside the long one"
+        );
+        assert_eq!(engine.live.len(), 2);
+        assert_eq!(engine.peak_in_flight_jobs(), 2);
+    }
+
+    #[test]
+    fn arrivals_past_the_horizon_are_rejected() {
+        let config = SystemConfig::paper_no_transfers();
+        let lookup = apt_dfg::LookupTable::paper();
+        let mut engine = OpenEngine::new(&config, lookup).unwrap();
+        let past = SimTime::from_ns(ARRIVAL_HORIZON.as_ns() + 1);
+        assert!(engine.admit(&[bfs()], &[], past).is_err());
+        assert_eq!(engine.arena_slots(), 0, "a rejected job consumed slots");
+        assert_eq!(engine.in_flight_jobs(), 0);
+        assert_eq!(engine.next_job_id(), JobId(0));
+        engine.admit(&[bfs()], &[], ARRIVAL_HORIZON).unwrap();
+        run_to_completion(&mut engine, &mut FirstFit);
+        assert!(engine.now() > ARRIVAL_HORIZON);
     }
 
     #[test]

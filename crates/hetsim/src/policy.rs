@@ -249,6 +249,12 @@ pub trait Policy {
     /// would push nothing. See [`AssignmentBuf`] for the buffer's reuse
     /// contract.
     ///
+    /// The engine never calls `decide` with an empty `view.ready`: it ends
+    /// the fixpoint instead, since nothing could be assigned. A policy must
+    /// therefore not rely on being called at every event; state it keeps
+    /// across calls (a cursor, an RNG stream) should move only when it
+    /// assigns or looks at a ready kernel.
+    ///
     /// Every pushed node must currently be in `view.ready`.
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf);
 

@@ -22,10 +22,14 @@
 //!
 //! Memory is bounded by the jobs in flight plus one pending arrival: the
 //! arrival vector is never materialized, retired jobs free their arena
-//! slots, and metrics are O(1) per job. A million-job Poisson run completes
-//! in a few hundred kilobytes of simulator state (see this crate's
-//! `examples/million_jobs.rs` and the bounded-arena assertions in
-//! `tests/`).
+//! slots and live-job slab entries, and metrics are O(1) per job. A
+//! million-job Poisson run completes in a few hundred kilobytes of
+//! simulator state (see this crate's `examples/million_jobs.rs` and the
+//! bounded-arena assertions in `tests/`). Past the run's in-flight peak a
+//! single-kernel job costs no heap allocation: its template keeps the
+//! kernel inline, the engine reuses slab entries with their slot lists,
+//! and the driver drains completions into one long-lived vector, whose
+//! record buffers the engine takes back for later retirements.
 //!
 //! `simulate_stream` semantics are preserved exactly: a finite source
 //! replayed through this driver produces the same schedule, record for
@@ -776,7 +780,9 @@ impl Arrivals<'_> {
                     reason: ShedReason::CapacityFull,
                 }
             } else {
-                let deadline = job.deadline().map(|d| at + d);
+                // Saturates: an arrival near the end of the clock gets the
+                // latest deadline, and admission rejects the arrival itself.
+                let deadline = job.deadline().map(|d| at.saturating_add(d));
                 let accept = fan.gate.admit(&AdmitRequest {
                     job_id: engine.next_job_id(),
                     arrival: at,

@@ -16,18 +16,38 @@
 //! `build_type2` turn into a graph. No per-arrival `KernelDag` is built:
 //! the lists are ascending, hence acyclic by construction, and the
 //! template stores them as they are.
+//!
+//! A one-kernel template keeps its kernel inline, so a
+//! [`JobFamily::Single`] arrival takes one lazy
+//! [`kernel_draws`](apt_dfg::generator::kernel_draws) draw and touches the
+//! heap not at all.
 
 use apt_base::{BaseError, SimDuration};
-use apt_dfg::generator::{generate_kernels, type1_edges, type2_edges, StreamConfig, Type2Config};
+use apt_dfg::generator::{
+    generate_kernels, kernel_draws, type1_edges, type2_edges, StreamConfig, Type2Config,
+};
 use apt_dfg::{Kernel, KernelDag, LookupTable, SplitMix64};
 
 /// One job: kernels in stream order, ascending intra-job edges, and an
 /// optional relative deadline.
+///
+/// A one-kernel job stores its kernel inline and an edge-free job's edge
+/// list never allocates, so a single-kernel template lives on the stack.
+/// [`JobTemplate::new`] picks the inline form for every one-kernel list,
+/// so two templates are equal exactly when they describe the same job,
+/// however they were built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobTemplate {
-    kernels: Vec<Kernel>,
+    kernels: Kernels,
     edges: Vec<(u32, u32)>,
     deadline: Option<SimDuration>,
+}
+
+/// A template's kernels: one inline, or a series of two or more.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Kernels {
+    One(Kernel),
+    Many(Vec<Kernel>),
 }
 
 impl JobTemplate {
@@ -40,11 +60,24 @@ impl JobTemplate {
     /// never fail admission mid-way.
     pub fn new(kernels: Vec<Kernel>, edges: Vec<(u32, u32)>) -> Result<JobTemplate, BaseError> {
         apt_hetsim::validate_job(kernels.len(), &edges)?;
+        let kernels = match kernels[..] {
+            [one] => Kernels::One(one),
+            _ => Kernels::Many(kernels),
+        };
         Ok(JobTemplate {
             kernels,
             edges,
             deadline: None,
         })
+    }
+
+    /// A one-kernel, edge-free job, built with no allocation.
+    fn single(kernel: Kernel) -> JobTemplate {
+        JobTemplate {
+            kernels: Kernels::One(kernel),
+            edges: Vec::new(),
+            deadline: None,
+        }
     }
 
     /// Tag this job with a relative deadline: it should finish within
@@ -68,7 +101,7 @@ impl JobTemplate {
     /// gates scale from.
     pub fn critical_path_min(&self, lookup: &LookupTable) -> SimDuration {
         let exec: Vec<u64> = self
-            .kernels
+            .kernels()
             .iter()
             .map(|k| lookup.best_category(k).map(|(_, t)| t.as_ns()).unwrap_or(0))
             .collect();
@@ -90,7 +123,7 @@ impl JobTemplate {
             };
             &sorted_edges
         };
-        let mut start = vec![0u64; self.kernels.len()];
+        let mut start = vec![0u64; self.len()];
         for &(a, b) in edges {
             let fa = start[a as usize] + exec[a as usize];
             start[b as usize] = start[b as usize].max(fa);
@@ -117,7 +150,10 @@ impl JobTemplate {
 
     /// The kernels, in stream order.
     pub fn kernels(&self) -> &[Kernel] {
-        &self.kernels
+        match &self.kernels {
+            Kernels::One(kernel) => std::slice::from_ref(kernel),
+            Kernels::Many(kernels) => kernels,
+        }
     }
 
     /// The intra-job edges over local indices.
@@ -127,13 +163,13 @@ impl JobTemplate {
 
     /// Number of kernels.
     pub fn len(&self) -> usize {
-        self.kernels.len()
+        self.kernels().len()
     }
 
     /// Always false — [`JobTemplate::new`] rejects zero-kernel jobs —
     /// but kept for API completeness next to [`JobTemplate::len`].
     pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
+        self.kernels().is_empty()
     }
 }
 
@@ -197,8 +233,10 @@ impl JobFamily {
                 JobTemplate::new(kernels, edges).expect("a Type-2 job needs len ≥ 1")
             }
             JobFamily::Single => {
-                let kernels = draw_kernels(seed, 1, lookup);
-                JobTemplate::new(kernels, Vec::new()).expect("no edges")
+                let kernel = kernel_draws(&StreamConfig::uniform(1, seed), lookup)
+                    .next()
+                    .expect("a one-kernel series has one draw");
+                JobTemplate::single(kernel)
             }
             JobFamily::Chain { len } => {
                 let len = len.max(1);
@@ -246,6 +284,18 @@ mod tests {
         assert!(JobTemplate::new(ks.clone(), vec![(0, 9)]).is_err());
         assert!(JobTemplate::new(ks, vec![(0, 1), (0, 1)]).is_err());
         assert!(JobTemplate::new(Vec::new(), Vec::new()).is_err());
+    }
+
+    #[test]
+    fn one_kernel_templates_are_equal_however_built() {
+        let mut rng = SplitMix64::new(11);
+        let mut twin = rng.clone();
+        let single = JobFamily::Single.instantiate(&mut rng, lookup());
+        let seed = twin.next_u64();
+        let built = JobTemplate::new(draw_kernels(seed, 1, lookup()), vec![]).unwrap();
+        assert_eq!(built, single);
+        assert_eq!(built.kernels(), single.kernels());
+        assert_eq!(single.len(), 1);
     }
 
     #[test]

@@ -82,7 +82,10 @@ fn unit(rng: &mut SplitMix64) -> f64 {
 }
 
 /// Exponential gap with the given mean, in whole nanoseconds (≥ 1, so time
-/// strictly advances even at extreme rates).
+/// strictly advances even at extreme rates). A gap past the clock's range
+/// saturates at `u64::MAX`; the sources add gaps saturating too, so a tiny
+/// rate yields arrivals at the end of the clock, which admission rejects
+/// with a typed error, rather than an overflow.
 fn exp_gap_ns(rng: &mut SplitMix64, mean_ns: f64) -> u64 {
     let u = unit(rng);
     let gap = -mean_ns * (1.0 - u).ln();
@@ -154,7 +157,9 @@ impl Source for PoissonSource<'_> {
             return None;
         }
         self.remaining -= 1;
-        self.t_ns += exp_gap_ns(&mut self.rng, self.mean_gap_ns);
+        self.t_ns = self
+            .t_ns
+            .saturating_add(exp_gap_ns(&mut self.rng, self.mean_gap_ns));
         let job = self.family.instantiate(&mut self.rng, self.lookup);
         let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
         Some((SimTime::from_ns(self.t_ns), job))
@@ -257,8 +262,9 @@ impl Source for OnOffSource<'_> {
         self.remaining -= 1;
         loop {
             let gap = exp_gap_ns(&mut self.rng, self.burst_gap_ns);
-            if self.t_ns + gap <= self.on_end_ns {
-                self.t_ns += gap;
+            let t_ns = self.t_ns.saturating_add(gap);
+            if t_ns <= self.on_end_ns {
+                self.t_ns = t_ns;
                 break;
             }
             // The burst ended before this arrival: skip the OFF silence and
@@ -267,8 +273,8 @@ impl Source for OnOffSource<'_> {
             // well-defined.)
             let off = exp_gap_ns(&mut self.rng, self.mean_off_ns);
             let on = exp_gap_ns(&mut self.rng, self.mean_on_ns);
-            self.t_ns = self.on_end_ns + off;
-            self.on_end_ns = self.t_ns + on;
+            self.t_ns = self.on_end_ns.saturating_add(off);
+            self.on_end_ns = self.t_ns.saturating_add(on);
         }
         let job = self.family.instantiate(&mut self.rng, self.lookup);
         let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
@@ -384,7 +390,9 @@ impl Source for DiurnalSource<'_> {
         // with probability rate(t) / peak_rate.
         let peak = self.base_rate + self.swing_rate;
         loop {
-            self.t_ns += exp_gap_ns(&mut self.rng, self.peak_gap_ns);
+            self.t_ns = self
+                .t_ns
+                .saturating_add(exp_gap_ns(&mut self.rng, self.peak_gap_ns));
             let accept = self.rate_at(self.t_ns) / peak;
             if unit(&mut self.rng) < accept {
                 break;

@@ -16,9 +16,11 @@ use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource, StreamOutco
 struct Unmarked {
     inner: Box<dyn Policy>,
     scratch: AssignmentBuf,
-    /// The previous batch was non-empty, so this call is the engine's
-    /// confirming call at the same instant.
-    confirming: bool,
+    /// The instant of the previous batch when it was non-empty. A call at
+    /// that instant is the engine's confirming call; a call at a later one
+    /// is not (the engine skips the confirming call when the batch emptied
+    /// the ready set).
+    batch_at: Option<SimTime>,
     confirming_calls: usize,
     confirming_hits: usize,
 }
@@ -28,7 +30,7 @@ impl Unmarked {
         Unmarked {
             inner,
             scratch: AssignmentBuf::new(),
-            confirming: false,
+            batch_at: None,
             confirming_calls: 0,
             confirming_hits: 0,
         }
@@ -62,11 +64,11 @@ impl Policy for Unmarked {
                 None => out.push(a),
             }
         }
-        if self.confirming {
+        if self.batch_at == Some(view.now) {
             self.confirming_calls += 1;
             self.confirming_hits += usize::from(!out.is_empty());
         }
-        self.confirming = !out.is_empty();
+        self.batch_at = (!out.is_empty()).then_some(view.now);
     }
 
     fn alpha(&self) -> Option<f64> {

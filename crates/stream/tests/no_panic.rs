@@ -1,0 +1,116 @@
+//! The no-panic suite: inputs the public constructors accept, and inputs
+//! they must refuse, end in `Ok` or a typed `Err` — never in a panic. Run
+//! under a debug build, so an arithmetic overflow anywhere on these paths
+//! fails the test.
+
+use apt_core::prelude::*;
+use apt_stream::{
+    DiurnalSource, DriverOpts, JobFamily, JobTemplate, OnOffSource, PoissonSource, Source,
+    StreamOutcome, StreamRun, TraceSource,
+};
+
+fn run_on(source: &mut dyn Source, config: &SystemConfig) -> Result<StreamOutcome, BaseError> {
+    let mut policy = Apt::new(4.0);
+    StreamRun::new(
+        source,
+        config,
+        LookupTable::paper(),
+        &mut policy,
+        &DriverOpts::default(),
+    )
+    .run()
+    .map(|(outcome, _)| outcome)
+}
+
+fn run(source: &mut dyn Source) -> Result<StreamOutcome, BaseError> {
+    run_on(source, &SystemConfig::paper_4gbps())
+}
+
+/// The error a run past the arrival horizon must end with.
+fn assert_past_horizon(result: Result<StreamOutcome, BaseError>, what: &str) {
+    let err = result.expect_err(what);
+    assert!(
+        err.to_string().contains("arrival horizon"),
+        "{what}: unexpected error {err}"
+    );
+}
+
+#[test]
+fn a_tiny_rate_ends_in_a_typed_error() {
+    let lookup = LookupTable::paper();
+    let mut poisson = PoissonSource::try_new(lookup, 1e-12, 3, JobFamily::Single, 42).unwrap();
+    assert_past_horizon(run(&mut poisson), "Poisson at 1e-12 jobs/s");
+    // Periods long enough that the ON/OFF clock, too, runs off the end of
+    // the range within a few cycles.
+    let period = SimDuration::from_ns(u64::MAX >> 4);
+    let mut on_off =
+        OnOffSource::try_new(lookup, 1e-12, period, period, 3, JobFamily::Single, 42).unwrap();
+    assert_past_horizon(run(&mut on_off), "on/off at 1e-12 jobs/s");
+    let mut diurnal = DiurnalSource::try_new(
+        lookup,
+        1e-12,
+        0.0,
+        SimDuration::from_ms(1_000),
+        3,
+        JobFamily::Single,
+        42,
+    )
+    .unwrap();
+    assert_past_horizon(run(&mut diurnal), "diurnal at 1e-12 jobs/s");
+}
+
+#[test]
+fn a_deadline_near_the_end_of_the_clock_ends_in_a_typed_error() {
+    let job = JobTemplate::new(vec![Kernel::canonical(KernelKind::Bfs)], vec![])
+        .unwrap()
+        .with_deadline(SimDuration::from_ms(10));
+    let mut source = TraceSource::new(vec![(SimTime::from_ns(u64::MAX - 5), job)]);
+    assert_past_horizon(run(&mut source), "arrival at u64::MAX - 5 ns");
+}
+
+#[test]
+fn every_source_rejects_a_bad_rate() {
+    let lookup = LookupTable::paper();
+    let on = SimDuration::from_ms(10);
+    let period = SimDuration::from_ms(1_000);
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert!(
+            PoissonSource::try_new(lookup, rate, 3, JobFamily::Single, 1).is_err(),
+            "Poisson accepted {rate}"
+        );
+        assert!(
+            OnOffSource::try_new(lookup, rate, on, on, 3, JobFamily::Single, 1).is_err(),
+            "on/off accepted {rate}"
+        );
+        assert!(
+            DiurnalSource::try_new(lookup, rate, 1.0, period, 3, JobFamily::Single, 1).is_err(),
+            "diurnal accepted base rate {rate}"
+        );
+    }
+}
+
+#[test]
+fn machines_of_no_or_too_many_processors_are_refused() {
+    let lookup = LookupTable::paper();
+    for size in std::iter::once(0).chain(65..=80) {
+        let config = (0..size).fold(SystemConfig::empty(LinkRate::PCIE2_X8), |c, _| {
+            c.with_proc(ProcKind::Cpu)
+        });
+        let mut source = PoissonSource::new(lookup, 1.0, 5, JobFamily::Single, 3);
+        assert!(
+            run_on(&mut source, &config).is_err(),
+            "a stream ran on {size} processors"
+        );
+        let dfg = generate(DfgType::Type1, &StreamConfig::new(8, 3), lookup);
+        assert!(
+            simulate(&dfg, &config, lookup, &mut Apt::new(4.0)).is_err(),
+            "a closed run ran on {size} processors"
+        );
+    }
+}
+
+#[test]
+fn a_zero_kernel_template_is_refused() {
+    assert!(JobTemplate::new(Vec::new(), Vec::new()).is_err());
+    assert!(JobTemplate::new(Vec::new(), vec![(0, 1)]).is_err());
+}
