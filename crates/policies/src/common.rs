@@ -2,7 +2,9 @@
 
 use apt_base::{ProcId, SimDuration};
 use apt_dfg::NodeId;
-use apt_hetsim::SimView;
+use apt_hetsim::cost::MAX_PROCS;
+use apt_hetsim::ready::ReadyIter;
+use apt_hetsim::{Assignment, AssignmentBuf, ClassId, CostModel, SimView};
 
 /// The best processor *instance* for a kernel by pure execution time, with
 /// instance-level tie handling: among all instances achieving the minimal
@@ -67,6 +69,78 @@ pub fn best_instance_in(view: &SimView<'_>, node: NodeId, idle_mask: u64) -> Opt
             exec,
             idle: false,
         })
+    }
+}
+
+/// Emit a whole instant in one `decide` call for a policy that never waits
+/// and whose pick reads only static costs and the idle set (SPN, SS).
+///
+/// Applying a pick only takes one processor out of the idle set and one
+/// kernel out of the ready set, so the next pick at the same instant is the
+/// same rule over what is left. This repeats `pick` over a local copy of
+/// the idle mask and the ready kernels not yet claimed (at most one per
+/// processor) until it returns `None`, then marks the batch with
+/// [`AssignmentBuf::mark_fixpoint`]. The batch is exactly the sequence the
+/// one-pick-per-call form emits over successive calls.
+///
+/// `pick` gets the remaining idle mask and the pick's [`ClassFirsts`].
+pub fn emit_instant(
+    view: &SimView<'_>,
+    out: &mut AssignmentBuf,
+    mut pick: impl FnMut(u64, ClassFirsts<'_>) -> Option<(NodeId, ProcId)>,
+) {
+    let mut idle = view.idle_mask;
+    let mut claimed = [NodeId::new(0); MAX_PROCS];
+    let mut nclaimed = 0;
+    while idle != 0 {
+        let candidates = ClassFirsts {
+            nodes: view.ready.iter(),
+            cost: view.cost,
+            claimed: &claimed[..nclaimed],
+            seen: 0,
+        };
+        let Some((node, proc)) = pick(idle, candidates) else {
+            break;
+        };
+        out.push(Assignment::new(node, proc));
+        idle &= !(1 << proc.index());
+        claimed[nclaimed] = node;
+        nclaimed += 1;
+    }
+    out.mark_fixpoint();
+}
+
+/// The candidates of one [`emit_instant`] pick: the unclaimed ready
+/// kernels in ready order with their cost classes, each class only at its
+/// first kernel. The pick's rule sees a kernel only through its class while
+/// the idle set is fixed, so a later kernel of a class already seen could
+/// only tie, and ties keep the earliest kernel. Classes below 64 are
+/// tracked; higher ones are always yielded.
+pub struct ClassFirsts<'a> {
+    nodes: ReadyIter<'a>,
+    cost: &'a CostModel,
+    claimed: &'a [NodeId],
+    seen: u64,
+}
+
+impl Iterator for ClassFirsts<'_> {
+    type Item = (NodeId, ClassId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, ClassId)> {
+        for node in self.nodes.by_ref() {
+            if self.claimed.contains(&node) {
+                continue;
+            }
+            let class = self.cost.class_of(node);
+            let bit = 1u64.checked_shl(class).unwrap_or(0);
+            if self.seen & bit != 0 {
+                continue;
+            }
+            self.seen |= bit;
+            return Some((node, class));
+        }
+        None
     }
 }
 

@@ -40,12 +40,12 @@ impl Policy for Heft {
     }
 
     fn prepare(&mut self, ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
-        let ranks = upward_ranks(ctx.dfg, ctx.lookup, ctx.config);
+        let ranks = upward_ranks(&ctx);
         let plan = build_plan(&ctx, &ranks, |_node, candidates| {
             // apt-lint: allow(hot-path-panic, build_plan only invokes the selector with a
             // nonempty candidate list)
             argmin_by_key(candidates, |c| c.finish).expect("candidates nonempty")
-        });
+        })?;
         self.plan = Some(plan);
         Ok(())
     }

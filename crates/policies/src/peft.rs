@@ -41,17 +41,18 @@ impl Policy for Peft {
     }
 
     fn prepare(&mut self, ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
-        let oct = oct_matrix(ctx.dfg, ctx.lookup, ctx.config);
-        let ranks = rank_oct(&oct);
+        let nprocs = ctx.cost.nprocs();
+        let oct = oct_matrix(&ctx);
+        let ranks = rank_oct(&oct, nprocs);
         let plan = build_plan(&ctx, &ranks, |node, candidates| {
             argmin_by_key(candidates, |c| {
-                let oct_ms = oct[node.index()][c.proc.index()];
+                let oct_ms = oct[node.index() * nprocs + c.proc.index()];
                 FiniteF64(c.finish.as_ms_f64() + oct_ms)
             })
             // apt-lint: allow(hot-path-panic, build_plan only invokes the selector with a
             // nonempty candidate list)
             .expect("candidates nonempty")
-        });
+        })?;
         self.plan = Some(plan);
         Ok(())
     }

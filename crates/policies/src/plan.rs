@@ -22,23 +22,51 @@
 //! paper's arrangement: static schedules are generated beforehand and the
 //! simulator logs what actually happens.
 
-use apt_base::stats::FiniteF64;
-use apt_base::{ProcId, SimDuration, SimTime};
-use apt_dfg::{KernelDag, NodeId};
+use apt_base::{BaseError, ProcId, SimDuration, SimTime};
+use apt_dfg::NodeId;
 use apt_hetsim::{Assignment, AssignmentBuf, PrepareCtx, SimView};
 use std::collections::VecDeque;
 
 /// Reserved intervals per processor, kept sorted by start time.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    slots: Vec<Vec<(SimTime, SimTime)>>,
+    lanes: Vec<Lane>,
+}
+
+/// One processor's reservations.
+#[derive(Debug, Clone)]
+struct Lane {
+    /// Disjoint `[start, end)` intervals, ascending.
+    slots: Vec<(SimTime, SimTime)>,
+    /// The task holding each interval.
+    nodes: Vec<NodeId>,
+    /// The longest idle gap: from time zero to the first start, or from
+    /// one reservation's end to the next one's start.
+    max_gap: SimDuration,
+}
+
+/// The longest idle gap of a sorted, disjoint reservation list.
+fn longest_gap(slots: &[(SimTime, SimTime)]) -> SimDuration {
+    let mut prev_end = SimTime::ZERO;
+    let mut longest = SimDuration::ZERO;
+    for &(s, e) in slots {
+        longest = longest.max(s.saturating_since(prev_end));
+        prev_end = e;
+    }
+    longest
 }
 
 impl Timeline {
-    /// A timeline for `nprocs` processors.
-    pub fn new(nprocs: usize) -> Self {
+    /// A timeline for `nprocs` processors, each with room for `tasks`
+    /// reservations before it reallocates.
+    pub fn new(nprocs: usize, tasks: usize) -> Self {
+        let lane = || Lane {
+            slots: Vec::with_capacity(tasks),
+            nodes: Vec::with_capacity(tasks),
+            max_gap: SimDuration::ZERO,
+        };
         Timeline {
-            slots: vec![Vec::new(); nprocs],
+            lanes: (0..nprocs).map(|_| lane()).collect(),
         }
     }
 
@@ -46,8 +74,19 @@ impl Timeline {
     /// `proc`, considering gaps between already reserved intervals
     /// (insertion-based policy).
     pub fn earliest_fit(&self, proc: ProcId, est: SimTime, dur: SimDuration) -> SimTime {
+        let lane = &self.lanes[proc.index()];
+        let Some(&(_, last_end)) = lane.slots.last() else {
+            return est;
+        };
+        // Fast path: when `est` is at or after the last reservation's end,
+        // or no gap (nor the part of one after `est`) is as long as `dur`,
+        // the walk below cannot stop early and ends at the later of `est`
+        // and the last end.
+        if last_end <= est || dur > lane.max_gap {
+            return est.max(last_end);
+        }
         let mut start = est;
-        for &(s, e) in &self.slots[proc.index()] {
+        for &(s, e) in &lane.slots {
             if start + dur <= s {
                 break; // fits in the gap before this interval
             }
@@ -58,20 +97,47 @@ impl Timeline {
         start
     }
 
-    /// Reserve `[start, start + dur)` on `proc`.
-    pub fn reserve(&mut self, proc: ProcId, start: SimTime, dur: SimDuration) {
-        let list = &mut self.slots[proc.index()];
-        let pos = list.partition_point(|&(s, _)| s < start);
-        list.insert(pos, (start, start + dur));
+    /// Reserve `[start, start + dur)` on `proc` for `node`.
+    pub fn reserve(&mut self, proc: ProcId, node: NodeId, start: SimTime, dur: SimDuration) {
+        let lane = &mut self.lanes[proc.index()];
+        let interval = (start, start + dur);
+        match lane.slots.last() {
+            Some(&(last_start, _)) if last_start >= start => {
+                let pos = lane.slots.partition_point(|&(s, _)| s < start);
+                let prev_end = pos
+                    .checked_sub(1)
+                    .map_or(SimTime::ZERO, |i| lane.slots[i].1);
+                let split = lane.slots[pos].0.saturating_since(prev_end);
+                lane.slots.insert(pos, interval);
+                lane.nodes.insert(pos, node);
+                // Splitting a gap shortens it; only the longest one's split
+                // can change the maximum.
+                if split == lane.max_gap {
+                    lane.max_gap = longest_gap(&lane.slots);
+                }
+            }
+            last => {
+                let prev_end = last.map_or(SimTime::ZERO, |&(_, e)| e);
+                lane.max_gap = lane.max_gap.max(start.saturating_since(prev_end));
+                lane.slots.push(interval);
+                lane.nodes.push(node);
+            }
+        }
         debug_assert!(
-            list.windows(2).all(|w| w[0].1 <= w[1].0),
+            lane.slots.windows(2).all(|w| w[0].1 <= w[1].0),
             "timeline reservations overlap"
         );
+        debug_assert_eq!(lane.max_gap, longest_gap(&lane.slots));
     }
 
     /// Number of reservations on one processor.
     pub fn count(&self, proc: ProcId) -> usize {
-        self.slots[proc.index()].len()
+        self.lanes[proc.index()].slots.len()
+    }
+
+    /// Each processor's tasks in reservation order (ascending start).
+    pub fn into_orders(self) -> impl Iterator<Item = Vec<NodeId>> {
+        self.lanes.into_iter().map(|lane| lane.nodes)
     }
 }
 
@@ -103,6 +169,11 @@ impl PlannedSchedule {
     /// Release the next plan steps the simulator can take *now*: for every
     /// idle processor whose plan head is ready, emit that assignment into
     /// the engine's buffer. Preserves per-processor plan order strictly.
+    ///
+    /// The batch is the whole per-instant fixpoint, so it is marked with
+    /// [`AssignmentBuf::mark_fixpoint`]: applying it makes every processor
+    /// it names busy and only removes nodes from the ready set, so no
+    /// other idle processor's head can become ready within the instant.
     pub fn release(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
         for p in view.procs {
             if !p.is_idle() {
@@ -115,56 +186,74 @@ impl PlannedSchedule {
                 }
             }
         }
+        out.mark_fixpoint();
     }
 }
 
 /// Build a static plan.
 ///
 /// * `priority` — one value per node; tasks are scheduled highest-first
-///   among plan-time-ready tasks (ties: lowest node id).
+///   among plan-time-ready tasks. The plan-time ready list is a `Vec` that
+///   gains successors at the back and loses its pick by `swap_remove`;
+///   among equal priorities the task at the lowest *position* in that list
+///   wins, which is not in general the lowest node id.
 /// * `objective` — given the task and its placement candidates (one per
-///   runnable processor), return the index of the chosen candidate. HEFT
-///   minimizes `finish`; PEFT minimizes `finish + OCT(task, proc)`.
+///   runnable processor, ascending id), return the index of the chosen
+///   candidate. HEFT minimizes `finish`; PEFT minimizes
+///   `finish + OCT(task, proc)`.
+///
+/// Returns [`BaseError::MissingLookup`] when some kernel cannot run on any
+/// processor of the machine.
 pub fn build_plan(
     ctx: &PrepareCtx<'_>,
     priority: &[f64],
     mut objective: impl FnMut(NodeId, &[Candidate]) -> usize,
-) -> PlannedSchedule {
-    let dfg: &KernelDag = ctx.dfg;
-    let nprocs = ctx.config.len();
-    let mut timeline = Timeline::new(nprocs);
+) -> Result<PlannedSchedule, BaseError> {
+    let (dfg, cost) = (ctx.dfg, ctx.cost);
+    if let Some((_, kernel)) = dfg.iter().find(|&(n, _)| cost.runnable_mask(n) == 0) {
+        return Err(BaseError::MissingLookup {
+            kernel: kernel.kind.tag(),
+            data_size: kernel.data_size,
+            proc: "any",
+        });
+    }
+    let nprocs = cost.nprocs();
+    let mut timeline = Timeline::new(nprocs, dfg.len());
     let mut assignment = vec![ProcId::new(0); dfg.len()];
     let mut starts = vec![SimTime::ZERO; dfg.len()];
     let mut finish = vec![SimTime::ZERO; dfg.len()];
-    let mut scheduled = vec![false; dfg.len()];
     let mut remaining_preds: Vec<usize> = dfg.node_ids().map(|n| dfg.in_degree(n)).collect();
-    let mut ready: Vec<NodeId> = dfg.sources();
+    // Plan-time ready tasks with their priorities inline, so the scan
+    // below reads one contiguous array.
+    let mut ready: Vec<(f64, NodeId)> = Vec::with_capacity(dfg.len());
+    ready.extend(
+        dfg.node_ids()
+            .filter(|&n| remaining_preds[n.index()] == 0)
+            .map(|n| (priority[n.index()], n)),
+    );
+    let mut candidates: Vec<Candidate> = Vec::with_capacity(nprocs);
     let mut planned_makespan = SimDuration::ZERO;
 
-    while !ready.is_empty() {
-        // Highest-priority ready task, ties toward the lowest node id.
-        let (pos, _) = ready
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| {
-                FiniteF64(priority[a.index()])
-                    .cmp(&FiniteF64(priority[b.index()]))
-                    // On equal priority prefer the *lower* id: compare
-                    // reversed indices so max picks the smaller id.
-                    .then_with(|| ib.cmp(ia))
-            })
-            // apt-lint: allow(hot-path-panic, release() pops only while the ready list is
-            // nonempty)
-            .expect("ready nonempty");
-        let node = ready.swap_remove(pos);
+    while let Some(&(first, _)) = ready.first() {
+        // Highest-priority ready task; strict `>` keeps the lowest
+        // position among equal priorities.
+        let (mut pos, mut top) = (0, first);
+        for (i, &(p, _)) in ready.iter().enumerate().skip(1) {
+            if p > top {
+                (pos, top) = (i, p);
+            }
+        }
+        let (_, node) = ready.swap_remove(pos);
 
-        // Placement candidates on every processor that can run the kernel
-        // (dense cost-model reads — shared with the engine's hot path).
-        let mut candidates = Vec::with_capacity(nprocs);
-        for proc in ctx.config.proc_ids() {
-            let Some(exec) = ctx.cost.exec_time(node, proc) else {
-                continue;
-            };
+        // Placement candidates on every processor that can run the kernel,
+        // ascending id (dense cost-model reads — shared with the engine's
+        // hot path).
+        candidates.clear();
+        let mut runnable = cost.runnable_mask(node);
+        while runnable != 0 {
+            let proc = ProcId::new(runnable.trailing_zeros() as usize);
+            runnable &= runnable - 1;
+            let exec = SimDuration::from_ns(cost.exec_ns(node, proc));
             // EST: all predecessors done, plus link time for remote ones
             // (pair-resolved — the predecessor's planned processor is
             // already fixed by the time its successors are ready).
@@ -173,7 +262,7 @@ pub fn build_plan(
                 let mut avail = finish[pred.index()];
                 let placed = assignment[pred.index()];
                 if placed != proc {
-                    avail += ctx.cost.pair_transfer_time(pred, placed, proc);
+                    avail += cost.pair_transfer_time(pred, placed, proc);
                 }
                 est = est.max(avail);
             }
@@ -184,63 +273,142 @@ pub fn build_plan(
                 finish: start + exec,
             });
         }
-        assert!(
-            !candidates.is_empty(),
-            "kernel {} is unrunnable on every processor",
-            dfg.node(node)
-        );
         let chosen = candidates[objective(node, &candidates)];
-        let exec = chosen.finish - chosen.start;
-        timeline.reserve(chosen.proc, chosen.start, exec);
+        timeline.reserve(
+            chosen.proc,
+            node,
+            chosen.start,
+            chosen.finish - chosen.start,
+        );
         assignment[node.index()] = chosen.proc;
         starts[node.index()] = chosen.start;
         finish[node.index()] = chosen.finish;
-        scheduled[node.index()] = true;
         planned_makespan = planned_makespan.max(chosen.finish - SimTime::ZERO);
 
         for &succ in dfg.succs(node) {
             remaining_preds[succ.index()] -= 1;
             if remaining_preds[succ.index()] == 0 {
-                ready.push(succ);
+                ready.push((priority[succ.index()], succ));
             }
         }
     }
-    debug_assert!(scheduled.iter().all(|&s| s), "plan left nodes unscheduled");
+    debug_assert!(
+        remaining_preds.iter().all(|&r| r == 0),
+        "plan left nodes unscheduled"
+    );
 
-    // Per-processor order by planned start (ties: node id).
-    let mut per_proc: Vec<Vec<NodeId>> = vec![Vec::new(); nprocs];
-    for n in dfg.node_ids() {
-        per_proc[assignment[n.index()].index()].push(n);
-    }
-    let per_proc_order = per_proc
-        .into_iter()
+    // Per-processor order by planned start (ties: node id). The lanes
+    // are in start order already, so the sort only orders equal starts
+    // (zero-length tasks) and runs in linear time.
+    let per_proc_order = timeline
+        .into_orders()
         .map(|mut v| {
             v.sort_unstable_by_key(|n| (starts[n.index()], *n));
             VecDeque::from(v)
         })
         .collect();
 
-    PlannedSchedule {
+    Ok(PlannedSchedule {
         assignment,
         starts,
         per_proc_order,
         planned_makespan,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apt_dfg::{Dag, Kernel, KernelDag, KernelKind, LookupTable};
+    use apt_hetsim::{CostModel, SystemConfig};
+
+    #[test]
+    fn equal_priorities_go_to_the_lowest_ready_list_position() {
+        // Four independent kernels of one priority. The ready list starts
+        // as [0, 1, 2, 3]; each pick is `swap_remove`d, so the last entry
+        // moves into the freed position: [3, 1, 2] after node 0, [2, 1]
+        // after node 3. The lowest-id rule would plan 0, 1, 2, 3.
+        let mut dfg: KernelDag = Dag::new();
+        for _ in 0..4 {
+            dfg.add_node(Kernel::canonical(KernelKind::Bfs));
+        }
+        let lookup = LookupTable::paper();
+        let config = SystemConfig::paper_4gbps();
+        let cost = CostModel::new(&dfg, lookup, &config);
+        let ctx = PrepareCtx {
+            dfg: &dfg,
+            lookup,
+            config: &config,
+            cost: &cost,
+        };
+        let mut picks = Vec::new();
+        build_plan(&ctx, &[1.0; 4], |node, _| {
+            picks.push(node.index());
+            0
+        })
+        .unwrap();
+        assert_eq!(picks, vec![0, 3, 2, 1]);
+    }
+
+    #[test]
+    fn append_fast_path_matches_the_gap_walk() {
+        let mut tl = Timeline::new(1, 4);
+        let p = ProcId::new(0);
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(0),
+            SimDuration::from_ms(10),
+        );
+        // At the last end, and after it: the task starts at `est`.
+        for est in [10, 25] {
+            let est = SimTime::from_ms(est);
+            assert_eq!(tl.earliest_fit(p, est, SimDuration::from_ms(5)), est);
+        }
+        // Appending after the last start keeps the list sorted.
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(10),
+            SimDuration::from_ms(5),
+        );
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(40),
+            SimDuration::from_ms(5),
+        );
+        assert_eq!(tl.count(p), 3);
+        assert_eq!(
+            tl.earliest_fit(p, SimTime::ZERO, SimDuration::from_ms(20)),
+            SimTime::from_ms(15)
+        );
+    }
 
     #[test]
     fn earliest_fit_finds_gaps() {
-        let mut tl = Timeline::new(1);
+        let mut tl = Timeline::new(1, 4);
         let p = ProcId::new(0);
-        tl.reserve(p, SimTime::from_ms(0), SimDuration::from_ms(10));
-        tl.reserve(p, SimTime::from_ms(30), SimDuration::from_ms(10));
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(0),
+            SimDuration::from_ms(10),
+        );
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(30),
+            SimDuration::from_ms(10),
+        );
         // 10 ms task fits in the [10, 30) gap.
         assert_eq!(
             tl.earliest_fit(p, SimTime::ZERO, SimDuration::from_ms(10)),
+            SimTime::from_ms(10)
+        );
+        // A task exactly as long as the gap fits it.
+        assert_eq!(
+            tl.earliest_fit(p, SimTime::ZERO, SimDuration::from_ms(20)),
             SimTime::from_ms(10)
         );
         // 25 ms task does not fit in the gap → after the last interval.
@@ -262,11 +430,26 @@ mod tests {
 
     #[test]
     fn reserve_keeps_sorted_nonoverlapping() {
-        let mut tl = Timeline::new(2);
+        let mut tl = Timeline::new(2, 4);
         let p = ProcId::new(1);
-        tl.reserve(p, SimTime::from_ms(20), SimDuration::from_ms(5));
-        tl.reserve(p, SimTime::from_ms(0), SimDuration::from_ms(5));
-        tl.reserve(p, SimTime::from_ms(10), SimDuration::from_ms(5));
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(20),
+            SimDuration::from_ms(5),
+        );
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(0),
+            SimDuration::from_ms(5),
+        );
+        tl.reserve(
+            p,
+            NodeId::new(0),
+            SimTime::from_ms(10),
+            SimDuration::from_ms(5),
+        );
         assert_eq!(tl.count(p), 3);
         assert_eq!(tl.count(ProcId::new(0)), 0);
         // Next fit lands in the [5, 10) gap.

@@ -16,134 +16,177 @@
 //! ordered remote pairs is used; implementations differ on whether to
 //! discount by the same-processor probability — we keep the full cost,
 //! which preserves HEFT's ordering behaviour and is the common choice).
+//!
+//! Every execution time comes from the run's [`apt_hetsim::CostModel`]:
+//! each cost class's instance row is converted to milliseconds once, and a
+//! node reads its class's row (`w̄_i` sums a class's runnable times in
+//! ascending processor order, as a per-node lookup walk would). `c̄` is
+//! taken once per producer node. Rounding is monotone, so `c̄ + max rank`
+//! equals the per-successor `max(c̄ + rank)` bit for bit, and the ranks,
+//! the OCT and their ties are those of the per-node lookup formulation.
 
-use apt_base::stats::FiniteF64;
-use apt_dfg::{KernelDag, LookupTable, NodeId};
-use apt_hetsim::SystemConfig;
+use apt_base::{ProcId, SimDuration};
+use apt_dfg::NodeId;
+use apt_hetsim::cost::{MAX_PROCS, UNRUNNABLE};
+use apt_hetsim::{ClassId, PrepareCtx};
 
-/// Per-node average computation cost `w̄_i` in milliseconds.
-/// Unrunnable-everywhere kernels yield `f64::INFINITY` (rejected later).
-pub fn avg_comp_costs(dfg: &KernelDag, lookup: &LookupTable, config: &SystemConfig) -> Vec<f64> {
-    dfg.iter()
-        .map(|(_, kernel)| {
-            let times: Vec<f64> = config
-                .proc_ids()
-                .filter_map(|p| {
-                    lookup
-                        .exec_time(kernel, config.kind_of(p))
-                        .ok()
-                        .map(|d| d.as_ms_f64())
-                })
-                .collect();
-            if times.is_empty() {
-                f64::INFINITY
-            } else {
-                times.iter().sum::<f64>() / times.len() as f64
-            }
-        })
+/// Every cost class's instance row in milliseconds, flattened
+/// `class × nprocs` (`f64::INFINITY` where the instance cannot run it).
+fn class_exec_ms(ctx: &PrepareCtx<'_>) -> Vec<f64> {
+    let cost = ctx.cost;
+    let mut rows = Vec::with_capacity(cost.class_count() * cost.nprocs());
+    for class in 0..cost.class_count() as ClassId {
+        for p in 0..cost.nprocs() {
+            rows.push(match cost.class_exec_ns(class, ProcId::new(p)) {
+                UNRUNNABLE => f64::INFINITY,
+                ns => SimDuration::from_ns(ns).as_ms_f64(),
+            });
+        }
+    }
+    rows
+}
+
+/// Mean of a row's finite entries, summed in row order; `None` when the
+/// row has none.
+fn finite_mean(row: &[f64]) -> Option<f64> {
+    let (mut sum, mut count) = (0.0f64, 0usize);
+    for &v in row.iter().filter(|v| v.is_finite()) {
+        sum += v;
+        count += 1;
+    }
+    (count > 0).then(|| sum / count as f64)
+}
+
+/// Per-node average computation cost `w̄_i` in milliseconds, one mean per
+/// cost class. Unrunnable-everywhere kernels yield `f64::INFINITY` (the
+/// planner rejects them).
+pub fn avg_comp_costs(ctx: &PrepareCtx<'_>) -> Vec<f64> {
+    let nprocs = ctx.cost.nprocs();
+    let exec = class_exec_ms(ctx);
+    let per_class: Vec<f64> = (0..ctx.cost.class_count())
+        .map(|c| finite_mean(&exec[c * nprocs..][..nprocs]).unwrap_or(f64::INFINITY))
+        .collect();
+    ctx.dfg
+        .node_ids()
+        .map(|n| per_class[ctx.cost.class_of(n) as usize])
         .collect()
 }
 
-/// Average communication cost of edge `(u, v)` in milliseconds: the link
-/// time of `u`'s output volume. On a uniform machine this is exactly the
-/// scalar link time (the seed computation); under a non-uniform
+/// Average communication cost of every edge out of `from`, in
+/// milliseconds: the link time of `from`'s output volume. On a uniform
+/// machine this is exactly the scalar link time; under a non-uniform
 /// [`apt_hetsim::Topology`] it is the mean over ordered remote pairs.
-pub fn avg_comm_cost(dfg: &KernelDag, config: &SystemConfig, from: NodeId) -> f64 {
-    let bytes = dfg.node(from).bytes(config.bytes_per_element);
-    config.mean_pair_transfer_ms(bytes)
+pub fn avg_comm_cost(ctx: &PrepareCtx<'_>, from: NodeId) -> f64 {
+    let bytes = ctx.dfg.node(from).bytes(ctx.config.bytes_per_element);
+    ctx.config.mean_pair_transfer_ms(bytes)
+}
+
+/// A topological order of the DAG (the caller validated it): Kahn's
+/// algorithm with the order itself as the queue. Each rank below depends
+/// only on the final values of a node's successors (or predecessors), so
+/// every topological order gives the same ranks; this one skips the
+/// min-id heap of [`apt_dfg::Dag::topo_order`].
+fn topo_order(ctx: &PrepareCtx<'_>) -> Vec<NodeId> {
+    let dfg = ctx.dfg;
+    let mut in_deg: Vec<usize> = dfg.node_ids().map(|n| dfg.in_degree(n)).collect();
+    let mut order = Vec::with_capacity(dfg.len());
+    order.extend(dfg.node_ids().filter(|n| in_deg[n.index()] == 0));
+    let mut next = 0;
+    while let Some(&n) = order.get(next) {
+        next += 1;
+        for &s in dfg.succs(n) {
+            in_deg[s.index()] -= 1;
+            if in_deg[s.index()] == 0 {
+                order.push(s);
+            }
+        }
+    }
+    debug_assert_eq!(order.len(), dfg.len(), "caller validated the DAG");
+    order
 }
 
 /// Upward ranks (Eq. 3–4), indexed by node.
-pub fn upward_ranks(dfg: &KernelDag, lookup: &LookupTable, config: &SystemConfig) -> Vec<f64> {
-    let w = avg_comp_costs(dfg, lookup, config);
-    // apt-lint: allow(hot-path-panic, policy prepare() validated the DAG before ranking)
-    let order = dfg.topo_order().expect("caller validated the DAG");
+pub fn upward_ranks(ctx: &PrepareCtx<'_>) -> Vec<f64> {
+    let dfg = ctx.dfg;
+    let w = avg_comp_costs(ctx);
     let mut rank = vec![0.0f64; dfg.len()];
-    for &n in order.iter().rev() {
-        let tail = dfg
+    for &n in topo_order(ctx).iter().rev() {
+        let longest = dfg
             .succs(n)
             .iter()
-            .map(|&s| FiniteF64(avg_comm_cost(dfg, config, n) + rank[s.index()]))
-            .max()
-            .map(|f| f.0)
-            .unwrap_or(0.0);
+            .map(|s| rank[s.index()])
+            .reduce(f64::max);
+        let tail = longest.map_or(0.0, |r| avg_comm_cost(ctx, n) + r);
         rank[n.index()] = w[n.index()] + tail;
     }
     rank
 }
 
 /// Downward ranks (Eq. 5), indexed by node. Entry tasks rank 0.
-pub fn downward_ranks(dfg: &KernelDag, lookup: &LookupTable, config: &SystemConfig) -> Vec<f64> {
-    let w = avg_comp_costs(dfg, lookup, config);
-    // apt-lint: allow(hot-path-panic, policy prepare() validated the DAG before ranking)
-    let order = dfg.topo_order().expect("caller validated the DAG");
+pub fn downward_ranks(ctx: &PrepareCtx<'_>) -> Vec<f64> {
+    let dfg = ctx.dfg;
+    let w = avg_comp_costs(ctx);
+    let comm: Vec<f64> = dfg.node_ids().map(|n| avg_comm_cost(ctx, n)).collect();
     let mut rank = vec![0.0f64; dfg.len()];
-    for &n in &order {
+    for &n in &topo_order(ctx) {
         rank[n.index()] = dfg
             .preds(n)
             .iter()
-            .map(|&p| FiniteF64(rank[p.index()] + w[p.index()] + avg_comm_cost(dfg, config, p)))
-            .max()
-            .map(|f| f.0)
+            .map(|p| rank[p.index()] + w[p.index()] + comm[p.index()])
+            .reduce(f64::max)
             .unwrap_or(0.0);
     }
     rank
 }
 
-/// The optimistic cost table (Eq. 6): `oct[node][proc]` in milliseconds.
+/// The optimistic cost table (Eq. 6), flattened `node × nprocs`:
+/// `OCT(t_i, p_k)` is at `i * nprocs + k`, in milliseconds.
 ///
 /// `OCT(t_i, p_k)` is the largest, over `t_i`'s successors, of the best-case
 /// remaining path length to the exit if `t_i` runs on `p_k` — optimistic
 /// because each successor independently picks its own best processor.
-pub fn oct_matrix(dfg: &KernelDag, lookup: &LookupTable, config: &SystemConfig) -> Vec<Vec<f64>> {
-    let nprocs = config.len();
-    // apt-lint: allow(hot-path-panic, policy prepare() validated the DAG before ranking)
-    let order = dfg.topo_order().expect("caller validated the DAG");
-    let mut oct = vec![vec![0.0f64; nprocs]; dfg.len()];
-    // Execution time of node on proc, ∞ when unrunnable.
-    let w = |n: NodeId, p: usize| -> f64 {
-        lookup
-            .exec_time(dfg.node(n), config.kind_of(apt_base::ProcId::new(p)))
-            .map(|d| d.as_ms_f64())
-            .unwrap_or(f64::INFINITY)
-    };
-    for &n in order.iter().rev() {
+/// For one successor that best case is the smaller of staying on `p_k`
+/// and the successor's cheapest processor plus `c̄` (when that processor
+/// is `p_k` itself, staying is already the smaller), so each successor
+/// costs O(nprocs), not O(nprocs²).
+pub fn oct_matrix(ctx: &PrepareCtx<'_>) -> Vec<f64> {
+    let (dfg, cost) = (ctx.dfg, ctx.cost);
+    let nprocs = cost.nprocs();
+    let exec = class_exec_ms(ctx);
+    let mut oct = vec![0.0f64; dfg.len() * nprocs];
+    // `OCT(succ, p_w) + w(succ, p_w)` for every `p_w`.
+    let mut reach = [0.0f64; MAX_PROCS];
+    for &n in topo_order(ctx).iter().rev() {
         if dfg.out_degree(n) == 0 {
             continue; // exit task: all zeros
         }
-        let comm = avg_comm_cost(dfg, config, n);
-        for pk in 0..nprocs {
-            let mut worst = 0.0f64;
-            for &succ in dfg.succs(n) {
-                let mut best = f64::INFINITY;
-                for (pw, &oct_succ) in oct[succ.index()].iter().enumerate() {
-                    let c = if pw == pk { 0.0 } else { comm };
-                    let v = oct_succ + w(succ, pw) + c;
-                    if v < best {
-                        best = v;
-                    }
-                }
-                if best > worst {
-                    worst = best;
+        let comm = avg_comm_cost(ctx, n);
+        for &succ in dfg.succs(n) {
+            let w = &exec[cost.class_of(succ) as usize * nprocs..][..nprocs];
+            let succ_oct = &oct[succ.index() * nprocs..][..nprocs];
+            let mut cheapest = f64::INFINITY;
+            for (pw, slot) in reach[..nprocs].iter_mut().enumerate() {
+                *slot = succ_oct[pw] + w[pw];
+                cheapest = cheapest.min(*slot);
+            }
+            let moved = cheapest + comm;
+            let row = &mut oct[n.index() * nprocs..][..nprocs];
+            for (worst, &stay) in row.iter_mut().zip(&reach[..nprocs]) {
+                let best = stay.min(moved);
+                if best > *worst {
+                    *worst = best;
                 }
             }
-            oct[n.index()][pk] = worst;
         }
     }
     oct
 }
 
-/// `rank_oct` (Eq. 7): the row mean of the OCT matrix.
-pub fn rank_oct(oct: &[Vec<f64>]) -> Vec<f64> {
-    oct.iter()
-        .map(|row| {
-            let finite: Vec<f64> = row.iter().copied().filter(|v| v.is_finite()).collect();
-            if finite.is_empty() {
-                0.0
-            } else {
-                finite.iter().sum::<f64>() / finite.len() as f64
-            }
-        })
+/// `rank_oct` (Eq. 7): the mean of each OCT row's finite entries (0 when
+/// there are none), for a table flattened `node × nprocs`.
+pub fn rank_oct(oct: &[f64], nprocs: usize) -> Vec<f64> {
+    oct.chunks_exact(nprocs.max(1))
+        .map(|row| finite_mean(row).unwrap_or(0.0))
         .collect()
 }
 
@@ -153,22 +196,35 @@ mod tests {
     use apt_dfg::generator::{
         build_type1, build_type2, generate_kernels, StreamConfig, Type2Config,
     };
-    use apt_dfg::Kernel;
-    use apt_dfg::KernelKind;
+    use apt_dfg::{Kernel, KernelDag, KernelKind, LookupTable};
+    use apt_hetsim::{CostModel, SystemConfig};
 
-    fn fixture(n: usize, seed: u64) -> (KernelDag, &'static LookupTable, SystemConfig) {
+    /// Run `f` on the prepare context of `dfg` on `config` under the paper
+    /// table.
+    fn with_ctx<T>(
+        dfg: &KernelDag,
+        config: &SystemConfig,
+        f: impl FnOnce(&PrepareCtx<'_>) -> T,
+    ) -> T {
+        let lookup = LookupTable::paper();
+        let cost = CostModel::new(dfg, lookup, config);
+        f(&PrepareCtx {
+            dfg,
+            lookup,
+            config,
+            cost: &cost,
+        })
+    }
+
+    fn fixture(n: usize, seed: u64) -> KernelDag {
         let kernels = generate_kernels(&StreamConfig::new(n, seed), LookupTable::paper());
-        (
-            build_type2(&kernels, seed, &Type2Config::default()),
-            LookupTable::paper(),
-            SystemConfig::paper_4gbps(),
-        )
+        build_type2(&kernels, seed, &Type2Config::default())
     }
 
     #[test]
     fn upward_rank_is_monotone_along_edges() {
-        let (dfg, lookup, config) = fixture(46, 2);
-        let ranks = upward_ranks(&dfg, lookup, &config);
+        let dfg = fixture(46, 2);
+        let ranks = with_ctx(&dfg, &SystemConfig::paper_4gbps(), upward_ranks);
         for (u, v) in dfg.edges() {
             assert!(
                 ranks[u.index()] > ranks[v.index()],
@@ -189,8 +245,8 @@ mod tests {
         ];
         let dfg = build_type1(&kernels);
         let config = SystemConfig::paper_4gbps();
-        let ranks = upward_ranks(&dfg, LookupTable::paper(), &config);
-        let w = avg_comp_costs(&dfg, LookupTable::paper(), &config);
+        let ranks = with_ctx(&dfg, &config, upward_ranks);
+        let w = with_ctx(&dfg, &config, avg_comp_costs);
         let exit = dfg.sinks()[0];
         assert!((ranks[exit.index()] - w[exit.index()]).abs() < 1e-9);
         // cd's average: (17.064 + 2.749 + 0.093) / 3.
@@ -199,9 +255,38 @@ mod tests {
     }
 
     #[test]
+    fn upward_rank_adds_the_producers_comm_cost() {
+        // srad → gem at 4 GB/s: rank_u(srad) = w̄(srad) + c̄ + rank_u(gem).
+        let kernels = vec![
+            Kernel::canonical(KernelKind::Srad),
+            Kernel::canonical(KernelKind::Gem),
+        ];
+        let dfg = build_type1(&kernels);
+        let (ranks, w, comm) = with_ctx(&dfg, &SystemConfig::paper_4gbps(), |ctx| {
+            (
+                upward_ranks(ctx),
+                avg_comp_costs(ctx),
+                avg_comm_cost(ctx, NodeId::new(0)),
+            )
+        });
+        assert!(comm > 0.0);
+        assert_eq!(ranks[1], w[1]);
+        assert_eq!(ranks[0], w[0] + (comm + w[1]));
+    }
+
+    #[test]
+    fn avg_comp_cost_skips_processors_without_a_column() {
+        // An ASIC has no lookup column: the mean runs over the other three.
+        let dfg = build_type1(&[Kernel::new(KernelKind::Cholesky, 250_000)]);
+        let config = SystemConfig::paper_4gbps().with_proc(apt_base::ProcKind::Asic);
+        let w = with_ctx(&dfg, &config, avg_comp_costs);
+        assert_eq!(w[0], (17.064 + 2.749 + 0.093) / 3.0);
+    }
+
+    #[test]
     fn downward_rank_is_zero_for_entries_and_monotone() {
-        let (dfg, lookup, config) = fixture(58, 4);
-        let ranks = downward_ranks(&dfg, lookup, &config);
+        let dfg = fixture(58, 4);
+        let ranks = with_ctx(&dfg, &SystemConfig::paper_4gbps(), downward_ranks);
         for n in dfg.sources() {
             assert_eq!(ranks[n.index()], 0.0);
         }
@@ -212,10 +297,13 @@ mod tests {
 
     #[test]
     fn oct_exit_rows_are_zero() {
-        let (dfg, lookup, config) = fixture(50, 6);
-        let oct = oct_matrix(&dfg, lookup, &config);
+        let dfg = fixture(50, 6);
+        let config = SystemConfig::paper_4gbps();
+        let oct = with_ctx(&dfg, &config, oct_matrix);
+        assert_eq!(oct.len(), dfg.len() * config.len());
         for sink in dfg.sinks() {
-            assert!(oct[sink.index()].iter().all(|&v| v == 0.0));
+            let row = &oct[sink.index() * config.len()..][..config.len()];
+            assert!(row.iter().all(|&v| v == 0.0));
         }
     }
 
@@ -229,18 +317,33 @@ mod tests {
         ];
         let dfg = build_type1(&kernels);
         let config = SystemConfig::paper_no_transfers();
-        let oct = oct_matrix(&dfg, LookupTable::paper(), &config);
+        let oct = with_ctx(&dfg, &config, oct_matrix);
         // gem's best time is 4001 (GPU); with zero transfers OCT(u,·) = 4001.
-        for (p, v) in oct[0].iter().enumerate() {
+        for (p, v) in oct[..config.len()].iter().enumerate() {
             assert!((v - 4001.0).abs() < 1e-9, "oct[0][{p}] = {v}");
         }
     }
 
     #[test]
+    fn oct_stays_on_the_processor_when_moving_costs_more() {
+        // srad → gem at 4 GB/s: srad's output takes 134.217728 ms to move.
+        // From the GPU, gem stays there (4 001); from the CPU it is cheaper
+        // to move to the GPU (4 001 + 134.217728) than to stay (21 592).
+        let kernels = vec![
+            Kernel::canonical(KernelKind::Srad),
+            Kernel::canonical(KernelKind::Gem),
+        ];
+        let dfg = build_type1(&kernels);
+        let oct = with_ctx(&dfg, &SystemConfig::paper_4gbps(), oct_matrix);
+        assert_eq!(oct[1], 4001.0);
+        assert_eq!(oct[0], 4001.0 + 134.217728);
+        assert_eq!(oct[2], 4001.0 + 134.217728);
+    }
+
+    #[test]
     fn rank_oct_is_row_mean() {
-        let oct = vec![vec![1.0, 2.0, 3.0], vec![0.0, 0.0, 0.0]];
-        let r = rank_oct(&oct);
-        assert_eq!(r, vec![2.0, 0.0]);
+        let oct = [1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 4.0, f64::INFINITY, 6.0];
+        assert_eq!(rank_oct(&oct, 3), vec![2.0, 0.0, 5.0]);
     }
 
     #[test]
@@ -250,9 +353,12 @@ mod tests {
             Kernel::new(KernelKind::Cholesky, 250_000),
         ];
         let dfg = build_type1(&kernels);
-        let config = SystemConfig::paper_4gbps();
-        let big = avg_comm_cost(&dfg, &config, NodeId::new(0));
-        let small = avg_comm_cost(&dfg, &config, NodeId::new(1));
+        let (big, small) = with_ctx(&dfg, &SystemConfig::paper_4gbps(), |ctx| {
+            (
+                avg_comm_cost(ctx, NodeId::new(0)),
+                avg_comm_cost(ctx, NodeId::new(1)),
+            )
+        });
         assert!(big > small);
         // srad: 134217728 elements × 4 B / 4 GB/s = 134.217728 ms.
         assert!((big - 134.217728).abs() < 1e-6);

@@ -9,10 +9,23 @@
 //! places work on an arbitrarily slow available one — which is exactly what
 //! produces its catastrophic Table-8/9 rows (e.g. a GEM forced onto the
 //! FPGA costs 585 760 ms against 4 001 ms on the GPU).
+//!
+//! SPN's pick reads only static costs and the idle set, and applying it
+//! only takes one processor out of the idle set and one kernel out of the
+//! ready set: the next pick at the same instant is the same rule over what
+//! is left. So one `decide` call emits the whole instant through
+//! [`emit_instant`], which repeats the pick over a local copy of the idle
+//! mask and the unclaimed kernels and marks the batch with
+//! [`AssignmentBuf::mark_fixpoint`], as MET's is. The assignment sequence
+//! is exactly the one-pair-per-call sequence (pinned by
+//! `crates/policies/tests/naive_spn.rs`). Within one pick each cost class
+//! is evaluated once: a later kernel of a class already seen can only tie,
+//! and ties keep the earliest kernel.
 
-use apt_base::{ProcId, SimDuration};
+use crate::common::emit_instant;
+use apt_base::ProcId;
 use apt_dfg::NodeId;
-use apt_hetsim::{Assignment, AssignmentBuf, Policy, PolicyKind, SimView};
+use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, SimView};
 
 /// The SPN policy.
 #[derive(Debug, Default, Clone, Copy)]
@@ -35,24 +48,26 @@ impl Policy for Spn {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        // Enumerate (ready kernel, idle processor) pairs; pick the pair with
-        // the smallest execution time. Ties: first in (node id, proc id)
-        // enumeration order — a strict `<` running minimum keeps the
-        // earliest pair, matching the argmin helper this replaced without
-        // materializing the pair list.
-        let mut best: Option<(NodeId, ProcId, SimDuration)> = None;
-        for node in view.ready.iter() {
-            for p in view.idle_procs() {
-                if let Some(e) = view.exec_time(node, p.id) {
-                    if best.is_none_or(|(_, _, be)| e < be) {
-                        best = Some((node, p.id, e));
+        let cost = view.cost;
+        emit_instant(view, out, |idle, candidates| {
+            // The (ready kernel, idle processor) pair with the smallest
+            // execution time. Ties: first in (ready order, proc id)
+            // enumeration order — a strict `<` running minimum keeps the
+            // earliest pair.
+            let mut best: Option<(u64, NodeId, ProcId)> = None;
+            for (node, class) in candidates {
+                let mut avail = cost.class_runnable_mask(class) & idle;
+                while avail != 0 {
+                    let proc = ProcId::new(avail.trailing_zeros() as usize);
+                    avail &= avail - 1;
+                    let e = cost.class_exec_ns(class, proc);
+                    if best.is_none_or(|(be, _, _)| e < be) {
+                        best = Some((e, node, proc));
                     }
                 }
             }
-        }
-        if let Some((node, proc, _)) = best {
-            out.push(Assignment::new(node, proc));
-        }
+            best.map(|(_, node, proc)| (node, proc))
+        });
     }
 }
 

@@ -15,15 +15,28 @@
 //! The per-kernel stddev is computed in the same pass over the idle
 //! processors that finds the kernel's best available one: each runnable
 //! idle processor's execution time (ascending id, fractional ms) goes into
-//! a stack buffer, so a decision allocates nothing. Within one decision
-//! each cost class is evaluated once: later ready kernels of the same
-//! class can only tie, and ties keep the earliest kernel.
+//! a stack buffer, so a decision allocates nothing. Within one pick each
+//! cost class is evaluated once: later ready kernels of the same class can
+//! only tie, and ties keep the earliest kernel. With one idle processor
+//! every stddev is 0, so the first ready kernel that can run there wins
+//! and the pick stops scanning.
+//!
+//! SS's pick reads only static costs and the idle set, and applying it only
+//! takes one processor out of the idle set and one kernel out of the ready
+//! set: the next pick at the same instant is the same rule over what is
+//! left. So one `decide` call emits the whole instant through
+//! [`emit_instant`], which repeats the pick over a local copy of the idle
+//! mask and the unclaimed kernels and marks the batch with
+//! [`AssignmentBuf::mark_fixpoint`], as MET's is. The assignment sequence
+//! is exactly the one-kernel-per-call sequence (pinned by
+//! `crates/policies/tests/naive_ss.rs`).
 
+use crate::common::emit_instant;
 use apt_base::stats::{stddev_population, FiniteF64};
 use apt_base::{ProcId, SimDuration};
 use apt_dfg::NodeId;
 use apt_hetsim::cost::MAX_PROCS;
-use apt_hetsim::{Assignment, AssignmentBuf, Policy, PolicyKind, SimView};
+use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, SimView};
 
 /// The SS policy.
 #[derive(Debug, Default, Clone, Copy)]
@@ -46,43 +59,42 @@ impl Policy for SerialScheduling {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        // Highest-stddev ready kernel over the available processors. One
-        // scan of the idle processors finds the best available one and
-        // collects the times the stddev is taken over. Both depend only on
-        // the kernel's cost class while the idle set is fixed, so a kernel
-        // of a class already evaluated in this call can at most tie the
-        // best so far, which strict `>` rejects: it is skipped unscanned
-        // (classes below 64 are tracked; higher ones are always scanned).
+        let cost = view.cost;
         let mut times = [0f64; MAX_PROCS];
-        let mut seen = 0u64;
-        let mut best: Option<(FiniteF64, NodeId, ProcId)> = None;
-        for node in view.ready.iter() {
-            let bit = 1u64.checked_shl(view.cost.class_of(node)).unwrap_or(0);
-            if seen & bit != 0 {
-                continue;
-            }
-            seen |= bit;
-            let mut count = 0;
-            let mut best_proc: Option<(ProcId, SimDuration)> = None;
-            for p in view.idle_procs() {
-                if let Some(e) = view.exec_time(node, p.id) {
-                    times[count] = e.as_ms_f64();
+        emit_instant(view, out, |idle, candidates| {
+            // Highest-stddev candidate over the available processors. One
+            // scan of the idle processors that can run it finds the best
+            // one and collects the times the stddev is taken over.
+            let single = idle.is_power_of_two();
+            let mut best: Option<(FiniteF64, NodeId, ProcId)> = None;
+            for (node, class) in candidates {
+                let mut avail = cost.class_runnable_mask(class) & idle;
+                let mut count = 0;
+                let mut best_proc: Option<(ProcId, u64)> = None;
+                while avail != 0 {
+                    let proc = ProcId::new(avail.trailing_zeros() as usize);
+                    avail &= avail - 1;
+                    let e = cost.class_exec_ns(class, proc);
+                    times[count] = SimDuration::from_ns(e).as_ms_f64();
                     count += 1;
                     if best_proc.is_none_or(|(_, be)| e < be) {
-                        best_proc = Some((p.id, e));
+                        best_proc = Some((proc, e));
                     }
                 }
+                let Some((proc, _)) = best_proc else { continue };
+                let sd = FiniteF64(stddev_population(&times[..count]));
+                // Strict `>` keeps the earliest kernel on ties.
+                if best.is_none_or(|(bsd, _, _)| sd > bsd) {
+                    best = Some((sd, node, proc));
+                }
+                if single {
+                    // Every stddev over one processor is 0: nothing later
+                    // can beat the first runnable kernel.
+                    break;
+                }
             }
-            let Some((proc, _)) = best_proc else { continue };
-            let sd = FiniteF64(stddev_population(&times[..count]));
-            // Strict `>` keeps the earliest (lowest-id) kernel on ties.
-            if best.is_none_or(|(bsd, _, _)| sd > bsd) {
-                best = Some((sd, node, proc));
-            }
-        }
-        if let Some((_, node, proc)) = best {
-            out.push(Assignment::new(node, proc));
-        }
+            best.map(|(_, node, proc)| (node, proc))
+        });
     }
 }
 

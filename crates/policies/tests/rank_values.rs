@@ -50,11 +50,21 @@ fn system() -> SystemConfig {
     SystemConfig::paper_no_transfers()
 }
 
+/// Run `f` on the prepare context of the chain under the custom table.
+fn with_chain_ctx<T>(f: impl FnOnce(&PrepareCtx<'_>) -> T) -> T {
+    let (lookup, dfg, config) = (custom_lookup(), chain_dag(), system());
+    let cost = CostModel::new(&dfg, &lookup, &config);
+    f(&PrepareCtx {
+        dfg: &dfg,
+        lookup: &lookup,
+        config: &config,
+        cost: &cost,
+    })
+}
+
 #[test]
 fn upward_ranks_match_hand_computation() {
-    let lookup = custom_lookup();
-    let dfg = chain_dag();
-    let ranks = upward_ranks(&dfg, &lookup, &system());
+    let ranks = with_chain_ctx(upward_ranks);
     // Eq. 3–4 with zero comm: rank_u(c) = 21; rank_u(b) = 6 + 21 = 27;
     // rank_u(a) = 13 + 27 = 40; rank_u(d) = 14.
     assert!((ranks[2] - 21.0).abs() < 1e-9, "rank_u(c) = {}", ranks[2]);
@@ -65,9 +75,7 @@ fn upward_ranks_match_hand_computation() {
 
 #[test]
 fn downward_ranks_match_hand_computation() {
-    let lookup = custom_lookup();
-    let dfg = chain_dag();
-    let ranks = downward_ranks(&dfg, &lookup, &system());
+    let ranks = with_chain_ctx(downward_ranks);
     // Eq. 5 with zero comm: rank_d(a) = 0; rank_d(b) = 13; rank_d(c) = 19;
     // rank_d(d) = 0.
     assert_eq!(ranks[0], 0.0);
@@ -78,18 +86,17 @@ fn downward_ranks_match_hand_computation() {
 
 #[test]
 fn oct_matches_hand_computation() {
-    let lookup = custom_lookup();
-    let dfg = chain_dag();
-    let oct = oct_matrix(&dfg, &lookup, &system());
+    let oct = with_chain_ctx(oct_matrix);
+    let row = |n: usize| &oct[n * 3..(n + 1) * 3];
     // Eq. 6 with zero comm. Exit tasks c and d: all zeros.
-    assert_eq!(oct[2], vec![0.0, 0.0, 0.0]);
-    assert_eq!(oct[3], vec![0.0, 0.0, 0.0]);
+    assert_eq!(row(2), vec![0.0, 0.0, 0.0]);
+    assert_eq!(row(3), vec![0.0, 0.0, 0.0]);
     // OCT(b, p) = min_w(OCT(c, w) + w(c, w)) = min(3, 30, 30) = 3 for all p.
-    assert_eq!(oct[1], vec![3.0, 3.0, 3.0]);
+    assert_eq!(row(1), vec![3.0, 3.0, 3.0]);
     // OCT(a, p) = min_w(OCT(b, w) + w(b, w)) = min(9, 9, 9) = 9 for all p.
-    assert_eq!(oct[0], vec![9.0, 9.0, 9.0]);
+    assert_eq!(row(0), vec![9.0, 9.0, 9.0]);
     // rank_oct = row means.
-    let ranks = rank_oct(&oct);
+    let ranks = rank_oct(&oct, 3);
     assert_eq!(ranks, vec![9.0, 3.0, 0.0, 0.0]);
 }
 

@@ -1,11 +1,11 @@
-//! The APT family (MET, APT, APT-R, EDF-APT, LL-APT) marks each `decide`
-//! batch as the whole per-instant fixpoint, and the engine then skips the
-//! confirming `decide` call. These tests pin that the mark is truthful: a
-//! wrapper that copies the inner policy's batch into the engine's buffer
-//! *without* the mark restores the confirming call after every non-empty
-//! batch, and the open-stream outcome must not move — across both ready
-//! orders, with and without an armed fault plan. Every confirming call the
-//! wrapper triggers must come back empty.
+//! The APT family (MET, APT, APT-R, EDF-APT, LL-APT), SPN and SS mark each
+//! `decide` batch as the whole per-instant fixpoint, and the engine then
+//! skips the confirming `decide` call. These tests pin that the mark is
+//! truthful: a wrapper that copies the inner policy's batch into the
+//! engine's buffer *without* the mark restores the confirming call after
+//! every non-empty batch, and the open-stream outcome must not move —
+//! across both ready orders, with and without an armed fault plan. Every
+//! confirming call the wrapper triggers must come back empty.
 
 use apt_core::prelude::*;
 use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource, StreamOutcome, StreamRun};
@@ -83,14 +83,16 @@ impl Policy for Unmarked {
 /// A fresh-policy constructor.
 type PolicyMaker = fn() -> Box<dyn Policy>;
 
-/// The five policies that mark their batches.
-fn marking_policies() -> [(&'static str, PolicyMaker); 5] {
+/// The dynamic policies that mark their batches.
+fn marking_policies() -> [(&'static str, PolicyMaker); 7] {
     [
         ("MET", || Box::new(Met::new())),
         ("APT", || Box::new(Apt::new(4.0))),
         ("APT-R", || Box::new(AptR::new(4.0))),
         ("EDF-APT", || Box::new(EdfApt::new(4.0))),
         ("LL-APT", || Box::new(LlApt::new(4.0))),
+        ("SPN", || Box::new(Spn::new())),
+        ("SS", || Box::new(SerialScheduling::new())),
     ]
 }
 
