@@ -12,9 +12,10 @@
 //!    `≤ α·x` (Eq. 8). If found, allocate there; otherwise keep waiting for
 //!    `p_min`.
 //!
-//! The kernel iteration order over the ready list is ascending node id
-//! (first-come first-serve on the stream order, which is how the generators
-//! number kernels).
+//! The kernel iteration order over the ready list is the ready set's:
+//! ascending node id on a closed workload (first-come first-serve on the
+//! stream order, which is how the generators number kernels), admission
+//! order on an open stream.
 //!
 //! ## Batched per-instant emission
 //!
@@ -38,16 +39,23 @@
 //! in `{p : exec(p) ≤ α·x}` — `p_min` itself included (`x ≤ α·x`). That
 //! set depends only on the kernel's lookup row and α, i.e. on its cost
 //! class ([`apt_hetsim::ClassId`]). Every APT-family policy keeps a
-//! class → admissible-mask table (`AdmissibleMasks`) and the pass skips
-//! a kernel with one test, `mask[class] & idle == 0`, before any
-//! cost-model read; the ready set hands the class over next to each node
-//! ([`apt_hetsim::ReadySet::iter_classes`]). The screen is exact: a
-//! skipped kernel could neither take `p_min` nor any alternative within
-//! `α·x` — LL-APT's slack-clamped threshold is never above `α·x` either —
-//! so the pass emits the same batch as it would without it (pinned by
-//! `crates/stream/tests/naive_apt.rs` against a screen-free Algorithm 1).
-//! On an overloaded stream this makes a `decide` call cost what it can
-//! assign rather than what is queued.
+//! class → admissible-mask table (`AdmissibleMasks`) and considers only
+//! kernels whose `mask[class]` meets the remaining idle set. The screen is
+//! exact: a skipped kernel could neither take `p_min` nor any alternative
+//! within `α·x` — LL-APT's slack-clamped threshold is never above `α·x`
+//! either — so the pass emits the same batch as it would without it
+//! (pinned by `crates/stream/tests/naive_apt.rs` against a screen-free
+//! Algorithm 1).
+//!
+//! The ready set applies the screen itself
+//! ([`apt_hetsim::ReadySet::walk_screened`]). On an open stream it keeps
+//! one list per cost class and merges only the lists of classes an idle
+//! processor can take, dropping a class when the pass's claims shrink the
+//! idle set below its mask, so a call visits only admissible kernels and
+//! never touches the rest of the queue: on an overloaded stream a
+//! `decide` call costs what it can assign rather than what is queued. On
+//! a closed workload the walk is the id-ordered scan with one mask test
+//! per kernel.
 //!
 //! The table is cleared by `prepare` and `set_alpha` and extends itself
 //! when the cost model interns a new class, so it never goes stale within
@@ -57,7 +65,6 @@
 use apt_base::{BaseError, ProcId, SimDuration};
 use apt_dfg::NodeId;
 use apt_hetsim::cost::UNRUNNABLE;
-use apt_hetsim::ready::ClassIter;
 use apt_hetsim::{
     Assignment, AssignmentBuf, ClassId, CostModel, DecisionMeta, Policy, PolicyKind, PrepareCtx,
     SimView,
@@ -198,74 +205,67 @@ pub(crate) fn find_alternative_in(
     best
 }
 
-/// One APT processor-selection pass (Algorithm 1) over `nodes` — `(node,
-/// class)` pairs — emitting the whole per-instant fixpoint (module docs)
-/// and marking it so. `idle` carries the batch's own claims, so each
-/// kernel sees exactly the idle set the engine would have shown it after
-/// applying the earlier assignments. `masks` is the α-admissible table
-/// ([`AdmissibleMasks`]); kernels it rules out are skipped unread.
-/// `threshold_of(node, x)` is the admission threshold for a kernel whose
-/// best execution time is `x` — `α·x` for [`Apt`] and [`crate::EdfApt`],
-/// slack-clamped (never above `α·x`) for [`crate::LlApt`].
-pub(crate) fn apt_pass(
+/// Algorithm 1's processor selection for one ready kernel, given the
+/// batch's remaining idle set `idle`: `p_min` if it is idle, else the best
+/// alternative within `threshold_of(node, x)`, else nothing (the kernel
+/// waits for `p_min`). Returns the idle set after the assignment. `idle`
+/// carries the batch's own claims, so each kernel sees exactly the idle
+/// set the engine would have shown it after applying the earlier
+/// assignments. `threshold_of(node, x)` is the admission threshold for a
+/// kernel whose best execution time is `x` — `α·x` for [`Apt`] and
+/// [`crate::EdfApt`], slack-clamped (never above `α·x`) for
+/// [`crate::LlApt`]. Every APT-family pass runs this step over its own
+/// kernel order and ends with [`AssignmentBuf::mark_fixpoint`].
+pub(crate) fn apt_step(
     view: &SimView<'_>,
-    nodes: impl IntoIterator<Item = (NodeId, ClassId)>,
-    masks: &[u64],
+    node: NodeId,
+    idle: u64,
     out: &mut AssignmentBuf,
-    mut threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
-) {
-    let mut idle = view.idle_mask;
-    for (node, class) in nodes {
-        if idle == 0 {
-            break; // every processor claimed: nothing left this instant
-        }
-        debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
-        if masks[class as usize] & idle == 0 {
-            continue; // no idle processor within α·x (module docs)
-        }
-        let Some(best) = best_instance_in(view, node, idle) else {
-            continue;
-        };
-        if best.idle {
-            // Line 6–8 of Algorithm 1: p_min available → allocate.
-            idle &= !(1 << best.proc.index());
-            out.push(Assignment::new(node, best.proc));
-            continue;
-        }
-        // Lines 9–14: look for p_alt within the threshold.
-        let threshold = threshold_of(node, best.exec);
-        if let Some((p_alt, cost)) = find_alternative_in(view, node, best.proc, threshold, idle) {
-            idle &= !(1 << p_alt.index());
-            out.push_explained(
-                Assignment::alternative(node, p_alt),
-                DecisionMeta {
-                    best_proc: best.proc,
-                    best_exec: best.exec,
-                    best_busy_until: view.proc(best.proc).busy_until,
-                    threshold,
-                    alt_cost: cost,
-                },
-            );
-        }
-        // No admissible alternative: wait for p_min, try the next kernel.
+    threshold_of: &mut impl FnMut(NodeId, SimDuration) -> SimDuration,
+) -> u64 {
+    let Some(best) = best_instance_in(view, node, idle) else {
+        return idle;
+    };
+    if best.idle {
+        // Line 6–8 of Algorithm 1: p_min available → allocate.
+        out.push(Assignment::new(node, best.proc));
+        return idle & !(1 << best.proc.index());
     }
-    out.mark_fixpoint();
+    // Lines 9–14: look for p_alt within the threshold.
+    let threshold = threshold_of(node, best.exec);
+    let Some((p_alt, cost)) = find_alternative_in(view, node, best.proc, threshold, idle) else {
+        // No admissible alternative: wait for p_min.
+        return idle;
+    };
+    out.push_explained(
+        Assignment::alternative(node, p_alt),
+        DecisionMeta {
+            best_proc: best.proc,
+            best_exec: best.exec,
+            best_busy_until: view.proc(best.proc).busy_until,
+            threshold,
+            alt_cost: cost,
+        },
+    );
+    idle & !(1 << p_alt.index())
 }
 
-/// [`apt_pass`] over `view.ready` in the set's own order. Matching the
-/// ready set's mode once gives each mode its own loop over a concrete
-/// iterator; dispatching on the mode per kernel cost a measurable share of
-/// an overloaded stream's throughput.
+/// One APT pass over the ready set in its own order, emitting the whole
+/// per-instant fixpoint (module docs) and marking it so. The ready set's
+/// screened walk hands [`apt_step`] only kernels whose admissible mask
+/// ([`AdmissibleMasks`]) meets the remaining idle set.
 pub(crate) fn ready_pass(
     view: &SimView<'_>,
     masks: &[u64],
     out: &mut AssignmentBuf,
-    threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
+    mut threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
 ) {
-    match view.ready.iter_classes() {
-        ClassIter::Ordered(pairs) => apt_pass(view, pairs.copied(), masks, out, threshold_of),
-        bits => apt_pass(view, bits, masks, out, threshold_of),
-    }
+    view.ready
+        .walk_screened(masks, view.idle_mask, |node, class, idle| {
+            debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
+            apt_step(view, node, idle, out, &mut threshold_of)
+        });
+    out.mark_fixpoint();
 }
 
 impl Policy for Apt {

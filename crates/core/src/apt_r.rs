@@ -30,9 +30,9 @@
 //! the one-assignment-per-call form (pinned by the engine-equivalence
 //! suite).
 //!
-//! APT-R's alternative must also sit within `α·x`, so it screens the ready
-//! set on APT's per-class admissible masks exactly as APT does (see the
-//! `apt` module docs).
+//! APT-R's alternative must also sit within `α·x`, so it walks the ready
+//! set screened on APT's per-class admissible masks exactly as APT does
+//! (see the `apt` module docs).
 
 use crate::apt::{find_alternative_in, AdmissibleMasks};
 use apt_base::{BaseError, ProcId, SimTime};
@@ -88,7 +88,6 @@ impl Policy for AptR {
         // kernels the batch already started, so the waiting estimate for a
         // just-claimed p_min matches what the engine's refreshed view would
         // have shown.
-        let mut idle = view.idle_mask;
         let mut claimed_until = [SimTime::ZERO; 64];
         let mut claimed: u64 = 0;
         // The engine's start arithmetic for a kernel claimed at this
@@ -100,44 +99,41 @@ impl Policy for AptR {
                 // that can run the node)
                 + view.exec_time(node, proc).expect("claimed proc runs node")
         };
-        for (node, class) in view.ready.iter_classes() {
-            if idle == 0 {
-                break; // every processor claimed: nothing left this instant
-            }
-            debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
-            if masks[class as usize] & idle == 0 {
-                continue; // no idle processor within α·x
-            }
-            let Some(best) = best_instance_in(view, node, idle) else {
-                continue;
-            };
-            if best.idle {
-                claimed_until[best.proc.index()] = finish_of(node, best.proc, view);
-                claimed |= 1 << best.proc.index();
-                idle &= !(1 << best.proc.index());
-                out.push(Assignment::new(node, best.proc));
-                continue;
-            }
-            let threshold = best.exec.scale_alpha(self.alpha);
-            let Some((proc, cost)) = find_alternative_in(view, node, best.proc, threshold, idle)
-            else {
-                continue;
-            };
-            // Cost of waiting for p_min: remaining busy time + placement.
-            // Only worth computing once an alternative is within α·x.
-            let busy_until = if claimed & (1 << best.proc.index()) != 0 {
-                claimed_until[best.proc.index()]
-            } else {
-                view.proc(best.proc).busy_until
-            };
-            let remaining = busy_until.saturating_since(view.now);
-            let wait_cost = remaining
-                .saturating_add(view.transfer_in_time(node, best.proc))
-                .saturating_add(best.exec);
-            if cost < wait_cost {
+        // The walk yields only kernels with an idle processor within α·x.
+        view.ready
+            .walk_screened(masks, view.idle_mask, |node, class, idle| {
+                debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
+                let Some(best) = best_instance_in(view, node, idle) else {
+                    return idle;
+                };
+                if best.idle {
+                    claimed_until[best.proc.index()] = finish_of(node, best.proc, view);
+                    claimed |= 1 << best.proc.index();
+                    out.push(Assignment::new(node, best.proc));
+                    return idle & !(1 << best.proc.index());
+                }
+                let threshold = best.exec.scale_alpha(self.alpha);
+                let Some((proc, cost)) =
+                    find_alternative_in(view, node, best.proc, threshold, idle)
+                else {
+                    return idle;
+                };
+                // Cost of waiting for p_min: remaining busy time + placement.
+                // Only worth computing once an alternative is within α·x.
+                let busy_until = if claimed & (1 << best.proc.index()) != 0 {
+                    claimed_until[best.proc.index()]
+                } else {
+                    view.proc(best.proc).busy_until
+                };
+                let remaining = busy_until.saturating_since(view.now);
+                let wait_cost = remaining
+                    .saturating_add(view.transfer_in_time(node, best.proc))
+                    .saturating_add(best.exec);
+                if cost >= wait_cost {
+                    return idle;
+                }
                 claimed_until[proc.index()] = finish_of(node, proc, view);
                 claimed |= 1 << proc.index();
-                idle &= !(1 << proc.index());
                 out.push_explained(
                     Assignment::alternative(node, proc),
                     DecisionMeta {
@@ -148,8 +144,8 @@ impl Policy for AptR {
                         alt_cost: cost,
                     },
                 );
-            }
-        }
+                idle & !(1 << proc.index())
+            });
         out.mark_fixpoint();
     }
 }

@@ -35,25 +35,27 @@
 //! Both run APT's one `decide` pass, which emits and marks the whole
 //! per-instant fixpoint, with their own kernel order and threshold, and
 //! screen kernels on APT's per-class admissible masks (see the `apt`
-//! module docs). When they sort, the screen runs before the sort, so
-//! kernels no idle processor can take are neither keyed nor sorted. On
+//! module docs). When they sort, the screen runs before the sort, class
+//! list by class list on an open stream, so kernels no idle processor can
+//! take are neither visited, keyed nor sorted. On
 //! deadline-free workloads both reduce byte-identically to APT, which is
 //! what lets the streaming equivalence suite replay them against
 //! `simulate_stream`.
 
-use crate::apt::{apt_pass, ready_pass, AdmissibleMasks};
+use crate::apt::{apt_step, ready_pass, AdmissibleMasks};
 use apt_base::{BaseError, SimDuration};
 use apt_dfg::NodeId;
-use apt_hetsim::{AssignmentBuf, ClassId, Policy, PolicyKind, PrepareCtx, ReadyOrder, SimView};
+use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, PrepareCtx, ReadyEntry, ReadyOrder, SimView};
 
-/// A reusable `(key, fcfs_pos, node, class)` ordering buffer.
-type OrderBuf = Vec<(u64, u32, NodeId, ClassId)>;
+/// A reusable `(key, ready-set entry)` ordering buffer.
+type OrderBuf = Vec<(u64, ReadyEntry)>;
 
-/// Sort the ready set into `buf` by an explicit per-node key, FCFS within
-/// equal keys (the ready set already iterates FCFS, and the sort is
-/// stable by construction: position is the tiebreak). Kernels whose
-/// admissible mask misses the whole idle set are left out: the pass would
-/// skip them anyway, because its idle set only shrinks.
+/// Sort the ready set into `buf` by an explicit per-node key, in the ready
+/// set's order within equal keys: the set's own [`ReadyEntry`] is the
+/// tiebreak, which gives the permutation a stable sort of the set's order
+/// would. Kernels whose admissible mask misses the whole idle set are left
+/// out — whole classes at a time on an open stream — because the pass
+/// would skip them anyway: its idle set only shrinks.
 fn order_ready(
     view: &SimView<'_>,
     masks: &[u64],
@@ -61,12 +63,31 @@ fn order_ready(
     mut key: impl FnMut(&SimView<'_>, NodeId) -> u64,
 ) {
     buf.clear();
-    for (pos, (node, class)) in view.ready.iter_classes().enumerate() {
-        if masks[class as usize] & view.idle_mask != 0 {
-            buf.push((key(view, node), pos as u32, node, class));
+    view.ready
+        .for_each_screened(masks, view.idle_mask, |e| buf.push((key(view, e.node), e)));
+    buf.sort_unstable();
+}
+
+/// [`apt_step`] over an [`order_ready`] buffer, skipping kernels whose
+/// admissible mask misses the shrinking idle set, then the fixpoint mark.
+fn sorted_pass(
+    view: &SimView<'_>,
+    order: &OrderBuf,
+    masks: &[u64],
+    out: &mut AssignmentBuf,
+    mut threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
+) {
+    let mut idle = view.idle_mask;
+    for &(_, e) in order {
+        if idle == 0 {
+            break; // every processor claimed: nothing left this instant
+        }
+        debug_assert_eq!(e.class, view.cost.class_of(e.node), "stale ready-set class");
+        if masks[e.class as usize] & idle != 0 {
+            idle = apt_step(view, e.node, idle, out, &mut threshold_of);
         }
     }
-    buf.sort_unstable();
+    out.mark_fixpoint();
 }
 
 /// APT with the ready list in earliest-absolute-deadline order.
@@ -144,8 +165,7 @@ impl Policy for EdfApt {
             return;
         }
         order_ready(view, masks, &mut self.order, deadline_key);
-        let nodes = self.order.iter().map(|&(_, _, n, c)| (n, c));
-        apt_pass(view, nodes, masks, out, threshold_of);
+        sorted_pass(view, &self.order, masks, out, threshold_of);
     }
 }
 
@@ -241,8 +261,7 @@ impl Policy for LlApt {
                 None => full,
             }
         };
-        let nodes = self.order.iter().map(|&(_, _, n, c)| (n, c));
-        apt_pass(view, nodes, masks, out, threshold_of);
+        sorted_pass(view, &self.order, masks, out, threshold_of);
     }
 }
 

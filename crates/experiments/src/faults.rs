@@ -385,6 +385,27 @@ mod tests {
         assert!(crashy.miss_rate() >= clean.miss_rate());
     }
 
+    /// AG and AR place only on up processors, so a crash plan no longer
+    /// ends their runs in `ProcUnavailable`: both drain a crashy cell.
+    #[test]
+    fn ag_and_ar_drain_a_crashy_stream() {
+        let mttf = Some(SimDuration::from_ms(30_000));
+        let makers: [(&str, PolicyFactory); 2] = [
+            ("AG", Box::new(|| Box::new(AdaptiveGreedy::new()))),
+            ("AR", Box::new(|| Box::new(AdaptiveRandom::new(FAULT_SEED)))),
+        ];
+        for (name, make) in &makers {
+            let o = fault_point(make.as_ref(), 0.15, mttf, false);
+            assert_eq!(
+                o.jobs_completed + o.jobs_failed + o.jobs_shed,
+                FAULT_JOBS,
+                "{name}: jobs leaked"
+            );
+            assert!(o.faults.crashes > 0, "{name}: MTTF 30s never crashed");
+            assert!(o.faults.orphaned > 0, "{name}: no kernel was orphaned");
+        }
+    }
+
     /// The CSV carries the ISSUE-mandated per-cell columns (goodput,
     /// wasted work, miss rate) in header order, one row per cell.
     #[test]

@@ -257,6 +257,12 @@ impl CostModel {
         self.min_ns[class as usize]
     }
 
+    /// The [`CostModel::min_mask`] of every class, indexed by class.
+    #[inline]
+    pub fn class_min_masks(&self) -> &[u64] {
+        &self.min_mask
+    }
+
     /// Bitset of instances able to execute kernels of `class`.
     #[inline]
     pub fn class_runnable_mask(&self, class: ClassId) -> u64 {

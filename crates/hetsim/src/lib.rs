@@ -51,7 +51,9 @@
 //!   finish and queue (with a running-sum windowed execution-time average,
 //!   rounded to nearest); the ready set is an index-backed bitset
 //!   ([`ready::ReadySet`]) with O(1) insert/remove/membership and
-//!   deterministic ascending-id iteration; a running idle-processor bitset
+//!   deterministic ascending-id iteration (open streams add one sorted list
+//!   per cost class, so a screened walk visits only the classes an idle
+//!   processor can take); a running idle-processor bitset
 //!   makes `SimView::any_idle` O(1).
 //! * The event core is **allocation-free**: pending events live in a
 //!   [`calendar::CalendarQueue`] (bucket ring + overflow, whole same-instant
@@ -114,7 +116,7 @@ pub use engine::{simulate, simulate_stream, simulate_stream_faulty};
 pub use link::LinkRate;
 pub use open::{validate_job, CompletedJob, JobId, OpenEngine, ReadyOrder, ARRIVAL_HORIZON};
 pub use policy::{Assignment, AssignmentBuf, Policy, PolicyKind, PrepareCtx};
-pub use ready::ReadySet;
+pub use ready::{ReadyEntry, ReadySet};
 pub use system::{ProcSpec, SystemConfig};
 pub use topology::{LinkContention, Topology};
 pub use trace::{ProcStats, SimResult, TaskRecord, Trace};

@@ -1,4 +1,5 @@
-//! The ready set `I`, as an index-backed bitset.
+//! The ready set `I`: an index-backed bitset, with per-class sorted lists
+//! for open streams.
 //!
 //! The seed engine kept `I` as a sorted `Vec<NodeId>`, paying an O(n)
 //! memmove on every assignment (`Vec::remove`) and readiness event
@@ -15,13 +16,18 @@
 //! ascending-id iteration *is* first-come-first-serve. The open-stream
 //! engine recycles arena slots, which breaks that identity: a later job can
 //! occupy a lower slot id. [`ReadySet::new_ordered`] therefore attaches an
-//! explicit per-node admission *sequence* and keeps a small sorted-by-seq
-//! index next to the bitset, so `iter()` yields FCFS order regardless of
+//! explicit per-node admission *sequence* and iterates by it regardless of
 //! slot ids — the exact iteration the closed engine would have produced if
 //! the whole stream had been materialized up front (this is what makes the
-//! open/closed differential test byte-identical). Membership stays O(1);
-//! insert/remove pay an O(ready) memmove, which is fine because an open
-//! stream's ready set holds only in-flight kernels, not the whole workload.
+//! open/closed differential test byte-identical).
+//!
+//! Next to the bitset, ordered mode keeps the members in one sorted list
+//! per cost class (below), each entry a [`ReadyEntry`] with its sort keys
+//! and class inline, plus a bitset of the classes that have members.
+//! Membership stays O(1); insert and remove binary-search one class list
+//! and move only that list's tail. [`ReadySet::iter`] merges the heads of
+//! the live class lists, one comparison per live class per member; a
+//! single live class is read in place.
 //!
 //! ## Priority ordering (deadline-aware streams)
 //!
@@ -31,48 +37,115 @@
 //! the FCFS order above; the deadline-aware open engine sets each slot's
 //! priority to its job's absolute deadline in nanoseconds, which turns
 //! `iter()` into earliest-deadline-first with FCFS tie-breaking — the EDF
-//! ready mode `apt-slo` builds on.
+//! ready mode `apt-slo` builds on. Members with equal `(priority,
+//! sequence)`, which the open engine never produces since it numbers every
+//! slot it admits, go by ascending node id.
 //!
 //! ## Cost classes
 //!
 //! Each node also carries its [`ClassId`] ([`ReadySet::set_class`], stamped
 //! by both engines from the cost model), and [`ReadySet::iter_classes`]
-//! yields `(node, class)` pairs in the set's order. In ordered mode the
-//! index stores each sorted member next to its class, so that walk is one
-//! linear slice read: a policy that screens kernels on a per-class table
-//! (APT's admissible-processor masks) never touches the cost model for a
-//! kernel it skips.
+//! yields `(node, class)` pairs in the set's order. A policy that screens
+//! kernels on a per-class table of processor masks (APT's admissible
+//! processors, MET's fastest ones) walks the set with
+//! [`ReadySet::walk_screened`]: it visits, in set order, only the members
+//! whose class mask meets an idle set that the caller shrinks as it
+//! assigns. In ordered mode that walk merges only the heads of the classes
+//! some idle processor can take, and drops a class as soon as the idle set
+//! stops meeting its mask, so a decision costs what it could assign rather
+//! than what is queued. In bitset mode it is the linear walk plus one mask
+//! test per member. A policy that sorts the screened members by a key of
+//! its own reads them class by class, with no merge, through
+//! [`ReadySet::for_each_screened`].
 
 use crate::cost::ClassId;
 use apt_dfg::NodeId;
 
+/// A member with its place in its set's order: members iterate ascending
+/// by `(prio, seq, node)`, which is this type's `Ord` (`class` never
+/// decides, since members are distinct nodes). In ordered mode `prio` and
+/// `seq` are the values given to [`ReadySet::set_prio`] and
+/// [`ReadySet::set_seq`]; a bitset-mode set reports priority 0 and the
+/// node id as the sequence, which is that mode's order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ReadyEntry {
+    /// The priority (0 unless set): sorts first.
+    pub prio: u64,
+    /// The admission sequence: orders equal priorities.
+    pub seq: u64,
+    /// The member itself: orders equal `(prio, seq)`.
+    pub node: NodeId,
+    /// The member's cost class.
+    pub class: ClassId,
+}
+
 /// Index of the ordered mode: per-node `(priority, sequence)` sort keys plus
-/// the ready members sorted by key. Priorities default to 0, making the
-/// order pure FCFS (ascending admission sequence).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// the ready members, one sorted list per cost class. Priorities default to
+/// 0, making the order pure FCFS (ascending admission sequence).
+#[derive(Debug, Clone)]
 struct OrderedIndex {
     /// Admission sequence per node id (universe-sized).
     seq: Vec<u64>,
     /// Priority per node id (universe-sized; 0 unless set). Sorts *before*
     /// the sequence, so equal-priority members keep FCFS order.
     prio: Vec<u64>,
-    /// Current members with their classes, sorted ascending by
-    /// `(prio[node], seq[node])`.
-    items: Vec<(NodeId, ClassId)>,
+    /// `lists[c]`: the members of class `c`, sorted ascending.
+    lists: Vec<Vec<ReadyEntry>>,
+    /// Bit `c` set ⇔ `lists[c]` is not empty.
+    live: Vec<u64>,
 }
 
 impl OrderedIndex {
-    /// The sort key of one node.
+    /// The entry of one node of `class`.
     #[inline]
-    fn key(&self, node: NodeId) -> (u64, u64) {
-        (self.prio[node.index()], self.seq[node.index()])
+    fn entry(&self, node: NodeId, class: ClassId) -> ReadyEntry {
+        ReadyEntry {
+            prio: self.prio[node.index()],
+            seq: self.seq[node.index()],
+            node,
+            class,
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, node: NodeId, class: ClassId) {
+        let entry = self.entry(node, class);
+        let c = class as usize;
+        if c >= self.lists.len() {
+            self.lists.resize_with(c + 1, Vec::new);
+            self.live.resize(self.lists.len().div_ceil(64), 0);
+        }
+        let list = &mut self.lists[c];
+        let pos = list.partition_point(|e| *e < entry);
+        list.insert(pos, entry);
+        self.live[c / 64] |= 1 << (c % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, node: NodeId, class: ClassId) {
+        let entry = self.entry(node, class);
+        let c = class as usize;
+        let list = &mut self.lists[c];
+        let pos = list
+            .binary_search(&entry)
+            .expect("bitset and class lists agree");
+        list.remove(pos);
+        if list.is_empty() {
+            self.live[c / 64] &= !(1 << (c % 64));
+        }
+    }
+
+    /// The live classes, ascending.
+    #[inline]
+    fn live_classes(&self) -> Bits<'_> {
+        Bits::new(&self.live)
     }
 }
 
 /// A fixed-universe set of node ids with deterministic iteration order:
 /// ascending node id by default, ascending admission sequence in ordered
 /// mode (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ReadySet {
     words: Vec<u64>,
     len: usize,
@@ -104,7 +177,8 @@ impl ReadySet {
             order: Some(OrderedIndex {
                 seq: vec![0; universe],
                 prio: vec![0; universe],
-                items: Vec::new(),
+                lists: Vec::new(),
+                live: Vec::new(),
             }),
         }
     }
@@ -194,9 +268,7 @@ impl ReadySet {
         *word |= bit;
         self.len += 1;
         if let Some(order) = &mut self.order {
-            let key = order.key(node);
-            let pos = order.items.partition_point(|&(n, _)| order.key(n) < key);
-            order.items.insert(pos, (node, self.class[i]));
+            order.insert(node, self.class[i]);
         }
         true
     }
@@ -215,47 +287,149 @@ impl ReadySet {
         *word &= !bit;
         self.len -= 1;
         if let Some(order) = &mut self.order {
-            let key = order.key(node);
-            let start = order.items.partition_point(|&(n, _)| order.key(n) < key);
-            let off = order.items[start..]
-                .iter()
-                .position(|&(n, _)| n == node)
-                .expect("bitset and ordered index agree");
-            order.items.remove(start + off);
+            order.remove(node, self.class[i]);
         }
         true
     }
 
-    /// The first ready node in iteration order (the FCFS head), if any.
+    /// The first ready node in iteration order (the FCFS head), if any. In
+    /// ordered mode, the least of the live class lists' heads.
     #[inline]
     pub fn first(&self) -> Option<NodeId> {
-        self.iter().next()
-    }
-
-    /// Iterate members in this set's deterministic order (ascending node id,
-    /// or ascending admission sequence in ordered mode).
-    #[inline]
-    pub fn iter(&self) -> ReadyIter<'_> {
-        ReadyIter {
-            seq: self.order.as_ref().map(|o| o.items.iter()),
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+        match &self.order {
+            None => self.iter().next(),
+            Some(o) => o
+                .live_classes()
+                .map(|c| o.lists[c][0])
+                .min()
+                .map(|e| e.node),
         }
     }
 
+    /// Iterate members in this set's deterministic order (ascending node id,
+    /// or ascending `(priority, sequence)` in ordered mode).
+    #[inline]
+    pub fn iter(&self) -> ReadyIter<'_> {
+        ReadyIter(Members::new(self))
+    }
+
     /// Iterate `(node, class)` pairs in the same order as
-    /// [`ReadySet::iter`]. In ordered mode this walks the sorted
-    /// `(member, class)` array; in bitset mode it reads each member's class
-    /// by node id.
+    /// [`ReadySet::iter`].
     #[inline]
     pub fn iter_classes(&self) -> ClassIter<'_> {
+        ClassIter {
+            members: Members::new(self),
+            class: &self.class,
+        }
+    }
+
+    /// Walk, in this set's order, the members whose class mask meets an
+    /// idle set the caller shrinks as it goes (module docs). `masks[c]` is
+    /// the processor mask of class `c` and must cover every member's class;
+    /// `idle` is the idle set at the start. `visit(node, class, idle)` gets
+    /// each member whose `masks[class]` meets the current `idle`, and
+    /// returns the idle set after it, which must be a subset of `idle`. The
+    /// walk ends when the set is exhausted or the idle set is empty.
+    #[inline]
+    pub fn walk_screened(
+        &self,
+        masks: &[u64],
+        mut idle: u64,
+        mut visit: impl FnMut(NodeId, ClassId, u64) -> u64,
+    ) {
+        let Some(order) = &self.order else {
+            // Bitset mode: the linear walk plus one mask test per member.
+            for i in Bits::new(&self.words) {
+                if idle == 0 {
+                    return;
+                }
+                let class = self.class[i];
+                if masks[class as usize] & idle != 0 {
+                    idle = visit(NodeId::new(i), class, idle);
+                }
+            }
+            return;
+        };
+        let admits = |c: usize, idle: u64| masks[c] & idle != 0;
+        let mut admissible = order.live_classes().filter(|&c| admits(c, idle));
+        let Some(first) = admissible.next() else {
+            return;
+        };
+        let Some(second) = admissible.next() else {
+            // One admissible class: its list in place, no merge.
+            for e in &order.lists[first] {
+                if !admits(first, idle) {
+                    return;
+                }
+                idle = visit(e.node, e.class, idle);
+            }
+            return;
+        };
+        let mut inline: [&[ReadyEntry]; INLINE_HEADS] = [&[]; INLINE_HEADS];
+        let mut spill = Vec::new();
+        let heads: &mut [&[ReadyEntry]] = if order.lists.len() <= INLINE_HEADS {
+            &mut inline
+        } else {
+            spill.resize(order.lists.len(), &[][..]);
+            &mut spill
+        };
+        let mut n = 0;
+        for c in [first, second].into_iter().chain(admissible) {
+            heads[n] = order.lists[c].as_slice();
+            n += 1;
+        }
+        let mut screened_for = idle;
+        while idle != 0 {
+            if idle != screened_for {
+                // The idle set shrank: drop the classes it no longer meets.
+                let mut i = 0;
+                while i < n {
+                    if admits(heads[i][0].class as usize, idle) {
+                        i += 1;
+                    } else {
+                        n -= 1;
+                        heads.swap(i, n);
+                    }
+                }
+                screened_for = idle;
+            }
+            let Some(e) = pop_least(heads, &mut n) else {
+                return;
+            };
+            idle = visit(e.node, e.class, idle);
+        }
+    }
+
+    /// Call `f(entry)` for every member whose class mask meets `idle`
+    /// (`masks` as for [`ReadySet::walk_screened`]), in no particular order:
+    /// class list by class list in ordered mode, skipping whole classes
+    /// whose mask misses `idle`, and by node id in bitset mode. Sorting the
+    /// visits by [`ReadyEntry`] gives the set's order, so a policy that
+    /// sorts by its own key first and by the entry second keeps the set's
+    /// order among equal keys without paying for a merge.
+    pub fn for_each_screened(&self, masks: &[u64], idle: u64, mut f: impl FnMut(ReadyEntry)) {
         match &self.order {
-            Some(o) => ClassIter::Ordered(o.items.iter()),
-            None => ClassIter::Bits {
-                nodes: self.iter(),
-                class: &self.class,
-            },
+            None => {
+                for i in Bits::new(&self.words) {
+                    let class = self.class[i];
+                    if masks[class as usize] & idle != 0 {
+                        let node = NodeId::new(i);
+                        f(ReadyEntry {
+                            prio: 0,
+                            seq: i as u64,
+                            node,
+                            class,
+                        });
+                    }
+                }
+            }
+            Some(o) => {
+                for c in o.live_classes() {
+                    if masks[c] & idle != 0 {
+                        o.lists[c].iter().copied().for_each(&mut f);
+                    }
+                }
+            }
         }
     }
 }
@@ -268,49 +442,133 @@ impl<'a> IntoIterator for &'a ReadySet {
     }
 }
 
-/// Iterator over a [`ReadySet`] in its deterministic order.
+/// The set bits of a word slice, ascending: node ids in bitset mode, live
+/// classes in ordered mode.
 #[derive(Debug, Clone)]
-pub struct ReadyIter<'a> {
-    /// `Some` in ordered mode: the FCFS slice walk.
-    seq: Option<std::slice::Iter<'a, (NodeId, ClassId)>>,
+struct Bits<'a> {
     words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
 
-impl Iterator for ReadyIter<'_> {
-    type Item = NodeId;
+impl<'a> Bits<'a> {
+    #[inline]
+    fn new(words: &'a [u64]) -> Bits<'a> {
+        Bits {
+            words,
+            word_idx: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+impl Iterator for Bits<'_> {
+    type Item = usize;
 
     #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        if let Some(items) = &mut self.seq {
-            return items.next().map(|&(n, _)| n);
-        }
+    fn next(&mut self) -> Option<usize> {
         while self.current == 0 {
             self.word_idx += 1;
             self.current = *self.words.get(self.word_idx)?;
         }
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;
-        Some(NodeId::new(self.word_idx * 64 + bit))
+        Some(self.word_idx * 64 + bit)
+    }
+}
+
+/// Up to how many cost classes [`ReadySet::walk_screened`] keeps its merge
+/// on the stack: more than the paper's lookup table has rows, so a
+/// paper-machine decision never allocates.
+const INLINE_HEADS: usize = 32;
+
+/// Take the least head among the first `n` unread, non-empty list rests,
+/// advancing its list. A list read to its end is swapped out of the first
+/// `n`; their order does not matter to the scan.
+#[inline]
+fn pop_least(heads: &mut [&[ReadyEntry]], n: &mut usize) -> Option<ReadyEntry> {
+    let heads = &mut heads[..*n];
+    let mut b = 0;
+    let mut least = heads.first()?[0];
+    for (i, rest) in heads.iter().enumerate().skip(1) {
+        if rest[0] < least {
+            least = rest[0];
+            b = i;
+        }
+    }
+    if heads[b].len() == 1 {
+        *n -= 1;
+        heads.swap(b, *n);
+    } else {
+        heads[b] = &heads[b][1..];
+    }
+    Some(least)
+}
+
+/// A walk over a set's members in its order, in either mode. Ordered mode
+/// merges the live class lists, reading a single one in place.
+#[derive(Debug, Clone)]
+enum Members<'a> {
+    Bits(Bits<'a>),
+    /// At most one list (an empty rest is the end).
+    One(&'a [ReadyEntry]),
+    /// Several lists: the first `.1` rests of `.0`.
+    Merge(Vec<&'a [ReadyEntry]>, usize),
+}
+
+impl<'a> Members<'a> {
+    fn new(set: &'a ReadySet) -> Members<'a> {
+        let Some(order) = &set.order else {
+            return Members::Bits(Bits::new(&set.words));
+        };
+        let mut lists = order.live_classes().map(|c| order.lists[c].as_slice());
+        match (lists.next(), lists.next()) {
+            (None, _) => Members::One(&[]),
+            (Some(only), None) => Members::One(only),
+            (Some(a), Some(b)) => {
+                let heads: Vec<_> = [a, b].into_iter().chain(lists).collect();
+                let n = heads.len();
+                Members::Merge(heads, n)
+            }
+        }
+    }
+
+    /// The next member: its node, and its class when ordered mode keeps it
+    /// inline.
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, Option<ClassId>)> {
+        let e = match self {
+            Members::Bits(bits) => return bits.next().map(|i| (NodeId::new(i), None)),
+            Members::One(rest) => {
+                let (first, tail) = rest.split_first()?;
+                *rest = tail;
+                *first
+            }
+            Members::Merge(heads, n) => pop_least(heads, n)?,
+        };
+        Some((e.node, Some(e.class)))
+    }
+}
+
+/// Iterator over a [`ReadySet`] in its deterministic order.
+#[derive(Debug, Clone)]
+pub struct ReadyIter<'a>(Members<'a>);
+
+impl Iterator for ReadyIter<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        self.0.next().map(|(node, _)| node)
     }
 }
 
 /// Iterator over a [`ReadySet`]'s `(node, class)` pairs in its
-/// deterministic order ([`ReadySet::iter_classes`]). The variants are
-/// public so that a hot loop can match once and run on the concrete
-/// iterator of the set's mode instead of re-dispatching per member.
+/// deterministic order ([`ReadySet::iter_classes`]).
 #[derive(Debug, Clone)]
-pub enum ClassIter<'a> {
-    /// Ordered mode: the sorted members with their classes.
-    Ordered(std::slice::Iter<'a, (NodeId, ClassId)>),
-    /// Bitset mode: ascending node ids, each class read by id.
-    Bits {
-        /// The plain member walk.
-        nodes: ReadyIter<'a>,
-        /// The set's per-node classes.
-        class: &'a [ClassId],
-    },
+pub struct ClassIter<'a> {
+    members: Members<'a>,
+    class: &'a [ClassId],
 }
 
 impl Iterator for ClassIter<'_> {
@@ -318,10 +576,8 @@ impl Iterator for ClassIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(NodeId, ClassId)> {
-        match self {
-            ClassIter::Ordered(it) => it.next().copied(),
-            ClassIter::Bits { nodes, class } => nodes.next().map(|n| (n, class[n.index()])),
-        }
+        let (node, class) = self.members.next()?;
+        Some((node, class.unwrap_or_else(|| self.class[node.index()])))
     }
 }
 

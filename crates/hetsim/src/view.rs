@@ -73,7 +73,8 @@ pub struct SimView<'a> {
     /// not been assigned yet. Iterates in the deterministic order named by
     /// [`SimView::ready_order`]. Each member carries its
     /// [`CostModel::class_of`] class ([`ReadySet::set_class`]); a view built
-    /// by hand must stamp it for the APT family's class screen.
+    /// by hand must stamp it for the class screen of MET and the APT family
+    /// ([`ReadySet::walk_screened`]).
     pub ready: &'a ReadySet,
     /// Per-processor occupancy snapshots, indexed by [`ProcId`]. Maintained
     /// incrementally by the engine — not rebuilt per decision edge.

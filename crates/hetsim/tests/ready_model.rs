@@ -1,0 +1,216 @@
+//! Model test for [`ReadySet`]: random interleavings of `set_seq`,
+//! `set_prio`, `set_class`, `insert`, `remove` and `grow`, with recycled
+//! ids, equal priorities and sequences, and more than 64 classes, checked
+//! after every step against a plain model: a member list sorted by
+//! `(prio, seq, node)`.
+//!
+//! Every read is checked: `iter`, `iter_classes`, `first`, `len`, the
+//! screened walk against a linear mask-filtered walk under an idle set that
+//! shrinks between steps, and `for_each_screened` against the same filter
+//! without the shrinking. Both modes run the same script; the bitset mode
+//! ignores the sequence and priority steps and orders by node id.
+
+use apt_dfg::NodeId;
+use apt_hetsim::{ClassId, ReadyEntry, ReadySet};
+use proptest::prelude::*;
+
+/// Classes the scripts draw from: more than one word of live-class bits.
+const CLASSES: u32 = 100;
+
+/// One step: `(kind, id, value)`.
+type Step = (u8, usize, u64);
+
+/// The plain model: per-node keys and membership.
+struct Model {
+    ordered: bool,
+    seq: Vec<u64>,
+    prio: Vec<u64>,
+    class: Vec<ClassId>,
+    member: Vec<bool>,
+}
+
+impl Model {
+    fn new(ordered: bool, universe: usize) -> Model {
+        Model {
+            ordered,
+            seq: vec![0; universe],
+            prio: vec![0; universe],
+            class: vec![0; universe],
+            member: vec![false; universe],
+        }
+    }
+
+    fn grow(&mut self, universe: usize) {
+        if universe > self.member.len() {
+            self.seq.resize(universe, 0);
+            self.prio.resize(universe, 0);
+            self.class.resize(universe, 0);
+            self.member.resize(universe, false);
+        }
+    }
+
+    /// The members in the set's order, each with its entry.
+    fn sorted(&self) -> Vec<ReadyEntry> {
+        let mut entries: Vec<ReadyEntry> = (0..self.member.len())
+            .filter(|&i| self.member[i])
+            .map(|i| ReadyEntry {
+                prio: if self.ordered { self.prio[i] } else { 0 },
+                seq: if self.ordered { self.seq[i] } else { i as u64 },
+                node: NodeId::new(i),
+                class: self.class[i],
+            })
+            .collect();
+        entries.sort();
+        entries
+    }
+}
+
+/// The idle-set update both walks apply on a visit: the `n`-th visit
+/// claims the lowest processor of `masks[class] & idle` when `n % 3 != 1`,
+/// and claims nothing otherwise (a kernel that waits).
+fn claim(n: usize, mask: u64, idle: u64) -> u64 {
+    let open = mask & idle;
+    if n % 3 == 1 || open == 0 {
+        idle
+    } else {
+        idle & !(1 << open.trailing_zeros())
+    }
+}
+
+/// Check every read of `set` against `model`.
+fn check(set: &ReadySet, model: &Model, masks: &[u64], idle: u64) {
+    let sorted = model.sorted();
+    let nodes: Vec<NodeId> = sorted.iter().map(|e| e.node).collect();
+    assert_eq!(set.iter().collect::<Vec<_>>(), nodes, "iter");
+    let pairs: Vec<(NodeId, ClassId)> = sorted.iter().map(|e| (e.node, e.class)).collect();
+    assert_eq!(
+        set.iter_classes().collect::<Vec<_>>(),
+        pairs,
+        "iter_classes"
+    );
+    assert_eq!(set.first(), nodes.first().copied(), "first");
+    assert_eq!(set.len(), nodes.len(), "len");
+    assert_eq!(set.is_empty(), nodes.is_empty(), "is_empty");
+
+    // The screened walk against the linear walk with a mask test.
+    let mut expected = Vec::new();
+    let mut left = idle;
+    for e in &sorted {
+        if left == 0 {
+            break;
+        }
+        let mask = masks[e.class as usize];
+        if mask & left != 0 {
+            expected.push((e.node, e.class, left));
+            left = claim(expected.len(), mask, left);
+        }
+    }
+    let mut walked = Vec::new();
+    set.walk_screened(masks, idle, |node, class, now| {
+        walked.push((node, class, now));
+        claim(walked.len(), masks[class as usize], now)
+    });
+    assert_eq!(walked, expected, "walk_screened from idle {idle:#b}");
+
+    // The unordered visit: the same members as the filter, in any order.
+    let mut visited = Vec::new();
+    set.for_each_screened(masks, idle, |e| visited.push(e));
+    visited.sort();
+    let filtered: Vec<ReadyEntry> = sorted
+        .into_iter()
+        .filter(|e| masks[e.class as usize] & idle != 0)
+        .collect();
+    assert_eq!(visited, filtered, "for_each_screened from idle {idle:#b}");
+}
+
+/// Run one script in one mode. `masks` holds a processor mask per class
+/// (six processors); step `n`'s check screens from `idles[n % idles.len()]`.
+fn run(ordered: bool, universe: usize, steps: &[Step], masks: &[u64], idles: &[u64]) {
+    let mut set = if ordered {
+        ReadySet::new_ordered(universe)
+    } else {
+        ReadySet::new(universe)
+    };
+    let mut model = Model::new(ordered, universe);
+    for (n, &(kind, id, value)) in steps.iter().enumerate() {
+        let size = model.member.len();
+        let idle = idles[n % idles.len()];
+        if kind == 5 {
+            // Grow by up to 70 ids, across a word boundary now and then.
+            let to = size + (value as usize % 70);
+            set.grow(to);
+            model.grow(to);
+            check(&set, &model, masks, idle);
+            continue;
+        }
+        if size == 0 {
+            continue;
+        }
+        let i = id % size;
+        let node = NodeId::new(i);
+        let member = model.member[i];
+        match kind {
+            // Keys change only on non-members (the set's contract). Small
+            // ranges make equal priorities and sequences common.
+            0 if !member && ordered => {
+                set.set_seq(node, value % 16);
+                model.seq[i] = value % 16;
+            }
+            1 if !member && ordered => {
+                set.set_prio(node, value % 4);
+                model.prio[i] = value % 4;
+            }
+            2 if !member => {
+                let class = (value % CLASSES as u64) as ClassId;
+                set.set_class(node, class);
+                model.class[i] = class;
+            }
+            3 => {
+                assert_eq!(set.insert(node), !member, "insert");
+                model.member[i] = true;
+            }
+            4 => {
+                assert_eq!(set.remove(node), member, "remove");
+                model.member[i] = false;
+            }
+            _ => {}
+        }
+        check(&set, &model, masks, idle);
+    }
+    // Drain in set order: every removal keeps the rest consistent.
+    while let Some(node) = set.first() {
+        assert!(set.remove(node));
+        model.member[node.index()] = false;
+        check(&set, &model, masks, idles[0]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random scripts over a small universe, so ids recycle constantly.
+    #[test]
+    fn ready_set_matches_a_sorted_model(
+        universe in 0usize..80,
+        steps in prop::collection::vec((0u8..6, 0usize..1_000, 0u64..1_000), 0..220),
+        masks in prop::collection::vec(0u64..64, CLASSES as usize..CLASSES as usize + 1),
+        idles in prop::collection::vec(0u64..64, 1..8),
+    ) {
+        run(true, universe, &steps, &masks, &idles);
+        run(false, universe, &steps, &masks, &idles);
+    }
+
+    /// Scripts that insert far more than they remove, so that long class
+    /// lists and many live classes meet in one merge.
+    #[test]
+    fn a_deep_set_matches_a_sorted_model(
+        steps in prop::collection::vec(
+            (prop::sample::select(vec![0u8, 1, 2, 3, 3, 3, 3, 4, 5]), 0usize..1_000, 0u64..1_000),
+            100..400,
+        ),
+        masks in prop::collection::vec(0u64..64, CLASSES as usize..CLASSES as usize + 1),
+        idles in prop::collection::vec(1u64..64, 1..8),
+    ) {
+        run(true, 200, &steps, &masks, &idles);
+    }
+}

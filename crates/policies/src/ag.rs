@@ -50,7 +50,8 @@ impl Policy for AdaptiveGreedy {
             return;
         };
         let mut best: Option<(ProcId, SimDuration)> = None;
-        for p in view.procs.iter() {
+        // A crashed processor takes nothing until its repair.
+        for p in view.procs.iter().filter(|p| !p.down) {
             if view.exec_time(node, p.id).is_none() {
                 continue;
             }

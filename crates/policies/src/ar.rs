@@ -54,7 +54,8 @@ impl Policy for AdaptiveRandom {
         // built into the reused scratch buffers.
         self.candidates.clear();
         self.weights.clear();
-        for p in view.procs.iter() {
+        // A crashed processor takes nothing until its repair.
+        for p in view.procs.iter().filter(|p| !p.down) {
             if view.exec_time(node, p.id).is_none() {
                 continue;
             }

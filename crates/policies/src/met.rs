@@ -12,8 +12,8 @@
 //! degenerates to MET, which Tables 8/9 show as identical columns.
 //!
 //! The paper picks kernels "in a random order"; for reproducibility this
-//! implementation uses ascending node id, which is one fixed arbitrary
-//! order.
+//! implementation uses the ready set's order (ascending node id on a
+//! closed workload), which is one fixed arbitrary order.
 //!
 //! MET's rule reads only static lookup costs and the idle set, and every
 //! assignment strictly *shrinks* the idle set — a kernel skipped because its
@@ -24,7 +24,10 @@
 //! [`AssignmentBuf::mark_fixpoint`] so the engine advances time instead of
 //! re-invoking `decide` for an empty answer. This produces exactly the same
 //! assignment sequence as the one-per-call form (pinned by the Figure-5
-//! test below) at a fraction of the rescans.
+//! test below) at a fraction of the rescans. The pass is the ready set's
+//! screened walk ([`apt_hetsim::ReadySet::walk_screened`]) on the cost
+//! model's per-class fastest-processor masks, so on an open stream it
+//! visits only kernels whose best processor is idle.
 
 use apt_base::ProcId;
 use apt_hetsim::{Assignment, AssignmentBuf, Policy, PolicyKind, SimView};
@@ -50,21 +53,19 @@ impl Policy for Met {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let mut idle = view.idle_mask;
-        for node in view.ready.iter() {
-            if idle == 0 {
-                break; // every processor claimed: nothing left this instant
-            }
-            // Lowest-id idle instance among the minimal-execution-time set
-            // (`best_instance` semantics, fused with the batch's own claims).
-            let available = view.cost.min_mask(node) & idle;
-            if available != 0 {
+        // The walk skips every kernel whose best processors are all busy:
+        // it waits for them (the defining MET rule).
+        let min_masks = view.cost.class_min_masks();
+        view.ready
+            .walk_screened(min_masks, view.idle_mask, |node, class, idle| {
+                // Lowest-id idle instance among the minimal-execution-time
+                // set (`best_instance` semantics, fused with the batch's own
+                // claims).
+                let available = min_masks[class as usize] & idle;
                 let proc = ProcId::new(available.trailing_zeros() as usize);
-                idle &= !(1 << proc.index());
                 out.push(Assignment::new(node, proc));
-            }
-            // Best processor busy: wait for it (the defining MET rule).
-        }
+                idle & !(1 << proc.index())
+            });
         out.mark_fixpoint();
     }
 }

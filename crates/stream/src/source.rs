@@ -170,6 +170,12 @@ impl Source for PoissonSource<'_> {
     }
 }
 
+/// The largest mean burst gap [`OnOffSource::try_new`] accepts, in mean ON
+/// periods. An arrival is drawn by redrawing ON/OFF cycles until a gap fits
+/// inside one ON period, about this many cycles at the limit; every
+/// parameter set in this repository sits below a thousand.
+pub const MAX_BURST_GAP_PER_ON: f64 = 1e6;
+
 /// Bursty on/off (two-state MMPP) arrivals: exponential ON periods emitting
 /// Poisson arrivals at `burst_rate`, separated by exponential OFF silences.
 #[derive(Debug, Clone)]
@@ -213,9 +219,12 @@ impl<'a> OnOffSource<'a> {
         .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`OnOffSource::new`], returning [`BaseError::InvalidSystem`] for a
-    /// zero, negative, NaN or infinite burst rate and for a zero mean ON or
-    /// OFF period instead of panicking.
+    /// [`OnOffSource::new`], returning [`BaseError::InvalidSystem`] instead
+    /// of panicking for a zero, negative, NaN or infinite burst rate, for a
+    /// zero mean ON or OFF period, and for a mean burst gap more than
+    /// [`MAX_BURST_GAP_PER_ON`] times the mean ON period: each arrival
+    /// would then redraw that many ON/OFF cycles on average before one
+    /// holds it.
     pub fn try_new(
         lookup: &'a LookupTable,
         burst_rate_per_sec: f64,
@@ -228,14 +237,23 @@ impl<'a> OnOffSource<'a> {
         check_rate("burst rate", burst_rate_per_sec)?;
         check_period("mean ON period", mean_on)?;
         check_period("mean OFF period", mean_off)?;
-        let mut rng = SplitMix64::new(seed);
+        let burst_gap_ns = 1e9 / burst_rate_per_sec;
         let mean_on_ns = mean_on.as_ns() as f64;
+        if burst_gap_ns > MAX_BURST_GAP_PER_ON * mean_on_ns {
+            return Err(BaseError::InvalidSystem {
+                reason: format!(
+                    "burst gap of {burst_gap_ns} ns is more than {MAX_BURST_GAP_PER_ON} \
+                     mean ON periods of {mean_on_ns} ns"
+                ),
+            });
+        }
+        let mut rng = SplitMix64::new(seed);
         let on_end_ns = exp_gap_ns(&mut rng, mean_on_ns);
         Ok(OnOffSource {
             lookup,
             family,
             rng,
-            burst_gap_ns: 1e9 / burst_rate_per_sec,
+            burst_gap_ns,
             mean_on_ns,
             mean_off_ns: mean_off.as_ns() as f64,
             t_ns: 0,

@@ -59,6 +59,17 @@ fn a_tiny_rate_ends_in_a_typed_error() {
     assert_past_horizon(run(&mut diurnal), "diurnal at 1e-12 jobs/s");
 }
 
+/// A burst gap a trillion ON periods long would make every arrival redraw
+/// about that many ON/OFF cycles: `try_new` refuses it instead.
+#[test]
+fn an_on_off_gap_far_beyond_the_on_period_is_refused() {
+    let lookup = LookupTable::paper();
+    let period = SimDuration::from_ms(10);
+    let err = OnOffSource::try_new(lookup, 1e-12, period, period, 3, JobFamily::Single, 42)
+        .expect_err("on/off at 1e-12 jobs/s with 10 ms periods");
+    assert!(matches!(err, BaseError::InvalidSystem { .. }), "{err}");
+}
+
 #[test]
 fn a_deadline_near_the_end_of_the_clock_ends_in_a_typed_error() {
     let job = JobTemplate::new(vec![Kernel::canonical(KernelKind::Bfs)], vec![])
