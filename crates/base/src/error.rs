@@ -165,6 +165,50 @@ mod tests {
         assert!(e.to_string().contains("down"));
     }
 
+    /// Every variant's message names the values it carries.
+    #[test]
+    fn every_variant_displays_its_fields() {
+        let cases: Vec<(BaseError, &[&str])> = vec![
+            (BaseError::CyclicGraph { node: 4 }, &["cyclic", "4"]),
+            (
+                BaseError::NodeOutOfRange { node: 12, len: 5 },
+                &["12", "5 nodes"],
+            ),
+            (BaseError::DuplicateEdge { from: 3, to: 8 }, &["3 -> 8"]),
+            (BaseError::SelfLoop { node: 6 }, &["self loop", "6"]),
+            (
+                BaseError::InvalidSystem {
+                    reason: "no processors".into(),
+                },
+                &["invalid system", "no processors"],
+            ),
+            (
+                BaseError::InvalidAssignment {
+                    reason: "node 3 not ready".into(),
+                },
+                &["invalid assignment", "node 3 not ready"],
+            ),
+            (
+                BaseError::Starvation { unscheduled: 17 },
+                &["starved", "17"],
+            ),
+            (
+                BaseError::RetriesExhausted {
+                    node: 9,
+                    attempts: 4,
+                },
+                &["kernel 9", "4 attempts"],
+            ),
+            (BaseError::ProcUnavailable { proc: 2 }, &["processor 2"]),
+        ];
+        for (err, needles) in cases {
+            let text = err.to_string();
+            for needle in needles {
+                assert!(text.contains(needle), "{text:?} lacks {needle:?}");
+            }
+        }
+    }
+
     #[test]
     fn errors_are_comparable() {
         assert_eq!(

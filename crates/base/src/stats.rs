@@ -135,6 +135,36 @@ mod tests {
         assert_eq!(argmin_by_key(&empty, |&x| x), None);
     }
 
+    /// The duration mean sums in `u128`: durations near `u64::MAX` ns
+    /// average without overflowing.
+    #[test]
+    fn mean_duration_does_not_overflow() {
+        let big = SimDuration::from_ns(u64::MAX - 1);
+        let v = [big, big, SimDuration::from_ns(u64::MAX - 4)];
+        assert_eq!(mean_duration(&v), SimDuration::from_ns(u64::MAX - 2));
+        // Truncating integer division, as documented.
+        let v = [SimDuration::from_ns(1), SimDuration::from_ns(2)];
+        assert_eq!(mean_duration(&v), SimDuration::from_ns(1));
+    }
+
+    #[test]
+    fn argmax_ties_break_to_earliest() {
+        let v = [2u64, 5, 1, 5];
+        assert_eq!(argmax_by_key(&v, |&x| x), Some(1));
+        assert_eq!(argmin_by_key(&v, |&x| x), Some(2));
+        let empty: [u64; 0] = [];
+        assert_eq!(argmax_by_key(&empty, |&x| x), None);
+        // A key function can invert the order.
+        assert_eq!(argmax_by_key(&v, |&x| std::cmp::Reverse(x)), Some(2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn finite_f64_asserts_on_nan() {
+        let _ = FiniteF64(f64::NAN).cmp(&FiniteF64(1.0));
+    }
+
     #[test]
     fn finite_f64_orders() {
         let mut v = vec![FiniteF64(3.0), FiniteF64(1.5), FiniteF64(2.0)];

@@ -40,7 +40,7 @@
 //!   keeps missing *after* it, and the controller would cut ρ to the floor
 //!   on stale evidence.
 //! * [`AlphaController`] — epoch hill-climb on the APT-family threshold α
-//!   (via [`Policy::set_alpha`]). It holds each probe for `settle` windows,
+//!   (via [`apt_hetsim::Policy::set_alpha`]). It holds each probe for `settle` windows,
 //!   scores the epoch (on-time completions net of misses and failures,
 //!   normalized by volume), and keeps stepping in the same direction while
 //!   the score improves, reversing when it worsens — converging to the

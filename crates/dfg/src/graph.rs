@@ -257,6 +257,16 @@ impl<T> Dag<T> {
 
     /// Validate acyclicity.
     pub fn validate(&self) -> Result<(), BaseError> {
+        // Ascending edges admit id order as a topological order, so such a
+        // graph (every generated one) is acyclic without running Kahn.
+        let ascending = self
+            .succs
+            .iter()
+            .enumerate()
+            .all(|(i, ss)| ss.iter().all(|s| s.index() > i));
+        if ascending {
+            return Ok(());
+        }
         self.topo_order().map(|_| ())
     }
 
@@ -392,6 +402,101 @@ mod tests {
         let mut g = diamond();
         g.add_edge(NodeId(3), NodeId(0)).unwrap();
         assert!(matches!(g.validate(), Err(BaseError::CyclicGraph { .. })));
+    }
+
+    /// Edges that point from a higher id to a lower one skip the
+    /// ascending-edge shortcut; an acyclic such graph still validates.
+    #[test]
+    fn descending_acyclic_edges_validate() {
+        let mut g = Dag::new();
+        let ids: Vec<NodeId> = (0..4).map(|i| g.add_node(i)).collect();
+        g.add_edge(ids[3], ids[1]).unwrap();
+        g.add_edge(ids[1], ids[0]).unwrap();
+        g.add_edge(ids[3], ids[2]).unwrap();
+        g.add_edge(ids[2], ids[0]).unwrap();
+        g.validate().unwrap();
+        assert_eq!(
+            g.topo_order().unwrap(),
+            vec![NodeId(3), NodeId(1), NodeId(2), NodeId(0)]
+        );
+    }
+
+    /// One descending edge among ascending ones is enough to close a cycle,
+    /// and `validate` must then run the full check.
+    #[test]
+    fn one_back_edge_among_ascending_ones_is_a_cycle() {
+        let mut g = Dag::new();
+        for i in 0..6 {
+            g.add_node(i);
+        }
+        for i in 0..5 {
+            g.add_edge(NodeId(i), NodeId(i + 1)).unwrap();
+        }
+        g.validate().unwrap();
+        g.add_edge(NodeId(4), NodeId(2)).unwrap();
+        assert!(matches!(
+            g.validate(),
+            Err(BaseError::CyclicGraph { node: 2 })
+        ));
+    }
+
+    /// `validate` accepts exactly the graphs `topo_order` can order, on
+    /// random graphs with edges in both directions.
+    #[test]
+    fn validate_agrees_with_topo_order_on_random_graphs() {
+        let mut rng = crate::rng::SplitMix64::new(0xDA6);
+        let mut cyclic = 0;
+        for round in 0..300 {
+            let n = 2 + rng.gen_index(9);
+            let mut g = Dag::new();
+            for i in 0..n {
+                g.add_node(i);
+            }
+            // Mostly ascending edges; a few rounds add descending ones.
+            let back_edges = if round % 3 == 0 { rng.gen_index(3) } else { 0 };
+            for _ in 0..rng.gen_index(2 * n) {
+                let a = rng.gen_index(n);
+                let b = rng.gen_index(n);
+                if a < b {
+                    let _ = g.add_edge(NodeId::new(a), NodeId::new(b));
+                }
+            }
+            for _ in 0..back_edges {
+                let a = rng.gen_index(n);
+                let b = rng.gen_index(n);
+                if a > b {
+                    let _ = g.add_edge(NodeId::new(a), NodeId::new(b));
+                }
+            }
+            let topo = g.topo_order();
+            cyclic += usize::from(topo.is_err());
+            assert_eq!(g.validate().is_ok(), topo.is_ok(), "round {round}");
+        }
+        assert!(cyclic > 0, "the rounds must include cyclic graphs");
+    }
+
+    #[test]
+    fn path_queries_reject_a_cycle() {
+        let mut g = diamond();
+        g.add_edge(NodeId(3), NodeId(1)).unwrap();
+        assert!(matches!(
+            g.critical_path(|_| 1),
+            Err(BaseError::CyclicGraph { .. })
+        ));
+        assert!(matches!(g.levels(), Err(BaseError::CyclicGraph { .. })));
+    }
+
+    #[test]
+    fn edgeless_nodes_are_both_sources_and_sinks() {
+        let mut g = Dag::new();
+        for i in 0..3 {
+            g.add_node(i);
+        }
+        let all = vec![NodeId(0), NodeId(1), NodeId(2)];
+        assert_eq!(g.sources(), all);
+        assert_eq!(g.sinks(), all);
+        g.validate().unwrap();
+        assert_eq!(g.levels().unwrap(), vec![all]);
     }
 
     #[test]

@@ -62,6 +62,7 @@ mod tests {
     use super::*;
     use crate::generator::{build_type1, generate_kernels, StreamConfig};
     use crate::lookup::LookupTable;
+    use crate::{Kernel, KernelKind};
 
     #[test]
     fn renders_type1_levels() {
@@ -71,6 +72,35 @@ mod tests {
         assert!(s.contains("level 0 |"));
         assert!(s.contains("level 1 |"));
         assert!(s.contains("5 kernels, 4 edges, 2 levels"));
+    }
+
+    #[test]
+    fn a_cyclic_graph_renders_as_invalid() {
+        let kernels = generate_kernels(&StreamConfig::new(3, 1), LookupTable::paper());
+        let mut g = build_type1(&kernels);
+        // Type-1 wires n0, n1 → n2; closing n2 → n0 makes a cycle.
+        g.add_edge(crate::NodeId::new(2), crate::NodeId::new(0))
+            .unwrap();
+        let s = render_levels(&g);
+        assert!(s.starts_with("<invalid graph:"), "{s}");
+        assert!(s.contains("cyclic"), "{s}");
+    }
+
+    /// One line per level, each node as `id:tag` in id order, then a totals
+    /// line.
+    #[test]
+    fn levels_render_one_line_each() {
+        let kernels = [
+            Kernel::canonical(KernelKind::NeedlemanWunsch),
+            Kernel::canonical(KernelKind::Bfs),
+            Kernel::new(KernelKind::Cholesky, 250_000),
+        ];
+        let g = build_type1(&kernels);
+        assert_eq!(
+            render_levels(&g),
+            "level 0 | n0:nw n1:bfs\nlevel 1 | n2:cd\n(3 kernels, 2 edges, 2 levels)"
+        );
+        assert_eq!(render_edges(&g), "n0:nw -> n2\nn1:bfs -> n2\n");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * **bottleneck** — host-staged star rooted at CPU0: 1 GB/s to the root,
 //!   0.5 GB/s effective for every device↔device two-hop,
 //! * **bottleneck+pl** — the same star with per-link contention enabled
-//!   ([`apt_hetsim::LinkContention::PerLink`]): a starting kernel's inputs
+//!   ([`LinkContention::PerLink`]): a starting kernel's inputs
 //!   stream concurrently over distinct links instead of serializing on the
 //!   consumer. Contention is keyed on logical `(src, dst)` pairs, so the
 //!   star's shared root uplink is not itself serialized — this row is an

@@ -91,6 +91,24 @@ mod tests {
         );
     }
 
+    /// The twenty graphs of the grid each get their own seed.
+    #[test]
+    fn every_experiment_seed_is_distinct() {
+        let mut seeds: Vec<u64> = DfgType::ALL
+            .iter()
+            .flat_map(|&ty| (0..NUM_EXPERIMENTS).map(move |i| experiment_seed(ty, i)))
+            .collect();
+        seeds.sort_unstable();
+        seeds.dedup();
+        assert_eq!(seeds.len(), 2 * NUM_EXPERIMENTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "experiments are 0..10")]
+    fn an_experiment_past_the_grid_is_refused() {
+        experiment_graph(DfgType::Type1, NUM_EXPERIMENTS);
+    }
+
     #[test]
     fn figure5_graph_matches_the_papers_example() {
         let g = figure5_graph();

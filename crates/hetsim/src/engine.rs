@@ -38,9 +38,10 @@
 //!   ascending-id iteration (the seed paid an O(n) `Vec` memmove per
 //!   assignment),
 //! * a running idle-processor bitset makes `SimView::any_idle` O(1),
-//! * the event queue is a [`CalendarQueue`]: completions at one instant are
-//!   popped as a single batch into a reusable buffer (no per-event heap
-//!   sift, no peek/pop loop, no tuple churn),
+//! * the event queue is a [`CalendarQueue`], a deque kept sorted by
+//!   `(time, push order)`: a push appends unless it lands before the back
+//!   entry, and the events of one instant are popped as a single batch
+//!   into a reusable buffer (no per-event heap sift, no peek/pop loop),
 //! * policies emit assignments into a per-run [`AssignmentBuf`] arena
 //!   instead of returning a fresh `Vec` — together with the batch buffer
 //!   this makes the fixpoint loop allocation-free end-to-end once the two
@@ -328,16 +329,24 @@ impl EngineCore {
         core.locations = vec![None; n];
         core.deadlines = vec![SimTime::MAX; n];
         core.records = vec![None; n];
-        for s in ctx.dfg.sources() {
-            if core.arrived[s.index()] {
-                core.ready.insert(s);
+        for node in ctx.dfg.node_ids() {
+            if core.remaining_preds[node.index()] == 0 && core.arrived[node.index()] {
+                core.ready.insert(node);
             }
         }
-        for (i, &t) in arrivals.iter().enumerate() {
-            if t > SimTime::ZERO {
-                core.ready_time[i] = t; // provisional; finalized on readiness
-                core.events.push(t, Event::Arrive(NodeId::new(i)));
-            }
+        // Pushed in `(time, node)` order, so every push appends and each
+        // instant's batch lists its arrivals in node order, ahead of any
+        // completion pushed there later.
+        let mut pending: Vec<(SimTime, NodeId)> = arrivals
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t > SimTime::ZERO)
+            .map(|(i, &t)| (t, NodeId::new(i)))
+            .collect();
+        pending.sort_unstable();
+        for (t, node) in pending {
+            core.ready_time[node.index()] = t; // provisional; finalized on readiness
+            core.events.push(t, Event::Arrive(node));
         }
         core
     }
@@ -1212,15 +1221,15 @@ impl<'a> Engine<'a> {
     }
 
     fn into_trace(self) -> Trace {
-        let mut records: Vec<TaskRecord> = self
-            .core
-            .records
-            .into_iter()
-            // apt-lint: allow(hot-path-panic, run() returns an error before into_trace() if any
-            // record is missing)
-            .map(|r| r.expect("run() verified completion"))
-            .collect();
-        records.sort_unstable_by_key(|r| (r.start, r.node));
+        let slots = &self.core.records;
+        // Sort 16-byte `(start, node)` keys, then gather the records. Both
+        // vectors are sized up front: `flatten` and `filter_map` report no
+        // lower bound, so a plain `collect` would grow them by doubling.
+        let mut keys: Vec<(SimTime, NodeId)> = Vec::with_capacity(slots.len());
+        keys.extend(slots.iter().flatten().map(|r| (r.start, r.node)));
+        keys.sort_unstable();
+        let mut records: Vec<TaskRecord> = Vec::with_capacity(keys.len());
+        records.extend(keys.iter().filter_map(|&(_, node)| slots[node.index()]));
         Trace {
             records,
             proc_stats: self.core.procs.into_iter().map(|p| p.stats).collect(),
@@ -2125,5 +2134,179 @@ mod tests {
             simulate_stream_faulty(&dfg, &cfg, lookup, &mut GreedyBest, &arrivals, other, retry)
                 .unwrap();
         assert_ne!(ra, rc, "distinct fault seeds must diverge");
+    }
+
+    /// Closed arrivals given in descending time order, with shared instants,
+    /// pop as one batch per instant in time order, in node order within it.
+    #[test]
+    fn closed_arrivals_pop_in_time_then_node_order() {
+        let mut dfg = KernelDag::new();
+        for _ in 0..7 {
+            dfg.add_node(bfs());
+        }
+        let config = SystemConfig::paper_4gbps();
+        let lookup = apt_dfg::LookupTable::paper();
+        let cost = CostModel::new(&dfg, lookup, &config);
+        let ctx = EngineCtx {
+            dfg: &dfg,
+            config: &config,
+            lookup,
+            cost: &cost,
+        };
+        let ms = SimTime::from_ms;
+        let arrivals = [
+            ms(50),
+            ms(50),
+            ms(30),
+            ms(30),
+            ms(30),
+            ms(10),
+            SimTime::ZERO,
+        ];
+        let mut core = EngineCore::for_closed_workload(ctx, &arrivals);
+        let mut batches = Vec::new();
+        let mut batch = Vec::new();
+        while let Some(t) = core.events.pop_batch(&mut batch) {
+            batches.push((t, batch.clone()));
+        }
+        let arrive = |i| Event::Arrive(NodeId::new(i));
+        assert_eq!(
+            batches,
+            vec![
+                (ms(10), vec![arrive(5)]),
+                (ms(30), vec![arrive(2), arrive(3), arrive(4)]),
+                (ms(50), vec![arrive(0), arrive(1)]),
+            ]
+        );
+    }
+
+    /// A closed core starts with exactly the sources that have arrived at
+    /// t = 0 ready; a source arriving later and a node with predecessors
+    /// are not, and only the late arrival gets an event.
+    #[test]
+    fn closed_core_readies_only_arrived_sources() {
+        // bfs, bfs, nw are sources; cd is the fan-in sink.
+        let dfg = build_type1(&[bfs(), bfs(), nw(), cd()]);
+        let config = SystemConfig::paper_4gbps();
+        let lookup = apt_dfg::LookupTable::paper();
+        let cost = CostModel::new(&dfg, lookup, &config);
+        let ctx = EngineCtx {
+            dfg: &dfg,
+            config: &config,
+            lookup,
+            cost: &cost,
+        };
+        let arrivals = [
+            SimTime::ZERO,
+            SimTime::from_ms(20),
+            SimTime::ZERO,
+            SimTime::ZERO,
+        ];
+        let core = EngineCore::for_closed_workload(ctx, &arrivals);
+        let ready: Vec<NodeId> = core.ready.iter().collect();
+        assert_eq!(ready, vec![NodeId::new(0), NodeId::new(2)]);
+        assert_eq!(core.events.len(), 1);
+        assert_eq!(core.events.peek_time(), Some(SimTime::from_ms(20)));
+    }
+
+    /// The trace lists every kernel once, ordered by start time and by node
+    /// id among kernels that start together.
+    #[test]
+    fn trace_records_are_ordered_by_start_then_node() {
+        let kernels = generate_kernels(&StreamConfig::new(40, 9), apt_dfg::LookupTable::paper());
+        let dfg = build_type1(&kernels);
+        let res = simulate(
+            &dfg,
+            &SystemConfig::paper_4gbps(),
+            apt_dfg::LookupTable::paper(),
+            &mut GreedyBest,
+        )
+        .unwrap();
+        let keys: Vec<(SimTime, NodeId)> = res
+            .trace
+            .records
+            .iter()
+            .map(|r| (r.start, r.node))
+            .collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "records out of (start, node) order"
+        );
+        let mut nodes: Vec<NodeId> = keys.iter().map(|&(_, n)| n).collect();
+        nodes.sort_unstable();
+        assert_eq!(nodes, dfg.node_ids().collect::<Vec<_>>());
+        // Several kernels start at t = 0, so the node tie-break is exercised.
+        assert!(keys.iter().filter(|(t, _)| *t == SimTime::ZERO).count() > 1);
+    }
+
+    /// Arrivals scattered in descending time order, several per instant:
+    /// no kernel becomes ready or starts before it arrives.
+    #[test]
+    fn scattered_arrivals_never_start_before_they_arrive() {
+        let kernels = generate_kernels(&StreamConfig::new(30, 3), apt_dfg::LookupTable::paper());
+        let dfg = build_type1(&kernels);
+        let n = dfg.len() as u64;
+        let arrivals: Vec<SimTime> = (0..n).map(|i| SimTime::from_ms((n - i) / 3 * 40)).collect();
+        let res = simulate_stream(
+            &dfg,
+            &SystemConfig::paper_4gbps(),
+            apt_dfg::LookupTable::paper(),
+            &mut GreedyBest,
+            &arrivals,
+        )
+        .unwrap();
+        res.trace.validate(&dfg).unwrap();
+        assert_eq!(res.trace.records.len(), dfg.len());
+        for r in &res.trace.records {
+            let arrival = arrivals[r.node.index()];
+            assert!(r.ready >= arrival, "{} ready before it arrived", r.node);
+            assert!(r.start >= r.ready, "{} started before ready", r.node);
+        }
+    }
+
+    /// A kernel whose predecessors finish before it arrives becomes ready
+    /// at its arrival, not at its last predecessor's finish.
+    #[test]
+    fn a_late_arrival_outlasts_finished_predecessors() {
+        // nw (CPU, 112 ms) and bfs (FPGA, 106 ms) feed cd, which arrives
+        // at 500 ms.
+        let dfg = build_type1(&[nw(), bfs(), cd()]);
+        let arrivals = [SimTime::ZERO, SimTime::ZERO, SimTime::from_ms(500)];
+        let res = simulate_stream(
+            &dfg,
+            &SystemConfig::paper_no_transfers(),
+            apt_dfg::LookupTable::paper(),
+            &mut GreedyBest,
+            &arrivals,
+        )
+        .unwrap();
+        res.trace.validate(&dfg).unwrap();
+        let sink = res.trace.record(NodeId::new(2)).unwrap();
+        assert_eq!(sink.ready, SimTime::from_ms(500));
+        assert_eq!(sink.start, SimTime::from_ms(500));
+        assert_eq!(res.makespan(), SimDuration::from_us(500_093));
+    }
+
+    /// When every kernel arrives at one instant `T`, the schedule is the
+    /// all-at-zero schedule shifted by `T`: the arrival batch releases the
+    /// same ready set the closed run starts with.
+    #[test]
+    fn one_shared_arrival_instant_shifts_the_closed_schedule() {
+        let kernels = generate_kernels(&StreamConfig::new(25, 12), apt_dfg::LookupTable::paper());
+        let dfg = build_type1(&kernels);
+        let cfg = SystemConfig::paper_4gbps();
+        let lookup = apt_dfg::LookupTable::paper();
+        let base = simulate(&dfg, &cfg, lookup, &mut GreedyBest).unwrap();
+        let shift = SimDuration::from_ms(75);
+        let arrivals = vec![SimTime::ZERO + shift; dfg.len()];
+        let late = simulate_stream(&dfg, &cfg, lookup, &mut GreedyBest, &arrivals).unwrap();
+        assert_eq!(late.trace.records.len(), base.trace.records.len());
+        for (a, b) in base.trace.records.iter().zip(&late.trace.records) {
+            assert_eq!((a.node, a.proc, a.alt), (b.node, b.proc, b.alt));
+            assert_eq!(a.ready + shift, b.ready);
+            assert_eq!(a.start + shift, b.start);
+            assert_eq!(a.exec_start + shift, b.exec_start);
+            assert_eq!(a.finish + shift, b.finish);
+        }
     }
 }

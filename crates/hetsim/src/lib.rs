@@ -56,8 +56,8 @@
 //!   processor can take); a running idle-processor bitset
 //!   makes `SimView::any_idle` O(1).
 //! * The event core is **allocation-free**: pending events live in a
-//!   [`calendar::CalendarQueue`] (bucket ring + overflow, whole same-instant
-//!   batches popped into a reused buffer) and every `Policy::decide` writes
+//!   [`calendar::CalendarQueue`] (a deque sorted by `(time, push order)`,
+//!   whole same-instant batches popped into a reused buffer) and every `Policy::decide` writes
 //!   into a per-run [`policy::AssignmentBuf`] arena instead of returning a
 //!   fresh `Vec` — so a steady-state fixpoint loop touches the allocator
 //!   exactly zero times.

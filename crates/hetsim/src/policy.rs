@@ -108,8 +108,8 @@ impl Assignment {
 ///
 /// Reuse rules for implementors:
 ///
-/// * `decide` receives the buffer **already cleared** — only [`push`]
-///   (`AssignmentBuf::push`) into it; never retain state in it across calls
+/// * `decide` receives the buffer **already cleared** — only
+///   [`push`](AssignmentBuf::push) into it; never retain state in it across calls
 ///   and never assume a particular capacity.
 /// * Push order is application order: the engine applies assignments
 ///   front-to-back, erroring on the first invalid one.
@@ -311,6 +311,41 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(buf.len(), 0);
         assert!(!buf.is_fixpoint(), "clear drops the mark");
+    }
+
+    /// Provenance stays attached to the index it was pushed at, among
+    /// plain pushes, and `clear` drops it with the assignments.
+    #[test]
+    fn explained_pushes_keep_their_index() {
+        use apt_base::{SimDuration, SimTime};
+        let meta = |ms| DecisionMeta {
+            best_proc: ProcId::new(2),
+            best_exec: SimDuration::from_ms(ms),
+            best_busy_until: SimTime::from_ms(500),
+            threshold: SimDuration::from_ms(4 * ms),
+            alt_cost: SimDuration::from_ms(3 * ms),
+        };
+        let mut buf = AssignmentBuf::new();
+        buf.push(Assignment::new(NodeId::new(0), ProcId::new(2)));
+        buf.push_explained(
+            Assignment::alternative(NodeId::new(1), ProcId::new(0)),
+            meta(10),
+        );
+        buf.push(Assignment::new(NodeId::new(2), ProcId::new(1)));
+        buf.push_explained(
+            Assignment::alternative(NodeId::new(3), ProcId::new(1)),
+            meta(20),
+        );
+        assert_eq!(buf.len(), 4);
+        assert_eq!(buf.meta_for(0), None);
+        assert_eq!(buf.meta_for(1), Some(meta(10)));
+        assert_eq!(buf.meta_for(2), None);
+        assert_eq!(buf.meta_for(3), Some(meta(20)));
+        assert_eq!(buf.meta_for(4), None);
+        buf.clear();
+        buf.push(Assignment::new(NodeId::new(5), ProcId::new(0)));
+        buf.push(Assignment::new(NodeId::new(6), ProcId::new(1)));
+        assert_eq!(buf.meta_for(1), None, "clear drops the provenance");
     }
 
     #[test]

@@ -74,6 +74,32 @@ mod tests {
         assert!(second_best(&[]).is_none());
     }
 
+    /// Ties keep the earliest entry, as documented.
+    #[test]
+    fn second_best_ties_keep_the_earliest_entry() {
+        let entries = vec![
+            ("SPN".to_string(), 80.0),
+            ("MET".to_string(), 71.0),
+            ("SS".to_string(), 71.0),
+        ];
+        assert_eq!(second_best(&entries).unwrap().0, "MET");
+        let all_broken = vec![("NaN".to_string(), f64::NAN)];
+        assert!(second_best(&all_broken).is_none());
+    }
+
+    /// A competitor with no value for an experiment does not block a win
+    /// there.
+    #[test]
+    fn better_solution_count_skips_missing_competitor_values() {
+        let apt = [1.0, 5.0, 3.0];
+        let short = vec![2.0];
+        let full = vec![4.0, 4.0, 4.0];
+        // Experiment 0 beats both; experiment 1 loses to `full`;
+        // experiment 2 beats `full` and `short` has no value there.
+        assert_eq!(better_solution_count(&apt, &[short, full]), 2);
+        assert_eq!(better_solution_count(&[], &[vec![1.0]]), 0);
+    }
+
     #[test]
     fn better_solution_count_requires_strict_wins() {
         let apt = [1.0, 2.0, 3.0];

@@ -107,6 +107,21 @@ mod tests {
         assert!(s.alt_by_kind.is_empty());
     }
 
+    /// An empty run has a zero makespan; utilization reads 0 rather than
+    /// dividing by zero.
+    #[test]
+    fn empty_run_has_zero_utilization() {
+        let dfg = build_type1(&[]);
+        let config = SystemConfig::paper_4gbps();
+        let res = simulate(&dfg, &config, LookupTable::paper(), &mut Met::new()).unwrap();
+        let s = RunSummary::from_result(&res);
+        assert_eq!(s.makespan, SimDuration::ZERO);
+        assert_eq!(s.utilization(), vec![0.0; 3]);
+        assert_eq!(s.idle_per_proc, vec![SimDuration::ZERO; 3]);
+        assert_eq!(s.lambda_count, 0);
+        assert_eq!(s.lambda_avg, SimDuration::ZERO);
+    }
+
     #[test]
     fn lambda_fields_match_trace() {
         let kernels = vec![Kernel::canonical(KernelKind::Bfs); 6];

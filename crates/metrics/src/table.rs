@@ -147,6 +147,29 @@ mod tests {
         assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()));
     }
 
+    /// Widths count characters, not bytes, so a header with `α` lines up
+    /// with its cells.
+    #[test]
+    fn non_ascii_headers_align_by_character() {
+        let mut t = TextTable::new("α sweep", &["α", "APT"]);
+        t.push_row(vec!["1.5".into(), "8298".into()]);
+        let s = t.to_string();
+        assert!(s.contains("|   α |"), "{s}");
+        let widths: Vec<usize> = s.lines().skip(1).map(|l| l.chars().count()).collect();
+        assert!(widths.windows(2).all(|w| w[0] == w[1]), "{s}");
+    }
+
+    #[test]
+    fn a_table_without_rows_renders_its_frame() {
+        let t = TextTable::new("Empty", &["A", "BB"]);
+        assert_eq!(t.row_count(), 0);
+        assert_eq!(
+            t.to_string(),
+            "Empty\n+---+----+\n| A | BB |\n+---+----+\n+---+----+\n"
+        );
+        assert_eq!(t.to_markdown(), "**Empty**\n\n| A | BB |\n|---|---|\n");
+    }
+
     #[test]
     fn renders_markdown() {
         let md = sample().to_markdown();

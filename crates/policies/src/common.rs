@@ -148,7 +148,6 @@ impl Iterator for ClassFirsts<'_> {
 mod tests {
     use super::*;
     use apt_base::{ProcKind, SimTime};
-    use apt_dfg::generator::build_type1;
     use apt_dfg::{Kernel, KernelDag, KernelKind, LookupTable};
     use apt_hetsim::{CostModel, ProcView, ReadySet, SystemConfig};
 
@@ -168,12 +167,27 @@ mod tests {
     }
 
     fn check(config: &SystemConfig, busy: &[bool], check: impl FnOnce(&SimView<'_>)) {
-        let dfg: KernelDag = build_type1(&[Kernel::canonical(KernelKind::Bfs)]);
+        check_with(&[Kernel::canonical(KernelKind::Bfs)], config, busy, check);
+    }
+
+    /// A view at t = 0 over independent `kernels`, all ready.
+    fn check_with(
+        kernels: &[Kernel],
+        config: &SystemConfig,
+        busy: &[bool],
+        check: impl FnOnce(&SimView<'_>),
+    ) {
+        let mut dfg = KernelDag::new();
+        for &k in kernels {
+            dfg.add_node(k);
+        }
         let cost = CostModel::new(&dfg, LookupTable::paper(), config);
         let procs = make_views(config, busy);
-        let locations = vec![None];
+        let locations = vec![None; dfg.len()];
         let mut ready = ReadySet::new(dfg.len());
-        ready.insert(NodeId::new(0));
+        for node in dfg.node_ids() {
+            ready.insert(node);
+        }
         let view = SimView {
             now: SimTime::ZERO,
             ready: &ready,
@@ -218,6 +232,95 @@ mod tests {
             let b = best_instance(view, NodeId::new(0)).unwrap();
             assert_eq!(b.proc, ProcId::new(2));
             assert!(!b.idle);
+        });
+    }
+
+    /// The explicit idle set, not the view's, decides whether the best
+    /// instance counts as idle.
+    #[test]
+    fn best_instance_in_reads_the_given_idle_set() {
+        let config = SystemConfig::paper_4gbps();
+        check(&config, &[false, false, false], |view| {
+            let free = best_instance_in(view, NodeId::new(0), 0b111).unwrap();
+            assert_eq!((free.proc, free.idle), (ProcId::new(2), true));
+            // FPGA claimed earlier in the same batch.
+            let taken = best_instance_in(view, NodeId::new(0), 0b011).unwrap();
+            assert_eq!((taken.proc, taken.idle), (ProcId::new(2), false));
+            assert_eq!(taken.exec, free.exec);
+        });
+    }
+
+    /// Each pick sees the unclaimed ready kernels, one per cost class, at
+    /// the first kernel of that class in ready order.
+    #[test]
+    fn class_firsts_yield_each_unclaimed_class_once() {
+        let bfs = Kernel::canonical(KernelKind::Bfs);
+        let nw = Kernel::canonical(KernelKind::NeedlemanWunsch);
+        let config = SystemConfig::paper_4gbps();
+        check_with(&[bfs, bfs, nw, bfs], &config, &[false; 3], |view| {
+            let class = |i| view.cost.class_of(NodeId::new(i));
+            assert_eq!(class(0), class(1));
+            assert_ne!(class(0), class(2));
+            let mut seen: Vec<Vec<NodeId>> = Vec::new();
+            let mut out = AssignmentBuf::new();
+            let mut next_proc = 0;
+            emit_instant(view, &mut out, |_idle, candidates| {
+                let nodes: Vec<NodeId> = candidates.map(|(n, _)| n).collect();
+                seen.push(nodes.clone());
+                let first = *nodes.first()?;
+                next_proc += 1;
+                Some((first, ProcId::new(next_proc - 1)))
+            });
+            let n = NodeId::new;
+            assert_eq!(
+                seen,
+                vec![vec![n(0), n(2)], vec![n(1), n(2)], vec![n(2), n(3)],]
+            );
+        });
+    }
+
+    /// The batch ends when no processor is idle, each pick takes its
+    /// processor out of the idle set it hands the next one, and the batch
+    /// is marked as the instant's fixpoint.
+    #[test]
+    fn emit_instant_claims_each_idle_processor_once() {
+        let bfs = Kernel::canonical(KernelKind::Bfs);
+        let config = SystemConfig::paper_4gbps();
+        check_with(&[bfs; 5], &config, &[false, true, false], |view| {
+            let mut idle_seen = Vec::new();
+            let mut out = AssignmentBuf::new();
+            emit_instant(view, &mut out, |idle, mut candidates| {
+                idle_seen.push(idle);
+                let (node, _) = candidates.next()?;
+                Some((node, ProcId::new(idle.trailing_zeros() as usize)))
+            });
+            assert_eq!(idle_seen, vec![0b101, 0b100]);
+            assert_eq!(
+                out.as_slice(),
+                &[
+                    Assignment::new(NodeId::new(0), ProcId::new(0)),
+                    Assignment::new(NodeId::new(1), ProcId::new(2)),
+                ]
+            );
+            assert!(out.is_fixpoint());
+        });
+    }
+
+    /// A pick that declines ends the batch at once; the empty batch is
+    /// still marked, since another call at this instant would decline too.
+    #[test]
+    fn emit_instant_stops_when_the_pick_declines() {
+        let config = SystemConfig::paper_4gbps();
+        check(&config, &[false; 3], |view| {
+            let mut calls = 0;
+            let mut out = AssignmentBuf::new();
+            emit_instant(view, &mut out, |_, _| {
+                calls += 1;
+                None
+            });
+            assert_eq!(calls, 1);
+            assert!(out.is_empty());
+            assert!(out.is_fixpoint());
         });
     }
 }

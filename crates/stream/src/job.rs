@@ -10,7 +10,7 @@
 //! the examples) with per-job seeded kernel draws.
 //!
 //! A Type-1/Type-2 job is the kernel series of
-//! [`generate_kernels`](apt_dfg::generator::generate_kernels) plus the
+//! [`generate_kernels`] plus the
 //! shape's edge list from [`type1_edges`] / [`type2_edges`] — the same
 //! single definition of each shape that the closed path's `build_type1` /
 //! `build_type2` turn into a graph. No per-arrival `KernelDag` is built:
@@ -19,7 +19,7 @@
 //!
 //! A one-kernel template keeps its kernel inline, so a
 //! [`JobFamily::Single`] arrival takes one lazy
-//! [`kernel_draws`](apt_dfg::generator::kernel_draws) draw and touches the
+//! [`kernel_draws`] draw and touches the
 //! heap not at all.
 
 use apt_base::{BaseError, SimDuration};

@@ -435,7 +435,7 @@ pub struct TraceSource {
 impl TraceSource {
     /// A source over an explicit list. Disorder in the list is *not*
     /// checked here — the driver reports a typed
-    /// [`BaseError::DisorderedArrival`](apt_base::BaseError::DisorderedArrival)
+    /// [`BaseError::DisorderedArrival`]
     /// the moment an out-of-order arrival is pulled, so a bad captured
     /// trace fails the run gracefully instead of panicking at
     /// construction. Use [`TraceSource::try_new`] to validate up front.
@@ -446,7 +446,7 @@ impl TraceSource {
     }
 
     /// A source over an explicit list, validated eagerly: returns
-    /// [`BaseError::DisorderedArrival`](apt_base::BaseError::DisorderedArrival)
+    /// [`BaseError::DisorderedArrival`]
     /// naming the first offending pair if the arrivals ever decrease.
     pub fn try_new(jobs: Vec<(SimTime, JobTemplate)>) -> Result<TraceSource, BaseError> {
         if let Some(w) = jobs.windows(2).find(|w| w[1].0 < w[0].0) {

@@ -311,3 +311,113 @@ fn finite(v: f64) -> String {
         "null".to_string()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apt_hetsim::JobId;
+    use apt_trace::ShedReason;
+
+    fn job(failed: bool) -> CompletedJob {
+        CompletedJob {
+            job: JobId(0),
+            arrival: SimTime::ZERO,
+            deadline: None,
+            records: Vec::new(),
+            failed,
+        }
+    }
+
+    /// Every instrument is registered up front, so a run that sees no
+    /// event still exposes valid text with each family at zero.
+    #[test]
+    fn a_fresh_telemetry_exposes_every_instrument() {
+        let tel = StreamTelemetry::new();
+        let text = tel.prometheus();
+        apt_telemetry::validate(&text).unwrap();
+        for name in [
+            "jobs_admitted_total",
+            "jobs_completed_total",
+            "jobs_failed_total",
+            "jobs_shed_total",
+            "kernels_completed_total",
+            "deadline_misses_total",
+            "trace_events_total",
+            "trace_events_dropped_total",
+        ] {
+            assert_eq!(tel.registry().counter_named(name, &[]), Some(0), "{name}");
+        }
+        assert!(tel.jsonl().is_empty());
+    }
+
+    #[test]
+    fn admissions_sheds_and_failures_are_counted() {
+        let mut tel = StreamTelemetry::new();
+        let now = SimTime::from_ms(3);
+        tel.on_event(&RunEvent::Admitted { now, in_flight: 1 });
+        tel.on_event(&RunEvent::Admitted { now, in_flight: 2 });
+        tel.on_event(&RunEvent::Shed {
+            at: now,
+            reason: ShedReason::Gate,
+        });
+        let failed = job(true);
+        tel.on_event(&RunEvent::Failed {
+            job: &failed,
+            now,
+            in_flight: 1,
+        });
+        let reg = tel.registry();
+        assert_eq!(reg.counter_value(tel.c_admitted), 2);
+        assert_eq!(reg.counter_value(tel.c_shed), 1);
+        assert_eq!(reg.counter_value(tel.c_failed), 1);
+        assert_eq!(reg.counter_value(tel.c_completed), 0);
+        apt_telemetry::validate(&tel.prometheus()).unwrap();
+    }
+
+    /// Latency is observed for every retired job, tardiness only for jobs
+    /// with a deadline, and a miss only for a positive tardiness.
+    #[test]
+    fn retirements_feed_latency_tardiness_and_misses() {
+        let mut tel = StreamTelemetry::new();
+        let done = job(false);
+        for tardiness in [None, Some(SimDuration::ZERO), Some(SimDuration::from_ms(5))] {
+            tel.on_event(&RunEvent::Retired {
+                job: &done,
+                now: SimTime::from_ms(40),
+                in_flight: 0,
+                latency: SimDuration::from_ms(12),
+                tardiness,
+            });
+        }
+        let reg = tel.registry();
+        assert_eq!(reg.counter_value(tel.c_completed), 3);
+        assert_eq!(reg.counter_value(tel.c_misses), 1);
+        assert_eq!(reg.histogram_ref(tel.h_latency).count(), 3);
+        assert_eq!(reg.histogram_ref(tel.h_tardiness).count(), 2);
+    }
+
+    #[test]
+    fn the_end_event_sets_the_clock_and_in_flight_gauges() {
+        let mut tel = StreamTelemetry::new();
+        tel.on_event(&RunEvent::End {
+            now: SimTime::from_ms(2_500),
+            retired: 10,
+            in_flight: 3,
+            miss_rate: 0.0,
+            trace: None,
+        });
+        let reg = tel.registry();
+        assert_eq!(reg.gauge_value(tel.g_sim), 2.5);
+        assert_eq!(reg.gauge_value(tel.g_in_flight), 3.0);
+        assert_eq!(reg.counter_value(tel.c_trace_events), 0);
+    }
+
+    /// JSON has no literal for NaN or ±∞.
+    #[test]
+    fn non_finite_values_render_as_null() {
+        assert_eq!(finite(2.5), "2.5");
+        assert_eq!(finite(f64::NAN), "null");
+        assert_eq!(finite(f64::INFINITY), "null");
+        assert_eq!(finite(f64::NEG_INFINITY), "null");
+    }
+}

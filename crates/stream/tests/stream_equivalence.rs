@@ -6,8 +6,8 @@
 //! schedule **byte-identically** to `apt_hetsim::simulate_stream` over the
 //! fully materialized workload — same records, same per-processor
 //! aggregates — for every dynamic policy of the paper's roster, on
-//! arbitrary job mixes and arrival patterns (including gaps far past the
-//! calendar queue's two-level horizon). Plus: determinism under seed, and
+//! arbitrary job mixes and arrival patterns (including gaps of minutes
+//! between arrivals). Plus: determinism under seed, and
 //! the bounded-arena guarantee a long stream relies on.
 
 use apt_core::prelude::*;
@@ -147,8 +147,7 @@ fn assert_stream_equivalent(
 
 /// Deterministic pseudo-random job list: families, sizes and arrival gaps
 /// drawn from a seed, with gap choices spanning same-instant bursts,
-/// sub-window spacing, and jumps past the calendar's ≈ 68.7 s two-level
-/// horizon.
+/// sub-second spacing, and jumps of up to two minutes.
 fn job_list(seed: u64, njobs: usize, gap_choices: &[u64]) -> Vec<(SimTime, JobTemplate)> {
     let lookup = LookupTable::paper();
     let mut rng = SplitMix64::new(seed);
@@ -181,9 +180,9 @@ proptest! {
         burst in prop::bool::ANY,
     ) {
         // Burst mode clusters arrivals (exercising same-instant admission
-        // batches); spread mode includes far-horizon jumps (exercising the
-        // two-level calendar on the closed side and just-in-time admission
-        // on the open side).
+        // batches); spread mode includes jumps of minutes (exercising
+        // completions inserted ahead of far-future arrivals in the closed
+        // side's event queue and just-in-time admission on the open side).
         let gaps: &[u64] = if burst {
             &[0, 0, 1_000, 50_000_000]
         } else {

@@ -10,7 +10,7 @@
 //! * kernels as complete (`ph: "X"`) spans from dispatch to completion,
 //!   with `xfer` / `exec` sub-slices nested inside, alternative (APT
 //!   `p_alt`) placements colored and annotated;
-//! * [`DecisionRecord`](crate::DecisionRecord)s as instant events on the
+//! * [`DecisionRecord`]s as instant events on the
 //!   chosen processor's track with the full Eq.-8 provenance in `args`;
 //! * every [`CounterKind`](crate::CounterKind) as a counter (`ph: "C"`)
 //!   track — queue depth, in-flight jobs, live α/ρ, window miss rate.
