@@ -111,6 +111,12 @@ impl CostModel {
             "CostModel supports at most {MAX_PROCS} processors, got {nprocs}"
         );
         let ids = || config.proc_ids();
+        // Sized up front: a `flat_map` reports no lower bound, so `collect`
+        // would grow the `nprocs²` table by doubling.
+        let mut rates = Vec::with_capacity(nprocs * nprocs);
+        for s in ids() {
+            rates.extend(ids().map(|d| config.pair_rate(s, d)));
+        }
         CostModel {
             nprocs,
             class: Vec::new(),
@@ -121,9 +127,7 @@ impl CostModel {
             min_ns: Vec::new(),
             min_mask: Vec::new(),
             pair_ns: Vec::new(),
-            rates: ids()
-                .flat_map(|s| ids().map(move |d| config.pair_rate(s, d)))
-                .collect(),
+            rates,
             bytes_per_element: config.bytes_per_element,
             kinds: ids().map(|p| config.kind_of(p)).collect(),
         }

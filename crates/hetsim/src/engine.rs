@@ -36,7 +36,9 @@
 //!   iteration),
 //! * the ready set is a bitset ([`ReadySet`]) with O(1) insert/remove and
 //!   ascending-id iteration (the seed paid an O(n) `Vec` memmove per
-//!   assignment),
+//!   assignment), plus one member bitset per cost class, so a policy that
+//!   ranks by class reads the first ready kernel of a class without walking
+//!   the others ([`ReadySet::first_in_class`]),
 //! * a running idle-processor bitset makes `SimView::any_idle` O(1),
 //! * the event queue is a [`CalendarQueue`], a deque kept sorted by
 //!   `(time, push order)`: a push appends unless it lands before the back
@@ -45,7 +47,13 @@
 //! * policies emit assignments into a per-run [`AssignmentBuf`] arena
 //!   instead of returning a fresh `Vec` — together with the batch buffer
 //!   this makes the fixpoint loop allocation-free end-to-end once the two
-//!   buffers reach steady-state capacity.
+//!   buffers reach steady-state capacity,
+//! * each kernel start appends `(start, node)` to a log sized to the graph;
+//!   starts come in time order, so building the trace only reorders the
+//!   kernels that started at one instant and drops the starts a fault
+//!   superseded, instead of sorting every record,
+//! * the per-processor τ window is an inline ring, and a closed run builds
+//!   no per-node deadline vector (it has no deadlines).
 
 use crate::calendar::CalendarQueue;
 use crate::cost::CostModel;
@@ -72,7 +80,12 @@ pub const EXEC_HISTORY_WINDOW: usize = 10;
 /// live in the incrementally maintained [`ProcView`]).
 pub(crate) struct ProcCore {
     queue: VecDeque<Assignment>,
-    history: VecDeque<SimDuration>,
+    /// The last [`EXEC_HISTORY_WINDOW`] execution times in ns, as a ring
+    /// kept inline: the oldest entry sits at `history_pushes % window`.
+    /// Slots not yet written hold 0.
+    history: [u64; EXEC_HISTORY_WINDOW],
+    /// Executions pushed so far.
+    history_pushes: usize,
     /// Running sum of `history`, so the windowed average is O(1) to refresh.
     history_sum: u64,
     stats: ProcStats,
@@ -95,7 +108,8 @@ impl ProcCore {
             // Lazily allocated: policies that never queue (MET, APT, the
             // static planners on an uncongested machine) pay nothing for it.
             queue: VecDeque::new(),
-            history: VecDeque::with_capacity(EXEC_HISTORY_WINDOW),
+            history: [0; EXEC_HISTORY_WINDOW],
+            history_pushes: 0,
             history_sum: 0,
             stats: ProcStats::default(),
             run_token: 0,
@@ -110,15 +124,12 @@ impl ProcCore {
     /// dropping up to `window − 1` sub-ns remainders per query; the rounding
     /// is pinned by `recent_avg_rounds_to_nearest` below.)
     fn push_history(&mut self, exec: SimDuration) -> SimDuration {
-        if self.history.len() == EXEC_HISTORY_WINDOW {
-            // apt-lint: allow(hot-path-panic, the len == window check one line up guarantees a
-            // front element)
-            let evicted = self.history.pop_front().expect("window nonempty");
-            self.history_sum -= evicted.as_ns();
-        }
-        self.history.push_back(exec);
-        self.history_sum += exec.as_ns();
-        let len = self.history.len() as u64;
+        // Overwrite the oldest entry (0 until the window first fills).
+        let slot = &mut self.history[self.history_pushes % EXEC_HISTORY_WINDOW];
+        self.history_sum = self.history_sum - *slot + exec.as_ns();
+        *slot = exec.as_ns();
+        self.history_pushes += 1;
+        let len = self.history_pushes.min(EXEC_HISTORY_WINDOW) as u64;
         SimDuration::from_ns((self.history_sum + len / 2) / len)
     }
 }
@@ -214,11 +225,15 @@ pub(crate) struct EngineCore {
     pub(crate) arrived: Vec<bool>,
     pub(crate) locations: Vec<Option<ProcId>>,
     /// Per-node absolute deadline ([`SimTime::MAX`] = none). Closed-world
-    /// workloads carry no deadlines; the open engine stamps each slot with
-    /// its job's deadline on admission so policies can read it through
-    /// [`SimView::deadline`].
+    /// workloads carry no deadlines and leave it empty, which
+    /// [`SimView::deadline`] reads as none; the open engine stamps each slot
+    /// with its job's deadline on admission.
     pub(crate) deadlines: Vec<SimTime>,
     pub(crate) records: Vec<Option<TaskRecord>>,
+    /// Closed runs only: `(start, node)` of every kernel start, in start
+    /// order (a kernel starts at `now`, which never decreases). A kernel a
+    /// fault killed and restarted appears once per start.
+    pub(crate) start_log: Vec<(SimTime, NodeId)>,
     pub(crate) procs: Vec<ProcCore>,
     /// Policy-visible snapshots, updated in place on every state change.
     pub(crate) views: Vec<ProcView>,
@@ -286,6 +301,7 @@ impl EngineCore {
             locations: Vec::new(),
             deadlines: Vec::new(),
             records: Vec::new(),
+            start_log: Vec::new(),
             procs: (0..config.len()).map(|_| ProcCore::new()).collect(),
             idle_mask: if views.is_empty() {
                 0
@@ -314,10 +330,11 @@ impl EngineCore {
     }
 
     /// A core loaded with the complete closed-world workload: every node of
-    /// the context graph exists up front, submitted at its arrival instant.
-    fn for_closed_workload(ctx: EngineCtx<'_>, arrivals: &[SimTime]) -> EngineCore {
+    /// the context graph exists up front, submitted at its arrival instant
+    /// (`None`: every node arrives at `t = 0`).
+    fn for_closed_workload(ctx: EngineCtx<'_>, arrivals: Option<&[SimTime]>) -> EngineCore {
         let n = ctx.dfg.len();
-        debug_assert_eq!(arrivals.len(), n);
+        debug_assert!(arrivals.is_none_or(|a| a.len() == n));
         let mut core = EngineCore::for_machine(ctx.config, false);
         core.ready.grow(n);
         for node in ctx.dfg.node_ids() {
@@ -325,15 +342,21 @@ impl EngineCore {
         }
         core.ready_time = vec![SimTime::ZERO; n];
         core.remaining_preds = ctx.dfg.node_ids().map(|id| ctx.dfg.in_degree(id)).collect();
-        core.arrived = arrivals.iter().map(|&t| t == SimTime::ZERO).collect();
+        core.arrived = match arrivals {
+            None => vec![true; n],
+            Some(arrivals) => arrivals.iter().map(|&t| t == SimTime::ZERO).collect(),
+        };
         core.locations = vec![None; n];
-        core.deadlines = vec![SimTime::MAX; n];
         core.records = vec![None; n];
+        core.start_log = Vec::with_capacity(n);
         for node in ctx.dfg.node_ids() {
             if core.remaining_preds[node.index()] == 0 && core.arrived[node.index()] {
                 core.ready.insert(node);
             }
         }
+        let Some(arrivals) = arrivals else {
+            return core;
+        };
         // Pushed in `(time, node)` order, so every push appends and each
         // instant's batch lists its arrivals in node order, ahead of any
         // completion pushed there later.
@@ -878,6 +901,9 @@ impl EngineCore {
             finish,
             alt: a.alt,
         });
+        if !self.track_finished {
+            self.start_log.push((start, node));
+        }
         if self.tracing() {
             let node32 = node.index() as u32;
             self.trace(TraceEvent::KernelDispatch {
@@ -1183,7 +1209,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(ctx: EngineCtx<'a>, arrivals: &[SimTime]) -> Self {
+    fn new(ctx: EngineCtx<'a>, arrivals: Option<&[SimTime]>) -> Self {
         Engine {
             ctx,
             core: EngineCore::for_closed_workload(ctx, arrivals),
@@ -1222,14 +1248,19 @@ impl<'a> Engine<'a> {
 
     fn into_trace(self) -> Trace {
         let slots = &self.core.records;
-        // Sort 16-byte `(start, node)` keys, then gather the records. Both
-        // vectors are sized up front: `flatten` and `filter_map` report no
-        // lower bound, so a plain `collect` would grow them by doubling.
-        let mut keys: Vec<(SimTime, NodeId)> = Vec::with_capacity(slots.len());
-        keys.extend(slots.iter().flatten().map(|r| (r.start, r.node)));
-        keys.sort_unstable();
-        let mut records: Vec<TaskRecord> = Vec::with_capacity(keys.len());
-        records.extend(keys.iter().filter_map(|&(_, node)| slots[node.index()]));
+        // The start log is already in start order; only the kernels that
+        // started at one instant can be out of node order, so the stable
+        // sort merges short runs. A kernel a fault killed and restarted is
+        // logged once per start: the dedup drops a restart at the same
+        // instant, the start check every superseded earlier one.
+        let mut log = self.core.start_log;
+        log.sort();
+        log.dedup();
+        let mut records: Vec<TaskRecord> = Vec::with_capacity(slots.len());
+        records.extend(
+            log.iter()
+                .filter_map(|&(start, node)| slots[node.index()].filter(|r| r.start == start)),
+        );
         Trace {
             records,
             proc_stats: self.core.procs.into_iter().map(|p| p.stats).collect(),
@@ -1284,8 +1315,16 @@ pub fn simulate(
     lookup: &LookupTable,
     policy: &mut dyn Policy,
 ) -> Result<SimResult, BaseError> {
-    let arrivals = vec![SimTime::ZERO; dfg.len()];
-    simulate_stream(dfg, config, lookup, policy, &arrivals)
+    simulate_closed(
+        dfg,
+        config,
+        lookup,
+        policy,
+        None,
+        FaultPlan::none(),
+        RetryPolicy::default(),
+    )
+    .map(|(result, _)| result)
 }
 
 /// Run one policy over a *streamed* workload: each kernel is submitted to
@@ -1340,9 +1379,24 @@ pub fn simulate_stream_faulty(
     plan: FaultPlan,
     retry: RetryPolicy,
 ) -> Result<(SimResult, FaultTotals), BaseError> {
+    simulate_closed(dfg, config, lookup, policy, Some(arrivals), plan, retry)
+}
+
+/// The one closed-run entry behind [`simulate`] and
+/// [`simulate_stream_faulty`]: `arrivals` is `None` when every kernel
+/// arrives at `t = 0`, and otherwise has one entry per kernel.
+fn simulate_closed(
+    dfg: &KernelDag,
+    config: &SystemConfig,
+    lookup: &LookupTable,
+    policy: &mut dyn Policy,
+    arrivals: Option<&[SimTime]>,
+    plan: FaultPlan,
+    retry: RetryPolicy,
+) -> Result<(SimResult, FaultTotals), BaseError> {
     config.validate()?;
     dfg.validate()?;
-    if arrivals.len() != dfg.len() {
+    if let Some(arrivals) = arrivals.filter(|a| a.len() != dfg.len()) {
         return Err(BaseError::InvalidAssignment {
             reason: format!(
                 "arrival vector has {} entries for {} kernels",
@@ -1802,6 +1856,107 @@ mod tests {
         assert_eq!(core.history_sum, 111);
     }
 
+    /// The τ ring holds exactly the last window of executions: past the
+    /// window each push overwrites the oldest, and the average and running
+    /// sum match a recount of the last `EXEC_HISTORY_WINDOW` pushes.
+    #[test]
+    fn exec_history_ring_evicts_the_oldest_past_the_window() {
+        let mut core = ProcCore::new();
+        let mut pushed = Vec::new();
+        for i in 0..3 * EXEC_HISTORY_WINDOW + 4 {
+            let exec = (i as u64 * 37) % 101 + 1;
+            pushed.push(exec);
+            let avg = core.push_history(SimDuration::from_ns(exec));
+            let window = &pushed[pushed.len().saturating_sub(EXEC_HISTORY_WINDOW)..];
+            let sum: u64 = window.iter().sum();
+            let len = window.len() as u64;
+            assert_eq!(core.history_sum, sum, "sum after {} pushes", i + 1);
+            assert_eq!(
+                avg,
+                SimDuration::from_ns((sum + len / 2) / len),
+                "average after {} pushes",
+                i + 1
+            );
+        }
+    }
+
+    /// Place each ready kernel on the lowest idle processor that can run it.
+    struct FirstIdle;
+    impl Policy for FirstIdle {
+        fn name(&self) -> String {
+            "FirstIdle".into()
+        }
+        fn kind(&self) -> PolicyKind {
+            PolicyKind::Dynamic
+        }
+        fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
+            let mut idle = view.idle_mask;
+            for node in view.ready.iter() {
+                let free = idle & view.cost.runnable_mask(node);
+                if free != 0 {
+                    let proc = ProcId::new(free.trailing_zeros() as usize);
+                    idle &= !(1 << proc.index());
+                    out.push(Assignment::new(node, proc));
+                }
+            }
+        }
+    }
+
+    /// A crash that kills a running kernel logs a second start for it: at
+    /// the crash instant when another processor is idle then (here the
+    /// instant the kernel first started, so start, kill and restart share
+    /// one instant), or later when none is. Either way the trace keeps one
+    /// record per node, the restart's, in `(start, node)` order.
+    #[test]
+    fn a_killed_and_restarted_kernel_keeps_one_record() {
+        let config = SystemConfig::paper_4gbps();
+        let lookup = apt_dfg::LookupTable::paper();
+        let ms = SimTime::from_ms;
+        // Two kernels leave processor 2 idle; three keep every one busy.
+        for (crash_at, kernels) in [(SimTime::ZERO, 2), (ms(10), 3)] {
+            let mut dfg = KernelDag::new();
+            for _ in 0..kernels {
+                dfg.add_node(bfs());
+            }
+            let cost = CostModel::new(&dfg, lookup, &config);
+            let ctx = EngineCtx {
+                dfg: &dfg,
+                config: &config,
+                lookup,
+                cost: &cost,
+            };
+            let mut engine = Engine::new(ctx, None);
+            // Armed for the crash below; its own first crashes lie far
+            // beyond the run.
+            let plan = FaultPlan::seeded(3)
+                .with_crashes(SimDuration::from_ms(1 << 40), SimDuration::from_ms(1));
+            engine.core.arm_faults(plan, RetryPolicy::default());
+            engine
+                .core
+                .events
+                .push(crash_at, Event::Crash(ProcId::new(0)));
+            engine.run(&mut FirstIdle).unwrap();
+            assert_eq!(
+                engine.core.start_log.len(),
+                kernels + 1,
+                "one kernel restarted"
+            );
+            let trace = engine.into_trace();
+            trace.validate(&dfg).unwrap();
+            let keys: Vec<(SimTime, NodeId)> =
+                trace.records.iter().map(|r| (r.start, r.node)).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+            assert_eq!(keys.len(), kernels);
+            let restarted = trace.record(NodeId::new(0)).unwrap();
+            if crash_at == SimTime::ZERO {
+                assert_eq!(restarted.start, crash_at);
+                assert_eq!(restarted.proc, ProcId::new(2));
+            } else {
+                assert!(restarted.start > crash_at);
+            }
+        }
+    }
+
     /// Pin one node per processor (node i → map[i]), emitting every ready
     /// node immediately (queueing if busy).
     struct Pin(Vec<usize>);
@@ -2163,7 +2318,7 @@ mod tests {
             ms(10),
             SimTime::ZERO,
         ];
-        let mut core = EngineCore::for_closed_workload(ctx, &arrivals);
+        let mut core = EngineCore::for_closed_workload(ctx, Some(&arrivals));
         let mut batches = Vec::new();
         let mut batch = Vec::new();
         while let Some(t) = core.events.pop_batch(&mut batch) {
@@ -2202,7 +2357,7 @@ mod tests {
             SimTime::ZERO,
             SimTime::ZERO,
         ];
-        let core = EngineCore::for_closed_workload(ctx, &arrivals);
+        let core = EngineCore::for_closed_workload(ctx, Some(&arrivals));
         let ready: Vec<NodeId> = core.ready.iter().collect();
         assert_eq!(ready, vec![NodeId::new(0), NodeId::new(2)]);
         assert_eq!(core.events.len(), 1);

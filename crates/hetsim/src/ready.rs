@@ -45,18 +45,24 @@
 //!
 //! Each node also carries its [`ClassId`] ([`ReadySet::set_class`], stamped
 //! by both engines from the cost model), and [`ReadySet::iter_classes`]
-//! yields `(node, class)` pairs in the set's order. A policy that screens
-//! kernels on a per-class table of processor masks (APT's admissible
-//! processors, MET's fastest ones) walks the set with
+//! yields `(node, class)` pairs in the set's order. Both modes index the
+//! members by class: ordered mode through its class lists, bitset mode
+//! through one member bitset per class, laid out class-major next to the
+//! plain bitset. [`ReadySet::first_in_class`] reads one class's index only,
+//! so a policy that ranks kernels by class (SPN's shortest pair) probes the
+//! few classes it needs instead of walking every member.
+//!
+//! A policy that screens kernels on a per-class table of processor masks
+//! (APT's admissible processors, MET's fastest ones) walks the set with
 //! [`ReadySet::walk_screened`]: it visits, in set order, only the members
 //! whose class mask meets an idle set that the caller shrinks as it
 //! assigns. In ordered mode that walk merges only the heads of the classes
 //! some idle processor can take, and drops a class as soon as the idle set
 //! stops meeting its mask, so a decision costs what it could assign rather
-//! than what is queued. In bitset mode it is the linear walk plus one mask
-//! test per member. A policy that sorts the screened members by a key of
-//! its own reads them class by class, with no merge, through
-//! [`ReadySet::for_each_screened`].
+//! than what is queued. In bitset mode it is the linear walk over the plain
+//! bitset plus one mask test per member. A policy that sorts the screened
+//! members by a key of its own reads them class by class, with no merge,
+//! through [`ReadySet::for_each_screened`].
 
 use crate::cost::ClassId;
 use apt_dfg::NodeId;
@@ -151,6 +157,12 @@ pub struct ReadySet {
     len: usize,
     /// Cost class per node id (universe-sized; 0 unless set).
     class: Vec<ClassId>,
+    /// Bitset mode's members by class, class-major: words
+    /// `c * words.len()..(c + 1) * words.len()` hold class `c`'s members.
+    /// Covers class 0 (every node's class until stamped) and every class
+    /// stamped so far; empty in ordered mode, whose class lists answer the
+    /// same questions.
+    by_class: Vec<u64>,
     order: Option<OrderedIndex>,
 }
 
@@ -158,10 +170,12 @@ impl ReadySet {
     /// An empty set over the universe `0..universe` node ids, iterating in
     /// ascending node-id order.
     pub fn new(universe: usize) -> ReadySet {
+        let words = universe.div_ceil(64);
         ReadySet {
-            words: vec![0; universe.div_ceil(64)],
+            words: vec![0; words],
             len: 0,
             class: vec![0; universe],
+            by_class: vec![0; words],
             order: None,
         }
     }
@@ -174,6 +188,7 @@ impl ReadySet {
             words: vec![0; universe.div_ceil(64)],
             len: 0,
             class: vec![0; universe],
+            by_class: Vec::new(),
             order: Some(OrderedIndex {
                 seq: vec![0; universe],
                 prio: vec![0; universe],
@@ -187,8 +202,24 @@ impl ReadySet {
     /// Existing members, sequences and classes are unchanged.
     pub fn grow(&mut self, universe: usize) {
         let words = universe.div_ceil(64);
-        if words > self.words.len() {
+        let stride = self.words.len();
+        if words > stride {
             self.words.resize(words, 0);
+            if self.order.is_none() {
+                // Re-lay the class-major bitsets at the wider stride; an
+                // empty universe had no words, but class 0 is covered.
+                let classes = match stride {
+                    0 => 1,
+                    _ => self.by_class.len() / stride,
+                };
+                let mut wider = vec![0; classes * words];
+                if stride > 0 {
+                    for (to, from) in wider.chunks_mut(words).zip(self.by_class.chunks(stride)) {
+                        to[..stride].copy_from_slice(from);
+                    }
+                }
+                self.by_class = wider;
+            }
         }
         if universe > self.class.len() {
             self.class.resize(universe, 0);
@@ -231,6 +262,10 @@ impl ReadySet {
     pub fn set_class(&mut self, node: NodeId, class: ClassId) {
         debug_assert!(!self.contains(node), "reclassing a current member");
         self.class[node.index()] = class;
+        let need = (class as usize + 1) * self.words.len();
+        if self.order.is_none() && self.by_class.len() < need {
+            self.by_class.resize(need, 0);
+        }
     }
 
     /// Number of members.
@@ -267,8 +302,10 @@ impl ReadySet {
         }
         *word |= bit;
         self.len += 1;
-        if let Some(order) = &mut self.order {
-            order.insert(node, self.class[i]);
+        let class = self.class[i];
+        match &mut self.order {
+            Some(order) => order.insert(node, class),
+            None => self.by_class[class as usize * self.words.len() + i / 64] |= bit,
         }
         true
     }
@@ -286,8 +323,10 @@ impl ReadySet {
         }
         *word &= !bit;
         self.len -= 1;
-        if let Some(order) = &mut self.order {
-            order.remove(node, self.class[i]);
+        let class = self.class[i];
+        match &mut self.order {
+            Some(order) => order.remove(node, class),
+            None => self.by_class[class as usize * self.words.len() + i / 64] &= !bit,
         }
         true
     }
@@ -303,6 +342,36 @@ impl ReadySet {
                 .map(|c| o.lists[c][0])
                 .min()
                 .map(|e| e.node),
+        }
+    }
+
+    /// The first member of `class` in this set's order that is not in
+    /// `skip`, with its place in that order. Bitset mode reads the class's
+    /// own member bits, ordered mode the class's list; neither looks at
+    /// another class.
+    #[inline]
+    pub fn first_in_class(&self, class: ClassId, skip: &[NodeId]) -> Option<ReadyEntry> {
+        let c = class as usize;
+        match &self.order {
+            None => {
+                let stride = self.words.len();
+                let members = self.by_class.get(c * stride..(c + 1) * stride)?;
+                Bits::new(members)
+                    .map(NodeId::new)
+                    .find(|node| !skip.contains(node))
+                    .map(|node| ReadyEntry {
+                        prio: 0,
+                        seq: node.index() as u64,
+                        node,
+                        class,
+                    })
+            }
+            Some(o) => o
+                .lists
+                .get(c)?
+                .iter()
+                .find(|e| !skip.contains(&e.node))
+                .copied(),
         }
     }
 

@@ -87,24 +87,25 @@ fn run_script(offsets_ns: &[Option<u64>]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary push/pop interleavings with offsets spanning sub-bucket
-    /// collisions (tiny), cross-bucket spreads (ms), and overflow-distance
-    /// jumps (minutes): the calendar queue's dequeue sequence is the heap's,
-    /// batch for batch.
+    /// Arbitrary push/pop interleavings with offsets from 0 ns to an hour:
+    /// equal instants (placed after every entry at their instant), near
+    /// offsets that land before a farther back entry (the binary-searched
+    /// insert) and far ones that append: the sorted deque's dequeue
+    /// sequence is the heap's, batch for batch.
     #[test]
     fn dequeues_in_heap_order(
         ops in prop::collection::vec(
             prop::sample::select(vec![
                 None, None, None,            // ~30% pops
                 Some(0u64),                  // same instant as `now`
-                Some(1), Some(7),            // same bucket
-                Some(1 << 24),               // exactly one bucket over
-                Some(5_000_000),             // a few buckets over
-                Some(93_000_000),
-                Some((64u64 << 24) + 1),     // just past the near window
-                Some(600_000_000_000),       // far ring (minutes out)
-                Some((65u64 << 30) + 3),     // just past the far horizon
-                Some(3_600_000_000_000),     // deep overflow (an hour out)
+                Some(1), Some(7),            // ns apart: ties and near inserts
+                Some(1 << 24),               // ~17 ms: kernel-sized offsets,
+                Some(5_000_000),             // usually inserted before a
+                Some(93_000_000),            // farther back entry
+                Some((64u64 << 24) + 1),     // ~1.1 s
+                Some(600_000_000_000),       // minutes out: mostly appends
+                Some((65u64 << 30) + 3),     // ~70 s: inserts before those
+                Some(3_600_000_000_000),     // an hour out: the back entry
             ]),
             0..120,
         ),
@@ -113,7 +114,7 @@ proptest! {
     }
 
     /// Million-stream shape: a long monotone arrival ramp pushed up front
-    /// (spanning near window, far ring, and deep overflow), popped while new
+    /// (gaps from 0 ns to 17 s, so every push appends), popped while new
     /// near-term completions keep arriving — the exact access pattern of the
     /// open-stream driver. Order must still be the heap's.
     #[test]

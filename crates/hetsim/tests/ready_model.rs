@@ -6,9 +6,11 @@
 //!
 //! Every read is checked: `iter`, `iter_classes`, `first`, `len`, the
 //! screened walk against a linear mask-filtered walk under an idle set that
-//! shrinks between steps, and `for_each_screened` against the same filter
-//! without the shrinking. Both modes run the same script; the bitset mode
-//! ignores the sequence and priority steps and orders by node id.
+//! shrinks between steps, `for_each_screened` against the same filter
+//! without the shrinking, and `first_in_class` against a scan of the
+//! model filtered by class and a skip list. Both modes run the same
+//! script; the bitset mode ignores the sequence and priority steps and
+//! orders by node id.
 
 use apt_dfg::NodeId;
 use apt_hetsim::{ClassId, ReadyEntry, ReadySet};
@@ -126,6 +128,38 @@ fn check(set: &ReadySet, model: &Model, masks: &[u64], idle: u64) {
 /// Run one script in one mode. `masks` holds a processor mask per class
 /// (six processors); step `n`'s check screens from `idles[n % idles.len()]`.
 fn run(ordered: bool, universe: usize, steps: &[Step], masks: &[u64], idles: &[u64]) {
+    drive(ordered, universe, steps, |set, model, n| {
+        check(set, model, masks, idles[n % idles.len()]);
+    });
+}
+
+/// Check `first_in_class` for every class up to two past `classes` (so
+/// some are never stamped) against the first model member of that class
+/// that is not in `skip`.
+fn check_first_in_class(set: &ReadySet, model: &Model, classes: u32, skip: &[NodeId]) {
+    let sorted = model.sorted();
+    for class in 0..classes + 2 {
+        let expected = sorted
+            .iter()
+            .find(|e| e.class == class && !skip.contains(&e.node))
+            .copied();
+        assert_eq!(
+            set.first_in_class(class, skip),
+            expected,
+            "first_in_class({class}) skipping {skip:?}"
+        );
+    }
+}
+
+/// Apply one script to a fresh set and the model, calling `check(set,
+/// model, n)` after step `n` and after every removal of the final drain
+/// (with `n = 0`).
+fn drive(
+    ordered: bool,
+    universe: usize,
+    steps: &[Step],
+    mut check: impl FnMut(&ReadySet, &Model, usize),
+) {
     let mut set = if ordered {
         ReadySet::new_ordered(universe)
     } else {
@@ -134,13 +168,12 @@ fn run(ordered: bool, universe: usize, steps: &[Step], masks: &[u64], idles: &[u
     let mut model = Model::new(ordered, universe);
     for (n, &(kind, id, value)) in steps.iter().enumerate() {
         let size = model.member.len();
-        let idle = idles[n % idles.len()];
         if kind == 5 {
             // Grow by up to 70 ids, across a word boundary now and then.
             let to = size + (value as usize % 70);
             set.grow(to);
             model.grow(to);
-            check(&set, &model, masks, idle);
+            check(&set, &model, n);
             continue;
         }
         if size == 0 {
@@ -175,13 +208,13 @@ fn run(ordered: bool, universe: usize, steps: &[Step], masks: &[u64], idles: &[u
             }
             _ => {}
         }
-        check(&set, &model, masks, idle);
+        check(&set, &model, n);
     }
     // Drain in set order: every removal keeps the rest consistent.
     while let Some(node) = set.first() {
         assert!(set.remove(node));
         model.member[node.index()] = false;
-        check(&set, &model, masks, idles[0]);
+        check(&set, &model, 0);
     }
 }
 
@@ -212,5 +245,32 @@ proptest! {
         idles in prop::collection::vec(1u64..64, 1..8),
     ) {
         run(true, 200, &steps, &masks, &idles);
+    }
+
+    /// `first_in_class` in both modes, over few classes so each has
+    /// several members: recycled ids, growth across word boundaries after
+    /// classes are stamped, nodes left at class 0, and skip lists of up to
+    /// 64 nodes (members or not). Step `n` skips the first `n % 65` ids of
+    /// `skips`, taken modulo the universe.
+    #[test]
+    fn first_in_class_matches_a_filtered_scan(
+        universe in 0usize..80,
+        steps in prop::collection::vec((0u8..6, 0usize..1_000, 0u64..1_000), 0..160),
+        skips in prop::collection::vec(0usize..1_000, 64..65),
+    ) {
+        const FEW: u64 = 6;
+        // Stamp classes from a small range only.
+        let steps: Vec<Step> = steps
+            .into_iter()
+            .map(|(kind, id, value)| (kind, id, if kind == 2 { value % FEW } else { value }))
+            .collect();
+        for ordered in [true, false] {
+            drive(ordered, universe, &steps, |set, model, n| {
+                let size = model.member.len().max(1);
+                let skip: Vec<NodeId> =
+                    skips[..n % 65].iter().map(|&id| NodeId::new(id % size)).collect();
+                check_first_in_class(set, model, FEW as u32, &skip);
+            });
+        }
     }
 }

@@ -83,23 +83,17 @@ pub fn best_instance_in(view: &SimView<'_>, node: NodeId, idle_mask: u64) -> Opt
 /// [`AssignmentBuf::mark_fixpoint`]. The batch is exactly the sequence the
 /// one-pick-per-call form emits over successive calls.
 ///
-/// `pick` gets the remaining idle mask and the pick's [`ClassFirsts`].
+/// `pick` gets the remaining idle mask and the kernels claimed so far.
 pub fn emit_instant(
     view: &SimView<'_>,
     out: &mut AssignmentBuf,
-    mut pick: impl FnMut(u64, ClassFirsts<'_>) -> Option<(NodeId, ProcId)>,
+    mut pick: impl FnMut(u64, &[NodeId]) -> Option<(NodeId, ProcId)>,
 ) {
     let mut idle = view.idle_mask;
     let mut claimed = [NodeId::new(0); MAX_PROCS];
     let mut nclaimed = 0;
     while idle != 0 {
-        let candidates = ClassFirsts {
-            nodes: view.ready.iter(),
-            cost: view.cost,
-            claimed: &claimed[..nclaimed],
-            seen: 0,
-        };
-        let Some((node, proc)) = pick(idle, candidates) else {
+        let Some((node, proc)) = pick(idle, &claimed[..nclaimed]) else {
             break;
         };
         out.push(Assignment::new(node, proc));
@@ -121,6 +115,18 @@ pub struct ClassFirsts<'a> {
     cost: &'a CostModel,
     claimed: &'a [NodeId],
     seen: u64,
+}
+
+impl<'a> ClassFirsts<'a> {
+    /// The candidates of `view`'s ready set, skipping `claimed`.
+    pub fn new(view: &SimView<'a>, claimed: &'a [NodeId]) -> ClassFirsts<'a> {
+        ClassFirsts {
+            nodes: view.ready.iter(),
+            cost: view.cost,
+            claimed,
+            seen: 0,
+        }
+    }
 }
 
 impl Iterator for ClassFirsts<'_> {
@@ -264,7 +270,8 @@ mod tests {
             let mut seen: Vec<Vec<NodeId>> = Vec::new();
             let mut out = AssignmentBuf::new();
             let mut next_proc = 0;
-            emit_instant(view, &mut out, |_idle, candidates| {
+            emit_instant(view, &mut out, |_idle, claimed| {
+                let candidates = ClassFirsts::new(view, claimed);
                 let nodes: Vec<NodeId> = candidates.map(|(n, _)| n).collect();
                 seen.push(nodes.clone());
                 let first = *nodes.first()?;
@@ -289,9 +296,9 @@ mod tests {
         check_with(&[bfs; 5], &config, &[false, true, false], |view| {
             let mut idle_seen = Vec::new();
             let mut out = AssignmentBuf::new();
-            emit_instant(view, &mut out, |idle, mut candidates| {
+            emit_instant(view, &mut out, |idle, claimed| {
                 idle_seen.push(idle);
-                let (node, _) = candidates.next()?;
+                let (node, _) = ClassFirsts::new(view, claimed).next()?;
                 Some((node, ProcId::new(idle.trailing_zeros() as usize)))
             });
             assert_eq!(idle_seen, vec![0b101, 0b100]);

@@ -18,23 +18,63 @@
 //! mask and the unclaimed kernels and marks the batch with
 //! [`AssignmentBuf::mark_fixpoint`], as MET's is. The assignment sequence
 //! is exactly the one-pair-per-call sequence (pinned by
-//! `crates/policies/tests/naive_spn.rs`). Within one pick each cost class
-//! is evaluated once: a later kernel of a class already seen can only tie,
-//! and ties keep the earliest kernel.
+//! `crates/policies/tests/naive_spn.rs`).
+//!
+//! A pick works per idle processor, not per ready kernel. Every cost is a
+//! class's, so SPN keeps, for each processor, every class in ascending
+//! execution time, the ones it cannot run last (rebuilt in `prepare` and
+//! whenever the cost model interns a new class). For each idle processor
+//! the pick walks that order to the first class with an unclaimed ready
+//! kernel
+//! ([`ReadySet::first_in_class`](apt_hetsim::ReadySet::first_in_class)),
+//! goes on through the classes that tie it, and stops once the time exceeds
+//! the best pair found so far. The winner is the least `(exec, ready
+//! entry, processor)`: the first pair in (ready order, processor id) with
+//! the smallest time, as §2.5.3's scan over every pair finds it. A pick
+//! thus costs a few class probes per idle processor, however many kernels
+//! are ready.
 
 use crate::common::emit_instant;
-use apt_base::ProcId;
-use apt_dfg::NodeId;
-use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, SimView};
+use apt_base::{BaseError, ProcId};
+use apt_hetsim::cost::UNRUNNABLE;
+use apt_hetsim::{
+    AssignmentBuf, ClassId, CostModel, Policy, PolicyKind, PrepareCtx, ReadyEntry, SimView,
+};
 
 /// The SPN policy.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Spn;
+#[derive(Debug, Default, Clone)]
+pub struct Spn {
+    /// Per processor, every class as `(exec ns, class)` in ascending order
+    /// ([`UNRUNNABLE`] classes last): processor `p`'s order is
+    /// `order[p * classes..(p + 1) * classes]`.
+    order: Vec<(u64, ClassId)>,
+    /// The class count `order` was built for.
+    classes: usize,
+}
 
 impl Spn {
     /// Create an SPN scheduler.
     pub const fn new() -> Self {
-        Spn
+        Spn {
+            order: Vec::new(),
+            classes: 0,
+        }
+    }
+
+    /// Sort every class by its time on each processor of `cost`.
+    fn rebuild(&mut self, cost: &CostModel) {
+        let classes = cost.class_count();
+        self.classes = classes;
+        self.order.clear();
+        self.order.reserve_exact(cost.nprocs() * classes);
+        for p in 0..cost.nprocs() {
+            let proc = ProcId::new(p);
+            let from = self.order.len();
+            self.order.extend(
+                (0..classes as ClassId).map(|class| (cost.class_exec_ns(class, proc), class)),
+            );
+            self.order[from..].sort_unstable();
+        }
     }
 }
 
@@ -47,26 +87,39 @@ impl Policy for Spn {
         PolicyKind::Dynamic
     }
 
+    fn prepare(&mut self, ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
+        self.rebuild(ctx.cost);
+        Ok(())
+    }
+
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let cost = view.cost;
-        emit_instant(view, out, |idle, candidates| {
-            // The (ready kernel, idle processor) pair with the smallest
-            // execution time. Ties: first in (ready order, proc id)
-            // enumeration order — a strict `<` running minimum keeps the
-            // earliest pair.
-            let mut best: Option<(u64, NodeId, ProcId)> = None;
-            for (node, class) in candidates {
-                let mut avail = cost.class_runnable_mask(class) & idle;
-                while avail != 0 {
-                    let proc = ProcId::new(avail.trailing_zeros() as usize);
-                    avail &= avail - 1;
-                    let e = cost.class_exec_ns(class, proc);
-                    if best.is_none_or(|(be, _, _)| e < be) {
-                        best = Some((e, node, proc));
+        if self.classes != view.cost.class_count() {
+            self.rebuild(view.cost);
+        }
+        let classes = self.classes;
+        let order = &self.order;
+        emit_instant(view, out, |idle, claimed| {
+            // The least (exec, ready entry, proc) over every unclaimed ready
+            // kernel and idle processor that can run it.
+            let mut best: Option<(u64, ReadyEntry, ProcId)> = None;
+            let mut procs = idle;
+            while procs != 0 {
+                let p = procs.trailing_zeros() as usize;
+                procs &= procs - 1;
+                for &(exec, class) in &order[p * classes..(p + 1) * classes] {
+                    if exec == UNRUNNABLE || best.is_some_and(|(be, _, _)| exec > be) {
+                        break;
+                    }
+                    let Some(entry) = view.ready.first_in_class(class, claimed) else {
+                        continue;
+                    };
+                    let pair = (exec, entry, ProcId::new(p));
+                    if best.is_none_or(|b| pair < b) {
+                        best = Some(pair);
                     }
                 }
             }
-            best.map(|(_, node, proc)| (node, proc))
+            best.map(|(_, entry, proc)| (entry.node, proc))
         });
     }
 }

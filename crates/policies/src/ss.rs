@@ -31,7 +31,7 @@
 //! is exactly the one-kernel-per-call sequence (pinned by
 //! `crates/policies/tests/naive_ss.rs`).
 
-use crate::common::emit_instant;
+use crate::common::{emit_instant, ClassFirsts};
 use apt_base::stats::{stddev_population, FiniteF64};
 use apt_base::{ProcId, SimDuration};
 use apt_dfg::NodeId;
@@ -61,13 +61,13 @@ impl Policy for SerialScheduling {
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
         let cost = view.cost;
         let mut times = [0f64; MAX_PROCS];
-        emit_instant(view, out, |idle, candidates| {
+        emit_instant(view, out, |idle, claimed| {
             // Highest-stddev candidate over the available processors. One
             // scan of the idle processors that can run it finds the best
             // one and collects the times the stddev is taken over.
             let single = idle.is_power_of_two();
             let mut best: Option<(FiniteF64, NodeId, ProcId)> = None;
-            for (node, class) in candidates {
+            for (node, class) in ClassFirsts::new(view, claimed) {
                 let mut avail = cost.class_runnable_mask(class) & idle;
                 let mut count = 0;
                 let mut best_proc: Option<(ProcId, u64)> = None;
