@@ -232,8 +232,8 @@ mod tests {
             assert_eq!(config.len(), 6, "{name}");
             config.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         }
-        assert_eq!(v[0].1.uniform_rate(), Some(LinkRate::PCIE2_X8));
-        assert_eq!(v[1].1.uniform_rate(), None);
+        assert_eq!(v[0].1.topology(), &Topology::uniform(LinkRate::PCIE2_X8));
+        assert_ne!(v[1].1.topology(), v[0].1.topology());
         assert_eq!(v[3].1.contention(), LinkContention::PerLink);
     }
 

@@ -432,7 +432,9 @@ mod tests {
             let bytes = dfg.node(node).bytes(config.bytes_per_element);
             assert_eq!(
                 cost.pair_transfer_time(node, ProcId::new(0), ProcId::new(1)),
-                config.link.transfer_time(bytes)
+                config
+                    .pair_rate(ProcId::new(0), ProcId::new(1))
+                    .transfer_time(bytes)
             );
         }
     }

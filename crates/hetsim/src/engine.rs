@@ -336,7 +336,7 @@ impl EngineCore {
         let n = ctx.dfg.len();
         debug_assert!(arrivals.is_none_or(|a| a.len() == n));
         let mut core = EngineCore::for_machine(ctx.config, false);
-        core.ready.grow(n);
+        core.ready = ReadySet::with_classes(n, ctx.cost.class_count());
         for node in ctx.dfg.node_ids() {
             core.ready.set_class(node, ctx.cost.class_of(node));
         }
@@ -427,7 +427,6 @@ impl EngineCore {
         if plan.is_none() {
             return;
         }
-        let mut state = FaultState::new(plan);
         let nprocs = self.views.len();
         let mut runtime = Box::new(FaultRuntime {
             // Degenerate retry knobs (`backoff_factor: 0`, `max_attempts: 0`)
@@ -445,15 +444,14 @@ impl EngineCore {
         // First crash per processor, in ascending id order (deterministic
         // draw order); first degradation episode after that.
         for p in 0..nprocs {
-            if let Some(gap) = state.next_crash_gap() {
+            if let Some(gap) = runtime.state.next_crash_gap() {
                 self.events
                     .push(self.now + gap, Event::Crash(ProcId::new(p)));
             }
         }
-        if let Some(gap) = state.next_degrade_gap() {
+        if let Some(gap) = runtime.state.next_degrade_gap() {
             self.events.push(self.now + gap, Event::DegradeStart);
         }
-        runtime.state = state;
         self.faults = Some(runtime);
     }
 
@@ -1983,8 +1981,7 @@ mod tests {
         let lookup = apt_dfg::LookupTable::paper();
         let serial = SystemConfig::paper_4gbps();
         let contended = SystemConfig::paper_4gbps().with_topology(
-            Topology::uniform(3, crate::LinkRate::PCIE2_X8)
-                .with_contention(LinkContention::PerLink),
+            Topology::uniform(crate::LinkRate::PCIE2_X8).with_contention(LinkContention::PerLink),
         );
         let run = |cfg: &SystemConfig| {
             simulate(&dfg, cfg, lookup, &mut Pin(vec![0, 2, 1]))
@@ -2015,8 +2012,7 @@ mod tests {
         let lookup = apt_dfg::LookupTable::paper();
         let serial = SystemConfig::paper_4gbps();
         let contended = SystemConfig::paper_4gbps().with_topology(
-            Topology::uniform(3, crate::LinkRate::PCIE2_X8)
-                .with_contention(LinkContention::PerLink),
+            Topology::uniform(crate::LinkRate::PCIE2_X8).with_contention(LinkContention::PerLink),
         );
         let run = |cfg: &SystemConfig| {
             simulate(&dfg, cfg, lookup, &mut Pin(vec![0, 0, 1]))
@@ -2235,8 +2231,7 @@ mod tests {
         let dfg = build_type1(&[nw(), bfs(), cd()]);
         let lookup = apt_dfg::LookupTable::paper();
         let cfg = SystemConfig::paper_4gbps().with_topology(
-            Topology::uniform(3, crate::LinkRate::PCIE2_X8)
-                .with_contention(LinkContention::PerLink),
+            Topology::uniform(crate::LinkRate::PCIE2_X8).with_contention(LinkContention::PerLink),
         );
         let plan = FaultPlan::seeded(2).with_link_degrade(LinkDegradeSpec {
             pair: Some((ProcId::new(2), ProcId::new(1))),

@@ -6,14 +6,15 @@
 //! applications as a work load for the system and the different scheduling
 //! policies." This crate is that software:
 //!
-//! * [`link`] — the PCI-Express interconnect model (uniform rate between all
-//!   processor pairs; 4 GB/s for ×8 lanes, 8 GB/s for ×16).
-//! * [`topology`] — per-pair interconnect matrices beyond §3.2's uniform
-//!   rate: clustered/NUMA-ish and host-staged star presets, plus optional
-//!   per-link transfer contention (off by default; the uniform preset is
-//!   byte-identical to the scalar link path).
+//! * [`link`] — the PCI-Express link model (one link's rate; 4 GB/s for ×8
+//!   lanes, 8 GB/s for ×16).
+//! * [`topology`] — the machine's interconnect, in one of two forms: one
+//!   rate between every processor pair (§3.2's model) or a per-pair matrix
+//!   (clustered/NUMA-ish and host-staged star presets), plus optional
+//!   per-link transfer contention (off by default).
 //! * [`system`] — the simulated machine: a customizable set of processor
-//!   instances plus the link and the bytes-per-element convention.
+//!   instances plus its one [`Topology`] and the bytes-per-element
+//!   convention.
 //! * [`policy`] — the [`Policy`] trait every scheduling heuristic
 //!   implements, and the [`Assignment`] type policies emit.
 //! * [`view`] — the read-only snapshot of simulator state handed to dynamic

@@ -5,11 +5,12 @@
 //! approximate throughput of 4 GBps and with 16 lanes 8 GBps. We maintain
 //! the data transfer rates between all processors to be the same."
 //!
-//! The model is therefore a single uniform rate; transfer time is
+//! A [`LinkRate`] is one link's throughput; transfer time is
 //! `bytes / rate`, computed in exact integer arithmetic (rounded up to the
-//! next nanosecond so transfers are never undercounted). Machines whose
-//! interconnect has *structure* — per-pair rates, clusters, host-staged
-//! bottlenecks — are modeled by [`crate::Topology`], which reuses this
+//! next nanosecond so transfers are never undercounted). A machine's
+//! interconnect is a [`crate::Topology`]: one rate between every pair
+//! (§3.2's model, [`crate::Topology::uniform`]) or a per-pair matrix of
+//! rates — clusters, host-staged bottlenecks — and it applies this
 //! arithmetic per directed pair.
 
 use apt_base::SimDuration;
@@ -19,7 +20,7 @@ use std::fmt;
 /// Bytes per PCIe 2.0 lane per second (500 MB/s).
 pub const PCIE2_BYTES_PER_LANE: u64 = 500_000_000;
 
-/// A uniform point-to-point link rate between every pair of processors.
+/// The throughput of a point-to-point link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LinkRate {
     /// Sustained throughput in bytes per second.

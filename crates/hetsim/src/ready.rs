@@ -159,9 +159,9 @@ pub struct ReadySet {
     class: Vec<ClassId>,
     /// Bitset mode's members by class, class-major: words
     /// `c * words.len()..(c + 1) * words.len()` hold class `c`'s members.
-    /// Covers class 0 (every node's class until stamped) and every class
-    /// stamped so far; empty in ordered mode, whose class lists answer the
-    /// same questions.
+    /// Covers class 0 (every node's class until stamped), the classes laid
+    /// out by [`ReadySet::with_classes`] and every class stamped so far;
+    /// empty in ordered mode, whose class lists answer the same questions.
     by_class: Vec<u64>,
     order: Option<OrderedIndex>,
 }
@@ -170,12 +170,18 @@ impl ReadySet {
     /// An empty set over the universe `0..universe` node ids, iterating in
     /// ascending node-id order.
     pub fn new(universe: usize) -> ReadySet {
+        ReadySet::with_classes(universe, 1)
+    }
+
+    /// [`ReadySet::new`] with the class-major bitsets laid out for classes
+    /// `0..classes` up front, so stamping those classes never widens them.
+    pub(crate) fn with_classes(universe: usize, classes: usize) -> ReadySet {
         let words = universe.div_ceil(64);
         ReadySet {
             words: vec![0; words],
             len: 0,
             class: vec![0; universe],
-            by_class: vec![0; words],
+            by_class: vec![0; classes.max(1) * words],
             order: None,
         }
     }

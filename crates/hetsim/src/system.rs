@@ -32,25 +32,20 @@ impl ProcSpec {
 }
 
 /// Full description of a simulated system: processor instances, the
-/// interconnect (a uniform link rate, optionally overridden by a per-pair
-/// [`Topology`]), and the bytes-per-element convention used to turn the
-/// lookup table's element counts into transfer volumes.
+/// interconnect (one [`Topology`]: a single rate or a per-pair matrix), and
+/// the bytes-per-element convention used to turn the lookup table's element
+/// counts into transfer volumes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
     procs: Vec<ProcSpec>,
-    /// Uniform link rate between every processor pair (§3.2's model; the
-    /// seed semantics). Ignored when a [`Topology`] is set.
-    pub link: LinkRate,
     /// Bytes moved per data element when a kernel's input crosses a link.
     /// 4 (f32) reproduces the paper's setting; 0 disables transfers entirely
     /// (used by the Figure-5 walk-through).
     pub bytes_per_element: u64,
-    /// Optional per-pair interconnect override; `None` keeps the uniform
-    /// `link` field. Set with [`SystemConfig::with_topology`]. Defaulted
-    /// on deserialization so pre-topology `SystemConfig` payloads stay
-    /// valid.
-    #[serde(default)]
-    topology: Option<Topology>,
+    /// The interconnect; set with [`SystemConfig::with_link`] or
+    /// [`SystemConfig::with_topology`], checked by
+    /// [`SystemConfig::validate`].
+    topology: Topology,
 }
 
 impl SystemConfig {
@@ -74,27 +69,21 @@ impl SystemConfig {
         cfg
     }
 
-    /// One processor of each evaluated category with the given link rate.
+    /// One processor of each evaluated category, every pair at `link`.
     pub fn cpu_gpu_fpga(link: LinkRate) -> Self {
-        SystemConfig {
-            procs: vec![
-                ProcSpec::new(ProcKind::Cpu, "CPU0"),
-                ProcSpec::new(ProcKind::Gpu, "GPU0"),
-                ProcSpec::new(ProcKind::Fpga, "FPGA0"),
-            ],
-            link,
-            bytes_per_element: 4,
-            topology: None,
-        }
+        SystemConfig::empty(link)
+            .with_proc(ProcKind::Cpu)
+            .with_proc(ProcKind::Gpu)
+            .with_proc(ProcKind::Fpga)
     }
 
-    /// An empty system to be populated with [`SystemConfig::with_proc`].
+    /// An empty system, every pair at `link`, to be populated with
+    /// [`SystemConfig::with_proc`].
     pub fn empty(link: LinkRate) -> Self {
         SystemConfig {
             procs: Vec::new(),
-            link,
             bytes_per_element: 4,
-            topology: None,
+            topology: Topology::uniform(link),
         }
     }
 
@@ -112,71 +101,47 @@ impl SystemConfig {
         self
     }
 
-    /// Builder: set the link rate.
-    pub fn with_link(mut self, link: LinkRate) -> Self {
-        self.link = link;
-        self
+    /// Builder: one rate between every pair ([`Topology::uniform`]),
+    /// replacing any interconnect set before.
+    pub fn with_link(self, link: LinkRate) -> Self {
+        self.with_topology(Topology::uniform(link))
     }
 
-    /// Builder: override the uniform `link` with a per-pair [`Topology`].
-    /// Size agreement with the processor set is checked by
-    /// [`SystemConfig::validate`] (so the builder order doesn't matter).
+    /// Builder: set the interconnect, replacing any set before. Size
+    /// agreement with the processor set is checked by
+    /// [`SystemConfig::validate`], so processors may be added after it.
     pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
+        self.topology = topology;
         self
     }
 
-    /// The per-pair topology, if one overrides the uniform link.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
+    /// The interconnect.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
     }
 
-    /// The single interconnect rate when the machine is uniform: the
-    /// `link` field with no topology set, or the [`Topology::uniform`]
-    /// preset's rate. `None` when a non-uniform matrix is in force — the
-    /// cost model then precomputes per-pair tables.
-    pub fn uniform_rate(&self) -> Option<LinkRate> {
-        match &self.topology {
-            None => Some(self.link),
-            Some(t) => t.uniform_rate(),
-        }
-    }
-
-    /// The rate of directed link `(src, dst)` under the effective
-    /// interconnect (topology if set, the uniform `link` otherwise).
+    /// The rate of directed link `(src, dst)`.
     pub fn pair_rate(&self, src: ProcId, dst: ProcId) -> LinkRate {
-        match &self.topology {
-            None => self.link,
-            Some(t) => t.rate(src, dst),
-        }
+        self.topology.rate(src, dst)
     }
 
     /// Time to move `bytes` from `src` to `dst`; zero for same-processor
     /// moves.
     pub fn pair_transfer_time(&self, bytes: u64, src: ProcId, dst: ProcId) -> SimDuration {
-        if src == dst {
-            return SimDuration::ZERO;
-        }
-        self.pair_rate(src, dst).transfer_time(bytes)
+        self.topology.transfer_time(bytes, src, dst)
     }
 
-    /// The transfer arbitration mode ([`LinkContention::Off`] unless a
+    /// The transfer arbitration mode ([`LinkContention::Off`] unless the
     /// topology enables per-link clocks).
     pub fn contention(&self) -> LinkContention {
-        self.topology
-            .as_ref()
-            .map_or(LinkContention::Off, Topology::contention)
+        self.topology.contention()
     }
 
     /// Mean transfer time of `bytes` over the machine's remote pairs, in
     /// fractional milliseconds — the static rankers' average communication
-    /// cost `c̄_ij`. On a uniform machine this is exactly the scalar link
-    /// time (bit-identical to the seed computation).
+    /// cost `c̄_ij` (see [`Topology::mean_pair_transfer_ms`]).
     pub fn mean_pair_transfer_ms(&self, bytes: u64) -> f64 {
-        match &self.topology {
-            None => self.link.transfer_time(bytes).as_ms_f64(),
-            Some(t) => t.mean_pair_transfer_ms(bytes),
-        }
+        self.topology.mean_pair_transfer_ms(bytes)
     }
 
     /// The processor instances, index = [`ProcId`].
@@ -217,8 +182,9 @@ impl SystemConfig {
     }
 
     /// Structural validation: a simulatable system needs between one and
-    /// [`MAX_PROCS`] processors, and at least one processor with
-    /// lookup-table coverage (i.e. not ASIC-only).
+    /// [`MAX_PROCS`] processors, at least one processor with lookup-table
+    /// coverage (i.e. not ASIC-only), and an interconnect that fits it
+    /// ([`Topology::validate`]).
     pub fn validate(&self) -> Result<(), BaseError> {
         if self.procs.is_empty() {
             return Err(BaseError::InvalidSystem {
@@ -238,17 +204,7 @@ impl SystemConfig {
                 reason: "no processor has measured execution times".into(),
             });
         }
-        match &self.topology {
-            None => {
-                if self.link.bytes_per_sec == 0 {
-                    return Err(BaseError::InvalidSystem {
-                        reason: "link rate is zero".into(),
-                    });
-                }
-            }
-            Some(t) => t.validate(self.procs.len())?,
-        }
-        Ok(())
+        self.topology.validate(self.procs.len())
     }
 }
 
@@ -263,7 +219,7 @@ mod tests {
         assert_eq!(s.kind_of(ProcId::new(0)), ProcKind::Cpu);
         assert_eq!(s.kind_of(ProcId::new(1)), ProcKind::Gpu);
         assert_eq!(s.kind_of(ProcId::new(2)), ProcKind::Fpga);
-        assert_eq!(s.link, LinkRate::PCIE2_X8);
+        assert_eq!(s.topology(), &Topology::uniform(LinkRate::PCIE2_X8));
         assert_eq!(s.bytes_per_element, 4);
         s.validate().unwrap();
     }
@@ -322,7 +278,6 @@ mod tests {
     #[test]
     fn topology_overrides_the_uniform_link() {
         let plain = SystemConfig::paper_4gbps();
-        assert_eq!(plain.uniform_rate(), Some(LinkRate::PCIE2_X8));
         assert_eq!(
             plain.pair_rate(ProcId::new(0), ProcId::new(2)),
             LinkRate::PCIE2_X8
@@ -333,20 +288,13 @@ mod tests {
             SimDuration::ZERO
         );
 
-        // Uniform preset: still a uniform machine, at the preset's rate.
-        let uni =
-            SystemConfig::paper_4gbps().with_topology(Topology::uniform(3, LinkRate::PCIE2_X16));
-        assert_eq!(uni.uniform_rate(), Some(LinkRate::PCIE2_X16));
-        uni.validate().unwrap();
-
-        // Clustered matrix: non-uniform, pair-resolved.
+        // Clustered matrix: pair-resolved.
         let clustered = SystemConfig::paper_4gbps().with_topology(Topology::clustered(
             3,
             2,
             LinkRate::gbps(8),
             LinkRate::gbps(1),
         ));
-        assert_eq!(clustered.uniform_rate(), None);
         assert_eq!(
             clustered.pair_rate(ProcId::new(0), ProcId::new(1)),
             LinkRate::gbps(8)
@@ -357,7 +305,7 @@ mod tests {
         );
         clustered.validate().unwrap();
 
-        // The scalar mean matches the seed path exactly on uniform machines.
+        // The one-rate mean is exactly the link time; a matrix averages.
         let bytes = 64_000_000u64;
         assert_eq!(
             plain.mean_pair_transfer_ms(bytes),
@@ -367,8 +315,49 @@ mod tests {
     }
 
     #[test]
+    fn the_last_interconnect_builder_wins() {
+        let matrix = Topology::clustered(3, 2, LinkRate::gbps(8), LinkRate::gbps(1))
+            .with_contention(LinkContention::PerLink);
+        // A link after a topology replaces it, contention included.
+        let link_last = SystemConfig::paper_4gbps()
+            .with_topology(matrix.clone())
+            .with_link(LinkRate::PCIE2_X16);
+        assert_eq!(link_last, SystemConfig::paper_8gbps());
+        assert_eq!(link_last.contention(), LinkContention::Off);
+        // A topology after a link replaces it.
+        let topology_last = SystemConfig::paper_8gbps()
+            .with_link(LinkRate::gbps(2))
+            .with_topology(matrix.clone());
+        assert_eq!(topology_last.topology(), &matrix);
+        assert_eq!(
+            SystemConfig::paper_4gbps().with_topology(Topology::uniform(LinkRate::PCIE2_X16)),
+            SystemConfig::paper_8gbps()
+        );
+    }
+
+    #[test]
+    fn one_rate_covers_processors_added_after_it() {
+        let s = SystemConfig::empty(LinkRate::gbps(2))
+            .with_link(LinkRate::gbps(3))
+            .with_proc(ProcKind::Cpu);
+        let s = (0..MAX_PROCS - 1).fold(s, |s, _| s.with_proc(ProcKind::Gpu));
+        assert_eq!(s.validate(), Ok(()));
+        let last = ProcId::new(MAX_PROCS - 1);
+        assert_eq!(s.pair_rate(ProcId::new(0), last), LinkRate::gbps(3));
+        assert_eq!(s.pair_rate(last, ProcId::new(1)), LinkRate::gbps(3));
+        let one = SystemConfig::empty(LinkRate::gbps(3)).with_proc(ProcKind::Fpga);
+        assert_eq!(one.validate(), Ok(()));
+        let zero = one.with_link(LinkRate { bytes_per_sec: 0 });
+        assert!(matches!(
+            zero.validate(),
+            Err(BaseError::InvalidSystem { .. })
+        ));
+    }
+
+    #[test]
     fn topology_size_mismatch_fails_validation() {
-        let s = SystemConfig::paper_4gbps().with_topology(Topology::uniform(5, LinkRate::PCIE2_X8));
+        let s = SystemConfig::paper_4gbps()
+            .with_topology(Topology::from_fn(5, |_, _| LinkRate::PCIE2_X8));
         assert!(matches!(s.validate(), Err(BaseError::InvalidSystem { .. })));
     }
 
@@ -376,7 +365,11 @@ mod tests {
     fn eight_gbps_doubles_the_link() {
         let a = SystemConfig::paper_4gbps();
         let b = SystemConfig::paper_8gbps();
-        assert_eq!(b.link.bytes_per_sec, 2 * a.link.bytes_per_sec);
+        let (p, q) = (ProcId::new(0), ProcId::new(1));
+        assert_eq!(
+            b.pair_rate(p, q).bytes_per_sec,
+            2 * a.pair_rate(p, q).bytes_per_sec
+        );
         assert_eq!(a.procs(), b.procs());
     }
 }

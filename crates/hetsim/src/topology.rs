@@ -1,14 +1,23 @@
-//! Per-pair interconnect topologies.
+//! The machine's interconnect.
 //!
 //! The paper fixes "the data transfer rates between all processors to be
-//! the same" (§3.2) — the [`crate::LinkRate`] scalar [`crate::SystemConfig`]
-//! has always carried. Real heterogeneous nodes are not like that: NUMA
+//! the same" (§3.2). Real heterogeneous nodes are not like that: NUMA
 //! clusters keep fast links inside a socket and slow ones across it, and
-//! PCIe trees route every device↔device move through a host bridge. This
-//! module departs from §3.2 deliberately: a [`Topology`] is a dense
-//! per-(source, destination) rate matrix, so the transfer term APT's
-//! threshold α trades against can finally be stressed by a machine whose
-//! interconnect has *structure*.
+//! PCIe trees route every device↔device move through a host bridge. A
+//! [`Topology`] — the one interconnect every [`crate::SystemConfig`]
+//! holds — therefore takes one of two forms:
+//!
+//! * **One rate** ([`Topology::uniform`]): §3.2's model. Every pair moves
+//!   data at the same [`LinkRate`], whatever the machine's size, so
+//!   processors added after the rate was set share it.
+//! * **A matrix** ([`Topology::from_fn`] and the presets below): a dense
+//!   per-(source, destination) rate matrix for exactly `nprocs`
+//!   processors, so the transfer term APT's threshold α trades against can
+//!   be stressed by a machine whose interconnect has *structure*. The
+//!   equivalence suites pin a matrix whose rates are all equal
+//!   byte-identical to the one-rate form, although the rankers' mean
+//!   transfer time is averaged over its pairs instead of read off the one
+//!   rate.
 //!
 //! ## Model
 //!
@@ -17,17 +26,12 @@
 //!   integer arithmetic of [`LinkRate::transfer_time`], per pair.
 //!   Same-processor moves remain free (the Eq. 6 convention `c_ij = 0`
 //!   when `p_w = p_k`).
-//! * The [`Topology::uniform`] preset reproduces the seed semantics: it is
-//!   routed through the same scalar fast path the plain `LinkRate` field
-//!   uses, and is pinned **byte-identical** to it by the equivalence
-//!   suites. Every other construction (presets or [`Topology::from_fn`])
-//!   uses the dense matrix — including a matrix whose rates all happen to
-//!   be equal, which the differential tests hold byte-identical to the
-//!   scalar path too.
+//! * [`Topology::validate`] is the one check: the one rate must be
+//!   positive; a matrix must match the machine's size and carry no
+//!   zero-rate off-diagonal link.
 //!
 //! ## Presets
 //!
-//! * [`Topology::uniform`] — one rate everywhere (§3.2; the seed model).
 //! * [`Topology::clustered`] — NUMA-ish: processors are grouped into
 //!   consecutive clusters of `cluster_size`; intra-cluster pairs get the
 //!   fast rate, inter-cluster pairs the slow one.
@@ -77,7 +81,6 @@
 use crate::link::LinkRate;
 use apt_base::{BaseError, ProcId, SimDuration};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// How the engine arbitrates concurrent transfers on the interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -94,33 +97,32 @@ pub enum LinkContention {
     PerLink,
 }
 
-/// A per-(source, destination) interconnect rate matrix. See the module
-/// docs for the model, the presets, and the §3.2 departure.
+/// The machine's interconnect: one rate between every processor pair, or
+/// a dense per-(source, destination) matrix, plus the transfer arbitration
+/// mode. See the module docs for the two forms and the §3.2 departure.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
-    nprocs: usize,
-    /// Dense `src × nprocs + dst` rate matrix; the diagonal is stored (as
-    /// the constructor's base rate) but never read — same-processor moves
-    /// are free.
-    rates: Vec<LinkRate>,
-    /// `Some(rate)` only for [`Topology::uniform`]: routes the cost model
-    /// through the scalar fast path, byte-identical to the seed
-    /// `LinkRate` field.
-    uniform: Option<LinkRate>,
+    rates: Rates,
     /// Transfer arbitration mode (off by default).
     contention: LinkContention,
 }
 
+/// The two forms of a [`Topology`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+enum Rates {
+    /// One rate between every pair, for a machine of any size.
+    Uniform(LinkRate),
+    /// Dense `src × nprocs + dst` rate matrix; the diagonal is stored but
+    /// never read — same-processor moves are free.
+    Matrix { nprocs: usize, rates: Vec<LinkRate> },
+}
+
 impl Topology {
-    /// One rate between every pair — the §3.2 model, reproduced exactly:
-    /// this preset routes through the same scalar path as the plain
-    /// [`crate::SystemConfig::link`] field and is pinned byte-identical to
-    /// it by the equivalence suites.
-    pub fn uniform(nprocs: usize, rate: LinkRate) -> Topology {
+    /// One rate between every pair — the §3.2 model, for a machine of any
+    /// size (processors added after it is set share the rate too).
+    pub fn uniform(rate: LinkRate) -> Topology {
         Topology {
-            nprocs,
-            rates: vec![rate; nprocs * nprocs],
-            uniform: Some(rate),
+            rates: Rates::Uniform(rate),
             contention: LinkContention::Off,
         }
     }
@@ -180,10 +182,9 @@ impl Topology {
         })
     }
 
-    /// An arbitrary matrix: `rate(src, dst)` for every directed pair. The
-    /// diagonal is queried too (stored but never read). Always uses the
-    /// dense matrix path, even when every rate is equal — the property the
-    /// differential tests hold byte-identical to the scalar path.
+    /// An arbitrary `nprocs × nprocs` matrix: `rate(src, dst)` for every
+    /// directed pair. The diagonal is queried too (stored but never read).
+    /// Always the matrix form, even when every rate is equal.
     pub fn from_fn(nprocs: usize, rate: impl Fn(ProcId, ProcId) -> LinkRate) -> Topology {
         let mut rates = Vec::with_capacity(nprocs * nprocs);
         for s in 0..nprocs {
@@ -192,9 +193,7 @@ impl Topology {
             }
         }
         Topology {
-            nprocs,
-            rates,
-            uniform: None,
+            rates: Rates::Matrix { nprocs, rates },
             contention: LinkContention::Off,
         }
     }
@@ -205,16 +204,13 @@ impl Topology {
         self
     }
 
-    /// Number of processors this matrix describes.
-    #[inline]
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
     /// The rate of directed link `(src, dst)`.
     #[inline]
     pub fn rate(&self, src: ProcId, dst: ProcId) -> LinkRate {
-        self.rates[src.index() * self.nprocs + dst.index()]
+        match &self.rates {
+            Rates::Uniform(rate) => *rate,
+            Rates::Matrix { nprocs, rates } => rates[src.index() * nprocs + dst.index()],
+        }
     }
 
     /// Time to move `bytes` from `src` to `dst`; zero for same-processor
@@ -228,36 +224,27 @@ impl Topology {
         self.rate(src, dst).transfer_time(bytes)
     }
 
-    /// The single rate of a [`Topology::uniform`] preset; `None` for every
-    /// matrix construction (even an all-equal one — see the module docs).
-    #[inline]
-    pub fn uniform_rate(&self) -> Option<LinkRate> {
-        self.uniform
-    }
-
     /// The transfer arbitration mode.
     #[inline]
     pub fn contention(&self) -> LinkContention {
         self.contention
     }
 
-    /// Mean off-diagonal rate-weighted transfer time of `bytes` in
-    /// fractional milliseconds — the static rankers' `c̄_ij` under a
-    /// non-uniform matrix. For the uniform preset this is exactly the
-    /// scalar link time (no averaging, so the value is bit-identical to
-    /// the seed path).
+    /// Mean off-diagonal transfer time of `bytes` in fractional
+    /// milliseconds — the static rankers' `c̄_ij`. The one-rate form
+    /// returns its single link time (no averaging); a matrix averages over
+    /// its ordered remote pairs, even when every rate is equal.
     pub fn mean_pair_transfer_ms(&self, bytes: u64) -> f64 {
-        if let Some(rate) = self.uniform {
-            return rate.transfer_time(bytes).as_ms_f64();
-        }
+        let (nprocs, rates) = match &self.rates {
+            Rates::Uniform(rate) => return rate.transfer_time(bytes).as_ms_f64(),
+            Rates::Matrix { nprocs, rates } => (*nprocs, rates),
+        };
         let mut sum = 0.0f64;
         let mut pairs = 0usize;
-        for s in 0..self.nprocs {
-            for d in 0..self.nprocs {
+        for s in 0..nprocs {
+            for d in 0..nprocs {
                 if s != d {
-                    sum += self.rates[s * self.nprocs + d]
-                        .transfer_time(bytes)
-                        .as_ms_f64();
+                    sum += rates[s * nprocs + d].transfer_time(bytes).as_ms_f64();
                     pairs += 1;
                 }
             }
@@ -269,36 +256,27 @@ impl Topology {
         }
     }
 
-    /// Structural validation: the matrix must cover `nprocs` processors
-    /// and every off-diagonal rate must be positive (a zero-rate link
+    /// Structural validation against a machine of `nprocs` processors: the
+    /// one rate must be positive; a matrix must cover exactly `nprocs`
+    /// processors with every off-diagonal rate positive (a zero-rate link
     /// would make transfers across it infinite).
     pub fn validate(&self, nprocs: usize) -> Result<(), BaseError> {
-        if self.nprocs != nprocs {
-            return Err(BaseError::InvalidSystem {
-                reason: format!(
-                    "topology describes {} processors but the system has {nprocs}",
-                    self.nprocs
-                ),
-            });
-        }
-        for s in 0..self.nprocs {
-            for d in 0..self.nprocs {
-                if s != d && self.rates[s * self.nprocs + d].bytes_per_sec == 0 {
-                    return Err(BaseError::InvalidSystem {
-                        reason: format!("topology link ({s} -> {d}) has zero rate"),
-                    });
+        let invalid = |reason: String| Err(BaseError::InvalidSystem { reason });
+        match &self.rates {
+            Rates::Uniform(rate) if rate.bytes_per_sec == 0 => invalid("link rate is zero".into()),
+            Rates::Uniform(_) => Ok(()),
+            Rates::Matrix { nprocs: n, .. } if *n != nprocs => invalid(format!(
+                "topology describes {n} processors but the system has {nprocs}"
+            )),
+            Rates::Matrix { rates, .. } => {
+                for (i, rate) in rates.iter().enumerate() {
+                    let (s, d) = (i / nprocs, i % nprocs);
+                    if s != d && rate.bytes_per_sec == 0 {
+                        return invalid(format!("topology link ({s} -> {d}) has zero rate"));
+                    }
                 }
+                Ok(())
             }
-        }
-        Ok(())
-    }
-}
-
-impl fmt::Display for Topology {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.uniform {
-            Some(rate) => write!(f, "uniform({rate})"),
-            None => write!(f, "matrix({}x{})", self.nprocs, self.nprocs),
         }
     }
 }
@@ -306,11 +284,11 @@ impl fmt::Display for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::MAX_PROCS;
 
     #[test]
-    fn uniform_preset_is_scalar_pathed() {
-        let t = Topology::uniform(3, LinkRate::PCIE2_X8);
-        assert_eq!(t.uniform_rate(), Some(LinkRate::PCIE2_X8));
+    fn uniform_rate_covers_every_pair() {
+        let t = Topology::uniform(LinkRate::PCIE2_X8);
         assert_eq!(t.contention(), LinkContention::Off);
         for s in 0..3 {
             for d in 0..3 {
@@ -324,17 +302,31 @@ mod tests {
                 assert_eq!(t.transfer_time(1 << 20, s, d), expect);
             }
         }
-        assert_eq!(t.to_string(), "uniform(4GB/s)");
-        t.validate(3).unwrap();
+    }
+
+    #[test]
+    fn uniform_rate_fits_any_machine_size_but_not_a_zero_rate() {
+        let t = Topology::uniform(LinkRate::PCIE2_X8);
+        for nprocs in [1, 3, MAX_PROCS] {
+            assert_eq!(t.validate(nprocs), Ok(()), "{nprocs} processors");
+        }
+        let zero = Topology::uniform(LinkRate { bytes_per_sec: 0 });
+        for nprocs in [1, MAX_PROCS] {
+            assert!(matches!(
+                zero.validate(nprocs),
+                Err(BaseError::InvalidSystem { .. })
+            ));
+        }
     }
 
     #[test]
     fn equal_rate_matrix_is_not_the_uniform_preset() {
-        // from_fn always takes the dense path, even with equal rates — the
-        // differential the equivalence property tests rely on.
+        // from_fn always builds the matrix form, even with equal rates: it
+        // keeps its size, so it fits only a machine of that size.
         let t = Topology::from_fn(3, |_, _| LinkRate::PCIE2_X8);
-        assert_eq!(t.uniform_rate(), None);
-        assert_eq!(t.to_string(), "matrix(3x3)");
+        assert_ne!(t, Topology::uniform(LinkRate::PCIE2_X8));
+        t.validate(3).unwrap();
+        assert!(t.validate(4).is_err());
     }
 
     #[test]
@@ -342,7 +334,6 @@ mod tests {
         let intra = LinkRate::gbps(8);
         let inter = LinkRate::gbps(1);
         let t = Topology::clustered(6, 3, intra, inter);
-        assert_eq!(t.uniform_rate(), None);
         // {0,1,2} and {3,4,5} are clusters.
         assert_eq!(t.rate(ProcId::new(0), ProcId::new(2)), intra);
         assert_eq!(t.rate(ProcId::new(3), ProcId::new(5)), intra);
@@ -376,7 +367,7 @@ mod tests {
     #[test]
     fn mean_pair_transfer_is_exact_for_uniform_and_averages_otherwise() {
         let bytes = 64_000_000u64; // 16 ms at 4 GB/s
-        let u = Topology::uniform(3, LinkRate::gbps(4));
+        let u = Topology::uniform(LinkRate::gbps(4));
         assert_eq!(
             u.mean_pair_transfer_ms(bytes),
             LinkRate::gbps(4).transfer_time(bytes).as_ms_f64()
@@ -399,7 +390,7 @@ mod tests {
 
     #[test]
     fn validation_catches_size_and_zero_links() {
-        let t = Topology::uniform(3, LinkRate::gbps(4));
+        let t = Topology::from_fn(3, |_, _| LinkRate::gbps(4));
         assert!(t.validate(4).is_err());
         let z = Topology::from_fn(2, |s, d| {
             if s.index() == 0 && d.index() == 1 {
@@ -413,7 +404,7 @@ mod tests {
 
     #[test]
     fn contention_builder_round_trips() {
-        let t = Topology::uniform(3, LinkRate::gbps(4)).with_contention(LinkContention::PerLink);
+        let t = Topology::uniform(LinkRate::gbps(4)).with_contention(LinkContention::PerLink);
         assert_eq!(t.contention(), LinkContention::PerLink);
         assert_eq!(LinkContention::default(), LinkContention::Off);
     }

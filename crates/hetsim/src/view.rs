@@ -344,15 +344,16 @@ mod tests {
         let view = view(&f, &ready, &procs, &locations);
         // Placing on p2: only node 0's output moves (nw: 16777216 el × 4 B at 4 GB/s).
         let nw_bytes = 16_777_216u64 * 4;
-        let expected = f.config.link.transfer_time(nw_bytes);
+        let (p0, p1, p2) = (ProcId::new(0), ProcId::new(1), ProcId::new(2));
+        let expected = f.config.pair_rate(p0, p2).transfer_time(nw_bytes);
         assert_eq!(
             view.transfer_in_time(NodeId::new(2), ProcId::new(2)),
             expected
         );
         // Placing on p1: both inputs move.
         let bfs_bytes = 2_034_736u64 * 4;
-        let expected_both =
-            f.config.link.transfer_time(nw_bytes) + f.config.link.transfer_time(bfs_bytes);
+        let expected_both = f.config.pair_rate(p0, p1).transfer_time(nw_bytes)
+            + f.config.pair_rate(p2, p1).transfer_time(bfs_bytes);
         assert_eq!(
             view.transfer_in_time(NodeId::new(2), ProcId::new(1)),
             expected_both

@@ -148,7 +148,12 @@ proptest! {
                 .preds(r.node)
                 .iter()
                 .filter(|p| loc[p.index()] != Some(r.proc))
-                .map(|p| system.link.transfer_time(dfg.node(*p).bytes(bytes)))
+                .map(|p| {
+                    let from = loc[p.index()].expect("predecessor ran");
+                    system
+                        .pair_rate(from, r.proc)
+                        .transfer_time(dfg.node(*p).bytes(bytes))
+                })
                 .sum();
             prop_assert_eq!(
                 r.transfer_time(),
@@ -184,7 +189,6 @@ proptest! {
         let matrix = SystemConfig::paper_4gbps()
             .with_link(rate)
             .with_topology(Topology::from_fn(3, move |_, _| rate));
-        prop_assert!(matrix.uniform_rate().is_none(), "must take the matrix path");
         let make = |_: ()| -> Box<dyn Policy> {
             if queue_mode {
                 Box::new(QueueAll { cursor: 0 })
@@ -222,7 +226,7 @@ proptest! {
         }
         let serial = SystemConfig::paper_4gbps();
         let contended = SystemConfig::paper_4gbps().with_topology(
-            Topology::uniform(3, LinkRate::PCIE2_X8)
+            Topology::uniform(LinkRate::PCIE2_X8)
                 .with_contention(LinkContention::PerLink),
         );
         let a = simulate(&g, &serial, lookup, &mut FirstFit).unwrap();

@@ -9,9 +9,10 @@
 //! * [`snapshots_to_csv`] — long-format open-stream snapshots: one row per
 //!   `(labelled run, window)`, so a whole sweep's saturation knee or
 //!   miss-rate frontier plots straight from one file,
-//! * JSON via `serde` is already derived on every result type
-//!   (`serde::Serialize` on [`Trace`], [`RunSummary`], …); any JSON
-//!   serializer accepted by serde works.
+//! * JSON is not produced here: nothing in the workspace serializes through
+//!   `serde` (its derives expand to nothing in this offline build). The one
+//!   JSON writer and reader is `apt-trace`'s hand-written `json` module,
+//!   used by the Chrome trace exporter.
 
 use crate::online::StreamSnapshot;
 use crate::summary::RunSummary;

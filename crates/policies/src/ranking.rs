@@ -73,9 +73,9 @@ pub fn avg_comp_costs(ctx: &PrepareCtx<'_>) -> Vec<f64> {
 }
 
 /// Average communication cost of every edge out of `from`, in
-/// milliseconds: the link time of `from`'s output volume. On a uniform
-/// machine this is exactly the scalar link time; under a non-uniform
-/// [`apt_hetsim::Topology`] it is the mean over ordered remote pairs.
+/// milliseconds: the link time of `from`'s output volume. On a one-rate
+/// [`apt_hetsim::Topology`] this is exactly that rate's link time; under a
+/// matrix it is the mean over ordered remote pairs.
 pub fn avg_comm_cost(ctx: &PrepareCtx<'_>, from: NodeId) -> f64 {
     let bytes = ctx.dfg.node(from).bytes(ctx.config.bytes_per_element);
     ctx.config.mean_pair_transfer_ms(bytes)

@@ -8,6 +8,7 @@ use apt_stream::{
     DiurnalSource, DriverOpts, JobFamily, JobTemplate, OnOffSource, PoissonSource, Source,
     StreamOutcome, StreamRun, TraceSource,
 };
+use proptest::prelude::*;
 
 fn run_on(source: &mut dyn Source, config: &SystemConfig) -> Result<StreamOutcome, BaseError> {
     let mut policy = Apt::new(4.0);
@@ -124,4 +125,97 @@ fn machines_of_no_or_too_many_processors_are_refused() {
 fn a_zero_kernel_template_is_refused() {
     assert!(JobTemplate::new(Vec::new(), Vec::new()).is_err());
     assert!(JobTemplate::new(Vec::new(), vec![(0, 1)]).is_err());
+}
+
+/// A drawn interconnect: one rate for a machine of any size, or a
+/// `from_fn` matrix of its own size (which may not match the machine).
+fn interconnect(
+    one_rate: bool,
+    rate: u64,
+    matrix_size: usize,
+    zero_links: bool,
+    contention: bool,
+) -> Topology {
+    let rate = LinkRate {
+        bytes_per_sec: rate,
+    };
+    let topology = if one_rate {
+        Topology::uniform(rate)
+    } else {
+        // With `zero_links`, every third off-diagonal pair has no bandwidth.
+        Topology::from_fn(matrix_size, |s, d| {
+            let (s, d) = (s.index(), d.index());
+            if zero_links && s != d && (s + 2 * d) % 3 == 0 {
+                LinkRate { bytes_per_sec: 0 }
+            } else {
+                rate
+            }
+        })
+    };
+    match contention {
+        true => topology.with_contention(LinkContention::PerLink),
+        false => topology,
+    }
+}
+
+/// `Ok`, or the typed error every machine `validate` refuses must end in.
+fn assert_ok_or_invalid<T>(result: Result<T, BaseError>, what: &str) {
+    if let Err(err) = result {
+        assert!(
+            matches!(err, BaseError::InvalidSystem { .. }),
+            "{what}: unexpected error {err}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Machines of 0–80 processors (ASIC-only ones too) on a one-rate or a
+    /// per-pair interconnect, zero rates and mismatched sizes included:
+    /// `validate`, a short stream and a small closed run each end in `Ok`
+    /// or `InvalidSystem`, and the runs agree with `validate`.
+    #[test]
+    fn any_machine_and_interconnect_ends_in_ok_or_a_typed_error(
+        kinds in prop::collection::vec(
+            prop::sample::select(vec![ProcKind::Cpu, ProcKind::Gpu, ProcKind::Fpga, ProcKind::Asic]),
+            0..81,
+        ),
+        asic_only in prop::sample::select(vec![false, false, false, true]),
+        one_rate in prop::bool::ANY,
+        rate in prop::sample::select(vec![0u64, 1, 1_000, 500_000_000, 8_000_000_000, u64::MAX]),
+        size_delta in prop::sample::select(vec![0isize, 0, 0, -1, 1, 7]),
+        zero_links in prop::bool::ANY,
+        contention in prop::bool::ANY,
+        seed in 0u64..1_000,
+    ) {
+        let lookup = LookupTable::paper();
+        let matrix_size = kinds.len().saturating_add_signed(size_delta);
+        let topology = interconnect(one_rate, rate, matrix_size, zero_links, contention);
+        let config = kinds
+            .iter()
+            .fold(SystemConfig::empty(LinkRate::PCIE2_X8), |c, &kind| {
+                c.with_proc(if asic_only { ProcKind::Asic } else { kind })
+            })
+            .with_topology(topology);
+        let what = format!(
+            "{} processors (ASIC-only: {asic_only}), one rate: {one_rate}, rate {rate} B/s, \
+             matrix of {matrix_size}, zero links: {zero_links}, contention: {contention}",
+            config.len()
+        );
+        let valid = config.validate();
+        assert_ok_or_invalid(valid.clone(), &what);
+
+        let mut source = PoissonSource::new(lookup, 0.5, 4, JobFamily::Diamond { width: 2 }, seed);
+        let stream = run_on(&mut source, &config);
+        prop_assert_eq!(stream.is_ok(), valid.is_ok(), "stream on {}", what);
+        assert_ok_or_invalid(stream, &what);
+
+        let dfg = generate(DfgType::Type1, &StreamConfig::new(6, seed), lookup);
+        for mut policy in [Box::new(Apt::new(4.0)) as Box<dyn Policy>, Box::new(Heft::new())] {
+            let closed = simulate(&dfg, &config, lookup, policy.as_mut());
+            prop_assert_eq!(closed.is_ok(), valid.is_ok(), "closed run on {}", what);
+            assert_ok_or_invalid(closed, &what);
+        }
+    }
 }

@@ -101,7 +101,7 @@ proptest! {
             .edges()
             .map(|(u, _)| {
                 system
-                    .link
+                    .pair_rate(ProcId::new(0), ProcId::new(1))
                     .transfer_time(dfg.node(u).bytes(system.bytes_per_element))
                     .as_ns()
             })
