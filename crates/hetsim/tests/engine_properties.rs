@@ -168,11 +168,10 @@ proptest! {
         }
     }
 
-    /// Contention-off pair-matrix model ≡ scalar model whenever all rates
+    /// Contention-off pair-matrix model ≡ one-rate model whenever all rates
     /// are equal: on arbitrary DAGs, an all-equal-rate `Topology` matrix
-    /// (dense per-pair tables, *not* the uniform preset's scalar fast
-    /// path) and the plain `LinkRate` config produce byte-identical
-    /// traces. The satellite property pin of the topology PR.
+    /// (one rate per pair, built by `from_fn`) and the same machine on one
+    /// `with_link` rate produce byte-identical traces.
     #[test]
     fn equal_rate_matrix_matches_scalar_link_on_arbitrary_dags(
         n in 1usize..35,

@@ -35,7 +35,7 @@ pub mod table;
 
 pub use energy::{energy_report, EnergyReport, PowerModel};
 pub use improvement::{better_solution_count, improvement_percent, second_best};
-pub use online::{OnlineMetrics, StreamSnapshot, QUANTILE_GAMMA};
+pub use online::{ratio, OnlineMetrics, StreamSnapshot, QUANTILE_GAMMA};
 pub use quality::{quality_report, QualityReport};
 pub use summary::RunSummary;
 pub use table::TextTable;

@@ -11,6 +11,9 @@
 //! the SLO axis (deadline-miss counts per window and tardiness quantiles
 //! over deadline-carrying jobs), emitted as periodic [`StreamSnapshot`]s.
 //!
+//! It is a run's only tally of job facts: the driver's `StreamOutcome` and
+//! an armed telemetry registry read every job count and quantile here.
+//!
 //! Latency and tardiness quantiles come from one log-bucketed
 //! [`LogHistogram`] each (`apt-telemetry`'s, at [`QUANTILE_GAMMA`]): every
 //! reported quantile is within γ of the exact nearest-rank sample, and two
@@ -22,7 +25,7 @@
 //! utilization fractions), never for simulation state.
 
 use apt_base::{SimDuration, SimTime};
-use apt_hetsim::{LogHistogram, ProcStats};
+use apt_hetsim::{CompletedJob, LogHistogram, ProcStats, TaskRecord};
 use serde::{Deserialize, Serialize};
 
 /// Relative error bound γ of every latency and tardiness quantile
@@ -114,11 +117,7 @@ impl StreamSnapshot {
     /// Cumulative deadline-miss fraction at this snapshot (0 when no
     /// deadline-carrying job has completed).
     pub fn miss_rate(&self) -> f64 {
-        if self.total_deadline_jobs == 0 {
-            0.0
-        } else {
-            self.total_missed as f64 / self.total_deadline_jobs as f64
-        }
+        ratio(self.total_missed, self.total_deadline_jobs)
     }
 
     /// *Windowed* miss fraction: tardy completions over deadline-carrying
@@ -127,22 +126,13 @@ impl StreamSnapshot {
     /// cumulative [`StreamSnapshot::miss_rate`] lags the live operating
     /// point by the whole history of the run.
     pub fn window_miss_rate(&self) -> f64 {
-        if self.window_deadline_jobs == 0 {
-            0.0
-        } else {
-            self.window_missed as f64 / self.window_deadline_jobs as f64
-        }
+        ratio(self.window_missed, self.window_deadline_jobs)
     }
 
     /// *Windowed* shed fraction: shed arrivals over offered arrivals
     /// (`shed + admitted`) inside this window (0 when none were offered).
     pub fn window_shed_rate(&self) -> f64 {
-        let offered = self.window_shed + self.window_admitted;
-        if offered == 0 {
-            0.0
-        } else {
-            self.window_shed as f64 / offered as f64
-        }
+        ratio(self.window_shed, self.window_shed + self.window_admitted)
     }
 }
 
@@ -187,8 +177,11 @@ pub struct OnlineMetrics {
     // per window plus cumulative — the shed-rate signal controllers react
     // to (distinct from the failure-model sheds above).
     window_admitted: u64,
+    total_admitted: u64,
     window_shed: u64,
     total_shed: u64,
+    // Kernels of the jobs `observe_retired` saw, completed or failed.
+    total_kernels: u64,
     window_deadline_jobs: u64,
     snapshots: Vec<StreamSnapshot>,
 }
@@ -219,8 +212,10 @@ impl OnlineMetrics {
             fault_now: [0; 4],
             fault_at_boundary: [0; 4],
             window_admitted: 0,
+            total_admitted: 0,
             window_shed: 0,
             total_shed: 0,
+            total_kernels: 0,
             window_deadline_jobs: 0,
             snapshots: Vec::new(),
         }
@@ -230,6 +225,12 @@ impl OnlineMetrics {
     /// denominator, together with [`OnlineMetrics::observe_job_shed`]).
     pub fn observe_job_admitted(&mut self) {
         self.window_admitted += 1;
+        self.total_admitted += 1;
+    }
+
+    /// Jobs admitted into the engine so far.
+    pub fn total_admitted_jobs(&self) -> u64 {
+        self.total_admitted
     }
 
     /// Record one arrival shed *before* entering the system — an
@@ -301,6 +302,29 @@ impl OnlineMetrics {
         self.latency.observe(latency.as_ms_f64());
         self.lambda_total += lambda;
         self.window_jobs += 1;
+    }
+
+    /// Record one job leaving the system, completed (latency, λ delay and
+    /// any tardiness, as [`OnlineMetrics::observe_job`] and
+    /// [`OnlineMetrics::observe_tardiness`]) or failed
+    /// ([`OnlineMetrics::observe_job_failed`]), and count its kernels.
+    pub fn observe_retired(&mut self, job: &CompletedJob) {
+        self.total_kernels += job.records.len() as u64;
+        if job.failed {
+            self.observe_job_failed();
+            return;
+        }
+        let finish = job.finish();
+        let lambda = job.records.iter().map(TaskRecord::lambda).sum();
+        self.observe_job(finish.saturating_since(job.arrival), lambda);
+        if let Some(deadline) = job.deadline {
+            self.observe_tardiness(finish.saturating_since(deadline));
+        }
+    }
+
+    /// Kernels of the jobs [`OnlineMetrics::observe_retired`] recorded.
+    pub fn total_retired_kernels(&self) -> u64 {
+        self.total_kernels
     }
 
     /// Record the tardiness of one completed *deadline-carrying* job:
@@ -498,10 +522,7 @@ impl OnlineMetrics {
     /// Fraction of deadline-carrying jobs that missed (0 when none carried
     /// deadlines).
     pub fn miss_rate(&self) -> f64 {
-        match self.deadline_jobs() {
-            0 => 0.0,
-            n => self.deadline_misses as f64 / n as f64,
-        }
+        ratio(self.deadline_misses, self.deadline_jobs())
     }
 
     /// Running tardiness quantile estimates `(p50, p99)` in ms over
@@ -519,9 +540,30 @@ impl OnlineMetrics {
         mean(&self.tardiness)
     }
 
+    /// The latency histogram (ms, one sample per completed job).
+    pub fn latency_histogram(&self) -> &LogHistogram {
+        &self.latency
+    }
+
+    /// The tardiness histogram (ms, one sample per completed
+    /// deadline-carrying job, zero when on time).
+    pub fn tardiness_histogram(&self) -> &LogHistogram {
+        &self.tardiness
+    }
+
     /// Most jobs ever in flight (as observed through `observe_depth`).
     pub fn max_depth(&self) -> usize {
         self.max_depth
+    }
+}
+
+/// `num / den`, or 0 when `den` is zero: every rate over a count that may
+/// still be empty (miss, shed and wasted-work fractions).
+pub fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -866,6 +908,57 @@ mod tests {
         assert_eq!(s.window_deadline_jobs, 0);
         assert_eq!(s.window_miss_rate(), 0.0, "no deadline completions");
         assert_eq!(m.total_shed_jobs(), 2);
+    }
+
+    /// `observe_retired` routes a completed job to the latency, λ and
+    /// tardiness estimators and a failed one to the failure count, and
+    /// counts both jobs' kernels; admissions keep a run total next to the
+    /// window's.
+    #[test]
+    fn retired_jobs_and_admissions_keep_run_totals() {
+        use apt_base::ProcId;
+        use apt_dfg::{Kernel, KernelKind, NodeId};
+        use apt_hetsim::JobId;
+        let record = |ready, start, finish| TaskRecord {
+            node: NodeId::new(0),
+            kernel: Kernel::canonical(KernelKind::Bfs),
+            proc: ProcId::new(0),
+            ready: SimTime::from_ms(ready),
+            start: SimTime::from_ms(start),
+            exec_start: SimTime::from_ms(start),
+            finish: SimTime::from_ms(finish),
+            alt: false,
+        };
+        let job = |failed, deadline: Option<u64>| CompletedJob {
+            job: JobId(0),
+            arrival: SimTime::ZERO,
+            deadline: deadline.map(SimTime::from_ms),
+            records: vec![record(0, 2, 10), record(10, 13, 40)],
+            failed,
+        };
+        let mut m = OnlineMetrics::new(SimDuration::from_ms(100), 1);
+        for _ in 0..3 {
+            m.observe_job_admitted();
+        }
+        m.observe_retired(&job(false, Some(30)));
+        m.observe_retired(&job(false, None));
+        m.observe_retired(&job(true, Some(30)));
+        assert_eq!(m.total_admitted_jobs(), 3);
+        assert_eq!(m.total_retired_kernels(), 6);
+        assert_eq!(m.total_jobs(), 2);
+        assert_eq!(m.total_failed_jobs(), 1);
+        assert_eq!(m.mean_latency_ms(), 40.0);
+        assert_eq!(m.lambda_total(), SimDuration::from_ms(10));
+        assert_eq!(m.deadline_jobs(), 1);
+        assert_eq!(m.deadline_misses(), 1);
+        assert_eq!(m.latency_histogram().count(), 2);
+        assert_eq!(m.tardiness_histogram().count(), 1);
+        assert_eq!(m.tardiness_histogram().sum(), 10.0);
+        // The window counter resets at a close; the run total does not.
+        m.maybe_snapshot(SimTime::from_ms(100), &[ProcStats::default()]);
+        m.observe_job_admitted();
+        assert_eq!(m.snapshots()[0].window_admitted, 3);
+        assert_eq!(m.total_admitted_jobs(), 4);
     }
 
     /// Deadline-free streams never contribute to the SLO counters.

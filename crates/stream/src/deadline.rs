@@ -24,7 +24,7 @@
 //! comparing the identical workload.
 
 use crate::job::JobTemplate;
-use apt_base::SimDuration;
+use apt_base::{BaseError, SimDuration};
 use apt_dfg::{LookupTable, SplitMix64};
 
 /// How an arrival source assigns relative deadlines to the jobs it yields.
@@ -36,8 +36,9 @@ pub enum DeadlineSpec {
     /// Every job gets the same relative deadline.
     Fixed(SimDuration),
     /// `deadline = factor × critical_path_min(job)` — tightness relative
-    /// to the job's own best-case response time. Panics on draw if
-    /// `factor < 1` (such a deadline is unmeetable by construction).
+    /// to the job's own best-case response time. [`DeadlineSpec::validate`]
+    /// refuses, and a draw panics on, a `factor` below 1 (such a deadline
+    /// is unmeetable by construction) or not finite.
     ProportionalCp {
         /// Tightness multiplier over the job's minimum critical path (≥ 1).
         factor: f64,
@@ -52,6 +53,23 @@ pub enum DeadlineSpec {
 }
 
 impl DeadlineSpec {
+    /// Refuse a spec [`DeadlineSpec::draw`] would panic on: a proportional
+    /// factor below 1, NaN or infinite, or an inverted uniform range. The
+    /// streaming driver reaches this through `Source::validate` before the
+    /// first arrival is drawn.
+    pub fn validate(self) -> Result<(), BaseError> {
+        let reason = match self {
+            DeadlineSpec::ProportionalCp { factor } if factor < 1.0 || !factor.is_finite() => {
+                format!("proportional deadline factor must be finite and ≥ 1, got {factor}")
+            }
+            DeadlineSpec::Uniform { lo, hi } if lo > hi => {
+                format!("uniform deadline range inverted: {lo} > {hi}")
+            }
+            _ => return Ok(()),
+        };
+        Err(BaseError::InvalidSystem { reason })
+    }
+
     /// Derive the relative deadline for one freshly instantiated job.
     /// Deterministic in `(self, rng state, job, lookup)`; only
     /// [`DeadlineSpec::Uniform`] consumes randomness.
@@ -156,6 +174,39 @@ mod tests {
         let lookup = LookupTable::paper();
         let j = job(3);
         DeadlineSpec::ProportionalCp { factor: 0.5 }.draw(&mut SplitMix64::new(1), &j, lookup);
+    }
+
+    /// `validate` refuses exactly the specs `draw` panics on.
+    #[test]
+    fn validate_refuses_the_specs_draw_panics_on() {
+        let ms = SimDuration::from_ms;
+        for bad in [
+            DeadlineSpec::ProportionalCp { factor: 0.5 },
+            DeadlineSpec::ProportionalCp { factor: f64::NAN },
+            DeadlineSpec::ProportionalCp {
+                factor: f64::INFINITY,
+            },
+            DeadlineSpec::Uniform {
+                lo: ms(5),
+                hi: ms(1),
+            },
+        ] {
+            assert!(
+                matches!(bad.validate(), Err(BaseError::InvalidSystem { .. })),
+                "{bad:?} passed"
+            );
+        }
+        for good in [
+            DeadlineSpec::None,
+            DeadlineSpec::Fixed(SimDuration::ZERO),
+            DeadlineSpec::ProportionalCp { factor: 1.0 },
+            DeadlineSpec::Uniform {
+                lo: ms(1),
+                hi: ms(1),
+            },
+        ] {
+            assert_eq!(good.validate(), Ok(()), "{good:?}");
+        }
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! shorthands for the two common shapes.
 //!
 //! Inside the loop each fact is stated once. The driver builds one
-//! `RunEvent` — admitted, shed (with the reason), retired (with latency
-//! and tardiness), failed, window closed (with the α/ρ/in-flight/queue
-//! operating point), control action, end — and hands it to one fan-out.
+//! `RunEvent` — admitted, shed (with the reason), retired (completed or
+//! failed), window closed (with the α/ρ/in-flight/queue operating point),
+//! control action, end — and hands it to one fan-out.
 //! The fan-out feeds [`OnlineMetrics`] first, then the gate's completion
 //! hook on retirements, then every armed observer: the telemetry
 //! registry, the per-job closure and, last, the trace-sink adapter. An
 //! unarmed observer costs nothing but the empty iteration.
+//!
+//! Each fact is also *stored* once: [`OnlineMetrics`] is the run's only
+//! tally of job facts. The driver keeps no count of its own and reads
+//! [`StreamOutcome`]'s job counts from it; every observer gets it, already
+//! updated, with each event.
 //!
 //! Memory is bounded by the jobs in flight plus one pending arrival: the
 //! arrival vector is never materialized, retired jobs free their arena
@@ -46,9 +51,9 @@ use apt_control::{ControlAction, ControlEvent, Controller};
 use apt_dfg::LookupTable;
 use apt_hetsim::{
     CompletedJob, FaultPlan, FaultTotals, OpenEngine, Policy, ProcStats, ReadyOrder, RetryPolicy,
-    SystemConfig, TaskRecord,
+    SystemConfig,
 };
-use apt_metrics::{OnlineMetrics, StreamSnapshot};
+use apt_metrics::{ratio, OnlineMetrics, StreamSnapshot};
 use apt_trace::{ControlKind, CounterKind, ShedReason, TraceEvent, TraceSink};
 use std::ops::Range;
 
@@ -235,34 +240,21 @@ impl StreamOutcome {
     /// never advanced the clock (`end == 0`) reports zero utilization
     /// rather than dividing by a degenerate denominator.
     pub fn utilization(&self) -> Vec<f64> {
-        if self.end.as_ns() == 0 {
-            return vec![0.0; self.proc_stats.len()];
-        }
-        let total = self.end.as_ns() as f64;
         self.proc_stats
             .iter()
-            .map(|s| (s.busy + s.transfer).as_ns() as f64 / total)
+            .map(|s| ratio((s.busy + s.transfer).as_ns(), self.end.as_ns()))
             .collect()
     }
 
     /// Fraction of deadline-carrying jobs that missed their deadline
     /// (0 when the stream carried none).
     pub fn miss_rate(&self) -> f64 {
-        if self.deadline_jobs == 0 {
-            0.0
-        } else {
-            self.deadline_misses as f64 / self.deadline_jobs as f64
-        }
+        ratio(self.deadline_misses, self.deadline_jobs)
     }
 
     /// Fraction of *offered* jobs the admission gate shed.
     pub fn shed_rate(&self) -> f64 {
-        let offered = self.jobs_admitted + self.jobs_shed;
-        if offered == 0 {
-            0.0
-        } else {
-            self.jobs_shed as f64 / offered as f64
-        }
+        ratio(self.jobs_shed, self.jobs_admitted + self.jobs_shed)
     }
 
     /// Machine availability over the run: the fraction of aggregate
@@ -273,11 +265,7 @@ impl StreamOutcome {
             .end
             .as_ns()
             .saturating_mul(self.proc_stats.len() as u64);
-        if span == 0 {
-            1.0
-        } else {
-            1.0 - (self.faults.down_ns as f64 / span as f64).min(1.0)
-        }
+        1.0 - ratio(self.faults.down_ns, span).min(1.0)
     }
 
     /// Wasted-work fraction: of all processor occupancy (busy + transfer,
@@ -290,11 +278,7 @@ impl StreamOutcome {
             .iter()
             .map(|s| (s.busy + s.transfer).as_ns())
             .sum();
-        if occupied == 0 {
-            0.0
-        } else {
-            self.faults.wasted_ns as f64 / occupied as f64
-        }
+        ratio(self.faults.wasted_ns, occupied)
     }
 }
 
@@ -435,12 +419,14 @@ impl<'r> StreamRun<'r> {
         self
     }
 
-    /// Publish the run into `telemetry`: admissions, sheds, completions,
-    /// latency/tardiness histograms and per-window operating points into
+    /// Publish the run into `telemetry`: the run's job totals and
+    /// latency/tardiness histograms, copied from its [`OnlineMetrics`] at
+    /// every window close and at the end, per-window operating points into
     /// its registry, one JSONL line per metrics window, the `--progress`
     /// heartbeat when armed. With a trace sink armed too, its
     /// `recorded`/`dropped` totals surface as `trace_events_total` /
-    /// `trace_events_dropped_total`.
+    /// `trace_events_dropped_total`. A [`StreamTelemetry`] publishes one
+    /// run: arm a fresh one for each.
     pub fn telemetry(mut self, telemetry: &'r mut StreamTelemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -459,9 +445,11 @@ impl<'r> StreamRun<'r> {
     /// armed trace sink (`None` when [`StreamRun::trace`] was not set).
     ///
     /// Fails on a zero [`DriverOpts::snapshot_interval`], on a controlled
-    /// run without one, on starvation (the policy stops scheduling while
-    /// jobs are in flight), on a source yielding decreasing arrival times,
-    /// or on a static policy.
+    /// run without one, on a source whose [`Source::validate`] refuses it,
+    /// on a [`StreamTelemetry`] that already published a run, on
+    /// starvation (the policy stops scheduling while jobs are in flight),
+    /// on a source yielding decreasing arrival times, or on a static
+    /// policy.
     pub fn run(self) -> Result<(StreamOutcome, Option<Box<dyn TraceSink>>), BaseError> {
         let StreamRun {
             source,
@@ -489,6 +477,12 @@ impl<'r> StreamRun<'r> {
                 });
             }
             _ => {}
+        }
+        source.validate()?;
+        if telemetry.as_ref().is_some_and(|t| t.holds_a_run()) {
+            return Err(BaseError::InvalidSystem {
+                reason: "a StreamTelemetry publishes one run; arm a fresh one per run".into(),
+            });
         }
 
         let mut engine = OpenEngine::with_order(config, lookup, opts.ready_order)?;
@@ -527,13 +521,8 @@ impl<'r> StreamRun<'r> {
             source,
             opts,
             last_arrival: SimTime::ZERO,
-            admitted: 0,
-            shed: 0,
             saturated: false,
         };
-        let mut completed = 0u64;
-        let mut failed = 0u64;
-        let mut kernels = 0u64;
         let mut done: Vec<CompletedJob> = Vec::new();
         let mut control_log: Vec<ControlEvent> = Vec::new();
         let mut actions: Vec<ControlAction> = Vec::new();
@@ -548,30 +537,10 @@ impl<'r> StreamRun<'r> {
 
             engine.drain_completed(&mut done);
             for job in &done {
-                kernels += job.records.len() as u64;
-                let now = engine.now();
-                let in_flight = engine.in_flight_jobs();
-                let ev = if job.failed {
-                    // A shed job has no meaningful completion: it counts
-                    // toward throughput (it left the system) but never
-                    // toward goodput, latency, or the SLO estimators. The
-                    // gate still hears it, releasing its reservation.
-                    failed += 1;
-                    RunEvent::Failed {
-                        job,
-                        now,
-                        in_flight,
-                    }
-                } else {
-                    completed += 1;
-                    let finish = job.finish();
-                    RunEvent::Retired {
-                        job,
-                        now,
-                        in_flight,
-                        latency: finish.saturating_since(job.arrival),
-                        tardiness: job.deadline.map(|d| finish.saturating_since(d)),
-                    }
+                let ev = RunEvent::Retired {
+                    job,
+                    now: engine.now(),
+                    in_flight: engine.in_flight_jobs(),
                 };
                 fan.emit(&mut engine, &ev);
             }
@@ -643,14 +612,16 @@ impl<'r> StreamRun<'r> {
         let sink = engine.take_trace();
         let ev = RunEvent::End {
             now: end,
-            retired: completed + failed,
             in_flight: engine.in_flight_jobs(),
-            miss_rate: fan.metrics.miss_rate(),
             trace: sink.as_deref(),
         };
         fan.emit(&mut engine, &ev);
         let Fanout { metrics, .. } = fan;
 
+        // A failed job counts toward throughput (it left the system) but
+        // never toward goodput, latency, or the SLO estimators.
+        let completed = metrics.total_jobs();
+        let failed = metrics.total_failed_jobs();
         let (p50, p90, p99) = metrics.latency_quantiles_ms();
         let (tardiness_p50_ms, tardiness_p99_ms) = metrics.tardiness_quantiles_ms();
         let rate = |jobs: u64| {
@@ -665,10 +636,10 @@ impl<'r> StreamRun<'r> {
         };
         let outcome = StreamOutcome {
             policy: policy.name(),
-            jobs_admitted: arrivals.admitted,
+            jobs_admitted: metrics.total_admitted_jobs(),
             jobs_completed: completed,
             jobs_failed: failed,
-            kernels_completed: kernels,
+            kernels_completed: metrics.total_retired_kernels(),
             end,
             throughput_jps: rate(completed + failed),
             goodput_jps: rate(completed),
@@ -682,7 +653,7 @@ impl<'r> StreamRun<'r> {
             arena_slots: engine.arena_slots(),
             proc_stats: engine.proc_stats(),
             saturated: arrivals.saturated,
-            jobs_shed: arrivals.shed,
+            jobs_shed: metrics.total_shed_jobs(),
             deadline_jobs: metrics.deadline_jobs(),
             deadline_misses: metrics.deadline_misses(),
             tardiness_p50_ms,
@@ -697,14 +668,13 @@ impl<'r> StreamRun<'r> {
 }
 
 /// The arrival side of the loop: the source, the one job pending outside
-/// the engine, and the admission tallies.
+/// the engine, and the overload latch. Admissions and sheds are tallied
+/// by the fan-out's [`OnlineMetrics`].
 struct Arrivals<'s> {
     source: &'s mut dyn Source,
     opts: &'s DriverOpts,
     pending: Option<(SimTime, JobTemplate)>,
     last_arrival: SimTime,
-    admitted: u64,
-    shed: u64,
     saturated: bool,
 }
 
@@ -774,7 +744,6 @@ impl Arrivals<'_> {
             let ev = if full {
                 // Shed exactly this arrival; the next one is re-examined
                 // against the (possibly drained) backlog.
-                self.shed += 1;
                 RunEvent::Shed {
                     at,
                     reason: ShedReason::CapacityFull,
@@ -795,13 +764,11 @@ impl Arrivals<'_> {
                 });
                 if accept {
                     engine.admit_with_deadline(job.kernels(), job.edges(), at, deadline)?;
-                    self.admitted += 1;
                     RunEvent::Admitted {
                         now: engine.now(),
                         in_flight: engine.in_flight_jobs(),
                     }
                 } else {
-                    self.shed += 1;
                     RunEvent::Shed {
                         at,
                         reason: ShedReason::Gate,
@@ -836,17 +803,10 @@ pub(crate) enum RunEvent<'e> {
     Admitted { now: SimTime, in_flight: usize },
     /// An arrival at `at` never entered the system.
     Shed { at: SimTime, reason: ShedReason },
-    /// A job ran to completion and was retired at `now`, leaving
-    /// `in_flight` jobs behind.
+    /// A job left the system at `now`, leaving `in_flight` jobs behind:
+    /// it ran to completion, or it exhausted its retry budget
+    /// ([`CompletedJob::failed`]).
     Retired {
-        job: &'e CompletedJob,
-        now: SimTime,
-        in_flight: usize,
-        latency: SimDuration,
-        tardiness: Option<SimDuration>,
-    },
-    /// An admitted job exhausted its retry budget and was retired failed.
-    Failed {
         job: &'e CompletedJob,
         now: SimTime,
         in_flight: usize,
@@ -862,25 +822,25 @@ pub(crate) enum RunEvent<'e> {
     /// The run drained at `now`; `trace` is the armed sink, if any.
     End {
         now: SimTime,
-        retired: u64,
         in_flight: usize,
-        miss_rate: f64,
         trace: Option<&'e dyn TraceSink>,
     },
 }
 
-/// A consumer of the driver's [`RunEvent`]s. Observers never feed back
-/// into the run, so arming one cannot change a schedule.
+/// A consumer of the driver's [`RunEvent`]s. Each event comes with the
+/// run's [`OnlineMetrics`], already updated with it, so an observer reads
+/// job totals there instead of counting them again. Observers never feed
+/// back into the run, so arming one cannot change a schedule.
 pub(crate) trait RunObserver {
-    fn on_event(&mut self, ev: &RunEvent<'_>);
+    fn on_event(&mut self, ev: &RunEvent<'_>, metrics: &OnlineMetrics);
 }
 
 /// The per-job closure of [`StreamRun::observe`], as an observer.
 struct PerJob<'r>(Box<dyn FnMut(&CompletedJob) + 'r>);
 
 impl RunObserver for PerJob<'_> {
-    fn on_event(&mut self, ev: &RunEvent<'_>) {
-        if let RunEvent::Retired { job, .. } | RunEvent::Failed { job, .. } = *ev {
+    fn on_event(&mut self, ev: &RunEvent<'_>, _metrics: &OnlineMetrics) {
+        if let RunEvent::Retired { job, .. } = *ev {
             (self.0)(job);
         }
     }
@@ -889,10 +849,10 @@ impl RunObserver for PerJob<'_> {
 /// The trace-sink adapter: the facts only the driver sees, onto the same
 /// timeline the engine records into.
 impl RunObserver for dyn TraceSink {
-    fn on_event(&mut self, ev: &RunEvent<'_>) {
+    fn on_event(&mut self, ev: &RunEvent<'_>, _metrics: &OnlineMetrics) {
         match *ev {
             RunEvent::Shed { at, reason } => self.record(TraceEvent::JobShed { at, reason }),
-            RunEvent::Retired { job, now, .. } | RunEvent::Failed { job, now, .. } => {
+            RunEvent::Retired { job, now, .. } => {
                 self.record(TraceEvent::JobRetired {
                     job: job.job.0,
                     at: now,
@@ -963,28 +923,16 @@ impl Fanout<'_> {
                 job,
                 now,
                 in_flight,
-                latency,
-                tardiness,
             } => {
-                m.observe_job(latency, job.records.iter().map(TaskRecord::lambda).sum());
-                if let Some(tardiness) = tardiness {
-                    m.observe_tardiness(tardiness);
-                }
-                m.observe_depth(now, in_flight);
-                self.gate.on_complete(job);
-            }
-            RunEvent::Failed {
-                job,
-                now,
-                in_flight,
-            } => {
-                m.observe_job_failed();
+                // A failed job's gate still hears it, releasing its
+                // reservation.
+                m.observe_retired(job);
                 m.observe_depth(now, in_flight);
                 self.gate.on_complete(job);
             }
             RunEvent::WindowClosed { .. } | RunEvent::Control(_) | RunEvent::End { .. } => {}
         }
-        notify(&mut self.observers, engine, ev);
+        notify(&mut self.observers, engine, ev, &self.metrics);
     }
 
     /// Close every metrics window that ended by now — or, with `tail`,
@@ -1017,20 +965,26 @@ impl Fanout<'_> {
         let closed = before..self.metrics.snapshots().len();
         for snapshot in &self.metrics.snapshots()[closed.clone()] {
             let ev = RunEvent::WindowClosed { snapshot, point };
-            notify(&mut self.observers, engine, &ev);
+            notify(&mut self.observers, engine, &ev, &self.metrics);
         }
         closed
     }
 }
 
-/// Hand `ev` to every armed observer, the engine's trace sink last.
+/// Hand `ev` and the metrics it updated to every armed observer, the
+/// engine's trace sink last.
 #[inline(always)]
-fn notify(observers: &mut [&mut dyn RunObserver], engine: &mut OpenEngine<'_>, ev: &RunEvent<'_>) {
+fn notify(
+    observers: &mut [&mut dyn RunObserver],
+    engine: &mut OpenEngine<'_>,
+    ev: &RunEvent<'_>,
+    metrics: &OnlineMetrics,
+) {
     for o in observers.iter_mut() {
-        o.on_event(ev);
+        o.on_event(ev, metrics);
     }
     if let Some(sink) = engine.tracer_mut() {
-        sink.on_event(ev);
+        sink.on_event(ev, metrics);
     }
 }
 

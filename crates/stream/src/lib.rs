@@ -25,8 +25,8 @@
 //!   windows, a trace sink, a [`StreamTelemetry`] registry and a per-job
 //!   observer. Inside the loop every fact (admitted, shed, retired,
 //!   window closed, control action, end) is one event handed to one
-//!   fan-out, which feeds the metrics, the gate's completion hook and
-//!   each armed observer. [`simulate_source`] and
+//!   fan-out, which feeds the metrics (the run's one tally of job facts),
+//!   the gate's completion hook and each armed observer. [`simulate_source`] and
 //!   [`simulate_source_gated`] are one-line shorthands.
 //! * [`job`] — job templates and the DAG families they instantiate.
 //! * [`deadline`] — per-job SLOs: [`DeadlineSpec`] derives relative

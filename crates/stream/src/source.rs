@@ -51,6 +51,14 @@ pub trait Source {
     fn remaining_hint(&self) -> Option<u64> {
         None
     }
+
+    /// Check the source's settings before its first draw: `StreamRun::run`
+    /// calls this once, so a setting that would make a later `next_job`
+    /// panic (an unmeetable [`DeadlineSpec`]) ends the run in a typed
+    /// error instead. The default accepts.
+    fn validate(&self) -> Result<(), BaseError> {
+        Ok(())
+    }
 }
 
 /// Reject a rate (jobs per simulated second) that is zero, negative, NaN
@@ -152,6 +160,10 @@ impl<'a> PoissonSource<'a> {
 }
 
 impl Source for PoissonSource<'_> {
+    fn validate(&self) -> Result<(), BaseError> {
+        self.deadlines.validate()
+    }
+
     fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
         if self.remaining == 0 {
             return None;
@@ -273,6 +285,10 @@ impl<'a> OnOffSource<'a> {
 }
 
 impl Source for OnOffSource<'_> {
+    fn validate(&self) -> Result<(), BaseError> {
+        self.deadlines.validate()
+    }
+
     fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
         if self.remaining == 0 {
             return None;
@@ -399,6 +415,10 @@ impl<'a> DiurnalSource<'a> {
 }
 
 impl Source for DiurnalSource<'_> {
+    fn validate(&self) -> Result<(), BaseError> {
+        self.deadlines.validate()
+    }
+
     fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
         if self.remaining == 0 {
             return None;

@@ -3,36 +3,66 @@
 //! snapshot lines, and an optional `--progress` heartbeat.
 //!
 //! [`StreamTelemetry`] is one observer on the driver's event fan-out (see
-//! [`crate::driver`]): arm it with [`crate::StreamRun::telemetry`] and it
-//! hears the same admitted / shed / retired / failed / window-closed / end
-//! events as the metrics aggregator and the trace sink, and derives every
-//! instrument from them.
+//! [`crate::driver`]), armed with [`crate::StreamRun::telemetry`]. It is
+//! an exposition view, not a second tally. Where each fact is stored:
+//!
+//! * job counters and the latency and tardiness histograms: in the run's
+//!   [`OnlineMetrics`] only, copied into the registry at every window
+//!   close and at the end of the run;
+//! * gauges and JSONL lines: written from each closed window's snapshot
+//!   and operating point, and at the end;
+//! * trace-sink totals: read from the sink at the end;
+//! * the `--progress` heartbeat: reads its tallies from [`OnlineMetrics`].
 //!
 //! Telemetry is observational by contract: an armed [`StreamTelemetry`]
 //! never changes a schedule — the telemetered equivalence test pins a
 //! telemetered run's [`crate::StreamOutcome`] equal to the bare run's —
-//! and the registry hot path is a handful of adds per job.
+//! and per job it does nothing unless the heartbeat is armed.
 
 use crate::driver::{OperatingPoint, RunEvent, RunObserver};
-use apt_base::{SimDuration, SimTime};
-use apt_hetsim::CompletedJob;
-use apt_metrics::{StreamSnapshot, QUANTILE_GAMMA};
+use apt_metrics::{OnlineMetrics, StreamSnapshot, QUANTILE_GAMMA};
 use apt_telemetry::{render_prometheus, CounterId, GaugeId, Heartbeat, HistId, Registry};
 use std::fmt::Write as _;
+
+/// Name and help of each job counter. [`job_totals`] reads their values,
+/// in the same order, from the run's [`OnlineMetrics`].
+const JOB_COUNTERS: [(&str, &str); 6] = [
+    ("jobs_admitted_total", "Jobs admitted into the engine"),
+    ("jobs_completed_total", "Jobs completed successfully"),
+    ("jobs_failed_total", "Jobs failed (retry budget exhausted)"),
+    (
+        "jobs_shed_total",
+        "Arrivals shed before entering the system",
+    ),
+    ("kernels_completed_total", "Kernels retired with their jobs"),
+    (
+        "deadline_misses_total",
+        "Deadline-carrying jobs that finished tardy",
+    ),
+];
+
+/// The run totals the job counters mirror, in [`JOB_COUNTERS`] order.
+fn job_totals(m: &OnlineMetrics) -> [u64; 6] {
+    [
+        m.total_admitted_jobs(),
+        m.total_jobs(),
+        m.total_failed_jobs(),
+        m.total_shed_jobs(),
+        m.total_retired_kernels(),
+        m.deadline_misses(),
+    ]
+}
 
 /// The streaming driver's telemetry surface. Construct one, arm it with
 /// [`crate::StreamRun::telemetry`], then read back
 /// [`StreamTelemetry::prometheus`] (text exposition) and
-/// [`StreamTelemetry::jsonl`] (one line per closed metrics window).
+/// [`StreamTelemetry::jsonl`] (one line per closed metrics window). One
+/// telemetry publishes one run.
 #[derive(Debug)]
 pub struct StreamTelemetry {
     reg: Registry,
-    c_admitted: CounterId,
-    c_completed: CounterId,
-    c_failed: CounterId,
-    c_shed: CounterId,
-    c_kernels: CounterId,
-    c_misses: CounterId,
+    /// In [`JOB_COUNTERS`] order.
+    jobs: [CounterId; 6],
     c_trace_events: CounterId,
     c_trace_dropped: CounterId,
     g_in_flight: GaugeId,
@@ -60,18 +90,7 @@ impl StreamTelemetry {
     /// A registry with the streaming instrument set pre-registered.
     pub fn new() -> Self {
         let mut reg = Registry::new();
-        let c_admitted = reg.counter("jobs_admitted_total", "Jobs admitted into the engine");
-        let c_completed = reg.counter("jobs_completed_total", "Jobs completed successfully");
-        let c_failed = reg.counter("jobs_failed_total", "Jobs failed (retry budget exhausted)");
-        let c_shed = reg.counter(
-            "jobs_shed_total",
-            "Arrivals shed before entering the system",
-        );
-        let c_kernels = reg.counter("kernels_completed_total", "Kernels retired with their jobs");
-        let c_misses = reg.counter(
-            "deadline_misses_total",
-            "Deadline-carrying jobs that finished tardy",
-        );
+        let jobs = JOB_COUNTERS.map(|(name, help)| reg.counter(name, help));
         let c_trace_events = reg.counter(
             "trace_events_total",
             "Trace events offered to the armed sink",
@@ -93,8 +112,7 @@ impl StreamTelemetry {
         );
         let g_availability = reg.gauge("availability", "Up fraction of the last closed window");
         let g_sim = reg.gauge("sim_time_seconds", "Simulation clock, seconds");
-        // At the γ of `OnlineMetrics`' own histograms, so the registry's
-        // quantiles equal the outcome's and the snapshots' over one stream.
+        // At the γ of `OnlineMetrics`' own histograms, which they mirror.
         let h_latency = reg.histogram(
             "job_latency_ms",
             "Job latency, arrival to last finish (ms)",
@@ -107,12 +125,7 @@ impl StreamTelemetry {
         );
         StreamTelemetry {
             reg,
-            c_admitted,
-            c_completed,
-            c_failed,
-            c_shed,
-            c_kernels,
-            c_misses,
+            jobs,
             c_trace_events,
             c_trace_dropped,
             g_in_flight,
@@ -140,15 +153,15 @@ impl StreamTelemetry {
         self
     }
 
-    /// The underlying registry (merge shards into it, read values back).
+    /// The underlying registry (merge it into another, read values back).
     pub fn registry(&self) -> &Registry {
         &self.reg
     }
 
-    /// Mutable registry access, for callers layering their own
-    /// instruments next to the driver's.
-    pub fn registry_mut(&mut self) -> &mut Registry {
-        &mut self.reg
+    /// True once a run published a job fact here. The driver refuses to
+    /// arm such a telemetry again: its job instruments mirror one run.
+    pub(crate) fn holds_a_run(&self) -> bool {
+        self.jobs.iter().any(|&id| self.reg.counter_value(id) > 0)
     }
 
     /// Prometheus text exposition of the current registry state
@@ -163,40 +176,30 @@ impl StreamTelemetry {
         &self.jsonl
     }
 
-    /// A successfully completed job, with the latency and tardiness the
-    /// driver already derived for its own aggregates — the hook must not
-    /// recompute them (this is the per-job hot path).
-    fn on_job_done(
-        &mut self,
-        job: &CompletedJob,
-        latency: SimDuration,
-        tardiness: Option<SimDuration>,
-    ) {
-        self.reg.add(self.c_kernels, job.records.len() as u64);
-        self.reg.inc(self.c_completed);
-        self.reg.observe(self.h_latency, latency.as_ms_f64());
-        if let Some(t) = tardiness {
-            self.reg.observe(self.h_tardiness, t.as_ms_f64());
-            if !t.is_zero() {
-                self.reg.inc(self.c_misses);
-            }
+    /// Copy the run's job totals and both histograms from `metrics` into
+    /// the registry. Totals only grow within a run, so each counter steps
+    /// up to its total.
+    fn publish(&mut self, metrics: &OnlineMetrics) {
+        for (id, total) in self.jobs.into_iter().zip(job_totals(metrics)) {
+            self.reg.add(id, total - self.reg.counter_value(id));
+        }
+        let hists = [
+            (self.h_latency, metrics.latency_histogram()),
+            (self.h_tardiness, metrics.tardiness_histogram()),
+        ];
+        for (id, hist) in hists {
+            self.reg.histogram_mut(id).clone_from(hist);
         }
     }
 
     fn on_window(&mut self, snap: &StreamSnapshot, point: &OperatingPoint) {
-        let OperatingPoint {
-            alpha,
-            rho,
-            in_flight,
-            queued,
-        } = *point;
-        self.window_alpha_rho = (alpha, rho);
-        self.reg.set(self.g_in_flight, in_flight as f64);
-        self.reg.set(self.g_queue, queued as f64);
-        if let Some(a) = alpha {
+        self.window_alpha_rho = (point.alpha, point.rho);
+        self.reg.set(self.g_in_flight, point.in_flight as f64);
+        self.reg.set(self.g_queue, point.queued as f64);
+        if let Some(a) = point.alpha {
             self.reg.set(self.g_alpha, a);
         }
-        if let Some(r) = rho {
+        if let Some(r) = point.rho {
             self.reg.set(self.g_rho, r);
         }
         self.reg.set(self.g_window_miss, snap.window_miss_rate());
@@ -205,7 +208,6 @@ impl StreamTelemetry {
 
         // One flat JSONL object per closed window — the schema the CI
         // soak smoke validates.
-        let fmt_opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), |v| format!("{v}"));
         let _ = writeln!(
             self.jsonl,
             "{{\"end_s\":{},\"window_jobs\":{},\"total_jobs\":{},\"throughput_jps\":{},\
@@ -216,77 +218,51 @@ impl StreamTelemetry {
             snap.end.as_secs_f64(),
             snap.window_jobs,
             snap.total_jobs,
-            finite(snap.throughput_jps),
-            finite(snap.latency_p50_ms),
-            finite(snap.latency_p90_ms),
-            finite(snap.latency_p99_ms),
+            json_num(Some(snap.throughput_jps)),
+            json_num(Some(snap.latency_p50_ms)),
+            json_num(Some(snap.latency_p90_ms)),
+            json_num(Some(snap.latency_p99_ms)),
             snap.depth_now,
-            in_flight,
-            queued,
-            finite(snap.window_miss_rate()),
-            finite(snap.miss_rate()),
-            finite(snap.availability),
+            point.in_flight,
+            point.queued,
+            json_num(Some(snap.window_miss_rate())),
+            json_num(Some(snap.miss_rate())),
+            json_num(Some(snap.availability)),
             snap.window_admitted,
             snap.window_shed,
-            fmt_opt(alpha),
-            fmt_opt(rho),
+            json_num(point.alpha),
+            json_num(point.rho),
         );
-    }
-
-    /// Tick the `--progress` heartbeat after a retirement, when one is
-    /// armed (it throttles itself). Its tallies come from the registry.
-    fn tick_progress(&mut self, in_flight: usize, now: SimTime) {
-        let Some(hb) = self.heartbeat.as_mut() else {
-            return;
-        };
-        let reg = &self.reg;
-        let retired = reg.counter_value(self.c_completed) + reg.counter_value(self.c_failed);
-        let deadline_jobs = reg.histogram_ref(self.h_tardiness).count();
-        let miss_rate = if deadline_jobs == 0 {
-            0.0
-        } else {
-            reg.counter_value(self.c_misses) as f64 / deadline_jobs as f64
-        };
-        let (alpha, rho) = self.window_alpha_rho;
-        if let Some(line) = hb.tick(retired, in_flight, miss_rate, alpha, rho, now.as_secs_f64()) {
-            eprintln!("{line}");
-        }
     }
 }
 
 impl RunObserver for StreamTelemetry {
-    fn on_event(&mut self, ev: &RunEvent<'_>) {
+    fn on_event(&mut self, ev: &RunEvent<'_>, metrics: &OnlineMetrics) {
+        let retired = || metrics.total_jobs() + metrics.total_failed_jobs();
         match *ev {
-            RunEvent::Admitted { .. } => self.reg.inc(self.c_admitted),
-            RunEvent::Shed { .. } => self.reg.inc(self.c_shed),
-            RunEvent::Retired {
-                job,
-                now,
-                in_flight,
-                latency,
-                tardiness,
-            } => {
-                self.on_job_done(job, latency, tardiness);
-                self.tick_progress(in_flight, now);
+            RunEvent::Retired { now, in_flight, .. } => {
+                // The heartbeat throttles itself.
+                if let Some(hb) = self.heartbeat.as_mut() {
+                    let (alpha, rho) = self.window_alpha_rho;
+                    let sim_seconds = now.as_secs_f64();
+                    let miss_rate = metrics.miss_rate();
+                    if let Some(line) =
+                        hb.tick(retired(), in_flight, miss_rate, alpha, rho, sim_seconds)
+                    {
+                        eprintln!("{line}");
+                    }
+                }
             }
-            RunEvent::Failed {
-                job,
-                now,
-                in_flight,
-            } => {
-                self.reg.add(self.c_kernels, job.records.len() as u64);
-                self.reg.inc(self.c_failed);
-                self.tick_progress(in_flight, now);
+            RunEvent::WindowClosed { snapshot, point } => {
+                self.on_window(snapshot, &point);
+                self.publish(metrics);
             }
-            RunEvent::WindowClosed { snapshot, point } => self.on_window(snapshot, &point),
-            RunEvent::Control(_) => {}
             RunEvent::End {
                 now,
-                retired,
                 in_flight,
-                miss_rate,
                 trace,
             } => {
+                self.publish(metrics);
                 if let Some(sink) = trace {
                     self.reg.add(self.c_trace_events, sink.recorded());
                     self.reg.add(self.c_trace_dropped, sink.dropped());
@@ -295,35 +271,48 @@ impl RunObserver for StreamTelemetry {
                 self.reg.set(self.g_sim, sim_seconds);
                 self.reg.set(self.g_in_flight, in_flight as f64);
                 if let Some(hb) = self.heartbeat.as_mut() {
-                    eprintln!("{}", hb.finish(retired, in_flight, miss_rate, sim_seconds));
+                    let line = hb.finish(retired(), in_flight, metrics.miss_rate(), sim_seconds);
+                    eprintln!("{line}");
                 }
             }
+            RunEvent::Admitted { .. } | RunEvent::Shed { .. } | RunEvent::Control(_) => {}
         }
     }
 }
 
-/// JSON has no Inf/NaN literals; clamp the (rare) non-finite estimator
-/// outputs to null.
-fn finite(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+/// A JSON number, or `null` for `None` and for the (rare) non-finite
+/// estimator output: JSON has no Inf/NaN literals.
+fn json_num(v: Option<f64>) -> String {
+    v.filter(|v| v.is_finite())
+        .map_or_else(|| "null".to_string(), |v| format!("{v}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apt_hetsim::JobId;
+    use apt_base::{ProcId, SimDuration, SimTime};
+    use apt_dfg::{Kernel, KernelKind, NodeId};
+    use apt_hetsim::{CompletedJob, JobId, TaskRecord};
     use apt_trace::ShedReason;
 
-    fn job(failed: bool) -> CompletedJob {
+    /// A job of two kernels that arrived at 10 ms and finished at 30 ms,
+    /// with an optional absolute deadline.
+    fn job(failed: bool, deadline_ms: Option<u64>) -> CompletedJob {
+        let record = |finish| TaskRecord {
+            node: NodeId::new(0),
+            kernel: Kernel::canonical(KernelKind::Bfs),
+            proc: ProcId::new(0),
+            ready: SimTime::from_ms(10),
+            start: SimTime::from_ms(10),
+            exec_start: SimTime::from_ms(10),
+            finish: SimTime::from_ms(finish),
+            alt: false,
+        };
         CompletedJob {
             job: JobId(0),
-            arrival: SimTime::ZERO,
-            deadline: None,
-            records: Vec::new(),
+            arrival: SimTime::from_ms(10),
+            deadline: deadline_ms.map(SimTime::from_ms),
+            records: vec![record(20), record(30)],
             failed,
         }
     }
@@ -348,76 +337,124 @@ mod tests {
             assert_eq!(tel.registry().counter_named(name, &[]), Some(0), "{name}");
         }
         assert!(tel.jsonl().is_empty());
+        assert!(!tel.holds_a_run());
     }
 
+    /// Feed `tel` one event per fact, each after `m` recorded it, as the
+    /// driver's fan-out does: three admissions, a shed, and four
+    /// retirements (no deadline, met, missed by 10 ms, failed).
+    fn feed(tel: &mut StreamTelemetry, m: &mut OnlineMetrics) {
+        let now = SimTime::from_ms(30);
+        for _ in 0..3 {
+            m.observe_job_admitted();
+            tel.on_event(&RunEvent::Admitted { now, in_flight: 1 }, m);
+        }
+        m.observe_job_shed();
+        let reason = ShedReason::Gate;
+        tel.on_event(&RunEvent::Shed { at: now, reason }, m);
+        for done in [
+            job(false, None),
+            job(false, Some(40)),
+            job(false, Some(20)),
+            job(true, None),
+        ] {
+            m.observe_retired(&done);
+            let job = &done;
+            tel.on_event(
+                &RunEvent::Retired {
+                    job,
+                    now,
+                    in_flight: 0,
+                },
+                m,
+            );
+        }
+    }
+
+    fn end(tel: &mut StreamTelemetry, m: &OnlineMetrics) {
+        let now = SimTime::from_ms(30);
+        let trace = None;
+        tel.on_event(
+            &RunEvent::End {
+                now,
+                in_flight: 0,
+                trace,
+            },
+            m,
+        );
+    }
+
+    fn counter(tel: &StreamTelemetry, name: &str) -> Option<u64> {
+        tel.registry().counter_named(name, &[])
+    }
+
+    /// The job counters stay untouched per event and read the metrics'
+    /// totals once the end of the run publishes them.
     #[test]
     fn admissions_sheds_and_failures_are_counted() {
         let mut tel = StreamTelemetry::new();
-        let now = SimTime::from_ms(3);
-        tel.on_event(&RunEvent::Admitted { now, in_flight: 1 });
-        tel.on_event(&RunEvent::Admitted { now, in_flight: 2 });
-        tel.on_event(&RunEvent::Shed {
-            at: now,
-            reason: ShedReason::Gate,
-        });
-        let failed = job(true);
-        tel.on_event(&RunEvent::Failed {
-            job: &failed,
-            now,
-            in_flight: 1,
-        });
-        let reg = tel.registry();
-        assert_eq!(reg.counter_value(tel.c_admitted), 2);
-        assert_eq!(reg.counter_value(tel.c_shed), 1);
-        assert_eq!(reg.counter_value(tel.c_failed), 1);
-        assert_eq!(reg.counter_value(tel.c_completed), 0);
+        let mut m = OnlineMetrics::new(SimDuration::from_ms(100), 1);
+        feed(&mut tel, &mut m);
+        assert_eq!(counter(&tel, "jobs_admitted_total"), Some(0));
+        assert!(!tel.holds_a_run());
+        end(&mut tel, &m);
+        for (name, total) in [
+            ("jobs_admitted_total", 3),
+            ("jobs_shed_total", 1),
+            ("jobs_completed_total", 3),
+            ("jobs_failed_total", 1),
+            ("kernels_completed_total", 8),
+        ] {
+            assert_eq!(counter(&tel, name), Some(total), "{name}");
+        }
+        assert!(tel.holds_a_run());
         apt_telemetry::validate(&tel.prometheus()).unwrap();
     }
 
-    /// Latency is observed for every retired job, tardiness only for jobs
-    /// with a deadline, and a miss only for a positive tardiness.
+    /// Latency is observed for every completed job, tardiness only for
+    /// jobs with a deadline, and a miss only for a positive tardiness —
+    /// by the metrics, whose histograms the end of the run copies.
     #[test]
     fn retirements_feed_latency_tardiness_and_misses() {
         let mut tel = StreamTelemetry::new();
-        let done = job(false);
-        for tardiness in [None, Some(SimDuration::ZERO), Some(SimDuration::from_ms(5))] {
-            tel.on_event(&RunEvent::Retired {
-                job: &done,
-                now: SimTime::from_ms(40),
-                in_flight: 0,
-                latency: SimDuration::from_ms(12),
-                tardiness,
-            });
-        }
-        let reg = tel.registry();
-        assert_eq!(reg.counter_value(tel.c_completed), 3);
-        assert_eq!(reg.counter_value(tel.c_misses), 1);
-        assert_eq!(reg.histogram_ref(tel.h_latency).count(), 3);
-        assert_eq!(reg.histogram_ref(tel.h_tardiness).count(), 2);
+        let mut m = OnlineMetrics::new(SimDuration::from_ms(100), 1);
+        feed(&mut tel, &mut m);
+        let hist = |tel: &StreamTelemetry, name| tel.registry().histogram_named(name, &[]).cloned();
+        assert_eq!(hist(&tel, "job_latency_ms").unwrap().count(), 0);
+        end(&mut tel, &m);
+        let latency = hist(&tel, "job_latency_ms").unwrap();
+        assert_eq!(&latency, m.latency_histogram());
+        assert_eq!(latency.count(), 3);
+        let tardiness = hist(&tel, "job_tardiness_ms").unwrap();
+        assert_eq!(&tardiness, m.tardiness_histogram());
+        assert_eq!(tardiness.count(), 2);
+        assert_eq!(counter(&tel, "deadline_misses_total"), Some(1));
     }
 
     #[test]
     fn the_end_event_sets_the_clock_and_in_flight_gauges() {
         let mut tel = StreamTelemetry::new();
-        tel.on_event(&RunEvent::End {
+        let m = OnlineMetrics::new(SimDuration::from_ms(100), 1);
+        let end = RunEvent::End {
             now: SimTime::from_ms(2_500),
-            retired: 10,
             in_flight: 3,
-            miss_rate: 0.0,
             trace: None,
-        });
+        };
+        tel.on_event(&end, &m);
         let reg = tel.registry();
         assert_eq!(reg.gauge_value(tel.g_sim), 2.5);
         assert_eq!(reg.gauge_value(tel.g_in_flight), 3.0);
         assert_eq!(reg.counter_value(tel.c_trace_events), 0);
+        assert!(!tel.holds_a_run(), "an empty run published no job fact");
     }
 
     /// JSON has no literal for NaN or ±∞.
     #[test]
     fn non_finite_values_render_as_null() {
-        assert_eq!(finite(2.5), "2.5");
-        assert_eq!(finite(f64::NAN), "null");
-        assert_eq!(finite(f64::INFINITY), "null");
-        assert_eq!(finite(f64::NEG_INFINITY), "null");
+        assert_eq!(json_num(Some(2.5)), "2.5");
+        assert_eq!(json_num(None), "null");
+        assert_eq!(json_num(Some(f64::NAN)), "null");
+        assert_eq!(json_num(Some(f64::INFINITY)), "null");
+        assert_eq!(json_num(Some(f64::NEG_INFINITY)), "null");
     }
 }

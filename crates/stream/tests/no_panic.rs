@@ -5,8 +5,8 @@
 
 use apt_core::prelude::*;
 use apt_stream::{
-    DiurnalSource, DriverOpts, JobFamily, JobTemplate, OnOffSource, PoissonSource, Source,
-    StreamOutcome, StreamRun, TraceSource,
+    DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, JobTemplate, OnOffSource, PoissonSource,
+    Source, StreamOutcome, StreamRun, TraceSource,
 };
 use proptest::prelude::*;
 
@@ -101,6 +101,57 @@ fn every_source_rejects_a_bad_rate() {
     }
 }
 
+/// Deadline specs whose draw would panic: a proportional factor below 1,
+/// NaN or infinite, and an inverted uniform range.
+fn bad_deadline_specs() -> [DeadlineSpec; 4] {
+    [
+        DeadlineSpec::ProportionalCp { factor: 0.5 },
+        DeadlineSpec::ProportionalCp { factor: f64::NAN },
+        DeadlineSpec::ProportionalCp {
+            factor: f64::INFINITY,
+        },
+        DeadlineSpec::Uniform {
+            lo: SimDuration::from_ms(5),
+            hi: SimDuration::from_ms(1),
+        },
+    ]
+}
+
+/// Every source that draws deadlines refuses a bad spec before its first
+/// draw, with a typed error instead of a panic mid-run.
+#[test]
+fn a_bad_deadline_spec_ends_in_a_typed_error() {
+    let lookup = LookupTable::paper();
+    let on = SimDuration::from_ms(10);
+    let period = SimDuration::from_ms(1_000);
+    for spec in bad_deadline_specs() {
+        let sources: [Box<dyn Source>; 3] = [
+            Box::new(
+                PoissonSource::try_new(lookup, 1.0, 3, JobFamily::Single, 1)
+                    .unwrap()
+                    .with_deadlines(spec),
+            ),
+            Box::new(
+                OnOffSource::try_new(lookup, 1.0, on, on, 3, JobFamily::Single, 1)
+                    .unwrap()
+                    .with_deadlines(spec),
+            ),
+            Box::new(
+                DiurnalSource::try_new(lookup, 1.0, 0.5, period, 3, JobFamily::Single, 1)
+                    .unwrap()
+                    .with_deadlines(spec),
+            ),
+        ];
+        for mut source in sources {
+            let err = run(source.as_mut()).expect_err("a bad deadline spec ran");
+            assert!(
+                matches!(err, BaseError::InvalidSystem { .. }),
+                "{spec:?}: {err}"
+            );
+        }
+    }
+}
+
 #[test]
 fn machines_of_no_or_too_many_processors_are_refused() {
     let lookup = LookupTable::paper();
@@ -172,9 +223,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Machines of 0–80 processors (ASIC-only ones too) on a one-rate or a
-    /// per-pair interconnect, zero rates and mismatched sizes included:
-    /// `validate`, a short stream and a small closed run each end in `Ok`
-    /// or `InvalidSystem`, and the runs agree with `validate`.
+    /// per-pair interconnect, zero rates and mismatched sizes included, and
+    /// streams under good and bad deadline specs: `validate`, a short
+    /// stream and a small closed run each end in `Ok` or `InvalidSystem`,
+    /// and the runs agree with `validate`.
     #[test]
     fn any_machine_and_interconnect_ends_in_ok_or_a_typed_error(
         kinds in prop::collection::vec(
@@ -187,6 +239,7 @@ proptest! {
         size_delta in prop::sample::select(vec![0isize, 0, 0, -1, 1, 7]),
         zero_links in prop::bool::ANY,
         contention in prop::bool::ANY,
+        deadline_spec in 0usize..8,
         seed in 0u64..1_000,
     ) {
         let lookup = LookupTable::paper();
@@ -206,9 +259,22 @@ proptest! {
         let valid = config.validate();
         assert_ok_or_invalid(valid.clone(), &what);
 
-        let mut source = PoissonSource::new(lookup, 0.5, 4, JobFamily::Diamond { width: 2 }, seed);
+        let good = [
+            DeadlineSpec::None,
+            DeadlineSpec::Fixed(SimDuration::from_ms(50)),
+            DeadlineSpec::ProportionalCp { factor: 2.0 },
+            DeadlineSpec::Uniform {
+                lo: SimDuration::from_ms(1),
+                hi: SimDuration::from_ms(5),
+            },
+        ];
+        let spec = good.into_iter().chain(bad_deadline_specs()).nth(deadline_spec).unwrap();
+        let mut source = PoissonSource::try_new(lookup, 0.5, 4, JobFamily::Diamond { width: 2 }, seed)
+            .unwrap()
+            .with_deadlines(spec);
         let stream = run_on(&mut source, &config);
-        prop_assert_eq!(stream.is_ok(), valid.is_ok(), "stream on {}", what);
+        let accepted = valid.is_ok() && spec.validate().is_ok();
+        prop_assert_eq!(stream.is_ok(), accepted, "stream under {:?} on {}", spec, what);
         assert_ok_or_invalid(stream, &what);
 
         let dfg = generate(DfgType::Type1, &StreamConfig::new(6, seed), lookup);

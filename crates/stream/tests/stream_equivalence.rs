@@ -228,10 +228,10 @@ fn assert_configs_equivalent(
     assert_eq!(recs_a, recs_b, "{tag}: records diverged");
 }
 
-/// The open-system half of the uniform-`Topology` differential: the
-/// slot-recycling driver under a uniform topology (scalar fast path) and
-/// under an all-equal-rate dense matrix must both replay byte-identically
-/// against the plain `LinkRate` config, for every dynamic policy.
+/// The open-system half of the one-rate `Topology` differential: the
+/// slot-recycling driver under `Topology::uniform` and under an
+/// all-equal-rate per-pair matrix must both replay byte-identically
+/// against the paper machine's config as built, for every dynamic policy.
 #[test]
 fn uniform_topology_streams_byte_identically_to_the_link_rate_path() {
     let jobs = job_list(0xD0_70B0, 14, &[0, 1_000_000, 900_000_000, 30_000_000_000]);

@@ -258,9 +258,10 @@ impl Registry {
         }
     }
 
-    /// The histogram behind a handle.
-    pub fn histogram_ref(&self, id: HistId) -> &LogHistogram {
-        match &self.metrics[id.0].inst {
+    /// The histogram behind a handle, for writing — for instance to mirror
+    /// one kept elsewhere: `reg.histogram_mut(id).clone_from(&source)`.
+    pub fn histogram_mut(&mut self, id: HistId) -> &mut LogHistogram {
+        match &mut self.metrics[id.0].inst {
             Instrument::Histogram(h) => h,
             other => unreachable!("HistId addressed a {}", other.kind()),
         }

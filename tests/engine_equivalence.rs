@@ -411,11 +411,11 @@ fn figure5_walkthrough_is_equivalent() {
     assert_equivalent("fig5@4gbps", &dfg, &SystemConfig::paper_4gbps());
 }
 
-/// The uniform-`Topology` differential: a system whose per-pair topology is
-/// the uniform preset (same rate as the scalar `link`) must reproduce
-/// **byte-identical** traces against the seed `LinkRate` path — across all
-/// twenty canonical workloads and the full policy roster (dynamic *and*
-/// static, whose plan-time transfer estimates are pair-resolved now).
+/// The one-rate `Topology` differential: re-stating the paper machine's
+/// interconnect as `Topology::uniform` at the same rate must reproduce
+/// **byte-identical** traces against the paper config as built — across
+/// all twenty canonical workloads and the full policy roster (dynamic *and*
+/// static, whose plan-time transfer estimates are pair-resolved).
 #[test]
 fn uniform_topology_is_byte_identical_to_the_link_rate_path() {
     let lookup = LookupTable::paper();
@@ -438,12 +438,11 @@ fn uniform_topology_is_byte_identical_to_the_link_rate_path() {
     }
 }
 
-/// An all-equal-rate *matrix* (built via `from_fn`, so it takes the dense
-/// per-pair tables, not the uniform preset's scalar fast path) must also be
-/// byte-identical to the scalar link — the "contention-off equals the
-/// matrix model when all rates are equal" pin at trace level. One workload
-/// per family keeps this differential cheap; the dense-table arithmetic it
-/// exercises is node-shape independent.
+/// An all-equal-rate *matrix* (built via `from_fn`, one rate per pair) must
+/// also be byte-identical to the paper machine's one-rate interconnect —
+/// the "contention-off equals the matrix model when all rates are equal"
+/// pin at trace level. One workload per family keeps this differential
+/// cheap; the per-pair arithmetic it exercises is node-shape independent.
 #[test]
 fn equal_rate_matrix_is_byte_identical_to_the_link_rate_path() {
     let lookup = LookupTable::paper();
