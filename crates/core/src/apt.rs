@@ -61,13 +61,44 @@
 //! when the cost model interns a new class, so it never goes stale within
 //! one engine; the open engine runs `prepare` itself when a caller did
 //! not, so a policy moved to another engine rebuilds it too.
+//!
+//! ## Remembering rejected alternatives
+//!
+//! A kernel that waits for a busy `p_min` is visited again at every later
+//! instant an idle processor of its class turns up, and on an overloaded
+//! stream that is most instants. Its verdict for one processor cannot
+//! change while it stays admitted: the execution time is the lookup
+//! table's, the inputs' locations are fixed once the kernel is ready (its
+//! predecessors have finished, and finished kernels never move), the
+//! transfer is the cost model's contention-free estimate of moving them,
+//! and the threshold is `α·x` — or LL-APT's `clamp(slack, x, α·x)`, which
+//! only shrinks as time passes. So APT, EDF-APT and LL-APT each keep a
+//! `Rejections` memo indexed by node: the admission the entry belongs to
+//! (the ready set's [`ReadyEntry::seq`], which is the node id on a closed
+//! workload) and the processors a search for it already rejected. The
+//! alternative search covers only idle processors outside that mask, is
+//! skipped when none is left, and adds the processors it tried to the mask
+//! when it finds nothing. A processor that is barred is inadmissible, so
+//! leaving it out changes neither the minimum nor its tiebreak, and the
+//! pass emits the same batch (pinned by `crates/stream/tests/naive_apt.rs`
+//! against a memo-free Algorithm 1, with and without crashes, retries and
+//! cancelled jobs).
+//!
+//! The memo is keyed by admission, not by node: the open engine recycles
+//! the node ids of retired and cancelled jobs, and a recycled node's new
+//! kernel gets a new sequence, so an entry left by its previous occupant
+//! is discarded on the first visit. A kernel a fault sends back to the
+//! ready set keeps its admission and its entry, which stays valid for the
+//! reasons above. `prepare` and `set_alpha` clear the memo with the class
+//! table. APT-R keeps none: its wait-cost rule reads `busy_until`, which
+//! moves.
 
 use apt_base::{BaseError, ProcId, SimDuration};
 use apt_dfg::NodeId;
 use apt_hetsim::cost::UNRUNNABLE;
 use apt_hetsim::{
     Assignment, AssignmentBuf, ClassId, CostModel, DecisionMeta, Policy, PolicyKind, PrepareCtx,
-    SimView,
+    ReadyEntry, SimView,
 };
 use apt_policies::common::best_instance_in;
 
@@ -76,6 +107,7 @@ use apt_policies::common::best_instance_in;
 pub struct Apt {
     alpha: f64,
     masks: AdmissibleMasks,
+    rejected: Rejections,
 }
 
 impl Apt {
@@ -91,6 +123,7 @@ impl Apt {
         Apt {
             alpha,
             masks: AdmissibleMasks::default(),
+            rejected: Rejections::default(),
         }
     }
 
@@ -107,6 +140,7 @@ impl Apt {
         if alpha.is_finite() {
             self.alpha = alpha.max(1.0);
             self.masks.reset();
+            self.rejected.reset();
         }
     }
 
@@ -142,6 +176,38 @@ impl AdmissibleMasks {
                 .push(admissible_mask(cost, class as ClassId, alpha));
         }
         &self.masks
+    }
+}
+
+/// The rejection memo of the module docs: entry `node` holds the admission
+/// sequence it was recorded for and the processors [`find_alternative_in`]
+/// already rejected for that admission. Owners call [`Rejections::reset`]
+/// wherever they reset their [`AdmissibleMasks`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Rejections {
+    /// `(sequence, barred mask)` per node id; `u64::MAX` marks no entry.
+    entries: Vec<(u64, u64)>,
+}
+
+impl Rejections {
+    /// Forget every entry (α or the engine changed).
+    pub(crate) fn reset(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The barred mask of `entry`'s admission, empty on its first visit.
+    #[inline]
+    fn barred(&mut self, entry: ReadyEntry) -> &mut u64 {
+        let i = entry.node.index();
+        if i >= self.entries.len() {
+            self.entries.resize(i + 1, (u64::MAX, 0));
+        }
+        let (seq, barred) = &mut self.entries[i];
+        if *seq != entry.seq {
+            *seq = entry.seq;
+            *barred = 0;
+        }
+        barred
     }
 }
 
@@ -214,15 +280,19 @@ pub(crate) fn find_alternative_in(
 /// assignments. `threshold_of(node, x)` is the admission threshold for a
 /// kernel whose best execution time is `x` — `α·x` for [`Apt`] and
 /// [`crate::EdfApt`], slack-clamped (never above `α·x`) for
-/// [`crate::LlApt`]. Every APT-family pass runs this step over its own
-/// kernel order and ends with [`AssignmentBuf::mark_fixpoint`].
+/// [`crate::LlApt`]. The search skips the processors `rejected` holds for
+/// this admission and records the ones it rejects (module docs). Every
+/// APT-family pass runs this step over its own kernel order and ends with
+/// [`AssignmentBuf::mark_fixpoint`].
 pub(crate) fn apt_step(
     view: &SimView<'_>,
-    node: NodeId,
+    entry: ReadyEntry,
     idle: u64,
     out: &mut AssignmentBuf,
+    rejected: &mut Rejections,
     threshold_of: &mut impl FnMut(NodeId, SimDuration) -> SimDuration,
 ) -> u64 {
+    let node = entry.node;
     let Some(best) = best_instance_in(view, node, idle) else {
         return idle;
     };
@@ -231,10 +301,18 @@ pub(crate) fn apt_step(
         out.push(Assignment::new(node, best.proc));
         return idle & !(1 << best.proc.index());
     }
-    // Lines 9–14: look for p_alt within the threshold.
+    // Lines 9–14: look for p_alt within the threshold, among the idle
+    // processors no earlier search for this admission rejected.
+    let barred = rejected.barred(entry);
+    let untried = idle & !*barred & !(1 << best.proc.index());
+    if untried == 0 {
+        return idle;
+    }
     let threshold = threshold_of(node, best.exec);
-    let Some((p_alt, cost)) = find_alternative_in(view, node, best.proc, threshold, idle) else {
-        // No admissible alternative: wait for p_min.
+    let Some((p_alt, cost)) = find_alternative_in(view, node, best.proc, threshold, untried) else {
+        // No admissible alternative: wait for p_min, and never try these
+        // processors for this admission again.
+        *barred |= untried;
         return idle;
     };
     out.push_explained(
@@ -257,14 +335,14 @@ pub(crate) fn apt_step(
 pub(crate) fn ready_pass(
     view: &SimView<'_>,
     masks: &[u64],
+    rejected: &mut Rejections,
     out: &mut AssignmentBuf,
     mut threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
 ) {
-    view.ready
-        .walk_screened(masks, view.idle_mask, |node, class, idle| {
-            debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
-            apt_step(view, node, idle, out, &mut threshold_of)
-        });
+    view.ready.walk_screened(masks, view.idle_mask, |e, idle| {
+        debug_assert_eq!(e.class, view.cost.class_of(e.node), "stale ready-set class");
+        apt_step(view, e, idle, out, rejected, &mut threshold_of)
+    });
     out.mark_fixpoint();
 }
 
@@ -288,13 +366,16 @@ impl Policy for Apt {
 
     fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
         self.masks.reset();
+        self.rejected.reset();
         Ok(())
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
         let alpha = self.alpha;
         let masks = self.masks.get(view.cost, alpha);
-        ready_pass(view, masks, out, |_, x| x.scale_alpha(alpha));
+        ready_pass(view, masks, &mut self.rejected, out, |_, x| {
+            x.scale_alpha(alpha)
+        });
     }
 }
 
@@ -540,6 +621,67 @@ mod tests {
         let masks = apt.masks.get(&cost, apt.alpha);
         assert_eq!(masks.len(), before + 1);
         assert_eq!(masks[cost.class_of(NodeId::new(1)) as usize], 0);
+    }
+
+    /// Where and when a bfs fed by an nw ran. The nw runs on the CPU from
+    /// t = 0 to 112 ms and another job's bfs holds the FPGA from 100 ms to
+    /// 206 ms, so at 112 ms the dependent bfs either takes an alternative
+    /// or waits for the FPGA. `retune`, if set, is applied right after the
+    /// decision at 112 ms.
+    fn dependent_bfs(
+        policy: &mut dyn Policy,
+        config: &SystemConfig,
+        retune: Option<f64>,
+    ) -> (ProcId, SimTime) {
+        use apt_hetsim::OpenEngine;
+        let mut engine = OpenEngine::new(config, LookupTable::paper()).unwrap();
+        engine
+            .admit(&[nw(), bfs()], &[(0, 1)], SimTime::ZERO)
+            .unwrap();
+        engine.admit(&[bfs()], &[], SimTime::from_ms(100)).unwrap();
+        while engine.now() < SimTime::from_ms(112) {
+            engine.step(policy).unwrap();
+        }
+        if let Some(alpha) = retune {
+            engine.decide(policy).unwrap();
+            assert!(policy.set_alpha(alpha));
+        }
+        while engine.step(policy).unwrap().is_some() {}
+        let mut done = Vec::new();
+        engine.drain_completed(&mut done);
+        let job = done.iter().find(|j| j.job.0 == 0).unwrap();
+        (job.records[1].proc, job.records[1].start)
+    }
+
+    /// The memo of rejected alternatives belongs to one α and one engine.
+    /// At α = 1.65 on the 4 Gb/s machine the dependent bfs rejects the GPU
+    /// (173 ms plus the nw's output transfer, over 1.65 × 106 = 174.9 ms)
+    /// and the CPU (332 ms) and waits for the FPGA. Retuned to α = 4 at
+    /// that instant, it takes the GPU at once; and the same instance moved
+    /// to a machine without transfers takes the GPU too (173 ≤ 174.9):
+    /// neither inherits the rejection. The same holds for EDF-APT and
+    /// LL-APT, which on deadline-free jobs decide exactly like APT.
+    #[test]
+    fn set_alpha_and_prepare_forget_rejected_alternatives() {
+        let (gpu, fpga) = (ProcId::new(1), ProcId::new(2));
+        let (ready, fpga_free) = (SimTime::from_ms(112), SimTime::from_ms(206));
+        let linked = SystemConfig::paper_4gbps();
+        let unlinked = SystemConfig::paper_no_transfers();
+        let family: [fn(f64) -> Box<dyn Policy>; 3] = [
+            |a| Box::new(Apt::new(a)),
+            |a| Box::new(crate::EdfApt::new(a)),
+            |a| Box::new(crate::LlApt::new(a)),
+        ];
+        for make in family {
+            let mut policy = make(1.65);
+            let name = policy.name();
+            let waited = dependent_bfs(&mut *policy, &linked, None);
+            assert_eq!(waited, (fpga, fpga_free), "{name}");
+            let moved = dependent_bfs(&mut *policy, &unlinked, None);
+            assert_eq!(moved, (gpu, ready), "{name} on a new engine");
+            let retuned = dependent_bfs(&mut *make(1.65), &linked, Some(4.0));
+            assert_eq!(retuned, (gpu, ready), "{name} retuned");
+        }
     }
 
     /// The runtime setter clamps instead of panicking: below-1 requests

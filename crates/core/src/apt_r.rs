@@ -100,52 +100,51 @@ impl Policy for AptR {
                 + view.exec_time(node, proc).expect("claimed proc runs node")
         };
         // The walk yields only kernels with an idle processor within α·x.
-        view.ready
-            .walk_screened(masks, view.idle_mask, |node, class, idle| {
-                debug_assert_eq!(class, view.cost.class_of(node), "stale ready-set class");
-                let Some(best) = best_instance_in(view, node, idle) else {
-                    return idle;
-                };
-                if best.idle {
-                    claimed_until[best.proc.index()] = finish_of(node, best.proc, view);
-                    claimed |= 1 << best.proc.index();
-                    out.push(Assignment::new(node, best.proc));
-                    return idle & !(1 << best.proc.index());
-                }
-                let threshold = best.exec.scale_alpha(self.alpha);
-                let Some((proc, cost)) =
-                    find_alternative_in(view, node, best.proc, threshold, idle)
-                else {
-                    return idle;
-                };
-                // Cost of waiting for p_min: remaining busy time + placement.
-                // Only worth computing once an alternative is within α·x.
-                let busy_until = if claimed & (1 << best.proc.index()) != 0 {
-                    claimed_until[best.proc.index()]
-                } else {
-                    view.proc(best.proc).busy_until
-                };
-                let remaining = busy_until.saturating_since(view.now);
-                let wait_cost = remaining
-                    .saturating_add(view.transfer_in_time(node, best.proc))
-                    .saturating_add(best.exec);
-                if cost >= wait_cost {
-                    return idle;
-                }
-                claimed_until[proc.index()] = finish_of(node, proc, view);
-                claimed |= 1 << proc.index();
-                out.push_explained(
-                    Assignment::alternative(node, proc),
-                    DecisionMeta {
-                        best_proc: best.proc,
-                        best_exec: best.exec,
-                        best_busy_until: busy_until,
-                        threshold,
-                        alt_cost: cost,
-                    },
-                );
-                idle & !(1 << proc.index())
-            });
+        view.ready.walk_screened(masks, view.idle_mask, |e, idle| {
+            let node = e.node;
+            debug_assert_eq!(e.class, view.cost.class_of(node), "stale ready-set class");
+            let Some(best) = best_instance_in(view, node, idle) else {
+                return idle;
+            };
+            if best.idle {
+                claimed_until[best.proc.index()] = finish_of(node, best.proc, view);
+                claimed |= 1 << best.proc.index();
+                out.push(Assignment::new(node, best.proc));
+                return idle & !(1 << best.proc.index());
+            }
+            let threshold = best.exec.scale_alpha(self.alpha);
+            let Some((proc, cost)) = find_alternative_in(view, node, best.proc, threshold, idle)
+            else {
+                return idle;
+            };
+            // Cost of waiting for p_min: remaining busy time + placement.
+            // Only worth computing once an alternative is within α·x.
+            let busy_until = if claimed & (1 << best.proc.index()) != 0 {
+                claimed_until[best.proc.index()]
+            } else {
+                view.proc(best.proc).busy_until
+            };
+            let remaining = busy_until.saturating_since(view.now);
+            let wait_cost = remaining
+                .saturating_add(view.transfer_in_time(node, best.proc))
+                .saturating_add(best.exec);
+            if cost >= wait_cost {
+                return idle;
+            }
+            claimed_until[proc.index()] = finish_of(node, proc, view);
+            claimed |= 1 << proc.index();
+            out.push_explained(
+                Assignment::alternative(node, proc),
+                DecisionMeta {
+                    best_proc: best.proc,
+                    best_exec: best.exec,
+                    best_busy_until: busy_until,
+                    threshold,
+                    alt_cost: cost,
+                },
+            );
+            idle & !(1 << proc.index())
+        });
         out.mark_fixpoint();
     }
 }

@@ -41,8 +41,19 @@
 //! deadline-free workloads both reduce byte-identically to APT, which is
 //! what lets the streaming equivalence suite replay them against
 //! `simulate_stream`.
+//!
+//! Both also keep APT's per-admission memo of rejected alternatives (the
+//! `apt` module docs), cleared with the class table. Kernel order never
+//! enters a verdict, so EDF-APT's rests on exactly APT's argument. LL-APT's
+//! rests on one more fact: its threshold `clamp(slack, x, α·x)` never
+//! grows while a kernel waits. The deadline is fixed at admission, so the
+//! slack only shrinks as time advances, and a processor whose `exec +
+//! transfer` exceeded the threshold once exceeds every later one. A
+//! `set_alpha` that raises `α·x` clears the memo. `crates/stream/tests/
+//! naive_apt.rs` pins LL-APT against a memo-free, screen-free
+//! one-assignment-per-call walk in laxity order.
 
-use crate::apt::{apt_step, ready_pass, AdmissibleMasks};
+use crate::apt::{apt_step, ready_pass, AdmissibleMasks, Rejections};
 use apt_base::{BaseError, SimDuration};
 use apt_dfg::NodeId;
 use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, PrepareCtx, ReadyEntry, ReadyOrder, SimView};
@@ -74,6 +85,7 @@ fn sorted_pass(
     view: &SimView<'_>,
     order: &OrderBuf,
     masks: &[u64],
+    rejected: &mut Rejections,
     out: &mut AssignmentBuf,
     mut threshold_of: impl FnMut(NodeId, SimDuration) -> SimDuration,
 ) {
@@ -84,7 +96,7 @@ fn sorted_pass(
         }
         debug_assert_eq!(e.class, view.cost.class_of(e.node), "stale ready-set class");
         if masks[e.class as usize] & idle != 0 {
-            idle = apt_step(view, e.node, idle, out, &mut threshold_of);
+            idle = apt_step(view, e, idle, out, rejected, &mut threshold_of);
         }
     }
     out.mark_fixpoint();
@@ -95,6 +107,7 @@ fn sorted_pass(
 pub struct EdfApt {
     alpha: f64,
     masks: AdmissibleMasks,
+    rejected: Rejections,
     /// Reusable ordering buffer keyed by deadline (left untouched under an
     /// engine that already iterates in EDF order).
     order: OrderBuf,
@@ -111,6 +124,7 @@ impl EdfApt {
         EdfApt {
             alpha,
             masks: AdmissibleMasks::default(),
+            rejected: Rejections::default(),
             order: Vec::new(),
         }
     }
@@ -126,6 +140,7 @@ impl EdfApt {
         if alpha.is_finite() {
             self.alpha = alpha.max(1.0);
             self.masks.reset();
+            self.rejected.reset();
         }
     }
 }
@@ -150,6 +165,7 @@ impl Policy for EdfApt {
 
     fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
         self.masks.reset();
+        self.rejected.reset();
         Ok(())
     }
 
@@ -161,11 +177,18 @@ impl Policy for EdfApt {
             // The engine already iterates `(deadline, FCFS)`: sorting
             // again would be the identity permutation.
             debug_assert!(view.ready.iter().map(|n| deadline_key(view, n)).is_sorted());
-            ready_pass(view, masks, out, threshold_of);
+            ready_pass(view, masks, &mut self.rejected, out, threshold_of);
             return;
         }
         order_ready(view, masks, &mut self.order, deadline_key);
-        sorted_pass(view, &self.order, masks, out, threshold_of);
+        sorted_pass(
+            view,
+            &self.order,
+            masks,
+            &mut self.rejected,
+            out,
+            threshold_of,
+        );
     }
 }
 
@@ -181,6 +204,7 @@ fn deadline_key(view: &SimView<'_>, node: NodeId) -> u64 {
 pub struct LlApt {
     alpha: f64,
     masks: AdmissibleMasks,
+    rejected: Rejections,
     /// Reusable ordering buffer keyed by laxity.
     order: OrderBuf,
 }
@@ -196,6 +220,7 @@ impl LlApt {
         LlApt {
             alpha,
             masks: AdmissibleMasks::default(),
+            rejected: Rejections::default(),
             order: Vec::new(),
         }
     }
@@ -211,6 +236,7 @@ impl LlApt {
         if alpha.is_finite() {
             self.alpha = alpha.max(1.0);
             self.masks.reset();
+            self.rejected.reset();
         }
     }
 }
@@ -235,6 +261,7 @@ impl Policy for LlApt {
 
     fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
         self.masks.reset();
+        self.rejected.reset();
         Ok(())
     }
 
@@ -261,7 +288,14 @@ impl Policy for LlApt {
                 None => full,
             }
         };
-        sorted_pass(view, &self.order, masks, out, threshold_of);
+        sorted_pass(
+            view,
+            &self.order,
+            masks,
+            &mut self.rejected,
+            out,
+            threshold_of,
+        );
     }
 }
 

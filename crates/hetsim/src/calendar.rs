@@ -7,12 +7,13 @@
 //!
 //! A sorted deque is enough because the queue stays shallow. Measured with a
 //! counting probe at seed 42, it never holds more than 3 events on the
-//! closed paper grid, 4 on a single-kernel open stream and 27 on an
+//! closed paper grid, and 4 on a single-kernel open stream or on an
 //! overloaded Type-2 stream held at a 128-job backlog:
 //!
 //! * the open driver admits each job just in time, so the queue never holds
 //!   the stream's future arrivals, only the in-flight completions, fault
-//!   events and the next admission;
+//!   events and the next admission, which is one event however many
+//!   kernels the job has;
 //! * a closed workload pushes its `Arrive` events sorted by `(time, node)`
 //!   up front, so each of them appends and a long arrival vector costs one
 //!   sort, not a quadratic run of inserts.
@@ -20,11 +21,11 @@
 //! A push before the back entry binary-searches its place after every entry
 //! at or before its instant, and `VecDeque::insert` shifts whichever side of
 //! that place is shorter. Such pushes are common — the same probe counted
-//! 69% of pushes on the closed grid, 38% on the single-kernel stream and 92%
-//! on the overloaded one, where a job's same-instant arrivals land ahead of
-//! in-flight completions — but at these depths each moves at most 13
-//! entries and never sifts. Once the deque reaches its peak depth, pushing
-//! and popping allocate nothing.
+//! 70% of pushes on the closed grid, 37% on the single-kernel stream and 66%
+//! on the overloaded one, where a job's arrival lands ahead of in-flight
+//! completions — but at these depths each moves at most one entry and never
+//! sifts. Once the deque reaches its peak depth, pushing and popping
+//! allocate nothing.
 //!
 //! Popped times are monotonically non-decreasing; a debug assertion fires if
 //! an event is ever scheduled before the last popped instant. The property

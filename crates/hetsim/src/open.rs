@@ -22,6 +22,17 @@
 //!   so the slab is bounded by the peak of in-flight jobs and admitting a
 //!   job allocates nothing once the run has reached its peak. Arrivals past
 //!   [`ARRIVAL_HORIZON`] are rejected with a typed error.
+//! * **Arrival**: a job admitted at the current instant arrives at once. A
+//!   job admitted for a later instant pushes **one** arrival event, which
+//!   carries its slab entry; when it fires, the engine reads the entry's
+//!   slot list and arrives the slots in that order. A Type-2 job of 24
+//!   kernels therefore costs one queue push and pop instead of 24, and
+//!   admission copies no slot list. Per-kernel events would have been
+//!   pushed back to back and popped back to back, in the same slot order,
+//!   so every same-instant order, and every schedule, is the one they gave.
+//!   A job cannot retire or be shed before it arrives, so the entry is
+//!   still the job's own when the event fires. The closed engine keeps one
+//!   arrival event per node, since its arrivals are per node.
 //! * **Stepping** ([`OpenEngine::step`]) runs one policy fixpoint and
 //!   advances to the next event batch — exactly one iteration of the closed
 //!   engine's loop.
@@ -544,9 +555,9 @@ impl<'a> OpenEngine<'a> {
                 self.core.arrive(slot);
             }
         } else {
-            for &slot in &slots {
-                self.core.events.push(at, Event::Arrive(slot));
-            }
+            // One event for the whole job; it reads the slots from the slab
+            // entry when it fires (module docs).
+            self.core.events.push(at, Event::ArriveJob(entry));
         }
         self.in_flight_kernels += slots.len();
         self.live[entry as usize] = LiveJob {
@@ -604,6 +615,7 @@ impl<'a> OpenEngine<'a> {
                 cost,
                 core,
                 batch,
+                live,
                 ..
             } = self;
             let ctx = EngineCtx {
@@ -612,7 +624,11 @@ impl<'a> OpenEngine<'a> {
                 lookup,
                 cost,
             };
-            core.advance(ctx, batch)?
+            core.advance(ctx, batch, &|entry| {
+                let job = &live[entry as usize];
+                debug_assert!(job.active, "a job arrives before it can retire");
+                &job.slots
+            })?
         };
         if advanced.is_some() {
             self.retire_finished();
@@ -930,6 +946,25 @@ mod tests {
         assert!(job.records[1].start >= job.records[0].finish);
         assert_eq!(job.finish(), job.records[1].finish);
         assert_eq!(engine.in_flight_jobs(), 0);
+    }
+
+    /// A job admitted for a later instant takes one queue entry, however
+    /// many kernels it has; when it fires, every kernel arrives, in slot
+    /// order, ahead of the next job's.
+    #[test]
+    fn a_future_job_arrives_through_one_event() {
+        let config = SystemConfig::paper_no_transfers();
+        let lookup = apt_dfg::LookupTable::paper();
+        let mut engine = OpenEngine::new(&config, lookup).unwrap();
+        let at = SimTime::from_ms(5);
+        engine.admit(&[bfs(), bfs(), bfs()], &[], at).unwrap();
+        engine.admit(&[bfs(), bfs()], &[(0, 1)], at).unwrap();
+        assert_eq!(engine.core.events.len(), 2);
+        assert_eq!(engine.advance().unwrap(), Some(at));
+        assert!(engine.core.events.is_empty());
+        assert!(engine.core.arrived.iter().all(|&a| a));
+        let ready: Vec<NodeId> = engine.core.ready.iter().collect();
+        assert_eq!(ready, [0, 1, 2, 3].map(NodeId::new));
     }
 
     #[test]

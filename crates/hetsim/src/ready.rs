@@ -85,6 +85,18 @@ pub struct ReadyEntry {
     pub class: ClassId,
 }
 
+/// The entry of member `i` of `class` in a bitset-mode set: priority 0,
+/// and the node id as the sequence.
+#[inline]
+fn bitset_entry(i: usize, class: ClassId) -> ReadyEntry {
+    ReadyEntry {
+        prio: 0,
+        seq: i as u64,
+        node: NodeId::new(i),
+        class,
+    }
+}
+
 /// Index of the ordered mode: per-node `(priority, sequence)` sort keys plus
 /// the ready members, one sorted list per cost class. Priorities default to
 /// 0, making the order pure FCFS (ascending admission sequence).
@@ -363,14 +375,8 @@ impl ReadySet {
                 let stride = self.words.len();
                 let members = self.by_class.get(c * stride..(c + 1) * stride)?;
                 Bits::new(members)
-                    .map(NodeId::new)
-                    .find(|node| !skip.contains(node))
-                    .map(|node| ReadyEntry {
-                        prio: 0,
-                        seq: node.index() as u64,
-                        node,
-                        class,
-                    })
+                    .find(|&i| !skip.contains(&NodeId::new(i)))
+                    .map(|i| bitset_entry(i, class))
             }
             Some(o) => o
                 .lists
@@ -401,16 +407,17 @@ impl ReadySet {
     /// Walk, in this set's order, the members whose class mask meets an
     /// idle set the caller shrinks as it goes (module docs). `masks[c]` is
     /// the processor mask of class `c` and must cover every member's class;
-    /// `idle` is the idle set at the start. `visit(node, class, idle)` gets
-    /// each member whose `masks[class]` meets the current `idle`, and
-    /// returns the idle set after it, which must be a subset of `idle`. The
-    /// walk ends when the set is exhausted or the idle set is empty.
+    /// `idle` is the idle set at the start. `visit(entry, idle)` gets each
+    /// member whose `masks[entry.class]` meets the current `idle`, with its
+    /// place in the set's order, and returns the idle set after it, which
+    /// must be a subset of `idle`. The walk ends when the set is exhausted
+    /// or the idle set is empty.
     #[inline]
     pub fn walk_screened(
         &self,
         masks: &[u64],
         mut idle: u64,
-        mut visit: impl FnMut(NodeId, ClassId, u64) -> u64,
+        mut visit: impl FnMut(ReadyEntry, u64) -> u64,
     ) {
         let Some(order) = &self.order else {
             // Bitset mode: the linear walk plus one mask test per member.
@@ -420,7 +427,7 @@ impl ReadySet {
                 }
                 let class = self.class[i];
                 if masks[class as usize] & idle != 0 {
-                    idle = visit(NodeId::new(i), class, idle);
+                    idle = visit(bitset_entry(i, class), idle);
                 }
             }
             return;
@@ -432,11 +439,11 @@ impl ReadySet {
         };
         let Some(second) = admissible.next() else {
             // One admissible class: its list in place, no merge.
-            for e in &order.lists[first] {
+            for &e in &order.lists[first] {
                 if !admits(first, idle) {
                     return;
                 }
-                idle = visit(e.node, e.class, idle);
+                idle = visit(e, idle);
             }
             return;
         };
@@ -471,7 +478,7 @@ impl ReadySet {
             let Some(e) = pop_least(heads, &mut n) else {
                 return;
             };
-            idle = visit(e.node, e.class, idle);
+            idle = visit(e, idle);
         }
     }
 
@@ -488,13 +495,7 @@ impl ReadySet {
                 for i in Bits::new(&self.words) {
                     let class = self.class[i];
                     if masks[class as usize] & idle != 0 {
-                        let node = NodeId::new(i);
-                        f(ReadyEntry {
-                            prio: 0,
-                            seq: i as u64,
-                            node,
-                            class,
-                        });
+                        f(bitset_entry(i, class));
                     }
                 }
             }

@@ -103,14 +103,14 @@ fn check(set: &ReadySet, model: &Model, masks: &[u64], idle: u64) {
         }
         let mask = masks[e.class as usize];
         if mask & left != 0 {
-            expected.push((e.node, e.class, left));
+            expected.push((*e, left));
             left = claim(expected.len(), mask, left);
         }
     }
     let mut walked = Vec::new();
-    set.walk_screened(masks, idle, |node, class, now| {
-        walked.push((node, class, now));
-        claim(walked.len(), masks[class as usize], now)
+    set.walk_screened(masks, idle, |e, now| {
+        walked.push((e, now));
+        claim(walked.len(), masks[e.class as usize], now)
     });
     assert_eq!(walked, expected, "walk_screened from idle {idle:#b}");
 

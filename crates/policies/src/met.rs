@@ -57,13 +57,13 @@ impl Policy for Met {
         // it waits for them (the defining MET rule).
         let min_masks = view.cost.class_min_masks();
         view.ready
-            .walk_screened(min_masks, view.idle_mask, |node, class, idle| {
+            .walk_screened(min_masks, view.idle_mask, |e, idle| {
                 // Lowest-id idle instance among the minimal-execution-time
                 // set (`best_instance` semantics, fused with the batch's own
                 // claims).
-                let available = min_masks[class as usize] & idle;
+                let available = min_masks[e.class as usize] & idle;
                 let proc = ProcId::new(available.trailing_zeros() as usize);
-                out.push(Assignment::new(node, proc));
+                out.push(Assignment::new(e.node, proc));
                 idle & !(1 << proc.index())
             });
         out.mark_fixpoint();

@@ -8,7 +8,11 @@
 //! unrunnable ASIC column, plain APT under FCFS and EDF-APT under the
 //! engine's EDF order must stream byte-identically to it. A screen that
 //! skipped one assignable kernel, or a stale class table, moves the
-//! outcome.
+//! outcome. So does a rejection memo that outlives the admission it was
+//! learned for: cells whose transient faults cancel jobs, and so hand
+//! their node ids to later jobs, pin that. LL-APT is pinned the same way
+//! against [`NaiveLlApt`], the walk in laxity order with its slack-clamped
+//! threshold.
 
 use apt_control::{ControlAction, Controller};
 use apt_core::prelude::*;
@@ -54,34 +58,80 @@ impl Policy for NaiveApt {
     }
 
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        for node in view.ready.iter() {
-            // findBestProc: the minimum execution time x.
-            let Some((_, x)) = view.best_proc(node) else {
-                continue;
-            };
-            // p_min available → allocate there.
-            if let Some(p) = view
-                .idle_procs()
-                .find(|p| view.exec_time(node, p.id) == Some(x))
-            {
-                out.push(Assignment::new(node, p.id));
-                return;
+        // Alternatives are admitted only within α·x (Eq. 8).
+        let pick = view
+            .ready
+            .iter()
+            .find_map(|node| algorithm_1(view, node, |x| x.scale_alpha(self.alpha)));
+        if let Some(a) = pick {
+            out.push(a);
+        }
+    }
+}
+
+/// Algorithm 1 for one ready kernel: `p_min` if an instance is idle, else
+/// the idle processor of least exec + transfer within `threshold(x)`, ties
+/// to the lowest id, else nothing (the kernel waits).
+fn algorithm_1(
+    view: &SimView<'_>,
+    node: NodeId,
+    threshold: impl Fn(SimDuration) -> SimDuration,
+) -> Option<Assignment> {
+    // findBestProc: the minimum execution time x.
+    let (_, x) = view.best_proc(node)?;
+    // p_min available → allocate there.
+    if let Some(p) = view
+        .idle_procs()
+        .find(|p| view.exec_time(node, p.id) == Some(x))
+    {
+        return Some(Assignment::new(node, p.id));
+    }
+    // find2ndBestProc.
+    let threshold = threshold(x);
+    let mut best: Option<(ProcId, SimDuration)> = None;
+    for p in view.idle_procs() {
+        if let Some(cost) = view.placement_cost(node, p.id) {
+            if cost <= threshold && best.is_none_or(|(_, c)| cost < c) {
+                best = Some((p.id, cost));
             }
-            // find2ndBestProc: the idle processor of least exec + transfer,
-            // admitted only within α·x (Eq. 8); ties go to the lowest id.
-            let threshold = x.scale_alpha(self.alpha);
-            let mut best: Option<(ProcId, SimDuration)> = None;
-            for p in view.idle_procs() {
-                if let Some(cost) = view.placement_cost(node, p.id) {
-                    if cost <= threshold && best.is_none_or(|(_, c)| cost < c) {
-                        best = Some((p.id, cost));
-                    }
-                }
-            }
-            if let Some((p, _)) = best {
-                out.push(Assignment::alternative(node, p));
-                return;
-            }
+        }
+    }
+    best.map(|(p, _)| Assignment::alternative(node, p))
+}
+
+/// LL-APT, one assignment per call: the ready list sorted by laxity
+/// (`slack − x`, zero once the slack is gone; deadline-free kernels last),
+/// stably, so equal laxities keep the view's order; then Algorithm 1 with
+/// the threshold `clamp(slack, x, α·x)`.
+struct NaiveLlApt {
+    alpha: f64,
+}
+
+impl Policy for NaiveLlApt {
+    fn name(&self) -> String {
+        format!("LL-APT(α={})", self.alpha)
+    }
+
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Dynamic
+    }
+
+    fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
+        let laxity = |node| match (view.slack(node), view.best_proc(node)) {
+            (Some(slack), Some((_, x))) => slack.as_ns().saturating_sub(x.as_ns()),
+            (Some(slack), None) => slack.as_ns(),
+            (None, _) => u64::MAX,
+        };
+        let mut ready: Vec<NodeId> = view.ready.iter().collect();
+        ready.sort_by_key(|&node| laxity(node));
+        let pick = ready.into_iter().find_map(|node| {
+            algorithm_1(view, node, |x| {
+                let full = x.scale_alpha(self.alpha);
+                view.slack(node).map_or(full, |s| s.max(x).min(full))
+            })
+        });
+        if let Some(a) = pick {
+            out.push(a);
         }
     }
 }
@@ -220,4 +270,76 @@ fn set_alpha_before_a_run_equals_a_fresh_policy() {
         run(&mut retuned, &config, &opts, None),
         run(&mut fresh, &config, &opts, None)
     );
+}
+
+/// A one-retry budget under 20% transient failures: jobs get cancelled in
+/// every cell, and their node ids go to later jobs.
+fn cancelling_opts(order: ReadyOrder, seed: u64) -> DriverOpts {
+    DriverOpts {
+        faults: FaultPlan::seeded(seed).with_transient(0.2),
+        retry: RetryPolicy {
+            max_attempts: 2,
+            job_retry_budget: 1,
+            ..RetryPolicy::default()
+        },
+        ..opts(order, false)
+    }
+}
+
+/// Cancelled jobs recycle their slots, and a later kernel on a recycled
+/// node id is a new admission: APT under FCFS and EDF-APT under the EDF
+/// order still stream exactly like [`NaiveApt`], so nothing the batched
+/// pass remembers about a node survives its occupant.
+#[test]
+fn cancelled_jobs_recycle_slots_and_match_naive_algorithm_1() {
+    let apt: fn(f64) -> Box<dyn Policy> = |a| Box::new(Apt::new(a));
+    let edf_apt: fn(f64) -> Box<dyn Policy> = |a| Box::new(EdfApt::new(a));
+    for (order, make) in [
+        (ReadyOrder::Admission, apt),
+        (ReadyOrder::EarliestDeadline, edf_apt),
+    ] {
+        for config in machines() {
+            for alpha in [1.0, 1.5, 4.0] {
+                for seed in 1..=5 {
+                    let opts = cancelling_opts(order, seed);
+                    let mut policy = make(alpha);
+                    let fast = run(&mut *policy, &config, &opts, None);
+                    let naive = run(&mut NaiveApt::mirroring(&*policy), &config, &opts, None);
+                    let cell = format!("{} on {} procs, seed {seed}", policy.name(), config.len());
+                    assert!(fast.jobs_failed > 0, "{cell}: no job was cancelled");
+                    assert_eq!(fast, naive, "{cell}");
+                }
+            }
+        }
+    }
+}
+
+/// LL-APT streams exactly like [`NaiveLlApt`] under both ready orders,
+/// with and without crashes and with cancelled jobs. The batched pass's
+/// memo of rejected alternatives holds only because the slack-clamped
+/// threshold never grows while a kernel waits.
+#[test]
+fn ll_apt_matches_naive_least_laxity_algorithm_1() {
+    for order in [ReadyOrder::Admission, ReadyOrder::EarliestDeadline] {
+        for config in machines() {
+            for alpha in [1.0, 1.5, 4.0] {
+                let cells = [
+                    ("fault-free", opts(order, false)),
+                    ("crashes", opts(order, true)),
+                    ("cancellations", cancelling_opts(order, 4)),
+                ];
+                for (faults, opts) in cells {
+                    let fast = run(&mut LlApt::new(alpha), &config, &opts, None);
+                    let naive = run(&mut NaiveLlApt { alpha }, &config, &opts, None);
+                    let cell = format!(
+                        "LL-APT(α={alpha}) on {} procs, {faults}, {order:?}",
+                        config.len()
+                    );
+                    assert_eq!(fast, naive, "{cell}");
+                    assert!(fast.jobs_shed > 0, "{cell}: the stream never hit its cap");
+                    assert!(fast.deadline_misses > 0, "{cell}: no deadline pressure");
+                }
+            }
+        }
+    }
 }

@@ -96,23 +96,9 @@ impl Heartbeat {
         }
     }
 
-    /// The configured job target.
-    pub fn target(&self) -> Option<u64> {
-        self.target
-    }
-
-    /// True when enough wall-clock has passed for another line. The
-    /// check is cheap — callers can gate expensive argument gathering
-    /// on it.
-    pub fn due(&self) -> bool {
-        match self.last {
-            None => true,
-            Some(t) => t.elapsed() >= self.min_gap,
-        }
-    }
-
-    /// Render a line if one is due (see [`render_heartbeat`] for the
-    /// formatting and the division-by-zero guarantees).
+    /// Render a line if at least `min_gap` of wall-clock has passed since
+    /// the last one (see [`render_heartbeat`] for the formatting and the
+    /// division-by-zero guarantees).
     pub fn tick(
         &mut self,
         jobs_done: u64,
@@ -122,7 +108,7 @@ impl Heartbeat {
         rho: Option<f64>,
         sim_seconds: f64,
     ) -> Option<String> {
-        if !self.due() {
+        if self.last.is_some_and(|t| t.elapsed() < self.min_gap) {
             return None;
         }
         self.last = Some(Instant::now());
