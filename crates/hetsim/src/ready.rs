@@ -24,10 +24,19 @@
 //! Next to the bitset, ordered mode keeps the members in one sorted list
 //! per cost class (below), each entry a [`ReadyEntry`] with its sort keys
 //! and class inline, plus a bitset of the classes that have members.
-//! Membership stays O(1); insert and remove binary-search one class list
-//! and move only that list's tail. [`ReadySet::iter`] merges the heads of
-//! the live class lists, one comparison per live class per member; a
-//! single live class is read in place.
+//! Membership stays O(1). Each class list is a sorted buffer whose members
+//! are `buf[head..]`, one contiguous slice, with a gap of stale entries in
+//! front. Insert and remove binary-search one class list (remove checks the
+//! head first) and move the entries on the nearer side of the place, so
+//! min(pos, len − pos) of them: the front ones shift out of or into the gap,
+//! the back ones away from or toward the end. An EDF pop of a class's head
+//! therefore moves nothing. An insert in the front half needs a free slot in
+//! the gap and otherwise moves the back entries. An insert into a full
+//! buffer that has a gap closes the gap (moving every entry once) before it
+//! would grow, so a buffer's capacity never passes what a plain `Vec` of the
+//! same peak length would hold. [`ReadySet::iter`] merges the heads of the
+//! live class lists, one comparison per live class per member; a single
+//! live class is read in place.
 //!
 //! ## Priority ordering (deadline-aware streams)
 //!
@@ -97,6 +106,76 @@ fn bitset_entry(i: usize, class: ClassId) -> ReadyEntry {
     }
 }
 
+/// One class's members, sorted ascending, with a gap at the front: the
+/// members are `buf[head..]`, and `buf[..head]` holds stale entries that an
+/// insert may overwrite (module docs).
+#[derive(Debug, Clone, Default)]
+struct ClassList {
+    buf: Vec<ReadyEntry>,
+    head: usize,
+}
+
+impl ClassList {
+    /// The members, ascending.
+    #[inline]
+    fn live(&self) -> &[ReadyEntry] {
+        &self.buf[self.head..]
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.head == self.buf.len()
+    }
+
+    /// Insert `entry`, moving the members on the nearer side of its place:
+    /// the front ones into the gap, or the back ones toward the end. A full
+    /// buffer closes its gap before it grows.
+    #[inline]
+    fn insert(&mut self, entry: ReadyEntry) {
+        let (head, len) = (self.head, self.buf.len() - self.head);
+        let pos = self.live().partition_point(|e| *e < entry);
+        let at = head + pos;
+        if head > 0 && pos < len - pos {
+            self.buf.copy_within(head..at, head - 1);
+            self.buf[at - 1] = entry;
+            self.head -= 1;
+        } else if head > 0 && self.buf.len() == self.buf.capacity() {
+            self.buf.copy_within(head..at, 0);
+            self.buf.copy_within(at.., pos + 1);
+            self.buf[pos] = entry;
+            self.buf.truncate(len + 1);
+            self.head = 0;
+        } else {
+            self.buf.insert(at, entry);
+        }
+    }
+
+    /// Remove `entry`, a member, moving the members on the nearer side of
+    /// its place; the head is checked before the search.
+    #[inline]
+    fn remove(&mut self, entry: ReadyEntry) {
+        let live = self.live();
+        let len = live.len();
+        let pos = if live.first() == Some(&entry) {
+            0
+        } else {
+            live.binary_search(&entry)
+                .expect("bitset and class lists agree")
+        };
+        let at = self.head + pos;
+        if pos < len - pos {
+            self.buf.copy_within(self.head..at, self.head + 1);
+            self.head += 1;
+            if self.is_empty() {
+                self.buf.clear();
+                self.head = 0;
+            }
+        } else {
+            self.buf.remove(at);
+        }
+    }
+}
+
 /// Index of the ordered mode: per-node `(priority, sequence)` sort keys plus
 /// the ready members, one sorted list per cost class. Priorities default to
 /// 0, making the order pure FCFS (ascending admission sequence).
@@ -107,8 +186,8 @@ struct OrderedIndex {
     /// Priority per node id (universe-sized; 0 unless set). Sorts *before*
     /// the sequence, so equal-priority members keep FCFS order.
     prio: Vec<u64>,
-    /// `lists[c]`: the members of class `c`, sorted ascending.
-    lists: Vec<Vec<ReadyEntry>>,
+    /// `lists[c]`: the members of class `c`.
+    lists: Vec<ClassList>,
     /// Bit `c` set ⇔ `lists[c]` is not empty.
     live: Vec<u64>,
 }
@@ -130,12 +209,10 @@ impl OrderedIndex {
         let entry = self.entry(node, class);
         let c = class as usize;
         if c >= self.lists.len() {
-            self.lists.resize_with(c + 1, Vec::new);
+            self.lists.resize_with(c + 1, ClassList::default);
             self.live.resize(self.lists.len().div_ceil(64), 0);
         }
-        let list = &mut self.lists[c];
-        let pos = list.partition_point(|e| *e < entry);
-        list.insert(pos, entry);
+        self.lists[c].insert(entry);
         self.live[c / 64] |= 1 << (c % 64);
     }
 
@@ -144,10 +221,7 @@ impl OrderedIndex {
         let entry = self.entry(node, class);
         let c = class as usize;
         let list = &mut self.lists[c];
-        let pos = list
-            .binary_search(&entry)
-            .expect("bitset and class lists agree");
-        list.remove(pos);
+        list.remove(entry);
         if list.is_empty() {
             self.live[c / 64] &= !(1 << (c % 64));
         }
@@ -357,7 +431,7 @@ impl ReadySet {
             None => self.iter().next(),
             Some(o) => o
                 .live_classes()
-                .map(|c| o.lists[c][0])
+                .map(|c| o.lists[c].live()[0])
                 .min()
                 .map(|e| e.node),
         }
@@ -381,6 +455,7 @@ impl ReadySet {
             Some(o) => o
                 .lists
                 .get(c)?
+                .live()
                 .iter()
                 .find(|e| !skip.contains(&e.node))
                 .copied(),
@@ -439,7 +514,7 @@ impl ReadySet {
         };
         let Some(second) = admissible.next() else {
             // One admissible class: its list in place, no merge.
-            for &e in &order.lists[first] {
+            for &e in order.lists[first].live() {
                 if !admits(first, idle) {
                     return;
                 }
@@ -457,7 +532,7 @@ impl ReadySet {
         };
         let mut n = 0;
         for c in [first, second].into_iter().chain(admissible) {
-            heads[n] = order.lists[c].as_slice();
+            heads[n] = order.lists[c].live();
             n += 1;
         }
         let mut screened_for = idle;
@@ -502,7 +577,7 @@ impl ReadySet {
             Some(o) => {
                 for c in o.live_classes() {
                     if masks[c] & idle != 0 {
-                        o.lists[c].iter().copied().for_each(&mut f);
+                        o.lists[c].live().iter().copied().for_each(&mut f);
                     }
                 }
             }
@@ -597,7 +672,7 @@ impl<'a> Members<'a> {
         let Some(order) = &set.order else {
             return Members::Bits(Bits::new(&set.words));
         };
-        let mut lists = order.live_classes().map(|c| order.lists[c].as_slice());
+        let mut lists = order.live_classes().map(|c| order.lists[c].live());
         match (lists.next(), lists.next()) {
             (None, _) => Members::One(&[]),
             (Some(only), None) => Members::One(only),
@@ -818,6 +893,55 @@ mod tests {
             assert!(s.remove(NodeId::new(70)));
             add(&mut s, &mut stamped, 65, 2, 1);
             check(&s, &stamped);
+        }
+    }
+
+    /// A class list under EDF's steady churn, a head pop and a tail insert
+    /// per round, never holds more capacity than a `Vec` grown to the same
+    /// peak length, whichever of the two comes first in a round.
+    #[test]
+    fn a_class_list_stays_within_a_vec_of_its_peak_length() {
+        fn vec_capacity(len: usize) -> usize {
+            let mut v = Vec::new();
+            for i in 0..len {
+                v.push(bitset_entry(i, 0));
+            }
+            v.capacity()
+        }
+        for steady in [1usize, 3, 4, 5, 31, 59, 60, 63, 64, 100] {
+            for pop_first in [true, false] {
+                let bound = vec_capacity(if pop_first { steady } else { steady + 1 });
+                let mut s = ReadySet::new_ordered(steady + 1);
+                let mut next_seq = 0;
+                let mut add = |s: &mut ReadySet, node: NodeId| {
+                    s.set_seq(node, next_seq);
+                    next_seq += 1;
+                    assert!(s.insert(node));
+                };
+                for i in 0..steady {
+                    add(&mut s, NodeId::new(i));
+                }
+                let mut free = NodeId::new(steady);
+                for round in 0..10_000 {
+                    let head = s.first().expect("the list holds `steady` members");
+                    if pop_first {
+                        assert!(s.remove(head));
+                        add(&mut s, head);
+                    } else {
+                        add(&mut s, free);
+                        assert!(s.remove(head));
+                        free = head;
+                    }
+                    assert_eq!(s.len(), steady);
+                    let list = &s.order.as_ref().unwrap().lists[0];
+                    assert!(
+                        list.buf.capacity() <= bound,
+                        "length {steady}, round {round}: capacity {} over {bound}",
+                        list.buf.capacity(),
+                    );
+                    assert!(list.live().is_sorted());
+                }
+            }
         }
     }
 

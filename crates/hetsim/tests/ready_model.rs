@@ -218,6 +218,49 @@ fn drive(
     }
 }
 
+/// The EDF churn of a deep open stream: `classes` class lists of
+/// `per_class` members each, then rounds that either pop the set's first
+/// member or insert a recycled id under a rising sequence, the priority
+/// `n + spread` for round `n` and the class `class % classes`, checked
+/// against the model after every step. Pops take class heads and so open a
+/// gap at the front of a list; a small spread lands an insert in the front
+/// half of its list, where the gap takes it; and a list filled close to its
+/// capacity soon meets a tail insert into a full buffer with a gap.
+fn run_head_heavy(classes: u32, per_class: usize, rounds: &[(bool, u64, u32)], masks: &[u64]) {
+    let universe = classes as usize * per_class + rounds.len();
+    let mut set = ReadySet::new_ordered(universe);
+    let mut model = Model::new(true, universe);
+    let mut free: Vec<usize> = (0..universe).rev().collect();
+    let mut seq = 0;
+    let mut add = |set: &mut ReadySet, model: &mut Model, i: usize, prio: u64, class: ClassId| {
+        let node = NodeId::new(i);
+        seq += 1;
+        set.set_seq(node, seq);
+        set.set_prio(node, prio);
+        set.set_class(node, class);
+        assert!(set.insert(node), "insert");
+        (model.seq[i], model.prio[i], model.class[i]) = (seq, prio, class);
+        model.member[i] = true;
+    };
+    for n in 0..classes as usize * per_class {
+        let i = free.pop().expect("the universe covers the fill");
+        add(&mut set, &mut model, i, n as u64, n as ClassId % classes);
+    }
+    check(&set, &model, masks, 0b11_1111);
+    for (n, &(pop, spread, class)) in rounds.iter().enumerate() {
+        if pop {
+            let node = set.first().expect("rounds never drain the set");
+            assert!(set.remove(node), "remove");
+            model.member[node.index()] = false;
+            free.push(node.index());
+        } else {
+            let i = free.pop().expect("the universe covers every insert");
+            add(&mut set, &mut model, i, n as u64 + spread, class % classes);
+        }
+        check(&set, &model, masks, 0b11_1111 >> (n % 6));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -272,5 +315,22 @@ proptest! {
                 check_first_in_class(set, model, FEW as u32, &skip);
             });
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Few long class lists under head pops and rising-key inserts. A list
+    /// of up to 24 short of 128 or 256 members starts near a full buffer.
+    #[test]
+    fn a_head_heavy_set_matches_a_sorted_model(
+        classes in 1u32..5,
+        full in prop::sample::select(vec![128usize, 256, 400]),
+        short in 0usize..24,
+        rounds in prop::collection::vec((any::<bool>(), 0u64..800, 0u32..4), 200..300),
+        masks in prop::collection::vec(1u64..64, 4..5),
+    ) {
+        run_head_heavy(classes, full - short, &rounds, &masks);
     }
 }

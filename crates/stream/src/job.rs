@@ -28,6 +28,10 @@ use apt_dfg::generator::{
 };
 use apt_dfg::{Kernel, KernelDag, LookupTable, SplitMix64};
 
+/// Up to how many kernels [`JobTemplate::critical_path_min`] keeps its
+/// work on the stack: more than a paper Type-2×24 job has.
+const INLINE_CP: usize = 64;
+
 /// One job: kernels in stream order, ascending intra-job edges, and an
 /// optional relative deadline.
 ///
@@ -100,18 +104,29 @@ impl JobTemplate {
     /// proportional-deadline generators and feasibility-estimate admission
     /// gates scale from.
     pub fn critical_path_min(&self, lookup: &LookupTable) -> SimDuration {
-        let exec: Vec<u64> = self
-            .kernels()
-            .iter()
-            .map(|k| lookup.best_category(k).map(|(_, t)| t.as_ns()).unwrap_or(0))
-            .collect();
+        // This runs per arrival (deadline tagging, feasibility gates), so
+        // `exec` and `start` share one buffer, on the stack up to
+        // `INLINE_CP` kernels: a job that size whose edges ascend by source
+        // touches no heap.
+        let n = self.len();
+        let mut inline = [0u64; 2 * INLINE_CP];
+        let mut spill = Vec::new();
+        let buf = if n <= INLINE_CP {
+            &mut inline[..2 * n]
+        } else {
+            spill.resize(2 * n, 0);
+            &mut spill[..]
+        };
+        let (exec, start) = buf.split_at_mut(n);
+        for (e, k) in exec.iter_mut().zip(self.kernels()) {
+            *e = lookup.best_category(k).map(|(_, t)| t.as_ns()).unwrap_or(0);
+        }
         // Every edge ascends (`from < to`), so edges sorted by source form a
         // topological sweep: all edges *into* `a` (sources `< a`) are
         // processed before any edge *out of* `a`, making `start[a]` final by
         // the time it propagates. Most templates (chains, generator DAGs)
         // already list edges in that order — only the odd interleaved list
-        // (diamonds) pays the clone+sort. This runs per arrival (deadline
-        // tagging, feasibility gates), so the common case stays cheap.
+        // (diamonds) pays the clone+sort.
         let sorted_edges;
         let edges: &[(u32, u32)] = if self.edges.is_sorted() {
             &self.edges
@@ -123,14 +138,13 @@ impl JobTemplate {
             };
             &sorted_edges
         };
-        let mut start = vec![0u64; self.len()];
         for &(a, b) in edges {
             let fa = start[a as usize] + exec[a as usize];
             start[b as usize] = start[b as usize].max(fa);
         }
         let total = start
             .iter()
-            .zip(&exec)
+            .zip(&*exec)
             .map(|(s, e)| s + e)
             .max()
             .unwrap_or(0);
@@ -366,6 +380,63 @@ mod tests {
         // A kernel with no table row weighs zero rather than poisoning CP.
         let ghost = JobTemplate::new(vec![Kernel::new(KernelKind::MatMul, 123)], vec![]).unwrap();
         assert_eq!(ghost.critical_path_min(lookup()), SimDuration::ZERO);
+    }
+
+    /// `critical_path_min` equals a naive longest path (each kernel's
+    /// finish is its cost plus the latest finish among its predecessors,
+    /// found by scanning every edge) on random ascending DAGs and diamonds,
+    /// both inline and past `INLINE_CP` kernels, with edges listed sorted
+    /// or not.
+    #[test]
+    fn critical_path_matches_a_naive_longest_path() {
+        fn naive(job: &JobTemplate) -> u64 {
+            let mut finish = vec![0u64; job.len()];
+            for (b, k) in job.kernels().iter().enumerate() {
+                let ready = job
+                    .edges()
+                    .iter()
+                    .filter(|&&(_, to)| to as usize == b)
+                    .map(|&(a, _)| finish[a as usize])
+                    .max()
+                    .unwrap_or(0);
+                finish[b] = ready + lookup().best_category(k).map_or(0, |(_, t)| t.as_ns());
+            }
+            finish.into_iter().max().unwrap()
+        }
+        let mut rng = SplitMix64::new(29);
+        let mut jobs = Vec::new();
+        for width in [2, 5, 62, 63, 100] {
+            let diamond = JobFamily::Diamond { width }.instantiate(&mut rng, lookup());
+            assert!(!diamond.edges().is_sorted(), "a diamond interleaves");
+            jobs.push(diamond);
+        }
+        for round in 0..200u64 {
+            let n = 1 + rng.gen_range(if round % 4 == 0 { 150 } else { 40 }) as usize;
+            let mut edges = Vec::new();
+            for b in 1..n as u32 {
+                for a in 0..b {
+                    if rng.gen_range(n as u64) < 3 {
+                        edges.push((a, b));
+                    }
+                }
+            }
+            if round % 2 == 1 {
+                // Shuffle, so later sources often come first.
+                for i in (1..edges.len()).rev() {
+                    edges.swap(i, rng.gen_range(i as u64 + 1) as usize);
+                }
+            }
+            jobs.push(JobTemplate::new(draw_kernels(round, n, lookup()), edges).unwrap());
+        }
+        assert!(jobs.iter().filter(|j| j.len() > INLINE_CP).count() >= 10);
+        for job in &jobs {
+            assert_eq!(
+                job.critical_path_min(lookup()).as_ns(),
+                naive(job),
+                "{} kernels",
+                job.len()
+            );
+        }
     }
 
     #[test]
