@@ -26,17 +26,20 @@
 //! and class inline, plus a bitset of the classes that have members.
 //! Membership stays O(1). Each class list is a sorted buffer whose members
 //! are `buf[head..]`, one contiguous slice, with a gap of stale entries in
-//! front. Insert and remove binary-search one class list (remove checks the
-//! head first) and move the entries on the nearer side of the place, so
-//! min(pos, len − pos) of them: the front ones shift out of or into the gap,
-//! the back ones away from or toward the end. An EDF pop of a class's head
-//! therefore moves nothing. An insert in the front half needs a free slot in
-//! the gap and otherwise moves the back entries. An insert into a full
-//! buffer that has a gap closes the gap (moving every entry once) before it
-//! would grow, so a buffer's capacity never passes what a plain `Vec` of the
-//! same peak length would hold. [`ReadySet::iter`] merges the heads of the
-//! live class lists, one comparison per live class per member; a single
-//! live class is read in place.
+//! front. Removing a list's head advances `head` and moves nothing: that is
+//! EDF's pop of the earliest deadline. Any other removal binary-searches the
+//! list and shifts the entries behind its place, as a plain `Vec` would. An
+//! insert binary-searches its place and moves the entries on its nearer
+//! side: in the front half, the ones before it shift into the gap when the
+//! gap has a slot; otherwise the ones behind it shift toward the end. A
+//! ready successor of an early job carries an early deadline, so many
+//! inserts land in the front half. An insert into a full buffer that has a
+//! gap closes the gap (moving every entry once) before it would grow, so a
+//! buffer's capacity never passes what a plain `Vec` of the same peak
+//! length would hold.
+//! [`ReadySet::iter`] merges the heads of the live class lists, one
+//! comparison per live class per member; a single live class is read in
+//! place.
 //!
 //! ## Priority ordering (deadline-aware streams)
 //!
@@ -128,8 +131,8 @@ impl ClassList {
     }
 
     /// Insert `entry`, moving the members on the nearer side of its place:
-    /// the front ones into the gap, or the back ones toward the end. A full
-    /// buffer closes its gap before it grows.
+    /// the front ones into the gap when it has a slot, or the back ones
+    /// toward the end. A full buffer closes its gap before it grows.
     #[inline]
     fn insert(&mut self, entry: ReadyEntry) {
         let (head, len) = (self.head, self.buf.len() - self.head);
@@ -150,28 +153,18 @@ impl ClassList {
         }
     }
 
-    /// Remove `entry`, a member, moving the members on the nearer side of
-    /// its place; the head is checked before the search.
+    /// Remove `entry`, a member: the head leaves by advancing `head`, any
+    /// other member by shifting the ones behind it.
     #[inline]
     fn remove(&mut self, entry: ReadyEntry) {
         let live = self.live();
-        let len = live.len();
-        let pos = if live.first() == Some(&entry) {
-            0
-        } else {
-            live.binary_search(&entry)
-                .expect("bitset and class lists agree")
-        };
-        let at = self.head + pos;
-        if pos < len - pos {
-            self.buf.copy_within(self.head..at, self.head + 1);
+        if live.first() == Some(&entry) {
             self.head += 1;
-            if self.is_empty() {
-                self.buf.clear();
-                self.head = 0;
-            }
         } else {
-            self.buf.remove(at);
+            let pos = live
+                .binary_search(&entry)
+                .expect("bitset and class lists agree");
+            self.buf.remove(self.head + pos);
         }
     }
 }
