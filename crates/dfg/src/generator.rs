@@ -7,8 +7,9 @@
 //!
 //! * [`generate_kernels`] produces the seeded random series of kernels
 //!   ([`kernel_draws`] draws the same series lazily),
-//! * [`type1_edges`] / [`type2_edges`] define the two DFG shapes, each as
-//!   one ascending `(from, to)` edge list over series indices,
+//! * [`type1_edges_into`] / [`type2_edges_into`] define the two DFG shapes,
+//!   each as one ascending `(from, to)` edge list over series indices,
+//!   appended to a buffer the caller may reuse,
 //! * [`build_type1`] / [`build_type2`] fit a series into a [`KernelDag`] by
 //!   adding exactly those edges,
 //! * [`generate`] is the one-call combination.
@@ -183,17 +184,20 @@ pub fn kernel_draws<'a>(
 }
 
 /// The DFG Type-1 shape (Figure 3) over `n` kernels, as an ascending edge
-/// list: kernels `0..n−1` are mutually independent and kernel `n−1`
-/// depends on all of them, so the list is `(i, n−1)` for every `i < n−1`.
-pub fn type1_edges(n: usize) -> Vec<(u32, u32)> {
+/// list appended to `edges`: kernels `0..n−1` are mutually independent and
+/// kernel `n−1` depends on all of them, so the list is `(i, n−1)` for every
+/// `i < n−1`.
+pub fn type1_edges_into(n: usize, edges: &mut Vec<(u32, u32)>) {
     let last = n.saturating_sub(1) as u32;
-    (0..last).map(|i| (i, last)).collect()
+    edges.extend((0..last).map(|i| (i, last)));
 }
 
 /// Fit a kernel series into the DFG Type-1 shape (Figure 3): the graph of
-/// [`type1_edges`].
+/// [`type1_edges_into`].
 pub fn build_type1(kernels: &[Kernel]) -> KernelDag {
-    dag_from_edges(kernels, &type1_edges(kernels.len()))
+    let mut edges = Vec::new();
+    type1_edges_into(kernels.len(), &mut edges);
+    dag_from_edges(kernels, &edges)
 }
 
 /// A graph over `kernels` (node `i` is `kernels[i]`) with the given
@@ -256,14 +260,14 @@ pub fn type2_layout(n: usize, seed: u64, cfg: &Type2Config) -> Type2Layout {
 }
 
 /// The DFG Type-2 shape (Figure 4) over `n` kernels, as an ascending edge
-/// list.
+/// list appended to `edges`.
 ///
 /// Kernels are consumed in series order: first the diamond blocks (top,
 /// middles, bottom), then the chains, then the singletons — mirroring the
 /// "order of occurrence in the system" annotation of Figure 4. Node ids
 /// are dense `0..n` in series order, so each group is an id range off a
 /// running cursor. The partition is [`type2_layout`] of `seed`.
-pub fn type2_edges(n: usize, seed: u64, cfg: &Type2Config) -> Vec<(u32, u32)> {
+pub fn type2_edges_into(n: usize, seed: u64, cfg: &Type2Config, edges: &mut Vec<(u32, u32)>) {
     let Type2Layout {
         diamond_middles,
         chains,
@@ -275,7 +279,8 @@ pub fn type2_edges(n: usize, seed: u64, cfg: &Type2Config) -> Vec<(u32, u32)> {
     let edge_count = diamond_middles.iter().map(|m| 2 * m).sum::<usize>()
         + chains * chain_edges(cfg.chain_len)
         + chain_edges(short_chain);
-    let mut edges = Vec::with_capacity(edge_count);
+    let first = edges.len();
+    edges.reserve(edge_count);
     let mut next = 0u32;
 
     for &m in &diamond_middles {
@@ -303,15 +308,15 @@ pub fn type2_edges(n: usize, seed: u64, cfg: &Type2Config) -> Vec<(u32, u32)> {
         n,
         "layout must cover the series"
     );
-    debug_assert_eq!(edges.len(), edge_count);
-
-    edges
+    debug_assert_eq!(edges.len() - first, edge_count);
 }
 
 /// Fit a kernel series into the DFG Type-2 shape (Figure 4): the graph of
-/// [`type2_edges`].
+/// [`type2_edges_into`].
 pub fn build_type2(kernels: &[Kernel], seed: u64, cfg: &Type2Config) -> KernelDag {
-    dag_from_edges(kernels, &type2_edges(kernels.len(), seed, cfg))
+    let mut edges = Vec::new();
+    type2_edges_into(kernels.len(), seed, cfg, &mut edges);
+    dag_from_edges(kernels, &edges)
 }
 
 /// One-call generation: seeded series + shape fit + validation.
@@ -406,12 +411,19 @@ mod tests {
         };
         for n in 0..160usize {
             let kernels = generate_kernels(&StreamConfig::new(n, n as u64), lookup());
-            let t1 = type1_edges(n);
+            let mut t1 = Vec::new();
+            type1_edges_into(n, &mut t1);
             assert_eq!(edges_of(&build_type1(&kernels)), t1, "n={n}");
             for (seed, cfg) in
                 (0..4u64).flat_map(|s| [(s, Type2Config::default()), (s, many_blocks)])
             {
-                let t2 = type2_edges(n, seed, &cfg);
+                let mut t2 = Vec::new();
+                type2_edges_into(n, seed, &cfg, &mut t2);
+                // Into a buffer that already holds a list, the shape appends.
+                let mut appended = t1.clone();
+                type2_edges_into(n, seed, &cfg, &mut appended);
+                assert_eq!(appended[..t1.len()], t1[..]);
+                assert_eq!(appended[t1.len()..], t2[..]);
                 for edges in [&t1, &t2] {
                     assert!(edges.is_sorted(), "n={n} seed={seed}");
                     assert!(edges.iter().all(|&(a, b)| a < b && (b as usize) < n.max(1)));

@@ -41,8 +41,10 @@ impl LintConfig {
                 // Engine fixpoint (closed) and the slot-recycling open engine.
                 "crates/hetsim/src/engine.rs",
                 "crates/hetsim/src/open.rs",
-                // The open-system streaming driver.
+                // The open-system streaming driver, and the job build it
+                // runs per admission.
                 "crates/stream/src/driver.rs",
+                "crates/stream/src/job.rs",
                 // Policy decide paths: the APT family and the seed roster.
                 "crates/core/src/apt.rs",
                 "crates/core/src/apt_r.rs",
@@ -104,6 +106,8 @@ mod tests {
         assert!(!cfg.is_simulation("src/lib.rs"));
         assert!(cfg.is_hot_path("crates/policies/src/heft.rs"));
         assert!(cfg.is_hot_path("crates/hetsim/src/engine.rs"));
+        assert!(cfg.is_hot_path("crates/stream/src/job.rs"));
+        assert!(!cfg.is_hot_path("crates/stream/src/source.rs"));
         assert!(!cfg.is_hot_path("crates/hetsim/src/cost.rs"));
         assert!(cfg.wall_clock_allowed("crates/telemetry/src/progress.rs"));
         assert!(!cfg.wall_clock_allowed("crates/telemetry/src/hist.rs"));

@@ -21,7 +21,10 @@
 //! Sources draw deadlines from a **dedicated** RNG stream (seeded from the
 //! source seed), so switching a source between specs never perturbs its
 //! arrival instants or kernel draws — the stream-equivalence suites keep
-//! comparing the identical workload.
+//! comparing the identical workload. The part of a deadline that needs no
+//! job is drawn at every arrival, before the driver knows whether it admits
+//! the job and builds it, so shedding an arrival never shifts the deadline
+//! stream either.
 
 use crate::job::JobTemplate;
 use apt_base::{BaseError, SimDuration};
@@ -70,8 +73,9 @@ impl DeadlineSpec {
         Err(BaseError::InvalidSystem { reason })
     }
 
-    /// Derive the relative deadline for one freshly instantiated job.
-    /// Deterministic in `(self, rng state, job, lookup)`; only
+    /// Derive the relative deadline for one freshly instantiated job: the
+    /// part that needs no job, then [`DeadlineSpec::ProportionalCp`]'s
+    /// scaling of the job's critical path. Deterministic in `(self, rng state, job, lookup)`; only
     /// [`DeadlineSpec::Uniform`] consumes randomness.
     pub fn draw(
         self,
@@ -79,16 +83,20 @@ impl DeadlineSpec {
         job: &JobTemplate,
         lookup: &LookupTable,
     ) -> Option<SimDuration> {
+        let early = self.draw_at_arrival(rng);
+        self.for_job(early, job, lookup, &mut Vec::new())
+    }
+
+    /// The part of a draw that needs no job, taken when the job arrives
+    /// and before it is built: [`DeadlineSpec::Fixed`]'s deadline, a
+    /// [`DeadlineSpec::Uniform`] draw (the only use of `rng`), and `None`
+    /// for the other specs. A source takes it for every arrival, shed or
+    /// admitted, so its deadline stream moves as it did when every arrival
+    /// was built.
+    pub(crate) fn draw_at_arrival(self, rng: &mut SplitMix64) -> Option<SimDuration> {
         match self {
-            DeadlineSpec::None => None,
+            DeadlineSpec::None | DeadlineSpec::ProportionalCp { .. } => None,
             DeadlineSpec::Fixed(d) => Some(d),
-            DeadlineSpec::ProportionalCp { factor } => {
-                assert!(
-                    factor >= 1.0 && factor.is_finite(),
-                    "proportional deadline factor must be ≥ 1, got {factor}"
-                );
-                Some(job.critical_path_min(lookup).scale_alpha(factor))
-            }
             DeadlineSpec::Uniform { lo, hi } => {
                 assert!(lo <= hi, "uniform deadline range inverted: {lo} > {hi}");
                 let span = hi.as_ns() - lo.as_ns();
@@ -102,6 +110,29 @@ impl DeadlineSpec {
                 };
                 Some(SimDuration::from_ns(lo.as_ns() + offset))
             }
+        }
+    }
+
+    /// The deadline of the built `job`, given what
+    /// [`DeadlineSpec::draw_at_arrival`] returned for it: `ProportionalCp`
+    /// scales the job's critical path, computed in `buf` (a scratch buffer
+    /// reused from one job to the next); every other spec keeps `early`.
+    pub(crate) fn for_job(
+        self,
+        early: Option<SimDuration>,
+        job: &JobTemplate,
+        lookup: &LookupTable,
+        buf: &mut Vec<u64>,
+    ) -> Option<SimDuration> {
+        match self {
+            DeadlineSpec::ProportionalCp { factor } => {
+                assert!(
+                    factor >= 1.0 && factor.is_finite(),
+                    "proportional deadline factor must be ≥ 1, got {factor}"
+                );
+                Some(job.critical_path_min_in(lookup, buf).scale_alpha(factor))
+            }
+            _ => early,
         }
     }
 

@@ -36,6 +36,13 @@
 //! and the driver drains completions into one long-lived vector, whose
 //! record buffers the engine takes back for later retirements.
 //!
+//! Each arrival is drawn in the source's two steps (see
+//! [`crate::source`]). The in-flight cap reads only the arrival instant,
+//! so an arrival shed there is never built; every other one is built into
+//! one long-lived template, which the gate reads and the engine copies
+//! from, so past the first admission a multi-kernel job's kernel and edge
+//! lists cost no allocation either.
+//!
 //! `simulate_stream` semantics are preserved exactly: a finite source
 //! replayed through this driver produces the same schedule, record for
 //! record, as the closed-world engine over the materialized workload (the
@@ -44,7 +51,7 @@
 //! [`StreamOutcome`] equals the bare run's (pinned in `tests/`).
 
 use crate::job::JobTemplate;
-use crate::source::Source;
+use crate::source::{Arrival, Source};
 use crate::telemetry::StreamTelemetry;
 use apt_base::{BaseError, SimDuration, SimTime};
 use apt_control::{ControlAction, ControlEvent, Controller};
@@ -517,8 +524,9 @@ impl<'r> StreamRun<'r> {
             observers,
         };
         let mut arrivals = Arrivals {
-            pending: source.next_job(),
+            pending: source.next_arrival(),
             source,
+            job: JobTemplate::empty(),
             opts,
             last_arrival: SimTime::ZERO,
             saturated: false,
@@ -667,13 +675,17 @@ impl<'r> StreamRun<'r> {
     }
 }
 
-/// The arrival side of the loop: the source, the one job pending outside
-/// the engine, and the overload latch. Admissions and sheds are tallied
-/// by the fan-out's [`OnlineMetrics`].
+/// The arrival side of the loop: the source, the one arrival pending
+/// outside the engine, the template every admitted job is built into, and
+/// the overload latch. Admissions and sheds are tallied by the fan-out's
+/// [`OnlineMetrics`].
 struct Arrivals<'s> {
     source: &'s mut dyn Source,
     opts: &'s DriverOpts,
-    pending: Option<(SimTime, JobTemplate)>,
+    pending: Option<Arrival>,
+    /// Reused from one admission to the next: the gate reads the job in
+    /// it, and the engine copies what it keeps.
+    job: JobTemplate,
     last_arrival: SimTime,
     saturated: bool,
 }
@@ -708,8 +720,8 @@ impl Arrivals<'_> {
         // The latch (default) stops admission permanently once tripped; in
         // shed mode `saturated` only records that the guard ever fired.
         while !self.saturated || opts.shed_when_full {
-            let Some((at, _)) = &self.pending else { break };
-            let at = *at;
+            let Some(arrival) = self.pending else { break };
+            let at = arrival.at;
             if at < self.last_arrival {
                 return Err(BaseError::DisorderedArrival {
                     at_ns: at.as_ns(),
@@ -738,17 +750,17 @@ impl Arrivals<'_> {
             }
             // Shed or admitted, the arrival is consumed either way; the
             // arrival clock keeps its monotonicity check.
-            // apt-lint: allow(hot-path-panic, the enclosing loop only runs while pending is Some)
-            let (at, job) = self.pending.take().expect("checked above");
             self.last_arrival = at;
             let ev = if full {
-                // Shed exactly this arrival; the next one is re-examined
-                // against the (possibly drained) backlog.
+                // Shed exactly this arrival, unbuilt; the next one is
+                // re-examined against the (possibly drained) backlog.
                 RunEvent::Shed {
                     at,
                     reason: ShedReason::CapacityFull,
                 }
             } else {
+                self.source.build(arrival, &mut self.job);
+                let job = &self.job;
                 // Saturates: an arrival near the end of the clock gets the
                 // latest deadline, and admission rejects the arrival itself.
                 let deadline = job.deadline().map(|d| at.saturating_add(d));
@@ -756,7 +768,7 @@ impl Arrivals<'_> {
                     job_id: engine.next_job_id(),
                     arrival: at,
                     deadline,
-                    job: &job,
+                    job,
                     now: engine.now(),
                     in_flight_jobs: engine.in_flight_jobs(),
                     in_flight_kernels: engine.in_flight_kernels(),
@@ -776,7 +788,7 @@ impl Arrivals<'_> {
                 }
             };
             fan.emit(engine, &ev);
-            self.pending = self.source.next_job();
+            self.pending = self.source.next_arrival();
         }
         Ok(())
     }

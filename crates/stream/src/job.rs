@@ -9,22 +9,23 @@
 //! already knows (Type-1/Type-2, plus the chain and diamond micro-shapes of
 //! the examples) with per-job seeded kernel draws.
 //!
-//! A Type-1/Type-2 job is the kernel series of
-//! [`generate_kernels`] plus the
-//! shape's edge list from [`type1_edges`] / [`type2_edges`] — the same
-//! single definition of each shape that the closed path's `build_type1` /
-//! `build_type2` turn into a graph. No per-arrival `KernelDag` is built:
-//! the lists are ascending, hence acyclic by construction, and the
-//! template stores them as they are.
+//! A Type-1/Type-2 job is the kernel series of [`kernel_draws`] plus the
+//! shape's edge list from [`type1_edges_into`] / [`type2_edges_into`] — the
+//! same single definition of each shape that the closed path's
+//! `build_type1` / `build_type2` turn into a graph. No per-arrival
+//! `KernelDag` is built: the lists are ascending, hence acyclic by
+//! construction, and the template stores them as they are.
 //!
-//! A one-kernel template keeps its kernel inline, so a
-//! [`JobFamily::Single`] arrival takes one lazy
-//! [`kernel_draws`] draw and touches the
-//! heap not at all.
+//! A family builds a job into an existing template (`build_into`) and
+//! reuses its kernel and edge buffers. The streaming driver builds every
+//! admitted job into one template, so past the first admission a job costs
+//! no allocation of its own. A one-kernel template keeps its kernel inline,
+//! so a [`JobFamily::Single`] job takes one lazy [`kernel_draws`] draw and
+//! touches the heap not at all.
 
 use apt_base::{BaseError, SimDuration};
 use apt_dfg::generator::{
-    generate_kernels, kernel_draws, type1_edges, type2_edges, StreamConfig, Type2Config,
+    kernel_draws, type1_edges_into, type2_edges_into, StreamConfig, Type2Config,
 };
 use apt_dfg::{Kernel, KernelDag, LookupTable, SplitMix64};
 
@@ -71,10 +72,11 @@ impl JobTemplate {
         })
     }
 
-    /// A one-kernel, edge-free job, built with no allocation.
-    fn single(kernel: Kernel) -> JobTemplate {
+    /// A template of no kernels and no allocation: a buffer for a build to
+    /// fill, never a job.
+    pub(crate) const fn empty() -> JobTemplate {
         JobTemplate {
-            kernels: Kernels::One(kernel),
+            kernels: Kernels::Many(Vec::new()),
             edges: Vec::new(),
             deadline: None,
         }
@@ -86,6 +88,11 @@ impl JobTemplate {
     pub fn with_deadline(mut self, deadline: SimDuration) -> JobTemplate {
         self.deadline = Some(deadline);
         self
+    }
+
+    /// Set or clear the relative deadline in place.
+    pub(crate) fn set_deadline(&mut self, deadline: Option<SimDuration>) {
+        self.deadline = deadline;
     }
 
     /// The job's relative deadline, if it carries one.
@@ -100,11 +107,22 @@ impl JobTemplate {
     /// proportional-deadline generators and feasibility-estimate admission
     /// gates scale from.
     pub fn critical_path_min(&self, lookup: &LookupTable) -> SimDuration {
-        // `exec` and `start` share one allocation, filled rather than
-        // zeroed: `vec![0; 2 * n]` asks for zeroed memory, which on glibc
-        // raised perfbench `stream-backlog`'s peak RSS by about 9%.
+        self.critical_path_min_in(lookup, &mut Vec::new())
+    }
+
+    /// [`JobTemplate::critical_path_min`], computed in `buf`: a scratch
+    /// buffer the caller may reuse from one job to the next.
+    pub(crate) fn critical_path_min_in(
+        &self,
+        lookup: &LookupTable,
+        buf: &mut Vec<u64>,
+    ) -> SimDuration {
+        // `exec` and `start` share one buffer, filled rather than zeroed:
+        // `vec![0; 2 * n]` asks for zeroed memory, which on glibc raised
+        // perfbench `stream-backlog`'s peak RSS by about 9%.
         let n = self.len();
-        let mut buf = Vec::with_capacity(2 * n);
+        buf.clear();
+        buf.reserve(2 * n);
         buf.extend(
             self.kernels()
                 .iter()
@@ -112,14 +130,13 @@ impl JobTemplate {
         );
         buf.resize(2 * n, 0);
         let (exec, start) = buf.split_at_mut(n);
-        // Every edge ascends (`from < to`), so edges sorted by source form a
-        // topological sweep: all edges *into* `a` (sources `< a`) are
-        // processed before any edge *out of* `a`, making `start[a]` final by
-        // the time it propagates. Most templates (chains, generator DAGs)
-        // already list edges in that order — only the odd interleaved list
-        // (diamonds) pays the clone+sort.
+        // Every edge ascends (`from < to`). When every edge into a node is
+        // listed before every edge out of it, one sweep in list order is a
+        // topological one: `start[a]` is final by the time it propagates.
+        // Every family's list meets that (a diamond's interleaved pairs
+        // too); any other list is swept sorted by source, which meets it.
         let sorted_edges;
-        let edges: &[(u32, u32)] = if self.edges.is_sorted() {
+        let edges: &[(u32, u32)] = if into_before_out(&self.edges, start) {
             &self.edges
         } else {
             sorted_edges = {
@@ -129,6 +146,7 @@ impl JobTemplate {
             };
             &sorted_edges
         };
+        start.fill(0);
         for &(a, b) in edges {
             let fa = start[a as usize] + exec[a as usize];
             start[b as usize] = start[b as usize].max(fa);
@@ -178,6 +196,16 @@ impl JobTemplate {
     }
 }
 
+/// True when, in `edges`, every edge into a node comes before every edge
+/// out of it. `seen` holds one zeroed slot per kernel; the check marks in
+/// it each node whose out-edges have begun, and leaves it marked.
+fn into_before_out(edges: &[(u32, u32)], seen: &mut [u64]) -> bool {
+    edges.iter().all(|&(a, b)| {
+        seen[a as usize] = 1;
+        seen[b as usize] == 0
+    })
+}
+
 /// DAG families an arrival source instantiates per job. Kernel kinds and
 /// data sizes are drawn from the source's seeded RNG, so two sources with
 /// the same seed produce identical job sequences.
@@ -187,25 +215,25 @@ pub enum JobFamily {
     Single,
     /// A dependent chain of `len` kernels.
     Chain {
-        /// Chain length (≥ 1).
+        /// Chain length (0 counts as 1).
         len: usize,
     },
     /// A fork-join diamond: one source, `width` independent middles, one
     /// sink (`width + 2` kernels).
     Diamond {
-        /// Number of independent middle kernels (≥ 1).
+        /// Number of independent middle kernels (0 counts as 1).
         width: usize,
     },
     /// A paper DFG Type-1 graph of `len` kernels (Figure 3), seeded per
     /// job.
     Type1 {
-        /// Kernel count.
+        /// Kernel count (≥ 1; [`JobFamily::validate`] refuses 0).
         len: usize,
     },
     /// A paper DFG Type-2 graph of `len` kernels (Figure 4), seeded per
     /// job.
     Type2 {
-        /// Kernel count.
+        /// Kernel count (≥ 1; [`JobFamily::validate`] refuses 0).
         len: usize,
     },
 }
@@ -221,63 +249,89 @@ impl JobFamily {
         }
     }
 
-    /// Draw one job instance. Deterministic in the RNG state.
+    /// Refuse a family with no job in it: a Type-1 or Type-2 graph of no
+    /// kernels. Every stochastic source checks its family at construction,
+    /// so no draw of an accepted source panics.
+    pub fn validate(self) -> Result<(), BaseError> {
+        if self.kernels_per_job() == 0 {
+            return Err(BaseError::InvalidSystem {
+                reason: format!("job family {self:?} has no kernels; its len must be ≥ 1"),
+            });
+        }
+        Ok(())
+    }
+
+    /// Draw one job instance. Deterministic in the RNG state: it takes one
+    /// draw, the job's sub-seed, and builds the job of that seed. Panics
+    /// on a family [`JobFamily::validate`] refuses.
     pub fn instantiate(self, rng: &mut SplitMix64, lookup: &LookupTable) -> JobTemplate {
-        // Sub-seed per job: the family generators own their kind/size draw
-        // streams, so family structure changes never shift the arrival
-        // process draws (and vice versa).
-        let seed = rng.next_u64();
+        let mut job = JobTemplate::empty();
+        self.build_into(rng.next_u64(), lookup, &mut job);
+        job
+    }
+
+    /// Build the job of sub-seed `seed` into `job`, replacing its contents
+    /// (its deadline is cleared) and reusing its kernel and edge buffers.
+    /// The family's generators own their kind/size draw streams, seeded
+    /// from `seed`, so family structure changes never shift an arrival
+    /// process's draws (and vice versa). Panics on a family
+    /// [`JobFamily::validate`] refuses.
+    pub(crate) fn build_into(self, seed: u64, lookup: &LookupTable, job: &mut JobTemplate) {
+        let n = self.kernels_per_job();
+        let edges = &mut job.edges;
+        edges.clear();
         match self {
-            JobFamily::Type1 { len } => {
-                let kernels = generate_kernels(&StreamConfig::new(len, seed), lookup);
-                JobTemplate::new(kernels, type1_edges(len)).expect("a Type-1 job needs len ≥ 1")
-            }
-            JobFamily::Type2 { len } => {
-                let kernels = generate_kernels(&StreamConfig::new(len, seed), lookup);
-                let edges = type2_edges(len, seed, &Type2Config::default());
-                JobTemplate::new(kernels, edges).expect("a Type-2 job needs len ≥ 1")
-            }
-            JobFamily::Single => {
-                let kernel = kernel_draws(&StreamConfig::uniform(1, seed), lookup)
-                    .next()
-                    .expect("a one-kernel series has one draw");
-                JobTemplate::single(kernel)
-            }
-            JobFamily::Chain { len } => {
-                let len = len.max(1);
-                let kernels = draw_kernels(seed, len, lookup);
-                let edges = (0..len.saturating_sub(1))
-                    .map(|i| (i as u32, i as u32 + 1))
-                    .collect();
-                JobTemplate::new(kernels, edges).expect("chain edges ascend")
-            }
-            JobFamily::Diamond { width } => {
-                let width = width.max(1);
-                let kernels = draw_kernels(seed, width + 2, lookup);
-                let sink = (width + 1) as u32;
-                let mut edges = Vec::with_capacity(2 * width);
-                for m in 1..=width as u32 {
+            JobFamily::Single => {}
+            JobFamily::Chain { .. } => edges.extend((1..n as u32).map(|i| (i - 1, i))),
+            JobFamily::Diamond { .. } => {
+                // Each middle's in- and out-edge side by side.
+                let sink = n as u32 - 1;
+                for m in 1..sink {
                     edges.push((0, m));
                     edges.push((m, sink));
                 }
-                JobTemplate::new(kernels, edges).expect("diamond edges ascend")
             }
+            JobFamily::Type1 { .. } => type1_edges_into(n, edges),
+            JobFamily::Type2 { .. } => type2_edges_into(n, seed, &Type2Config::default(), edges),
         }
+        // apt-lint: allow(hot-path-panic, JobFamily::validate refuses the only families whose shape fails this check, the zero-length Type-1/Type-2, and every source validates its family at construction)
+        apt_hetsim::validate_job(n, edges).expect("a job family of at least one kernel");
+        let series = StreamConfig {
+            len: n,
+            seed,
+            // The paper graphs draw per-graph kind weights; the micro-shapes
+            // draw kinds uniformly.
+            weighted_mix: matches!(self, JobFamily::Type1 { .. } | JobFamily::Type2 { .. }),
+        };
+        let mut draws = kernel_draws(&series, lookup);
+        job.kernels = if n == 1 {
+            // apt-lint: allow(hot-path-panic, kernel_draws yields exactly `len` kernels and len is 1 here)
+            Kernels::One(draws.next().expect("a one-kernel series has one draw"))
+        } else {
+            let mut kernels = match std::mem::replace(&mut job.kernels, Kernels::Many(Vec::new())) {
+                Kernels::Many(kernels) => kernels,
+                Kernels::One(_) => Vec::new(),
+            };
+            kernels.clear();
+            kernels.extend(draws);
+            Kernels::Many(kernels)
+        };
+        job.deadline = None;
     }
-}
-
-/// Seeded kernel series for the micro-shapes, matching the uniform-mix
-/// stream generator's draw structure.
-fn draw_kernels(seed: u64, len: usize, lookup: &LookupTable) -> Vec<Kernel> {
-    generate_kernels(&StreamConfig::uniform(len, seed), lookup)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apt_dfg::generator::generate_kernels;
 
     fn lookup() -> &'static LookupTable {
         LookupTable::paper()
+    }
+
+    /// A uniform-mix series of `len` kernels, as the micro-shapes draw it.
+    fn draw_kernels(seed: u64, len: usize, lookup: &LookupTable) -> Vec<Kernel> {
+        generate_kernels(&StreamConfig::uniform(len, seed), lookup)
     }
 
     #[test]
@@ -425,6 +479,81 @@ mod tests {
                 "{} kernels",
                 job.len()
             );
+        }
+    }
+
+    /// The sweep's order check: a diamond's interleaved list and every
+    /// sorted list pass it; a list that names an edge into a node after an
+    /// edge out of it fails it, and its critical path still comes out right
+    /// (swept sorted).
+    #[test]
+    fn the_sweep_order_check_accepts_interleaved_lists_and_refuses_late_inputs() {
+        let check = |edges: &[(u32, u32)]| into_before_out(edges, &mut [0; 4]);
+        assert!(check(&[(0, 1), (1, 3), (0, 2), (2, 3)]), "a diamond");
+        assert!(check(&[(0, 1), (0, 2), (1, 3), (2, 3)]), "sorted");
+        assert!(check(&[]));
+        assert!(!check(&[(1, 2), (0, 1)]), "edge into 1 after edge out of 1");
+        assert!(!check(&[(0, 3), (2, 3), (1, 3), (0, 2)]));
+
+        use apt_dfg::KernelKind;
+        let bfs = Kernel::canonical(KernelKind::Bfs); // best 106 ms (FPGA)
+        let nw = Kernel::canonical(KernelKind::NeedlemanWunsch); // best 112 ms (CPU)
+        let late = JobTemplate::new(vec![bfs, nw, bfs], vec![(1, 2), (0, 1)]).unwrap();
+        assert_eq!(
+            late.critical_path_min(lookup()),
+            SimDuration::from_ms(106 + 112 + 106)
+        );
+    }
+
+    /// Building into a used template — of another family, a deadline and
+    /// spare capacity included — gives the job `instantiate` gives.
+    #[test]
+    fn build_into_a_used_template_equals_a_fresh_instantiation() {
+        let families = [
+            JobFamily::Type2 { len: 24 },
+            JobFamily::Single,
+            JobFamily::Diamond { width: 3 },
+            JobFamily::Type1 { len: 9 },
+            JobFamily::Chain { len: 1 },
+            JobFamily::Chain { len: 4 },
+            JobFamily::Type2 { len: 1 },
+            JobFamily::Type2 { len: 5 },
+        ];
+        let mut job = JobTemplate::new(draw_kernels(3, 30, lookup()), vec![(0, 29)])
+            .unwrap()
+            .with_deadline(SimDuration::from_ms(5));
+        let mut rng = SplitMix64::new(13);
+        for round in 0..3 {
+            for family in families {
+                let mut twin = rng.clone();
+                family.build_into(rng.next_u64(), lookup(), &mut job);
+                assert_eq!(
+                    job,
+                    family.instantiate(&mut twin, lookup()),
+                    "{family:?} #{round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn validate_refuses_exactly_the_kernel_free_families() {
+        for bad in [JobFamily::Type1 { len: 0 }, JobFamily::Type2 { len: 0 }] {
+            assert!(
+                matches!(bad.validate(), Err(BaseError::InvalidSystem { .. })),
+                "{bad:?}"
+            );
+        }
+        for good in [
+            JobFamily::Single,
+            JobFamily::Chain { len: 0 },
+            JobFamily::Diamond { width: 0 },
+            JobFamily::Type1 { len: 1 },
+            JobFamily::Type2 { len: 1 },
+        ] {
+            assert_eq!(good.validate(), Ok(()), "{good:?}");
+            let job = good.instantiate(&mut SplitMix64::new(2), lookup());
+            assert_eq!(job.len(), good.kernels_per_job());
         }
     }
 

@@ -108,7 +108,7 @@ pub use driver::{
     StreamOutcome, StreamRun,
 };
 pub use job::{JobFamily, JobTemplate};
-pub use source::{DiurnalSource, OnOffSource, PoissonSource, Source, TraceSource};
+pub use source::{Arrival, DiurnalSource, OnOffSource, PoissonSource, Source, TraceSource};
 pub use telemetry::StreamTelemetry;
 
 // Completed-job types come from the engine; re-export for one-stop imports.

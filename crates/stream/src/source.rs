@@ -7,7 +7,30 @@
 //! just-in-time and keep memory bounded by the jobs in flight — a million
 //! arrivals are never materialized as a vector.
 //!
-//! Implementations:
+//! # Two steps per arrival
+//!
+//! A draw comes in two steps, so the driver builds only the jobs that get
+//! past its in-flight cap (which reads nothing but the arrival instant):
+//!
+//! 1. [`Source::next_arrival`] yields an [`Arrival`]: the instant plus a
+//!    small token. A stochastic source's token holds the job's sub-seed and
+//!    any deadline that needs no job; a [`TraceSource`]'s holds an index
+//!    into its list.
+//! 2. [`Source::build`] turns the token into the job, inside a template
+//!    whose buffers the driver reuses from one admission to the next. A
+//!    shed arrival skips this step.
+//!
+//! [`Source::next_job`] runs both steps and returns a fresh template.
+//!
+//! **RNG streams.** A stochastic source keeps two streams: arrivals and
+//! sub-seeds on one, deadlines on a salted other. Step one takes every draw
+//! either stream makes for an arrival (the instant, the one sub-seed draw,
+//! a [`DeadlineSpec::Uniform`] draw); step two draws only from the
+//! sub-seed's own generators. A shed arrival therefore moves both streams
+//! exactly as a built one does, and the jobs that are built are the ones a
+//! source that builds every arrival yields.
+//!
+//! # Implementations
 //!
 //! * [`PoissonSource`] — homogeneous Poisson arrivals (exponential
 //!   inter-arrival gaps) at a fixed rate: the steady-traffic baseline.
@@ -39,12 +62,43 @@ use apt_dfg::{LookupTable, SplitMix64};
 /// never shifts the jobs it yields.
 const DEADLINE_STREAM_SALT: u64 = 0x0510_DEAD_1155;
 
-/// A lazy stream of jobs with non-decreasing arrival instants.
+/// Step one of a draw: an arrival instant and the token [`Source::build`]
+/// turns into its job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Arrival {
+    /// The arrival instant.
+    pub at: SimTime,
+    /// The job's key: a stochastic source's per-job sub-seed, or a
+    /// [`TraceSource`]'s list index.
+    pub key: u64,
+    /// A deadline drawn without the job (a fixed or uniform spec's);
+    /// `None` when the spec has none or needs the built job.
+    pub deadline: Option<SimDuration>,
+}
+
+/// A lazy stream of jobs with non-decreasing arrival instants, drawn in
+/// two steps (see the [module docs](self)).
 pub trait Source {
-    /// The next arrival, or `None` when the source is exhausted. Arrival
-    /// instants must be non-decreasing call to call (the driver asserts
-    /// this).
-    fn next_job(&mut self) -> Option<(SimTime, JobTemplate)>;
+    /// Step one: the next arrival and its token, or `None` when the source
+    /// is exhausted. Arrival instants must be non-decreasing call to call
+    /// (the driver checks this). Takes every RNG draw the arrival makes
+    /// outside its own job's generators, so skipping [`Source::build`] for
+    /// it shifts nothing that follows.
+    fn next_arrival(&mut self) -> Option<Arrival>;
+
+    /// Step two: build the job of `arrival` — one this source yielded, at
+    /// most once each — into `job`, replacing its contents and reusing its
+    /// buffers.
+    fn build(&mut self, arrival: Arrival, job: &mut JobTemplate);
+
+    /// Both steps: the next arrival instant and its job, in a fresh
+    /// template, or `None` when the source is exhausted.
+    fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
+        let arrival = self.next_arrival()?;
+        let mut job = JobTemplate::empty();
+        self.build(arrival, &mut job);
+        Some((arrival.at, job))
+    }
 
     /// Remaining jobs, if the source knows (used only for progress
     /// reporting).
@@ -53,9 +107,9 @@ pub trait Source {
     }
 
     /// Check the source's settings before its first draw: `StreamRun::run`
-    /// calls this once, so a setting that would make a later `next_job`
-    /// panic (an unmeetable [`DeadlineSpec`]) ends the run in a typed
-    /// error instead. The default accepts.
+    /// calls this once, so a setting that would make a later draw panic
+    /// (an unmeetable [`DeadlineSpec`]) ends the run in a typed error
+    /// instead. The default accepts.
     fn validate(&self) -> Result<(), BaseError> {
         Ok(())
     }
@@ -100,17 +154,70 @@ fn exp_gap_ns(rng: &mut SplitMix64, mean_ns: f64) -> u64 {
     (gap.round() as u64).max(1)
 }
 
-/// Homogeneous Poisson arrivals of one job family.
+/// What the three stochastic sources share: the arrival/kernel RNG stream,
+/// the jobs left to draw, the job family, and the deadline spec with its
+/// own stream. Each source adds its clock.
 #[derive(Debug, Clone)]
-pub struct PoissonSource<'a> {
+struct Draws<'a> {
     lookup: &'a LookupTable,
     family: JobFamily,
     rng: SplitMix64,
-    mean_gap_ns: f64,
-    t_ns: u64,
     remaining: u64,
     deadlines: DeadlineSpec,
     deadline_rng: SplitMix64,
+    /// Scratch for [`DeadlineSpec::ProportionalCp`]'s critical path,
+    /// reused from one build to the next.
+    critical_path: Vec<u64>,
+}
+
+impl<'a> Draws<'a> {
+    /// `jobs` draws of `family` from `seed`, refusing a family with no
+    /// kernels.
+    fn new(
+        lookup: &'a LookupTable,
+        jobs: u64,
+        family: JobFamily,
+        seed: u64,
+    ) -> Result<Draws<'a>, BaseError> {
+        family.validate()?;
+        Ok(Draws {
+            lookup,
+            family,
+            rng: SplitMix64::new(seed),
+            remaining: jobs,
+            deadlines: DeadlineSpec::None,
+            deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
+            critical_path: Vec::new(),
+        })
+    }
+
+    /// The rest of step one once the clock has drawn the instant `t_ns`:
+    /// the job's sub-seed, the one arrival-stream draw
+    /// [`JobFamily::instantiate`] takes, and the deadline that needs no job.
+    fn arrival(&mut self, t_ns: u64) -> Arrival {
+        Arrival {
+            at: SimTime::from_ns(t_ns),
+            key: self.rng.next_u64(),
+            deadline: self.deadlines.draw_at_arrival(&mut self.deadline_rng),
+        }
+    }
+
+    /// Step two: the job of sub-seed `arrival.key`, with its deadline.
+    fn build(&mut self, arrival: Arrival, job: &mut JobTemplate) {
+        self.family.build_into(arrival.key, self.lookup, job);
+        let deadline =
+            self.deadlines
+                .for_job(arrival.deadline, job, self.lookup, &mut self.critical_path);
+        job.set_deadline(deadline);
+    }
+}
+
+/// Homogeneous Poisson arrivals of one job family.
+#[derive(Debug, Clone)]
+pub struct PoissonSource<'a> {
+    draws: Draws<'a>,
+    mean_gap_ns: f64,
+    t_ns: u64,
 }
 
 impl<'a> PoissonSource<'a> {
@@ -129,7 +236,8 @@ impl<'a> PoissonSource<'a> {
     }
 
     /// [`PoissonSource::new`], returning [`BaseError::InvalidSystem`] for a
-    /// zero, negative, NaN or infinite rate instead of panicking.
+    /// zero, negative, NaN or infinite rate, and for a family
+    /// [`JobFamily::validate`] refuses, instead of panicking.
     pub fn try_new(
         lookup: &'a LookupTable,
         rate_per_sec: f64,
@@ -139,14 +247,9 @@ impl<'a> PoissonSource<'a> {
     ) -> Result<PoissonSource<'a>, BaseError> {
         check_rate("arrival rate", rate_per_sec)?;
         Ok(PoissonSource {
-            lookup,
-            family,
-            rng: SplitMix64::new(seed),
+            draws: Draws::new(lookup, jobs, family, seed)?,
             mean_gap_ns: 1e9 / rate_per_sec,
             t_ns: 0,
-            remaining: jobs,
-            deadlines: DeadlineSpec::None,
-            deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
         })
     }
 
@@ -154,31 +257,36 @@ impl<'a> PoissonSource<'a> {
     /// draws use a dedicated RNG stream, so arrivals and kernels are
     /// unchanged from the untagged source.
     pub fn with_deadlines(mut self, spec: DeadlineSpec) -> PoissonSource<'a> {
-        self.deadlines = spec;
+        self.draws.deadlines = spec;
         self
+    }
+
+    /// Advance the clock to the next arrival instant.
+    fn tick(&mut self) -> u64 {
+        self.t_ns = self
+            .t_ns
+            .saturating_add(exp_gap_ns(&mut self.draws.rng, self.mean_gap_ns));
+        self.t_ns
     }
 }
 
 impl Source for PoissonSource<'_> {
-    fn validate(&self) -> Result<(), BaseError> {
-        self.deadlines.validate()
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        self.draws.remaining = self.draws.remaining.checked_sub(1)?;
+        let t_ns = self.tick();
+        Some(self.draws.arrival(t_ns))
     }
 
-    fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        self.t_ns = self
-            .t_ns
-            .saturating_add(exp_gap_ns(&mut self.rng, self.mean_gap_ns));
-        let job = self.family.instantiate(&mut self.rng, self.lookup);
-        let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
-        Some((SimTime::from_ns(self.t_ns), job))
+    fn build(&mut self, arrival: Arrival, job: &mut JobTemplate) {
+        self.draws.build(arrival, job);
     }
 
     fn remaining_hint(&self) -> Option<u64> {
-        Some(self.remaining)
+        Some(self.draws.remaining)
+    }
+
+    fn validate(&self) -> Result<(), BaseError> {
+        self.draws.deadlines.validate()
     }
 }
 
@@ -192,17 +300,12 @@ pub const MAX_BURST_GAP_PER_ON: f64 = 1e6;
 /// Poisson arrivals at `burst_rate`, separated by exponential OFF silences.
 #[derive(Debug, Clone)]
 pub struct OnOffSource<'a> {
-    lookup: &'a LookupTable,
-    family: JobFamily,
-    rng: SplitMix64,
+    draws: Draws<'a>,
     burst_gap_ns: f64,
     mean_on_ns: f64,
     mean_off_ns: f64,
     t_ns: u64,
     on_end_ns: u64,
-    remaining: u64,
-    deadlines: DeadlineSpec,
-    deadline_rng: SplitMix64,
 }
 
 impl<'a> OnOffSource<'a> {
@@ -233,10 +336,10 @@ impl<'a> OnOffSource<'a> {
 
     /// [`OnOffSource::new`], returning [`BaseError::InvalidSystem`] instead
     /// of panicking for a zero, negative, NaN or infinite burst rate, for a
-    /// zero mean ON or OFF period, and for a mean burst gap more than
-    /// [`MAX_BURST_GAP_PER_ON`] times the mean ON period: each arrival
+    /// zero mean ON or OFF period, for a mean burst gap more than
+    /// [`MAX_BURST_GAP_PER_ON`] times the mean ON period (each arrival
     /// would then redraw that many ON/OFF cycles on average before one
-    /// holds it.
+    /// holds it), and for a family [`JobFamily::validate`] refuses.
     pub fn try_new(
         lookup: &'a LookupTable,
         burst_rate_per_sec: f64,
@@ -259,64 +362,64 @@ impl<'a> OnOffSource<'a> {
                 ),
             });
         }
-        let mut rng = SplitMix64::new(seed);
-        let on_end_ns = exp_gap_ns(&mut rng, mean_on_ns);
+        let mut draws = Draws::new(lookup, jobs, family, seed)?;
+        let on_end_ns = exp_gap_ns(&mut draws.rng, mean_on_ns);
         Ok(OnOffSource {
-            lookup,
-            family,
-            rng,
+            draws,
             burst_gap_ns,
             mean_on_ns,
             mean_off_ns: mean_off.as_ns() as f64,
             t_ns: 0,
             on_end_ns,
-            remaining: jobs,
-            deadlines: DeadlineSpec::None,
-            deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
         })
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
     /// RNG stream; arrivals and kernels unchanged).
     pub fn with_deadlines(mut self, spec: DeadlineSpec) -> OnOffSource<'a> {
-        self.deadlines = spec;
+        self.draws.deadlines = spec;
         self
     }
-}
 
-impl Source for OnOffSource<'_> {
-    fn validate(&self) -> Result<(), BaseError> {
-        self.deadlines.validate()
-    }
-
-    fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
+    /// Advance the clock to the next arrival instant.
+    fn tick(&mut self) -> u64 {
+        let rng = &mut self.draws.rng;
         loop {
-            let gap = exp_gap_ns(&mut self.rng, self.burst_gap_ns);
+            let gap = exp_gap_ns(rng, self.burst_gap_ns);
             let t_ns = self.t_ns.saturating_add(gap);
             if t_ns <= self.on_end_ns {
                 self.t_ns = t_ns;
-                break;
+                return t_ns;
             }
             // The burst ended before this arrival: skip the OFF silence and
             // start the next ON period. (The rejected gap is simply
             // redrawn — the exponential's memorylessness keeps the process
             // well-defined.)
-            let off = exp_gap_ns(&mut self.rng, self.mean_off_ns);
-            let on = exp_gap_ns(&mut self.rng, self.mean_on_ns);
+            let off = exp_gap_ns(rng, self.mean_off_ns);
+            let on = exp_gap_ns(rng, self.mean_on_ns);
             self.t_ns = self.on_end_ns.saturating_add(off);
             self.on_end_ns = self.t_ns.saturating_add(on);
         }
-        let job = self.family.instantiate(&mut self.rng, self.lookup);
-        let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
-        Some((SimTime::from_ns(self.t_ns), job))
+    }
+}
+
+impl Source for OnOffSource<'_> {
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        self.draws.remaining = self.draws.remaining.checked_sub(1)?;
+        let t_ns = self.tick();
+        Some(self.draws.arrival(t_ns))
+    }
+
+    fn build(&mut self, arrival: Arrival, job: &mut JobTemplate) {
+        self.draws.build(arrival, job);
     }
 
     fn remaining_hint(&self) -> Option<u64> {
-        Some(self.remaining)
+        Some(self.draws.remaining)
+    }
+
+    fn validate(&self) -> Result<(), BaseError> {
+        self.draws.deadlines.validate()
     }
 }
 
@@ -325,17 +428,12 @@ impl Source for OnOffSource<'_> {
 /// realized by thinning a homogeneous process at the peak rate.
 #[derive(Debug, Clone)]
 pub struct DiurnalSource<'a> {
-    lookup: &'a LookupTable,
-    family: JobFamily,
-    rng: SplitMix64,
+    draws: Draws<'a>,
     base_rate: f64,
     swing_rate: f64,
     period_ns: f64,
     peak_gap_ns: f64,
     t_ns: u64,
-    remaining: u64,
-    deadlines: DeadlineSpec,
-    deadline_rng: SplitMix64,
 }
 
 impl<'a> DiurnalSource<'a> {
@@ -366,7 +464,8 @@ impl<'a> DiurnalSource<'a> {
 
     /// [`DiurnalSource::new`], returning [`BaseError::InvalidSystem`]
     /// instead of panicking for a zero, negative, NaN or infinite base
-    /// rate, a negative, NaN or infinite swing, or a zero period.
+    /// rate, a negative, NaN or infinite swing, a zero period, or a family
+    /// [`JobFamily::validate`] refuses.
     pub fn try_new(
         lookup: &'a LookupTable,
         base_rate_per_sec: f64,
@@ -386,24 +485,19 @@ impl<'a> DiurnalSource<'a> {
         }
         check_period("diurnal period", period)?;
         Ok(DiurnalSource {
-            lookup,
-            family,
-            rng: SplitMix64::new(seed),
+            draws: Draws::new(lookup, jobs, family, seed)?,
             base_rate: base_rate_per_sec,
             swing_rate: swing_rate_per_sec,
             period_ns: period.as_ns() as f64,
             peak_gap_ns: 1e9 / (base_rate_per_sec + swing_rate_per_sec),
             t_ns: 0,
-            remaining: jobs,
-            deadlines: DeadlineSpec::None,
-            deadline_rng: SplitMix64::new(seed ^ DEADLINE_STREAM_SALT),
         })
     }
 
     /// Tag every yielded job with a relative deadline per `spec` (dedicated
     /// RNG stream; arrivals and kernels unchanged).
     pub fn with_deadlines(mut self, spec: DeadlineSpec) -> DiurnalSource<'a> {
-        self.deadlines = spec;
+        self.draws.deadlines = spec;
         self
     }
 
@@ -412,44 +506,50 @@ impl<'a> DiurnalSource<'a> {
         let phase = std::f64::consts::PI * (t_ns as f64 / self.period_ns);
         self.base_rate + self.swing_rate * phase.sin().powi(2)
     }
-}
 
-impl Source for DiurnalSource<'_> {
-    fn validate(&self) -> Result<(), BaseError> {
-        self.deadlines.validate()
-    }
-
-    fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // Thinning (Lewis & Shedler): candidates at the peak rate, accepted
-        // with probability rate(t) / peak_rate.
+    /// Advance the clock to the next arrival instant. Thinning (Lewis &
+    /// Shedler): candidates at the peak rate, accepted with probability
+    /// rate(t) / peak_rate.
+    fn tick(&mut self) -> u64 {
         let peak = self.base_rate + self.swing_rate;
         loop {
             self.t_ns = self
                 .t_ns
-                .saturating_add(exp_gap_ns(&mut self.rng, self.peak_gap_ns));
+                .saturating_add(exp_gap_ns(&mut self.draws.rng, self.peak_gap_ns));
             let accept = self.rate_at(self.t_ns) / peak;
-            if unit(&mut self.rng) < accept {
-                break;
+            if unit(&mut self.draws.rng) < accept {
+                return self.t_ns;
             }
         }
-        let job = self.family.instantiate(&mut self.rng, self.lookup);
-        let job = self.deadlines.tag(&mut self.deadline_rng, job, self.lookup);
-        Some((SimTime::from_ns(self.t_ns), job))
+    }
+}
+
+impl Source for DiurnalSource<'_> {
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        self.draws.remaining = self.draws.remaining.checked_sub(1)?;
+        let t_ns = self.tick();
+        Some(self.draws.arrival(t_ns))
+    }
+
+    fn build(&mut self, arrival: Arrival, job: &mut JobTemplate) {
+        self.draws.build(arrival, job);
     }
 
     fn remaining_hint(&self) -> Option<u64> {
-        Some(self.remaining)
+        Some(self.draws.remaining)
+    }
+
+    fn validate(&self) -> Result<(), BaseError> {
+        self.draws.deadlines.validate()
     }
 }
 
 /// Replays an explicit arrival list (tests, captured traces).
 #[derive(Debug, Clone)]
 pub struct TraceSource {
-    jobs: std::vec::IntoIter<(SimTime, JobTemplate)>,
+    jobs: Vec<(SimTime, JobTemplate)>,
+    /// Index of the next arrival.
+    next: usize,
 }
 
 impl TraceSource {
@@ -460,9 +560,7 @@ impl TraceSource {
     /// trace fails the run gracefully instead of panicking at
     /// construction. Use [`TraceSource::try_new`] to validate up front.
     pub fn new(jobs: Vec<(SimTime, JobTemplate)>) -> TraceSource {
-        TraceSource {
-            jobs: jobs.into_iter(),
-        }
+        TraceSource { jobs, next: 0 }
     }
 
     /// A source over an explicit list, validated eagerly: returns
@@ -475,19 +573,30 @@ impl TraceSource {
                 prev_ns: w[0].0.as_ns(),
             });
         }
-        Ok(TraceSource {
-            jobs: jobs.into_iter(),
-        })
+        Ok(TraceSource::new(jobs))
     }
 }
 
 impl Source for TraceSource {
-    fn next_job(&mut self) -> Option<(SimTime, JobTemplate)> {
-        self.jobs.next()
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        let &(at, _) = self.jobs.get(self.next)?;
+        let key = self.next as u64;
+        self.next += 1;
+        Some(Arrival {
+            at,
+            key,
+            deadline: None,
+        })
+    }
+
+    /// Moves the job out of the list (it carries its own deadline).
+    /// Panics on an arrival this source did not yield.
+    fn build(&mut self, arrival: Arrival, job: &mut JobTemplate) {
+        *job = std::mem::replace(&mut self.jobs[arrival.key as usize].1, JobTemplate::empty());
     }
 
     fn remaining_hint(&self) -> Option<u64> {
-        Some(self.jobs.len() as u64)
+        Some((self.jobs.len() - self.next) as u64)
     }
 }
 
@@ -617,6 +726,67 @@ mod tests {
         assert!(diurnal
             .iter()
             .all(|(_, j)| j.deadline() == Some(SimDuration::from_ms(777))));
+    }
+
+    /// Draw `source` dry through `next_job`, and `twin` (its clone) the way
+    /// every source drew before the two-step split: the clock's tick, then
+    /// `family.instantiate` on the arrival stream and `deadlines.tag` on the
+    /// deadline stream. The two must agree arrival for arrival.
+    fn assert_next_job_is_the_pre_split_composition<S: Source + Clone>(
+        source: &mut S,
+        tick: fn(&mut S) -> u64,
+        draws: fn(&mut S) -> &mut Draws<'static>,
+    ) {
+        let mut twin = source.clone();
+        let mut count = 0;
+        while let Some((at, job)) = source.next_job() {
+            let d = draws(&mut twin);
+            d.remaining = d.remaining.checked_sub(1).expect("the twin ran dry first");
+            let t_ns = tick(&mut twin);
+            let d = draws(&mut twin);
+            let old = d.family.instantiate(&mut d.rng, d.lookup);
+            let old = d.deadlines.tag(&mut d.deadline_rng, old, d.lookup);
+            assert_eq!((at, job), (SimTime::from_ns(t_ns), old), "arrival {count}");
+            count += 1;
+        }
+        assert_eq!(draws(&mut twin).remaining, 0, "the source ran dry first");
+        assert!(count > 0);
+    }
+
+    #[test]
+    fn next_job_is_the_pre_split_composition_for_every_source_and_spec() {
+        let lookup = LookupTable::paper();
+        let ms = SimDuration::from_ms;
+        let specs = [
+            DeadlineSpec::None,
+            DeadlineSpec::Fixed(ms(400)),
+            DeadlineSpec::ProportionalCp { factor: 2.5 },
+            DeadlineSpec::Uniform {
+                lo: ms(100),
+                hi: ms(900),
+            },
+        ];
+        let families = [
+            JobFamily::Type2 { len: 12 },
+            JobFamily::Diamond { width: 3 },
+            JobFamily::Single,
+        ];
+        for (spec, family) in specs.into_iter().flat_map(|s| families.map(|f| (s, f))) {
+            let mut poisson = PoissonSource::new(lookup, 5.0, 40, family, 3).with_deadlines(spec);
+            assert_next_job_is_the_pre_split_composition(&mut poisson, PoissonSource::tick, |s| {
+                &mut s.draws
+            });
+            let mut on_off = OnOffSource::new(lookup, 50.0, ms(100), ms(400), 40, family, 4)
+                .with_deadlines(spec);
+            assert_next_job_is_the_pre_split_composition(&mut on_off, OnOffSource::tick, |s| {
+                &mut s.draws
+            });
+            let mut diurnal = DiurnalSource::new(lookup, 2.0, 10.0, ms(5_000), 40, family, 5)
+                .with_deadlines(spec);
+            assert_next_job_is_the_pre_split_composition(&mut diurnal, DiurnalSource::tick, |s| {
+                &mut s.draws
+            });
+        }
     }
 
     #[test]

@@ -152,6 +152,28 @@ fn a_bad_deadline_spec_ends_in_a_typed_error() {
     }
 }
 
+/// A Type-1 or Type-2 family of no kernels used to pass `validate` and
+/// panic at the first draw; every stochastic source now refuses it at
+/// construction.
+#[test]
+fn a_kernel_free_job_family_is_refused_at_construction() {
+    let lookup = LookupTable::paper();
+    let ms = SimDuration::from_ms(10);
+    for family in [JobFamily::Type1 { len: 0 }, JobFamily::Type2 { len: 0 }] {
+        let refusals = [
+            PoissonSource::try_new(lookup, 1.0, 3, family, 1).err(),
+            OnOffSource::try_new(lookup, 1.0, ms, ms, 3, family, 1).err(),
+            DiurnalSource::try_new(lookup, 1.0, 1.0, ms, 3, family, 1).err(),
+        ];
+        for err in refusals {
+            assert!(
+                matches!(err, Some(BaseError::InvalidSystem { .. })),
+                "{family:?}: {err:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn machines_of_no_or_too_many_processors_are_refused() {
     let lookup = LookupTable::paper();
@@ -209,6 +231,19 @@ fn interconnect(
     }
 }
 
+/// Deadline specs a source accepts.
+fn good_deadline_specs() -> [DeadlineSpec; 4] {
+    [
+        DeadlineSpec::None,
+        DeadlineSpec::Fixed(SimDuration::from_ms(50)),
+        DeadlineSpec::ProportionalCp { factor: 2.0 },
+        DeadlineSpec::Uniform {
+            lo: SimDuration::from_ms(1),
+            hi: SimDuration::from_ms(5),
+        },
+    ]
+}
+
 /// `Ok`, or the typed error every machine `validate` refuses must end in.
 fn assert_ok_or_invalid<T>(result: Result<T, BaseError>, what: &str) {
     if let Err(err) = result {
@@ -259,16 +294,11 @@ proptest! {
         let valid = config.validate();
         assert_ok_or_invalid(valid.clone(), &what);
 
-        let good = [
-            DeadlineSpec::None,
-            DeadlineSpec::Fixed(SimDuration::from_ms(50)),
-            DeadlineSpec::ProportionalCp { factor: 2.0 },
-            DeadlineSpec::Uniform {
-                lo: SimDuration::from_ms(1),
-                hi: SimDuration::from_ms(5),
-            },
-        ];
-        let spec = good.into_iter().chain(bad_deadline_specs()).nth(deadline_spec).unwrap();
+        let spec = good_deadline_specs()
+            .into_iter()
+            .chain(bad_deadline_specs())
+            .nth(deadline_spec)
+            .unwrap();
         let mut source = PoissonSource::try_new(lookup, 0.5, 4, JobFamily::Diamond { width: 2 }, seed)
             .unwrap()
             .with_deadlines(spec);
@@ -283,5 +313,71 @@ proptest! {
             prop_assert_eq!(closed.is_ok(), valid.is_ok(), "closed run on {}", what);
             assert_ok_or_invalid(closed, &what);
         }
+    }
+
+    /// Every job family at degenerate sizes (0–3) from every stochastic
+    /// source, under every deadline spec, good or bad, with the in-flight
+    /// cap off or at 0–2 jobs and shedding on or off: construction and the
+    /// run each end in `Ok` or `InvalidSystem`, and exactly the zero-length
+    /// Type-1/Type-2 families and the bad specs are refused.
+    #[test]
+    fn any_source_ends_in_ok_or_a_typed_error(
+        source_kind in 0usize..3,
+        family_kind in 0usize..5,
+        size in 0usize..4,
+        deadline_spec in 0usize..8,
+        cap in prop::sample::select(vec![None, Some(0usize), Some(1), Some(2)]),
+        shed_when_full in prop::bool::ANY,
+        seed in 0u64..1_000,
+    ) {
+        let lookup = LookupTable::paper();
+        let family = [
+            JobFamily::Single,
+            JobFamily::Chain { len: size },
+            JobFamily::Diamond { width: size },
+            JobFamily::Type1 { len: size },
+            JobFamily::Type2 { len: size },
+        ][family_kind];
+        let spec = good_deadline_specs()
+            .into_iter()
+            .chain(bad_deadline_specs())
+            .nth(deadline_spec)
+            .unwrap();
+        let period = SimDuration::from_ms(2_000);
+        let source: Result<Box<dyn Source>, BaseError> = match source_kind {
+            0 => PoissonSource::try_new(lookup, 2.0, 12, family, seed)
+                .map(|s| Box::new(s.with_deadlines(spec)) as Box<dyn Source>),
+            1 => OnOffSource::try_new(lookup, 4.0, period, period, 12, family, seed)
+                .map(|s| Box::new(s.with_deadlines(spec)) as Box<dyn Source>),
+            _ => DiurnalSource::try_new(lookup, 1.0, 3.0, period, 12, family, seed)
+                .map(|s| Box::new(s.with_deadlines(spec)) as Box<dyn Source>),
+        };
+        let kernel_free = matches!(family, JobFamily::Type1 { len: 0 } | JobFamily::Type2 { len: 0 });
+        let what = format!("source {source_kind}, {family:?}, {spec:?}, cap {cap:?}");
+        let mut source = match source {
+            Ok(source) => source,
+            Err(err) => {
+                prop_assert!(matches!(err, BaseError::InvalidSystem { .. }), "{}: {}", what, err);
+                prop_assert!(kernel_free, "{} refused", what);
+                return;
+            }
+        };
+        prop_assert!(!kernel_free, "{} accepted", what);
+        let opts = DriverOpts {
+            max_in_flight_jobs: cap,
+            shed_when_full,
+            ..DriverOpts::default()
+        };
+        let mut policy = Apt::new(4.0);
+        let stream = StreamRun::new(
+            source.as_mut(),
+            &SystemConfig::paper_4gbps(),
+            lookup,
+            &mut policy,
+            &opts,
+        )
+        .run();
+        prop_assert_eq!(stream.is_ok(), spec.validate().is_ok(), "{}", what);
+        assert_ok_or_invalid(stream, &what);
     }
 }
