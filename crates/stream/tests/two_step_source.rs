@@ -6,7 +6,9 @@
 //! once as a [`TraceSource`] over a twin source drained through
 //! `next_job`, which builds every arrival. The two outcomes must be equal,
 //! so a shed arrival moves the arrival and deadline streams exactly as a
-//! built one does.
+//! built one does. That `next_job` itself still yields what the sources
+//! yielded before the split (`instantiate`, then `tag`) is pinned by a unit
+//! test in `source.rs`.
 
 use apt_core::prelude::*;
 use apt_stream::{
