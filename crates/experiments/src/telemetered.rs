@@ -9,7 +9,7 @@
 //! * Prometheus text exposition of the final registry state, re-checked
 //!   by [`apt_telemetry::validate`] before it leaves this module;
 //! * the JSONL snapshot stream (one flat object per closed metrics
-//!   window), re-checked by [`apt_telemetry::validate_jsonl`].
+//!   window), re-checked by [`apt_trace::json::validate_jsonl`].
 //!
 //! With `--progress`, the run additionally ticks the throttled stderr
 //! heartbeat (jobs/s, in-flight, miss rate, last window's α/ρ, ETA) — the
@@ -17,7 +17,8 @@
 
 use crate::traced::{RepresentativeCell, TRACE_JOBS};
 use apt_stream::StreamTelemetry;
-use apt_telemetry::{validate, validate_jsonl};
+use apt_telemetry::validate;
+use apt_trace::json::validate_jsonl;
 
 /// Keys every JSONL snapshot line must carry (the schema the CI soak
 /// smoke step checks).

@@ -56,13 +56,12 @@
 //! ## Cost classes
 //!
 //! Each node also carries its [`ClassId`] ([`ReadySet::set_class`], stamped
-//! by both engines from the cost model), and [`ReadySet::iter_classes`]
-//! yields `(node, class)` pairs in the set's order. Both modes index the
-//! members by class: ordered mode through its class lists, bitset mode
-//! through one member bitset per class, laid out class-major next to the
-//! plain bitset. [`ReadySet::first_in_class`] reads one class's index only,
-//! so a policy that ranks kernels by class (SPN's shortest pair) probes the
-//! few classes it needs instead of walking every member.
+//! by both engines from the cost model). Both modes index the members by
+//! class: ordered mode through its class lists, bitset mode through one
+//! member bitset per class, laid out class-major next to the plain bitset.
+//! [`ReadySet::first_in_class`] reads one class's index only, so a policy
+//! that ranks kernels by class (SPN's shortest pair) probes the few classes
+//! it needs instead of walking every member.
 //!
 //! A policy that screens kernels on a per-class table of processor masks
 //! (APT's admissible processors, MET's fastest ones) walks the set with
@@ -342,7 +341,7 @@ impl ReadySet {
     }
 
     /// Set the cost class of `node` (both modes), reported next to it by
-    /// [`ReadySet::iter_classes`]. Must not be called while `node` is a
+    /// [`ReadySet::walk_screened`]. Must not be called while `node` is a
     /// member.
     pub fn set_class(&mut self, node: NodeId, class: ClassId) {
         debug_assert!(!self.contains(node), "reclassing a current member");
@@ -460,16 +459,6 @@ impl ReadySet {
     #[inline]
     pub fn iter(&self) -> ReadyIter<'_> {
         ReadyIter(Members::new(self))
-    }
-
-    /// Iterate `(node, class)` pairs in the same order as
-    /// [`ReadySet::iter`].
-    #[inline]
-    pub fn iter_classes(&self) -> ClassIter<'_> {
-        ClassIter {
-            members: Members::new(self),
-            class: &self.class,
-        }
     }
 
     /// Walk, in this set's order, the members whose class mask meets an
@@ -676,22 +665,6 @@ impl<'a> Members<'a> {
             }
         }
     }
-
-    /// The next member: its node, and its class when ordered mode keeps it
-    /// inline.
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, Option<ClassId>)> {
-        let e = match self {
-            Members::Bits(bits) => return bits.next().map(|i| (NodeId::new(i), None)),
-            Members::One(rest) => {
-                let (first, tail) = rest.split_first()?;
-                *rest = tail;
-                *first
-            }
-            Members::Merge(heads, n) => pop_least(heads, n)?,
-        };
-        Some((e.node, Some(e.class)))
-    }
 }
 
 /// Iterator over a [`ReadySet`] in its deterministic order.
@@ -703,25 +676,16 @@ impl Iterator for ReadyIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        self.0.next().map(|(node, _)| node)
-    }
-}
-
-/// Iterator over a [`ReadySet`]'s `(node, class)` pairs in its
-/// deterministic order ([`ReadySet::iter_classes`]).
-#[derive(Debug, Clone)]
-pub struct ClassIter<'a> {
-    members: Members<'a>,
-    class: &'a [ClassId],
-}
-
-impl Iterator for ClassIter<'_> {
-    type Item = (NodeId, ClassId);
-
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, ClassId)> {
-        let (node, class) = self.members.next()?;
-        Some((node, class.unwrap_or_else(|| self.class[node.index()])))
+        let e = match &mut self.0 {
+            Members::Bits(bits) => return bits.next().map(NodeId::new),
+            Members::One(rest) => {
+                let (first, tail) = rest.split_first()?;
+                *rest = tail;
+                *first
+            }
+            Members::Merge(heads, n) => pop_least(heads, n)?,
+        };
+        Some(e.node)
     }
 }
 
@@ -848,9 +812,10 @@ mod tests {
         );
     }
 
-    /// `iter_classes` yields exactly `iter()`'s order, each node next to
-    /// the class stamped on it, through inserts, middle removals, recycled
-    /// slots restamped with another class, and `grow` — in both modes.
+    /// An unscreened `walk_screened` yields exactly `iter()`'s order, each
+    /// node next to the class stamped on it, through inserts, middle
+    /// removals, recycled slots restamped with another class, and `grow` —
+    /// in both modes.
     #[test]
     fn classes_stay_aligned_in_both_modes() {
         /// Stamp `class` (recorded in `stamped`) and insert `id`.
@@ -867,7 +832,12 @@ mod tests {
         fn check(s: &ReadySet, stamped: &[ClassId]) {
             let expected: Vec<(NodeId, ClassId)> =
                 s.iter().map(|n| (n, stamped[n.index()])).collect();
-            assert_eq!(s.iter_classes().collect::<Vec<_>>(), expected);
+            let mut walked = Vec::new();
+            s.walk_screened(&[!0; 8], !0, |e, idle| {
+                walked.push((e.node, e.class));
+                idle
+            });
+            assert_eq!(walked, expected);
             assert_eq!(expected.len(), s.len());
         }
         for mut s in [ReadySet::new(4), ReadySet::new_ordered(4)] {

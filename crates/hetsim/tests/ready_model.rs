@@ -4,11 +4,11 @@
 //! after every step against a plain model: a member list sorted by
 //! `(prio, seq, node)`.
 //!
-//! Every read is checked: `iter`, `iter_classes`, `first`, `len`, the
-//! screened walk against a linear mask-filtered walk under an idle set that
-//! shrinks between steps, `for_each_screened` against the same filter
-//! without the shrinking, and `first_in_class` against a scan of the
-//! model filtered by class and a skip list. Both modes run the same
+//! Every read is checked: `iter`, `first`, `len`, the screened walk (each
+//! entry with its class) against a linear mask-filtered walk under an idle
+//! set that shrinks between steps, `for_each_screened` against the same
+//! filter without the shrinking, and `first_in_class` against a scan of
+//! the model filtered by class and a skip list. Both modes run the same
 //! script; the bitset mode ignores the sequence and priority steps and
 //! orders by node id.
 
@@ -84,12 +84,6 @@ fn check(set: &ReadySet, model: &Model, masks: &[u64], idle: u64) {
     let sorted = model.sorted();
     let nodes: Vec<NodeId> = sorted.iter().map(|e| e.node).collect();
     assert_eq!(set.iter().collect::<Vec<_>>(), nodes, "iter");
-    let pairs: Vec<(NodeId, ClassId)> = sorted.iter().map(|e| (e.node, e.class)).collect();
-    assert_eq!(
-        set.iter_classes().collect::<Vec<_>>(),
-        pairs,
-        "iter_classes"
-    );
     assert_eq!(set.first(), nodes.first().copied(), "first");
     assert_eq!(set.len(), nodes.len(), "len");
     assert_eq!(set.is_empty(), nodes.is_empty(), "is_empty");

@@ -262,8 +262,9 @@ impl JobFamily {
     }
 
     /// Draw one job instance. Deterministic in the RNG state: it takes one
-    /// draw, the job's sub-seed, and builds the job of that seed. Panics
-    /// on a family [`JobFamily::validate`] refuses.
+    /// draw, the job's sub-seed, and builds the job of that seed. A family
+    /// [`JobFamily::validate`] refuses builds a kernel-free job, which
+    /// admission refuses (debug builds panic here).
     pub fn instantiate(self, rng: &mut SplitMix64, lookup: &LookupTable) -> JobTemplate {
         let mut job = JobTemplate::empty();
         self.build_into(rng.next_u64(), lookup, &mut job);
@@ -274,8 +275,9 @@ impl JobFamily {
     /// (its deadline is cleared) and reusing its kernel and edge buffers.
     /// The family's generators own their kind/size draw streams, seeded
     /// from `seed`, so family structure changes never shift an arrival
-    /// process's draws (and vice versa). Panics on a family
-    /// [`JobFamily::validate`] refuses.
+    /// process's draws (and vice versa). The shape is not checked here
+    /// outside debug builds: `OpenEngine::admit_with_deadline` checks
+    /// every job it admits.
     pub(crate) fn build_into(self, seed: u64, lookup: &LookupTable, job: &mut JobTemplate) {
         let n = self.kernels_per_job();
         let edges = &mut job.edges;
@@ -294,8 +296,8 @@ impl JobFamily {
             JobFamily::Type1 { .. } => type1_edges_into(n, edges),
             JobFamily::Type2 { .. } => type2_edges_into(n, seed, &Type2Config::default(), edges),
         }
-        // apt-lint: allow(hot-path-panic, JobFamily::validate refuses the only families whose shape fails this check, the zero-length Type-1/Type-2, and every source validates its family at construction)
-        apt_hetsim::validate_job(n, edges).expect("a job family of at least one kernel");
+        // The engine checks every admitted job; this only pins the shapes.
+        debug_assert_eq!(apt_hetsim::validate_job(n, edges), Ok(()));
         let series = StreamConfig {
             len: n,
             seed,

@@ -171,7 +171,7 @@ impl StreamTelemetry {
     }
 
     /// The JSONL snapshot stream: one flat object per closed metrics
-    /// window (guaranteed to pass [`apt_telemetry::validate_jsonl`]).
+    /// window (guaranteed to pass [`apt_trace::json::validate_jsonl`]).
     pub fn jsonl(&self) -> &str {
         &self.jsonl
     }

@@ -8,7 +8,8 @@
 mod common;
 
 use apt_stream::StreamTelemetry;
-use apt_telemetry::{validate, validate_jsonl};
+use apt_telemetry::validate;
+use apt_trace::json::validate_jsonl;
 use apt_trace::RingSink;
 use common::run;
 

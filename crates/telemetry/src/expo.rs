@@ -1,11 +1,10 @@
-//! Exposition: Prometheus text-format rendering, a strict validator of
-//! the name/label/type contract, and a flat-JSONL validator for the
-//! periodic snapshot stream.
+//! Exposition: Prometheus text-format rendering and a strict validator of
+//! the name/label/type contract.
 //!
 //! Everything here is hand-rolled on purpose — the workspace vendors no
-//! JSON or metrics crates, and the subset of both formats the suite
-//! emits is small enough that a strict, readable validator doubles as
-//! the format's documentation.
+//! metrics crates, and the subset of the format the suite emits is small
+//! enough that a strict, readable validator doubles as the format's
+//! documentation.
 
 use crate::registry::{valid_label_name, valid_metric_name, Instrument, Registry};
 use std::collections::BTreeMap;
@@ -382,150 +381,6 @@ pub fn validate(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// Escape a string for embedding in a JSON string literal (quotes not
-/// included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parse one flat JSON object (string/number/bool/null values, no
-/// nesting) into its keys. Strict enough for the snapshot lines this
-/// workspace emits.
-fn parse_flat_object(line: &str) -> Result<Vec<String>, String> {
-    let mut chars = line.trim().char_indices().peekable();
-    let s = line.trim();
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return Err("line does not start with '{'".into()),
-    }
-    let mut keys = Vec::new();
-    loop {
-        // Skip whitespace.
-        while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-        match chars.peek() {
-            Some(&(_, '}')) => {
-                chars.next();
-                break;
-            }
-            Some(&(_, '"')) => {}
-            _ => return Err("expected key or '}'".into()),
-        }
-        chars.next(); // opening quote
-        let mut key = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '\\')) => {
-                    if let Some((_, e)) = chars.next() {
-                        key.push(e);
-                    } else {
-                        return Err("dangling escape in key".into());
-                    }
-                }
-                Some((_, '"')) => break,
-                Some((_, c)) => key.push(c),
-                None => return Err("unterminated key".into()),
-            }
-        }
-        keys.push(key.clone());
-        while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-        match chars.next() {
-            Some((_, ':')) => {}
-            _ => return Err(format!("key {key:?} without ':'")),
-        }
-        while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-        // Value: string, or a bare token up to ',' / '}'.
-        match chars.peek() {
-            Some(&(_, '"')) => {
-                chars.next();
-                loop {
-                    match chars.next() {
-                        Some((_, '\\')) => {
-                            chars.next();
-                        }
-                        Some((_, '"')) => break,
-                        Some(_) => {}
-                        None => return Err(format!("unterminated string value for {key:?}")),
-                    }
-                }
-            }
-            Some(&(_, '{')) | Some(&(_, '[')) => {
-                return Err(format!("nested value for {key:?} (flat objects only)"))
-            }
-            _ => {
-                let start = chars.peek().map(|&(i, _)| i).ok_or("truncated value")?;
-                let mut end = s.len();
-                while let Some(&(i, c)) = chars.peek() {
-                    if c == ',' || c == '}' {
-                        end = i;
-                        break;
-                    }
-                    chars.next();
-                }
-                let tok = s[start..end].trim();
-                let ok = matches!(tok, "true" | "false" | "null") || tok.parse::<f64>().is_ok();
-                if !ok {
-                    return Err(format!("bad value {tok:?} for {key:?}"));
-                }
-            }
-        }
-        while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-    while matches!(chars.peek(), Some(&(_, c)) if c.is_ascii_whitespace()) {
-        chars.next();
-    }
-    if chars.next().is_some() {
-        return Err("trailing garbage after object".into());
-    }
-    Ok(keys)
-}
-
-/// Validate a JSONL snapshot stream: every non-empty line must parse as
-/// a flat JSON object and contain all `required` keys. Returns the
-/// number of lines validated.
-pub fn validate_jsonl(text: &str, required: &[&str]) -> Result<usize, String> {
-    let mut lines = 0usize;
-    for (lineno, raw) in text.lines().enumerate() {
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let keys = parse_flat_object(raw).map_err(|e| format!("jsonl line {}: {e}", lineno + 1))?;
-        for want in required {
-            if !keys.iter().any(|k| k == want) {
-                return Err(format!("jsonl line {}: missing key {want:?}", lineno + 1));
-            }
-        }
-        lines += 1;
-    }
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,25 +476,5 @@ mod tests {
     fn validate_accepts_escaped_labels() {
         let text = "# TYPE x gauge\nx{path=\"a\\\\b\\\"c\"} 1\n";
         assert_eq!(validate(text), Ok(1));
-    }
-
-    #[test]
-    fn jsonl_round_trip() {
-        let line = format!(
-            "{{\"end_s\":1.5,\"jobs\":10,\"note\":\"{}\"}}",
-            json_escape("a\"b\\c")
-        );
-        let text = format!("{line}\n{line}\n");
-        assert_eq!(validate_jsonl(&text, &["end_s", "jobs"]), Ok(2));
-        assert!(validate_jsonl(&text, &["missing"])
-            .unwrap_err()
-            .contains("missing"));
-    }
-
-    #[test]
-    fn jsonl_rejects_nested_and_garbage() {
-        assert!(validate_jsonl("{\"a\":{}}\n", &[]).is_err());
-        assert!(validate_jsonl("not json\n", &[]).is_err());
-        assert!(validate_jsonl("{\"a\":wat}\n", &[]).is_err());
     }
 }

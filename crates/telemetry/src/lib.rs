@@ -20,8 +20,7 @@
 //!   one quantile estimator: `apt-metrics`' streaming latency and
 //!   tardiness quantiles use it through `apt-hetsim`'s re-export.
 //! - [`render_prometheus`] / [`validate`] — Prometheus text exposition
-//!   and a strict validator of the name/label/type contract, plus
-//!   [`validate_jsonl`] for the periodic JSONL snapshot stream.
+//!   and a strict validator of the name/label/type contract.
 //! - [`Heartbeat`] — a throttled stderr progress line (jobs/s,
 //!   in-flight, miss rate, live α/ρ, ETA) for soak runs; the rate/ETA
 //!   math is division-by-zero safe on first-window and zero-duration
@@ -35,7 +34,7 @@ mod hist;
 mod progress;
 mod registry;
 
-pub use expo::{json_escape, render_prometheus, validate, validate_jsonl};
+pub use expo::{render_prometheus, validate};
 pub use hist::LogHistogram;
 pub use progress::{render_heartbeat, Heartbeat};
 pub use registry::{CounterId, GaugeId, HistId, Registry};

@@ -1,12 +1,13 @@
-//! A minimal JSON reader/writer for the schema tests and the export
-//! validator.
+//! The workspace's one JSON reader and string escaper.
 //!
 //! The workspace builds offline against a no-op `serde` shim, so the
-//! Chrome exporter hand-writes its JSON and this module closes the loop:
-//! parse what we emit, re-emit what we parsed, and check the trace-event
-//! field contract — all without an external JSON dependency. It supports
-//! exactly the JSON subset the exporter produces (objects, arrays,
-//! strings with `\uXXXX` escapes, finite numbers, booleans, null).
+//! Chrome exporter and the telemetry JSONL stream hand-write their JSON
+//! and this module closes the loop: [`parse`] what we emit, re-emit what
+//! we parsed, check the trace-event field contract, and check a JSONL
+//! snapshot stream with [`validate_jsonl`] — all without an external JSON
+//! dependency. It supports exactly the JSON subset the writers produce
+//! (objects, arrays, strings with `\uXXXX` escapes and no raw control
+//! characters, finite numbers, booleans, null).
 
 use std::fmt::Write as _;
 
@@ -136,27 +137,24 @@ pub fn escape(s: &str) -> String {
 
 /// Parse a complete JSON document. Errors carry a byte offset.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -166,7 +164,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -201,7 +199,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -282,14 +280,11 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or("bad \\u escape")?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).ok_or("surrogate \\u escape")?);
                             self.pos += 4;
                         }
@@ -297,12 +292,16 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos))
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: `pos` sits on a character
+                    // boundary, since it only ever steps over whole ones.
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("a byte was peeked, so a character follows");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -310,24 +309,79 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Skip a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - from
+    }
+
+    /// A number in RFC 8259's grammar: `-`? int frac? exp?, where int has
+    /// no leading zero and frac and exp each need a digit.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let bad = || format!("bad number at byte {start}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-' {
-                self.pos += 1;
-            } else {
-                break;
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        if int_digits == 0 || (int_digits > 1 && self.text.as_bytes()[int_start] == b'0') {
+            return Err(bad());
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        self.text[start..self.pos]
             .parse::<f64>()
             .map(JsonValue::Num)
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
+            .map_err(|e| format!("{}: {e}", bad()))
     }
+}
+
+/// Validate a JSONL snapshot stream: blank lines are skipped, and every
+/// other line must [`parse`] as a top-level object whose member values
+/// are all scalars (no object or array) and which carries every
+/// `required` key. Returns the number of lines validated.
+pub fn validate_jsonl(text: &str, required: &[&str]) -> Result<usize, String> {
+    let mut lines = 0usize;
+    for (lineno, raw) in text.lines().enumerate() {
+        if raw.trim().is_empty() {
+            continue;
+        }
+        let err = |msg: String| format!("jsonl line {}: {msg}", lineno + 1);
+        let JsonValue::Obj(members) = parse(raw).map_err(err)? else {
+            return Err(err("not an object".into()));
+        };
+        if let Some((key, _)) = members
+            .iter()
+            .find(|(_, v)| matches!(v, JsonValue::Obj(_) | JsonValue::Arr(_)))
+        {
+            return Err(err(format!("nested value for {key:?} (flat objects only)")));
+        }
+        if let Some(want) = required
+            .iter()
+            .find(|want| !members.iter().any(|(k, _)| k == *want))
+        {
+            return Err(err(format!("missing key {want:?}")));
+        }
+        lines += 1;
+    }
+    Ok(lines)
 }
 
 #[cfg(test)]
@@ -354,6 +408,20 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("[1] trailing").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u04""#).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for ok in ["0", "-0", "7", "-12.5", "1e3", "2.5E-7", "10e+2"] {
+            assert!(parse(ok).is_ok(), "{ok}");
+        }
+        for bad in [
+            "NaN", "inf", "-inf", "01", "1.", "-.5", "1e", "1e+", "+1", "-", "1.2.3",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -372,5 +440,34 @@ mod tests {
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
         let v = parse(&escape("\u{1}")).unwrap();
         assert_eq!(v.as_str(), Some("\u{1}"));
+    }
+
+    #[test]
+    fn rejects_raw_control_characters_in_strings() {
+        assert!(parse("\"a\tb\"").unwrap_err().contains("control"));
+        assert!(parse("{\"k\":\"a\nb\"}").unwrap_err().contains("control"));
+        assert!(parse("{\"a\tb\":1}").is_err());
+        // The escaped spellings of the same characters parse.
+        assert_eq!(parse(&escape("a\tb\n")).unwrap().as_str(), Some("a\tb\n"));
+    }
+
+    #[test]
+    fn jsonl_round_trip() {
+        let line = format!(
+            "{{\"end_s\":1.5,\"jobs\":10,\"note\":{}}}",
+            escape("a\"b\\c")
+        );
+        let text = format!("{line}\n{line}\n");
+        assert_eq!(validate_jsonl(&text, &["end_s", "jobs"]), Ok(2));
+        assert!(validate_jsonl(&text, &["missing"])
+            .unwrap_err()
+            .contains("missing"));
+    }
+
+    #[test]
+    fn jsonl_rejects_nested_and_garbage() {
+        assert!(validate_jsonl("{\"a\":{}}\n", &[]).is_err());
+        assert!(validate_jsonl("not json\n", &[]).is_err());
+        assert!(validate_jsonl("{\"a\":wat}\n", &[]).is_err());
     }
 }

@@ -23,7 +23,8 @@ use apt_suite::control::{
 };
 use apt_suite::prelude::*;
 use apt_suite::slo::UtilizationBound;
-use apt_suite::telemetry::{validate, validate_jsonl};
+use apt_suite::telemetry::validate;
+use apt_suite::trace::json::validate_jsonl;
 
 fn main() {
     let mut args = std::env::args().skip(1);
