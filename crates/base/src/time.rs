@@ -85,12 +85,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference; `None` if `earlier` is after `self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// `self + d`, saturating at [`SimTime::MAX`] instead of overflowing.
     #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
@@ -321,7 +315,6 @@ mod tests {
         let late = SimTime::from_ms(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_ms(1));
-        assert_eq!(early.checked_since(late), None);
     }
 
     #[test]

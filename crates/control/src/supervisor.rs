@@ -37,11 +37,6 @@ impl PolicyRoster {
     pub fn active(&self) -> usize {
         self.active
     }
-
-    /// Display names of all members, in roster order.
-    pub fn member_names(&self) -> &[String] {
-        &self.names
-    }
 }
 
 impl Policy for PolicyRoster {
@@ -326,7 +321,7 @@ mod tests {
     fn roster_delegates_alpha_and_bounds_switches() {
         let mut roster = PolicyRoster::new(vec![Box::new(Apt::new(4.0)), Box::new(Met::new())]);
         assert_eq!(roster.active(), 0);
-        assert_eq!(roster.member_names().len(), 2);
+        assert_eq!(roster.names.len(), 2);
         assert!(roster.name().starts_with("roster["));
         // Active member 0 is APT: α reads/writes reach it.
         assert_eq!(Policy::alpha(&roster), Some(4.0));

@@ -34,15 +34,6 @@ impl AllocationAnalysis {
         }
     }
 
-    /// Fraction of kernels that ran on a second-best processor.
-    pub fn alternative_fraction(&self) -> f64 {
-        if self.total_kernels == 0 {
-            0.0
-        } else {
-            self.total_alternative as f64 / self.total_kernels as f64
-        }
-    }
-
     /// The per-kind column in the appendix's `count-tag` notation
     /// (e.g. `"11-bfs 6-nw"`); `"0"` when no alternatives were taken.
     pub fn kind_column(&self) -> String {
@@ -106,7 +97,6 @@ mod tests {
         assert_eq!(a.total_alternative, 1);
         assert_eq!(a.by_kind[&KernelKind::Bfs], 1);
         assert_eq!(a.kind_column(), "1-bfs");
-        assert!((a.alternative_fraction() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl KernelKind {
         }
     }
 
-    /// Parse a short tag back into a kind (inverse of [`KernelKind::tag`]).
-    pub fn from_tag(tag: &str) -> Option<KernelKind> {
-        KernelKind::ALL.into_iter().find(|k| k.tag() == tag)
-    }
-
     /// The dwarf(s) this kernel belongs to (Table 5). The linear-algebra
     /// kernels are listed by the paper under "Dense and Sparse Linear
     /// Algebra", so they carry both memberships.
@@ -177,14 +172,6 @@ impl fmt::Display for Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tags_roundtrip() {
-        for k in KernelKind::ALL {
-            assert_eq!(KernelKind::from_tag(k.tag()), Some(k));
-        }
-        assert_eq!(KernelKind::from_tag("nope"), None);
-    }
 
     #[test]
     fn canonical_sizes_match_table14() {

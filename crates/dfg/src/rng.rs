@@ -79,14 +79,6 @@ impl SplitMix64 {
             })
             .sum()
     }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -193,16 +185,6 @@ mod tests {
                 "{weights:?}"
             );
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SplitMix64::new(5);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

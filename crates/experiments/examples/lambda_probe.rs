@@ -7,12 +7,13 @@
 //! ```
 
 use apt_core::prelude::DfgType;
-use apt_experiments::runner::{avg_lambda_ms, avg_makespans_ms, policy_matrix, Rate, POLICY_ORDER};
+use apt_experiments::runner::{avg_lambda_ms, avg_makespans_ms, Rate, SweepCache, POLICY_ORDER};
 
 fn main() {
+    let cache = SweepCache::default();
     for ty in [DfgType::Type1, DfgType::Type2] {
         for alpha in [1.5, 4.0] {
-            let m = policy_matrix(ty, alpha, Rate::Gbps4);
+            let m = cache.policy_matrix(ty, alpha, Rate::Gbps4);
             let lam = avg_lambda_ms(&m);
             let exec = avg_makespans_ms(&m);
             println!("{ty:?} alpha={alpha}");

@@ -1,4 +1,6 @@
-//! Ablation studies for the design choices DESIGN.md calls out.
+//! Ablation studies of the reproduction's own choices: the α grid, the
+//! degree of heterogeneity, the bytes-per-element convention, the machine
+//! size, APT-R, energy and schedule quality.
 //!
 //! These go beyond the paper's evaluation: each ablation varies one knob of
 //! the reproduction and reports how the APT-vs-MET comparison responds.

@@ -301,22 +301,25 @@ fn grid() -> Vec<GridCell> {
     cells
 }
 
-/// Run the whole grid once.
-fn run_grid() -> (Vec<GridCell>, Vec<ControlRun>) {
-    let coords = grid();
-    let runs = run_pool(coords.len(), |i| {
-        let (s, c) = coords[i];
-        let scenarios = control_scenarios();
-        control_point(&scenarios[s], control_cells()[c])
-    });
-    (coords, runs)
-}
-
 fn applied_actions(run: &ControlRun) -> usize {
     run.outcome.control_log.iter().filter(|e| e.applied).count()
 }
 
-fn render_control_table(coords: &[GridCell], runs: &[ControlRun]) -> TextTable {
+/// Header of the per-cell summary CSV.
+pub const CONTROL_CSV_HEADER: &str = "scenario,config,adaptive,alpha0,bound0,on_time_jps,\
+     goodput_jps,throughput_jps,jobs_completed,jobs_shed,jobs_failed,miss_rate,shed_rate,\
+     final_alpha,final_bound,actions_applied,end_ms";
+
+/// Header of the control-log block appended after the per-cell summary:
+/// one row per logged control action across the grid — what each
+/// controller asked for, when, and whether the run had the knob.
+pub const CONTROL_LOG_CSV_HEADER: &str = "scenario,config,at_ms,action,value,applied";
+
+/// The sweep table and the CSV of `coords`. The CSV holds two blocks: the
+/// per-cell summary ([`CONTROL_CSV_HEADER`]), one blank line, then the
+/// control-action log ([`CONTROL_LOG_CSV_HEADER`]) — the adaptive cells'
+/// full decision history rides along with the summary they produced.
+fn render(coords: &[GridCell], runs: &[ControlRun]) -> (TextTable, String) {
     let scenarios = control_scenarios();
     let cells = control_cells();
     let mut table = TextTable::new(
@@ -338,12 +341,15 @@ fn render_control_table(coords: &[GridCell], runs: &[ControlRun]) -> TextTable {
             "actions",
         ],
     );
-    for (i, run) in runs.iter().enumerate() {
-        let (s, c) = coords[i];
+    let mut csv = format!("{CONTROL_CSV_HEADER}\n");
+    let mut log = format!("{CONTROL_LOG_CSV_HEADER}\n");
+    for (&(s, c), run) in coords.iter().zip(runs) {
         let o = &run.outcome;
+        let (scenario, config) = (scenarios[s].name, cells[c].label());
+        let (alpha0, bound0) = cells[c].start();
         table.push_row(vec![
-            scenarios[s].name.to_string(),
-            cells[c].label(),
+            scenario.to_string(),
+            config.clone(),
             format!("{:.3}", on_time_jps(o)),
             format!("{:.3}", o.goodput_jps),
             format!("{:.1}", o.miss_rate() * 100.0),
@@ -352,31 +358,9 @@ fn render_control_table(coords: &[GridCell], runs: &[ControlRun]) -> TextTable {
             format!("{:.2}", run.final_bound),
             format!("{}", applied_actions(run)),
         ]);
-    }
-    table
-}
-
-/// Header of the per-cell summary CSV.
-pub const CONTROL_CSV_HEADER: &str = "scenario,config,adaptive,alpha0,bound0,on_time_jps,\
-     goodput_jps,throughput_jps,jobs_completed,jobs_shed,jobs_failed,miss_rate,shed_rate,\
-     final_alpha,final_bound,actions_applied,end_ms";
-
-fn render_control_csv(coords: &[GridCell], runs: &[ControlRun]) -> String {
-    let scenarios = control_scenarios();
-    let cells = control_cells();
-    let mut csv = String::from(CONTROL_CSV_HEADER);
-    csv.push('\n');
-    for (i, run) in runs.iter().enumerate() {
-        let (s, c) = coords[i];
-        let o = &run.outcome;
-        let (alpha0, bound0) = cells[c].start();
         csv.push_str(&format!(
-            "{},{},{},{},{},{:.6},{:.6},{:.6},{},{},{},{:.6},{:.6},{:.6},{:.6},{},{:.3}\n",
-            scenarios[s].name,
-            cells[c].label(),
+            "{scenario},{config},{},{alpha0},{bound0},{:.6},{:.6},{:.6},{},{},{},{:.6},{:.6},{:.6},{:.6},{},{:.3}\n",
             matches!(cells[c], ControlCell::Adaptive) as u8,
-            alpha0,
-            bound0,
             on_time_jps(o),
             o.goodput_jps,
             o.throughput_jps,
@@ -390,67 +374,34 @@ fn render_control_csv(coords: &[GridCell], runs: &[ControlRun]) -> String {
             applied_actions(run),
             o.end.as_ms_f64(),
         ));
-    }
-    csv
-}
-
-/// Header of the control-log block appended after the per-cell summary:
-/// one row per logged control action across the grid — what each
-/// controller asked for, when, and whether the run had the knob.
-pub const CONTROL_LOG_CSV_HEADER: &str = "scenario,config,at_ms,action,value,applied";
-
-fn render_control_log_csv(coords: &[GridCell], runs: &[ControlRun]) -> String {
-    let scenarios = control_scenarios();
-    let cells = control_cells();
-    let mut csv = String::from(CONTROL_LOG_CSV_HEADER);
-    csv.push('\n');
-    for (i, run) in runs.iter().enumerate() {
-        let (s, c) = coords[i];
-        for e in &run.outcome.control_log {
+        for e in &o.control_log {
             let (action, value) = match e.action {
                 ControlAction::SetAlpha(v) => ("set-alpha", v),
                 ControlAction::SetAdmissionBound(v) => ("set-admission-bound", v),
                 ControlAction::SwitchPolicy(m) => ("switch-policy", m as f64),
             };
-            csv.push_str(&format!(
-                "{},{},{:.3},{},{:.6},{}\n",
-                scenarios[s].name,
-                cells[c].label(),
+            log.push_str(&format!(
+                "{scenario},{config},{:.3},{action},{value:.6},{}\n",
                 e.at.as_ms_f64(),
-                action,
-                value,
                 e.applied as u8,
             ));
         }
     }
-    csv
-}
-
-/// Both CSV blocks of one grid run: the per-cell summary
-/// ([`CONTROL_CSV_HEADER`]), one blank line, then the control-action log
-/// ([`CONTROL_LOG_CSV_HEADER`]) — the adaptive cells' full decision
-/// history rides along with the summary they produced.
-fn render_control_csv_full(coords: &[GridCell], runs: &[ControlRun]) -> String {
-    let mut csv = render_control_csv(coords, runs);
     csv.push('\n');
-    csv.push_str(&render_control_log_csv(coords, runs));
-    csv
+    csv.push_str(&log);
+    (table, csv)
 }
 
 /// The scenario × (fixed-grid ∪ adaptive) control sweep (module docs).
-pub fn control_sweep() -> TextTable {
-    let (coords, runs) = run_grid();
-    render_control_table(&coords, &runs)
-}
-
-/// One grid run rendered both ways, so `apt-repro control-sweep --csv
-/// <path>` simulates the grid once.
-pub fn control_sweep_with_csv() -> (TextTable, String) {
-    let (coords, runs) = run_grid();
-    (
-        render_control_table(&coords, &runs),
-        render_control_csv_full(&coords, &runs),
-    )
+/// Returns the table and the two-block CSV, both from one grid run.
+pub fn control_sweep() -> (TextTable, String) {
+    let coords = grid();
+    let runs = run_pool(coords.len(), |i| {
+        let (s, c) = coords[i];
+        let scenarios = control_scenarios();
+        control_point(&scenarios[s], control_cells()[c])
+    });
+    render(&coords, &runs)
 }
 
 #[cfg(test)]
@@ -551,8 +502,14 @@ mod tests {
             control_point(&scenarios[0], control_cells()[0]),
             control_point(&scenarios[0], control_cells()[9]),
         ];
-        let csv = render_control_csv(&coords, &runs);
-        let lines: Vec<&str> = csv.lines().collect();
+        let (table, full) = render(&coords, &runs);
+        assert_eq!(table.row_count(), 2);
+        // The summary block, then the control-log block after one blank
+        // line: every logged action of every cell becomes one row.
+        let (summary, log) = full
+            .split_once("\n\n")
+            .expect("summary and log blocks separated by a blank line");
+        let lines: Vec<&str> = summary.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], CONTROL_CSV_HEADER);
         for col in [
@@ -568,13 +525,6 @@ mod tests {
         let fields: Vec<&str> = lines[2].split(',').collect();
         assert_eq!(fields.len(), CONTROL_CSV_HEADER.split(',').count());
 
-        // The full export appends the control-log block after one blank
-        // line: every logged action of every cell becomes one row.
-        let full = render_control_csv_full(&coords, &runs);
-        let (summary, log) = full
-            .split_once("\n\n")
-            .expect("summary and log blocks separated by a blank line");
-        assert_eq!(summary.lines().count(), 3);
         let log_lines: Vec<&str> = log.lines().collect();
         assert_eq!(log_lines[0], CONTROL_LOG_CSV_HEADER);
         let logged: usize = runs.iter().map(|r| r.outcome.control_log.len()).sum();

@@ -25,6 +25,7 @@
 //! counters — ready for pivoting on the MTTF × λ axes.
 
 use crate::runner::run_pool;
+use crate::streaming::SWEEP_WINDOW;
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
 use apt_metrics::TextTable;
@@ -115,12 +116,12 @@ pub fn fault_retry() -> RetryPolicy {
     }
 }
 
-/// One sweep cell: policy × offered λ × MTTF on the paper machine.
+/// One sweep cell: policy × offered λ × MTTF on the paper machine,
+/// closing a metrics window every [`SWEEP_WINDOW`].
 pub fn fault_point(
     make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
     rate: f64,
     mttf: Option<SimDuration>,
-    snapshots: bool,
 ) -> StreamOutcome {
     let lookup = LookupTable::paper();
     let config = SystemConfig::paper_4gbps();
@@ -141,7 +142,7 @@ pub fn fault_point(
         lookup,
         policy.as_mut(),
         &DriverOpts {
-            snapshot_interval: snapshots.then(|| SimDuration::from_ms(120_000)),
+            snapshot_interval: Some(SWEEP_WINDOW),
             max_in_flight_jobs: Some(FAULT_CAP),
             shed_when_full: true,
             faults: fault_plan(mttf),
@@ -178,19 +179,14 @@ fn mttf_label(mttf: Option<SimDuration>) -> String {
     }
 }
 
-/// Run the whole grid once (optionally snapshot-enabled).
-fn run_grid(snapshots: bool) -> (Vec<FaultCell>, Vec<StreamOutcome>) {
-    let cells = grid();
-    let outcomes = run_pool(cells.len(), |i| {
-        let (m, r, p) = cells[i];
-        let factories = fault_policy_factories(PAPER_BEST_ALPHA);
-        let (_, make) = &factories[p];
-        fault_point(make.as_ref(), FAULT_RATES[r], FAULT_MTTFS[m], snapshots)
-    });
-    (cells, outcomes)
-}
+/// Header of the per-cell summary CSV.
+pub const FAULT_CSV_HEADER: &str = "mttf,lambda_jps,policy,goodput_jps,throughput_jps,\
+     jobs_completed,jobs_failed,jobs_shed,miss_rate,wasted_work_frac,availability,\
+     crashes,repairs,orphaned,kernel_failures,retries,end_ms";
 
-fn render_fault_table(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> TextTable {
+/// The sweep table and the per-cell summary CSV of `cells`, one row of
+/// each per cell.
+fn render(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> (TextTable, String) {
     let factories = fault_policy_factories(PAPER_BEST_ALPHA);
     let mut table = TextTable::new(
         format!(
@@ -213,12 +209,14 @@ fn render_fault_table(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> TextTa
             "crashes",
         ],
     );
-    for (i, o) in outcomes.iter().enumerate() {
-        let (m, r, p) = cells[i];
+    let mut csv = String::from(FAULT_CSV_HEADER);
+    csv.push('\n');
+    for (&(m, r, p), o) in cells.iter().zip(outcomes) {
+        let (mttf, rate, policy) = (mttf_label(FAULT_MTTFS[m]), FAULT_RATES[r], &factories[p].0);
         table.push_row(vec![
-            mttf_label(FAULT_MTTFS[m]),
-            format!("{}", FAULT_RATES[r]),
-            factories[p].0.clone(),
+            mttf.clone(),
+            format!("{rate}"),
+            policy.clone(),
             format!("{:.3}", o.goodput_jps),
             format!("{:.3}", o.throughput_jps),
             format!("{}", o.jobs_failed),
@@ -227,26 +225,8 @@ fn render_fault_table(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> TextTa
             format!("{:.1}", o.availability() * 100.0),
             format!("{}", o.faults.crashes),
         ]);
-    }
-    table
-}
-
-/// Header of the per-cell summary CSV.
-pub const FAULT_CSV_HEADER: &str = "mttf,lambda_jps,policy,goodput_jps,throughput_jps,\
-     jobs_completed,jobs_failed,jobs_shed,miss_rate,wasted_work_frac,availability,\
-     crashes,repairs,orphaned,kernel_failures,retries,end_ms";
-
-fn render_fault_csv(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> String {
-    let factories = fault_policy_factories(PAPER_BEST_ALPHA);
-    let mut csv = String::from(FAULT_CSV_HEADER);
-    csv.push('\n');
-    for (i, o) in outcomes.iter().enumerate() {
-        let (m, r, p) = cells[i];
         csv.push_str(&format!(
-            "{},{},{},{:.6},{:.6},{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{},{:.3}\n",
-            mttf_label(FAULT_MTTFS[m]),
-            FAULT_RATES[r],
-            factories[p].0,
+            "{mttf},{rate},{policy},{:.6},{:.6},{},{},{},{:.6},{:.6},{:.6},{},{},{},{},{},{:.3}\n",
             o.goodput_jps,
             o.throughput_jps,
             o.jobs_completed,
@@ -263,23 +243,20 @@ fn render_fault_csv(cells: &[FaultCell], outcomes: &[StreamOutcome]) -> String {
             o.end.as_ms_f64(),
         ));
     }
-    csv
+    (table, csv)
 }
 
-/// The MTTF × λ × policy fault sweep (see the module docs).
-pub fn fault_sweep() -> TextTable {
-    let (cells, outcomes) = run_grid(false);
-    render_fault_table(&cells, &outcomes)
-}
-
-/// One grid run rendered both ways, so `apt-repro fault-sweep --csv
-/// <path>` simulates the grid once.
-pub fn fault_sweep_with_csv() -> (TextTable, String) {
-    let (cells, outcomes) = run_grid(false);
-    (
-        render_fault_table(&cells, &outcomes),
-        render_fault_csv(&cells, &outcomes),
-    )
+/// The MTTF × λ × policy fault sweep (see the module docs). Returns the
+/// table and the per-cell summary CSV, both from one grid run.
+pub fn fault_sweep() -> (TextTable, String) {
+    let cells = grid();
+    let outcomes = run_pool(cells.len(), |i| {
+        let (m, r, p) = cells[i];
+        let factories = fault_policy_factories(PAPER_BEST_ALPHA);
+        let (_, make) = &factories[p];
+        fault_point(make.as_ref(), FAULT_RATES[r], FAULT_MTTFS[m])
+    });
+    render(&cells, &outcomes)
 }
 
 #[cfg(test)]
@@ -311,7 +288,7 @@ mod tests {
     fn disabled_faults_match_the_plain_driver() {
         let factories = fault_policy_factories(PAPER_BEST_ALPHA);
         let (_, apt) = &factories[0];
-        let baseline = fault_point(apt.as_ref(), 0.15, None, true);
+        let baseline = fault_point(apt.as_ref(), 0.15, None);
         let lookup = LookupTable::paper();
         let mut policy = apt();
         let mut source = PoissonSource::new(
@@ -330,7 +307,7 @@ mod tests {
             lookup,
             policy.as_mut(),
             &DriverOpts {
-                snapshot_interval: Some(SimDuration::from_ms(120_000)),
+                snapshot_interval: Some(SWEEP_WINDOW),
                 max_in_flight_jobs: Some(FAULT_CAP),
                 shed_when_full: true,
                 ..DriverOpts::default()
@@ -355,7 +332,7 @@ mod tests {
         let factories = fault_policy_factories(PAPER_BEST_ALPHA);
         let mttf = Some(SimDuration::from_ms(30_000));
         for (name, make) in &factories {
-            let o = fault_point(make.as_ref(), 0.15, mttf, false);
+            let o = fault_point(make.as_ref(), 0.15, mttf);
             assert_eq!(
                 o.jobs_completed + o.jobs_failed + o.jobs_shed,
                 FAULT_JOBS,
@@ -369,12 +346,12 @@ mod tests {
         // identically, and the fault-free twin strictly beats it on
         // goodput (same arrivals, same policy).
         let (_, apt) = &factories[0];
-        let crashy = fault_point(apt.as_ref(), 0.15, mttf, false);
-        let again = fault_point(apt.as_ref(), 0.15, mttf, false);
+        let crashy = fault_point(apt.as_ref(), 0.15, mttf);
+        let again = fault_point(apt.as_ref(), 0.15, mttf);
         assert_eq!(crashy.end, again.end);
         assert_eq!(crashy.proc_stats, again.proc_stats);
         assert_eq!(crashy.faults, again.faults);
-        let clean = fault_point(apt.as_ref(), 0.15, None, false);
+        let clean = fault_point(apt.as_ref(), 0.15, None);
         assert!(
             crashy.goodput_jps < clean.goodput_jps,
             "crashes must cost goodput: {} vs {}",
@@ -395,7 +372,7 @@ mod tests {
             ("AR", Box::new(|| Box::new(AdaptiveRandom::new(FAULT_SEED)))),
         ];
         for (name, make) in &makers {
-            let o = fault_point(make.as_ref(), 0.15, mttf, false);
+            let o = fault_point(make.as_ref(), 0.15, mttf);
             assert_eq!(
                 o.jobs_completed + o.jobs_failed + o.jobs_shed,
                 FAULT_JOBS,
@@ -414,10 +391,11 @@ mod tests {
         let (_, apt) = &factories[0];
         let cells = vec![(0, 0, 0), (2, 0, 0)];
         let outcomes = vec![
-            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[0], false),
-            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[2], false),
+            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[0]),
+            fault_point(apt.as_ref(), 0.15, FAULT_MTTFS[2]),
         ];
-        let csv = render_fault_csv(&cells, &outcomes);
+        let (table, csv) = render(&cells, &outcomes);
+        assert_eq!(table.row_count(), 2);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], FAULT_CSV_HEADER);

@@ -2,9 +2,8 @@
 //!
 //! Figures are bar/line charts in the thesis; here each becomes the table of
 //! the plotted series (plus, for Figure 5, the exact schedule walk-through).
-//! EXPERIMENTS.md records the paper-vs-measured comparison for every one.
 
-use crate::runner::{avg_lambda_ms, avg_makespans_ms, policy_index, policy_matrix, Rate};
+use crate::runner::{avg_lambda_ms, avg_makespans_ms, policy_index, Rate, SweepCache};
 use crate::workloads::figure5_graph;
 use apt_core::prelude::*;
 use apt_metrics::gantt::state_log;
@@ -55,9 +54,9 @@ pub fn fig5() -> String {
 /// The four best policies of Figures 6/8 and their matrix columns.
 const TOP4: [&str; 4] = ["APT", "MET", "HEFT", "PEFT"];
 
-fn top4_figure(title: &str, ty: DfgType) -> TextTable {
+fn top4_figure(cache: &SweepCache, title: &str, ty: DfgType) -> TextTable {
     let mut t = TextTable::new(title, &["Policy", "Avg execution time (s)"]);
-    let matrix = policy_matrix(ty, 1.5, Rate::Gbps4);
+    let matrix = cache.policy_matrix(ty, 1.5, Rate::Gbps4);
     let avgs = avg_makespans_ms(&matrix);
     for name in TOP4 {
         t.push_row(vec![
@@ -69,22 +68,25 @@ fn top4_figure(title: &str, ty: DfgType) -> TextTable {
 }
 
 /// Figure 6 — average execution time of the top-4 policies, DFG Type-1, α=1.5.
-pub fn fig6() -> TextTable {
+pub fn fig6(cache: &SweepCache) -> TextTable {
     top4_figure(
+        cache,
         "Figure 6. Avg. execution time (s), top 4 policies, DFG Type-1 (α=1.5)",
         DfgType::Type1,
     )
 }
 
 /// Figure 8 — average execution time of the top-4 policies, DFG Type-2, α=1.5.
-pub fn fig8() -> TextTable {
+pub fn fig8(cache: &SweepCache) -> TextTable {
     top4_figure(
+        cache,
         "Figure 8. Avg. execution time (s), top 4 policies, DFG Type-2 (α=1.5)",
         DfgType::Type2,
     )
 }
 
 fn alpha_sweep_figure(
+    cache: &SweepCache,
     title: &str,
     ty: DfgType,
     value: impl Fn(&[f64]) -> f64,
@@ -94,7 +96,7 @@ fn alpha_sweep_figure(
     for &alpha in &PAPER_ALPHAS {
         let mut cells = vec![format!("{alpha}")];
         for rate in Rate::ALL {
-            let matrix = policy_matrix(ty, alpha, rate);
+            let matrix = cache.policy_matrix(ty, alpha, rate);
             let avgs = metric_of(&matrix);
             cells.push(format!("{:.3}", value(&avgs)));
         }
@@ -104,8 +106,9 @@ fn alpha_sweep_figure(
 }
 
 /// Figure 7 — APT average execution time (s) vs α and transfer rate, Type-1.
-pub fn fig7() -> TextTable {
+pub fn fig7(cache: &SweepCache) -> TextTable {
     alpha_sweep_figure(
+        cache,
         "Figure 7. Avg. APT execution time (s) on varying α and transfer rate, DFG Type-1",
         DfgType::Type1,
         |avgs| avgs[policy_index("APT")] / 1000.0,
@@ -114,8 +117,9 @@ pub fn fig7() -> TextTable {
 }
 
 /// Figure 9 — APT average execution time (s) vs α and transfer rate, Type-2.
-pub fn fig9() -> TextTable {
+pub fn fig9(cache: &SweepCache) -> TextTable {
     alpha_sweep_figure(
+        cache,
         "Figure 9. Avg. APT execution time (s) on varying α and transfer rate, DFG Type-2",
         DfgType::Type2,
         |avgs| avgs[policy_index("APT")] / 1000.0,
@@ -124,8 +128,9 @@ pub fn fig9() -> TextTable {
 }
 
 /// Figure 11 — APT average λ delay (s) vs α and transfer rate, Type-1.
-pub fn fig11() -> TextTable {
+pub fn fig11(cache: &SweepCache) -> TextTable {
     alpha_sweep_figure(
+        cache,
         "Figure 11. Avg. APT λ delay (s) on varying α and transfer rate, DFG Type-1",
         DfgType::Type1,
         |avgs| avgs[policy_index("APT")] / 1000.0,
@@ -134,8 +139,9 @@ pub fn fig11() -> TextTable {
 }
 
 /// Figure 12 — APT average λ delay (s) vs α and transfer rate, Type-2.
-pub fn fig12() -> TextTable {
+pub fn fig12(cache: &SweepCache) -> TextTable {
     alpha_sweep_figure(
+        cache,
         "Figure 12. Avg. APT λ delay (s) on varying α and transfer rate, DFG Type-2",
         DfgType::Type2,
         |avgs| avgs[policy_index("APT")] / 1000.0,
@@ -143,9 +149,9 @@ pub fn fig12() -> TextTable {
     )
 }
 
-fn per_experiment_figure(title: &str, ty: DfgType) -> TextTable {
+fn per_experiment_figure(cache: &SweepCache, title: &str, ty: DfgType) -> TextTable {
     let mut t = TextTable::new(title, &["Experiment", "APT (s)", "MET (s)"]);
-    let matrix = policy_matrix(ty, 4.0, Rate::Gbps4);
+    let matrix = cache.policy_matrix(ty, 4.0, Rate::Gbps4);
     for (i, row) in matrix.iter().enumerate() {
         t.push_row(vec![
             (i + 1).to_string(),
@@ -158,16 +164,18 @@ fn per_experiment_figure(title: &str, ty: DfgType) -> TextTable {
 
 /// The unnumbered in-text figure of §4.2.1 — per-experiment execution time,
 /// MET vs APT(α=4), DFG Type-1.
-pub fn fig8b() -> TextTable {
+pub fn fig8b(cache: &SweepCache) -> TextTable {
     per_experiment_figure(
+        cache,
         "Figure 8b (in-text, §4.2.1). Execution time per experiment, MET vs APT (α=4), DFG Type-1",
         DfgType::Type1,
     )
 }
 
 /// Figure 10 — per-experiment execution time, MET vs APT(α=4), DFG Type-2.
-pub fn fig10() -> TextTable {
+pub fn fig10(cache: &SweepCache) -> TextTable {
     per_experiment_figure(
+        cache,
         "Figure 10. Execution time per experiment, MET vs APT (α=4), DFG Type-2",
         DfgType::Type2,
     )
@@ -203,7 +211,7 @@ mod tests {
 
     #[test]
     fn fig6_reports_top4_in_seconds() {
-        let t = fig6();
+        let t = fig6(&SweepCache::default());
         assert_eq!(t.row_count(), 4);
         for r in 0..4 {
             let v = t.cell_f64(r, 1).unwrap();
@@ -213,9 +221,9 @@ mod tests {
 
     #[test]
     fn fig7_shows_the_alpha_valley() {
-        // DESIGN.md acceptance criterion 3: the α sweep has its minimum at
-        // an interior α (not at 1.5 and not at 16).
-        let t = fig7();
+        // The α valley: APT's average makespan is lowest at an interior α
+        // (not at 1.5 and not at 16).
+        let t = fig7(&SweepCache::default());
         let series: Vec<f64> = (0..t.row_count())
             .map(|r| t.cell_f64(r, 1).unwrap())
             .collect();
@@ -233,7 +241,7 @@ mod tests {
 
     #[test]
     fn fig10_apt_wins_most_type2_experiments_at_alpha4() {
-        let t = fig10();
+        let t = fig10(&SweepCache::default());
         let wins = (0..t.row_count())
             .filter(|&r| t.cell_f64(r, 1).unwrap() < t.cell_f64(r, 2).unwrap())
             .count();

@@ -1,12 +1,21 @@
 //! # apt-experiments
 //!
 //! The experiment harness: regenerates every table (7–16) and figure (3–12)
-//! of the paper's evaluation from the reproduction pipeline. Used two
-//! ways:
+//! of the paper's evaluation from the reproduction pipeline, plus the
+//! ablations and the open-stream sweeps. Used two ways:
 //!
 //! * the `apt-repro` binary (`cargo run -p apt-experiments --release --
 //!   <id>|all|list`) prints artifacts to stdout,
-//! * the integration tests assert the DESIGN.md acceptance criteria.
+//! * the integration tests check that each headline result of the paper
+//!   keeps its shape on the reconstructed workloads (`tests/paper_shapes.rs`).
+//!
+//! [`ARTIFACTS`] is the one list of artifact ids: each [`ArtifactSpec`]
+//! says how to regenerate its artifact, whether it has a CSV form, and
+//! which representative stream cell `--trace` and `--metrics` run for it.
+//!
+//! The closed tables and figures read their policy matrices from a
+//! [`runner::SweepCache`] that the caller builds and owns: `apt-repro`
+//! makes one per process, and each test makes its own.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,10 +33,11 @@ pub mod topology;
 pub mod traced;
 pub mod workloads;
 
-pub use telemetered::{artifact_has_metrics, artifact_metrics, MetricsExport};
-pub use traced::{artifact_has_trace, artifact_trace, TraceExport};
+pub use telemetered::{artifact_metrics, MetricsExport};
+pub use traced::{artifact_trace, StreamCell, TraceExport};
 
 use apt_metrics::TextTable;
+use runner::SweepCache;
 
 /// A regenerated artifact: either a formatted table or free-form text.
 #[derive(Debug, Clone)]
@@ -47,137 +57,154 @@ impl std::fmt::Display for Artifact {
     }
 }
 
-/// Every artifact id, in paper order.
-pub const ARTIFACT_IDS: [&str; 19] = [
-    "table7", "table8", "table9", "table10", "table11", "table12", "table13", "table14", "table15",
-    "table16", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig8b", "fig9", "fig10",
-];
-
-/// The remaining figure ids (λ sweeps) — kept separate purely so the array
-/// above stays in the paper's listing order; `all_artifact_ids` merges them.
-pub const LAMBDA_FIGURE_IDS: [&str; 2] = ["fig11", "fig12"];
-
-/// Supplementary artifacts: Table 1 (background) and the §3.2 metric-5
-/// "occurrences of better solutions" summary.
-pub const SUPPLEMENTARY_IDS: [&str; 2] = ["table1", "wins"];
-
-/// Open-stream artifacts (beyond the paper's closed-world evaluation; see
-/// `streaming`, `slo`, `topology` and `faults`): the λ-saturation sweep,
-/// the burst-absorption comparison, the deadline/admission frontier, the
-/// multi-link topology saturation comparison, the failure-injection
-/// MTTF × λ sweep, and the adaptive-control-plane sweep.
-pub const STREAM_IDS: [&str; 6] = [
-    "stream-saturation",
-    "stream-bursts",
-    "slo-sweep",
-    "topology-sweep",
-    "fault-sweep",
-    "control-sweep",
-];
-
-/// Ablation artifacts (beyond the paper's evaluation; see `ablations`).
-pub const ABLATION_IDS: [&str; 7] = [
-    "ablation-alpha-fine",
-    "ablation-heterogeneity",
-    "ablation-bytes",
-    "ablation-procs",
-    "ablation-aptr",
-    "ablation-energy",
-    "ablation-quality",
-];
-
-/// All artifact ids.
-pub fn all_artifact_ids() -> Vec<&'static str> {
-    ARTIFACT_IDS
-        .iter()
-        .chain(LAMBDA_FIGURE_IDS.iter())
-        .chain(SUPPLEMENTARY_IDS.iter())
-        .chain(ABLATION_IDS.iter())
-        .chain(STREAM_IDS.iter())
-        .copied()
-        .collect()
+/// How an artifact is regenerated.
+#[derive(Debug, Clone, Copy)]
+pub enum Run {
+    /// Free-form text (Table 1, Figures 3–5).
+    Text(fn() -> String),
+    /// A table; the closed tables and figures read their policy matrices
+    /// from the cache.
+    Table(fn(&SweepCache) -> TextTable),
+    /// An open-stream sweep: one grid run renders its table and its CSV.
+    Sweep(fn() -> (TextTable, String)),
 }
 
-/// Regenerate one artifact by id. `None` for unknown ids.
-pub fn run_artifact(id: &str) -> Option<Artifact> {
-    let artifact = match id {
-        "table1" => Artifact::Text(tables::table1()),
-        "wins" => Artifact::Table(tables::wins()),
-        "table7" => Artifact::Table(tables::table7()),
-        "table8" => Artifact::Table(tables::table8()),
-        "table9" => Artifact::Table(tables::table9()),
-        "table10" => Artifact::Table(tables::table10()),
-        "table11" => Artifact::Table(tables::table11()),
-        "table12" => Artifact::Table(tables::table12()),
-        "table13" => Artifact::Table(tables::table13()),
-        "table14" => Artifact::Table(tables::table14()),
-        "table15" => Artifact::Table(tables::table15()),
-        "table16" => Artifact::Table(tables::table16()),
-        "fig3" => Artifact::Text(figures::fig3()),
-        "fig4" => Artifact::Text(figures::fig4()),
-        "fig5" => Artifact::Text(figures::fig5()),
-        "fig6" => Artifact::Table(figures::fig6()),
-        "fig7" => Artifact::Table(figures::fig7()),
-        "fig8" => Artifact::Table(figures::fig8()),
-        "fig8b" => Artifact::Table(figures::fig8b()),
-        "fig9" => Artifact::Table(figures::fig9()),
-        "fig10" => Artifact::Table(figures::fig10()),
-        "fig11" => Artifact::Table(figures::fig11()),
-        "fig12" => Artifact::Table(figures::fig12()),
-        "ablation-alpha-fine" => Artifact::Table(ablations::ablation_alpha_fine()),
-        "ablation-heterogeneity" => Artifact::Table(ablations::ablation_heterogeneity()),
-        "ablation-bytes" => Artifact::Table(ablations::ablation_bytes_per_element()),
-        "ablation-procs" => Artifact::Table(ablations::ablation_processor_count()),
-        "ablation-aptr" => Artifact::Table(ablations::ablation_apt_r()),
-        "ablation-energy" => Artifact::Table(ablations::ablation_energy()),
-        "ablation-quality" => Artifact::Table(ablations::ablation_quality()),
-        "stream-saturation" => Artifact::Table(streaming::stream_saturation()),
-        "stream-bursts" => Artifact::Table(streaming::stream_burst_comparison()),
-        "slo-sweep" => Artifact::Table(slo::slo_sweep()),
-        "topology-sweep" => Artifact::Table(topology::topology_sweep()),
-        "fault-sweep" => Artifact::Table(faults::fault_sweep()),
-        "control-sweep" => Artifact::Table(control::control_sweep()),
-        _ => return None,
-    };
-    Some(artifact)
+/// One artifact id and everything the harness knows about it.
+#[derive(Debug, Clone, Copy)]
+pub struct ArtifactSpec {
+    /// The id `apt-repro` takes.
+    pub id: &'static str,
+    /// How to regenerate the artifact.
+    pub run: Run,
+    /// The representative stream cell `--trace` and `--metrics` run, for
+    /// the open-stream artifacts.
+    pub cell: Option<StreamCell>,
 }
 
-/// True when [`artifact_with_csv`] has a CSV form for `id` — a static check,
-/// so callers can filter capabilities without triggering the sweep.
-pub fn artifact_has_csv(id: &str) -> bool {
-    matches!(
-        id,
-        "slo-sweep" | "stream-saturation" | "topology-sweep" | "fault-sweep" | "control-sweep"
-    )
-}
-
-/// Both renderings of a CSV-capable artifact from **one** grid run — what
-/// `apt-repro <id> --csv <path>` uses so the sweep never simulates twice.
-/// `None` exactly when [`artifact_has_csv`] is false.
-pub fn artifact_with_csv(id: &str) -> Option<(Artifact, String)> {
-    match id {
-        "slo-sweep" => {
-            let (table, csv) = slo::slo_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "stream-saturation" => {
-            let (table, csv) = streaming::stream_saturation_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "topology-sweep" => {
-            let (table, csv) = topology::topology_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "fault-sweep" => {
-            let (table, csv) = faults::fault_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        "control-sweep" => {
-            let (table, csv) = control::control_sweep_with_csv();
-            Some((Artifact::Table(table), csv))
-        }
-        _ => None,
+impl ArtifactSpec {
+    /// True when the artifact has a CSV form (`apt-repro --csv`).
+    pub fn has_csv(&self) -> bool {
+        matches!(self.run, Run::Sweep(_))
     }
+
+    /// Regenerate the artifact, with its CSV form when it has one.
+    pub fn regenerate(&self, cache: &SweepCache) -> (Artifact, Option<String>) {
+        match self.run {
+            Run::Text(text) => (Artifact::Text(text()), None),
+            Run::Table(table) => (Artifact::Table(table(cache)), None),
+            Run::Sweep(sweep) => {
+                let (table, csv) = sweep();
+                (Artifact::Table(table), Some(csv))
+            }
+        }
+    }
+}
+
+const fn spec(id: &'static str, run: Run) -> ArtifactSpec {
+    ArtifactSpec {
+        id,
+        run,
+        cell: None,
+    }
+}
+
+const fn stream(id: &'static str, run: Run, cell: StreamCell) -> ArtifactSpec {
+    ArtifactSpec {
+        id,
+        run,
+        cell: Some(cell),
+    }
+}
+
+/// Every artifact, in the order `apt-repro all` prints them: the paper's
+/// tables and figures in paper order, Table 1 and the §3.2 metric-5
+/// "occurrences of better solutions" summary, the ablations, and the
+/// open-stream scenarios (see `streaming`, `slo`, `topology`, `faults` and
+/// `control`).
+pub const ARTIFACTS: &[ArtifactSpec] = &[
+    spec("table7", Run::Table(|_| tables::table7())),
+    spec("table8", Run::Table(tables::table8)),
+    spec("table9", Run::Table(tables::table9)),
+    spec("table10", Run::Table(tables::table10)),
+    spec("table11", Run::Table(tables::table11)),
+    spec("table12", Run::Table(tables::table12)),
+    spec("table13", Run::Table(tables::table13)),
+    spec("table14", Run::Table(|_| tables::table14())),
+    spec("table15", Run::Table(tables::table15)),
+    spec("table16", Run::Table(tables::table16)),
+    spec("fig3", Run::Text(figures::fig3)),
+    spec("fig4", Run::Text(figures::fig4)),
+    spec("fig5", Run::Text(figures::fig5)),
+    spec("fig6", Run::Table(figures::fig6)),
+    spec("fig7", Run::Table(figures::fig7)),
+    spec("fig8", Run::Table(figures::fig8)),
+    spec("fig8b", Run::Table(figures::fig8b)),
+    spec("fig9", Run::Table(figures::fig9)),
+    spec("fig10", Run::Table(figures::fig10)),
+    spec("fig11", Run::Table(figures::fig11)),
+    spec("fig12", Run::Table(figures::fig12)),
+    spec("table1", Run::Text(tables::table1)),
+    spec("wins", Run::Table(tables::wins)),
+    spec(
+        "ablation-alpha-fine",
+        Run::Table(|_| ablations::ablation_alpha_fine()),
+    ),
+    spec(
+        "ablation-heterogeneity",
+        Run::Table(|_| ablations::ablation_heterogeneity()),
+    ),
+    spec(
+        "ablation-bytes",
+        Run::Table(|_| ablations::ablation_bytes_per_element()),
+    ),
+    spec(
+        "ablation-procs",
+        Run::Table(|_| ablations::ablation_processor_count()),
+    ),
+    spec("ablation-aptr", Run::Table(|_| ablations::ablation_apt_r())),
+    spec(
+        "ablation-energy",
+        Run::Table(|_| ablations::ablation_energy()),
+    ),
+    spec(
+        "ablation-quality",
+        Run::Table(|_| ablations::ablation_quality()),
+    ),
+    stream(
+        "stream-saturation",
+        Run::Sweep(streaming::stream_saturation),
+        traced::saturation_stream,
+    ),
+    stream(
+        "stream-bursts",
+        Run::Table(|_| streaming::stream_burst_comparison()),
+        traced::burst_stream,
+    ),
+    stream(
+        "slo-sweep",
+        Run::Sweep(slo::slo_sweep),
+        traced::steady_stream,
+    ),
+    stream(
+        "topology-sweep",
+        Run::Sweep(topology::topology_sweep),
+        traced::steady_stream,
+    ),
+    stream(
+        "fault-sweep",
+        Run::Sweep(faults::fault_sweep),
+        traced::fault_stream,
+    ),
+    stream(
+        "control-sweep",
+        Run::Sweep(control::control_sweep),
+        traced::control_stream,
+    ),
+];
+
+/// The spec of artifact `id`; `None` for unknown ids.
+pub fn artifact(id: &str) -> Option<&'static ArtifactSpec> {
+    ARTIFACTS.iter().find(|spec| spec.id == id)
 }
 
 #[cfg(test)]
@@ -187,28 +214,65 @@ mod tests {
     #[test]
     fn every_listed_artifact_is_runnable() {
         // Cheap artifacts run fully; expensive sweeps are covered by their
-        // own table/figure tests — here we check id dispatch only for the
-        // static ones and id validity for the rest.
+        // own table/figure tests.
+        let cache = SweepCache::default();
         for id in ["table7", "table14", "fig3", "fig4", "fig5"] {
-            assert!(run_artifact(id).is_some(), "artifact {id} missing");
+            let (_, csv) = artifact(id).expect("listed").regenerate(&cache);
+            assert!(csv.is_none(), "closed artifact {id} has no CSV");
         }
-        assert!(run_artifact("nope").is_none());
-        assert_eq!(all_artifact_ids().len(), 36);
-        assert!(all_artifact_ids().contains(&"slo-sweep"));
-        assert!(all_artifact_ids().contains(&"topology-sweep"));
-        assert!(all_artifact_ids().contains(&"fault-sweep"));
-        assert!(all_artifact_ids().contains(&"control-sweep"));
-        assert!(
-            artifact_with_csv("table7").is_none(),
-            "closed tables have no CSV"
+        assert_eq!(ARTIFACTS.len(), 36);
+        for id in [
+            "slo-sweep",
+            "topology-sweep",
+            "fault-sweep",
+            "control-sweep",
+        ] {
+            assert!(artifact(id).is_some(), "{id} missing");
+        }
+    }
+
+    #[test]
+    fn registry_ids_and_capabilities() {
+        let mut ids: Vec<&str> = ARTIFACTS.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), ARTIFACTS.len(), "duplicate artifact ids");
+
+        let with_csv: Vec<&str> = ARTIFACTS
+            .iter()
+            .filter(|s| s.has_csv())
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(
+            with_csv,
+            [
+                "stream-saturation",
+                "slo-sweep",
+                "topology-sweep",
+                "fault-sweep",
+                "control-sweep"
+            ]
         );
-        // The static capability check agrees with the resolver for the
-        // cheap (None) ids; the Some ids are pinned by their sweep tests.
-        assert!(!artifact_has_csv("table7"));
-        assert!(artifact_has_csv("slo-sweep"));
-        assert!(artifact_has_csv("stream-saturation"));
-        assert!(artifact_has_csv("topology-sweep"));
-        assert!(artifact_has_csv("fault-sweep"));
-        assert!(artifact_has_csv("control-sweep"));
+        // `--trace` and `--metrics` observe the same representative cell,
+        // which exactly the six open-stream artifacts have.
+        let with_cell: Vec<&str> = ARTIFACTS
+            .iter()
+            .filter(|s| s.cell.is_some())
+            .map(|s| s.id)
+            .collect();
+        assert_eq!(
+            with_cell,
+            [
+                "stream-saturation",
+                "stream-bursts",
+                "slo-sweep",
+                "topology-sweep",
+                "fault-sweep",
+                "control-sweep"
+            ]
+        );
+        for id in ["nope", "table99", "", "all", "list"] {
+            assert!(artifact(id).is_none(), "{id:?} resolved");
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! apt-repro list                      # show all artifact ids
 //! apt-repro table8 fig7               # regenerate specific artifacts
 //! apt-repro all                       # regenerate everything, in paper order
-//! apt-repro --markdown all            # markdown output (for EXPERIMENTS.md)
+//! apt-repro --markdown all            # markdown tables
 //! apt-repro slo-sweep --csv slo.csv   # long-format snapshot CSV alongside
 //! ```
 //!
@@ -30,9 +30,9 @@
 //! perfbench's traced mode (`perfbench/run.py --trace 1`), not an
 //! `apt-repro` artifact.
 
+use apt_experiments::runner::SweepCache;
 use apt_experiments::{
-    all_artifact_ids, artifact_has_csv, artifact_has_metrics, artifact_has_trace, artifact_metrics,
-    artifact_trace, artifact_with_csv, run_artifact, Artifact,
+    artifact, artifact_metrics, artifact_trace, Artifact, ArtifactSpec, ARTIFACTS,
 };
 use std::io::Write as _;
 
@@ -54,6 +54,16 @@ fn take_path(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(args.remove(pos))
 }
 
+/// The file one artifact's export goes to: `base` itself when only one
+/// requested artifact has that export, else `base.<id>.<ext>`.
+fn export_path(base: &str, id: &str, capable: usize, ext: &str) -> String {
+    if capable == 1 {
+        base.to_string()
+    } else {
+        format!("{base}.{id}.{ext}")
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let markdown = take_flag(&mut args, "--markdown");
@@ -66,117 +76,107 @@ fn main() {
             "usage: apt-repro [--markdown] [--csv <path>] [--trace <path>] \
              [--progress] [--metrics <path>] <artifact-id>... | all | list"
         );
-        eprintln!("artifacts: {}", all_artifact_ids().join(" "));
+        let ids: Vec<&str> = ARTIFACTS.iter().map(|spec| spec.id).collect();
+        eprintln!("artifacts: {}", ids.join(" "));
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
     if args[0] == "list" {
-        for id in all_artifact_ids() {
-            println!("{id}");
+        for spec in ARTIFACTS {
+            println!("{}", spec.id);
         }
         return;
     }
-    let ids: Vec<&str> = if args[0] == "all" {
+    let cache = SweepCache::default();
+    let requested: Vec<(&str, Option<&ArtifactSpec>)> = if args[0] == "all" {
         // Fill the run cache for the whole evaluation grid in one parallel
         // wave (combination × graph × policy) before rendering anything.
-        apt_experiments::runner::prewarm_paper_grid();
-        all_artifact_ids()
+        cache.prewarm_paper_grid();
+        ARTIFACTS.iter().map(|spec| (spec.id, Some(spec))).collect()
     } else {
-        args.iter().map(String::as_str).collect()
+        args.iter().map(|id| (id.as_str(), artifact(id))).collect()
     };
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut failed = false;
-    // Static capability check (resolving a CSV runs the whole sweep, so
-    // that happens exactly once per capable id, feeding table and CSV
-    // from the same run).
-    let csv_capable = ids.iter().filter(|id| artifact_has_csv(id)).count();
+    // Capabilities are read from the table before anything runs.
+    let capable = |has: fn(&ArtifactSpec) -> bool| {
+        requested
+            .iter()
+            .filter(|(_, spec)| spec.is_some_and(has))
+            .count()
+    };
+    let csv_capable = capable(ArtifactSpec::has_csv);
     if csv_path.is_some() && csv_capable == 0 {
         eprintln!("--csv: none of the requested artifacts has a CSV form");
         failed = true;
     }
-    let trace_capable = ids.iter().filter(|id| artifact_has_trace(id)).count();
-    if trace_path.is_some() && trace_capable == 0 {
+    // `--trace` and `--metrics` both run the representative stream cell.
+    let cell_capable = capable(|spec| spec.cell.is_some());
+    if trace_path.is_some() && cell_capable == 0 {
         eprintln!("--trace: none of the requested artifacts has a traced form");
         failed = true;
     }
-    let metrics_capable = ids.iter().filter(|id| artifact_has_metrics(id)).count();
-    if metrics_path.is_some() && metrics_capable == 0 {
+    if metrics_path.is_some() && cell_capable == 0 {
         eprintln!("--metrics: none of the requested artifacts has a telemetered form");
         failed = true;
     }
-    for id in ids {
-        let artifact = match (&csv_path, artifact_has_csv(id)) {
-            (Some(base), true) => {
-                let (artifact, csv) = artifact_with_csv(id).expect("capability checked");
-                let path = if csv_capable == 1 {
-                    base.clone()
-                } else {
-                    format!("{base}.{id}.csv")
-                };
-                if let Err(e) = std::fs::write(&path, csv) {
-                    eprintln!("--csv: cannot write {path}: {e}");
-                    failed = true;
-                } else {
-                    eprintln!("wrote {path}");
-                }
-                Some(artifact)
-            }
-            _ => run_artifact(id),
+    for (id, spec) in requested {
+        let Some(spec) = spec else {
+            eprintln!("unknown artifact id: {id}");
+            failed = true;
+            continue;
         };
-        match artifact {
-            Some(artifact) => {
-                let rendered = match (&artifact, markdown) {
-                    (Artifact::Table(t), true) => t.to_markdown(),
-                    _ => artifact.to_string(),
-                };
-                if writeln!(out, "=== {id} ===\n{rendered}").is_err() {
-                    // Downstream pipe closed (e.g. `apt-repro all | head`):
-                    // stop quietly instead of panicking.
-                    return;
-                }
-                if let (Some(base), true) = (&trace_path, artifact_has_trace(id)) {
-                    let export = artifact_trace(id).expect("capability checked");
-                    let path = if trace_capable == 1 {
-                        base.clone()
-                    } else {
-                        format!("{base}.{id}.json")
-                    };
-                    if let Err(e) = std::fs::write(&path, &export.chrome) {
-                        eprintln!("--trace: cannot write {path}: {e}");
-                        failed = true;
-                    } else {
-                        eprintln!("wrote {path}");
-                    }
-                    if writeln!(out, "{}", export.summary).is_err() {
-                        return;
-                    }
-                }
-                if let (Some(base), true) = (&metrics_path, artifact_has_metrics(id)) {
-                    let export = artifact_metrics(id, progress).expect("capability checked");
-                    let path = if metrics_capable == 1 {
-                        base.clone()
-                    } else {
-                        format!("{base}.{id}.prom")
-                    };
-                    if let Err(e) = std::fs::write(&path, &export.prometheus) {
-                        eprintln!("--metrics: cannot write {path}: {e}");
-                        failed = true;
-                    } else {
-                        eprintln!("wrote {path} ({} samples)", export.samples);
-                    }
-                    let jsonl_path = format!("{path}.jsonl");
-                    if let Err(e) = std::fs::write(&jsonl_path, &export.jsonl) {
-                        eprintln!("--metrics: cannot write {jsonl_path}: {e}");
-                        failed = true;
-                    } else {
-                        eprintln!("wrote {jsonl_path} ({} windows)", export.lines);
-                    }
-                }
-            }
-            None => {
-                eprintln!("unknown artifact id: {id}");
+        let (artifact, csv) = spec.regenerate(&cache);
+        if let (Some(base), Some(csv)) = (&csv_path, csv) {
+            let path = export_path(base, id, csv_capable, "csv");
+            if let Err(e) = std::fs::write(&path, csv) {
+                eprintln!("--csv: cannot write {path}: {e}");
                 failed = true;
+            } else {
+                eprintln!("wrote {path}");
+            }
+        }
+        let rendered = match (&artifact, markdown) {
+            (Artifact::Table(t), true) => t.to_markdown(),
+            _ => artifact.to_string(),
+        };
+        if writeln!(out, "=== {id} ===\n{rendered}").is_err() {
+            // Downstream pipe closed (e.g. `apt-repro all | head`): stop
+            // quietly instead of panicking.
+            return;
+        }
+        let Some(cell) = spec.cell else {
+            continue;
+        };
+        if let Some(base) = &trace_path {
+            let export = artifact_trace(cell);
+            let path = export_path(base, id, cell_capable, "json");
+            if let Err(e) = std::fs::write(&path, &export.chrome) {
+                eprintln!("--trace: cannot write {path}: {e}");
+                failed = true;
+            } else {
+                eprintln!("wrote {path}");
+            }
+            if writeln!(out, "{}", export.summary).is_err() {
+                return;
+            }
+        }
+        if let Some(base) = &metrics_path {
+            let export = artifact_metrics(cell, progress);
+            let path = export_path(base, id, cell_capable, "prom");
+            if let Err(e) = std::fs::write(&path, &export.prometheus) {
+                eprintln!("--metrics: cannot write {path}: {e}");
+                failed = true;
+            } else {
+                eprintln!("wrote {path} ({} samples)", export.samples);
+            }
+            let jsonl_path = format!("{path}.jsonl");
+            if let Err(e) = std::fs::write(&jsonl_path, &export.jsonl) {
+                eprintln!("--metrics: cannot write {jsonl_path}: {e}");
+                failed = true;
+            } else {
+                eprintln!("wrote {jsonl_path} ({} windows)", export.lines);
             }
         }
     }

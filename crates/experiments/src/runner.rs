@@ -4,13 +4,16 @@
 //! (policy × experiment graph × α × link rate). The runner flattens those
 //! runs into one task list and executes it on a scoped worker pool sized to
 //! the machine (`std::thread::scope` workers draining an atomic cursor),
-//! then memoizes the per-run summaries (a `std::sync::Mutex` around the
-//! cache) so `apt-repro all` never simulates the same configuration twice.
+//! then memoizes the per-run summaries in a [`SweepCache`] so one caller
+//! never simulates the same configuration twice.
 //!
-//! [`prewarm`] takes any set of `(DFG type, α, rate)` combinations at once
-//! and runs them in parallel over the whole combination × graph × policy
-//! grid. `apt-repro all` prewarms the full evaluation grid in a single wave
-//! before rendering any artifact.
+//! The cache is a value its caller owns, not process state: `apt-repro`
+//! builds one per process and hands it to every table and figure, and each
+//! test builds its own, so no two tests share a memo.
+//! [`SweepCache::prewarm`] takes any set of `(DFG type, α, rate)`
+//! combinations at once and runs them in parallel over the whole
+//! combination × graph × policy grid. `apt-repro all` prewarms the full
+//! evaluation grid in a single wave before rendering any artifact.
 //!
 //! The cache key is **split by α-dependence**: only the APT column actually
 //! varies with α, so the six baseline policy columns are cached per
@@ -18,13 +21,13 @@
 //! simulates `k` APT columns plus one baseline block instead of `7k`
 //! columns (≈ 6/7 of the work saved for every α beyond the first).
 
-use crate::workloads::{experiment_graphs, NUM_EXPERIMENTS};
+use crate::workloads::experiment_graphs;
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
 use apt_metrics::RunSummary;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Link-rate presets used by the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,22 +88,19 @@ impl Key {
 /// The six baseline policy columns (`matrix[graph][policy − 1]`, i.e. MET …
 /// PEFT) per `(family, rate)`. α never enters a baseline simulation, so
 /// this cache is keyed without it — the α-dependent APT column is the only
-/// thing [`prewarm`] recomputes per α.
+/// thing [`SweepCache::prewarm`] recomputes per α.
 type BaselineBlock = Vec<Vec<Arc<RunSummary>>>;
 
-/// Both memo tables. Entries are insert-once: when two concurrent waves
-/// simulate the same key, the first to publish wins and the other adopts
-/// its `Arc`, so every reader of a key sees one allocation.
+/// The memo of the closed policy sweeps: every matrix computed so far, and
+/// the α-independent baseline blocks they share.
+///
+/// Entries are insert-once: when two concurrent waves simulate the same
+/// key, the first to publish wins and the other adopts its `Arc`, so every
+/// reader of a key sees one allocation.
 #[derive(Default)]
-struct SweepCache {
+pub struct SweepCache {
     matrices: Mutex<HashMap<Key, Arc<Matrix>>>,
     baselines: Mutex<HashMap<(DfgType, Rate), Arc<BaselineBlock>>>,
-}
-
-/// The process-wide cache behind [`policy_matrix`] and [`prewarm`].
-fn global_cache() -> &'static SweepCache {
-    static CACHE: OnceLock<SweepCache> = OnceLock::new();
-    CACHE.get_or_init(SweepCache::default)
 }
 
 /// Lock a cache table. A worker panic cannot leave a table half-written
@@ -121,264 +121,271 @@ fn workers(tasks: usize) -> usize {
 /// Execute a flattened task list on a scoped worker pool. `run(i)` computes
 /// task `i`; results come back in task order. Shared with the open-stream
 /// scenario sweeps.
-pub(crate) fn run_pool<T: Send + Sync>(tasks: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let slots: Vec<OnceLock<T>> = (0..tasks).map(|_| OnceLock::new()).collect();
+pub(crate) fn run_pool<T: Send>(tasks: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let cursor = AtomicUsize::new(0);
-    // A worker panic propagates out of the scope once every worker joined.
+    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers(tasks) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks {
-                    break;
-                }
-                slots[i].set(run(i)).unwrap_or_else(|_| {
-                    unreachable!("task {i} claimed twice");
-                });
-            });
+        let handles: Vec<_> = (0..workers(tasks))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= tasks {
+                            break done;
+                        }
+                        done.push((i, run(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            // Joining re-raises a worker panic here.
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
         }
     });
     slots
         .into_iter()
-        .map(|s| s.into_inner().expect("pool drained every task"))
+        .map(|s| s.expect("pool drained every task"))
         .collect()
 }
 
-/// Run (or fetch) the full seven-policy comparison for one DFG family at
-/// one α and one link rate.
-pub fn policy_matrix(ty: DfgType, alpha: f64, rate: Rate) -> Arc<Matrix> {
-    matrix_in(global_cache(), ty, alpha, rate)
-}
-
-/// Compute every not-yet-cached `(type, α, rate)` combination in one
-/// parallel wave, and cache the resulting matrices. Amortizes pool
-/// ramp-up/tail across the whole sweep instead of paying it once per
-/// combination, and — because the cache key is split by α-dependence —
-/// simulates the six baseline columns of each `(family, rate)` pair exactly
-/// once no matter how many α values the sweep covers.
-pub fn prewarm(specs: &[(DfgType, f64, Rate)]) {
-    prewarm_in(global_cache(), specs);
-}
-
-fn matrix_in(cache: &SweepCache, ty: DfgType, alpha: f64, rate: Rate) -> Arc<Matrix> {
-    let key = Key::new(ty, alpha, rate);
-    if let Some(hit) = lock(&cache.matrices).get(&key) {
-        return Arc::clone(hit);
-    }
-    prewarm_in(cache, &[(ty, alpha, rate)]);
-    Arc::clone(
-        lock(&cache.matrices)
-            .get(&key)
-            .expect("prewarm fills the cache"),
-    )
-}
-
-fn prewarm_in(cache: &SweepCache, specs: &[(DfgType, f64, Rate)]) {
-    /// One α-dependent APT column still to simulate. Graphs and system live
-    /// on the referenced [`Block`].
-    struct Combo {
-        key: Key,
-        apt: PolicyFactory,
-        /// Index into `blocks` for this combo's baseline columns.
-        block: usize,
+impl SweepCache {
+    /// Run (or fetch) the full seven-policy comparison for one DFG family
+    /// at one α and one link rate.
+    pub fn policy_matrix(&self, ty: DfgType, alpha: f64, rate: Rate) -> Arc<Matrix> {
+        let key = Key::new(ty, alpha, rate);
+        if let Some(hit) = lock(&self.matrices).get(&key) {
+            return Arc::clone(hit);
+        }
+        self.prewarm(&[(ty, alpha, rate)]);
+        Arc::clone(
+            lock(&self.matrices)
+                .get(&key)
+                .expect("prewarm fills the cache"),
+        )
     }
 
-    /// One α-independent baseline block (six columns per graph).
-    struct Block {
-        ty: DfgType,
-        rate: Rate,
-        graphs: Arc<Vec<KernelDag>>,
-        factories: Vec<BaselineFactory>,
-        system: SystemConfig,
-        /// Filled from the cache when already simulated by an earlier wave.
-        cached: Option<Arc<BaselineBlock>>,
-    }
-
-    /// One unit of pool work.
-    #[derive(Clone, Copy)]
-    enum Task {
-        Apt {
-            combo: usize,
-            graph: usize,
-        },
-        Base {
-            block: usize,
-            graph: usize,
-            policy: usize,
-        },
-    }
-
-    // Collect the missing keys under short locks; all generation happens
-    // after they are released.
-    let mut missing: Vec<(DfgType, f64, Rate)> = Vec::new();
-    {
-        let cached = lock(&cache.matrices);
-        for &(ty, alpha, rate) in specs {
-            let key = Key::new(ty, alpha, rate);
-            if cached.contains_key(&key)
-                || missing.iter().any(|&(t, a, r)| Key::new(t, a, r) == key)
-            {
-                continue;
+    /// Prewarm the paper's complete evaluation grid (both DFG families ×
+    /// the five published α values × both link rates) in one wave.
+    pub fn prewarm_paper_grid(&self) {
+        let mut specs = Vec::new();
+        for ty in DfgType::ALL {
+            for &alpha in &PAPER_ALPHAS {
+                for rate in Rate::ALL {
+                    specs.push((ty, alpha, rate));
+                }
             }
-            missing.push((ty, alpha, rate));
         }
-    }
-    if missing.is_empty() {
-        return;
+        self.prewarm(&specs);
     }
 
-    // One shared graph set per DFG family — every combo of a family
-    // references the same ten graphs instead of regenerating them.
-    let mut graph_sets: Vec<(DfgType, Arc<Vec<KernelDag>>)> = Vec::new();
-    let mut graphs_of = |ty: DfgType| match graph_sets.iter().find(|(t, _)| *t == ty) {
-        Some((_, g)) => Arc::clone(g),
-        None => {
-            let g = Arc::new(experiment_graphs(ty));
-            graph_sets.push((ty, Arc::clone(&g)));
-            g
+    /// Compute every not-yet-cached `(type, α, rate)` combination in one
+    /// parallel wave, and cache the resulting matrices. Amortizes pool
+    /// ramp-up/tail across the whole sweep instead of paying it once per
+    /// combination, and — because the cache key is split by α-dependence —
+    /// simulates the six baseline columns of each `(family, rate)` pair
+    /// exactly once no matter how many α values the sweep covers.
+    pub fn prewarm(&self, specs: &[(DfgType, f64, Rate)]) {
+        /// One α-dependent APT column still to simulate. Graphs and system live
+        /// on the referenced [`Block`].
+        struct Combo {
+            key: Key,
+            apt: PolicyFactory,
+            /// Index into `blocks` for this combo's baseline columns.
+            block: usize,
         }
-    };
 
-    // Snapshot the already-simulated baseline blocks under a short lock;
-    // graph generation and block construction happen after it is released.
-    let baseline_snapshot: HashMap<(DfgType, Rate), Arc<BaselineBlock>> = {
-        let baseline_cached = lock(&cache.baselines);
-        missing
-            .iter()
-            .filter_map(|&(ty, _, rate)| {
-                baseline_cached
-                    .get(&(ty, rate))
-                    .map(|b| ((ty, rate), Arc::clone(b)))
-            })
-            .collect()
-    };
-    let mut blocks: Vec<Block> = Vec::new();
-    let mut combos: Vec<Combo> = Vec::new();
-    for (ty, alpha, rate) in missing {
-        let block = match blocks.iter().position(|b| b.ty == ty && b.rate == rate) {
-            Some(i) => i,
+        /// One α-independent baseline block (six columns per graph).
+        struct Block {
+            ty: DfgType,
+            rate: Rate,
+            graphs: Arc<Vec<KernelDag>>,
+            factories: Vec<BaselineFactory>,
+            system: SystemConfig,
+            /// Filled from the cache when already simulated by an earlier wave.
+            cached: Option<Arc<BaselineBlock>>,
+        }
+
+        /// One unit of pool work.
+        #[derive(Clone, Copy)]
+        enum Task {
+            Apt {
+                combo: usize,
+                graph: usize,
+            },
+            Base {
+                block: usize,
+                graph: usize,
+                policy: usize,
+            },
+        }
+
+        // Collect the missing keys under short locks; all generation happens
+        // after they are released.
+        let mut missing: Vec<(DfgType, f64, Rate)> = Vec::new();
+        {
+            let cached = lock(&self.matrices);
+            for &(ty, alpha, rate) in specs {
+                let key = Key::new(ty, alpha, rate);
+                if cached.contains_key(&key)
+                    || missing.iter().any(|&(t, a, r)| Key::new(t, a, r) == key)
+                {
+                    continue;
+                }
+                missing.push((ty, alpha, rate));
+            }
+        }
+        if missing.is_empty() {
+            return;
+        }
+
+        // One shared graph set per DFG family — every combo of a family
+        // references the same ten graphs instead of regenerating them.
+        let mut graph_sets: Vec<(DfgType, Arc<Vec<KernelDag>>)> = Vec::new();
+        let mut graphs_of = |ty: DfgType| match graph_sets.iter().find(|(t, _)| *t == ty) {
+            Some((_, g)) => Arc::clone(g),
             None => {
-                blocks.push(Block {
-                    ty,
-                    rate,
-                    graphs: graphs_of(ty),
-                    factories: baseline_factories(),
-                    system: rate.system(),
-                    cached: baseline_snapshot.get(&(ty, rate)).map(Arc::clone),
-                });
-                blocks.len() - 1
+                let g = Arc::new(experiment_graphs(ty));
+                graph_sets.push((ty, Arc::clone(&g)));
+                g
             }
         };
-        combos.push(Combo {
-            key: Key::new(ty, alpha, rate),
-            apt: Box::new(move || Box::new(Apt::new(alpha)) as Box<dyn Policy>),
-            block,
-        });
-    }
 
-    // Flatten the remaining work: baseline blocks not yet cached, plus one
-    // APT column per combo.
-    let mut tasks: Vec<Task> = Vec::new();
-    for (b, block) in blocks.iter().enumerate() {
-        if block.cached.is_some() {
-            continue;
+        // Snapshot the already-simulated baseline blocks under a short lock;
+        // graph generation and block construction happen after it is released.
+        let baseline_snapshot: HashMap<(DfgType, Rate), Arc<BaselineBlock>> = {
+            let baseline_cached = lock(&self.baselines);
+            missing
+                .iter()
+                .filter_map(|&(ty, _, rate)| {
+                    baseline_cached
+                        .get(&(ty, rate))
+                        .map(|b| ((ty, rate), Arc::clone(b)))
+                })
+                .collect()
+        };
+        let mut blocks: Vec<Block> = Vec::new();
+        let mut combos: Vec<Combo> = Vec::new();
+        for (ty, alpha, rate) in missing {
+            let block = match blocks.iter().position(|b| b.ty == ty && b.rate == rate) {
+                Some(i) => i,
+                None => {
+                    blocks.push(Block {
+                        ty,
+                        rate,
+                        graphs: graphs_of(ty),
+                        factories: baseline_factories(),
+                        system: rate.system(),
+                        cached: baseline_snapshot.get(&(ty, rate)).map(Arc::clone),
+                    });
+                    blocks.len() - 1
+                }
+            };
+            combos.push(Combo {
+                key: Key::new(ty, alpha, rate),
+                apt: Box::new(move || Box::new(Apt::new(alpha)) as Box<dyn Policy>),
+                block,
+            });
         }
-        for graph in 0..block.graphs.len() {
-            for policy in 0..block.factories.len() {
-                tasks.push(Task::Base {
-                    block: b,
+
+        // Flatten the remaining work: baseline blocks not yet cached, plus one
+        // APT column per combo.
+        let mut tasks: Vec<Task> = Vec::new();
+        for (b, block) in blocks.iter().enumerate() {
+            if block.cached.is_some() {
+                continue;
+            }
+            for graph in 0..block.graphs.len() {
+                for policy in 0..block.factories.len() {
+                    tasks.push(Task::Base {
+                        block: b,
+                        graph,
+                        policy,
+                    });
+                }
+            }
+        }
+        for (c, combo) in combos.iter().enumerate() {
+            for graph in 0..blocks[combo.block].graphs.len() {
+                tasks.push(Task::Apt { combo: c, graph });
+            }
+        }
+        let summaries = run_pool(tasks.len(), |i| {
+            Arc::new(match tasks[i] {
+                Task::Apt { combo, graph } => {
+                    let combo = &combos[combo];
+                    let block = &blocks[combo.block];
+                    run_single(&block.graphs[graph], combo.apt.as_ref(), &block.system)
+                }
+                Task::Base {
+                    block,
                     graph,
                     policy,
-                });
-            }
-        }
-    }
-    for (c, combo) in combos.iter().enumerate() {
-        for graph in 0..blocks[combo.block].graphs.len() {
-            tasks.push(Task::Apt { combo: c, graph });
-        }
-    }
-    let summaries = run_pool(tasks.len(), |i| {
-        Arc::new(match tasks[i] {
-            Task::Apt { combo, graph } => {
-                let combo = &combos[combo];
-                let block = &blocks[combo.block];
-                run_single(&block.graphs[graph], combo.apt.as_ref(), &block.system)
-            }
-            Task::Base {
-                block,
-                graph,
-                policy,
-            } => {
-                let block = &blocks[block];
-                let factory = block.factories[policy].1;
-                run_single(&block.graphs[graph], &factory, &block.system)
-            }
-        })
-    });
-
-    // Reassemble in task order: tasks of one block/combo were generated in
-    // ascending (graph, policy) order, so pushing summaries back in result
-    // order rebuilds each column/block correctly.
-    let mut base_results: Vec<BaselineBlock> = blocks
-        .iter()
-        .map(|b| vec![Vec::with_capacity(b.factories.len()); b.graphs.len()])
-        .collect();
-    let mut apt_results: Vec<Vec<Arc<RunSummary>>> = combos
-        .iter()
-        .map(|c| Vec::with_capacity(blocks[c.block].graphs.len()))
-        .collect();
-    for (&task, summary) in tasks.iter().zip(summaries.iter()) {
-        match task {
-            Task::Apt { combo, .. } => apt_results[combo].push(Arc::clone(summary)),
-            Task::Base { block, graph, .. } => base_results[block][graph].push(Arc::clone(summary)),
-        }
-    }
-    // Publish the baseline blocks, then build every matrix from the block
-    // the cache actually holds: a concurrent wave that missed the same
-    // `(family, rate)` may have published its copy first.
-    {
-        let mut baseline_cached = lock(&cache.baselines);
-        for (block, computed) in blocks.iter_mut().zip(base_results) {
-            let fresh = block.cached.take().unwrap_or_else(|| Arc::new(computed));
-            let published = baseline_cached
-                .entry((block.ty, block.rate))
-                .or_insert(fresh);
-            block.cached = Some(Arc::clone(published));
-        }
-    }
-
-    // Assemble the full seven-column matrices (APT first, Tables-8/9 order).
-    let mut cached = lock(&cache.matrices);
-    for (combo, apt_column) in combos.into_iter().zip(apt_results) {
-        let baseline = blocks[combo.block].cached.as_ref().expect("filled above");
-        let matrix: Matrix = apt_column
-            .into_iter()
-            .zip(baseline.iter())
-            .map(|(apt, base_row)| {
-                let mut row = Vec::with_capacity(1 + base_row.len());
-                row.push(apt);
-                // Arc clones: every α's matrix shares the one baseline block.
-                row.extend(base_row.iter().map(Arc::clone));
-                row
+                } => {
+                    let block = &blocks[block];
+                    let factory = block.factories[policy].1;
+                    run_single(&block.graphs[graph], &factory, &block.system)
+                }
             })
-            .collect();
-        cached.entry(combo.key).or_insert_with(|| Arc::new(matrix));
-    }
-}
+        });
 
-/// Prewarm the paper's complete evaluation grid (both DFG families × the
-/// five published α values × both link rates) in one wave.
-pub fn prewarm_paper_grid() {
-    let mut specs = Vec::new();
-    for ty in DfgType::ALL {
-        for &alpha in &PAPER_ALPHAS {
-            for rate in Rate::ALL {
-                specs.push((ty, alpha, rate));
+        // Reassemble in task order: tasks of one block/combo were generated in
+        // ascending (graph, policy) order, so pushing summaries back in result
+        // order rebuilds each column/block correctly.
+        let mut base_results: Vec<BaselineBlock> = blocks
+            .iter()
+            .map(|b| vec![Vec::with_capacity(b.factories.len()); b.graphs.len()])
+            .collect();
+        let mut apt_results: Vec<Vec<Arc<RunSummary>>> = combos
+            .iter()
+            .map(|c| Vec::with_capacity(blocks[c.block].graphs.len()))
+            .collect();
+        for (&task, summary) in tasks.iter().zip(summaries.iter()) {
+            match task {
+                Task::Apt { combo, .. } => apt_results[combo].push(Arc::clone(summary)),
+                Task::Base { block, graph, .. } => {
+                    base_results[block][graph].push(Arc::clone(summary))
+                }
             }
         }
+        // Publish the baseline blocks, then build every matrix from the block
+        // the cache actually holds: a concurrent wave that missed the same
+        // `(family, rate)` may have published its copy first.
+        {
+            let mut baseline_cached = lock(&self.baselines);
+            for (block, computed) in blocks.iter_mut().zip(base_results) {
+                let fresh = block.cached.take().unwrap_or_else(|| Arc::new(computed));
+                let published = baseline_cached
+                    .entry((block.ty, block.rate))
+                    .or_insert(fresh);
+                block.cached = Some(Arc::clone(published));
+            }
+        }
+
+        // Assemble the full seven-column matrices (APT first, Tables-8/9 order).
+        let mut cached = lock(&self.matrices);
+        for (combo, apt_column) in combos.into_iter().zip(apt_results) {
+            let baseline = blocks[combo.block].cached.as_ref().expect("filled above");
+            let matrix: Matrix = apt_column
+                .into_iter()
+                .zip(baseline.iter())
+                .map(|(apt, base_row)| {
+                    let mut row = Vec::with_capacity(1 + base_row.len());
+                    row.push(apt);
+                    // Arc clones: every α's matrix shares the one baseline block.
+                    row.extend(base_row.iter().map(Arc::clone));
+                    row
+                })
+                .collect();
+            cached.entry(combo.key).or_insert_with(|| Arc::new(matrix));
+        }
     }
-    prewarm(&specs);
 }
 
 /// Run one freshly constructed policy over one graph.
@@ -411,7 +418,7 @@ fn avg_over_graphs(matrix: &Matrix, f: impl Fn(&RunSummary) -> f64) -> Vec<f64> 
         .collect()
 }
 
-/// The policy column order of [`policy_matrix`].
+/// The policy column order of [`SweepCache::policy_matrix`].
 pub const POLICY_ORDER: [&str; 7] = ["APT", "MET", "SPN", "SS", "AG", "HEFT", "PEFT"];
 
 /// Index of a policy in the matrix columns.
@@ -422,36 +429,32 @@ pub fn policy_index(name: &str) -> usize {
         .unwrap_or_else(|| panic!("unknown policy {name}"))
 }
 
-/// Convenience: all ten APT summaries (one per graph) at `(ty, α, rate)`.
-pub fn apt_column(ty: DfgType, alpha: f64, rate: Rate) -> Vec<Arc<RunSummary>> {
-    let m = policy_matrix(ty, alpha, rate);
-    m.iter()
-        .map(|row| Arc::clone(&row[policy_index("APT")]))
-        .collect()
-}
-
-/// Sanity constant: rows per table.
-pub const ROWS: usize = NUM_EXPERIMENTS;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workloads::NUM_EXPERIMENTS;
 
     #[test]
     fn matrix_shape_and_cache_identity() {
-        let a = policy_matrix(DfgType::Type1, 1.5, Rate::Gbps4);
+        let cache = SweepCache::default();
+        let a = cache.policy_matrix(DfgType::Type1, 1.5, Rate::Gbps4);
         assert_eq!(a.len(), 10);
         assert_eq!(a[0].len(), 7);
         assert_eq!(a[0][0].policy, "APT(α=1.5)");
         assert_eq!(a[0][1].policy, "MET");
         // Second call is the same Arc (cache hit).
-        let b = policy_matrix(DfgType::Type1, 1.5, Rate::Gbps4);
+        let b = cache.policy_matrix(DfgType::Type1, 1.5, Rate::Gbps4);
         assert!(Arc::ptr_eq(&a, &b));
+        // A second cache shares nothing with the first: it simulates the
+        // same matrix again into its own allocation.
+        let other = SweepCache::default().policy_matrix(DfgType::Type1, 1.5, Rate::Gbps4);
+        assert_eq!(a, other);
+        assert!(!Arc::ptr_eq(&a, &other));
     }
 
     #[test]
     fn averages_have_one_entry_per_policy() {
-        let m = policy_matrix(DfgType::Type1, 1.5, Rate::Gbps4);
+        let m = SweepCache::default().policy_matrix(DfgType::Type1, 1.5, Rate::Gbps4);
         let avg = avg_makespans_ms(&m);
         assert_eq!(avg.len(), 7);
         assert!(avg.iter().all(|&v| v > 0.0));
@@ -466,20 +469,14 @@ mod tests {
     }
 
     #[test]
-    fn apt_column_returns_ten_rows() {
-        let col = apt_column(DfgType::Type1, 1.5, Rate::Gbps4);
-        assert_eq!(col.len(), 10);
-        assert!(col.iter().all(|s| s.policy.starts_with("APT")));
-    }
-
-    #[test]
     fn prewarm_batch_matches_individual_runs() {
         // A batched wave and direct uncached runs agree cell by cell.
-        prewarm(&[
+        let cache = SweepCache::default();
+        cache.prewarm(&[
             (DfgType::Type2, 2.0, Rate::Gbps4),
             (DfgType::Type2, 2.0, Rate::Gbps8),
         ]);
-        let cached = policy_matrix(DfgType::Type2, 2.0, Rate::Gbps4);
+        let cached = cache.policy_matrix(DfgType::Type2, 2.0, Rate::Gbps4);
         let system = Rate::Gbps4.system();
         let factories = apt_core::all_policy_factories(2.0);
         let direct: Matrix = experiment_graphs(DfgType::Type2)
@@ -499,8 +496,9 @@ mod tests {
         // Two α values at one (family, rate): the six baseline columns must
         // be identical (simulated once, shared through the split cache key),
         // while the APT column reflects its own α.
-        let a = policy_matrix(DfgType::Type1, 8.0, Rate::Gbps8);
-        let b = policy_matrix(DfgType::Type1, 16.0, Rate::Gbps8);
+        let cache = SweepCache::default();
+        let a = cache.policy_matrix(DfgType::Type1, 8.0, Rate::Gbps8);
+        let b = cache.policy_matrix(DfgType::Type1, 16.0, Rate::Gbps8);
         for (ra, rb) in a.iter().zip(b.iter()) {
             assert_eq!(&ra[1..], &rb[1..], "baseline columns diverged across α");
             // Not just equal — the *same* allocation: per-α matrices share
@@ -530,14 +528,14 @@ mod tests {
                 let (cache, start) = (&cache, &start);
                 move || {
                     start.wait();
-                    matrix_in(cache, DfgType::Type1, alpha, Rate::Gbps4)
+                    cache.policy_matrix(DfgType::Type1, alpha, Rate::Gbps4)
                 }
             };
             let a = scope.spawn(wave(3.0));
             let b = scope.spawn(wave(5.0));
             (a.join().unwrap(), b.join().unwrap())
         });
-        assert_eq!(a.len(), ROWS);
+        assert_eq!(a.len(), NUM_EXPERIMENTS);
         for (ra, rb) in a.iter().zip(b.iter()) {
             assert_eq!(ra.len(), POLICY_ORDER.len());
             for (ca, cb) in ra[1..].iter().zip(&rb[1..]) {
@@ -553,8 +551,8 @@ mod tests {
 
     #[test]
     fn matrix_rows_follow_policy_order() {
-        let m = matrix_in(&SweepCache::default(), DfgType::Type1, 4.0, Rate::Gbps4);
-        assert_eq!(m.len(), ROWS);
+        let m = SweepCache::default().policy_matrix(DfgType::Type1, 4.0, Rate::Gbps4);
+        assert_eq!(m.len(), NUM_EXPERIMENTS);
         for row in m.iter() {
             assert_eq!(row.len(), POLICY_ORDER.len());
             assert!(row[0].policy.starts_with("APT"));
@@ -567,19 +565,16 @@ mod tests {
     #[test]
     fn prewarm_simulates_one_baseline_block_per_family_and_rate() {
         let cache = SweepCache::default();
-        prewarm_in(
-            &cache,
-            &[
-                (DfgType::Type1, 2.0, Rate::Gbps4),
-                (DfgType::Type1, 6.0, Rate::Gbps4),
-            ],
-        );
+        cache.prewarm(&[
+            (DfgType::Type1, 2.0, Rate::Gbps4),
+            (DfgType::Type1, 6.0, Rate::Gbps4),
+        ]);
         assert_eq!(lock(&cache.matrices).len(), 2);
         assert_eq!(lock(&cache.baselines).len(), 1);
         // A second wave over a cached key leaves the published Arc alone.
-        let before = matrix_in(&cache, DfgType::Type1, 2.0, Rate::Gbps4);
-        prewarm_in(&cache, &[(DfgType::Type1, 2.0, Rate::Gbps4)]);
-        let after = matrix_in(&cache, DfgType::Type1, 2.0, Rate::Gbps4);
+        let before = cache.policy_matrix(DfgType::Type1, 2.0, Rate::Gbps4);
+        cache.prewarm(&[(DfgType::Type1, 2.0, Rate::Gbps4)]);
+        let after = cache.policy_matrix(DfgType::Type1, 2.0, Rate::Gbps4);
         assert!(Arc::ptr_eq(&before, &after));
         assert_eq!(lock(&cache.baselines).len(), 1);
     }

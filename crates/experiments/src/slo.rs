@@ -8,15 +8,15 @@
 //! deadline-aware policy roster (plain APT as the timeliness-oblivious
 //! control, EDF-APT, LL-APT), each both *open* (accept-all) and
 //! *admission-gated* (utilization-bound shedding), and reports per-cell
-//! miss rate, tardiness quantiles, and shed fractions. The same grid
-//! exports long-format [`apt_metrics::StreamSnapshot`] CSV through
-//! [`slo_sweep_with_csv`] (`apt-repro slo-sweep --csv <path>`), making the
-//! frontier a plottable artifact rather than a table.
+//! miss rate, tardiness quantiles, and shed fractions. The same grid run
+//! also renders long-format [`apt_metrics::StreamSnapshot`] CSV
+//! (`apt-repro slo-sweep --csv <path>`), making the frontier a plottable
+//! artifact rather than a table.
 
 use crate::runner::run_pool;
+use crate::streaming::{windows_csv, SWEEP_WINDOW};
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
-use apt_metrics::export::snapshots_to_csv;
 use apt_metrics::TextTable;
 use apt_slo::{AcceptAll, AdmissionPolicy, UtilizationBound};
 use apt_stream::{DeadlineSpec, DriverOpts, JobFamily, PoissonSource, StreamOutcome};
@@ -66,14 +66,12 @@ pub fn slo_policy_factories(alpha: f64) -> Vec<(String, PolicyFactory)> {
 }
 
 /// One sweep cell: a deadline-tagged Poisson stream under one policy and
-/// one admission mode. `snapshots` enables the periodic windows the CSV
-/// exporter needs (the table path skips them).
+/// one admission mode, closing a metrics window every [`SWEEP_WINDOW`].
 pub fn slo_point(
     make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
     rate: f64,
     tightness: f64,
     gated: bool,
-    snapshots: bool,
 ) -> StreamOutcome {
     let lookup = LookupTable::paper();
     let config = SystemConfig::paper_4gbps();
@@ -87,7 +85,7 @@ pub fn slo_point(
     )
     .with_deadlines(DeadlineSpec::ProportionalCp { factor: tightness });
     let opts = DriverOpts {
-        snapshot_interval: snapshots.then(|| SimDuration::from_ms(120_000)),
+        snapshot_interval: Some(SWEEP_WINDOW),
         max_in_flight_jobs: Some(SLO_CAP),
         ..DriverOpts::default()
     };
@@ -149,29 +147,17 @@ fn admission_label(gated: bool) -> String {
     }
 }
 
-/// Run the whole sweep grid once (optionally snapshot-enabled).
-fn run_grid(snapshots: bool) -> (Vec<SloCell>, Vec<StreamOutcome>) {
+/// The α × λ × tightness miss-rate/tardiness frontier, per policy, open
+/// vs admission-gated. Returns the table and the long-format snapshot CSV
+/// (cells labelled `policy/α/λ/tight/admission`), both from one grid run.
+pub fn slo_sweep() -> (TextTable, String) {
     let cells = grid();
     let outcomes = run_pool(cells.len(), |i| {
         let (alpha, rate, tight, policy_idx, gated) = cells[i];
         let factories = slo_policy_factories(alpha);
         let (_, make) = &factories[policy_idx];
-        slo_point(make.as_ref(), rate, tight, gated, snapshots)
+        slo_point(make.as_ref(), rate, tight, gated)
     });
-    (cells, outcomes)
-}
-
-/// The α × λ × tightness miss-rate/tardiness frontier, per policy, open
-/// vs admission-gated.
-pub fn slo_sweep() -> TextTable {
-    let (cells, outcomes) = run_grid(false);
-    render_slo_table(&cells, &outcomes)
-}
-
-/// Render the sweep table from computed outcomes (shared by the plain and
-/// the table-plus-CSV paths; the aggregates don't depend on whether
-/// snapshots were enabled).
-fn render_slo_table(cells: &[SloCell], outcomes: &[StreamOutcome]) -> TextTable {
     let mut table = TextTable::new(
         format!(
             "SLO sweep — {SLO_JOBS} Poisson diamond jobs/cell, D = tightness × CP_min, \
@@ -191,15 +177,19 @@ fn render_slo_table(cells: &[SloCell], outcomes: &[StreamOutcome]) -> TextTable 
             "p99 lat (ms)",
         ],
     );
-    for (i, o) in outcomes.iter().enumerate() {
-        let (alpha, rate, tight, policy_idx, gated) = cells[i];
+    let mut labels = Vec::with_capacity(cells.len());
+    for (&(alpha, rate, tight, policy_idx, gated), o) in cells.iter().zip(&outcomes) {
         let name = &slo_policy_factories(alpha)[policy_idx].0;
+        let admission = admission_label(gated);
+        labels.push(format!(
+            "{name}/α={alpha}/λ={rate}/tight={tight}/{admission}"
+        ));
         table.push_row(vec![
             format!("{alpha}"),
             format!("{rate}"),
             format!("{tight}"),
             name.clone(),
-            admission_label(gated),
+            admission,
             format!("{}", o.jobs_admitted),
             format!("{}", o.jobs_shed),
             format!("{:.1}", o.miss_rate() * 100.0),
@@ -208,39 +198,7 @@ fn render_slo_table(cells: &[SloCell], outcomes: &[StreamOutcome]) -> TextTable 
             format!("{:.0}", o.latency_p99_ms),
         ]);
     }
-    table
-}
-
-/// Render the long-format snapshot CSV from snapshot-enabled outcomes,
-/// labelled `policy/α/λ/tight/admission`.
-fn render_slo_csv(cells: &[SloCell], outcomes: &[StreamOutcome]) -> String {
-    let labels: Vec<String> = cells
-        .iter()
-        .map(|&(alpha, rate, tight, policy_idx, gated)| {
-            let name = &slo_policy_factories(alpha)[policy_idx].0;
-            format!(
-                "{name}/α={alpha}/λ={rate}/tight={tight}/{}",
-                admission_label(gated)
-            )
-        })
-        .collect();
-    snapshots_to_csv(
-        labels
-            .iter()
-            .zip(outcomes)
-            .map(|(label, o)| (label.as_str(), o.snapshots.as_slice())),
-    )
-}
-
-/// One snapshot-enabled grid run rendered both ways: the sweep table and
-/// the long-format CSV (`apt-repro slo-sweep --csv <path>` uses this so
-/// the grid simulates once, not twice).
-pub fn slo_sweep_with_csv() -> (TextTable, String) {
-    let (cells, outcomes) = run_grid(true);
-    (
-        render_slo_table(&cells, &outcomes),
-        render_slo_csv(&cells, &outcomes),
-    )
+    (table, windows_csv(&labels, &outcomes))
 }
 
 #[cfg(test)]
@@ -258,8 +216,8 @@ mod tests {
             vec!["APT", "EDF-APT", "LL-APT"],
         );
         let (_, edf) = &factories[1];
-        let a = slo_point(edf.as_ref(), 0.15, 8.0, false, false);
-        let b = slo_point(edf.as_ref(), 0.15, 8.0, false, false);
+        let a = slo_point(edf.as_ref(), 0.15, 8.0, false);
+        let b = slo_point(edf.as_ref(), 0.15, 8.0, false);
         assert_eq!(a.end, b.end);
         assert_eq!(a.deadline_misses, b.deadline_misses);
         assert_eq!(a.proc_stats, b.proc_stats);
@@ -273,8 +231,8 @@ mod tests {
     fn overload_cells_show_the_admission_difference() {
         let factories = slo_policy_factories(4.0);
         let (_, edf) = &factories[1];
-        let open = slo_point(edf.as_ref(), 0.45, 2.0, false, false);
-        let gated = slo_point(edf.as_ref(), 0.45, 2.0, true, false);
+        let open = slo_point(edf.as_ref(), 0.45, 2.0, false);
+        let gated = slo_point(edf.as_ref(), 0.45, 2.0, true);
         assert_eq!(open.jobs_shed, 0);
         assert!(gated.jobs_shed > 0, "overload must shed under the gate");
         assert!(
@@ -287,7 +245,7 @@ mod tests {
 
     #[test]
     fn sweep_table_covers_the_full_grid() {
-        let t = slo_sweep();
+        let (t, _) = slo_sweep();
         assert_eq!(
             t.row_count(),
             SLO_ALPHAS.len() * SLO_RATES.len() * SLO_TIGHTNESS.len() * 3 * 2
@@ -296,13 +254,13 @@ mod tests {
 
     #[test]
     fn csv_has_header_plus_window_rows() {
-        // One cell's worth of CSV through the public exporter shape: run a
-        // single snapshot-enabled point and export it.
+        // One cell's worth of CSV through the sweep's own exporter: run a
+        // single point and export its windows.
         let factories = slo_policy_factories(4.0);
         let (_, ll) = &factories[2];
-        let o = slo_point(ll.as_ref(), 0.15, 2.0, true, true);
+        let o = slo_point(ll.as_ref(), 0.15, 2.0, true);
         assert!(!o.snapshots.is_empty());
-        let csv = apt_metrics::export::snapshots_to_csv([("cell", o.snapshots.as_slice())]);
+        let csv = windows_csv(&["cell".to_string()], std::slice::from_ref(&o));
         assert_eq!(csv.lines().count(), 1 + o.snapshots.len());
         assert!(csv.starts_with("label,end_ms"));
     }

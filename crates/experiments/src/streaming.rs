@@ -46,20 +46,15 @@ pub fn stream_policy_factories(alpha: f64) -> Vec<(String, PolicyFactory)> {
         .collect()
 }
 
-/// One sweep cell: policy × offered λ.
+/// Metrics-window width of the saturation, SLO, topology and fault sweep
+/// cells. The first three export these windows as their CSV form.
+pub const SWEEP_WINDOW: SimDuration = SimDuration::from_ms(120_000);
+
+/// One sweep cell: policy × offered λ, closing a metrics window every
+/// [`SWEEP_WINDOW`].
 pub fn stream_point(
     make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
     rate: f64,
-) -> StreamOutcome {
-    stream_point_windowed(make, rate, None)
-}
-
-/// [`stream_point`] with optional periodic snapshots (the CSV exporter's
-/// path; the table path skips the windows).
-pub fn stream_point_windowed(
-    make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
-    rate: f64,
-    snapshot_interval: Option<SimDuration>,
 ) -> StreamOutcome {
     let mut policy = make();
     let mut source = PoissonSource::new(
@@ -75,7 +70,7 @@ pub fn stream_point_windowed(
         LookupTable::paper(),
         policy.as_mut(),
         &DriverOpts {
-            snapshot_interval,
+            snapshot_interval: Some(SWEEP_WINDOW),
             max_in_flight_jobs: Some(SWEEP_CAP),
             ..DriverOpts::default()
         },
@@ -83,25 +78,9 @@ pub fn stream_point_windowed(
     .expect("stream sweep point failed")
 }
 
-/// Run the λ × policy grid once on the shared worker pool.
-fn run_saturation_grid(snapshot_interval: Option<SimDuration>) -> Vec<StreamOutcome> {
-    let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    run_pool(SWEEP_RATES.len() * factories.len(), |i| {
-        let rate = SWEEP_RATES[i / factories.len()];
-        let (_, make) = &factories[i % factories.len()];
-        stream_point_windowed(make.as_ref(), rate, snapshot_interval)
-    })
-}
-
-/// Render the λ sweep's long-format snapshot CSV, labelled `policy/λ`.
-fn render_saturation_csv(outcomes: &[StreamOutcome]) -> String {
-    let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let labels: Vec<String> = (0..outcomes.len())
-        .map(|i| {
-            let rate = SWEEP_RATES[i / factories.len()];
-            format!("{}/λ={rate}", factories[i % factories.len()].0)
-        })
-        .collect();
+/// The long-format snapshot CSV of a grid run: each cell's windows under
+/// its label, in grid order.
+pub(crate) fn windows_csv(labels: &[String], outcomes: &[StreamOutcome]) -> String {
     apt_metrics::export::snapshots_to_csv(
         labels
             .iter()
@@ -110,29 +89,20 @@ fn render_saturation_csv(outcomes: &[StreamOutcome]) -> String {
     )
 }
 
-/// One snapshot-enabled grid run rendered both ways: the saturation table
-/// and the long-format CSV (`apt-repro stream-saturation --csv <path>`
-/// uses this so the grid simulates once, not twice).
-pub fn stream_saturation_with_csv() -> (TextTable, String) {
-    let outcomes = run_saturation_grid(Some(SimDuration::from_ms(120_000)));
-    (
-        render_saturation_table(&outcomes),
-        render_saturation_csv(&outcomes),
-    )
-}
-
 /// The λ-saturation sweep: offered rate vs achieved throughput, latency
 /// quantiles, peak backlog and utilization, per dynamic policy at the
-/// paper's best α.
-pub fn stream_saturation() -> TextTable {
-    render_saturation_table(&run_saturation_grid(None))
-}
-
-/// Render the saturation table from computed outcomes (the aggregates
-/// don't depend on whether snapshots were enabled).
-fn render_saturation_table(outcomes: &[StreamOutcome]) -> TextTable {
+/// paper's best α. Returns the table and the long-format snapshot CSV
+/// (cells labelled `policy/λ`), both from one grid run.
+pub fn stream_saturation() -> (TextTable, String) {
     let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let rates = SWEEP_RATES;
+    let cells: Vec<(f64, usize)> = SWEEP_RATES
+        .iter()
+        .flat_map(|&rate| (0..factories.len()).map(move |p| (rate, p)))
+        .collect();
+    let outcomes = run_pool(cells.len(), |i| {
+        let (rate, p) = cells[i];
+        stream_point(factories[p].1.as_ref(), rate)
+    });
     let mut table = TextTable::new(
         format!(
             "Open-stream λ sweep — {} Poisson diamond jobs/point, α = {} (sat = admission capped at {} in flight)",
@@ -149,13 +119,14 @@ fn render_saturation_table(outcomes: &[StreamOutcome]) -> TextTable {
             "sat",
         ],
     );
-    for (i, o) in outcomes.iter().enumerate() {
-        let rate = rates[i / factories.len()];
+    let mut labels = Vec::with_capacity(cells.len());
+    for (&(rate, p), o) in cells.iter().zip(&outcomes) {
+        let name = &factories[p].0;
         let mean_util =
             o.utilization().iter().sum::<f64>() / o.proc_stats.len().max(1) as f64 * 100.0;
         table.push_row(vec![
             format!("{rate}"),
-            factories[i % factories.len()].0.clone(),
+            name.clone(),
             format!("{:.2}", o.throughput_jps),
             format!("{:.0}", o.latency_p50_ms),
             format!("{:.0}", o.latency_p99_ms),
@@ -163,8 +134,9 @@ fn render_saturation_table(outcomes: &[StreamOutcome]) -> TextTable {
             format!("{mean_util:.0}"),
             if o.saturated { "yes" } else { "" }.to_string(),
         ]);
+        labels.push(format!("{name}/λ={rate}"));
     }
-    table
+    (table, windows_csv(&labels, &outcomes))
 }
 
 /// Burst absorption: the same offered average load shaped as a steady
@@ -296,7 +268,7 @@ mod tests {
 
     #[test]
     fn saturation_table_has_the_full_grid() {
-        let t = stream_saturation();
+        let (t, _) = stream_saturation();
         assert_eq!(
             t.row_count(),
             SWEEP_RATES.len() * stream_policy_factories(4.0).len()

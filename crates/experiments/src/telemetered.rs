@@ -15,7 +15,7 @@
 //! heartbeat (jobs/s, in-flight, miss rate, last window's α/ρ, ETA) — the
 //! soak-run operator surface the CI smoke step exercises.
 
-use crate::traced::{RepresentativeCell, TRACE_JOBS};
+use crate::traced::{RepresentativeCell, StreamCell, TRACE_JOBS};
 use apt_stream::StreamTelemetry;
 use apt_telemetry::validate;
 use apt_trace::json::validate_jsonl;
@@ -46,24 +46,16 @@ pub struct MetricsExport {
     pub lines: usize,
 }
 
-/// True when [`artifact_metrics`] has a representative telemetered run
-/// for `id` — the same scenario set as the traced form, since both
-/// observe the same representative cell.
-pub fn artifact_has_metrics(id: &str) -> bool {
-    crate::traced::artifact_has_trace(id)
-}
-
-/// Run the representative cell for `id` under an armed telemetry
+/// Run the representative cell of `stream` under an armed telemetry
 /// registry (heartbeat on when `progress`) and render the expositions.
-/// `None` exactly when [`artifact_has_metrics`] is false.
 ///
 /// # Panics
 ///
 /// Panics when the run's own telemetry violates its contracts — invalid
 /// Prometheus or schema-incomplete JSONL — since a soak run with broken
 /// observability must fail loudly, not quietly emit garbage dashboards.
-pub fn artifact_metrics(id: &str, progress: bool) -> Option<MetricsExport> {
-    let mut cell = RepresentativeCell::new(id)?;
+pub fn artifact_metrics(stream: StreamCell, progress: bool) -> MetricsExport {
+    let mut cell = RepresentativeCell::new(stream);
     let mut tel = StreamTelemetry::new();
     if progress {
         tel = tel.with_progress(Some(TRACE_JOBS));
@@ -84,12 +76,12 @@ pub fn artifact_metrics(id: &str, progress: bool) -> Option<MetricsExport> {
         "one JSONL line per metrics window"
     );
 
-    Some(MetricsExport {
+    MetricsExport {
         samples,
         lines: lines as usize,
         jsonl: tel.jsonl().to_string(),
         prometheus,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -102,7 +94,7 @@ mod tests {
     /// `artifact_metrics` carry the validation; this pins the content).
     #[test]
     fn stream_saturation_metrics_meet_the_acceptance_contract() {
-        let export = artifact_metrics("stream-saturation", false).unwrap();
+        let export = artifact_metrics(crate::traced::saturation_stream, false);
         assert!(export.samples > 0);
         assert!(export.lines > 0);
         for metric in [
@@ -133,12 +125,16 @@ mod tests {
         assert!(value("jobs_admitted_total") > 0);
     }
 
+    /// `--metrics` resolves an id to its representative cell through the
+    /// artifact table: open-stream ids have one, closed artifacts and
+    /// unknown ids do not.
     #[test]
     fn capability_check_matches_the_resolver() {
-        assert!(artifact_has_metrics("stream-saturation"));
-        assert!(artifact_has_metrics("control-sweep"));
-        assert!(!artifact_has_metrics("table7"));
-        assert!(artifact_metrics("table7", false).is_none());
-        assert!(artifact_metrics("nope", false).is_none());
+        let cell = |id| crate::artifact(id).and_then(|spec| spec.cell);
+        assert!(cell("stream-saturation").is_some());
+        assert!(cell("control-sweep").is_some());
+        assert!(crate::artifact("table7").is_some());
+        assert!(cell("table7").is_none());
+        assert!(cell("nope").is_none());
     }
 }

@@ -24,7 +24,7 @@
 //! exports the windowed snapshots in long format for plotting.
 
 use crate::runner::run_pool;
-use crate::streaming::stream_policy_factories;
+use crate::streaming::{stream_policy_factories, windows_csv, SWEEP_WINDOW};
 use apt_core::prelude::*;
 use apt_metrics::TextTable;
 use apt_stream::{simulate_source, DriverOpts, JobFamily, PoissonSource, StreamOutcome};
@@ -92,12 +92,12 @@ pub fn topology_variants() -> Vec<(&'static str, SystemConfig)> {
     ]
 }
 
-/// One sweep cell: policy × offered λ on one topology.
+/// One sweep cell: policy × offered λ on one topology, closing a metrics
+/// window every [`SWEEP_WINDOW`].
 pub fn topology_point(
     make: &(dyn Fn() -> Box<dyn Policy> + Send + Sync),
     rate: f64,
     config: &SystemConfig,
-    snapshot_interval: Option<SimDuration>,
 ) -> StreamOutcome {
     let mut policy = make();
     let mut source = PoissonSource::new(
@@ -113,7 +113,7 @@ pub fn topology_point(
         LookupTable::paper(),
         policy.as_mut(),
         &DriverOpts {
-            snapshot_interval,
+            snapshot_interval: Some(SWEEP_WINDOW),
             max_in_flight_jobs: Some(TOPO_CAP),
             ..DriverOpts::default()
         },
@@ -121,36 +121,41 @@ pub fn topology_point(
     .expect("topology sweep point failed")
 }
 
-/// Run the topology × λ × policy grid once on the shared worker pool.
-fn run_topology_grid(snapshot_interval: Option<SimDuration>) -> Vec<StreamOutcome> {
-    let variants = topology_variants();
-    let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let per_topo = TOPO_RATES.len() * factories.len();
-    run_pool(variants.len() * per_topo, |i| {
-        let (_, config) = &variants[i / per_topo];
-        let rate = TOPO_RATES[(i % per_topo) / factories.len()];
-        let (_, make) = &factories[i % factories.len()];
-        topology_point(make.as_ref(), rate, config, snapshot_interval)
-    })
+/// Flattened cell coordinates, in row order: `(topology index, λ, policy
+/// index)`, topology-major.
+fn grid() -> Vec<(usize, f64, usize)> {
+    let npol = stream_policy_factories(PAPER_BEST_ALPHA).len();
+    let mut cells = Vec::new();
+    for t in 0..topology_variants().len() {
+        for &rate in &TOPO_RATES {
+            for p in 0..npol {
+                cells.push((t, rate, p));
+            }
+        }
+    }
+    cells
 }
 
-/// Cell label (`topology/policy/λ=r`) for row `i` of the flattened grid.
-fn cell_label(i: usize) -> String {
-    let variants = topology_variants();
-    let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let per_topo = TOPO_RATES.len() * factories.len();
+/// Label `topology/policy/λ=r` of one grid cell.
+fn cell_label(&(t, rate, p): &(usize, f64, usize)) -> String {
     format!(
-        "{}/{}/λ={}",
-        variants[i / per_topo].0,
-        factories[i % factories.len()].0,
-        TOPO_RATES[(i % per_topo) / factories.len()],
+        "{}/{}/λ={rate}",
+        topology_variants()[t].0,
+        stream_policy_factories(PAPER_BEST_ALPHA)[p].0
     )
 }
 
-fn render_topology_table(outcomes: &[StreamOutcome]) -> TextTable {
+/// The topology saturation sweep (see the module docs). Returns the table
+/// and the long-format snapshot CSV (cells labelled `topology/policy/λ=r`),
+/// both from one grid run.
+pub fn topology_sweep() -> (TextTable, String) {
     let variants = topology_variants();
     let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-    let per_topo = TOPO_RATES.len() * factories.len();
+    let cells = grid();
+    let outcomes = run_pool(cells.len(), |i| {
+        let (t, rate, p) = cells[i];
+        topology_point(factories[p].1.as_ref(), rate, &variants[t].1)
+    });
     let mut table = TextTable::new(
         format!(
             "Topology sweep — {} Poisson diamond jobs/cell on 2×(CPU+GPU+FPGA), α = {} (sat = admission capped at {} in flight)",
@@ -168,7 +173,7 @@ fn render_topology_table(outcomes: &[StreamOutcome]) -> TextTable {
             "sat",
         ],
     );
-    for (i, o) in outcomes.iter().enumerate() {
+    for (&(t, rate, p), o) in cells.iter().zip(&outcomes) {
         let busy: f64 = o
             .proc_stats
             .iter()
@@ -178,9 +183,9 @@ fn render_topology_table(outcomes: &[StreamOutcome]) -> TextTable {
         let mean_util =
             o.utilization().iter().sum::<f64>() / o.proc_stats.len().max(1) as f64 * 100.0;
         table.push_row(vec![
-            variants[i / per_topo].0.to_string(),
-            format!("{}", TOPO_RATES[(i % per_topo) / factories.len()]),
-            factories[i % factories.len()].0.clone(),
+            variants[t].0.to_string(),
+            format!("{rate}"),
+            factories[p].0.clone(),
             format!("{:.2}", o.throughput_jps),
             format!("{:.0}", o.latency_p50_ms),
             format!("{:.0}", o.latency_p99_ms),
@@ -189,32 +194,8 @@ fn render_topology_table(outcomes: &[StreamOutcome]) -> TextTable {
             if o.saturated { "yes" } else { "" }.to_string(),
         ]);
     }
-    table
-}
-
-fn render_topology_csv(outcomes: &[StreamOutcome]) -> String {
-    let labels: Vec<String> = (0..outcomes.len()).map(cell_label).collect();
-    apt_metrics::export::snapshots_to_csv(
-        labels
-            .iter()
-            .zip(outcomes)
-            .map(|(label, o)| (label.as_str(), o.snapshots.as_slice())),
-    )
-}
-
-/// The topology saturation sweep (see the module docs).
-pub fn topology_sweep() -> TextTable {
-    render_topology_table(&run_topology_grid(None))
-}
-
-/// One snapshot-enabled grid run rendered both ways, so
-/// `apt-repro topology-sweep --csv <path>` simulates the grid once.
-pub fn topology_sweep_with_csv() -> (TextTable, String) {
-    let outcomes = run_topology_grid(Some(SimDuration::from_ms(120_000)));
-    (
-        render_topology_table(&outcomes),
-        render_topology_csv(&outcomes),
-    )
+    let labels: Vec<String> = cells.iter().map(cell_label).collect();
+    (table, windows_csv(&labels, &outcomes))
 }
 
 #[cfg(test)]
@@ -245,8 +226,8 @@ mod tests {
         let variants = topology_variants();
         let factories = stream_policy_factories(PAPER_BEST_ALPHA);
         let (_, apt) = &factories[0];
-        let uniform = topology_point(apt.as_ref(), 0.4, &variants[0].1, None);
-        let star = topology_point(apt.as_ref(), 0.4, &variants[2].1, None);
+        let uniform = topology_point(apt.as_ref(), 0.4, &variants[0].1);
+        let star = topology_point(apt.as_ref(), 0.4, &variants[2].1);
         assert!(
             star.latency_p99_ms > uniform.latency_p99_ms
                 || star.throughput_jps < uniform.throughput_jps
@@ -258,7 +239,7 @@ mod tests {
             uniform.throughput_jps,
         );
         // Determinism: the same cell replays identically.
-        let again = topology_point(apt.as_ref(), 0.4, &variants[2].1, None);
+        let again = topology_point(apt.as_ref(), 0.4, &variants[2].1);
         assert_eq!(star.end, again.end);
         assert_eq!(star.proc_stats, again.proc_stats);
     }
@@ -267,10 +248,15 @@ mod tests {
     fn cell_labels_cover_the_grid_in_order() {
         let variants = topology_variants();
         let factories = stream_policy_factories(PAPER_BEST_ALPHA);
-        let cells = variants.len() * TOPO_RATES.len() * factories.len();
-        assert_eq!(cell_label(0), "uniform/APT/λ=0.1");
+        let cells = grid();
         assert_eq!(
-            cell_label(cells - 1),
+            cells.len(),
+            variants.len() * TOPO_RATES.len() * factories.len()
+        );
+        assert_eq!(cell_label(&cells[0]), "uniform/APT/λ=0.1");
+        assert_eq!(cell_label(&cells[1]), "uniform/MET/λ=0.1");
+        assert_eq!(
+            cell_label(&cells[cells.len() - 1]),
             format!("bottleneck+pl/AG/λ={}", TOPO_RATES[TOPO_RATES.len() - 1])
         );
     }

@@ -25,8 +25,8 @@ use apt_control::ControllerStack;
 use apt_core::prelude::*;
 use apt_slo::UtilizationBound;
 use apt_stream::{
-    AdmissionGate as _, DeadlineSpec, DriverOpts, JobFamily, OnOffSource, PoissonSource, Source,
-    StreamRun,
+    AdmissionGate as _, DeadlineSpec, DiurnalSource, DriverOpts, JobFamily, OnOffSource,
+    PoissonSource, Source, StreamRun,
 };
 use apt_trace::chrome::{chrome_trace, validate, ChromeConfig, ChromeStats};
 use apt_trace::summary::render_summary;
@@ -56,20 +56,11 @@ pub struct TraceExport {
     pub stats: ChromeStats,
 }
 
-/// True when [`artifact_trace`] has a representative traced run for `id`
-/// — a static check, so the CLI can filter capabilities without running
-/// anything.
-pub fn artifact_has_trace(id: &str) -> bool {
-    matches!(
-        id,
-        "stream-saturation"
-            | "stream-bursts"
-            | "slo-sweep"
-            | "topology-sweep"
-            | "fault-sweep"
-            | "control-sweep"
-    )
-}
+/// The representative stream of an open-stream artifact: an arrival
+/// source shaped like the sweep's traffic, plus the fault plan the
+/// timeline should show. Each stream id's [`crate::ArtifactSpec`] names
+/// one.
+pub type StreamCell = fn() -> (Box<dyn Source>, FaultPlan);
 
 /// The representative cell of one scenario id: its stream, and the stack
 /// that schedules it — `EDF-APT(α = 4)` behind a [`UtilizationBound`]
@@ -86,13 +77,12 @@ pub(crate) struct RepresentativeCell {
 }
 
 impl RepresentativeCell {
-    /// The cell for `id`; `None` exactly when [`artifact_has_trace`] is
-    /// false.
-    pub(crate) fn new(id: &str) -> Option<Self> {
-        let (source, faults) = traced_source(id)?;
+    /// The cell that runs `stream`.
+    pub(crate) fn new(stream: StreamCell) -> Self {
+        let (source, faults) = stream();
         let config = SystemConfig::paper_4gbps();
         let gate = UtilizationBound::new(LookupTable::paper(), &config, 1.0);
-        Some(RepresentativeCell {
+        RepresentativeCell {
             source,
             config,
             policy: EdfApt::new(PAPER_BEST_ALPHA),
@@ -107,7 +97,7 @@ impl RepresentativeCell {
                 },
                 ..DriverOpts::default()
             },
-        })
+        }
     }
 
     /// The cell's run with its gate and controller armed; the caller arms
@@ -125,89 +115,90 @@ impl RepresentativeCell {
     }
 }
 
-/// The representative stream of one scenario id: an arrival source shaped
-/// like the sweep's traffic, plus the fault plan the timeline should show.
-fn traced_source(id: &str) -> Option<(Box<dyn Source>, FaultPlan)> {
-    let lookup = LookupTable::paper();
-    let deadlines = DeadlineSpec::ProportionalCp { factor: 6.0 };
-    let family = JobFamily::Diamond { width: 2 };
-    // A light transient-failure rate on every timeline: retries are part
-    // of what the trace exists to make visible.
-    let transient = FaultPlan::seeded(TRACE_SEED).with_transient(0.02);
-    let run = match id {
-        // The saturation sweep's interesting regime: λ ≈ 1.3× the ~0.3 j/s
-        // service capacity, where shedding and alt-placements dominate.
-        "stream-saturation" => (
-            Box::new(
-                PoissonSource::new(lookup, 0.4, TRACE_JOBS, family, TRACE_SEED)
-                    .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        // Burst absorption: 3×-capacity bursts with long quiet valleys.
-        "stream-bursts" => (
-            Box::new(
-                OnOffSource::new(
-                    lookup,
-                    1.0,
-                    SimDuration::from_ms(40_000),
-                    SimDuration::from_ms(80_000),
-                    TRACE_JOBS,
-                    family,
-                    TRACE_SEED,
-                )
-                .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        // Deadline frontier / topology rows: a sustainable 0.25 j/s feed —
-        // the timeline shows λ-delay structure rather than overload.
-        "slo-sweep" | "topology-sweep" => (
-            Box::new(
-                PoissonSource::new(lookup, 0.25, TRACE_JOBS, family, TRACE_SEED)
-                    .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        // Failure injection: crash/repair episodes shrink the machine on
-        // top of the transient rate — crash and repair instants land on
-        // the processor tracks.
-        "fault-sweep" => (
-            Box::new(
-                PoissonSource::new(lookup, 0.2, TRACE_JOBS, family, TRACE_SEED)
-                    .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            FaultPlan::seeded(TRACE_SEED)
-                .with_transient(0.05)
-                .with_crashes(SimDuration::from_ms(45_000), SimDuration::from_ms(10_000)),
-        ),
-        // The control plane's shifted diurnal regime — the trace where the
-        // α/ρ counter tracks actually move.
-        "control-sweep" => (
-            Box::new(
-                apt_stream::DiurnalSource::new(
-                    lookup,
-                    0.2,
-                    0.6,
-                    SimDuration::from_ms(600_000),
-                    TRACE_JOBS,
-                    family,
-                    TRACE_SEED,
-                )
-                .with_deadlines(deadlines),
-            ) as Box<dyn Source>,
-            transient,
-        ),
-        _ => return None,
-    };
-    Some(run)
+/// The representative deadlines: `D = 6 × critical_path_min(job)`.
+const TRACE_DEADLINES: DeadlineSpec = DeadlineSpec::ProportionalCp { factor: 6.0 };
+
+/// The representative job shape.
+const TRACE_FAMILY: JobFamily = JobFamily::Diamond { width: 2 };
+
+/// A light transient-failure rate on every timeline: retries are part of
+/// what the trace exists to make visible.
+fn transient() -> FaultPlan {
+    FaultPlan::seeded(TRACE_SEED).with_transient(0.02)
 }
 
-/// Run the representative traced cell for `id` and render both the Chrome
-/// JSON and the summary. `None` exactly when [`artifact_has_trace`] is
-/// false.
-pub fn artifact_trace(id: &str) -> Option<TraceExport> {
-    let mut cell = RepresentativeCell::new(id)?;
+/// A deadline-tagged Poisson stream at `rate` jobs/s.
+fn poisson(rate: f64) -> Box<dyn Source> {
+    Box::new(
+        PoissonSource::new(
+            LookupTable::paper(),
+            rate,
+            TRACE_JOBS,
+            TRACE_FAMILY,
+            TRACE_SEED,
+        )
+        .with_deadlines(TRACE_DEADLINES),
+    )
+}
+
+/// `stream-saturation`: the saturation sweep's interesting regime, λ ≈
+/// 1.3× the ~0.3 j/s service capacity, where shedding and alt-placements
+/// dominate.
+pub fn saturation_stream() -> (Box<dyn Source>, FaultPlan) {
+    (poisson(0.4), transient())
+}
+
+/// `stream-bursts`: 3×-capacity bursts with long quiet valleys.
+pub fn burst_stream() -> (Box<dyn Source>, FaultPlan) {
+    let source = OnOffSource::new(
+        LookupTable::paper(),
+        1.0,
+        SimDuration::from_ms(40_000),
+        SimDuration::from_ms(80_000),
+        TRACE_JOBS,
+        TRACE_FAMILY,
+        TRACE_SEED,
+    )
+    .with_deadlines(TRACE_DEADLINES);
+    (Box::new(source), transient())
+}
+
+/// `slo-sweep` and `topology-sweep`: a sustainable 0.25 j/s feed — the
+/// timeline shows λ-delay structure rather than overload.
+pub fn steady_stream() -> (Box<dyn Source>, FaultPlan) {
+    (poisson(0.25), transient())
+}
+
+/// `fault-sweep`: crash/repair episodes shrink the machine on top of the
+/// transient rate — crash and repair instants land on the processor
+/// tracks.
+pub fn fault_stream() -> (Box<dyn Source>, FaultPlan) {
+    let faults = FaultPlan::seeded(TRACE_SEED)
+        .with_transient(0.05)
+        .with_crashes(SimDuration::from_ms(45_000), SimDuration::from_ms(10_000));
+    (poisson(0.2), faults)
+}
+
+/// `control-sweep`: the control plane's shifted diurnal regime — the trace
+/// where the α/ρ counter tracks actually move.
+pub fn control_stream() -> (Box<dyn Source>, FaultPlan) {
+    let source = DiurnalSource::new(
+        LookupTable::paper(),
+        0.2,
+        0.6,
+        SimDuration::from_ms(600_000),
+        TRACE_JOBS,
+        TRACE_FAMILY,
+        TRACE_SEED,
+    )
+    .with_deadlines(TRACE_DEADLINES);
+    (Box::new(source), transient())
+}
+
+/// Run the representative traced cell of `stream` and render both the
+/// Chrome JSON and the summary.
+pub fn artifact_trace(stream: StreamCell) -> TraceExport {
+    let mut cell = RepresentativeCell::new(stream);
     let (outcome, sink) = cell
         .stream()
         .trace(Box::new(VecSink::new()))
@@ -240,11 +231,11 @@ pub fn artifact_trace(id: &str) -> Option<TraceExport> {
     );
     summary.push_str(&render_summary(&events, TRACE_TOP_N));
 
-    Some(TraceExport {
+    TraceExport {
         chrome,
         summary,
         stats,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -257,7 +248,7 @@ mod tests {
     /// tracks from the controlled run.
     #[test]
     fn stream_saturation_trace_meets_the_acceptance_contract() {
-        let export = artifact_trace("stream-saturation").unwrap();
+        let export = artifact_trace(saturation_stream);
         let stats = &export.stats;
         // validate() already passed inside artifact_trace; the stats it
         // measured carry the rest of the contract.
@@ -290,12 +281,16 @@ mod tests {
         }
     }
 
+    /// `--trace` resolves an id to its representative cell through the
+    /// artifact table: open-stream ids have one, closed artifacts and
+    /// unknown ids do not.
     #[test]
     fn capability_check_matches_the_resolver() {
-        assert!(artifact_has_trace("stream-saturation"));
-        assert!(artifact_has_trace("control-sweep"));
-        assert!(!artifact_has_trace("table7"));
-        assert!(artifact_trace("table7").is_none());
-        assert!(artifact_trace("nope").is_none());
+        let cell = |id| crate::artifact(id).and_then(|spec| spec.cell);
+        assert!(cell("stream-saturation").is_some());
+        assert!(cell("control-sweep").is_some());
+        assert!(crate::artifact("table7").is_some());
+        assert!(cell("table7").is_none());
+        assert!(cell("nope").is_none());
     }
 }

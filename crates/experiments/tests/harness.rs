@@ -1,28 +1,33 @@
 //! Integration tests of the artifact harness itself: id dispatch, output
 //! formats, and cross-artifact consistency.
 
-use apt_experiments::{all_artifact_ids, run_artifact, Artifact};
+use apt_experiments::runner::SweepCache;
+use apt_experiments::{artifact, Artifact, ARTIFACTS};
+
+/// Regenerate one artifact by id, on a cache of its own.
+fn run_artifact(id: &str) -> Artifact {
+    let spec = artifact(id).unwrap_or_else(|| panic!("artifact {id} not listed"));
+    spec.regenerate(&SweepCache::default()).0
+}
 
 #[test]
 fn artifact_ids_are_unique_and_dispatchable() {
-    let ids = all_artifact_ids();
-    let mut sorted = ids.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(sorted.len(), ids.len(), "duplicate artifact ids");
+    let mut ids: Vec<&str> = ARTIFACTS.iter().map(|spec| spec.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), ARTIFACTS.len(), "duplicate artifact ids");
     // Cheap artifacts resolve end-to-end (the sweep-backed ones are
-    // exercised by the table/figure test suites; here we only check the
-    // registry has no dangling ids for them by probing one).
+    // exercised by the table/figure test suites).
     for id in ["table1", "table7", "table14", "fig3", "fig4", "fig5"] {
-        assert!(ids.contains(&id));
-        assert!(run_artifact(id).is_some(), "artifact {id} not dispatchable");
+        assert_eq!(artifact(id).map(|spec| spec.id), Some(id));
+        run_artifact(id);
     }
 }
 
 #[test]
 fn text_artifacts_render_nonempty() {
     for id in ["table1", "fig3", "fig4", "fig5"] {
-        let a = run_artifact(id).unwrap();
+        let a = run_artifact(id);
         let text = a.to_string();
         assert!(text.len() > 40, "{id} rendered suspiciously short: {text}");
         match a {
@@ -34,7 +39,7 @@ fn text_artifacts_render_nonempty() {
 
 #[test]
 fn table_artifacts_render_display_and_markdown() {
-    let a = run_artifact("table14").unwrap();
+    let a = run_artifact("table14");
     let Artifact::Table(t) = a else {
         panic!("table14 must be a table");
     };
@@ -48,7 +53,7 @@ fn table_artifacts_render_display_and_markdown() {
 
 #[test]
 fn fig5_artifact_is_the_golden_walkthrough() {
-    let a = run_artifact("fig5").unwrap();
+    let a = run_artifact("fig5");
     let s = a.to_string();
     assert!(s.contains("MET Schedule"));
     assert!(s.contains("APT Schedule (α = 8)"));
@@ -59,6 +64,6 @@ fn fig5_artifact_is_the_golden_walkthrough() {
 #[test]
 fn unknown_ids_are_rejected() {
     for id in ["table99", "fig0", "", "all", "list"] {
-        assert!(run_artifact(id).is_none(), "{id} should not dispatch");
+        assert!(artifact(id).is_none(), "{id} should not dispatch");
     }
 }

@@ -174,13 +174,6 @@ impl SystemConfig {
         (0..self.procs.len()).map(ProcId::new)
     }
 
-    /// Ids of processors of one category.
-    pub fn procs_of(&self, kind: ProcKind) -> Vec<ProcId> {
-        self.proc_ids()
-            .filter(|&p| self.kind_of(p) == kind)
-            .collect()
-    }
-
     /// Structural validation: a simulatable system needs between one and
     /// [`MAX_PROCS`] processors, at least one processor with lookup-table
     /// coverage (i.e. not ASIC-only), and an interconnect that fits it
@@ -240,7 +233,7 @@ mod tests {
         assert_eq!(s.proc(ProcId::new(0)).name, "CPU0");
         assert_eq!(s.proc(ProcId::new(1)).name, "CPU1");
         assert_eq!(s.proc(ProcId::new(2)).name, "GPU0");
-        assert_eq!(s.procs_of(ProcKind::Cpu).len(), 2);
+        assert_eq!(s.proc(ProcId::new(1)).kind, ProcKind::Cpu);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!
 //! The default model uses TDP-class figures for the paper's devices
 //! (Intel i7-2600 class CPU, Tesla K20 class GPU, Virtex-7 class FPGA).
-//! They are *illustrative* — the thesis provides no power measurements —
-//! and fully overridable.
+//! They are *illustrative*: the thesis provides no power measurements.
 
 use apt_base::{ProcKind, SimDuration};
 use apt_hetsim::{SystemConfig, Trace};
@@ -68,17 +67,6 @@ impl PowerModel {
             ProcKind::Fpga => self.fpga,
             ProcKind::Asic => self.asic,
         }
-    }
-
-    /// Override one category's draw (builder style).
-    pub fn with_draw(mut self, kind: ProcKind, draw: PowerDraw) -> Self {
-        match kind {
-            ProcKind::Cpu => self.cpu = draw,
-            ProcKind::Gpu => self.gpu = draw,
-            ProcKind::Fpga => self.fpga = draw,
-            ProcKind::Asic => self.asic = draw,
-        }
-        self
     }
 }
 
@@ -179,13 +167,13 @@ mod tests {
 
     #[test]
     fn custom_model_overrides_apply() {
-        let model = PowerModel::default().with_draw(
-            ProcKind::Fpga,
-            PowerDraw {
+        let model = PowerModel {
+            fpga: PowerDraw {
                 busy_watts: 40.0,
                 idle_watts: 0.0,
             },
-        );
+            ..PowerModel::default()
+        };
         assert_eq!(model.draw(ProcKind::Fpga).busy_watts, 40.0);
         assert_eq!(model.draw(ProcKind::Fpga).idle_watts, 0.0);
         // Other categories untouched.

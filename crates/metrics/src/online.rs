@@ -164,8 +164,9 @@ pub struct OnlineMetrics {
     depth_at: SimTime,
     depth: usize,
     max_depth: usize,
-    // Cumulative per-proc busy+transfer at the last snapshot boundary.
-    last_busy_ns: Vec<u64>,
+    // Highest cumulative per-proc busy+transfer seen at a snapshot
+    // boundary so far.
+    busy_high_ns: Vec<u64>,
     // Failure axis: per-window + cumulative shed-job counts, and the
     // engine's cumulative fault counters as of "now" / the last boundary
     // (windows report the delta).
@@ -206,7 +207,7 @@ impl OnlineMetrics {
             depth_at: SimTime::ZERO,
             depth: 0,
             max_depth: 0,
-            last_busy_ns: vec![0; nprocs],
+            busy_high_ns: vec![0; nprocs],
             window_failed: 0,
             total_failed: 0,
             fault_now: [0; 4],
@@ -384,24 +385,28 @@ impl OnlineMetrics {
         proc_stats: &[ProcStats],
     ) {
         let span_ns = span.as_ns() as f64;
-        let busy_now: Vec<u64> = proc_stats
-            .iter()
-            .map(|s| (s.busy + s.transfer).as_ns())
-            .collect();
         // Cumulative busy time can only be apportioned to the window it
         // was *observed* in; with multi-window gaps the delta lands in
         // the first window of the gap, which slightly front-loads
-        // utilization but never loses any.
-        let utilization: Vec<f64> = busy_now
+        // utilization but never loses any. The total can also fall: the
+        // engine credits an attempt's whole occupancy at dispatch and
+        // takes back the unexecuted part when a fault kills it. Each
+        // window counts against the highest total seen so far, so a
+        // taken-back stretch is neither negative nor counted twice.
+        let utilization: Vec<f64> = proc_stats
             .iter()
-            .zip(&self.last_busy_ns)
-            .map(|(now_ns, last_ns)| (now_ns - last_ns) as f64 / span_ns)
+            .zip(&mut self.busy_high_ns)
+            .map(|(s, high_ns)| {
+                let now_ns = (s.busy + s.transfer).as_ns();
+                let delta = now_ns.saturating_sub(*high_ns);
+                *high_ns = (*high_ns).max(now_ns);
+                delta as f64 / span_ns
+            })
             .collect();
-        self.last_busy_ns = busy_now;
         let (p50, p90, p99) = self.latency_quantiles_ms();
         let [failures, retries, wasted, down] = self.fault_now;
         let [b_failures, b_retries, b_wasted, b_down] = self.fault_at_boundary;
-        let nprocs = self.last_busy_ns.len().max(1);
+        let nprocs = self.busy_high_ns.len().max(1);
         let window_down_ns = down - b_down;
         self.fault_at_boundary = self.fault_now;
         self.snapshots.push(StreamSnapshot {
@@ -725,6 +730,28 @@ mod tests {
         assert_eq!(m.lambda_total(), SimDuration::from_ms(5));
         assert_eq!(m.max_depth(), 1);
         assert!((m.mean_latency_ms() - 50.0).abs() < 1e-9);
+    }
+
+    /// A fault that kills a pre-credited attempt lowers the engine's
+    /// cumulative busy time between two boundaries. That window reads
+    /// zero, and the next counts only what passes the earlier high.
+    #[test]
+    fn busy_time_taken_back_by_a_kill_never_reads_negative() {
+        let mut m = OnlineMetrics::new(SimDuration::from_ms(100), 1);
+        let busy = |ms| {
+            [ProcStats {
+                busy: SimDuration::from_ms(ms),
+                ..ProcStats::default()
+            }]
+        };
+        m.maybe_snapshot(SimTime::from_ms(100), &busy(80));
+        m.maybe_snapshot(SimTime::from_ms(200), &busy(30));
+        m.maybe_snapshot(SimTime::from_ms(300), &busy(130));
+        let util: Vec<f64> = m.snapshots().iter().map(|s| s.utilization[0]).collect();
+        assert_eq!(util.len(), 3);
+        assert!((util[0] - 0.8).abs() < 1e-9);
+        assert_eq!(util[1], 0.0);
+        assert!((util[2] - 0.5).abs() < 1e-9, "{util:?}");
     }
 
     /// A depth observation landing *past* the open window's end must split

@@ -142,11 +142,6 @@ impl LogHistogram {
         self.sum
     }
 
-    /// Samples that fell into the zero bucket (`v ≤ 0` or NaN).
-    pub fn zero_count(&self) -> u64 {
-        self.zero
-    }
-
     /// The reported value for bucket `i`: `2·b^i/(b+1)`, the point whose
     /// worst-case relative distance to anything in `(b^{i−1}, b^i]` is γ.
     /// In the top bucket, which reaches past `f64::MAX`, it is capped there:
@@ -253,7 +248,7 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.zero_count(), 5);
+        assert_eq!(h.zero, 5);
         assert_eq!(h.quantile(0.99), Some(0.0));
         assert!(h.counts.is_empty());
     }

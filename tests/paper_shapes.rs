@@ -1,19 +1,22 @@
-//! The DESIGN.md acceptance criteria: the *shape* of every headline result
-//! in the paper's evaluation must hold on the reconstructed workloads.
+//! The *shape* of every headline result in the paper's evaluation must hold
+//! on the reconstructed workloads: APT tracks MET at small α, the α valley
+//! bottoms at 4, the §4.4 improvements, which kernels take alternatives,
+//! the win counts, λ and the link-rate effect.
 //!
-//! These tests drive the same cached sweeps as the `apt-repro` harness, so
-//! running the whole file costs one full evaluation pass.
+//! These tests read the same policy matrices as the `apt-repro` tables,
+//! each test from a `SweepCache` of its own.
 
-use apt_experiments::runner::{avg_lambda_ms, avg_makespans_ms, policy_index, policy_matrix, Rate};
+use apt_experiments::runner::{avg_lambda_ms, avg_makespans_ms, policy_index, Rate, SweepCache};
 use apt_experiments::tables::improvements;
 use apt_suite::prelude::*;
 
-/// Criterion 2 — at α = 1.5 APT tracks MET (the paper's Tables 8/9 show
-/// identical columns), and the greedy dynamic baselines are far behind.
+/// At α = 1.5 APT tracks MET (the paper's Tables 8/9 show identical
+/// columns), and the greedy dynamic baselines are far behind.
 #[test]
 fn small_alpha_apt_tracks_met_and_greedy_policies_trail() {
+    let cache = SweepCache::default();
     for ty in DfgType::ALL {
-        let m = policy_matrix(ty, 1.5, Rate::Gbps4);
+        let m = cache.policy_matrix(ty, 1.5, Rate::Gbps4);
         let avg = avg_makespans_ms(&m);
         let apt = avg[policy_index("APT")];
         let met = avg[policy_index("MET")];
@@ -36,15 +39,17 @@ fn small_alpha_apt_tracks_met_and_greedy_policies_trail() {
     }
 }
 
-/// Criterion 3 — the α sweep exhibits the valley with its minimum at the
-/// paper's threshold_brk (α = 4), for both families and both link rates.
+/// The α sweep exhibits the valley with its minimum at the paper's
+/// threshold_brk (α = 4), for both families and both link rates.
 #[test]
 fn alpha_valley_bottoms_at_four() {
+    let cache = SweepCache::default();
+    cache.prewarm_paper_grid();
     for ty in DfgType::ALL {
         for rate in Rate::ALL {
             let series: Vec<f64> = PAPER_ALPHAS
                 .iter()
-                .map(|&a| avg_makespans_ms(&policy_matrix(ty, a, rate))[policy_index("APT")])
+                .map(|&a| avg_makespans_ms(&cache.policy_matrix(ty, a, rate))[policy_index("APT")])
                 .collect();
             let min_idx = series
                 .iter()
@@ -61,25 +66,27 @@ fn alpha_valley_bottoms_at_four() {
     }
 }
 
-/// Criterion 4 — at the valley α, APT beats the second-best dynamic policy
-/// by a double-digit percentage (paper: 16 % / 18 %; we require ≥ 5 %).
+/// At the valley α, APT beats the second-best dynamic policy by a
+/// double-digit percentage (paper: 16 % / 18 %; we require ≥ 5 %).
 #[test]
 fn apt_headline_improvement_holds() {
+    let cache = SweepCache::default();
     for ty in DfgType::ALL {
-        let (exec, lambda) = improvements(ty, 4.0);
+        let (exec, lambda) = improvements(&cache, ty, 4.0);
         assert!(exec >= 5.0, "{ty:?}: exec improvement {exec}% too small");
         assert!(lambda >= 5.0, "{ty:?}: λ improvement {lambda}% too small");
     }
 }
 
-/// Criterion 5 — alternative assignments grow with α and concentrate on
-/// kernels whose best/second-best ratio is below the threshold: nw and bfs
-/// admit alternatives at small α; cd (ratio ≈ 29) only at α ≥ 16 — exactly
-/// the pattern of the paper's Tables 15/16.
+/// Alternative assignments grow with α and concentrate on kernels whose
+/// best/second-best ratio is below the threshold: nw and bfs admit
+/// alternatives at small α; cd (ratio ≈ 29) only at α ≥ 16 — exactly the
+/// pattern of the paper's Tables 15/16.
 #[test]
 fn alternative_assignments_follow_kernel_ratios() {
+    let cache = SweepCache::default();
     let at = |alpha: f64| -> (usize, std::collections::BTreeMap<KernelKind, usize>) {
-        let m = policy_matrix(DfgType::Type1, alpha, Rate::Gbps4);
+        let m = cache.policy_matrix(DfgType::Type1, alpha, Rate::Gbps4);
         let mut total = 0;
         let mut by_kind = std::collections::BTreeMap::new();
         for row in m.iter() {
@@ -125,8 +132,9 @@ fn alternative_assignments_follow_kernel_ratios() {
 /// (paper: 9/10 on Type-1, 9–10/10 on Type-2).
 #[test]
 fn apt_wins_most_experiments_against_dynamic_baselines() {
+    let cache = SweepCache::default();
     for ty in DfgType::ALL {
-        let m = policy_matrix(ty, 4.0, Rate::Gbps4);
+        let m = cache.policy_matrix(ty, 4.0, Rate::Gbps4);
         let apt: Vec<f64> = m
             .iter()
             .map(|r| r[policy_index("APT")].makespan.as_ms_f64())
@@ -148,8 +156,9 @@ fn apt_wins_most_experiments_against_dynamic_baselines() {
 /// majority of experiments (Tables 11/12 show 8–10 of 10).
 #[test]
 fn apt_lambda_beats_met_on_most_experiments() {
+    let cache = SweepCache::default();
     for ty in DfgType::ALL {
-        let m = policy_matrix(ty, 4.0, Rate::Gbps4);
+        let m = cache.policy_matrix(ty, 4.0, Rate::Gbps4);
         let wins = m
             .iter()
             .filter(|r| r[policy_index("APT")].lambda_total < r[policy_index("MET")].lambda_total)
@@ -158,7 +167,7 @@ fn apt_lambda_beats_met_on_most_experiments() {
     }
     // And on average (the Eq. 14 aggregate).
     for ty in DfgType::ALL {
-        let m = policy_matrix(ty, 4.0, Rate::Gbps4);
+        let m = cache.policy_matrix(ty, 4.0, Rate::Gbps4);
         let lam = avg_lambda_ms(&m);
         assert!(lam[policy_index("APT")] < lam[policy_index("MET")]);
     }
@@ -169,10 +178,13 @@ fn apt_lambda_beats_met_on_most_experiments() {
 /// increase in the data transfer rate" (§4.2.2).
 #[test]
 fn faster_link_never_hurts_apt_on_average() {
+    let cache = SweepCache::default();
     for ty in DfgType::ALL {
         for &alpha in &[1.5, 4.0] {
-            let at4 = avg_makespans_ms(&policy_matrix(ty, alpha, Rate::Gbps4))[policy_index("APT")];
-            let at8 = avg_makespans_ms(&policy_matrix(ty, alpha, Rate::Gbps8))[policy_index("APT")];
+            let at4 =
+                avg_makespans_ms(&cache.policy_matrix(ty, alpha, Rate::Gbps4))[policy_index("APT")];
+            let at8 =
+                avg_makespans_ms(&cache.policy_matrix(ty, alpha, Rate::Gbps8))[policy_index("APT")];
             assert!(
                 at8 <= at4 * 1.03,
                 "{ty:?} α={alpha}: 8 GB/s ({at8}) much worse than 4 GB/s ({at4})"
