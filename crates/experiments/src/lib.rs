@@ -15,7 +15,9 @@
 //!
 //! The closed tables and figures read their policy matrices from a
 //! [`runner::SweepCache`] that the caller builds and owns: `apt-repro`
-//! makes one per process, and each test makes its own.
+//! makes one per process, and each test makes its own. The cache keeps one
+//! entry per policy column, so the six α-independent baselines are
+//! simulated once per family and link rate and shared by every α.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

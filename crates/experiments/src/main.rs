@@ -89,7 +89,7 @@ fn main() {
     let cache = SweepCache::default();
     let requested: Vec<(&str, Option<&ArtifactSpec>)> = if args[0] == "all" {
         // Fill the run cache for the whole evaluation grid in one parallel
-        // wave (combination × graph × policy) before rendering anything.
+        // wave (policy column × graph) before rendering anything.
         cache.prewarm_paper_grid();
         ARTIFACTS.iter().map(|spec| (spec.id, Some(spec))).collect()
     } else {

@@ -46,8 +46,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use apt_base::{ProcId, SimDuration};
+use apt_base::{BaseError, ProcId, SimDuration};
 use apt_dfg::SplitMix64;
+
+/// The longest delay a fault setting may ask for: a mean time to failure,
+/// to repair or between degradation episodes, an episode's length, or a
+/// retry backoff base. 2^56 ns, about 2.3 years of simulated time. A
+/// grown backoff is capped here too, and an exponential draw reaches at
+/// most about 37 times its mean, so every fault event lands less than
+/// 2^62 ns after the instant that drew it.
+pub const MAX_FAULT_DELAY: SimDuration = SimDuration::from_ns(1 << 56);
 
 /// Salt XORed into the fault seed so the fault stream never collides with
 /// the workload, arrival, or deadline streams derived from the same base
@@ -157,6 +165,35 @@ impl FaultPlan {
     pub fn is_none(&self) -> bool {
         self.transient.is_none() && self.crash.is_none() && self.degrade.is_none()
     }
+
+    /// Check the plan and the retry policy it is armed with, before a run:
+    /// no delay may exceed [`MAX_FAULT_DELAY`]. The engines call this where
+    /// they validate the rest of a run. An empty plan never consults its
+    /// retry policy, so it passes with any.
+    pub fn validate(&self, retry: &RetryPolicy) -> Result<(), BaseError> {
+        if self.is_none() {
+            return Ok(());
+        }
+        let delays = [
+            ("crash MTTF", self.crash.map(|c| c.mttf)),
+            ("crash MTTR", self.crash.map(|c| c.mttr)),
+            ("link-degrade MTBF", self.degrade.map(|d| d.mtbf)),
+            ("link-degrade duration", self.degrade.map(|d| d.duration)),
+            ("retry backoff base", Some(retry.backoff_base)),
+        ];
+        for (what, delay) in delays {
+            if let Some(delay) = delay.filter(|&d| d > MAX_FAULT_DELAY) {
+                return Err(BaseError::InvalidSystem {
+                    reason: format!(
+                        "{what} of {} ns exceeds the longest fault delay, {} ns",
+                        delay.as_ns(),
+                        MAX_FAULT_DELAY.as_ns()
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Retry/backoff discipline for failed kernels in the streaming driver.
@@ -166,7 +203,8 @@ pub struct RetryPolicy {
     /// fails `max_attempts` times has its job shed (open system) or ends
     /// the run with `RetriesExhausted` (closed system).
     pub max_attempts: u32,
-    /// Backoff before attempt 2 (doubling — see `backoff_factor`).
+    /// Backoff before attempt 2 (doubling — see `backoff_factor`). At
+    /// most [`MAX_FAULT_DELAY`] ([`FaultPlan::validate`]).
     pub backoff_base: SimDuration,
     /// Multiplier applied to the backoff per additional attempt.
     pub backoff_factor: u32,
@@ -327,7 +365,8 @@ impl FaultState {
     }
 
     /// Backoff before retry number `attempt` (2 = first retry):
-    /// `base × factor^(attempt-2)` plus uniform jitter in `[0, base]`.
+    /// `base × factor^(attempt-2)` plus uniform jitter in `[0, base]`,
+    /// capped at [`MAX_FAULT_DELAY`] so that growth cannot outrun the clock.
     /// A `backoff_factor` of 0 is clamped to 1 ([`RetryPolicy::normalized`]):
     /// `0^exp` used to zero out every backoff past the first retry,
     /// silently degrading exponential backoff to jitter-only.
@@ -339,8 +378,8 @@ impl FaultState {
         let exp = attempt.saturating_sub(2);
         let factor = (policy.backoff_factor as u64).max(1);
         let scaled = base.saturating_mul(factor.saturating_pow(exp));
-        let jitter = self.rng.gen_range(base + 1);
-        SimDuration::from_ns(scaled.saturating_add(jitter))
+        let jitter = self.rng.gen_range(base.saturating_add(1));
+        SimDuration::from_ns(scaled.saturating_add(jitter)).min(MAX_FAULT_DELAY)
     }
 }
 

@@ -498,7 +498,9 @@ impl EngineCore {
                     debug_assert_eq!(v.down, s.is_some());
                     *s
                 }) {
-                    t.down_ns += self.now.saturating_since(since).as_ns();
+                    t.down_ns = t
+                        .down_ns
+                        .saturating_add(self.now.saturating_since(since).as_ns());
                 }
                 t
             }
@@ -665,7 +667,8 @@ impl EngineCore {
                 // apt-lint: allow(hot-path-panic, crash() recorded down_since before scheduling
                 // this Repair)
                 .expect("repair of a processor that never crashed");
-            f.totals.down_ns += now.saturating_since(since).as_ns();
+            let down = now.saturating_since(since).as_ns();
+            f.totals.down_ns = f.totals.down_ns.saturating_add(down);
             f.state
                 .next_crash_gap()
                 // apt-lint: allow(hot-path-panic, a Repair event implies a crash spec exists to
@@ -1387,7 +1390,8 @@ pub fn simulate_stream(
 /// In this closed (whole-DAG) mode a kernel that exhausts its retry budget
 /// aborts the run with [`BaseError::RetriesExhausted`] — there is no job
 /// boundary to shed. Use the open engine / stream driver for
-/// shed-and-continue semantics.
+/// shed-and-continue semantics. A plan or retry policy that
+/// [`FaultPlan::validate`] refuses fails before the first event.
 pub fn simulate_stream_faulty(
     dfg: &KernelDag,
     config: &SystemConfig,
@@ -1414,6 +1418,7 @@ fn simulate_closed(
 ) -> Result<(SimResult, FaultTotals), BaseError> {
     config.validate()?;
     dfg.validate()?;
+    plan.validate(&retry)?;
     if let Some(arrivals) = arrivals.filter(|a| a.len() != dfg.len()) {
         return Err(BaseError::InvalidAssignment {
             reason: format!(

@@ -30,6 +30,7 @@ pub const RULES: &[&str] = &[
     "hot-path-panic",
     "forbid-unsafe",
     "bad-escape",
+    "global-state",
 ];
 
 /// One lint finding: a rule violation at a source location, with a fix

@@ -12,6 +12,7 @@
 //! | `rng-salt` | all crates | RNG-stream discipline: `SplitMix64::new` must derive from a config seed or a named `*_STREAM_SALT` constant, never an inline magic number |
 //! | `hot-path-panic` | hot-path modules | panic-freedom tier: `unwrap`/`expect`/`panic!`/`todo!`/`unreachable!`/`unimplemented!` need a reasoned escape |
 //! | `forbid-unsafe` | every `lib.rs` | unsafe hygiene: `#![forbid(unsafe_code)]` present |
+//! | `global-state` | all crates | no process-global state shared across tests: `thread_local!`, `static mut`, or a `static` typed with a `Mutex`, `RwLock`, `Cell`, `RefCell` or atomic (write-once `OnceLock`/`LazyLock` pass) |
 //! | `bad-escape` | everywhere | the escape protocol itself: unknown rule id or missing reason |
 //!
 //! # Escapes
@@ -49,6 +50,10 @@ const ITER_METHODS: &[&str] = &[
     "into_values",
 ];
 
+/// Tokens that make a `static` mutable process state (atomics match by
+/// their `Atomic` prefix).
+const MUTABLE_STATE: &[&str] = &["mut", "Mutex", "RwLock", "Cell", "RefCell", "UnsafeCell"];
+
 /// Panic-family macros flagged on the hot path.
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
 
@@ -82,6 +87,7 @@ pub fn scan_source(rel_path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> 
     rule_wall_clock(rel_path, toks, cfg, &in_test, &mut found);
     rule_rng_salt(rel_path, toks, &in_test, &mut found);
     rule_hot_path_panic(rel_path, toks, cfg, &in_test, &mut found);
+    rule_global_state(rel_path, toks, &in_test, &mut found);
     if cfg.is_simulation(rel_path) {
         rule_nondet(rel_path, toks, &in_test, &mut found);
     }
@@ -429,6 +435,41 @@ fn rule_hot_path_panic(
             && !in_test(w[0].line)
         {
             push(w[0].line, format!("{}!", w[0].text));
+        }
+    }
+}
+
+/// `global-state`: outside tests, a `thread_local!`, or a `static` whose
+/// tokens up to its `=` include `mut`, a cell or lock, or an atomic. A
+/// cell hidden inside a named wrapper type passes.
+fn rule_global_state(
+    rel_path: &str,
+    toks: &[Tok],
+    in_test: &dyn Fn(u32) -> bool,
+    found: &mut Vec<Finding>,
+) {
+    for (i, t) in toks.iter().enumerate() {
+        let rest = &toks[i + 1..];
+        let what = if is_id(t, "thread_local") && rest.first().is_some_and(|n| is_punct(n, '!')) {
+            Some("`thread_local!`".to_string())
+        } else if is_id(t, "static") {
+            rest.iter()
+                .take_while(|t| !is_punct(t, '=') && !is_punct(t, ';'))
+                .find(|t| MUTABLE_STATE.contains(&t.text.as_str()) || t.text.starts_with("Atomic"))
+                .map(|m| format!("a mutable `static` (`{}`)", m.text))
+        } else {
+            None
+        };
+        if let Some(what) = what.filter(|_| !in_test(t.line)) {
+            found.push(Finding {
+                file: rel_path.to_string(),
+                line: t.line,
+                rule: "global-state",
+                message: format!("process-global state: {what}"),
+                hint: "hold the state in a value the caller owns and passes down; a write-once \
+                       `OnceLock`/`LazyLock` of a plain value is fine"
+                    .into(),
+            });
         }
     }
 }

@@ -287,6 +287,30 @@ fn bad_escape_wrong_rule_does_not_suppress() {
     assert_eq!(f, vec![("hot-path-panic", 3)]);
 }
 
+// ---------------------------------------------------------- global-state
+
+#[test]
+fn global_state_positive() {
+    let src = "static HITS: AtomicU64 = AtomicU64::new(0);\n\
+               static MEMO: OnceLock<Mutex<Vec<u64>>> = OnceLock::new();\n\
+               thread_local! { static DEPTH: u32 = 0; }\n\
+               static mut COUNT: u32 = 0;\n";
+    let at = |line| ("global-state", line);
+    assert_eq!(rules_at(COLD, src), [at(1), at(2), at(3), at(4)]);
+}
+
+#[test]
+fn global_state_near_misses() {
+    // A write-once constant, a `'static` lifetime and a string are not
+    // global state …
+    let src = "static TABLE: OnceLock<LookupTable> = OnceLock::new();\n\
+               fn name() -> &'static str { \"static M: Mutex<u8>\" }\n";
+    assert!(rules_at(COLD, src).is_empty());
+    // … and tests may keep whatever they like.
+    let src = "#[cfg(test)]\nmod tests {\n  static SEEN: AtomicUsize = AtomicUsize::new(0);\n}\n";
+    assert!(rules_at(COLD, src).is_empty());
+}
+
 // ------------------------------------------------------------------ json
 
 #[test]

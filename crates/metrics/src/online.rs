@@ -69,7 +69,10 @@ pub struct StreamSnapshot {
     /// (on-time completions contribute zero tardiness), within
     /// [`QUANTILE_GAMMA`].
     pub tardiness_p99_ms: f64,
-    /// Per-processor busy+transfer fraction of the window.
+    /// Per-processor busy+transfer time credited in this window, over the
+    /// window's length. The engine credits a kernel's whole occupancy when
+    /// it dispatches the kernel, so a window that dispatches long kernels
+    /// can read above 1.0 while the windows they run in read low.
     pub utilization: Vec<f64>,
     /// Jobs shed by the failure model inside this window (retry budget
     /// exhausted). Zero on fault-free runs.
@@ -386,11 +389,13 @@ impl OnlineMetrics {
     ) {
         let span_ns = span.as_ns() as f64;
         // Cumulative busy time can only be apportioned to the window it
-        // was *observed* in; with multi-window gaps the delta lands in
-        // the first window of the gap, which slightly front-loads
-        // utilization but never loses any. The total can also fall: the
-        // engine credits an attempt's whole occupancy at dispatch and
-        // takes back the unexecuted part when a fault kills it. Each
+        // was *observed* in, and the engine credits a kernel's whole
+        // occupancy at dispatch. So a window gets the full occupancy of
+        // every kernel dispatched in it, including the part that runs in
+        // later windows: its utilization can exceed 1.0 while those later
+        // windows read low. None is lost. The total can also fall: the
+        // engine takes back the unexecuted part of an attempt that a
+        // fault kills. Each
         // window counts against the highest total seen so far, so a
         // taken-back stretch is neither negative nor counted twice.
         let utilization: Vec<f64> = proc_stats

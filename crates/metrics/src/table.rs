@@ -114,12 +114,6 @@ pub fn fmt_ms(d: SimDuration) -> String {
     format!("{}", d.as_ms_f64().round() as i64)
 }
 
-/// Format a duration as fractional seconds with three decimals
-/// (the figures' y-axes).
-pub fn fmt_secs(d: SimDuration) -> String {
-    format!("{:.3}", d.as_secs_f64())
-}
-
 /// Format a percentage with three decimals (Table 13 style).
 pub fn fmt_pct(p: f64) -> String {
     format!("{p:.3}")
@@ -197,7 +191,6 @@ mod tests {
     fn duration_formatting_matches_paper_style() {
         assert_eq!(fmt_ms(SimDuration::from_us(8_298_400)), "8298");
         assert_eq!(fmt_ms(SimDuration::from_us(8_298_501)), "8299");
-        assert_eq!(fmt_secs(SimDuration::from_ms(71_078)), "71.078");
         assert_eq!(fmt_pct(18.223_4), "18.223");
     }
 }

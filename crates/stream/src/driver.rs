@@ -453,6 +453,7 @@ impl<'r> StreamRun<'r> {
     ///
     /// Fails on a zero [`DriverOpts::snapshot_interval`], on a controlled
     /// run without one, on a source whose [`Source::validate`] refuses it,
+    /// on a fault plan or retry policy that [`FaultPlan::validate`] refuses,
     /// on a [`StreamTelemetry`] that already published a run, on
     /// starvation (the policy stops scheduling while jobs are in flight),
     /// on a source yielding decreasing arrival times, or on a static
@@ -486,6 +487,7 @@ impl<'r> StreamRun<'r> {
             _ => {}
         }
         source.validate()?;
+        opts.faults.validate(&opts.retry)?;
         if telemetry.as_ref().is_some_and(|t| t.holds_a_run()) {
             return Err(BaseError::InvalidSystem {
                 reason: "a StreamTelemetry publishes one run; arm a fresh one per run".into(),

@@ -10,17 +10,19 @@ use apt_stream::{
 };
 use proptest::prelude::*;
 
-fn run_on(source: &mut dyn Source, config: &SystemConfig) -> Result<StreamOutcome, BaseError> {
+fn run_with(
+    source: &mut dyn Source,
+    config: &SystemConfig,
+    opts: &DriverOpts,
+) -> Result<StreamOutcome, BaseError> {
     let mut policy = Apt::new(4.0);
-    StreamRun::new(
-        source,
-        config,
-        LookupTable::paper(),
-        &mut policy,
-        &DriverOpts::default(),
-    )
-    .run()
-    .map(|(outcome, _)| outcome)
+    StreamRun::new(source, config, LookupTable::paper(), &mut policy, opts)
+        .run()
+        .map(|(outcome, _)| outcome)
+}
+
+fn run_on(source: &mut dyn Source, config: &SystemConfig) -> Result<StreamOutcome, BaseError> {
+    run_with(source, config, &DriverOpts::default())
 }
 
 fn run(source: &mut dyn Source) -> Result<StreamOutcome, BaseError> {
@@ -78,6 +80,99 @@ fn a_deadline_near_the_end_of_the_clock_ends_in_a_typed_error() {
         .with_deadline(SimDuration::from_ms(10));
     let mut source = TraceSource::new(vec![(SimTime::from_ns(u64::MAX - 5), job)]);
     assert_past_horizon(run(&mut source), "arrival at u64::MAX - 5 ns");
+}
+
+/// A short faulty stream: 50 Poisson diamond jobs under APT α = 4.
+fn run_faulty(faults: FaultPlan, retry: RetryPolicy) -> Result<StreamOutcome, BaseError> {
+    let family = JobFamily::Diamond { width: 2 };
+    let mut source = PoissonSource::try_new(LookupTable::paper(), 20.0, 50, family, 42).unwrap();
+    let opts = DriverOpts {
+        faults,
+        retry,
+        ..DriverOpts::default()
+    };
+    run_with(&mut source, &SystemConfig::paper_4gbps(), &opts)
+}
+
+/// Fault settings whose delays reach past the clock's range, which the
+/// builders and the public fields accept: an endless link degradation,
+/// means of half the clock between degradations, crashes or repairs, and
+/// retry backoffs of all and of a quarter of the clock. The driver refuses
+/// each before the first event; the endless degradation, the repair mean
+/// and both backoffs used to overflow an instant mid-run.
+#[test]
+fn fault_delays_past_the_clock_end_in_a_typed_error() {
+    let (second, half) = (
+        SimDuration::from_ms(1_000),
+        SimDuration::from_ns(u64::MAX / 2),
+    );
+    let degrade = |mtbf, duration| LinkDegradeSpec {
+        pair: None,
+        slowdown: 2,
+        mtbf,
+        duration,
+    };
+    let backoff = |ns: u64| RetryPolicy {
+        backoff_base: SimDuration::from_ns(ns),
+        ..RetryPolicy::default()
+    };
+    let (plan, retry) = (FaultPlan::seeded(7), RetryPolicy::default());
+    let endless = degrade(second, SimDuration::from_ns(u64::MAX));
+    for (faults, retry) in [
+        (plan.with_link_degrade(endless), retry),
+        (plan.with_link_degrade(degrade(half, second)), retry),
+        (plan.with_crashes(second, half), retry),
+        (plan.with_crashes(half, second), retry),
+        (plan.with_transient(0.5), backoff(u64::MAX)),
+        (plan.with_transient(0.5), backoff(u64::MAX / 4)),
+    ] {
+        let err = run_faulty(faults, retry).expect_err("a delay past the clock ran");
+        let what = format!("{faults:?}, {retry:?}");
+        assert!(
+            matches!(err, BaseError::InvalidSystem { .. }),
+            "{what}: {err}"
+        );
+    }
+    // An empty plan never consults its retry policy.
+    assert!(run_faulty(FaultPlan::none(), backoff(u64::MAX)).is_ok());
+}
+
+/// 64 processors, each down for almost all of a run that lasts 2^61 ns
+/// (repairs take `MAX_FAULT_DELAY` on average): their summed downtime
+/// outgrows a `u64` of nanoseconds long before the clock does, and
+/// saturates instead of overflowing.
+#[test]
+fn downtime_summed_over_many_processors_saturates() {
+    let job = || JobTemplate::new(vec![Kernel::canonical(KernelKind::Bfs)], vec![]).unwrap();
+    let late = SimTime::from_ns(1 << 61);
+    let mut source = TraceSource::new(vec![(SimTime::ZERO, job()), (late, job())]);
+    let config = (0..64).fold(SystemConfig::empty(LinkRate::PCIE2_X8), |c, _| {
+        c.with_proc(ProcKind::Cpu)
+    });
+    let mttr = SimDuration::from_ns(1 << 56);
+    let faults = FaultPlan::seeded(7).with_crashes(SimDuration::from_ms(1_000), mttr);
+    let opts = DriverOpts {
+        faults,
+        ..DriverOpts::default()
+    };
+    let outcome = run_with(&mut source, &config, &opts).expect("both jobs run");
+    assert_eq!(outcome.jobs_completed, 2);
+    assert_eq!(outcome.faults.down_ns, u64::MAX);
+}
+
+/// Every execution fails and each kernel may try 64 times, so exponential
+/// backoff from 1 ms would outgrow the clock by the 45th attempt. Backoff
+/// is capped at `MAX_FAULT_DELAY`: every job is shed and the run ends.
+#[test]
+fn a_backoff_grown_past_the_clock_is_capped() {
+    let retry = RetryPolicy {
+        max_attempts: 64,
+        job_retry_budget: u32::MAX,
+        ..RetryPolicy::default()
+    };
+    let outcome = run_faulty(FaultPlan::seeded(7).with_transient(1.0), retry)
+        .expect("a capped backoff keeps the clock in range");
+    assert_eq!(outcome.jobs_failed, 50, "{outcome:?}");
 }
 
 #[test]

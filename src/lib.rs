@@ -145,9 +145,6 @@ pub use apt_trace as trace;
 // guidance).
 pub use apt_telemetry as telemetry;
 
-/// Workspace version, for the examples' banners.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
-
 #[cfg(test)]
 mod tests {
     #[test]
