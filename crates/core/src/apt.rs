@@ -17,6 +17,17 @@
 //! stream order, which is how the generators number kernels), admission
 //! order on an open stream.
 //!
+//! ## One policy type, four rules
+//!
+//! Every APT-family policy is one [`AptPolicy`]: α, the class table of the
+//! screen below, and an [`AptRule`] that fixes the kernel order and the
+//! alternative's admission. [`Apt`] is the [`Fcfs`] rule, the ready set's
+//! order with the threshold `α·x`; [`crate::EdfApt`] and [`crate::LlApt`]
+//! order by deadline and by laxity ([`crate::deadline`]); [`crate::AptR`]
+//! also weighs the wait for `p_min` ([`crate::apt_r`]). The constructor's
+//! check, the α knob, `prepare` and the name belong to the one type, so
+//! they cannot drift apart between the four.
+//!
 //! ## Batched per-instant emission
 //!
 //! Like MET, APT emits its whole per-instant fixpoint in **one** `decide`
@@ -38,8 +49,8 @@
 //! are never negative, so a kernel can only ever be placed on a processor
 //! in `{p : exec(p) ≤ α·x}` — `p_min` itself included (`x ≤ α·x`). That
 //! set depends only on the kernel's lookup row and α, i.e. on its cost
-//! class ([`apt_hetsim::ClassId`]). Every APT-family policy keeps a
-//! class → admissible-mask table (`AdmissibleMasks`) and considers only
+//! class ([`apt_hetsim::ClassId`]). [`AptPolicy`] keeps a class →
+//! admissible-mask table (`AdmissibleMasks`), and every rule considers only
 //! kernels whose `mask[class]` meets the remaining idle set. The screen is
 //! exact: a skipped kernel could neither take `p_min` nor any alternative
 //! within `α·x` — LL-APT's slack-clamped threshold is never above `α·x`
@@ -72,8 +83,9 @@
 //! predecessors have finished, and finished kernels never move), the
 //! transfer is the cost model's contention-free estimate of moving them,
 //! and the threshold is `α·x` — or LL-APT's `clamp(slack, x, α·x)`, which
-//! only shrinks as time passes. So APT, EDF-APT and LL-APT each keep a
-//! `Rejections` memo indexed by node: the admission the entry belongs to
+//! only shrinks as time passes. So the [`Fcfs`], [`crate::deadline::Edf`]
+//! and [`crate::deadline::Laxity`] rules each keep a `Rejections` memo
+//! indexed by node: the admission the entry belongs to
 //! (the ready set's [`ReadyEntry::seq`], which is the node id on a closed
 //! workload) and the processors a search for it already rejected. The
 //! alternative search covers only idle processors outside that mask, is
@@ -102,28 +114,55 @@ use apt_hetsim::{
 };
 use apt_policies::common::best_instance_in;
 
-/// The Alternative-Processor-within-Threshold policy.
+/// One APT-family policy: Algorithm 1's processor selection at flexibility
+/// factor `α`, over the kernel order and admission threshold of rule `R`.
+/// [`Apt`], [`crate::EdfApt`], [`crate::LlApt`] and [`crate::AptR`] name
+/// its four rules (module docs).
 #[derive(Debug, Clone)]
-pub struct Apt {
+pub struct AptPolicy<R> {
     alpha: f64,
     masks: AdmissibleMasks,
-    rejected: Rejections,
+    rule: R,
 }
 
-impl Apt {
-    /// Create an APT scheduler with flexibility factor `α ≥ 1` (Eq. 8).
+/// What one APT-family policy adds to Algorithm 1: the order in which a
+/// `decide` pass visits the ready kernels, the threshold that admits an
+/// alternative, and whatever the rule remembers across calls.
+///
+/// A pass visits only kernels whose admissible mask meets the shrinking
+/// idle set, emits the instant's whole fixpoint and ends with
+/// [`AssignmentBuf::mark_fixpoint`] (module docs).
+pub trait AptRule: Default {
+    /// The policy's name, printed by [`Policy::name`] before `(α=…)` and by
+    /// [`AptPolicy::new`]'s panic.
+    const NAME: &'static str;
+
+    /// Forget what the rule remembers across calls. [`AptPolicy`] calls it
+    /// whenever α or the engine changes (`set_alpha`, `prepare`).
+    fn reset(&mut self);
+
+    /// One `decide` pass at `alpha`. `masks` is the class → admissible
+    /// processor table at `alpha` (module docs), covering every class the
+    /// view's cost model has interned.
+    fn pass(&mut self, view: &SimView<'_>, masks: &[u64], alpha: f64, out: &mut AssignmentBuf);
+}
+
+impl<R: AptRule> AptPolicy<R> {
+    /// Create a scheduler with flexibility factor `α ≥ 1` (Eq. 8).
     ///
-    /// Panics if `α < 1`: the threshold `α·x` would be below the best
-    /// execution time itself, which Eq. 8 explicitly rules out.
+    /// Panics if `α < 1` or `α` is not finite: the threshold `α·x` would be
+    /// below the best execution time itself, which Eq. 8 explicitly rules
+    /// out.
     pub fn new(alpha: f64) -> Self {
         assert!(
             alpha >= 1.0 && alpha.is_finite(),
-            "APT requires a finite α ≥ 1 (Eq. 8), got {alpha}"
+            "{} requires a finite α ≥ 1 (Eq. 8), got {alpha}",
+            R::NAME
         );
-        Apt {
+        AptPolicy {
             alpha,
             masks: AdmissibleMasks::default(),
-            rejected: Rejections::default(),
+            rule: R::default(),
         }
     }
 
@@ -133,21 +172,70 @@ impl Apt {
     }
 
     /// Set the flexibility factor at runtime, clamped to the valid range
-    /// (finite, ≥ 1 — the same invariant [`Apt::new`] enforces by panic).
-    /// Non-finite requests are ignored. This is the knob the `apt-control`
-    /// α controller turns between metrics windows.
+    /// (finite, ≥ 1 — the same invariant [`AptPolicy::new`] enforces by
+    /// panic). Non-finite requests are ignored. This is the knob the
+    /// `apt-control` α controller turns between metrics windows.
     pub fn set_alpha(&mut self, alpha: f64) {
         if alpha.is_finite() {
             self.alpha = alpha.max(1.0);
             self.masks.reset();
-            self.rejected.reset();
+            self.rule.reset();
         }
     }
+}
 
-    /// The admission threshold for a kernel whose best execution time is
-    /// `x`: `α · x`.
-    pub fn threshold(&self, x: SimDuration) -> SimDuration {
-        x.scale_alpha(self.alpha)
+impl<R: AptRule> Policy for AptPolicy<R> {
+    fn name(&self) -> String {
+        format!("{}(α={})", R::NAME, self.alpha)
+    }
+
+    fn kind(&self) -> PolicyKind {
+        PolicyKind::Dynamic
+    }
+
+    fn alpha(&self) -> Option<f64> {
+        Some(self.alpha)
+    }
+
+    fn set_alpha(&mut self, alpha: f64) -> bool {
+        AptPolicy::set_alpha(self, alpha);
+        true
+    }
+
+    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
+        self.masks.reset();
+        self.rule.reset();
+        Ok(())
+    }
+
+    fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
+        let masks = self.masks.get(view.cost, self.alpha);
+        self.rule.pass(view, masks, self.alpha, out);
+    }
+}
+
+/// The Alternative-Processor-within-Threshold policy: Algorithm 1 as
+/// published, in the ready set's own order with the threshold `α·x`.
+pub type Apt = AptPolicy<Fcfs>;
+
+/// [`Apt`]'s rule: the ready set's order (first-come first-serve), the
+/// threshold `α·x`, and the memo of rejected alternatives (module docs).
+#[derive(Debug, Clone, Default)]
+pub struct Fcfs {
+    rejected: Rejections,
+}
+
+impl AptRule for Fcfs {
+    const NAME: &'static str = "APT";
+
+    fn reset(&mut self) {
+        self.rejected.reset();
+    }
+
+    fn pass(&mut self, view: &SimView<'_>, masks: &[u64], alpha: f64, out: &mut AssignmentBuf) {
+        ready_pass(view, masks, &mut self.rejected, out, |_, x| {
+            x.scale_alpha(alpha)
+        });
     }
 }
 
@@ -237,8 +325,7 @@ fn admissible_mask(cost: &CostModel, class: ClassId, alpha: f64) -> u64 {
 /// `idle_mask` is the batch's *remaining* idle set — ties break to the
 /// lowest id, same as the snapshot-scan form. Returns the chosen processor
 /// *with* its `exec + transfer` cost, so callers can record the decision's
-/// provenance without recomputing it. Shared by every APT-family policy
-/// ([`Apt`], [`crate::AptR`], [`crate::EdfApt`], [`crate::LlApt`]) so the
+/// provenance without recomputing it. Shared by every [`AptRule`], so the
 /// alternative-admission rule can never drift between them.
 ///
 /// Transfers are never negative, so a processor whose execution time alone
@@ -278,12 +365,12 @@ pub(crate) fn find_alternative_in(
 /// carries the batch's own claims, so each kernel sees exactly the idle
 /// set the engine would have shown it after applying the earlier
 /// assignments. `threshold_of(node, x)` is the admission threshold for a
-/// kernel whose best execution time is `x` — `α·x` for [`Apt`] and
-/// [`crate::EdfApt`], slack-clamped (never above `α·x`) for
-/// [`crate::LlApt`]. The search skips the processors `rejected` holds for
-/// this admission and records the ones it rejects (module docs). Every
-/// APT-family pass runs this step over its own kernel order and ends with
-/// [`AssignmentBuf::mark_fixpoint`].
+/// kernel whose best execution time is `x` — `α·x` under the [`Fcfs`]
+/// and [`crate::deadline::Edf`] rules, slack-clamped (never above `α·x`)
+/// under [`crate::deadline::Laxity`]. The search skips the processors
+/// `rejected` holds for this admission and records the ones it rejects
+/// (module docs). Each of those rules' passes runs this step over its own
+/// kernel order and ends with [`AssignmentBuf::mark_fixpoint`].
 pub(crate) fn apt_step(
     view: &SimView<'_>,
     entry: ReadyEntry,
@@ -346,39 +433,6 @@ pub(crate) fn ready_pass(
     out.mark_fixpoint();
 }
 
-impl Policy for Apt {
-    fn name(&self) -> String {
-        format!("APT(α={})", self.alpha)
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Dynamic
-    }
-
-    fn alpha(&self) -> Option<f64> {
-        Some(self.alpha)
-    }
-
-    fn set_alpha(&mut self, alpha: f64) -> bool {
-        Apt::set_alpha(self, alpha);
-        true
-    }
-
-    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
-        self.masks.reset();
-        self.rejected.reset();
-        Ok(())
-    }
-
-    fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let alpha = self.alpha;
-        let masks = self.masks.get(view.cost, alpha);
-        ready_pass(view, masks, &mut self.rejected, out, |_, x| {
-            x.scale_alpha(alpha)
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,9 +453,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "α ≥ 1")]
+    #[should_panic(expected = "APT requires a finite α ≥ 1 (Eq. 8), got 0.5")]
     fn alpha_below_one_is_rejected() {
-        let _ = Apt::new(0.5);
+        let _ = AptPolicy::<Fcfs>::new(0.5);
+    }
+
+    type Make = fn(f64) -> Box<dyn Policy>;
+
+    /// The four rules' policies by name, each built through its alias.
+    fn family() -> [(&'static str, Make); 4] {
+        [
+            ("APT", |a| Box::new(Apt::new(a))),
+            ("EDF-APT", |a| Box::new(crate::EdfApt::new(a))),
+            ("LL-APT", |a| Box::new(crate::LlApt::new(a))),
+            ("APT-R", |a| Box::new(crate::AptR::new(a))),
+        ]
     }
 
     /// The APT half of Figure 5 (α = 8, transfers disabled): the second bfs
@@ -542,10 +608,15 @@ mod tests {
         assert!(grew, "no α ever produced alternative assignments");
     }
 
+    /// Every rule's name prints with its α. Each alias's refusal of an α
+    /// below 1, named after its rule, has a `#[should_panic]` test of its
+    /// own (here and in the `deadline` and `apt_r` modules).
     #[test]
     fn name_includes_alpha() {
-        assert_eq!(Apt::new(4.0).name(), "APT(α=4)");
-        assert_eq!(Apt::new(1.5).name(), "APT(α=1.5)");
+        for (name, make) in family() {
+            assert_eq!(make(4.0).name(), format!("{name}(α=4)"));
+            assert_eq!(make(1.5).name(), format!("{name}(α=1.5)"));
+        }
     }
 
     /// The class table equals a naive scan of the raw lookup table: for
@@ -684,22 +755,30 @@ mod tests {
         }
     }
 
-    /// The runtime setter clamps instead of panicking: below-1 requests
-    /// pin to 1 (Eq. 8's floor), non-finite requests are ignored, and the
-    /// `Policy` hook reports the knob.
+    /// The runtime setter clamps instead of panicking, under every rule:
+    /// below-1 requests pin to 1 (Eq. 8's floor), non-finite requests are
+    /// ignored, and the `Policy` hooks report the knob. No family member
+    /// has a roster to switch.
     #[test]
     fn set_alpha_clamps_to_the_valid_range() {
+        for (name, make) in family() {
+            let mut policy = make(4.0);
+            assert_eq!(policy.alpha(), Some(4.0), "{name}");
+            for (request, set) in [
+                (2.5, 2.5),
+                (0.25, 1.0),
+                (f64::NAN, 1.0),
+                (f64::INFINITY, 1.0),
+                (16.0, 16.0),
+            ] {
+                assert!(policy.set_alpha(request), "{name}");
+                assert_eq!(policy.alpha(), Some(set), "{name} after {request}");
+            }
+            assert_eq!(policy.name(), format!("{name}(α=16)"));
+            assert!(!policy.switch_to(1), "{name} has no roster");
+        }
         let mut apt = Apt::new(4.0);
-        assert_eq!(Policy::alpha(&apt), Some(4.0));
-        assert!(Policy::set_alpha(&mut apt, 2.5));
-        assert_eq!(apt.alpha(), 2.5);
         apt.set_alpha(0.25);
-        assert_eq!(apt.alpha(), 1.0, "below-1 clamps to the Eq. 8 floor");
-        apt.set_alpha(f64::NAN);
-        assert_eq!(apt.alpha(), 1.0, "non-finite requests are ignored");
-        apt.set_alpha(f64::INFINITY);
-        assert_eq!(apt.alpha(), 1.0);
-        apt.set_alpha(16.0);
-        assert_eq!(apt.alpha(), 16.0);
+        assert_eq!(apt.alpha(), 1.0, "the inherent setter clamps alike");
     }
 }

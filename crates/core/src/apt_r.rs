@@ -30,59 +30,31 @@
 //! the one-assignment-per-call form (pinned by the engine-equivalence
 //! suite).
 //!
-//! APT-R's alternative must also sit within `α·x`, so it walks the ready
-//! set screened on APT's per-class admissible masks exactly as APT does
-//! (see the `apt` module docs).
+//! APT-R is the [`Remaining`] rule of the one [`AptPolicy`] type. Its
+//! alternative must also sit within `α·x`, so it walks the ready set
+//! screened on APT's per-class admissible masks exactly as APT does (see
+//! the [`crate::apt`] module docs). It keeps no memo of rejected
+//! alternatives: its wait cost reads `busy_until`, which moves.
 
-use crate::apt::{find_alternative_in, AdmissibleMasks};
-use apt_base::{BaseError, ProcId, SimTime};
-use apt_hetsim::{
-    Assignment, AssignmentBuf, DecisionMeta, Policy, PolicyKind, PrepareCtx, SimView,
-};
+use crate::apt::{find_alternative_in, AptPolicy, AptRule};
+use apt_base::{ProcId, SimTime};
+use apt_hetsim::{Assignment, AssignmentBuf, DecisionMeta, SimView};
 use apt_policies::common::best_instance_in;
 
 /// APT with remaining-time awareness (future-work heuristic).
-#[derive(Debug, Clone)]
-pub struct AptR {
-    alpha: f64,
-    masks: AdmissibleMasks,
-}
+pub type AptR = AptPolicy<Remaining>;
 
-impl AptR {
-    /// Create an APT-R scheduler with flexibility factor `α ≥ 1`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha >= 1.0 && alpha.is_finite(),
-            "APT-R requires a finite α ≥ 1, got {alpha}"
-        );
-        AptR {
-            alpha,
-            masks: AdmissibleMasks::default(),
-        }
-    }
+/// [`AptR`]'s rule: the ready set's order, and an alternative within `α·x`
+/// only when it also beats waiting for `p_min` (module docs).
+#[derive(Debug, Clone, Default)]
+pub struct Remaining;
 
-    /// The configured flexibility factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-}
+impl AptRule for Remaining {
+    const NAME: &'static str = "APT-R";
 
-impl Policy for AptR {
-    fn name(&self) -> String {
-        format!("APT-R(α={})", self.alpha)
-    }
+    fn reset(&mut self) {}
 
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Dynamic
-    }
-
-    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
-        self.masks.reset();
-        Ok(())
-    }
-
-    fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let masks = self.masks.get(view.cost, self.alpha);
+    fn pass(&mut self, view: &SimView<'_>, masks: &[u64], alpha: f64, out: &mut AssignmentBuf) {
         // Batched per-instant pass (module docs): `idle` carries this
         // batch's claims; `claimed_until` carries the finish instants of
         // kernels the batch already started, so the waiting estimate for a
@@ -112,7 +84,7 @@ impl Policy for AptR {
                 out.push(Assignment::new(node, best.proc));
                 return idle & !(1 << best.proc.index());
             }
-            let threshold = best.exec.scale_alpha(self.alpha);
+            let threshold = best.exec.scale_alpha(alpha);
             let Some((proc, cost)) = find_alternative_in(view, node, best.proc, threshold, idle)
             else {
                 return idle;
@@ -156,7 +128,7 @@ mod tests {
     use apt_base::SimTime;
     use apt_dfg::generator::{build_type1, generate_kernels, StreamConfig};
     use apt_dfg::{Kernel, KernelKind, LookupTable, NodeId};
-    use apt_hetsim::{simulate, SystemConfig};
+    use apt_hetsim::{simulate, Policy, SystemConfig};
 
     fn bfs() -> Kernel {
         Kernel::canonical(KernelKind::Bfs)
@@ -166,7 +138,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "α ≥ 1")]
+    #[should_panic(expected = "APT-R requires a finite α ≥ 1 (Eq. 8), got 0")]
     fn alpha_below_one_is_rejected() {
         let _ = AptR::new(0.0);
     }

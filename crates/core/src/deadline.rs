@@ -32,31 +32,18 @@
 //!   than burning a slow processor on a job that will be tardy anyway.
 //!   Deadline-free kernels keep the full `α·x` and sort last.
 //!
-//! Both run APT's one `decide` pass, which emits and marks the whole
-//! per-instant fixpoint, with their own kernel order and threshold, and
-//! screen kernels on APT's per-class admissible masks (see the `apt`
-//! module docs). When they sort, the screen runs before the sort, class
-//! list by class list on an open stream, so kernels no idle processor can
-//! take are neither visited, keyed nor sorted. On
-//! deadline-free workloads both reduce byte-identically to APT, which is
-//! what lets the streaming equivalence suite replay them against
-//! `simulate_stream`.
-//!
-//! Both also keep APT's per-admission memo of rejected alternatives (the
-//! `apt` module docs), cleared with the class table. Kernel order never
-//! enters a verdict, so EDF-APT's rests on exactly APT's argument. LL-APT's
-//! rests on one more fact: its threshold `clamp(slack, x, α·x)` never
-//! grows while a kernel waits. The deadline is fixed at admission, so the
-//! slack only shrinks as time advances, and a processor whose `exec +
-//! transfer` exceeded the threshold once exceeds every later one. A
-//! `set_alpha` that raises `α·x` clears the memo. `crates/stream/tests/
-//! naive_apt.rs` pins LL-APT against a memo-free, screen-free
-//! one-assignment-per-call walk in laxity order.
+//! Both are rules of the one [`AptPolicy`] type; the [`crate::apt`] module
+//! docs cover the screen and the memo of rejected alternatives they share.
+//! On deadline-free workloads both reduce byte-identically to APT, which
+//! is what lets the streaming equivalence suite replay them against
+//! `simulate_stream`. `crates/stream/tests/naive_apt.rs` pins LL-APT
+//! against a memo-free, screen-free one-assignment-per-call walk in
+//! laxity order.
 
-use crate::apt::{apt_step, ready_pass, AdmissibleMasks, Rejections};
-use apt_base::{BaseError, SimDuration};
+use crate::apt::{apt_step, ready_pass, AptPolicy, AptRule, Rejections};
+use apt_base::SimDuration;
 use apt_dfg::NodeId;
-use apt_hetsim::{AssignmentBuf, Policy, PolicyKind, PrepareCtx, ReadyEntry, ReadyOrder, SimView};
+use apt_hetsim::{AssignmentBuf, ReadyEntry, ReadyOrder, SimView};
 
 /// A reusable `(key, ready-set entry)` ordering buffer.
 type OrderBuf = Vec<(u64, ReadyEntry)>;
@@ -103,76 +90,27 @@ fn sorted_pass(
 }
 
 /// APT with the ready list in earliest-absolute-deadline order.
-#[derive(Debug, Clone)]
-pub struct EdfApt {
-    alpha: f64,
-    masks: AdmissibleMasks,
+pub type EdfApt = AptPolicy<Edf>;
+
+/// [`EdfApt`]'s rule: the ready set in ascending `(deadline, FCFS)` order,
+/// the threshold `α·x`, and APT's memo of rejected alternatives.
+#[derive(Debug, Clone, Default)]
+pub struct Edf {
     rejected: Rejections,
     /// Reusable ordering buffer keyed by deadline (left untouched under an
     /// engine that already iterates in EDF order).
     order: OrderBuf,
 }
 
-impl EdfApt {
-    /// An EDF-ordered APT scheduler with flexibility factor `α ≥ 1`
-    /// (Eq. 8). Panics if `α < 1`, like [`crate::Apt`].
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha >= 1.0 && alpha.is_finite(),
-            "EDF-APT requires a finite α ≥ 1 (Eq. 8), got {alpha}"
-        );
-        EdfApt {
-            alpha,
-            masks: AdmissibleMasks::default(),
-            rejected: Rejections::default(),
-            order: Vec::new(),
-        }
-    }
+impl AptRule for Edf {
+    const NAME: &'static str = "EDF-APT";
 
-    /// The configured flexibility factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Set the flexibility factor at runtime, clamped like
-    /// [`crate::Apt::set_alpha`] (finite, ≥ 1; non-finite ignored).
-    pub fn set_alpha(&mut self, alpha: f64) {
-        if alpha.is_finite() {
-            self.alpha = alpha.max(1.0);
-            self.masks.reset();
-            self.rejected.reset();
-        }
-    }
-}
-
-impl Policy for EdfApt {
-    fn name(&self) -> String {
-        format!("EDF-APT(α={})", self.alpha)
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Dynamic
-    }
-
-    fn alpha(&self) -> Option<f64> {
-        Some(self.alpha)
-    }
-
-    fn set_alpha(&mut self, alpha: f64) -> bool {
-        EdfApt::set_alpha(self, alpha);
-        true
-    }
-
-    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
-        self.masks.reset();
+    fn reset(&mut self) {
         self.rejected.reset();
-        Ok(())
     }
 
-    fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let alpha = self.alpha;
+    fn pass(&mut self, view: &SimView<'_>, masks: &[u64], alpha: f64, out: &mut AssignmentBuf) {
         let threshold_of = |_, x: SimDuration| x.scale_alpha(alpha);
-        let masks = self.masks.get(view.cost, alpha);
         if view.ready_order == ReadyOrder::EarliestDeadline {
             // The engine already iterates `(deadline, FCFS)`: sorting
             // again would be the identity permutation.
@@ -200,74 +138,26 @@ fn deadline_key(view: &SimView<'_>, node: NodeId) -> u64 {
 }
 
 /// APT in least-laxity order with a slack-clamped admission threshold.
-#[derive(Debug, Clone)]
-pub struct LlApt {
-    alpha: f64,
-    masks: AdmissibleMasks,
+pub type LlApt = AptPolicy<Laxity>;
+
+/// [`LlApt`]'s rule: the ready set in ascending laxity order, the
+/// threshold `clamp(slack, x, α·x)`, and APT's memo of rejected
+/// alternatives.
+#[derive(Debug, Clone, Default)]
+pub struct Laxity {
     rejected: Rejections,
     /// Reusable ordering buffer keyed by laxity.
     order: OrderBuf,
 }
 
-impl LlApt {
-    /// A least-laxity APT scheduler with flexibility factor `α ≥ 1`.
-    /// Panics if `α < 1`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha >= 1.0 && alpha.is_finite(),
-            "LL-APT requires a finite α ≥ 1, got {alpha}"
-        );
-        LlApt {
-            alpha,
-            masks: AdmissibleMasks::default(),
-            rejected: Rejections::default(),
-            order: Vec::new(),
-        }
-    }
+impl AptRule for Laxity {
+    const NAME: &'static str = "LL-APT";
 
-    /// The configured flexibility factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Set the flexibility factor at runtime, clamped like
-    /// [`crate::Apt::set_alpha`] (finite, ≥ 1; non-finite ignored).
-    pub fn set_alpha(&mut self, alpha: f64) {
-        if alpha.is_finite() {
-            self.alpha = alpha.max(1.0);
-            self.masks.reset();
-            self.rejected.reset();
-        }
-    }
-}
-
-impl Policy for LlApt {
-    fn name(&self) -> String {
-        format!("LL-APT(α={})", self.alpha)
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Dynamic
-    }
-
-    fn alpha(&self) -> Option<f64> {
-        Some(self.alpha)
-    }
-
-    fn set_alpha(&mut self, alpha: f64) -> bool {
-        LlApt::set_alpha(self, alpha);
-        true
-    }
-
-    fn prepare(&mut self, _ctx: PrepareCtx<'_>) -> Result<(), BaseError> {
-        self.masks.reset();
+    fn reset(&mut self) {
         self.rejected.reset();
-        Ok(())
     }
 
-    fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf) {
-        let alpha = self.alpha;
-        let masks = self.masks.get(view.cost, alpha);
+    fn pass(&mut self, view: &SimView<'_>, masks: &[u64], alpha: f64, out: &mut AssignmentBuf) {
         // Laxity = slack − best execution time, saturating at zero (an
         // already-hopeless kernel is maximally urgent). Deadline-free
         // kernels sort last via MAX.
@@ -306,16 +196,16 @@ mod tests {
     use apt_base::{ProcKind, SimTime};
     use apt_dfg::generator::{build_type1, generate_kernels, StreamConfig};
     use apt_dfg::LookupTable;
-    use apt_hetsim::{simulate, SystemConfig};
+    use apt_hetsim::{simulate, Policy, SystemConfig};
 
     #[test]
-    #[should_panic(expected = "α ≥ 1")]
+    #[should_panic(expected = "EDF-APT requires a finite α ≥ 1 (Eq. 8), got 0.9")]
     fn edf_alpha_below_one_is_rejected() {
         let _ = EdfApt::new(0.9);
     }
 
     #[test]
-    #[should_panic(expected = "α ≥ 1")]
+    #[should_panic(expected = "LL-APT requires a finite α ≥ 1 (Eq. 8), got 0.5")]
     fn ll_alpha_below_one_is_rejected() {
         let _ = LlApt::new(0.5);
     }

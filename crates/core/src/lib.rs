@@ -20,14 +20,17 @@
 //! one kernel against unblocking the whole stream, cutting average makespan
 //! by ~16–18 % against the second-best policy.
 //!
-//! This crate also ships:
+//! Every APT-family policy is one type, [`AptPolicy`], whose [`AptRule`]
+//! fixes the order it visits ready kernels in and the rule that admits an
+//! alternative ([`apt`] module docs). [`Apt`] is the paper's rule; this
+//! crate also ships:
 //!
 //! * [`AptR`] — the conclusion's future-work variant, which additionally
 //!   weighs the *remaining* busy time of `p_min` before settling for an
-//!   alternative processor.
+//!   alternative processor (its rule is in [`apt_r`]).
 //! * [`EdfApt`] / [`LlApt`] — deadline-aware variants for the open-system
 //!   SLO axis: earliest-deadline ordering, and least-laxity ordering with
-//!   a slack-clamped threshold (see [`deadline`]).
+//!   a slack-clamped threshold (their rules are in [`deadline`]).
 //! * [`analysis`] — the Appendix-B allocation analyses (which kernels went
 //!   to a second-best processor, per α) regenerated from traces.
 //! * [`prelude`] — one-stop imports for downstream users.
@@ -61,7 +64,7 @@ pub mod prelude;
 pub mod tuning;
 
 pub use analysis::AllocationAnalysis;
-pub use apt::Apt;
+pub use apt::{Apt, AptPolicy, AptRule};
 pub use apt_r::AptR;
 pub use deadline::{EdfApt, LlApt};
 pub use tuning::{auto_tune, tune_alpha, TuningResult};

@@ -25,6 +25,7 @@
 //! counters — ready for pivoting on the MTTF × λ axes.
 
 use crate::runner::run_pool;
+use crate::slo::slo_policy_factories;
 use crate::streaming::SWEEP_WINDOW;
 use apt_core::prelude::*;
 use apt_core::PolicyFactory;
@@ -68,30 +69,19 @@ pub const FAULT_CAP: usize = 256;
 /// `apt-faults`, so the two never share draws).
 pub const FAULT_SEED: u64 = 0xFA17_0B5E;
 
-/// The compared policies (see the module docs).
+/// The compared policies (see the module docs): the SLO sweep's APT
+/// triple, then MET and OLB.
 pub fn fault_policy_factories(alpha: f64) -> Vec<(String, PolicyFactory)> {
-    vec![
-        (
-            "APT".to_string(),
-            Box::new(move || Box::new(Apt::new(alpha)) as Box<dyn Policy>),
-        ),
-        (
-            "EDF-APT".to_string(),
-            Box::new(move || Box::new(EdfApt::new(alpha)) as Box<dyn Policy>),
-        ),
-        (
-            "LL-APT".to_string(),
-            Box::new(move || Box::new(LlApt::new(alpha)) as Box<dyn Policy>),
-        ),
-        (
-            "MET".to_string(),
-            Box::new(|| Box::new(Met::new()) as Box<dyn Policy>),
-        ),
-        (
-            "OLB".to_string(),
-            Box::new(|| Box::new(Olb::new()) as Box<dyn Policy>),
-        ),
-    ]
+    let mut roster = slo_policy_factories(alpha);
+    roster.push((
+        "MET".to_string(),
+        Box::new(|| Box::new(Met::new()) as Box<dyn Policy>),
+    ));
+    roster.push((
+        "OLB".to_string(),
+        Box::new(|| Box::new(Olb::new()) as Box<dyn Policy>),
+    ));
+    roster
 }
 
 /// The fault plan of one MTTF setting: `None` → [`FaultPlan::none`]

@@ -259,8 +259,9 @@ pub trait Policy {
     fn decide(&mut self, view: &SimView<'_>, out: &mut AssignmentBuf);
 
     /// The policy's runtime-tunable APT-family threshold α, when it has
-    /// one. Controllers read this to seed their probing state; policies
-    /// without the knob (everything but the APT family) report `None`.
+    /// one. Controllers read this to seed their probing state. Every APT
+    /// family member (`apt_core::AptPolicy`: APT, APT-R, EDF-APT, LL-APT)
+    /// has the knob; every other policy reports `None`.
     fn alpha(&self) -> Option<f64> {
         None
     }

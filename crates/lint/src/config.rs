@@ -107,6 +107,10 @@ mod tests {
         assert!(cfg.is_hot_path("crates/policies/src/heft.rs"));
         assert!(cfg.is_hot_path("crates/hetsim/src/engine.rs"));
         assert!(cfg.is_hot_path("crates/stream/src/job.rs"));
+        for family in ["apt.rs", "apt_r.rs", "deadline.rs"] {
+            assert!(cfg.is_hot_path(&format!("crates/core/src/{family}")));
+        }
+        assert!(!cfg.is_hot_path("crates/core/src/tuning.rs"));
         assert!(!cfg.is_hot_path("crates/stream/src/source.rs"));
         assert!(!cfg.is_hot_path("crates/hetsim/src/cost.rs"));
         assert!(cfg.wall_clock_allowed("crates/telemetry/src/progress.rs"));

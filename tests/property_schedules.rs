@@ -6,7 +6,9 @@
 use apt_suite::prelude::*;
 use proptest::prelude::*;
 
-/// Construct the policy under test by index (covers all nine schedulers).
+/// Construct the policy under test by index (covers all twelve
+/// schedulers; on these deadline-free workloads EDF-APT and LL-APT sort the
+/// ready set themselves with every key `MAX`).
 fn make_policy(which: usize, alpha: f64) -> Box<dyn Policy> {
     match which {
         0 => Box::new(Apt::new(alpha)),
@@ -17,7 +19,10 @@ fn make_policy(which: usize, alpha: f64) -> Box<dyn Policy> {
         5 => Box::new(AdaptiveGreedy::new()),
         6 => Box::new(Olb::new()),
         7 => Box::new(Heft::new()),
-        _ => Box::new(Peft::new()),
+        8 => Box::new(Peft::new()),
+        9 => Box::new(EdfApt::new(alpha)),
+        10 => Box::new(LlApt::new(alpha)),
+        _ => Box::new(AdaptiveRandom::new(7)),
     }
 }
 
@@ -66,7 +71,7 @@ proptest! {
     fn every_policy_produces_valid_schedules(
         (dfg, _) in arbitrary_workload(),
         system in arbitrary_system(),
-        which in 0usize..9,
+        which in 0usize..12,
         alpha in 1.0f64..20.0,
     ) {
         let mut policy = make_policy(which, alpha);
@@ -87,7 +92,7 @@ proptest! {
     #[test]
     fn makespan_respects_global_bounds(
         (dfg, _) in arbitrary_workload(),
-        which in 0usize..9,
+        which in 0usize..12,
     ) {
         let lookup = LookupTable::paper();
         let system = SystemConfig::paper_4gbps();
@@ -121,7 +126,7 @@ proptest! {
     #[test]
     fn simulation_is_a_pure_function(
         (dfg, _) in arbitrary_workload(),
-        which in 0usize..9,
+        which in 0usize..12,
     ) {
         let system = SystemConfig::paper_4gbps();
         let lookup = LookupTable::paper();
